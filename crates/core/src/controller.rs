@@ -35,6 +35,7 @@ use serde::{Deserialize, Serialize};
 use crate::app::{AppInstance, BundleState, ChosenConfig, InstanceId};
 use crate::candidates::{enumerate, Candidate};
 use crate::error::CoreError;
+use crate::events::EventOutcome;
 use crate::feedback::{calibration_factor, FeedbackConfig};
 use crate::journal::{EventJournal, JournalKind, JournalTail, PhaseTimings};
 use crate::objective::Objective;
@@ -328,19 +329,12 @@ pub struct Controller {
     /// concurrent renewals" bug class so the harness can prove its lease
     /// oracle catches it. Never set outside tests.
     chaos_skip_touch_fold: bool,
-    /// Chaos hook for crash-point enumeration (`harmony-mc`): when set,
-    /// [`Controller::renew_lease`] still applies the renewal but skips
-    /// logging it — re-creating the "verb mutates state without a
-    /// log-before-apply event" bug class, which only WAL-replay
-    /// equivalence checking can catch (the live state stays correct; the
-    /// recovered state diverges). Never set outside tests.
-    chaos_skip_wal_renew: bool,
     /// The attached write-ahead log, when this controller is persistent
     /// (opened through [`crate::persist::StateStore`]). `Arc` + interior
     /// buffering in the writer let the concurrent read path (touches,
     /// polls, metric reports) append under a shared borrow. `None` (the
-    /// default, and always during WAL replay) makes every logging hook a
-    /// no-op — behavior is bit-for-bit the non-persistent controller.
+    /// default) makes every logging point a no-op — behavior is
+    /// bit-for-bit the non-persistent controller.
     wal: Option<std::sync::Arc<harmony_wal::WalWriter>>,
     /// How this controller came to be, when recovered from a state
     /// directory (surfaced in [`crate::SystemSnapshot`]).
@@ -372,29 +366,9 @@ impl Controller {
             decision_provenance: Vec::new(),
             phase_timings: None,
             chaos_skip_touch_fold: false,
-            chaos_skip_wal_renew: false,
             wal: None,
             recovery: None,
         }
-    }
-
-    /// Plants the "reaper skips touch folding" mutation (see the
-    /// `chaos_skip_touch_fold` field). Exposed — hidden — for
-    /// `harmony-harness`, whose planted-bug acceptance test proves the
-    /// schedule explorer detects exactly this class of lease bug.
-    #[doc(hidden)]
-    pub fn chaos_set_skip_touch_fold(&mut self, enabled: bool) {
-        self.chaos_skip_touch_fold = enabled;
-    }
-
-    /// Plants the "renewal applied but never logged" mutation (see the
-    /// `chaos_skip_wal_renew` field). Exposed — hidden — for
-    /// `harmony-mc`, whose crash-point enumeration proves WAL-replay
-    /// equivalence checking detects exactly this class of persistence
-    /// bug.
-    #[doc(hidden)]
-    pub fn chaos_set_skip_wal_renew(&mut self, enabled: bool) {
-        self.chaos_skip_wal_renew = enabled;
     }
 
     /// The controller clock (seconds). The embedding (simulation or wall
@@ -481,11 +455,12 @@ impl Controller {
         // leaves a `metric-rejected` journal entry that replay must
         // reproduce for journal-sequence parity.
         self.wal_log(&WalEvent::Metric { now: self.now, name: name.to_string(), time, value });
-        self.record_metric_inner(name, time, value)
+        self.apply_metric(name, time, value)
     }
 
-    /// [`Controller::record_metric`] without the WAL hook.
-    pub(crate) fn record_metric_inner(&self, name: &str, time: f64, value: f64) -> bool {
+    /// The one metric body, shared by [`Controller::record_metric`], the
+    /// `Metric` command and the `MetricReport` event.
+    pub(crate) fn apply_metric(&self, name: &str, time: f64, value: f64) -> bool {
         if !self.metrics.record(name, time, value) {
             self.journal_append(JournalKind::Event, format!("metric-rejected {name}"));
             return false;
@@ -550,16 +525,83 @@ impl Controller {
         self.candidate_cache.len()
     }
 
+    // ------------------------------------------------------------------
+    // The write path: one command vocabulary, one entry.
+    // ------------------------------------------------------------------
+
+    /// Executes one write-path command: moves the clock to its time, logs
+    /// it, then applies it. Every mutating verb — the typed methods below,
+    /// the wire server, the harness, the model checker — enters here and
+    /// nothing else on the write path logs, so log-before-apply holds by
+    /// construction. Recovery is this function minus the log.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the command's verb reports. The command is logged
+    /// regardless: a failing verb may still have mutated state, and it
+    /// fails identically on replay.
+    pub fn execute(&mut self, ev: WalEvent) -> Result<EventOutcome, CoreError> {
+        self.set_time(ev.now());
+        self.wal_log(&ev);
+        self.apply(ev)
+    }
+
+    /// Applies one command without logging it: the single dispatch from
+    /// the command vocabulary to each verb's one body. `Tick` and `Flush`
+    /// fire unconditionally — whether a window is due is decided before
+    /// the command is built, and replay only ever sees fired ones.
+    pub(crate) fn apply(&mut self, ev: WalEvent) -> Result<EventOutcome, CoreError> {
+        match ev {
+            WalEvent::Event { event, .. } => self.apply_event(event),
+            WalEvent::Startup { app, .. } => {
+                Ok(EventOutcome::Registered(self.register_instance(&app)))
+            }
+            WalEvent::Bundle { id, spec, .. } => {
+                self.place_bundle(&id, spec).map(EventOutcome::Decisions)
+            }
+            WalEvent::End { id, .. } => {
+                self.retire(&id, RetireReason::Ended).map(EventOutcome::Decisions)
+            }
+            WalEvent::Renew { id, .. } => self.renew(&id).map(|()| EventOutcome::Quiet),
+            WalEvent::Reattach { id, .. } => self.resume_session(&id).map(|()| EventOutcome::Quiet),
+            WalEvent::Disconnect { id, .. } => {
+                self.disconnect(&id);
+                Ok(EventOutcome::Quiet)
+            }
+            WalEvent::Touch { id, .. } => {
+                if let Some(stamp) = self.touch_stamp(&id) {
+                    self.apply_touch(stamp);
+                }
+                Ok(EventOutcome::Quiet)
+            }
+            WalEvent::Poll { id, .. } => {
+                self.drain_pending(&id);
+                Ok(EventOutcome::Quiet)
+            }
+            WalEvent::Metric { name, time, value, .. } => {
+                self.apply_metric(&name, time, value);
+                Ok(EventOutcome::Quiet)
+            }
+            WalEvent::Reap { now } => self.reap(now).map(EventOutcome::Decisions),
+            WalEvent::Tick { .. } | WalEvent::Flush { .. } => {
+                self.fire_scheduler().map(EventOutcome::Decisions)
+            }
+            WalEvent::Reevaluate { .. } => self
+                .reevaluate_triggered(JournalKind::Event, "reevaluate".to_string())
+                .map(EventOutcome::Decisions),
+        }
+    }
+
     /// Registers a new application instance with a system-chosen id
     /// (`harmony_startup`).
     pub fn startup(&mut self, app: &str) -> InstanceId {
-        self.wal_log(&WalEvent::Startup { now: self.now, app: app.to_string() });
-        self.startup_inner(app)
+        match self.execute(WalEvent::Startup { now: self.now, app: app.to_string() }) {
+            Ok(EventOutcome::Registered(id)) => id,
+            other => unreachable!("a startup command always registers, got {other:?}"),
+        }
     }
 
-    /// [`Controller::startup`] without the WAL hook, for callers that
-    /// already logged the triggering event (the `handle_event` arms).
-    pub(crate) fn startup_inner(&mut self, app: &str) -> InstanceId {
+    fn register_instance(&mut self, app: &str) -> InstanceId {
         let id = InstanceId::new(app, self.registry.allocate(app));
         self.apps.insert(id.clone(), AppInstance::new(id.clone(), self.now));
         self.arrival_order.push(id.clone());
@@ -588,12 +630,11 @@ impl Controller {
         id: &InstanceId,
         spec: BundleSpec,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log(&WalEvent::Bundle { now: self.now, id: id.clone(), spec: spec.clone() });
-        self.add_bundle_inner(id, spec)
+        self.execute(WalEvent::Bundle { now: self.now, id: id.clone(), spec })
+            .map(EventOutcome::into_decisions)
     }
 
-    /// [`Controller::add_bundle`] without the WAL hook.
-    pub(crate) fn add_bundle_inner(
+    fn place_bundle(
         &mut self,
         id: &InstanceId,
         spec: BundleSpec,
@@ -633,7 +674,7 @@ impl Controller {
         if (self.config.coordinated_moves && !self.config.selfish)
             && (!self.coalescing() || self.choice(id, &bundle_name).is_none())
         {
-            let others: Vec<(InstanceId, String)> = self.all_pairs_excluding(id, &bundle_name);
+            let others = self.all_pairs_excluding(Some((id, &bundle_name)));
             for (oid, obundle) in others {
                 if let Some(rs) =
                     self.pairwise_step((oid, obundle), (id.clone(), bundle_name.clone()))?
@@ -699,13 +740,8 @@ impl Controller {
     ///
     /// [`CoreError::UnknownInstance`] for unregistered ids.
     pub fn end(&mut self, id: &InstanceId) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log(&WalEvent::End { now: self.now, id: id.clone() });
-        self.end_inner(id)
-    }
-
-    /// [`Controller::end`] without the WAL hook.
-    pub(crate) fn end_inner(&mut self, id: &InstanceId) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.retire(id, RetireReason::Ended)
+        self.execute(WalEvent::End { now: self.now, id: id.clone() })
+            .map(EventOutcome::into_decisions)
     }
 
     /// Retires an instance for `reason`: releases its resources, records
@@ -762,42 +798,20 @@ impl Controller {
     /// verb). Returns `false` when the instance is not registered — the
     /// caller should tell the client to start over.
     pub fn renew_lease(&mut self, id: &InstanceId) -> bool {
-        if !self.chaos_skip_wal_renew {
-            self.wal_log(&WalEvent::Renew { now: self.now, id: id.clone() });
-        }
-        self.renew_lease_inner(id)
+        self.execute(WalEvent::Renew { now: self.now, id: id.clone() }).is_ok()
     }
 
-    /// [`Controller::renew_lease`] without the WAL hook.
-    pub(crate) fn renew_lease_inner(&mut self, id: &InstanceId) -> bool {
-        let duration = self.config.lease.duration;
-        let now = self.now;
-        match self.sessions.get_mut(id) {
-            Some(s) => {
-                s.deadline = now + duration;
-                s.disconnected = false;
-                s.renewals += 1;
-                self.metrics.inc_counter("controller.sessions.renewals");
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Renews the lease of the instance owning a metric report, parsing
-    /// the `<app>.<id>.<metric>` naming convention. Reports that do not
-    /// follow the convention (or name an unknown instance) are ignored.
-    pub fn renew_lease_for_metric(&mut self, name: &str) {
-        if let Some(id) = metric_instance(name) {
-            self.renew_lease(&id);
-        }
-    }
-
-    /// [`Controller::renew_lease_for_metric`] without the WAL hook.
-    pub(crate) fn renew_lease_for_metric_inner(&mut self, name: &str) {
-        if let Some(id) = metric_instance(name) {
-            self.renew_lease_inner(&id);
-        }
+    fn renew(&mut self, id: &InstanceId) -> Result<(), CoreError> {
+        let deadline = self.now + self.config.lease.duration;
+        let s = self
+            .sessions
+            .get_mut(id)
+            .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
+        s.deadline = deadline;
+        s.disconnected = false;
+        s.renewals += 1;
+        self.metrics.inc_counter("controller.sessions.renewals");
+        Ok(())
     }
 
     /// Marks an instance's connection as dropped: the lease is shortened
@@ -805,7 +819,10 @@ impl Controller {
     /// client is reaped quickly while a reconnecting one can still
     /// [`reattach`](Controller::reattach) in time.
     pub fn mark_disconnected(&mut self, id: &InstanceId) {
-        self.wal_log(&WalEvent::Disconnect { now: self.now, id: id.clone() });
+        let _ = self.execute(WalEvent::Disconnect { now: self.now, id: id.clone() });
+    }
+
+    fn disconnect(&mut self, id: &InstanceId) {
         // Apply any read-path touch first so activity that happened before
         // the disconnect extends the lease before the grace cap shortens
         // it.
@@ -832,16 +849,11 @@ impl Controller {
     /// (expired and reaped, or never known) — the client should fall back
     /// to a fresh `startup` plus bundle re-registration.
     pub fn reattach(&mut self, id: &InstanceId) -> Result<(), CoreError> {
-        self.wal_log(&WalEvent::Reattach { now: self.now, id: id.clone() });
-        self.reattach_inner(id)
+        self.execute(WalEvent::Reattach { now: self.now, id: id.clone() }).map(|_| ())
     }
 
-    /// [`Controller::reattach`] without the WAL hook.
-    pub(crate) fn reattach_inner(&mut self, id: &InstanceId) -> Result<(), CoreError> {
-        if !self.apps.contains_key(id) {
-            return Err(CoreError::UnknownInstance { name: id.to_string() });
-        }
-        self.renew_lease_inner(id);
+    fn resume_session(&mut self, id: &InstanceId) -> Result<(), CoreError> {
+        self.renew(id)?;
         self.metrics.inc_counter("controller.sessions.reattached");
         // Replay the full current state (idempotent: updates are keyed by
         // path), replacing whatever was buffered before the disconnect.
@@ -868,16 +880,21 @@ impl Controller {
     ///
     /// Propagates re-evaluation errors from the retirement path.
     pub fn reap_expired(&mut self, now: f64) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log(&WalEvent::Reap { now });
-        self.reap_expired_inner(now)
+        self.execute(WalEvent::Reap { now }).map(EventOutcome::into_decisions)
     }
 
-    /// [`Controller::reap_expired`] without the WAL hook.
-    pub(crate) fn reap_expired_inner(
-        &mut self,
-        now: f64,
-    ) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.set_time(now);
+    /// Plants the "reaper skips touch folding" mutation (see the
+    /// `chaos_skip_touch_fold` field). Exposed — hidden — for
+    /// `harmony-harness`, whose planted-bug acceptance test proves the
+    /// schedule explorer detects exactly this class of lease bug.
+    #[doc(hidden)]
+    pub fn chaos_set_skip_touch_fold(&mut self, enabled: bool) {
+        self.chaos_skip_touch_fold = enabled;
+    }
+
+    /// The sweep's one body; the caller has already moved the clock to
+    /// `now`.
+    fn reap(&mut self, now: f64) -> Result<Vec<DecisionRecord>, CoreError> {
         if !self.chaos_skip_touch_fold {
             self.fold_touches();
         }
@@ -931,25 +948,33 @@ impl Controller {
     ///
     /// Returns `false` when the instance is not registered.
     pub fn touch(&self, id: &InstanceId) -> bool {
-        match self.touches.get(id) {
-            Some(stamp) => {
-                // `fetch_max` on the bit pattern is a max on the value
-                // ONLY for non-negative finite doubles: the sign bit puts
-                // every negative value's bits above every positive one's,
-                // and NaN's all-ones exponent would poison the max
-                // forever. [`Controller::set_time`] already refuses
-                // non-finite clocks, but clamp here too so a bad stamp can
-                // never reach the atomic regardless of how `now` was
-                // produced. A rejected stamp still reports the instance as
-                // registered — the touch is dropped, not the session.
-                if self.now.is_finite() && self.now >= 0.0 {
-                    self.wal_log(&WalEvent::Touch { now: self.now, id: id.clone() });
-                    stamp.fetch_max(self.now.to_bits(), AtomicOrdering::AcqRel);
-                }
-                true
-            }
-            None => false,
+        if let Some(stamp) = self.touch_stamp(id) {
+            self.wal_log(&WalEvent::Touch { now: self.now, id: id.clone() });
+            self.apply_touch(stamp);
+            return true;
         }
+        // A rejected stamp still reports the instance as registered — the
+        // touch is dropped, not the session.
+        self.touches.contains_key(id)
+    }
+
+    /// Where a touch of `id` lands: its stamp, or `None` when `id` is
+    /// unregistered or the clock is not stampable (see `apply_touch`).
+    fn touch_stamp(&self, id: &InstanceId) -> Option<&AtomicU64> {
+        let stamp = self.touches.get(id)?;
+        (self.now.is_finite() && self.now >= 0.0).then_some(stamp)
+    }
+
+    /// The one touch body, shared by [`Controller::touch`] and the `Touch`
+    /// command. `fetch_max` on the bit pattern is a max on the value ONLY
+    /// for non-negative finite doubles: the sign bit puts every negative
+    /// value's bits above every positive one's, and NaN's all-ones
+    /// exponent would poison the max forever. [`Controller::set_time`]
+    /// already refuses non-finite clocks, but `touch_stamp` clamps too so
+    /// a bad stamp can never reach the atomic regardless of how `now` was
+    /// produced.
+    fn apply_touch(&self, stamp: &AtomicU64) {
+        stamp.fetch_max(self.now.to_bits(), AtomicOrdering::AcqRel);
     }
 
     /// [`Controller::touch`] keyed by a metric report's
@@ -1041,15 +1066,12 @@ impl Controller {
     /// Propagates re-evaluation errors.
     pub fn service_scheduler(&mut self, now: f64) -> Result<Vec<DecisionRecord>, CoreError> {
         self.set_time(now);
-        if self.scheduler.due(&self.config.coalesce, self.now) {
-            // Only *firing* ticks are WAL-logged: a quiet tick merely
-            // advances the clock, which the next logged event's `now`
-            // reproduces on replay.
-            self.wal_log(&WalEvent::Tick { now: self.now });
-            self.fire_scheduler()
-        } else {
-            Ok(Vec::new())
+        // Only *firing* ticks become commands: a quiet tick merely advances
+        // the clock, which the next logged command's `now` reproduces.
+        if !self.scheduler.due(&self.config.coalesce, self.now) {
+            return Ok(Vec::new());
         }
+        self.execute(WalEvent::Tick { now: self.now }).map(EventOutcome::into_decisions)
     }
 
     /// Runs the coalesced re-evaluation immediately if any marks are
@@ -1060,23 +1082,15 @@ impl Controller {
     ///
     /// Propagates re-evaluation errors.
     pub fn flush_scheduler(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
-        if self.scheduler.pending() > 0 {
-            self.wal_log(&WalEvent::Flush { now: self.now });
+        if self.scheduler.pending() == 0 {
+            return Ok(Vec::new());
         }
-        self.flush_scheduler_inner()
-    }
-
-    /// [`Controller::flush_scheduler`] without the WAL hook.
-    pub(crate) fn flush_scheduler_inner(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
-        if self.scheduler.pending() > 0 {
-            self.fire_scheduler()
-        } else {
-            Ok(Vec::new())
-        }
+        self.execute(WalEvent::Flush { now: self.now }).map(EventOutcome::into_decisions)
     }
 
     /// One coalesced re-evaluation covering every pending mark: the single
-    /// joint optimization that replaces N per-event passes.
+    /// joint optimization that replaces N per-event passes. A no-op with
+    /// nothing pending.
     fn fire_scheduler(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
         let (n, seqs) = self.scheduler.take();
         if n == 0 {
@@ -1123,8 +1137,7 @@ impl Controller {
     /// Propagates evaluation errors; placement failures of *candidates*
     /// are not errors (the candidate is skipped).
     pub fn reevaluate(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log(&WalEvent::Reevaluate { now: self.now });
-        self.reevaluate_triggered(JournalKind::Event, "reevaluate".to_string())
+        self.execute(WalEvent::Reevaluate { now: self.now }).map(EventOutcome::into_decisions)
     }
 
     /// A full re-evaluation whose decisions carry `detail` as provenance —
@@ -1141,16 +1154,13 @@ impl Controller {
         result
     }
 
-    fn all_pairs_excluding(
-        &self,
-        skip_id: &InstanceId,
-        skip_bundle: &str,
-    ) -> Vec<(InstanceId, String)> {
+    /// Every `(instance, bundle)` pair in arrival order, minus `skip`.
+    fn all_pairs_excluding(&self, skip: Option<(&InstanceId, &str)>) -> Vec<(InstanceId, String)> {
         let mut out = Vec::new();
         for id in &self.arrival_order {
             let Some(app) = self.apps.get(id) else { continue };
             for b in &app.bundles {
-                if id == skip_id && b.spec.name == skip_bundle {
+                if skip == Some((id, b.spec.name.as_str())) {
                     continue;
                 }
                 out.push((id.clone(), b.spec.name.clone()));
@@ -1192,16 +1202,7 @@ impl Controller {
         }
         if self.config.coordinated_moves && !self.config.selfish {
             // One round of pairwise moves over all ordered pairs.
-            let pairs: Vec<(InstanceId, String)> = {
-                let mut v = Vec::new();
-                for id in &order {
-                    let Some(app) = self.apps.get(id) else { continue };
-                    for b in &app.bundles {
-                        v.push((id.clone(), b.spec.name.clone()));
-                    }
-                }
-                v
-            };
+            let pairs = self.all_pairs_excluding(None);
             for i in 0..pairs.len() {
                 for j in (i + 1)..pairs.len() {
                     if let Some(rs) = self.pairwise_step(pairs[i].clone(), pairs[j].clone())? {
@@ -1238,17 +1239,20 @@ impl Controller {
     /// since its last poll). Takes `&self` — each instance's buffer is
     /// behind its own mutex — so polls run on the concurrent read path.
     pub fn take_pending_vars(&self, id: &InstanceId) -> Vec<(HPath, Value)> {
-        let drained = self
-            .pending_vars
-            .get(id)
-            .map(|buf| std::mem::take(&mut *buf.lock()))
-            .unwrap_or_default();
+        let drained = self.drain_pending(id);
         // Only non-empty drains change state; logging empty polls would
-        // bloat the WAL with every idle fetch.
+        // bloat the WAL with every idle fetch. Emptiness is known only
+        // under the buffer lock, so this one record follows its apply.
         if !drained.is_empty() {
             self.wal_log(&WalEvent::Poll { now: self.now, id: id.clone() });
         }
         drained
+    }
+
+    /// The one poll body, shared by [`Controller::take_pending_vars`] and
+    /// the `Poll` command.
+    fn drain_pending(&self, id: &InstanceId) -> Vec<(HPath, Value)> {
+        self.pending_vars.get(id).map(|buf| std::mem::take(&mut *buf.lock())).unwrap_or_default()
     }
 
     /// Drains the buffered variable updates (the server side of
@@ -1779,18 +1783,9 @@ impl Controller {
         }
     }
 
-    /// Logs an incoming [`HarmonyEvent`] wholesale (the replay-safe form:
-    /// `BundleSetup` scripts re-parse identically, `Periodic` re-reaps at
-    /// the same clock).
-    pub(crate) fn wal_log_event(&self, event: &crate::events::HarmonyEvent) {
-        if self.wal.is_some() {
-            self.wal_log(&WalEvent::Event { now: self.now, event: event.clone() });
-        }
-    }
-
     /// Attaches a write-ahead log: every state-changing verb from here on
-    /// is logged. Called by [`crate::persist::StateStore::open`] *after*
-    /// replay, so replayed verbs are never re-logged.
+    /// is logged. Called by [`crate::persist::StateStore::open`] after
+    /// replay.
     pub fn attach_wal(&mut self, wal: std::sync::Arc<harmony_wal::WalWriter>) {
         self.wal = Some(wal);
     }
@@ -1935,58 +1930,13 @@ impl Controller {
         Ok(ctl)
     }
 
-    /// Re-applies one WAL event during recovery. The clock is restored
-    /// first (each event carries the time it originally executed at), then
-    /// the event replays through the *public* verb — the WAL is not
-    /// attached yet, so the logging hooks are no-ops and nothing is
-    /// re-logged. Errors are discarded: an operation that failed live
+    /// Re-applies one WAL event during recovery: [`Controller::execute`]
+    /// minus the log. Errors are discarded: an operation that failed live
     /// fails identically on replay (the controller is deterministic), and
     /// that failure may still have mutated state that must be reproduced.
     pub fn apply_wal_event(&mut self, ev: WalEvent) {
-        debug_assert!(self.wal.is_none(), "replaying into a WAL-attached controller re-logs");
         self.set_time(ev.now());
-        match ev {
-            WalEvent::Event { event, .. } => {
-                let _ = self.handle_event(event);
-            }
-            WalEvent::Startup { app, .. } => {
-                let _ = self.startup(&app);
-            }
-            WalEvent::Bundle { id, spec, .. } => {
-                let _ = self.add_bundle(&id, spec);
-            }
-            WalEvent::End { id, .. } => {
-                let _ = self.end(&id);
-            }
-            WalEvent::Renew { id, .. } => {
-                let _ = self.renew_lease(&id);
-            }
-            WalEvent::Reattach { id, .. } => {
-                let _ = self.reattach(&id);
-            }
-            WalEvent::Disconnect { id, .. } => self.mark_disconnected(&id),
-            WalEvent::Touch { id, .. } => {
-                let _ = self.touch(&id);
-            }
-            WalEvent::Poll { id, .. } => {
-                let _ = self.take_pending_vars(&id);
-            }
-            WalEvent::Metric { name, time, value, .. } => {
-                let _ = self.record_metric(&name, time, value);
-            }
-            WalEvent::Reap { now } => {
-                let _ = self.reap_expired(now);
-            }
-            WalEvent::Tick { now } => {
-                let _ = self.service_scheduler(now);
-            }
-            WalEvent::Flush { .. } => {
-                let _ = self.flush_scheduler();
-            }
-            WalEvent::Reevaluate { .. } => {
-                let _ = self.reevaluate();
-            }
-        }
+        let _ = self.apply(ev);
     }
 }
 
@@ -2050,7 +2000,7 @@ fn config_writes(id: &InstanceId, bundle_name: &str, cfg: &ChosenConfig) -> Vec<
 
 /// The instance a metric report belongs to, per the `<app>.<id>.<metric>`
 /// naming convention; `None` for non-conforming names.
-fn metric_instance(name: &str) -> Option<InstanceId> {
+pub(crate) fn metric_instance(name: &str) -> Option<InstanceId> {
     let mut parts = name.splitn(3, '.');
     let (app, id, _rest) = (parts.next()?, parts.next()?, parts.next()?);
     id.parse::<u64>().ok().map(|id| InstanceId::new(app, id))
@@ -2395,11 +2345,16 @@ mod tests {
         let mut c = Controller::new(sp2(8), ControllerConfig::default());
         let (a, _) = c.register(bag_spec()).unwrap();
         c.set_time(25.0);
-        c.renew_lease_for_metric(&format!("bag.{}.response_time", a.id));
-        assert_eq!(c.session(&a).unwrap().deadline, 55.0);
+        let mut report = |name: String| {
+            c.handle_event(crate::HarmonyEvent::MetricReport { name, time: 25.0, value: 1.0 })
+                .unwrap();
+        };
+        report(format!("bag.{}.response_time", a.id));
         // Non-conforming or unknown names are ignored.
-        c.renew_lease_for_metric("nodots");
-        c.renew_lease_for_metric("ghost.77.rt");
+        report("nodots".to_string());
+        report("ghost.77.rt".to_string());
+        assert_eq!(c.session(&a).unwrap().deadline, 55.0);
+        assert_eq!(c.session(&a).unwrap().renewals, 1);
         assert_eq!(c.sessions().len(), 1);
     }
 

@@ -9,9 +9,10 @@ use harmony_rsl::schema::{parse_bundle_script, LinkDecl, NodeDecl};
 use serde::{Deserialize, Serialize};
 
 use crate::app::InstanceId;
-use crate::controller::{Controller, DecisionRecord};
+use crate::controller::{metric_instance, Controller, DecisionRecord};
 use crate::error::CoreError;
 use crate::journal::JournalKind;
+use crate::persist::WalEvent;
 
 /// An event delivered to the Harmony process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -80,63 +81,73 @@ pub enum EventOutcome {
     Quiet,
 }
 
+impl EventOutcome {
+    /// The decisions the command applied (none for the other outcomes).
+    pub(crate) fn into_decisions(self) -> Vec<DecisionRecord> {
+        match self {
+            EventOutcome::Decisions(records) => records,
+            EventOutcome::Registered(_) | EventOutcome::Quiet => Vec::new(),
+        }
+    }
+}
+
 impl Controller {
-    /// Handles one event, possibly triggering adaptation.
+    /// Handles one event, possibly triggering adaptation. Logged whole
+    /// (the replay-safe form: `BundleSetup` scripts re-parse identically,
+    /// `Periodic` re-reaps at the same clock).
     ///
     /// # Errors
     ///
     /// Propagates RSL parse errors from `BundleSetup` scripts and
     /// controller errors from registration/placement.
     pub fn handle_event(&mut self, event: HarmonyEvent) -> Result<EventOutcome, CoreError> {
-        self.wal_log_event(&event);
-        self.handle_event_inner(event)
+        self.execute(WalEvent::Event { now: self.now(), event })
     }
 
-    /// [`Controller::handle_event`] minus the WAL hook; the event was
-    /// already logged (or arrived from replay).
-    pub(crate) fn handle_event_inner(
-        &mut self,
-        event: HarmonyEvent,
-    ) -> Result<EventOutcome, CoreError> {
+    /// The `Event` command's body. Arms that restate another command
+    /// delegate to it, so each verb keeps one body.
+    pub(crate) fn apply_event(&mut self, event: HarmonyEvent) -> Result<EventOutcome, CoreError> {
+        let now = self.now();
         match event {
-            HarmonyEvent::Startup { app } => Ok(EventOutcome::Registered(self.startup_inner(&app))),
+            HarmonyEvent::Startup { app } => self.apply(WalEvent::Startup { now, app }),
             HarmonyEvent::BundleSetup { instance, script } => {
                 let spec = parse_bundle_script(&script)?;
-                Ok(EventOutcome::Decisions(self.add_bundle_inner(&instance, spec)?))
+                self.apply(WalEvent::Bundle { now, id: instance, spec })
             }
-            HarmonyEvent::AppEnded { instance } => {
-                Ok(EventOutcome::Decisions(self.end_inner(&instance)?))
-            }
+            HarmonyEvent::AppEnded { instance } => self.apply(WalEvent::End { now, id: instance }),
             HarmonyEvent::MetricReport { name, time, value } => {
-                self.renew_lease_for_metric_inner(&name);
+                // Reports that do not follow the `<app>.<id>.<metric>`
+                // convention (or name an unknown instance) renew nothing.
+                if let Some(id) = metric_instance(&name) {
+                    let _ = self.apply(WalEvent::Renew { now, id });
+                }
                 // Journals, rejects non-finite samples, and feeds the
                 // per-instance response-time histogram. Rejected samples
                 // stay off the bus so subscribers never see NaN/inf.
-                if self.record_metric_inner(&name, time, value) {
+                if self.apply_metric(&name, time, value) {
                     self.metric_bus().publish(harmony_metrics::MetricEvent::new(name, time, value));
                 }
                 Ok(EventOutcome::Quiet)
             }
             HarmonyEvent::Heartbeat { instance } => {
-                if self.renew_lease_inner(&instance) {
-                    self.journal_append(JournalKind::Event, format!("heartbeat {instance}"));
-                    Ok(EventOutcome::Quiet)
-                } else {
-                    Err(CoreError::UnknownInstance { name: instance.to_string() })
-                }
+                let detail = format!("heartbeat {instance}");
+                self.apply(WalEvent::Renew { now, id: instance })?;
+                self.journal_append(JournalKind::Event, detail);
+                Ok(EventOutcome::Quiet)
             }
             HarmonyEvent::Reattach { instance } => {
-                self.reattach_inner(&instance)?;
-                self.journal_append(JournalKind::Event, format!("reattach {instance}"));
+                let detail = format!("reattach {instance}");
+                self.apply(WalEvent::Reattach { now, id: instance })?;
+                self.journal_append(JournalKind::Event, detail);
                 Ok(EventOutcome::Quiet)
             }
             HarmonyEvent::Periodic => {
-                let mut records = self.reap_expired_inner(self.now())?;
+                let mut records = self.apply(WalEvent::Reap { now })?.into_decisions();
                 if self.coalescing() {
                     // The periodic pass is the coarse fallback heartbeat:
                     // flush whatever marks accumulated (reaping above may
                     // have added some) instead of re-evaluating blindly.
-                    records.extend(self.flush_scheduler_inner()?);
+                    records.extend(self.apply(WalEvent::Flush { now })?.into_decisions());
                 } else {
                     records.extend(
                         self.reevaluate_triggered(JournalKind::Event, "periodic".to_string())?,
@@ -156,9 +167,7 @@ impl Controller {
                 self.cluster.add_link(decl)?;
                 Ok(EventOutcome::Decisions(self.reevaluate_triggered(JournalKind::Event, detail)?))
             }
-            HarmonyEvent::NodeLeft { name } => {
-                Ok(EventOutcome::Decisions(self.evict_node_inner(&name)?))
-            }
+            HarmonyEvent::NodeLeft { name } => Ok(EventOutcome::Decisions(self.evict(&name)?)),
         }
     }
 
@@ -171,15 +180,11 @@ impl Controller {
     /// fits anywhere is left unconfigured (not an error — it may fit after
     /// other departures).
     pub fn evict_node(&mut self, name: &str) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.wal_log_event(&HarmonyEvent::NodeLeft { name: name.to_string() });
-        self.evict_node_inner(name)
+        self.handle_event(HarmonyEvent::NodeLeft { name: name.to_string() })
+            .map(EventOutcome::into_decisions)
     }
 
-    /// [`Controller::evict_node`] minus the WAL hook.
-    pub(crate) fn evict_node_inner(
-        &mut self,
-        name: &str,
-    ) -> Result<Vec<DecisionRecord>, CoreError> {
+    fn evict(&mut self, name: &str) -> Result<Vec<DecisionRecord>, CoreError> {
         // Find affected (instance, bundle) pairs and release their
         // allocations *before* removing the node so capacity is restored
         // exactly.

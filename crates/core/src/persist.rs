@@ -6,8 +6,10 @@
 //! The WAL records *external inputs*, not derived state: every
 //! state-changing verb the embedding can invoke (startup, bundle setup,
 //! end, lease renewals and touches, disconnects, polls, metric reports,
-//! reaps, scheduler ticks, node membership events) is logged as one
-//! [`WalEvent`] carrying the controller-clock time it executed at.
+//! reaps, scheduler ticks, node membership events) is one [`WalEvent`]
+//! command carrying the controller-clock time it executes at.
+//! [`Controller::execute`], the write path's only entry, logs the command
+//! and then applies it; the three `&self` read-path verbs log their own.
 //! Decisions, retirements, and journal entries are deliberately *not*
 //! logged — the optimizer is deterministic (bit-identical across thread
 //! counts), so replaying the inputs re-derives them exactly.
@@ -62,12 +64,13 @@ pub const PERSIST_VERSION: u32 = 1;
 /// (see [`StateStore::maybe_checkpoint`]).
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 4096;
 
-/// One state-changing input, as serialized into the WAL.
+/// One state-changing command: what [`Controller::execute`] takes, and —
+/// serialized — one WAL record.
 ///
-/// Every variant carries `now`, the controller clock at the moment the
-/// verb ran: replay restores the clock before re-applying the verb, so
-/// clock advances that produced no event of their own (quiet scheduler
-/// ticks) are reproduced lazily by the next logged event.
+/// Every variant carries `now`, the controller clock the command executes
+/// at: `execute` and replay both move the clock there before applying, so
+/// clock advances that produced no command of their own (quiet scheduler
+/// ticks) are reproduced lazily by the next logged one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WalEvent {
     /// A [`HarmonyEvent`] delivered through

@@ -4,8 +4,9 @@
 //!
 //! Every transition is hermetic: the parent's [`PersistedState`] is
 //! rehydrated through [`Controller::from_persisted`] — the same code
-//! path crash recovery uses — the verb executes exactly as the wire
-//! server would dispatch it, and the child is canonicalized back out.
+//! path crash recovery uses — client verbs go through
+//! [`harmony_proto::handle_request`], the wire server's own dispatch, and
+//! the child is canonicalized back out.
 //! The controller never survives between transitions, so exploration
 //! order cannot leak state.
 
@@ -18,9 +19,13 @@ use harmony_core::{
 };
 use harmony_harness::{config_for_seed, oracle, palette, Op, OpKind, PlantedBug};
 use harmony_harness::{ShadowLeases, Violation};
+use harmony_proto::{handle_request, Request, Response};
 use harmony_resources::Cluster;
 use harmony_rsl::schema::NodeDecl;
-use harmony_wal::{decode_records, record_boundaries, WalConfig, WalTail, WalWriter};
+use harmony_wal::{
+    decode_records, encode_record, record_boundaries, WalConfig, WalTail, WalWriter,
+};
+use parking_lot::RwLock;
 
 use crate::{Scope, Verb, JUMP_MS, LEAVE_NODE, METRIC_MS, STEP_MS};
 
@@ -165,12 +170,7 @@ impl Engine {
     }
 
     fn apply_chaos(&self, ctl: &mut Controller) {
-        if self.scope.planted == PlantedBug::ReaperSkipsTouchFold {
-            ctl.chaos_set_skip_touch_fold(true);
-        }
-        if self.scope.skip_wal_renew {
-            ctl.chaos_set_skip_wal_renew(true);
-        }
+        ctl.chaos_set_skip_touch_fold(self.scope.planted == PlantedBug::ReaperSkipsTouchFold);
     }
 
     /// A fresh genesis controller (chaos hooks applied, no WAL).
@@ -230,10 +230,10 @@ impl Engine {
     }
 
     /// Executes one verb: rebuild the controller from the parent image,
-    /// dispatch the verb exactly as the wire server would, advance the
-    /// shadow model, run every oracle, and canonicalize the child. With
-    /// a crash context, the verb's WAL records are captured and every
-    /// crash cut through them is checked.
+    /// send client verbs through the wire server's dispatch and system
+    /// verbs through [`Controller::execute`], advance the shadow model,
+    /// run every oracle, and canonicalize the child. With a crash context,
+    /// the verb's WAL records are captured and every cut is checked.
     ///
     /// # Errors
     ///
@@ -264,95 +264,102 @@ impl Engine {
         // Dispatch. Verbs addressing a slot in the wrong liveness state
         // are no-ops, exactly like the harness's ops — the property that
         // keeps every subsequence of a counterexample replayable.
+        let shared = Arc::new(RwLock::new(ctl));
+        let call = |req: Request| handle_request(&shared, &req);
+        let execute = |ev: WalEvent| {
+            let _ = shared.write().execute(ev);
+        };
         match verb {
             Verb::Advance | Verb::Jump => {}
             Verb::Start(c) => {
                 let slot = &mut slots[usize::from(c)];
                 if slot.instance.is_none() {
                     let (app, _) = palette(usize::from(c));
-                    let id = ctl.startup(app);
-                    shadow.insert_startup(id.clone(), now);
-                    slot.instance = Some(id);
-                    slot.bundled = false;
+                    if let Response::Registered { app, id } =
+                        call(Request::Startup { app: app.to_string() })
+                    {
+                        let id = InstanceId::new(app, id);
+                        shadow.insert_startup(id.clone(), now);
+                        *slot = Slot { instance: Some(id), bundled: false };
+                    }
                 }
             }
             Verb::AddBundle(c) => {
                 let slot = &mut slots[usize::from(c)];
-                if let Some(id) = slot.instance.clone() {
-                    if !slot.bundled {
-                        // The server renews before it even parses the
-                        // bundle, accepted or not.
-                        ctl.renew_lease(&id);
-                        shadow.renew(&id, now);
-                        let (_, script) = palette(usize::from(c));
-                        let ok = ctl
-                            .handle_event(HarmonyEvent::BundleSetup {
-                                instance: id,
-                                script: script.to_string(),
-                            })
-                            .is_ok();
-                        slot.bundled = ok;
-                    }
+                if let (Some(id), false) = (&slot.instance, slot.bundled) {
+                    let (_, script) = palette(usize::from(c));
+                    let resp = call(Request::Bundle {
+                        app: id.app.clone(),
+                        id: id.id,
+                        script: script.to_string(),
+                    });
+                    // The request renews the lease, accepted or not.
+                    shadow.renew(id, now);
+                    slot.bundled = resp == Response::Ok;
                 }
             }
             Verb::Poll(c) => {
-                if let Some(id) = slots[usize::from(c)].instance.clone() {
-                    if ctl.touch(&id) {
-                        shadow.touch(&id, now);
-                    }
-                    let _ = ctl.take_pending_vars(&id);
+                if let Some(id) = &slots[usize::from(c)].instance {
+                    call(Request::Poll { app: id.app.clone(), id: id.id });
+                    shadow.touch(id, now);
                 }
             }
             Verb::Heartbeat(c) => {
-                if let Some(id) = slots[usize::from(c)].instance.clone() {
-                    if ctl.touch(&id) {
-                        shadow.touch(&id, now);
+                if let Some(id) = &slots[usize::from(c)].instance {
+                    if call(Request::Heartbeat { app: id.app.clone(), id: id.id }) == Response::Ok {
+                        shadow.touch(id, now);
                     }
                 }
             }
             Verb::Metric(c) => {
-                if let Some(id) = slots[usize::from(c)].instance.clone() {
+                if let Some(id) = &slots[usize::from(c)].instance {
                     let name = format!("{id}.response_time");
-                    ctl.touch_for_metric(&name);
-                    shadow.touch(&id, now);
-                    let _ = ctl.record_metric(&name, now, f64::from(METRIC_MS) / 1000.0);
+                    call(Request::Metric { name, time: now, value: f64::from(METRIC_MS) / 1000.0 });
+                    shadow.touch(id, now);
                 }
             }
             Verb::End(c) => {
                 let slot = &mut slots[usize::from(c)];
                 if let Some(id) = slot.instance.take() {
-                    if ctl.end(&id).is_ok() {
+                    if call(Request::End { app: id.app.clone(), id: id.id }) == Response::Ok {
                         shadow.remove(&id);
                     }
                     slot.bundled = false;
                 }
             }
             Verb::Reap => {
-                let _ = ctl.reap_expired(now);
+                execute(WalEvent::Reap { now });
                 let expected = shadow.expected_reap(now);
                 oracle::check_reap(
-                    &ctl.retirements()[retire_before..],
+                    &shared.read().retirements()[retire_before..],
                     &expected,
                     now,
                     step_index,
                 )?;
             }
+            // The shim builds a `Tick` command only when the window is due.
             Verb::Tick => {
-                let _ = ctl.service_scheduler(now);
+                let _ = shared.write().service_scheduler(now);
             }
             Verb::NodeLeft => {
-                let present = ctl.cluster().node(&self.leave_name).is_some();
-                if present && ctl.cluster().len() > 4 {
-                    let _ =
-                        ctl.handle_event(HarmonyEvent::NodeLeft { name: self.leave_name.clone() });
+                let evictable = {
+                    let ctl = shared.read();
+                    ctl.cluster().node(&self.leave_name).is_some() && ctl.cluster().len() > 4
+                };
+                if evictable {
+                    let event = HarmonyEvent::NodeLeft { name: self.leave_name.clone() };
+                    execute(WalEvent::Event { now, event });
                 }
             }
             Verb::NodeRejoin => {
-                if ctl.cluster().node(&self.leave_name).is_none() {
-                    let _ = ctl.handle_event(HarmonyEvent::NodeJoined(self.leave_decl.clone()));
+                let absent = shared.read().cluster().node(&self.leave_name).is_none();
+                if absent {
+                    let event = HarmonyEvent::NodeJoined(self.leave_decl.clone());
+                    execute(WalEvent::Event { now, event });
                 }
             }
         }
+        let ctl = Arc::into_inner(shared).expect("the step owns the controller").into_inner();
 
         // The shared oracles, identical to the harness's per-op pass.
         let tail = ctl.journal_tail(parent.cursor, usize::MAX);
@@ -376,7 +383,10 @@ impl Engine {
             let w = self.wal.as_ref().expect("crash context requires a crash-enabled engine");
             drop(ctl); // release the writer before reading the chunk
             w.writer.sync().expect("sync mc scratch wal");
-            let chunk = std::fs::read(&w.path).expect("read mc scratch wal");
+            let mut chunk = std::fs::read(&w.path).expect("read mc scratch wal");
+            if self.scope.skip_wal_renew {
+                chunk = without_renewals(&chunk);
+            }
             self.crash_check(ctx, &chunk, &node, step_index)?;
         }
         Ok(node)
@@ -498,12 +508,7 @@ impl Engine {
         }
         let mut ctl = self.genesis_controller();
         for r in &read.records {
-            let text = std::str::from_utf8(r).map_err(|e| {
-                Violation::new(step_index, "crash", format!("non-utf8 wal record: {e}"))
-            })?;
-            let ev: WalEvent = serde_json::from_str(text).map_err(|e| {
-                Violation::new(step_index, "crash", format!("unparseable wal record: {e}"))
-            })?;
+            let ev = parse_record(r).map_err(|e| Violation::new(step_index, "crash", e))?;
             ctl.apply_wal_event(ev);
         }
         Ok((ctl, read.tail))
@@ -533,6 +538,23 @@ impl Engine {
         }
         RunOutcome { violation: None, final_fingerprint: node.fingerprint, executed }
     }
+}
+
+fn parse_record(payload: &[u8]) -> Result<WalEvent, String> {
+    let text = std::str::from_utf8(payload).map_err(|e| format!("non-utf8 wal record: {e}"))?;
+    serde_json::from_str(text).map_err(|e| format!("unparseable wal record: {e}"))
+}
+
+/// The planted `renew-skips-wal` bug as recovery sees it: the step's WAL
+/// chunk minus its `Renew` records — renewals applied but never logged.
+fn without_renewals(chunk: &[u8]) -> Vec<u8> {
+    let mut kept = Vec::new();
+    for payload in decode_records(chunk).records {
+        if !matches!(parse_record(&payload), Ok(WalEvent::Renew { .. })) {
+            encode_record(&payload, &mut kept);
+        }
+    }
+    kept
 }
 
 /// The MC verb a harness op corresponds to (`None` for op kinds outside

@@ -168,7 +168,8 @@ pub struct Scope {
     /// Harness-visible planted bug (the oracles must catch it).
     pub planted: PlantedBug,
     /// Crash-only planted bug: lease renewals are applied but not
-    /// WAL-logged. Invisible to every in-memory oracle — only the
+    /// WAL-logged (the engine drops each step's `Renew` records from the
+    /// captured stream). Invisible to every in-memory oracle — only the
     /// crash-point recovery comparison can catch it (with
     /// [`Scope::crashes`] on).
     pub skip_wal_renew: bool,

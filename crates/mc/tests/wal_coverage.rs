@@ -3,7 +3,7 @@
 //! Two layers keep the WAL vocabulary honest as the controller grows:
 //!
 //! 1. **Every [`WalEvent`] variant is producible and replayable.** One
-//!    live controller is driven through the public verbs until the log
+//!    live controller executes one command of each kind, so the log
 //!    contains all of [`WalEvent::VARIANTS`]; replaying that log onto a
 //!    genesis controller must land on the identical durable state.
 //!    Adding a `WalEvent` variant without a producer fails the set
@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use harmony_core::{Controller, HarmonyEvent, WalEvent};
+use harmony_core::{Controller, HarmonyEvent, InstanceId, WalEvent};
 use harmony_harness::{config_for_seed, PlantedBug};
 use harmony_mc::{CrashCtx, Engine, Scope, Verb};
 use harmony_resources::Cluster;
@@ -34,7 +34,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Drives one WAL-attached controller through every loggable verb and
+/// Executes every kind of command on one WAL-attached controller and
 /// asserts (a) the log's variant set is exactly `WalEvent::VARIANTS` and
 /// (b) replaying the log reproduces the live durable state.
 #[test]
@@ -50,30 +50,35 @@ fn every_wal_variant_is_produced_and_replays_to_the_live_state() {
     let mut live = Controller::new(cluster.clone(), config.clone());
     live.attach_wal(Arc::clone(&writer));
 
-    live.set_time(1.0);
-    let a = live.startup("bag"); // Startup
-    live.handle_event(HarmonyEvent::BundleSetup {
-        // Event (and, coalescing, a dirty mark for the scheduler)
-        instance: a.clone(),
-        script: FIG2B_BAG.to_string(),
-    })
-    .expect("bag bundle places");
-    // Quiet for longer than the 0.5 s coalesce window: the tick fires.
-    live.service_scheduler(2.5).expect("tick fires"); // Tick
-    let b = live.startup("simple"); // Startup
-    live.add_bundle(&b, parse_bundle_script(FIG2A_SIMPLE).expect("listing parses"))
-        .expect("simple bundle places"); // Bundle (+ dirty mark)
-    live.flush_scheduler().expect("flush fires"); // Flush
-    assert!(live.renew_lease(&a), "live session renews"); // Renew
-    assert!(live.touch(&a), "live session touches"); // Touch
-    live.mark_disconnected(&a); // Disconnect
-    live.reattach(&a).expect("disconnected session reattaches"); // Reattach
-    let drained = live.take_pending_vars(&a); // Poll
-    assert!(!drained.is_empty(), "bundle placement + reattach leave pending vars to drain");
-    assert!(live.record_metric(&format!("{a}.response_time"), 2.5, 0.25)); // Metric
-    live.end(&b).expect("live session ends"); // End
-    live.reevaluate().expect("explicit reevaluation runs"); // Reevaluate
-    live.reap_expired(2.5).expect("reap sweep runs"); // Reap
+    // One command per variant, each at a moment it does real work.
+    let (a, b) = (InstanceId::new("bag", 1), InstanceId::new("simple", 1));
+    let bag_script = HarmonyEvent::BundleSetup { instance: a.clone(), script: FIG2B_BAG.into() };
+    let simple_spec = parse_bundle_script(FIG2A_SIMPLE).expect("listing parses");
+    let commands = [
+        WalEvent::Startup { now: 1.0, app: "bag".into() },
+        // Coalescing: the placement leaves a dirty mark for the scheduler.
+        WalEvent::Event { now: 1.0, event: bag_script },
+        // Quiet for longer than the 0.5 s coalesce window.
+        WalEvent::Tick { now: 2.5 },
+        WalEvent::Startup { now: 2.5, app: "simple".into() },
+        WalEvent::Bundle { now: 2.5, id: b.clone(), spec: simple_spec },
+        WalEvent::Flush { now: 2.5 },
+        WalEvent::Renew { now: 2.5, id: a.clone() },
+        WalEvent::Touch { now: 2.5, id: a.clone() },
+        WalEvent::Disconnect { now: 2.5, id: a.clone() },
+        WalEvent::Reattach { now: 2.5, id: a.clone() },
+        WalEvent::Poll { now: 2.5, id: a.clone() },
+        WalEvent::Metric { now: 2.5, name: format!("{a}.response_time"), time: 2.5, value: 0.25 },
+        WalEvent::End { now: 2.5, id: b },
+        WalEvent::Reevaluate { now: 2.5 },
+        WalEvent::Reap { now: 2.5 },
+    ];
+    for command in commands {
+        let variant = command.variant();
+        live.execute(command).unwrap_or_else(|e| panic!("{variant} command failed: {e}"));
+    }
+    assert!(live.session(&a).is_some_and(|s| s.renewals >= 2), "renew and reattach both landed");
+    assert!(live.metrics().counter("controller.scheduler.windows_fired") >= 2, "tick and flush");
 
     writer.sync().expect("sync coverage wal");
     let read = read_wal(&path).expect("read coverage wal");
@@ -92,7 +97,7 @@ fn every_wal_variant_is_produced_and_replays_to_the_live_state() {
     assert_eq!(
         produced,
         expected,
-        "every WalEvent variant must be produced by some public verb \
+        "every WalEvent variant must be logged by `execute` \
          (missing: {:?}, unexpected: {:?})",
         expected.difference(&produced).collect::<Vec<_>>(),
         produced.difference(&expected).collect::<Vec<_>>()

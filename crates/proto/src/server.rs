@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use harmony_core::{Controller, HarmonyEvent, InstanceId};
+use harmony_core::{Controller, CoreError, EventOutcome, HarmonyEvent, InstanceId, WalEvent};
 use parking_lot::RwLock;
 
 use crate::frame::{read_frame, write_frame};
@@ -36,7 +36,8 @@ pub type SharedController = Arc<RwLock<Controller>>;
 /// atomic touch-stamps ([`Controller::touch`]) and pending-variable
 /// buffers are interior-mutable, so none of them needs the write lock.
 /// `Lint` and `Facts` are pure and take no lock at all. Everything else
-/// mutates and takes the write lock.
+/// mutates: it takes the write lock and enters the controller as
+/// [`WalEvent`] commands through [`Controller::execute`].
 ///
 /// Every request's service latency is observed into the per-verb
 /// `server.verb.<verb>` histogram (visible via `Expo` and in
@@ -89,7 +90,7 @@ fn dispatch_request(ctl: &SharedController, req: &Request) -> Response {
             if ctl.touch(&instance) {
                 Response::Ok
             } else {
-                let e = harmony_core::CoreError::UnknownInstance { name: instance.to_string() };
+                let e = CoreError::UnknownInstance { name: instance.to_string() };
                 Response::Error { message: e.to_string() }
             }
         }
@@ -137,36 +138,43 @@ fn dispatch_request(ctl: &SharedController, req: &Request) -> Response {
             Ok(facts) => Response::Facts { json: harmony_analyze::facts::facts_to_json(&facts) },
             Err(e) => Response::Error { message: e.to_string() },
         },
-        // ---- write path -----------------------------------------------
+        // ---- write path: a request is one or two commands -------------
         Request::Startup { app } => {
-            let id = ctl.write().startup(app);
-            Response::Registered { app: id.app.clone(), id: id.id }
+            let mut ctl = ctl.write();
+            let now = ctl.now();
+            reply(ctl.execute(WalEvent::Startup { now, app: app.clone() }), Response::Ok)
         }
         Request::Bundle { app, id, script } => {
             let mut ctl = ctl.write();
-            let instance = InstanceId::new(app.clone(), *id);
-            ctl.renew_lease(&instance);
-            match ctl.handle_event(HarmonyEvent::BundleSetup { instance, script: script.clone() }) {
-                Ok(_) => Response::Ok,
-                Err(e) => Response::Error { message: e.to_string() },
-            }
+            let (now, instance) = (ctl.now(), InstanceId::new(app.clone(), *id));
+            // The lease renews whether or not the bundle is accepted.
+            let _ = ctl.execute(WalEvent::Renew { now, id: instance.clone() });
+            let event = HarmonyEvent::BundleSetup { instance, script: script.clone() };
+            reply(ctl.execute(WalEvent::Event { now, event }), Response::Ok)
         }
         Request::Reattach { app, id } => {
             let mut ctl = ctl.write();
-            let instance = InstanceId::new(app.clone(), *id);
-            match ctl.handle_event(HarmonyEvent::Reattach { instance }) {
-                Ok(_) => Response::Registered { app: app.clone(), id: *id },
-                Err(e) => Response::Error { message: e.to_string() },
-            }
+            let now = ctl.now();
+            let event = HarmonyEvent::Reattach { instance: InstanceId::new(app.clone(), *id) };
+            let registered = Response::Registered { app: app.clone(), id: *id };
+            reply(ctl.execute(WalEvent::Event { now, event }), registered)
         }
         Request::End { app, id } => {
             let mut ctl = ctl.write();
-            let instance = InstanceId::new(app.clone(), *id);
-            match ctl.end(&instance) {
-                Ok(_) => Response::Ok,
-                Err(e) => Response::Error { message: e.to_string() },
-            }
+            let (now, id) = (ctl.now(), InstanceId::new(app.clone(), *id));
+            reply(ctl.execute(WalEvent::End { now, id }), Response::Ok)
         }
+    }
+}
+
+/// The wire reply to a write-path command's outcome: a registration names
+/// its instance, any other success answers `quiet`, and an error travels
+/// in-band.
+fn reply(outcome: Result<EventOutcome, CoreError>, quiet: Response) -> Response {
+    match outcome {
+        Ok(EventOutcome::Registered(id)) => Response::Registered { app: id.app, id: id.id },
+        Ok(_) => quiet,
+        Err(e) => Response::Error { message: e.to_string() },
     }
 }
 
