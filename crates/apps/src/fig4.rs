@@ -201,28 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn verified_pruned_exhaustive_reproduces_the_paper_shapes() {
-        // The whole Figure 4 run under the exhaustive joint optimizer with
-        // facts pruning in Verify mode: every decision is computed by both
-        // the pruned and the unpruned search, and any divergence would
-        // fail the run with `PruningMismatch`.
-        use harmony_core::{OptimizerKind, PruningMode};
-        let cfg = Fig4Config {
-            controller: ControllerConfig {
-                optimizer: OptimizerKind::exhaustive(),
-                pruning: PruningMode::Verify,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let r = run_fig4(&cfg);
-        assert_eq!(r.timeline[0].workers(), vec![5], "first job still gets five nodes");
-        assert_eq!(r.timeline[1].workers(), vec![4, 4], "equal partitions survive pruning");
-        assert_eq!(r.timeline[2].workers().iter().sum::<u32>(), 8);
-        assert!(!r.decisions.is_empty());
-    }
-
-    #[test]
     fn decisions_accumulate_over_the_run() {
         let r = run_fig4(&Fig4Config::default());
         // At least one decision per arrival plus rebalances.

@@ -1,8 +1,8 @@
 //! Simulation-harness throughput bench.
 //!
 //! Measures what a harness seed costs — whole-stack runs per second and
-//! schedule ops per second, per optimizer class — plus the price of
-//! shrinking a planted-bug failure, and writes
+//! schedule ops per second, with and without decision coalescing — plus
+//! the price of shrinking a planted-bug failure, and writes
 //! `results/BENCH_harness.json`. The numbers size CI sweeps: seeds/sec ×
 //! budget = affordable sweep width.
 //!
@@ -17,7 +17,9 @@ use serde::Serialize;
 
 #[derive(Debug, Serialize)]
 struct BenchRow {
-    optimizer: String,
+    /// `inline` or `coalesced`: the two configurations
+    /// `harmony_harness::config_for_seed` hands out.
+    config: String,
     seeds: usize,
     ops: usize,
     wall_ms: f64,
@@ -41,26 +43,17 @@ struct BenchReport {
     shrink_wall_ms: f64,
 }
 
-/// The optimizer class `config_for_seed` assigns to `seed` (mirrors
-/// `seed % 3`; see `harmony_harness::config_for_seed`).
-fn optimizer_name(seed: u64) -> &'static str {
-    match seed % 3 {
-        0 => "greedy",
-        1 => "exhaustive",
-        _ => "annealing",
-    }
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let per_class: u64 = if smoke { 4 } else { 30 };
-    println!("Simulation-harness throughput — {per_class} seeds per optimizer class\n");
+    let per_class: usize = if smoke { 6 } else { 45 };
+    println!("Simulation-harness throughput — {per_class} seeds per configuration\n");
 
     let mut rows = Vec::new();
     let mut stable = true;
     let mut clean = true;
-    for class in 0..3u64 {
-        let seeds: Vec<u64> = (0..per_class).map(|i| i * 3 + class).collect();
+    // `config_for_seed` turns coalescing on for every fifth seed.
+    for (config, coalesced) in [("inline", false), ("coalesced", true)] {
+        let seeds: Vec<u64> = (0..).filter(|s| (s % 5 == 0) == coalesced).take(per_class).collect();
         let schedules: Vec<_> = seeds.iter().map(|&s| generate(s)).collect();
         let ops: usize = schedules.iter().map(|s| s.ops.len()).sum();
         let start = Instant::now();
@@ -74,7 +67,7 @@ fn main() {
         // `harness sweep`), so throughput counts 2× the work.
         let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
         rows.push(BenchRow {
-            optimizer: optimizer_name(class).to_string(),
+            config: config.to_string(),
             seeds: seeds.len(),
             ops,
             wall_ms,
@@ -92,10 +85,10 @@ fn main() {
     let shrunk = shrink::shrink(&failing, PlantedBug::ReaperSkipsTouchFold).expect("still fails");
     let shrink_wall_ms = start.elapsed().as_secs_f64() * 1000.0;
 
-    let mut table = Table::new(vec!["optimizer", "seeds", "ops", "wall (ms)", "seeds/s", "ops/s"]);
+    let mut table = Table::new(vec!["config", "seeds", "ops", "wall (ms)", "seeds/s", "ops/s"]);
     for r in &rows {
         table.row(vec![
-            r.optimizer.clone(),
+            r.config.clone(),
             r.seeds.to_string(),
             r.ops.to_string(),
             format!("{:.1}", r.wall_ms),

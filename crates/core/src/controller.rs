@@ -17,7 +17,8 @@
 //! reconfiguring the first application to only six nodes will improve
 //! overall efficiency and throughput" — by jointly re-choosing two bundles
 //! when no single-bundle move helps (e.g. shrinking a running job to admit
-//! a newcomer).
+//! a newcomer). Deciding what to move is [`crate::planner`]'s job and reads
+//! only; this file interleaves plan → commit and owns every write.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -25,9 +26,8 @@ use std::time::Instant;
 
 use harmony_metrics::{MetricBus, MetricEvent, MetricRegistry};
 use harmony_ns::{HPath, InstanceRegistry, Namespace};
-use harmony_predict::{model_for_option, PredictionContext};
-use harmony_resources::{Allocation, Cluster, Matcher};
-use harmony_rsl::schema::{BundleSpec, OptionSpec};
+use harmony_resources::{Cluster, Matcher};
+use harmony_rsl::schema::BundleSpec;
 use harmony_rsl::Value;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -36,75 +36,13 @@ use crate::app::{AppInstance, BundleState, ChosenConfig, InstanceId};
 use crate::candidates::{enumerate, Candidate};
 use crate::error::CoreError;
 use crate::events::EventOutcome;
-use crate::feedback::{calibration_factor, FeedbackConfig};
+use crate::feedback::FeedbackConfig;
 use crate::journal::{EventJournal, JournalKind, JournalTail, PhaseTimings};
 use crate::objective::Objective;
 use crate::persist::{PersistedState, RecoveryInfo, WalEvent, PERSIST_VERSION};
-use crate::pruning::PruningMode;
+use crate::planner::{elapsed_ms, same_point, Plan, PlannedMove};
 use crate::scheduler::{CoalescePolicy, DecisionScheduler};
 use crate::session::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
-
-/// Default bound on the exhaustive optimizer's joint search space: the
-/// same cap the analyzer's reachability pass uses for HA0106
-/// ([`harmony_analyze::passes::reach::DOMAIN_CAP`]), so "domain too large
-/// to enumerate" means the same thing to the linter and to the optimizer.
-pub const DEFAULT_EXHAUSTIVE_LIMIT: u64 = harmony_analyze::passes::reach::DOMAIN_CAP as u64;
-
-/// Which search policy drives option selection.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub enum OptimizerKind {
-    /// The paper's policy: optimize one bundle at a time, greedily, in
-    /// definition order (§4.3), plus coordinated pairwise moves.
-    #[default]
-    Greedy,
-    /// Exhaustive search over the joint configuration space of all
-    /// bundles, bounded by the contained limit. "The space of possible
-    /// option combinations in any moderately large system will be so large
-    /// that we will not be able to evaluate all combinations" — this
-    /// exists to measure how far greedy falls from optimal on small
-    /// systems.
-    Exhaustive {
-        /// Maximum number of joint configurations to evaluate.
-        /// [`OptimizerKind::exhaustive`] fills in
-        /// [`DEFAULT_EXHAUSTIVE_LIMIT`], the analyzer's HA0106 domain cap.
-        limit: u64,
-    },
-    /// Simulated annealing over the joint space (the direction the Active
-    /// Harmony project later took): several independently seeded chains
-    /// walk in parallel and the best chain wins.
-    Annealing {
-        /// Number of proposal steps per chain.
-        steps: u32,
-        /// Initial temperature in objective units (seconds).
-        initial_temperature: f64,
-        /// RNG seed for reproducibility. Each chain derives its own
-        /// start/walk sub-seeds from this, so results are identical
-        /// regardless of how many worker threads run the chains.
-        seed: u64,
-        /// Number of independent chains (`0` means the default of 4).
-        #[serde(default)]
-        chains: u32,
-    },
-}
-
-impl OptimizerKind {
-    /// The exhaustive optimizer at its default bound,
-    /// [`DEFAULT_EXHAUSTIVE_LIMIT`] — the same cap the analyzer's HA0106
-    /// pass warns at, so a bundle bag the linter accepts as enumerable is
-    /// exactly one the optimizer agrees to scan.
-    pub fn exhaustive() -> Self {
-        OptimizerKind::Exhaustive { limit: DEFAULT_EXHAUSTIVE_LIMIT }
-    }
-
-    /// Short stable name for metrics and experiment output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OptimizerKind::Greedy => "greedy",
-            OptimizerKind::Exhaustive { .. } => "exhaustive",
-            OptimizerKind::Annealing { .. } => "annealing",
-        }
-    }
-}
 
 /// How [`Controller::add_bundle`] treats static-analysis findings from
 /// `harmony-analyze` (run before any placement work).
@@ -128,8 +66,6 @@ pub struct ControllerConfig {
     pub matcher: Matcher,
     /// The objective function (lower is better).
     pub objective: Objective,
-    /// Search policy.
-    pub optimizer: OptimizerKind,
     /// Static-analysis gate for arriving bundles.
     #[serde(default)]
     pub lint: LintMode,
@@ -169,12 +105,6 @@ pub struct ControllerConfig {
     /// before.
     #[serde(default)]
     pub coalesce: CoalescePolicy,
-    /// How the exhaustive optimizer uses the facts engine's static proofs
-    /// (see [`crate::pruning::PruningMode`]): `off` (default) is the seed
-    /// scan, `verify` cross-checks pruned against unpruned decisions, `on`
-    /// trusts the proofs.
-    #[serde(default)]
-    pub pruning: PruningMode,
 }
 
 impl Default for ControllerConfig {
@@ -182,7 +112,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             matcher: Matcher::default(),
             objective: Objective::default(),
-            optimizer: OptimizerKind::Greedy,
             lint: LintMode::Strict,
             friction_weight: 1.0,
             elastic_steps: vec![7.0, 15.0, 30.0],
@@ -193,7 +122,6 @@ impl Default for ControllerConfig {
             feedback: None,
             lease: LeaseConfig::default(),
             coalesce: CoalescePolicy::default(),
-            pruning: PruningMode::default(),
         }
     }
 }
@@ -251,26 +179,6 @@ impl PartialEq for DecisionRecord {
     }
 }
 
-/// A hypothetical substitution of one bundle's configuration during
-/// evaluation.
-struct Replace<'a> {
-    id: &'a InstanceId,
-    bundle: &'a str,
-    opt: &'a OptionSpec,
-    cfg: &'a ChosenConfig,
-    /// Extra seconds added to this app's predicted response time (friction
-    /// of switching into the hypothetical configuration).
-    penalty: f64,
-}
-
-#[derive(Debug)]
-struct EvaluatedCandidate {
-    candidate: Candidate,
-    alloc: Allocation,
-    score: f64,
-    predicted: f64,
-}
-
 /// The adaptation controller.
 #[derive(Debug)]
 pub struct Controller {
@@ -320,9 +228,6 @@ pub struct Controller {
     /// settling; copied into every [`DecisionRecord`] it commits (the
     /// provenance analogue of `decision_cause`).
     decision_provenance: Vec<u64>,
-    /// Per-phase timings staged by the pass about to commit a decision;
-    /// consumed (taken) by `commit_choice`.
-    phase_timings: Option<PhaseTimings>,
     /// Chaos hook for the deterministic whole-stack harness
     /// (`harmony-harness`): when set, [`Controller::reap_expired`] skips
     /// folding read-path touch-stamps, re-creating the "reaper forgets
@@ -364,7 +269,6 @@ impl Controller {
             touches: BTreeMap::new(),
             journal: Mutex::new(EventJournal::default()),
             decision_provenance: Vec::new(),
-            phase_timings: None,
             chaos_skip_touch_fold: false,
             wal: None,
             recovery: None,
@@ -652,17 +556,29 @@ impl Controller {
         self.journal_trigger(JournalKind::Event, format!("bundle-setup {id} {bundle_name}"));
         let mut records = Vec::new();
 
-        let direct = self.optimize_bundle(id.clone(), bundle_name.clone(), true);
         let mut unplaced_reason = None;
-        match direct {
-            Ok(Some(r)) => records.push(r),
-            Ok(None) => {}
+        match self.optimize_bundle(id, &bundle_name, true) {
+            Ok(rs) => records.extend(rs),
             Err(CoreError::Unplaceable { reason, .. })
                 if self.config.coordinated_moves && !self.config.selfish =>
             {
                 unplaced_reason = Some(reason);
             }
-            Err(e) => return Err(e),
+            // An unplaceable bundle stays attached to retry on a later
+            // pass; one that cannot even be evaluated would fail every
+            // later pass too, so it goes.
+            Err(e @ CoreError::Unplaceable { .. }) => return Err(e),
+            Err(e) => {
+                if let Some(app) = self.apps.get_mut(id) {
+                    app.bundles.pop();
+                }
+                self.candidate_cache.remove(&(id.clone(), bundle_name));
+                self.metrics.set_gauge(
+                    "controller.optimizer.cache_size",
+                    self.candidate_cache.len() as f64,
+                );
+                return Err(e);
+            }
         }
 
         // Coordinated admission must stay synchronous even when decisions
@@ -674,13 +590,9 @@ impl Controller {
         if (self.config.coordinated_moves && !self.config.selfish)
             && (!self.coalescing() || self.choice(id, &bundle_name).is_none())
         {
-            let others = self.all_pairs_excluding(Some((id, &bundle_name)));
-            for (oid, obundle) in others {
-                if let Some(rs) =
-                    self.pairwise_step((oid, obundle), (id.clone(), bundle_name.clone()))?
-                {
-                    records.extend(rs);
-                }
+            let newcomer = (id.clone(), bundle_name.clone());
+            for other in self.all_pairs_excluding(Some((id, &bundle_name))) {
+                records.extend(self.pairwise_step(&other, &newcomer)?);
             }
         }
 
@@ -1186,52 +1098,20 @@ impl Controller {
         skip: Option<&InstanceId>,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
         let mut records = Vec::new();
-        let order = self.arrival_order.clone();
-        for id in &order {
-            if Some(id) == skip {
-                continue;
-            }
-            let Some(app) = self.apps.get(id) else { continue };
-            let bundle_names: Vec<String> =
-                app.bundles.iter().map(|b| b.spec.name.clone()).collect();
-            for bundle in bundle_names {
-                if let Some(r) = self.optimize_bundle(id.clone(), bundle, false)? {
-                    records.push(r);
-                }
-            }
+        let pairs = self.all_pairs_excluding(None);
+        for (id, bundle) in pairs.iter().filter(|(id, _)| Some(id) != skip) {
+            records.extend(self.optimize_bundle(id, bundle, false)?);
         }
         if self.config.coordinated_moves && !self.config.selfish {
             // One round of pairwise moves over all ordered pairs.
-            let pairs = self.all_pairs_excluding(None);
             for i in 0..pairs.len() {
                 for j in (i + 1)..pairs.len() {
-                    if let Some(rs) = self.pairwise_step(pairs[i].clone(), pairs[j].clone())? {
-                        records.extend(rs);
-                    }
+                    records.extend(self.pairwise_step(&pairs[i], &pairs[j])?);
                 }
             }
         }
         self.metrics.set_gauge("controller.objective", self.objective_score());
         Ok(records)
-    }
-
-    /// Predicted response time per application (max over its bundles), in
-    /// arrival order. Applications with no applied configuration are
-    /// omitted.
-    pub fn predicted_response_times(&self) -> Vec<(InstanceId, f64)> {
-        let mut out = Vec::new();
-        for id in &self.arrival_order {
-            if let Some(rt) = self.app_response_time(&self.cluster, id, &[]) {
-                out.push((id.clone(), rt));
-            }
-        }
-        out
-    }
-
-    /// The current objective score over all applications.
-    pub fn objective_score(&self) -> f64 {
-        let rts: Vec<f64> = self.predicted_response_times().into_iter().map(|(_, rt)| rt).collect();
-        self.config.objective.score(&rts)
     }
 
     /// Drains the buffered variable updates for one instance (the polling
@@ -1299,378 +1179,89 @@ impl Controller {
     }
 
     // ------------------------------------------------------------------
-    // Internal: evaluation and application of choices.
+    // Internal: plan → commit.
     // ------------------------------------------------------------------
 
-    /// The measured-feedback factor for one application: how far reality
-    /// has diverged from the prediction of its *current* configuration.
-    fn feedback_factor(&self, id: &InstanceId) -> f64 {
-        let Some(cfg) = &self.config.feedback else { return 1.0 };
-        let Some(app) = self.apps.get(id) else { return 1.0 };
-        let predicted = app
-            .bundles
-            .iter()
-            .filter_map(|b| b.current.as_ref().map(|c| c.predicted))
-            .fold(0.0f64, f64::max);
-        // Calibrate against the current configuration regime only: samples
-        // measured before the app's latest switch describe a different
-        // configuration and must not bleed into this one's factor.
-        let since = app
-            .bundles
-            .iter()
-            .filter_map(|b| b.current.as_ref().map(|c| c.chosen_at))
-            .fold(f64::NEG_INFINITY, f64::max);
-        calibration_factor(&self.metrics, id, predicted, since, cfg)
-    }
-
-    /// Response time of app `id` on `cluster`, with `replaces` overriding
-    /// stored choices. Returns `None` when no bundle of the app has a
-    /// configuration.
-    fn app_response_time(
-        &self,
-        cluster: &Cluster,
-        id: &InstanceId,
-        replaces: &[Replace<'_>],
-    ) -> Option<f64> {
-        let app = self.apps.get(id)?;
-        let factor = self.feedback_factor(id);
-        let mut worst: Option<f64> = None;
-        for bundle in &app.bundles {
-            let replace = replaces.iter().find(|r| r.id == id && r.bundle == bundle.spec.name);
-            let (opt, cfg, penalty): (&OptionSpec, &ChosenConfig, f64) = match replace {
-                Some(r) => (r.opt, r.cfg, r.penalty),
-                None => {
-                    let Some(cfg) = &bundle.current else { continue };
-                    let Some(opt) = bundle.spec.option(&cfg.option) else { continue };
-                    (opt, cfg, 0.0)
-                }
-            };
-            let ctx = PredictionContext::committed(cluster, &cfg.alloc, opt);
-            let model = model_for_option(opt);
-            let rt = match model.predict(&ctx) {
-                Ok(p) => p.response_time * factor + penalty,
-                Err(_) => f64::INFINITY,
-            };
-            worst = Some(worst.map_or(rt, |w: f64| w.max(rt)));
-        }
-        worst
-    }
-
-    /// Scores the whole system on `cluster` with `replaces` overriding
-    /// bundle choices. In selfish mode only `focus`'s response time counts.
-    fn system_score(&self, cluster: &Cluster, replaces: &[Replace<'_>], focus: &InstanceId) -> f64 {
-        let mut rts = Vec::new();
-        for id in &self.arrival_order {
-            if self.config.selfish && id != focus {
-                continue;
-            }
-            if let Some(rt) = self.app_response_time(cluster, id, replaces) {
-                rts.push(rt);
-            }
-        }
-        self.config.objective.score(&rts)
-    }
-
-    /// The friction (seconds) of moving `bundle` to `cand`, zero when the
-    /// candidate equals the incumbent or there is no incumbent.
-    fn friction_of(
-        &self,
-        bundle: &BundleState,
-        cand: &Candidate,
-        opt: &OptionSpec,
-        alloc: &Allocation,
-    ) -> f64 {
-        let switching = bundle.current.as_ref().map(|cur| !same_point(cur, cand)).unwrap_or(false);
-        if !switching {
-            return 0.0;
-        }
-        let seconds = match &opt.friction {
-            Some(tag) => tag.amount(&alloc.env()).unwrap_or(0.0),
-            None => 0.0,
-        };
-        seconds * self.config.friction_weight
-    }
-
-    /// Evaluates one candidate for `(id, bundle)`: clones the cluster,
-    /// swaps the allocation, and scores the system. Returns `None` when the
-    /// candidate cannot be placed.
-    fn evaluate_candidate(
-        &self,
-        id: &InstanceId,
-        bundle_name: &str,
-        cand: &Candidate,
-    ) -> Result<Option<EvaluatedCandidate>, CoreError> {
-        let app =
-            self.apps.get(id).ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
-        let bundle = app
-            .bundle(bundle_name)
-            .ok_or_else(|| CoreError::UnknownBundle { name: bundle_name.to_string() })?;
-        let opt = bundle
-            .spec
-            .option(&cand.option)
-            .ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })?;
-
-        let mut tentative = self.cluster.clone();
-        if let Some(cur) = &bundle.current {
-            tentative.release(&cur.alloc)?;
-        }
-        let matcher =
-            Matcher { strategy: self.config.matcher.strategy, elastic_extra: cand.elastic_extra };
-        let alloc = match matcher.match_option(&tentative, opt, &cand.env()) {
-            Ok(a) => a,
-            Err(harmony_resources::ResourceError::NoMatch { .. }) => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        tentative.commit(&alloc)?;
-
-        let penalty = self.friction_of(bundle, cand, opt, &alloc);
-        let cfg = hypothetical_config(cand, alloc.clone(), self.now);
-        let replaces = [Replace { id, bundle: bundle_name, opt, cfg: &cfg, penalty }];
-        let score = self.system_score(&tentative, &replaces, id);
-        let predicted = self.app_response_time(&tentative, id, &replaces).unwrap_or(f64::INFINITY);
-        Ok(Some(EvaluatedCandidate { candidate: cand.clone(), alloc, score, predicted }))
-    }
-
-    /// Greedy optimization of one bundle: evaluate all candidates, apply
-    /// the best if it beats the incumbent. `initial` marks the first
-    /// placement of a new bundle (granularity does not apply, and failure
-    /// to place anything is an error).
+    /// One greedy step for one bundle: plan it against its memoized
+    /// candidates and commit the result. `initial` marks the first
+    /// placement of a new bundle (granularity does not apply).
     fn optimize_bundle(
         &mut self,
-        id: InstanceId,
-        bundle_name: String,
+        id: &InstanceId,
+        bundle: &str,
         initial: bool,
-    ) -> Result<Option<DecisionRecord>, CoreError> {
-        let app = self
-            .apps
-            .get(&id)
-            .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
-        let bundle = app
-            .bundle(&bundle_name)
-            .ok_or_else(|| CoreError::UnknownBundle { name: bundle_name.clone() })?;
-        if !initial && self.config.respect_granularity && bundle.switch_blocked_at(self.now) {
-            return Ok(None);
+    ) -> Result<Vec<DecisionRecord>, CoreError> {
+        // Asked even for an initial placement: the lookup is what rejects
+        // an unknown instance or bundle.
+        if self.switch_blocked(id, bundle)? && !initial {
+            return Ok(Vec::new());
         }
-        let current = bundle.current.clone();
         let t_cands = Instant::now();
-        let cands = self.cached_candidates(&id, &bundle_name).expect("bundle validated above");
+        let cands = self.cached_candidates(id, bundle).expect("bundle validated above");
         let candidates_ms = elapsed_ms(t_cands);
-
-        let before = self.objective_score();
-        let t_search = Instant::now();
-        let mut prediction_ms = 0.0;
-        let mut best: Option<EvaluatedCandidate> = None;
-        let mut last_reason = String::from("no candidates");
-        for cand in cands.iter() {
-            let t_eval = Instant::now();
-            let evaluated = self.evaluate_candidate(&id, &bundle_name, cand);
-            prediction_ms += elapsed_ms(t_eval);
-            match evaluated? {
-                Some(eval) => {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => eval.score < b.score - 1e-9,
-                    };
-                    if better {
-                        best = Some(eval);
-                    }
-                }
-                None => {
-                    last_reason = format!("candidate `{}` does not fit", cand.label());
-                }
-            }
-        }
-        let optimization_ms = (elapsed_ms(t_search) - prediction_ms).max(0.0);
-
-        let Some(best) = best else {
-            if initial && current.is_none() {
-                return Err(CoreError::Unplaceable { bundle: bundle_name, reason: last_reason });
-            }
-            return Ok(None);
-        };
-
-        // Keep the incumbent unless the best candidate is a strict
-        // improvement (or this is the initial placement).
-        if let Some(cur) = &current {
-            if same_point(cur, &best.candidate) {
-                return Ok(None);
-            }
-            if best.score >= before - 1e-9 {
-                return Ok(None);
-            }
-        }
-
-        self.phase_timings = Some(PhaseTimings {
-            candidates_ms,
-            prediction_ms,
-            optimization_ms,
-            ..Default::default()
-        });
-        Ok(Some(self.commit_choice(
-            &id,
-            &bundle_name,
-            &best.candidate,
-            best.alloc,
-            best.predicted,
-            before,
-        )?))
+        let plan = self.plan_bundle(id, bundle, &cands, initial)?;
+        self.commit_plan(plan, candidates_ms)
     }
 
-    /// One coordinated move: jointly re-choose bundles `a` and `b`,
-    /// applying the best joint candidate when it strictly improves the
-    /// system objective. Respects granularity for both sides.
+    /// One coordinated move over bundles `a` and `b`; granularity on
+    /// either side vetoes it.
     fn pairwise_step(
         &mut self,
-        a: (InstanceId, String),
-        b: (InstanceId, String),
-    ) -> Result<Option<Vec<DecisionRecord>>, CoreError> {
-        let get = |c: &Self,
-                   pair: &(InstanceId, String)|
-         -> Option<(BundleSpec, Option<ChosenConfig>, bool)> {
-            let app = c.apps.get(&pair.0)?;
-            let bundle = app.bundle(&pair.1)?;
-            Some((
-                bundle.spec.clone(),
-                bundle.current.clone(),
-                c.config.respect_granularity && bundle.switch_blocked_at(c.now),
-            ))
-        };
-        let Some((spec_a, cur_a, blocked_a)) = get(self, &a) else { return Ok(None) };
-        let Some((spec_b, cur_b, blocked_b)) = get(self, &b) else { return Ok(None) };
-        if blocked_a || blocked_b {
-            return Ok(None);
+        a: &(InstanceId, String),
+        b: &(InstanceId, String),
+    ) -> Result<Vec<DecisionRecord>, CoreError> {
+        if self.switch_blocked(&a.0, &a.1)? || self.switch_blocked(&b.0, &b.1)? {
+            return Ok(Vec::new());
         }
-
-        let before = self.objective_score();
-        // Count unplaced bundles: a joint move that places a previously
-        // unplaced bundle is an improvement even at equal objective.
-        let unplaced_before = (cur_a.is_none() as u32) + (cur_b.is_none() as u32);
-
         let t_cands = Instant::now();
         let cands_a = self.cached_candidates(&a.0, &a.1).expect("pair validated above");
         let cands_b = self.cached_candidates(&b.0, &b.1).expect("pair validated above");
         let candidates_ms = elapsed_ms(t_cands);
-        let t_joint = Instant::now();
-        let mut best: Option<(f64, Candidate, Allocation, f64, Candidate, Allocation, f64)> = None;
-        for ca in cands_a.iter() {
-            let Some(opt_a) = spec_a.option(&ca.option) else { continue };
-            for cb in cands_b.iter() {
-                let Some(opt_b) = spec_b.option(&cb.option) else { continue };
-                let mut tentative = self.cluster.clone();
-                if let Some(cur) = &cur_a {
-                    tentative.release(&cur.alloc)?;
-                }
-                if let Some(cur) = &cur_b {
-                    tentative.release(&cur.alloc)?;
-                }
-                let matcher_a = Matcher {
-                    strategy: self.config.matcher.strategy,
-                    elastic_extra: ca.elastic_extra,
-                };
-                let Ok(alloc_a) = matcher_a.match_option(&tentative, opt_a, &ca.env()) else {
-                    continue;
-                };
-                tentative.commit(&alloc_a)?;
-                let matcher_b = Matcher {
-                    strategy: self.config.matcher.strategy,
-                    elastic_extra: cb.elastic_extra,
-                };
-                let Ok(alloc_b) = matcher_b.match_option(&tentative, opt_b, &cb.env()) else {
-                    continue;
-                };
-                tentative.commit(&alloc_b)?;
+        let plan = self.plan_pair((&a.0, &a.1), &cands_a, (&b.0, &b.1), &cands_b)?;
+        self.commit_plan(plan, candidates_ms)
+    }
 
-                let app_a = self.apps.get(&a.0).expect("validated");
-                let bundle_a = app_a.bundle(&a.1).expect("validated");
-                let app_b = self.apps.get(&b.0).expect("validated");
-                let bundle_b = app_b.bundle(&b.1).expect("validated");
-                let pen_a = self.friction_of(bundle_a, ca, opt_a, &alloc_a);
-                let pen_b = self.friction_of(bundle_b, cb, opt_b, &alloc_b);
-                let cfg_a = hypothetical_config(ca, alloc_a.clone(), self.now);
-                let cfg_b = hypothetical_config(cb, alloc_b.clone(), self.now);
-                let replaces = [
-                    Replace { id: &a.0, bundle: &a.1, opt: opt_a, cfg: &cfg_a, penalty: pen_a },
-                    Replace { id: &b.0, bundle: &b.1, opt: opt_b, cfg: &cfg_b, penalty: pen_b },
-                ];
-                let score = self.system_score(&tentative, &replaces, &b.0);
-                let rt_a =
-                    self.app_response_time(&tentative, &a.0, &replaces).unwrap_or(f64::INFINITY);
-                let rt_b =
-                    self.app_response_time(&tentative, &b.0, &replaces).unwrap_or(f64::INFINITY);
-                let better = match &best {
-                    None => true,
-                    Some((s, ..)) => score < *s - 1e-9,
-                };
-                if better {
-                    best = Some((score, ca.clone(), alloc_a, rt_a, cb.clone(), alloc_b, rt_b));
-                }
-            }
-        }
-
-        // The joint scan interleaves env construction, prediction, and
-        // comparison too tightly to split; report it all as optimization.
-        let optimization_ms = elapsed_ms(t_joint);
-        let Some((score, ca, alloc_a, rt_a, cb, alloc_b, rt_b)) = best else {
-            return Ok(None);
+    /// Commits every move of a plan, in order, each against the score the
+    /// plan was judged by.
+    fn commit_plan(
+        &mut self,
+        plan: Option<Plan>,
+        candidates_ms: f64,
+    ) -> Result<Vec<DecisionRecord>, CoreError> {
+        let Some(Plan { moves, objective_before, timings, .. }) = plan else {
+            return Ok(Vec::new());
         };
-        let places_new = unplaced_before > 0
-            && (cur_a.is_some() || spec_a.option(&ca.option).is_some())
-            && (cur_b.is_some() || spec_b.option(&cb.option).is_some());
-        let improves = score < before - 1e-9 || (places_new && score.is_finite());
-        if !improves {
-            return Ok(None);
-        }
-        // Skip when the joint best is exactly the incumbent pair.
-        let same_a = cur_a.as_ref().map(|c| same_point(c, &ca)).unwrap_or(false);
-        let same_b = cur_b.as_ref().map(|c| same_point(c, &cb)).unwrap_or(false);
-        if same_a && same_b {
-            return Ok(None);
-        }
-
-        let timings = PhaseTimings { candidates_ms, optimization_ms, ..Default::default() };
-        let mut records = Vec::new();
-        if !same_a {
-            self.phase_timings = Some(timings);
-            records.push(self.commit_choice(&a.0, &a.1, &ca, alloc_a, rt_a, before)?);
-        }
-        if !same_b {
-            self.phase_timings = Some(timings);
-            records.push(self.commit_choice(&b.0, &b.1, &cb, alloc_b, rt_b, before)?);
-        }
-        Ok(Some(records))
+        let phases = PhaseTimings { candidates_ms, ..timings };
+        moves.into_iter().map(|m| self.commit_choice(m, objective_before, phases)).collect()
     }
 
     /// Releases the incumbent (if any), commits the new allocation, updates
-    /// app state and namespace, and records the decision.
+    /// app state and namespace, and records the decision. `phases` is what
+    /// planning the move cost; the commit time is added here.
     fn commit_choice(
         &mut self,
-        id: &InstanceId,
-        bundle_name: &str,
-        cand: &Candidate,
-        alloc: Allocation,
-        predicted: f64,
+        m: PlannedMove,
         objective_before: f64,
+        mut phases: PhaseTimings,
     ) -> Result<DecisionRecord, CoreError> {
-        let mut phases = self.phase_timings.take().unwrap_or_default();
         let t_commit = Instant::now();
-        let current =
-            self.apps.get(id).and_then(|a| a.bundle(bundle_name)).and_then(|b| b.current.clone());
+        let current = self.choice(&m.id, &m.bundle).cloned();
         if let Some(cur) = &current {
             self.cluster.release(&cur.alloc)?;
         }
-        self.cluster.commit(&alloc)?;
+        self.cluster.commit(&m.alloc)?;
         let cfg = ChosenConfig {
-            option: cand.option.clone(),
-            vars: cand.vars.clone(),
-            elastic_extra: cand.elastic_extra,
-            alloc,
-            predicted,
+            option: m.candidate.option,
+            vars: m.candidate.vars,
+            elastic_extra: m.candidate.elastic_extra,
+            alloc: m.alloc,
+            predicted: m.predicted,
             chosen_at: self.now,
         };
         let mut record = DecisionRecord {
             time: self.now,
-            instance: id.clone(),
-            bundle: bundle_name.to_string(),
+            instance: m.id,
+            bundle: m.bundle,
             from: current.as_ref().map(ChosenConfig::label),
             to: cfg.label(),
             objective_before,
@@ -1679,7 +1270,7 @@ impl Controller {
             provenance: self.decision_provenance.clone(),
             phases: PhaseTimings::default(),
         };
-        self.apply_choice(id, bundle_name, cfg, current.is_some());
+        self.apply_choice(&record.instance, &record.bundle, cfg, current.is_some());
         record.objective_after = self.objective_score();
         phases.commit_ms = elapsed_ms(t_commit);
         record.phases = phases;
@@ -1731,38 +1322,20 @@ impl Controller {
         bundle.current = Some(cfg);
     }
 
-    // Accessors used by the optimizer module (same crate).
-    pub(crate) fn arrival_order_internal(&self) -> &[InstanceId] {
-        &self.arrival_order
-    }
-
-    pub(crate) fn app_internal(&self, id: &InstanceId) -> Option<&AppInstance> {
-        self.apps.get(id)
-    }
-
     pub(crate) fn force_choice(
         &mut self,
-        id: &InstanceId,
-        bundle_name: &str,
-        cand: &Candidate,
-        alloc: Allocation,
-        predicted: f64,
+        m: PlannedMove,
     ) -> Result<Option<DecisionRecord>, CoreError> {
-        let app =
-            self.apps.get(id).ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
-        let bundle = app
-            .bundle(bundle_name)
-            .ok_or_else(|| CoreError::UnknownBundle { name: bundle_name.to_string() })?;
-        if let Some(cur) = &bundle.current {
+        if let Some(cur) = &self.bundle_state(&m.id, &m.bundle)?.current {
             // Skip only when both the configuration point AND the concrete
             // allocation are unchanged; the same point on different nodes
             // is still a re-placement that must be committed.
-            if same_point(cur, cand) && cur.alloc == alloc {
+            if same_point(cur, &m.candidate) && cur.alloc == m.alloc {
                 return Ok(None);
             }
         }
         let before = self.objective_score();
-        Ok(Some(self.commit_choice(id, bundle_name, cand, alloc, predicted, before)?))
+        Ok(Some(self.commit_choice(m, before, PhaseTimings::default())?))
     }
 
     // ------------------------------------------------------------------
@@ -1937,28 +1510,6 @@ impl Controller {
     pub fn apply_wal_event(&mut self, ev: WalEvent) {
         self.set_time(ev.now());
         let _ = self.apply(ev);
-    }
-}
-
-/// Milliseconds elapsed since `t0`.
-fn elapsed_ms(t0: Instant) -> f64 {
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-fn same_point(cur: &ChosenConfig, cand: &Candidate) -> bool {
-    cur.option == cand.option
-        && cur.vars == cand.vars
-        && (cur.elastic_extra - cand.elastic_extra).abs() < 1e-9
-}
-
-fn hypothetical_config(cand: &Candidate, alloc: Allocation, now: f64) -> ChosenConfig {
-    ChosenConfig {
-        option: cand.option.clone(),
-        vars: cand.vars.clone(),
-        elastic_extra: cand.elastic_extra,
-        alloc,
-        predicted: 0.0,
-        chosen_at: now,
     }
 }
 
@@ -2577,22 +2128,5 @@ mod tests {
         let s = c.session(&a).unwrap();
         assert!(s.deadline.is_finite());
         assert_eq!(s.deadline, 10.0 + lease);
-    }
-}
-
-#[cfg(test)]
-mod exhaustive_limit_tests {
-    use super::*;
-
-    /// Satellite of the facts engine: the optimizer's default exhaustive
-    /// bound and the analyzer's HA0106 enumerability cap are one constant.
-    #[test]
-    fn exhaustive_limit_is_the_analyzer_domain_cap() {
-        assert_eq!(
-            OptimizerKind::exhaustive(),
-            OptimizerKind::Exhaustive { limit: DEFAULT_EXHAUSTIVE_LIMIT }
-        );
-        assert_eq!(DEFAULT_EXHAUSTIVE_LIMIT, harmony_analyze::passes::reach::DOMAIN_CAP as u64);
-        assert_eq!(DEFAULT_EXHAUSTIVE_LIMIT, 4096);
     }
 }

@@ -30,6 +30,7 @@ pub mod journal;
 mod objective;
 pub mod optimizer;
 pub mod persist;
+mod planner;
 pub mod pruning;
 mod scheduler;
 mod session;
@@ -39,14 +40,13 @@ pub use app::{AppInstance, BundleState, ChosenConfig, InstanceId};
 pub use candidates::{
     enumerate as enumerate_candidates, has_elastic_memory, variable_assignments, Candidate,
 };
-pub use controller::{
-    Controller, ControllerConfig, DecisionRecord, LintMode, OptimizerKind, DEFAULT_EXHAUSTIVE_LIMIT,
-};
+pub use controller::{Controller, ControllerConfig, DecisionRecord, LintMode};
 pub use error::CoreError;
 pub use events::{EventOutcome, HarmonyEvent};
 pub use feedback::FeedbackConfig;
 pub use journal::{EventJournal, JournalEntry, JournalKind, JournalTail, PhaseTimings};
 pub use objective::Objective;
+pub use optimizer::DEFAULT_EXHAUSTIVE_LIMIT;
 pub use persist::{PersistedState, RecoveryInfo, StateStore, WalEvent};
 pub use pruning::{PruningMode, PruningPlan};
 pub use scheduler::{CoalescePolicy, DecisionScheduler, SchedulerState};

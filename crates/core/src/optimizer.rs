@@ -12,7 +12,7 @@
 //!   strategy and objective) detached from the [`Controller`] so worker
 //!   threads can share it immutably. Candidate sets come from the
 //!   controller's memoized cache ([`Controller::cached_candidates`]), so
-//!   repeated `optimize()` calls stop re-enumerating.
+//!   repeated searches stop re-enumerating.
 //! * [`IncrementalEval`] — scores assignments in odometer order reusing
 //!   the shared prefix of already-committed allocations: only pairs from
 //!   the first changed index are re-matched (commits are unwound by
@@ -37,12 +37,19 @@ use rand::Rng;
 
 use crate::app::InstanceId;
 use crate::candidates::Candidate;
-use crate::controller::{Controller, DecisionRecord, OptimizerKind};
+use crate::controller::{Controller, DecisionRecord};
 use crate::error::CoreError;
 use crate::objective::Objective;
+use crate::planner::PlannedMove;
 use crate::pruning::{PruningMode, PruningPlan};
 
-/// Default number of annealing chains when the configuration says `0`.
+/// Default bound on the exhaustive search's joint space: the same cap the
+/// analyzer's reachability pass uses for HA0106
+/// ([`harmony_analyze::passes::reach::DOMAIN_CAP`]), so "domain too large
+/// to enumerate" means the same thing to the linter and to the optimizer.
+pub const DEFAULT_EXHAUSTIVE_LIMIT: u64 = harmony_analyze::passes::reach::DOMAIN_CAP as u64;
+
+/// Default number of annealing chains when the caller says `0`.
 pub const DEFAULT_CHAINS: u32 = 4;
 
 /// Worker threads the parallel searches use by default (the `rayon` pool
@@ -51,9 +58,10 @@ pub fn current_workers() -> usize {
     rayon::current_num_threads()
 }
 
-/// Scores within this distance are considered tied (and broken by lowest
-/// lexicographic assignment).
-const SCORE_EPSILON: f64 = 1e-9;
+/// Scores within this distance are considered tied: the joint searches
+/// break ties by lowest lexicographic assignment, the greedy planner in
+/// favour of the earlier candidate and the incumbent.
+pub(crate) const SCORE_EPSILON: f64 = 1e-9;
 
 /// One optimizable unit inside an [`EvalCtx`]: an instance's bundle, its
 /// memoized candidate set, and the option spec behind each candidate.
@@ -107,17 +115,16 @@ impl EvalCtx {
     /// missing from its bundle; resource errors from releasing current
     /// allocations.
     pub fn build(c: &mut Controller) -> Result<EvalCtx, CoreError> {
-        let order: Vec<InstanceId> = c.arrival_order_internal().to_vec();
+        let order: Vec<InstanceId> = c.arrival_order.clone();
         let mut pairs = Vec::new();
         for id in &order {
-            let Some(app) = c.app_internal(id) else { continue };
+            let Some(app) = c.apps.get(id) else { continue };
             let names: Vec<String> = app.bundles.iter().map(|b| b.spec.name.clone()).collect();
             for bundle in names {
                 let candidates = c
                     .cached_candidates(id, &bundle)
                     .ok_or_else(|| CoreError::UnknownBundle { name: bundle.clone() })?;
-                let app = c.app_internal(id).expect("instance validated above");
-                let spec = &app.bundle(&bundle).expect("bundle validated above").spec;
+                let spec = &c.bundle_state(id, &bundle)?.spec;
                 let options = spec.options.clone();
                 let opt_idx = candidates
                     .iter()
@@ -369,8 +376,8 @@ impl<'a> IncrementalEval<'a> {
 /// Base cluster with every current allocation released.
 fn released_cluster(c: &Controller) -> Result<Cluster, CoreError> {
     let mut cluster = c.cluster().clone();
-    for id in c.arrival_order_internal() {
-        let Some(app) = c.app_internal(id) else { continue };
+    for id in &c.arrival_order {
+        let Some(app) = c.apps.get(id) else { continue };
         for alloc in app.allocations() {
             cluster.release(alloc)?;
         }
@@ -468,19 +475,30 @@ fn scan_range(ctx: &EvalCtx, start: u64, end: u64) -> Result<(Option<Best>, Scan
     Ok((best, stats))
 }
 
+/// What a search that found nothing to place reports.
+const NO_FIT: &str = "no joint assignment fits the cluster";
+
+/// Commits a search's winner, or reports `why_none` as
+/// [`CoreError::Unplaceable`] when it has none.
 fn apply_joint(
     c: &mut Controller,
     ctx: &EvalCtx,
-    best: &Best,
+    best: Option<Best>,
+    why_none: &str,
 ) -> Result<Vec<DecisionRecord>, CoreError> {
+    let Some(best) = best else { return Err(unplaceable(ctx, why_none)) };
     let mut records = Vec::new();
     for (((pair, &ci), alloc), &rt) in
         ctx.pairs.iter().zip(&best.assignment).zip(&best.outcome.allocs).zip(&best.outcome.rts)
     {
-        let cand = &pair.candidates[ci];
-        if let Some(r) = c.force_choice(&pair.id, &pair.bundle, cand, alloc.clone(), rt)? {
-            records.push(r);
-        }
+        let m = PlannedMove {
+            id: pair.id.clone(),
+            bundle: pair.bundle.clone(),
+            candidate: pair.candidates[ci].clone(),
+            alloc: alloc.clone(),
+            predicted: rt,
+        };
+        records.extend(c.force_choice(m)?);
     }
     Ok(records)
 }
@@ -505,6 +523,28 @@ fn record_search_metrics(
 fn unplaceable(ctx: &EvalCtx, reason: &str) -> CoreError {
     let bundle = ctx.pairs.first().map(|p| p.bundle.clone()).unwrap_or_default();
     CoreError::Unplaceable { bundle, reason: reason.into() }
+}
+
+/// The exhaustive searches' shared prologue: the joint problem and its
+/// size, or `None` when there is nothing to optimize.
+///
+/// # Errors
+///
+/// [`CoreError::SearchSpaceTooLarge`] past `limit`;
+/// [`CoreError::Unplaceable`] when a bundle enumerates no candidates.
+fn exhaustive_problem(c: &mut Controller, limit: u64) -> Result<Option<(EvalCtx, u64)>, CoreError> {
+    let ctx = EvalCtx::build(c)?;
+    if ctx.is_empty() {
+        return Ok(None);
+    }
+    let size = ctx.search_space();
+    if size > limit {
+        return Err(CoreError::SearchSpaceTooLarge { size, limit });
+    }
+    if size == 0 {
+        return Err(unplaceable(&ctx, "a bundle enumerates no candidates"));
+    }
+    Ok(Some((ctx, size)))
 }
 
 /// Full (unpruned) scan of the whole odometer space, split over up to
@@ -575,25 +615,12 @@ pub fn exhaustive_with_workers(
     workers: usize,
 ) -> Result<Vec<DecisionRecord>, CoreError> {
     let t0 = Instant::now();
-    let ctx = EvalCtx::build(c)?;
-    if ctx.is_empty() {
-        return Ok(Vec::new());
-    }
-    let size = ctx.search_space();
-    if size > limit {
-        return Err(CoreError::SearchSpaceTooLarge { size, limit });
-    }
-    if size == 0 {
-        return Err(unplaceable(&ctx, "a bundle enumerates no candidates"));
-    }
+    let Some((ctx, size)) = exhaustive_problem(c, limit)? else { return Ok(Vec::new()) };
 
     let (best, stats, workers) = joint_scan(&ctx, size, workers)?;
 
     record_search_metrics(c, "exhaustive", stats, workers, t0);
-    let Some(best) = best else {
-        return Err(unplaceable(&ctx, "no joint assignment fits the cluster"));
-    };
-    apply_joint(c, &ctx, &best)
+    apply_joint(c, &ctx, best, NO_FIT)
 }
 
 /// Tallies of a pruned search: the usual scan stats plus the number of
@@ -1014,21 +1041,8 @@ pub fn exhaustive_pruned(
     limit: u64,
     mode: PruningMode,
 ) -> Result<Vec<DecisionRecord>, CoreError> {
-    if !mode.is_enabled() {
-        return exhaustive(c, limit);
-    }
     let t0 = Instant::now();
-    let ctx = EvalCtx::build(c)?;
-    if ctx.is_empty() {
-        return Ok(Vec::new());
-    }
-    let size = ctx.search_space();
-    if size > limit {
-        return Err(CoreError::SearchSpaceTooLarge { size, limit });
-    }
-    if size == 0 {
-        return Err(unplaceable(&ctx, "a bundle enumerates no candidates"));
-    }
+    let Some((ctx, size)) = exhaustive_problem(c, limit)? else { return Ok(Vec::new()) };
     let t_prune = Instant::now();
     let plan = PruningPlan::build(&ctx);
     c.metrics.observe("controller.phase.pruning", t_prune.elapsed().as_secs_f64());
@@ -1056,31 +1070,26 @@ pub fn exhaustive_pruned(
             c.metrics.inc_counter("controller.pruning.mismatches");
             return Err(CoreError::PruningMismatch { detail });
         }
-        let Some(best) = unpruned else {
-            return Err(unplaceable(&ctx, "no joint assignment fits the cluster"));
-        };
-        return apply_joint(c, &ctx, &best);
+        return apply_joint(c, &ctx, unpruned, NO_FIT);
     }
 
-    match pruned_search(&ctx, &plan)? {
-        (Some(best), pstats) => {
-            c.metrics.add_counter("controller.pruning.nodes_pruned", pstats.nodes_pruned);
+    let (pruned, pstats) = pruned_search(&ctx, &plan)?;
+    c.metrics.add_counter("controller.pruning.nodes_pruned", pstats.nodes_pruned);
+    let best = match pruned {
+        Some(best) => {
             record_search_metrics(c, "exhaustive-pruned", pstats.scan, 1, t0);
-            apply_joint(c, &ctx, &best)
+            Some(best)
         }
-        (None, pstats) => {
+        None => {
             // Nothing survived the pruned search. The proofs say the full
             // scan will find nothing either — but the *error* it reports
             // is part of the contract, so let it produce it.
-            c.metrics.add_counter("controller.pruning.nodes_pruned", pstats.nodes_pruned);
             let (best, stats, workers) = joint_scan(&ctx, size, rayon::current_num_threads())?;
             record_search_metrics(c, "exhaustive-pruned", stats, workers, t0);
-            let Some(best) = best else {
-                return Err(unplaceable(&ctx, "no joint assignment fits the cluster"));
-            };
-            apply_joint(c, &ctx, &best)
+            best
         }
-    }
+    };
+    apply_joint(c, &ctx, best, NO_FIT)
 }
 
 /// The seed implementation's cost profile, retained as the perf baseline:
@@ -1097,14 +1106,7 @@ pub fn exhaustive_baseline(
     limit: u64,
 ) -> Result<Vec<DecisionRecord>, CoreError> {
     let t0 = Instant::now();
-    let ctx = EvalCtx::build(c)?;
-    if ctx.is_empty() {
-        return Ok(Vec::new());
-    }
-    let size = ctx.search_space();
-    if size > limit {
-        return Err(CoreError::SearchSpaceTooLarge { size, limit });
-    }
+    let Some((ctx, size)) = exhaustive_problem(c, limit)? else { return Ok(Vec::new()) };
     let shape = ctx.shape();
     let mut assignment = vec![0usize; shape.len()];
     let mut best: Option<Best> = None;
@@ -1123,10 +1125,7 @@ pub fn exhaustive_baseline(
         advance(&mut assignment, &shape);
     }
     record_search_metrics(c, "exhaustive-baseline", stats, 1, t0);
-    let Some(best) = best else {
-        return Err(unplaceable(&ctx, "no joint assignment fits the cluster"));
-    };
-    apply_joint(c, &ctx, &best)
+    apply_joint(c, &ctx, best, NO_FIT)
 }
 
 /// Domain-separation constants for the two per-chain RNG streams.
@@ -1309,33 +1308,7 @@ pub fn annealing_with_workers(
     }
 
     record_search_metrics(c, "annealing", stats, workers, t0);
-    let Some(best) = best else {
-        return Err(unplaceable(&ctx, "no feasible starting assignment found"));
-    };
-    apply_joint(c, &ctx, &best)
-}
-
-/// Runs the controller's configured optimizer over the whole system:
-/// greedy delegates to [`Controller::reevaluate`]; the joint optimizers run
-/// their searches.
-///
-/// # Errors
-///
-/// See [`exhaustive`] and [`annealing`].
-pub fn optimize(c: &mut Controller) -> Result<Vec<DecisionRecord>, CoreError> {
-    match c.config().optimizer {
-        OptimizerKind::Greedy => {
-            c.metrics.inc_counter("controller.optimizer.searches");
-            c.reevaluate()
-        }
-        OptimizerKind::Exhaustive { limit } => match c.config().pruning {
-            PruningMode::Off => exhaustive(c, limit),
-            mode => exhaustive_pruned(c, limit, mode),
-        },
-        OptimizerKind::Annealing { steps, initial_temperature, seed, chains } => {
-            annealing(c, steps, initial_temperature, seed, chains)
-        }
-    }
+    apply_joint(c, &ctx, best, "no feasible starting assignment found")
 }
 
 #[cfg(test)]
@@ -1394,20 +1367,6 @@ mod tests {
         let rb = annealing(&mut b, 100, 50.0, 7, 3).unwrap();
         assert_eq!(ra, rb);
         assert_eq!(a.objective_score(), b.objective_score());
-    }
-
-    #[test]
-    fn optimize_dispatches_by_config() {
-        let cluster = Cluster::from_rsl(&sp2_cluster(8)).unwrap();
-        let cfg = ControllerConfig {
-            optimizer: OptimizerKind::Exhaustive { limit: 10_000 },
-            ..Default::default()
-        };
-        let mut c = Controller::new(cluster, cfg);
-        c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
-        c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
-        optimize(&mut c).unwrap();
-        assert_eq!(c.objective_score(), 340.0);
     }
 
     #[test]
@@ -1544,7 +1503,7 @@ harmonyBundle negative:1 config {
                 let mut pruned = setup(napps, 8);
                 let rp = exhaustive(&mut plain, 100_000).unwrap();
                 let rq = exhaustive_pruned(&mut pruned, 100_000, mode).unwrap();
-                assert_eq!(rp, rq, "napps={napps} mode={}", mode.name());
+                assert_eq!(rp, rq, "napps={napps} mode={mode:?}");
                 assert_eq!(plain.objective_score(), pruned.objective_score());
             }
         }
@@ -1569,7 +1528,7 @@ harmonyBundle dom:1 config {
             pruned.register(parse_bundle_script(DOMINATED).unwrap()).unwrap();
             let rp = exhaustive(&mut plain, 100_000).unwrap();
             let rq = exhaustive_pruned(&mut pruned, 100_000, mode).unwrap();
-            assert_eq!(rp, rq, "mode={}", mode.name());
+            assert_eq!(rp, rq, "mode={mode:?}");
             if mode == PruningMode::On {
                 assert!(pruned.metrics().counter("controller.pruning.dominated_dropped") >= 2);
             }
@@ -1605,7 +1564,7 @@ harmonyBundle dom:1 config {
             }
             let rp = exhaustive(&mut plain, 100_000).unwrap();
             let rq = exhaustive_pruned(&mut pruned, 100_000, mode).unwrap();
-            assert_eq!(rp, rq, "mode={}", mode.name());
+            assert_eq!(rp, rq, "mode={mode:?}");
             if mode == PruningMode::On {
                 assert_eq!(pruned.metrics().gauge("controller.pruning.components"), Some(2.0));
             }
@@ -1626,7 +1585,7 @@ harmonyBundle dom:1 config {
             let mut c = Controller::new(cluster, cfg);
             let _ = c.register(parse_bundle_script(NEGATIVE_BAG).unwrap());
             let err = exhaustive_pruned(&mut c, 1_000, mode).unwrap_err();
-            assert!(matches!(err, CoreError::Unplaceable { .. }), "{}: {err}", mode.name());
+            assert!(matches!(err, CoreError::Unplaceable { .. }), "{mode:?}: {err}");
         }
         // And the size limit still applies.
         let mut c = setup(3, 8);
@@ -1634,21 +1593,12 @@ harmonyBundle dom:1 config {
         assert!(matches!(err, CoreError::SearchSpaceTooLarge { size: 64, limit: 10 }));
     }
 
+    /// Satellite of the facts engine: the default exhaustive bound and the
+    /// analyzer's HA0106 enumerability cap are one constant.
     #[test]
-    fn optimize_dispatches_pruning_mode() {
-        let cluster = Cluster::from_rsl(&sp2_cluster(8)).unwrap();
-        let cfg = ControllerConfig {
-            optimizer: OptimizerKind::Exhaustive { limit: 10_000 },
-            pruning: PruningMode::Verify,
-            ..Default::default()
-        };
-        let mut c = Controller::new(cluster, cfg);
-        c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
-        c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
-        optimize(&mut c).unwrap();
-        assert_eq!(c.objective_score(), 340.0);
-        assert_eq!(c.metrics().counter("controller.pruning.verified"), 1);
-        assert_eq!(c.metrics().counter("controller.pruning.mismatches"), 0);
+    fn exhaustive_limit_is_the_analyzer_domain_cap() {
+        assert_eq!(DEFAULT_EXHAUSTIVE_LIMIT, harmony_analyze::passes::reach::DOMAIN_CAP as u64);
+        assert_eq!(DEFAULT_EXHAUSTIVE_LIMIT, 4096);
     }
 
     #[test]

@@ -36,12 +36,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::optimizer::{EvalCtx, PairCtx};
 
-/// How the exhaustive optimizer uses statically proven facts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// How [`crate::optimizer::exhaustive_pruned`] uses statically proven
+/// facts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PruningMode {
-    /// No pruning — the seed scan, unchanged.
-    #[default]
-    Off,
     /// Run the pruned and the unpruned search side by side and require
     /// bit-identical decisions
     /// ([`crate::CoreError::PruningMismatch`] otherwise). The unpruned
@@ -51,22 +49,6 @@ pub enum PruningMode {
     /// ones away, partition independent bundles, and bound-and-prune the
     /// scan.
     On,
-}
-
-impl PruningMode {
-    /// Short stable name for metrics and experiment output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PruningMode::Off => "off",
-            PruningMode::Verify => "verify",
-            PruningMode::On => "on",
-        }
-    }
-
-    /// True when any pruning work happens at all.
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, PruningMode::Off)
-    }
 }
 
 /// The statically derived plan for one joint search: which candidates
@@ -456,16 +438,12 @@ mod tests {
     }
 
     #[test]
-    fn pruning_mode_round_trips_and_defaults_off() {
-        for mode in [PruningMode::Off, PruningMode::Verify, PruningMode::On] {
+    fn pruning_mode_round_trips() {
+        for mode in [PruningMode::Verify, PruningMode::On] {
             let json = serde_json::to_string(&mode).unwrap();
             let back: PruningMode = serde_json::from_str(&json).unwrap();
             assert_eq!(back, mode);
         }
-        assert_eq!(PruningMode::default(), PruningMode::Off);
-        assert!(!PruningMode::Off.is_enabled());
-        assert!(PruningMode::Verify.is_enabled());
-        assert_eq!(PruningMode::On.name(), "on");
     }
 
     /// One randomized FIG2B-shaped bundle; half the time it carries a

@@ -57,9 +57,6 @@ pub struct SessionSnapshot {
 /// Decision-engine counters, from the `controller.optimizer.*` metrics.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct OptimizerSnapshot {
-    /// The configured optimizer's short name (`greedy`, `exhaustive`,
-    /// `annealing`).
-    pub kind: String,
     /// Joint searches run so far.
     pub searches: u64,
     /// Joint assignments evaluated across all searches.
@@ -76,10 +73,6 @@ pub struct OptimizerSnapshot {
     /// Wall time of the most recent joint search, in milliseconds (0 when
     /// none has run).
     pub last_wall_ms: f64,
-    /// Facts-pruning: the configured [`crate::PruningMode`]'s short name
-    /// (`off`, `verify`, `on`).
-    #[serde(default)]
-    pub pruning_mode: String,
     /// Facts-pruning: candidates dropped by dominance proofs.
     #[serde(default)]
     pub pruning_dominated: u64,
@@ -253,7 +246,6 @@ impl SystemSnapshot {
             sessions,
             retired: ctl.retirements().to_vec(),
             optimizer: OptimizerSnapshot {
-                kind: ctl.config().optimizer.name().to_string(),
                 searches: ctl.metrics().counter("controller.optimizer.searches"),
                 evals: ctl.metrics().counter("controller.optimizer.evals"),
                 infeasible: ctl.metrics().counter("controller.optimizer.infeasible"),
@@ -264,7 +256,6 @@ impl SystemSnapshot {
                     .metrics()
                     .gauge("controller.optimizer.last_wall_ms")
                     .unwrap_or(0.0),
-                pruning_mode: ctl.config().pruning.name().to_string(),
                 pruning_dominated: ctl.metrics().counter("controller.pruning.dominated_dropped"),
                 pruning_infeasible: ctl.metrics().counter("controller.pruning.infeasible_dropped"),
                 pruning_nodes_pruned: ctl.metrics().counter("controller.pruning.nodes_pruned"),
@@ -401,13 +392,11 @@ mod tests {
         let mut ctl = controller();
         crate::optimizer::exhaustive(&mut ctl, 10_000).unwrap();
         let snap = SystemSnapshot::capture(&ctl);
-        assert_eq!(snap.optimizer.kind, "greedy");
         assert!(snap.optimizer.searches >= 1);
         assert!(snap.optimizer.evals > 0);
         assert!(snap.optimizer.cache_misses >= 1);
         assert_eq!(snap.optimizer.cache_size, ctl.candidate_cache_len() as u64);
         assert!(snap.optimizer.last_wall_ms >= 0.0);
-        assert_eq!(snap.optimizer.pruning_mode, "off");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! set (adding bundles, ending instances, lease-reaping) must leave the
 //! cache consistent with a fresh `enumerate()`.
 
-use harmony_core::optimizer::optimize;
-use harmony_core::{enumerate_candidates, Controller, ControllerConfig, InstanceId, OptimizerKind};
+use harmony_core::optimizer::{annealing, exhaustive};
+use harmony_core::{enumerate_candidates, Controller, ControllerConfig, InstanceId};
 use harmony_resources::Cluster;
 use harmony_rsl::listings::{sp2_cluster, FIG2B_BAG};
 use harmony_rsl::schema::parse_bundle_script;
@@ -88,32 +88,27 @@ fn reap_driven_retirement_drops_cache_entries() {
 
 #[test]
 fn churn_keeps_cache_consistent_under_every_optimizer() {
-    let kinds = [
-        OptimizerKind::Greedy,
-        OptimizerKind::Exhaustive { limit: 1_000_000 },
-        OptimizerKind::Annealing { steps: 80, initial_temperature: 40.0, seed: 5, chains: 2 },
+    type Search = fn(&mut Controller);
+    let searches: [(&str, Search); 3] = [
+        ("greedy", |c| drop(c.reevaluate().unwrap())),
+        ("exhaustive", |c| drop(exhaustive(c, 1_000_000).unwrap())),
+        ("annealing", |c| drop(annealing(c, 80, 40.0, 5, 2).unwrap())),
     ];
-    for kind in kinds {
-        let config = ControllerConfig { optimizer: kind, ..Default::default() };
-        let mut c = controller(8, config);
+    for (kind, search) in searches {
+        let mut c = controller(8, ControllerConfig::default());
         let mut live: Vec<InstanceId> = Vec::new();
         for round in 0..6 {
             let (id, _) = c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
             live.push(id);
-            optimize(&mut c).unwrap();
+            search(&mut c);
             if round % 2 == 1 {
                 let gone = live.remove(0);
                 c.end(&gone).unwrap();
                 assert!(c.cached_candidates(&gone, "config").is_none());
-                optimize(&mut c).unwrap();
+                search(&mut c);
             }
             // One cache entry per live bundle, each matching enumerate().
-            assert_eq!(
-                c.candidate_cache_len(),
-                live.len(),
-                "round {round} under {:?}",
-                c.config().optimizer
-            );
+            assert_eq!(c.candidate_cache_len(), live.len(), "round {round} under {kind}");
             for id in live.clone() {
                 assert_cache_fresh(&mut c, &id);
             }

@@ -2,7 +2,7 @@
 //! applications, alternative objectives, elastic memory search, and
 //! population stress.
 
-use harmony_core::{Controller, ControllerConfig, Objective};
+use harmony_core::{Controller, ControllerConfig, CoreError, LintMode, Objective};
 use harmony_resources::Cluster;
 use harmony_rsl::listings::sp2_cluster;
 use harmony_rsl::schema::parse_bundle_script;
@@ -157,4 +157,33 @@ fn unknown_bundle_lookup_is_none_not_panic() {
     let ghost = harmony_core::InstanceId::new("nope", 1);
     assert!(ctl.choice(&ghost, "config").is_none());
     assert!(ctl.app(&ghost).is_none());
+}
+
+/// A bundle that cannot be *evaluated* (as opposed to merely placed) must
+/// not stay attached: it would fail every later pass the same way and
+/// starve the instances behind it in arrival order. The strict lint gate
+/// rejects such bundles up front; the permissive modes reach placement.
+#[test]
+fn a_bundle_rejected_with_a_hard_error_is_detached() {
+    let broken = [
+        "harmonyBundle bad:1 config { {run {node worker {replicate nosuchvar} \
+         {seconds 10} {memory 32}}} }",
+        "harmonyBundle bad:1 config { {run {node a {seconds 10} {memory 32}} \
+         {node b {seconds 10} {memory 32}} {link a b {nosuch.memory + 1}}} }",
+    ];
+    for (script, lint) in broken.into_iter().zip([LintMode::Advisory, LintMode::Off]) {
+        let mut ctl = Controller::new(cluster(8), ControllerConfig { lint, ..Default::default() });
+        let bag = parse_bundle_script(harmony_rsl::listings::FIG2B_BAG).unwrap();
+        let (first, _) = ctl.register(bag.clone()).unwrap();
+        let (second, _) = ctl.register(bag).unwrap();
+        let bad = ctl.startup("bad");
+        let err = ctl.add_bundle(&bad, parse_bundle_script(script).unwrap()).unwrap_err();
+        assert!(!matches!(err, CoreError::Unplaceable { .. }), "{lint:?}: {err}");
+
+        assert!(ctl.app(&bad).unwrap().bundles.is_empty(), "{lint:?}: bundle still attached");
+        assert!(ctl.cached_candidates(&bad, "config").is_none());
+        ctl.end(&first).unwrap();
+        assert_eq!(ctl.choice(&second, "config").unwrap().label(), "run[workerNodes=8]");
+        ctl.reevaluate().unwrap();
+    }
 }

@@ -16,7 +16,7 @@ use harmony_core::optimizer::{
     annealing_with_workers, exhaustive_baseline, exhaustive_pruned, exhaustive_with_workers,
     EvalCtx, IncrementalEval,
 };
-use harmony_core::{Controller, ControllerConfig, Objective, OptimizerKind, PruningMode};
+use harmony_core::{Controller, ControllerConfig, Objective, PruningMode};
 use harmony_resources::{Cluster, Strategy};
 use harmony_rsl::listings::sp2_cluster;
 use harmony_rsl::schema::parse_bundle_script;
@@ -233,15 +233,6 @@ fn annealing_is_thread_count_invariant_on_random_systems() {
     for case in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0xA0_0000 + case);
         let (config, nodes, scripts) = random_system(&mut rng);
-        let config = ControllerConfig {
-            optimizer: OptimizerKind::Annealing {
-                steps: 120,
-                initial_temperature: 60.0,
-                seed: case,
-                chains: 3,
-            },
-            ..config
-        };
         let mut one = build_controller(&config, nodes, &scripts);
         let mut many = build_controller(&config, nodes, &scripts);
         let r1 = annealing_with_workers(&mut one, 120, 60.0, case, 3, 1);
