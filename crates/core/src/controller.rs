@@ -40,7 +40,7 @@ use crate::feedback::FeedbackConfig;
 use crate::journal::{EventJournal, JournalKind, JournalTail, PhaseTimings};
 use crate::objective::Objective;
 use crate::persist::{PersistedState, RecoveryInfo, WalEvent, PERSIST_VERSION};
-use crate::planner::{elapsed_ms, same_point, Plan, PlannedMove};
+use crate::planner::{elapsed_ms, same_point, Plan, PlannedMove, Scan};
 use crate::scheduler::{CoalescePolicy, DecisionScheduler};
 use crate::session::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
 
@@ -1184,7 +1184,8 @@ impl Controller {
 
     /// One greedy step for one bundle: plan it against its memoized
     /// candidates and commit the result. `initial` marks the first
-    /// placement of a new bundle (granularity does not apply).
+    /// placement of a new bundle: granularity does not apply, and failing
+    /// to place anything is [`CoreError::Unplaceable`].
     fn optimize_bundle(
         &mut self,
         id: &InstanceId,
@@ -1199,7 +1200,14 @@ impl Controller {
         let t_cands = Instant::now();
         let cands = self.cached_candidates(id, bundle).expect("bundle validated above");
         let candidates_ms = elapsed_ms(t_cands);
-        let plan = self.plan_bundle(id, bundle, &cands, initial)?;
+        let plan = self.count_scan(self.plan_bundle(id, bundle, &cands)?);
+        if initial && plan.is_none() && self.choice(id, bundle).is_none() {
+            let reason = match cands.last() {
+                Some(cand) => format!("candidate `{}` does not fit", cand.label()),
+                None => String::from("no candidates"),
+            };
+            return Err(CoreError::Unplaceable { bundle: bundle.to_string(), reason });
+        }
         self.commit_plan(plan, candidates_ms)
     }
 
@@ -1217,8 +1225,18 @@ impl Controller {
         let cands_a = self.cached_candidates(&a.0, &a.1).expect("pair validated above");
         let cands_b = self.cached_candidates(&b.0, &b.1).expect("pair validated above");
         let candidates_ms = elapsed_ms(t_cands);
-        let plan = self.plan_pair((&a.0, &a.1), &cands_a, (&b.0, &b.1), &cands_b)?;
+        let scan = self.plan_pair((&a.0, &a.1), &cands_a, (&b.0, &b.1), &cands_b)?;
+        let plan = self.count_scan(scan);
         self.commit_plan(plan, candidates_ms)
+    }
+
+    /// Adds what one scan did, exactly, to the `controller.planner.*`
+    /// counters — once per scan, never per trial — and hands its plan on.
+    fn count_scan(&self, scan: Scan) -> Option<Plan> {
+        self.metrics.inc_counter("controller.planner.scans");
+        self.metrics.add_counter("controller.planner.trials", scan.trials);
+        self.metrics.add_counter("controller.planner.matches", scan.matches);
+        scan.plan
     }
 
     /// Commits every move of a plan, in order, each against the score the

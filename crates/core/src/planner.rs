@@ -2,25 +2,28 @@
 //!
 //! Planning reads, [`Controller`] commits. Every function here takes
 //! `&self` and returns a value; the drivers in `controller.rs` fetch the
-//! memoized candidate sets, ask for a [`Plan`], and apply it.
+//! memoized candidate sets, ask for a [`Scan`], count it and apply its
+//! [`Plan`].
 //!
-//! There is one trial body, [`Controller::trial`]: place a set of
-//! hypothetical [`Move`]s on a copy of the cluster and score the system in
-//! one sweep. The paper's §4.3 pass ("optimize one bundle at a time") scans
-//! a bundle's candidates with one-move trials ([`Controller::plan_bundle`]);
-//! the §1 admission case — an incumbent shrinks so a newcomer fits — scans
-//! the product of two candidate sets with two-move trials
-//! ([`Controller::plan_pair`]). The live score
-//! ([`Controller::objective_score`]) is the same sweep with no moves.
+//! One scan body, [`Controller::scan`], serves the paper's §4.3 pass
+//! ("optimize one bundle at a time", [`Controller::plan_bundle`]) and the
+//! §1 admission case — an incumbent shrinks so a newcomer fits — over the
+//! product of two candidate sets ([`Controller::plan_pair`]). A scan costs
+//! what its moves change (docs/OPTIMIZER.md, "One planner"): candidates
+//! are committed on one scratch cluster and undone exactly, so a pair scan
+//! matches `|A| + |A|·|B|` times; what predicting the standing bundles
+//! needs is in one [`Table`] built once; and a trial re-predicts only the
+//! bundles whose nodes meet the nodes it released or bound.
 //!
 //! One error policy: a move the matcher cannot place
-//! ([`ResourceError::NoMatch`]) makes the trial infeasible; any other
+//! ([`ResourceError::NoMatch`]) makes its move sets infeasible; any other
 //! error propagates.
 
 use std::time::Instant;
 
-use harmony_predict::{model_for_option, PredictionContext};
+use harmony_predict::{model_for_option, PredictError, Prediction, PredictionContext, Predictor};
 use harmony_resources::{Allocation, Cluster, Matcher, ResourceError};
+use harmony_rsl::expr::MapEnv;
 use harmony_rsl::schema::OptionSpec;
 
 use crate::app::{BundleState, ChosenConfig, InstanceId};
@@ -31,36 +34,128 @@ use crate::feedback::calibration_factor;
 use crate::journal::PhaseTimings;
 use crate::optimizer::SCORE_EPSILON;
 
-/// One hypothetical re-choice: `bundle` of instance `id` moves to `cand`.
-#[derive(Debug, Clone, Copy)]
-struct Move<'a> {
+/// One slot of a scan: a bundle to re-choose and, in order, the candidates
+/// to try (its own: [`Controller::cached_candidates`]).
+struct Target<'a> {
     id: &'a InstanceId,
-    bundle: &'a str,
-    cand: &'a Candidate,
+    state: &'a BundleState,
+    cands: &'a [Candidate],
 }
 
-/// A hypothetical substitution of one bundle's configuration during a
-/// sweep.
-struct Replace<'a> {
-    id: &'a InstanceId,
-    bundle: &'a str,
+/// A candidate committed on the scratch cluster: one level of the walk.
+struct Placed<'a> {
+    target: &'a Target<'a>,
+    cand: &'a Candidate,
     opt: &'a OptionSpec,
+    model: Box<dyn Predictor>,
     alloc: Allocation,
-    /// Extra seconds added to this app's predicted response time (friction
-    /// of switching into the hypothetical configuration).
+    /// `alloc`'s footprint: indexes into [`Table::names`].
+    nodes: Vec<usize>,
+    /// `alloc.env()`, shared by the friction tag and the prediction.
+    env: MapEnv,
+    /// Friction of switching into the candidate, seconds.
     penalty: f64,
 }
 
-/// The outcome of one feasible trial.
-#[derive(Debug)]
-struct Trial<'s> {
-    /// Objective score of the system with the moves applied.
-    score: f64,
-    /// The sweep behind `score`: response time per application, in arrival
-    /// order.
-    times: Vec<(&'s InstanceId, f64)>,
-    /// The allocation matched for each move, in move order.
-    allocs: Vec<Allocation>,
+impl Placed<'_> {
+    fn time_on(&self, cluster: &Cluster, factor: f64) -> f64 {
+        let ctx = PredictionContext::committed_with_env(cluster, &self.alloc, self.opt, &self.env);
+        timed(self.model.predict(&ctx), factor, self.penalty)
+    }
+}
+
+/// One configured bundle as a scan's [`Table`] holds it.
+struct Standing<'a> {
+    opt: &'a OptionSpec,
+    alloc: &'a Allocation,
+    env: MapEnv,
+    model: Box<dyn Predictor>,
+    /// The allocation's footprint: indexes into [`Table::names`].
+    nodes: Vec<usize>,
+    /// Response time on the live cluster, feedback factor applied.
+    live: f64,
+}
+
+impl Standing<'_> {
+    fn time_on(&self, cluster: &Cluster, factor: f64) -> f64 {
+        let ctx = PredictionContext::committed_with_env(cluster, self.alloc, self.opt, &self.env);
+        timed(self.model.predict(&ctx), factor, 0.0)
+    }
+}
+
+/// One application of the table: its bundles in order, configured or not.
+struct Row<'a> {
+    id: &'a InstanceId,
+    factor: f64,
+    bundles: Vec<(&'a str, Option<Standing<'a>>)>,
+}
+
+/// Every application, in arrival order, with what predicting it needs:
+/// computed once per scan, not once per trial.
+struct Table<'a> {
+    /// Cluster node names, sorted; footprints index into it.
+    names: Vec<&'a str>,
+    rows: Vec<Row<'a>>,
+}
+
+impl<'a> Table<'a> {
+    fn footprint(&self, alloc: &Allocation) -> Vec<usize> {
+        alloc.nodes.iter().filter_map(|n| self.names.binary_search(&n.node.as_str()).ok()).collect()
+    }
+
+    /// The sweep: response time of every application (max over its
+    /// bundles) on `cluster`, in arrival order, with `placed` overriding
+    /// stored choices and only the bundles on `touched` nodes re-predicted.
+    /// Applications with no configuration are omitted, as is everything
+    /// but `only` when it is set (selfish mode).
+    fn times(
+        &self,
+        cluster: &Cluster,
+        placed: &[Placed<'_>],
+        touched: &[i32],
+        only: Option<&InstanceId>,
+    ) -> Vec<(&'a InstanceId, f64)> {
+        let mut out = Vec::with_capacity(self.rows.len());
+        for row in self.rows.iter().filter(|row| only.is_none_or(|o| o == row.id)) {
+            let mut worst: Option<f64> = None;
+            for (name, standing) in &row.bundles {
+                let moved = placed
+                    .iter()
+                    .find(|p| p.target.id == row.id && p.target.state.spec.name == *name);
+                let rt = match (moved, standing) {
+                    (Some(p), _) => p.time_on(cluster, row.factor),
+                    (None, Some(s)) if s.nodes.iter().any(|&i| touched[i] > 0) => {
+                        s.time_on(cluster, row.factor)
+                    }
+                    (None, Some(s)) => s.live,
+                    (None, None) => continue,
+                };
+                worst = Some(worst.map_or(rt, |w| w.max(rt)));
+            }
+            if let Some(rt) = worst {
+                out.push((row.id, rt));
+            }
+        }
+        out
+    }
+
+    /// The live response times: the sweep with nothing moved.
+    fn live(&self, cluster: &Cluster) -> Vec<(&'a InstanceId, f64)> {
+        self.times(cluster, &[], &vec![0; self.names.len()], None)
+    }
+}
+
+/// Marks (`+1`) or unmarks (`-1`) a footprint in `touched`.
+fn mark(touched: &mut [i32], nodes: &[usize], by: i32) {
+    for &i in nodes {
+        touched[i] += by;
+    }
+}
+
+/// A model's answer as the sweep counts it; a failed prediction is never
+/// attractive.
+fn timed(prediction: Result<Prediction, PredictError>, factor: f64, penalty: f64) -> f64 {
+    prediction.map_or(f64::INFINITY, |p| p.response_time * factor + penalty)
 }
 
 /// One move the planner decided on, ready to commit.
@@ -85,6 +180,17 @@ pub(crate) struct Plan {
     pub(crate) timings: PhaseTimings,
 }
 
+/// What one scan found and, exactly, what it did to find it.
+#[derive(Debug)]
+pub(crate) struct Scan {
+    pub(crate) plan: Option<Plan>,
+    /// Move sets decided, feasible or not. An outer candidate that does not
+    /// fit decides its whole inner row at once.
+    pub(crate) trials: u64,
+    /// Calls to the matcher.
+    pub(crate) matches: u64,
+}
+
 /// Milliseconds elapsed since `t0`.
 pub(crate) fn elapsed_ms(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
@@ -102,20 +208,97 @@ pub(crate) fn same_point(cur: &ChosenConfig, cand: &Candidate) -> bool {
         && (cur.elastic_extra - cand.elastic_extra).abs() < 1e-9
 }
 
+/// The state of one scan's depth-first walk over its slots.
+struct Walk<'a> {
+    ctl: &'a Controller,
+    table: &'a Table<'a>,
+    targets: &'a [Target<'a>],
+    only: Option<&'a InstanceId>,
+    scratch: Cluster,
+    /// Per cluster node: how many released or placed allocations name it.
+    touched: Vec<i32>,
+    placed: Vec<Placed<'a>>,
+    best: Option<(f64, Vec<PlannedMove>)>,
+    trials: u64,
+    matches: u64,
+}
+
+/// Tries every candidate of slot `depth` on top of what is placed: match,
+/// commit, go one slot down, undo. Past the last slot the move set is
+/// complete and gets scored.
+fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
+    let (targets, table) = (walk.targets, walk.table);
+    let Some(target) = targets.get(depth) else {
+        score(walk);
+        return Ok(());
+    };
+    // Move sets one candidate of this slot stands for.
+    let below: u64 = targets[depth + 1..].iter().map(|t| t.cands.len() as u64).product();
+    for cand in target.cands {
+        let opt = target
+            .state
+            .spec
+            .option(&cand.option)
+            .ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })?;
+        let matcher = Matcher {
+            strategy: walk.ctl.config.matcher.strategy,
+            elastic_extra: cand.elastic_extra,
+        };
+        walk.matches += 1;
+        let alloc = match matcher.match_option(&walk.scratch, opt, &cand.env()) {
+            Ok(alloc) => alloc,
+            Err(ResourceError::NoMatch { .. }) => {
+                walk.trials += below;
+                continue;
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let saved = walk.scratch.save(&alloc);
+        walk.scratch.commit(&alloc)?;
+        let nodes = table.footprint(&alloc);
+        mark(&mut walk.touched, &nodes, 1);
+        let env = alloc.env();
+        let penalty = walk.ctl.friction_of(target.state, cand, opt, &env);
+        let model = model_for_option(opt);
+        walk.placed.push(Placed { target, cand, opt, model, alloc, nodes, env, penalty });
+        descend(walk, depth + 1)?;
+        let undone = walk.placed.pop().expect("pushed above");
+        mark(&mut walk.touched, &undone.nodes, -1);
+        walk.scratch.restore(&undone.alloc, &saved);
+    }
+    Ok(())
+}
+
+/// One feasible move set: sweep, score, and keep it if it is strictly
+/// better than every one before it.
+fn score(walk: &mut Walk<'_>) {
+    walk.trials += 1;
+    let times = walk.table.times(&walk.scratch, &walk.placed, &walk.touched, walk.only);
+    let score = walk.ctl.score(&times);
+    if walk.best.as_ref().is_none_or(|(best, _)| score < *best - SCORE_EPSILON) {
+        let moves = walk.placed.iter().map(|p| PlannedMove {
+            id: p.target.id.clone(),
+            bundle: p.target.state.spec.name.clone(),
+            candidate: p.cand.clone(),
+            alloc: p.alloc.clone(),
+            predicted: predicted(&times, p.target.id),
+        });
+        walk.best = Some((score, moves.collect()));
+    }
+}
+
 impl Controller {
     /// Predicted response time per application (max over its bundles), in
     /// arrival order. Applications with no applied configuration are
     /// omitted.
     pub fn predicted_response_times(&self) -> Vec<(InstanceId, f64)> {
-        self.response_times(&self.cluster, &[], None)
-            .into_iter()
-            .map(|(id, rt)| (id.clone(), rt))
-            .collect()
+        let live = self.table().live(&self.cluster);
+        live.into_iter().map(|(id, rt)| (id.clone(), rt)).collect()
     }
 
     /// The current objective score over all applications.
     pub fn objective_score(&self) -> f64 {
-        self.score(&self.response_times(&self.cluster, &[], None))
+        self.score(&self.table().live(&self.cluster))
     }
 
     /// Looks up one bundle of one instance.
@@ -139,39 +322,32 @@ impl Controller {
     }
 
     /// Greedy optimization of one bundle: try every candidate and plan the
-    /// best if it beats the incumbent. `initial` marks the first placement
-    /// of a new bundle, where failing to place anything is an error.
+    /// best if it beats the incumbent. No plan for a bundle with no
+    /// incumbent means no candidate fits.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Unplaceable`] when `initial` and no candidate fits;
-    /// evaluation errors from [`Controller::trial`].
+    /// Evaluation errors from [`Controller::scan`].
     pub(crate) fn plan_bundle(
         &self,
         id: &InstanceId,
         bundle: &str,
         cands: &[Candidate],
-        initial: bool,
-    ) -> Result<Option<Plan>, CoreError> {
-        let current = self.bundle_state(id, bundle)?.current.as_ref();
-        let sets = cands.iter().map(|cand| vec![Move { id, bundle, cand }]);
-        let Some(plan) = self.best_of(sets, id)? else {
-            if initial && current.is_none() {
-                let reason = match cands.last() {
-                    Some(cand) => format!("candidate `{}` does not fit", cand.label()),
-                    None => String::from("no candidates"),
-                };
-                return Err(CoreError::Unplaceable { bundle: bundle.to_string(), reason });
-            }
-            return Ok(None);
-        };
-        // Keep the incumbent unless the best candidate is a strict
-        // improvement.
-        let keep_incumbent = current.is_some_and(|cur| {
-            same_point(cur, &plan.moves[0].candidate)
-                || plan.score >= plan.objective_before - SCORE_EPSILON
+    ) -> Result<Scan, CoreError> {
+        let slot = Target { id, state: self.bundle_state(id, bundle)?, cands };
+        let mut scan = self.scan(&[slot], id)?;
+        scan.plan = scan.plan.and_then(|plan| self.settle_bundle(plan));
+        Ok(scan)
+    }
+
+    /// Keeps the incumbent unless the best candidate is a strict
+    /// improvement.
+    fn settle_bundle(&self, plan: Plan) -> Option<Plan> {
+        let m = &plan.moves[0];
+        let keep_incumbent = self.choice(&m.id, &m.bundle).is_some_and(|cur| {
+            same_point(cur, &m.candidate) || plan.score >= plan.objective_before - SCORE_EPSILON
         });
-        Ok((!keep_incumbent).then_some(plan))
+        (!keep_incumbent).then_some(plan)
     }
 
     /// One coordinated move: jointly re-choose bundles `a` and `b`,
@@ -182,170 +358,120 @@ impl Controller {
     ///
     /// # Errors
     ///
-    /// Evaluation errors from [`Controller::trial`].
+    /// Evaluation errors from [`Controller::scan`].
     pub(crate) fn plan_pair(
         &self,
         a: (&InstanceId, &str),
         cands_a: &[Candidate],
         b: (&InstanceId, &str),
         cands_b: &[Candidate],
-    ) -> Result<Option<Plan>, CoreError> {
-        let sets = cands_a.iter().flat_map(|ca| {
-            cands_b.iter().map(move |cb| {
-                vec![
-                    Move { id: a.0, bundle: a.1, cand: ca },
-                    Move { id: b.0, bundle: b.1, cand: cb },
-                ]
-            })
-        });
-        let Some(mut plan) = self.best_of(sets, b.0)? else { return Ok(None) };
+    ) -> Result<Scan, CoreError> {
+        let slot = |(id, bundle), cands| -> Result<Target<'_>, CoreError> {
+            Ok(Target { id, state: self.bundle_state(id, bundle)?, cands })
+        };
+        let mut scan = self.scan(&[slot(a, cands_a)?, slot(b, cands_b)?], b.0)?;
+        scan.plan = scan.plan.and_then(|plan| self.settle_pair(plan));
+        Ok(scan)
+    }
+
+    /// Keeps a joint move that strictly improves the objective or places a
+    /// bundle that had no configuration, down to the sides that change.
+    fn settle_pair(&self, mut plan: Plan) -> Option<Plan> {
+        let current = |m: &PlannedMove| self.choice(&m.id, &m.bundle);
         // A joint move that places a previously unplaced bundle is an
         // improvement even at equal objective.
-        let places_new = self.choice(a.0, a.1).is_none() || self.choice(b.0, b.1).is_none();
+        let places_new = plan.moves.iter().any(|m| current(m).is_none());
         let improves = plan.score < plan.objective_before - SCORE_EPSILON
             || (places_new && plan.score.is_finite());
         // Only the sides that actually change are committed.
-        plan.moves.retain(|m| {
-            !self.choice(&m.id, &m.bundle).is_some_and(|cur| same_point(cur, &m.candidate))
-        });
-        Ok((improves && !plan.moves.is_empty()).then_some(plan))
+        plan.moves.retain(|m| !current(m).is_some_and(|cur| same_point(cur, &m.candidate)));
+        (improves && !plan.moves.is_empty()).then_some(plan)
     }
 
-    /// Tries every move set, in order, and plans the first that scores
-    /// strictly better than all before it. Time inside trials is reported
-    /// as `prediction_ms`, the rest of the scan as `optimization_ms`.
-    fn best_of<'a>(
-        &self,
-        sets: impl Iterator<Item = Vec<Move<'a>>>,
-        focus: &InstanceId,
-    ) -> Result<Option<Plan>, CoreError> {
-        let objective_before = self.objective_score();
+    /// The one scan body: on one scratch copy of the cluster, release every
+    /// slot's incumbent, then walk the product of the slots' candidates
+    /// depth first, scoring each complete move set with one sweep and
+    /// planning the first that scores strictly better than all before it.
+    /// Time in the table and the walk is reported as `prediction_ms`, the
+    /// rest as `optimization_ms`.
+    fn scan(&self, targets: &[Target<'_>], focus: &InstanceId) -> Result<Scan, CoreError> {
         let t_scan = Instant::now();
-        let mut prediction_ms = 0.0;
-        let mut best: Option<(Vec<Move<'a>>, Trial<'_>)> = None;
-        for moves in sets {
-            let t_trial = Instant::now();
-            let trial = self.trial(&moves, focus);
-            prediction_ms += elapsed_ms(t_trial);
-            if let Some(t) = trial? {
-                if best.as_ref().is_none_or(|(_, b)| t.score < b.score - SCORE_EPSILON) {
-                    best = Some((moves, t));
-                }
+        let table = self.table();
+        let objective_before = self.score(&table.live(&self.cluster));
+        let mut prediction_ms = elapsed_ms(t_scan);
+        if targets.iter().any(|t| t.cands.is_empty()) {
+            return Ok(Scan { plan: None, trials: 0, matches: 0 });
+        }
+        let mut walk = Walk {
+            ctl: self,
+            table: &table,
+            targets,
+            only: self.config.selfish.then_some(focus),
+            scratch: self.cluster.clone(),
+            touched: vec![0; table.names.len()],
+            placed: Vec::with_capacity(targets.len()),
+            best: None,
+            trials: 0,
+            matches: 0,
+        };
+        let mut released = Vec::with_capacity(targets.len());
+        for cur in targets.iter().filter_map(|t| t.state.current.as_ref()) {
+            released.push((&cur.alloc, walk.scratch.save(&cur.alloc)));
+            walk.scratch.release(&cur.alloc)?;
+            mark(&mut walk.touched, &table.footprint(&cur.alloc), 1);
+        }
+        let t_walk = Instant::now();
+        descend(&mut walk, 0)?;
+        prediction_ms += elapsed_ms(t_walk);
+        if cfg!(debug_assertions) {
+            // Every commit was undone exactly: with the incumbents put back
+            // the scratch is the live cluster again, field for field.
+            for (alloc, saved) in released.iter().rev() {
+                walk.scratch.restore(alloc, saved);
             }
+            assert_eq!(walk.scratch, self.cluster, "a scan must undo what it tries");
         }
         let optimization_ms = (elapsed_ms(t_scan) - prediction_ms).max(0.0);
-        Ok(best.map(|(moves, Trial { score, times, allocs })| Plan {
-            moves: moves
-                .iter()
-                .zip(allocs)
-                .map(|(m, alloc)| PlannedMove {
-                    id: m.id.clone(),
-                    bundle: m.bundle.to_string(),
-                    candidate: m.cand.clone(),
-                    alloc,
-                    predicted: predicted(&times, m.id),
-                })
-                .collect(),
+        let plan = walk.best.map(|(score, moves)| Plan {
+            moves,
             score,
             objective_before,
             timings: PhaseTimings { prediction_ms, optimization_ms, ..Default::default() },
-        }))
+        });
+        Ok(Scan { plan, trials: walk.trials, matches: walk.matches })
     }
 
-    /// The one trial body: on a copy of the cluster, release every moved
-    /// bundle's incumbent, match and commit the moves in order, price the
-    /// friction of each switch, and score the system in one sweep.
-    /// `Ok(None)` when a move does not fit.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnknownInstance`] / [`CoreError::UnknownBundle`] for a
-    /// move naming nothing registered; every resource error other than
-    /// [`ResourceError::NoMatch`].
-    fn trial(
-        &self,
-        moves: &[Move<'_>],
-        focus: &InstanceId,
-    ) -> Result<Option<Trial<'_>>, CoreError> {
-        let mut cluster = self.cluster.clone();
-        let mut targets = Vec::with_capacity(moves.len());
-        for m in moves {
-            let bundle = self.bundle_state(m.id, m.bundle)?;
-            let opt = bundle
-                .spec
-                .option(&m.cand.option)
-                .ok_or_else(|| CoreError::UnknownBundle { name: m.cand.option.clone() })?;
-            if let Some(cur) = &bundle.current {
-                cluster.release(&cur.alloc)?;
-            }
-            targets.push((bundle, opt));
-        }
-        let mut replaces = Vec::with_capacity(moves.len());
-        for (m, (bundle, opt)) in moves.iter().zip(targets) {
-            let matcher = Matcher {
-                strategy: self.config.matcher.strategy,
-                elastic_extra: m.cand.elastic_extra,
+    /// Builds the scan's table against the live cluster.
+    fn table<'a>(&'a self) -> Table<'a> {
+        let names = self.cluster.nodes().map(|n| n.decl.name.as_str()).collect();
+        let mut table = Table { names, rows: Vec::with_capacity(self.arrival_order.len()) };
+        for id in &self.arrival_order {
+            let Some(app) = self.apps.get(id) else { continue };
+            let factor = self.feedback_factor(id);
+            let standing = |bundle: &'a BundleState| {
+                let cfg = bundle.current.as_ref()?;
+                let opt = bundle.spec.option(&cfg.option)?;
+                let mut standing = Standing {
+                    opt,
+                    alloc: &cfg.alloc,
+                    env: cfg.alloc.env(),
+                    model: model_for_option(opt),
+                    nodes: table.footprint(&cfg.alloc),
+                    live: 0.0,
+                };
+                standing.live = standing.time_on(&self.cluster, factor);
+                Some(standing)
             };
-            let alloc = match matcher.match_option(&cluster, opt, &m.cand.env()) {
-                Ok(alloc) => alloc,
-                Err(ResourceError::NoMatch { .. }) => return Ok(None),
-                Err(e) => return Err(e.into()),
-            };
-            cluster.commit(&alloc)?;
-            let penalty = self.friction_of(bundle, m.cand, opt, &alloc);
-            replaces.push(Replace { id: m.id, bundle: m.bundle, opt, alloc, penalty });
+            let bundles = app.bundles.iter().map(|b| (b.spec.name.as_str(), standing(b))).collect();
+            table.rows.push(Row { id, factor, bundles });
         }
-        let times = self.response_times(&cluster, &replaces, self.config.selfish.then_some(focus));
-        let allocs = replaces.into_iter().map(|r| r.alloc).collect();
-        Ok(Some(Trial { score: self.score(&times), times, allocs }))
+        table
     }
 
     /// The objective over one sweep's response times.
     fn score(&self, times: &[(&InstanceId, f64)]) -> f64 {
         let rts: Vec<f64> = times.iter().map(|(_, rt)| *rt).collect();
         self.config.objective.score(&rts)
-    }
-
-    /// The sweep: response time of every application (max over its
-    /// bundles) on `cluster`, in arrival order, with `replaces` overriding
-    /// stored choices. Applications with no configuration are omitted, as
-    /// is everything but `only` when it is set (selfish mode).
-    fn response_times(
-        &self,
-        cluster: &Cluster,
-        replaces: &[Replace<'_>],
-        only: Option<&InstanceId>,
-    ) -> Vec<(&InstanceId, f64)> {
-        let mut out = Vec::new();
-        for id in &self.arrival_order {
-            if only.is_some_and(|o| o != id) {
-                continue;
-            }
-            let Some(app) = self.apps.get(id) else { continue };
-            let factor = self.feedback_factor(id);
-            let mut worst: Option<f64> = None;
-            for bundle in &app.bundles {
-                let replace = replaces.iter().find(|r| r.id == id && r.bundle == bundle.spec.name);
-                let (opt, alloc, penalty) = match replace {
-                    Some(r) => (r.opt, &r.alloc, r.penalty),
-                    None => {
-                        let Some(cfg) = &bundle.current else { continue };
-                        let Some(opt) = bundle.spec.option(&cfg.option) else { continue };
-                        (opt, &cfg.alloc, 0.0)
-                    }
-                };
-                let ctx = PredictionContext::committed(cluster, alloc, opt);
-                let rt = match model_for_option(opt).predict(&ctx) {
-                    Ok(p) => p.response_time * factor + penalty,
-                    Err(_) => f64::INFINITY,
-                };
-                worst = Some(worst.map_or(rt, |w| w.max(rt)));
-            }
-            if let Some(rt) = worst {
-                out.push((id, rt));
-            }
-        }
-        out
     }
 
     /// The measured-feedback factor for one application: how far reality
@@ -369,21 +495,22 @@ impl Controller {
         calibration_factor(&self.metrics, id, predicted, since, cfg)
     }
 
-    /// The friction (seconds) of moving `bundle` to `cand`, zero when the
-    /// candidate equals the incumbent or there is no incumbent.
+    /// The friction (seconds) of moving `bundle` to `cand`, whose allocation
+    /// induces `env`; zero when the candidate equals the incumbent or there
+    /// is no incumbent.
     fn friction_of(
         &self,
         bundle: &BundleState,
         cand: &Candidate,
         opt: &OptionSpec,
-        alloc: &Allocation,
+        env: &MapEnv,
     ) -> f64 {
         let switching = bundle.current.as_ref().is_some_and(|cur| !same_point(cur, cand));
         if !switching {
             return 0.0;
         }
         let seconds = match &opt.friction {
-            Some(tag) => tag.amount(&alloc.env()).unwrap_or(0.0),
+            Some(tag) => tag.amount(env).unwrap_or(0.0),
             None => 0.0,
         };
         seconds * self.config.friction_weight
@@ -393,9 +520,193 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::ControllerConfig;
-    use harmony_rsl::listings::{sp2_cluster, FIG2B_BAG};
-    use harmony_rsl::schema::parse_bundle_script;
+    use crate::app::AppInstance;
+    use crate::candidates::enumerate;
+    use crate::controller::{ControllerConfig, LintMode};
+    use crate::feedback::FeedbackConfig;
+    use harmony_predict::{DefaultModel, LogPParams};
+    use harmony_resources::{AllocatedLink, Strategy};
+    use harmony_rng::SeededRng;
+    use harmony_rsl::listings::{sp2_cluster, FIG2B_BAG, FIG3_DBCLIENT};
+    use harmony_rsl::schema::{parse_bundle_script, BundleSpec};
+    use std::collections::BTreeMap;
+
+    // ------------------------------------------------------------------
+    // The reference: the clone-per-trial body `scan` replaced, kept as it
+    // was so the scan can be held equal to it.
+    // ------------------------------------------------------------------
+
+    /// One hypothetical re-choice: `bundle` of instance `id` moves to `cand`.
+    #[derive(Debug, Clone, Copy)]
+    struct Move<'a> {
+        id: &'a InstanceId,
+        bundle: &'a str,
+        cand: &'a Candidate,
+    }
+
+    struct Replace<'a> {
+        id: &'a InstanceId,
+        bundle: &'a str,
+        opt: &'a OptionSpec,
+        alloc: Allocation,
+        penalty: f64,
+    }
+
+    #[derive(Debug)]
+    struct Trial<'s> {
+        score: f64,
+        times: Vec<(&'s InstanceId, f64)>,
+        allocs: Vec<Allocation>,
+    }
+
+    impl Controller {
+        fn ref_plan_bundle(
+            &self,
+            id: &InstanceId,
+            bundle: &str,
+            cands: &[Candidate],
+        ) -> Result<Option<Plan>, CoreError> {
+            let sets = cands.iter().map(|cand| vec![Move { id, bundle, cand }]);
+            Ok(self.ref_best_of(sets, id)?.and_then(|plan| self.settle_bundle(plan)))
+        }
+
+        fn ref_plan_pair(
+            &self,
+            a: (&InstanceId, &str),
+            cands_a: &[Candidate],
+            b: (&InstanceId, &str),
+            cands_b: &[Candidate],
+        ) -> Result<Option<Plan>, CoreError> {
+            let sets = cands_a.iter().flat_map(|ca| {
+                cands_b.iter().map(move |cb| {
+                    vec![
+                        Move { id: a.0, bundle: a.1, cand: ca },
+                        Move { id: b.0, bundle: b.1, cand: cb },
+                    ]
+                })
+            });
+            Ok(self.ref_best_of(sets, b.0)?.and_then(|plan| self.settle_pair(plan)))
+        }
+
+        fn ref_best_of<'a>(
+            &self,
+            sets: impl Iterator<Item = Vec<Move<'a>>>,
+            focus: &InstanceId,
+        ) -> Result<Option<Plan>, CoreError> {
+            let objective_before = self.score(&self.ref_response_times(&self.cluster, &[], None));
+            let mut best: Option<(Vec<Move<'a>>, Trial<'_>)> = None;
+            for moves in sets {
+                if let Some(t) = self.ref_trial(&moves, focus)? {
+                    if best.as_ref().is_none_or(|(_, b)| t.score < b.score - SCORE_EPSILON) {
+                        best = Some((moves, t));
+                    }
+                }
+            }
+            Ok(best.map(|(moves, Trial { score, times, allocs })| Plan {
+                moves: moves
+                    .iter()
+                    .zip(allocs)
+                    .map(|(m, alloc)| PlannedMove {
+                        id: m.id.clone(),
+                        bundle: m.bundle.to_string(),
+                        candidate: m.cand.clone(),
+                        alloc,
+                        predicted: predicted(&times, m.id),
+                    })
+                    .collect(),
+                score,
+                objective_before,
+                timings: PhaseTimings::default(),
+            }))
+        }
+
+        fn ref_trial(
+            &self,
+            moves: &[Move<'_>],
+            focus: &InstanceId,
+        ) -> Result<Option<Trial<'_>>, CoreError> {
+            let mut cluster = self.cluster.clone();
+            let mut targets = Vec::with_capacity(moves.len());
+            for m in moves {
+                let bundle = self.bundle_state(m.id, m.bundle)?;
+                let opt = bundle
+                    .spec
+                    .option(&m.cand.option)
+                    .ok_or_else(|| CoreError::UnknownBundle { name: m.cand.option.clone() })?;
+                if let Some(cur) = &bundle.current {
+                    cluster.release(&cur.alloc)?;
+                }
+                targets.push((bundle, opt));
+            }
+            let mut replaces = Vec::with_capacity(moves.len());
+            for (m, (bundle, opt)) in moves.iter().zip(targets) {
+                let matcher = Matcher {
+                    strategy: self.config.matcher.strategy,
+                    elastic_extra: m.cand.elastic_extra,
+                };
+                let alloc = match matcher.match_option(&cluster, opt, &m.cand.env()) {
+                    Ok(alloc) => alloc,
+                    Err(ResourceError::NoMatch { .. }) => return Ok(None),
+                    Err(e) => return Err(e.into()),
+                };
+                cluster.commit(&alloc)?;
+                let switching = bundle.current.as_ref().is_some_and(|c| !same_point(c, m.cand));
+                let seconds = match &opt.friction {
+                    Some(tag) if switching => tag.amount(&alloc.env()).unwrap_or(0.0),
+                    _ => 0.0,
+                };
+                let penalty = seconds * self.config.friction_weight;
+                replaces.push(Replace { id: m.id, bundle: m.bundle, opt, alloc, penalty });
+            }
+            let only = self.config.selfish.then_some(focus);
+            let times = self.ref_response_times(&cluster, &replaces, only);
+            let allocs = replaces.into_iter().map(|r| r.alloc).collect();
+            Ok(Some(Trial { score: self.score(&times), times, allocs }))
+        }
+
+        fn ref_response_times(
+            &self,
+            cluster: &Cluster,
+            replaces: &[Replace<'_>],
+            only: Option<&InstanceId>,
+        ) -> Vec<(&InstanceId, f64)> {
+            let mut out = Vec::new();
+            for id in &self.arrival_order {
+                if only.is_some_and(|o| o != id) {
+                    continue;
+                }
+                let Some(app) = self.apps.get(id) else { continue };
+                let factor = self.feedback_factor(id);
+                let mut worst: Option<f64> = None;
+                for bundle in &app.bundles {
+                    let replace =
+                        replaces.iter().find(|r| r.id == id && r.bundle == bundle.spec.name);
+                    let (opt, alloc, penalty) = match replace {
+                        Some(r) => (r.opt, &r.alloc, r.penalty),
+                        None => {
+                            let Some(cfg) = &bundle.current else { continue };
+                            let Some(opt) = bundle.spec.option(&cfg.option) else { continue };
+                            (opt, &cfg.alloc, 0.0)
+                        }
+                    };
+                    let ctx = PredictionContext::committed(cluster, alloc, opt);
+                    let rt = match model_for_option(opt).predict(&ctx) {
+                        Ok(p) => p.response_time * factor + penalty,
+                        Err(_) => f64::INFINITY,
+                    };
+                    worst = Some(worst.map_or(rt, |w| w.max(rt)));
+                }
+                if let Some(rt) = worst {
+                    out.push((id, rt));
+                }
+            }
+            out
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Fixtures.
+    // ------------------------------------------------------------------
 
     /// `bags` FIG2B instances on an eight-node SP-2.
     fn bags(bags: usize, config: ControllerConfig) -> Controller {
@@ -410,18 +721,262 @@ mod tests {
         times.iter().map(|(id, rt)| ((*id).clone(), *rt)).collect()
     }
 
+    /// Attaches `spec` to `id` without planning it, as `place_bundle` does
+    /// before it plans.
+    fn attach(apps: &mut BTreeMap<InstanceId, AppInstance>, id: &InstanceId, spec: BundleSpec) {
+        apps.get_mut(id).unwrap().bundles.push(BundleState::new(spec));
+    }
+
+    /// Every `(instance, bundle)` with the candidates the drivers would
+    /// fetch for it.
+    fn all_bundles(c: &Controller) -> Vec<(InstanceId, String, Vec<Candidate>)> {
+        let mut out = Vec::new();
+        for id in c.instances() {
+            for b in &c.app(&id).unwrap().bundles {
+                let cands = enumerate(&b.spec, &c.config.elastic_steps);
+                out.push((id.clone(), b.spec.name.clone(), cands));
+            }
+        }
+        out
+    }
+
+    /// What a plan decides, down to the bit.
+    fn decided(plan: Result<Option<Plan>, CoreError>) -> Result<Option<String>, String> {
+        let plan = plan.map_err(|e| format!("{e:?}"))?;
+        Ok(plan.map(|p| {
+            let moves: Vec<String> = p
+                .moves
+                .iter()
+                .map(|m| {
+                    format!(
+                        "{}.{} -> {:?} on {:?} predicted {:016x}",
+                        m.id,
+                        m.bundle,
+                        m.candidate,
+                        m.alloc,
+                        m.predicted.to_bits()
+                    )
+                })
+                .collect();
+            format!(
+                "{moves:?} score {:016x} before {:016x}",
+                p.score.to_bits(),
+                p.objective_before.to_bits()
+            )
+        }))
+    }
+
+    /// Holds every single-bundle and pairwise scan of the controller's
+    /// present state equal to the reference. Returns how many plans moved
+    /// something.
+    fn assert_scans_match_the_reference(c: &Controller, what: &str) -> usize {
+        let bundles = all_bundles(c);
+        let mut plans = 0;
+        for (i, (id, b, cands)) in bundles.iter().enumerate() {
+            let scan = c.plan_bundle(id, b, cands).map(|s| s.plan);
+            plans += usize::from(matches!(scan, Ok(Some(_))));
+            assert_eq!(decided(scan), decided(c.ref_plan_bundle(id, b, cands)), "{what}: {id}.{b}");
+            for (jd, jb, jcands) in bundles.iter().skip(i + 1) {
+                let scan = c.plan_pair((id, b), cands, (jd, jb), jcands).map(|s| s.plan);
+                plans += usize::from(matches!(scan, Ok(Some(_))));
+                let reference = c.ref_plan_pair((id, b), cands, (jd, jb), jcands);
+                assert_eq!(decided(scan), decided(reference), "{what}: {id}.{b} + {jd}.{jb}");
+            }
+        }
+        plans
+    }
+
+    // ------------------------------------------------------------------
+    // Reference equivalence.
+    // ------------------------------------------------------------------
+
+    const SHAPES: [&str; 5] = [
+        FIG2B_BAG,
+        // Figure 3's client, its server pinned to a host the SP-2 has;
+        // elastic memory steps and a default-model link.
+        FIG3_DBCLIENT,
+        "harmonyBundle ded:1 b { {o {variable w {1 2}} \
+           {node n {replicate w} {dedicated 1} {seconds {90 / w}} {memory 16}}} }",
+        "harmonyBundle fr:1 b { {o {variable w {1 2 4}} \
+           {node n {replicate w} {seconds {120 / w}} {memory >=20}} \
+           {performance {1 120} {2 70} {4 45}} {friction {10 * w}}} }",
+        "harmonyBundle pin:1 b { \
+           {near {node n {hostname node01.sp2} {seconds 20} {memory 200}}} \
+           {far {node n {hostname node02.sp2} {seconds 25} {memory 8}}} }",
+    ];
+
+    fn shape(i: usize) -> BundleSpec {
+        parse_bundle_script(&SHAPES[i].replace("harmony.cs.umd.edu", "node00.sp2")).unwrap()
+    }
+
+    #[test]
+    fn the_scan_decides_what_the_clone_per_trial_reference_decides() {
+        let mut plans = 0;
+        for seed in 0..24u64 {
+            let mut rng = SeededRng::seed(seed);
+            let config = ControllerConfig {
+                matcher: Matcher::new(
+                    [Strategy::FirstFit, Strategy::BestFit, Strategy::WorstFit][seed as usize % 3],
+                ),
+                selfish: seed % 4 == 3,
+                feedback: Some(FeedbackConfig::default()),
+                ..Default::default()
+            };
+            let nodes = 3 + (seed as usize % 4);
+            let cluster = Cluster::from_rsl(&sp2_cluster(nodes)).unwrap();
+            let mut c = Controller::new(cluster, config);
+            let mut t = 0.0;
+            for step in 0..10 {
+                t += 100.0;
+                c.set_time(t);
+                let live = c.instances();
+                if !live.is_empty() && rng.chance(0.25) {
+                    c.end(&live[rng.uniform_int(0, live.len() as i64 - 1) as usize]).unwrap();
+                } else {
+                    let spec = shape(rng.weighted(&[4, 3, 1, 2, 1]));
+                    // An arrival that does not fit stays registered and
+                    // unplaced: pair scans must be able to admit it.
+                    let _ = c.register(spec);
+                }
+                // Measured response times move the feedback factors off 1.
+                for id in c.instances() {
+                    if rng.chance(0.5) {
+                        for k in 0..3 {
+                            let v = rng.uniform(50.0, 500.0);
+                            c.record_metric(&format!("{id}.response_time"), t + k as f64, v);
+                        }
+                    }
+                }
+                plans += assert_scans_match_the_reference(&c, &format!("seed {seed} step {step}"));
+            }
+        }
+        assert!(plans > 50, "the populations should leave moves to plan, found {plans}");
+    }
+
+    /// A hard matcher error on the inner slot surfaces exactly when the
+    /// outer candidate matched — an outer `NoMatch` skips the row, as the
+    /// reference's outer `NoMatch` returned before matching the inner move.
+    #[test]
+    fn an_inner_hard_error_surfaces_iff_the_outer_candidate_matched() {
+        let config = ControllerConfig { lint: LintMode::Off, ..Default::default() };
+        let mut c = bags(1, config);
+        let fits = c.startup("outer");
+        attach(&mut c.apps, &fits, parse_bundle_script(FIG2B_BAG).unwrap());
+        let huge = c.startup("outer");
+        let spec = "harmonyBundle outer:1 config { {o {node n {seconds 1} {memory 99999}}} }";
+        attach(&mut c.apps, &huge, parse_bundle_script(spec).unwrap());
+        let broken = c.startup("inner");
+        let spec = "harmonyBundle inner:1 config { {o {node n {seconds {10 / missing}}}} }";
+        attach(&mut c.apps, &broken, parse_bundle_script(spec).unwrap());
+        let inner = c.cached_candidates(&broken, "config").unwrap();
+        for (outer, surfaces) in [(&fits, true), (&huge, false)] {
+            let cands = c.cached_candidates(outer, "config").unwrap();
+            let scan = c.plan_pair((outer, "config"), &cands, (&broken, "config"), &inner);
+            assert_eq!(scan.is_err(), surfaces, "{outer}");
+            let reference = c.ref_plan_pair((outer, "config"), &cands, (&broken, "config"), &inner);
+            assert_eq!(decided(scan.map(|s| s.plan)), decided(reference), "{outer}");
+        }
+    }
+
+    /// The footprint rule rests on this: both models `model_for_option` can
+    /// return — and the default model's LogP variant — read cluster state
+    /// only at an allocation's own nodes and the links between them.
+    #[test]
+    fn a_prediction_reads_only_its_own_nodes_and_the_links_between_them() {
+        let mut cluster = Cluster::from_rsl(&sp2_cluster(8)).unwrap();
+        let bag = parse_bundle_script(FIG2B_BAG).unwrap();
+        let db = shape(1);
+        let mut vars = MapEnv::new();
+        vars.set("workerNodes", harmony_rsl::Value::Int(4));
+        // Own nodes: node00..node03 (the bag) and node00 + node01 (DS).
+        let bag_alloc = Matcher::default().match_option(&cluster, &bag.options[0], &vars).unwrap();
+        let ds = db.option("DS").unwrap();
+        let ds_alloc = Matcher::default().match_option(&cluster, ds, &MapEnv::new()).unwrap();
+        cluster.commit(&bag_alloc).unwrap();
+        cluster.commit(&ds_alloc).unwrap();
+        let own = |name: &str| bag_alloc.nodes.iter().any(|n| n.node == name);
+        assert!(ds_alloc.nodes.iter().all(|n| own(&n.node)));
+
+        let logp = DefaultModel::with_logp(LogPParams::sp2_switch());
+        let predictions = |cluster: &Cluster| -> Vec<u64> {
+            let models: [(Box<dyn Predictor>, &OptionSpec, &Allocation); 4] = [
+                (model_for_option(&bag.options[0]), &bag.options[0], &bag_alloc),
+                (model_for_option(ds), ds, &ds_alloc),
+                (Box::new(DefaultModel::new()), &bag.options[0], &bag_alloc),
+                (Box::new(logp), &bag.options[0], &bag_alloc),
+            ];
+            models
+                .iter()
+                .map(|(model, opt, alloc)| {
+                    let ctx = PredictionContext::committed(cluster, alloc, opt);
+                    model.predict(&ctx).unwrap().response_time.to_bits()
+                })
+                .collect()
+        };
+        let before = predictions(&cluster);
+
+        // Everything a trial elsewhere could change, and more: tasks,
+        // memory, seconds and exclusivity on every other node, bandwidth
+        // on every link with an end outside — including links that reach
+        // *into* the footprint from outside.
+        let names: Vec<String> = cluster.nodes().map(|n| n.decl.name.clone()).collect();
+        let outside: Vec<&String> = names.iter().filter(|n| !own(n)).collect();
+        let mut elsewhere = Allocation::default();
+        for (i, name) in outside.iter().enumerate() {
+            elsewhere.nodes.push(harmony_resources::AllocatedNode {
+                req: "x".into(),
+                index: i as u32,
+                node: (*name).clone(),
+                memory: 100.0,
+                seconds: 1e4,
+                exclusive: true,
+            });
+            for other in &names {
+                if other != *name {
+                    elsewhere.links.push(AllocatedLink {
+                        a: (*name).clone(),
+                        b: other.clone(),
+                        bandwidth: 300.0,
+                    });
+                }
+            }
+        }
+        for _ in 0..3 {
+            cluster.commit(&elsewhere).unwrap();
+        }
+        assert_eq!(predictions(&cluster), before);
+
+        // The converse, so the test cannot pass vacuously: a task on an own
+        // node moves the contended predictions.
+        let mut inside = Allocation::default();
+        inside.nodes.push(harmony_resources::AllocatedNode {
+            req: "x".into(),
+            index: 0,
+            node: "node00".into(),
+            memory: 1.0,
+            seconds: 1.0,
+            exclusive: false,
+        });
+        cluster.commit(&inside).unwrap();
+        assert_ne!(predictions(&cluster), before);
+    }
+
+    // ------------------------------------------------------------------
+    // The sweep and the plan.
+    // ------------------------------------------------------------------
+
     #[test]
     fn the_empty_trial_is_the_live_score() {
         let c = bags(3, ControllerConfig::default());
         let focus = &c.instances()[0];
-        let trial = c.trial(&[], focus).unwrap().unwrap();
+        let trial = c.ref_trial(&[], focus).unwrap().unwrap();
         assert_eq!(trial.score, c.objective_score());
         assert_eq!(owned(&trial.times), c.predicted_response_times());
         assert!(trial.allocs.is_empty());
     }
 
     /// For an initial placement there is no incumbent and so no friction:
-    /// the winning trial's score and prediction are exactly what the
+    /// the winning move set's score and prediction are exactly what the
     /// committed decision records — including the app-level max once the
     /// application has a second bundle.
     #[test]
@@ -441,14 +996,10 @@ mod tests {
         for script in [FIRST, SECOND] {
             let spec = parse_bundle_script(script).unwrap();
             let name = spec.name.clone();
-            // Attach by hand, as `place_bundle` does before it plans.
-            c.apps.get_mut(&id).unwrap().bundles.push(BundleState::new(spec.clone()));
+            attach(&mut c.apps, &id, spec.clone());
             let cands = c.cached_candidates(&id, &name).unwrap();
-            let plan = c.plan_bundle(&id, &name, &cands, true).unwrap().unwrap();
-            let cand = &plan.moves[0].candidate;
-            let trial = c.trial(&[Move { id: &id, bundle: &name, cand }], &id).unwrap().unwrap();
-            let (score, predicted) = (trial.score, predicted(&trial.times, &id));
-            assert_eq!(plan.moves[0].predicted, predicted);
+            let plan = c.plan_bundle(&id, &name, &cands).unwrap().plan.unwrap();
+            let (score, predicted) = (plan.score, plan.moves[0].predicted);
             // Detach again and let the real verb place it.
             c.apps.get_mut(&id).unwrap().bundles.pop();
             let records = c.add_bundle(&id, spec).unwrap();
@@ -463,20 +1014,33 @@ mod tests {
 
     #[test]
     fn planning_does_not_write() {
-        let mut c = bags(3, ControllerConfig::default());
-        let pairs: Vec<(InstanceId, String)> =
-            c.instances().into_iter().map(|id| (id, "config".to_string())).collect();
-        let cands: Vec<_> =
-            pairs.iter().map(|(id, b)| c.cached_candidates(id, b).unwrap()).collect();
+        let c = bags(3, ControllerConfig::default());
         let state = |c: &Controller| (c.persisted_state().canonical_fingerprint(), c.journal_seq());
         let before = state(&c);
-        for (i, a) in pairs.iter().enumerate() {
-            c.plan_bundle(&a.0, &a.1, &cands[i], false).unwrap();
-            for (j, b) in pairs.iter().enumerate().skip(i + 1) {
-                c.plan_pair((&a.0, &a.1), &cands[i], (&b.0, &b.1), &cands[j]).unwrap();
-            }
-        }
+        assert_scans_match_the_reference(&c, "three bags");
         assert_eq!(state(&c), before);
+    }
+
+    /// A scan reports exactly what it did: one move set per element of the
+    /// product, one match per outer candidate plus one per inner candidate
+    /// under each outer candidate that fits.
+    #[test]
+    fn a_scan_counts_its_move_sets_and_matches() {
+        let mut c = bags(2, ControllerConfig::default());
+        let ids = c.instances();
+        let cands = c.cached_candidates(&ids[0], "config").unwrap();
+        let single = c.plan_bundle(&ids[0], "config", &cands).unwrap();
+        assert_eq!((single.trials, single.matches), (4, 4));
+        let pair = c.plan_pair((&ids[0], "config"), &cands, (&ids[1], "config"), &cands).unwrap();
+        assert_eq!((pair.trials, pair.matches), (16, 20));
+        // An outer candidate that cannot fit decides its row with one match.
+        let huge = c.startup("huge");
+        let spec = "harmonyBundle huge:1 config { {o {node n {seconds 1} {memory 99999}}} }";
+        attach(&mut c.apps, &huge, parse_bundle_script(spec).unwrap());
+        let none = c.cached_candidates(&huge, "config").unwrap();
+        let pair = c.plan_pair((&huge, "config"), &none, (&ids[1], "config"), &cands).unwrap();
+        assert_eq!((pair.trials, pair.matches), (4, 1));
+        assert!(pair.plan.is_none());
     }
 
     #[test]
@@ -486,18 +1050,11 @@ mod tests {
             let ids = c.instances();
             let focus = &ids[1];
             let cands = c.cached_candidates(focus, "config").unwrap();
-            let m = Move { id: focus, bundle: "config", cand: &cands[0] };
-            let trial = c.trial(&[m], focus).unwrap().unwrap();
-            let scored: Vec<&InstanceId> = trial.times.iter().map(|(id, _)| *id).collect();
-            if selfish {
-                assert_eq!(scored, [focus]);
-                assert_eq!(
-                    trial.score,
-                    c.config.objective.score(&[predicted(&trial.times, focus)])
-                );
-            } else {
-                assert_eq!(scored, [&ids[0], &ids[1]]);
-            }
+            let state = c.bundle_state(focus, "config").unwrap();
+            let slot = Target { id: focus, state, cands: &cands[..1] };
+            let plan = c.scan(&[slot], focus).unwrap().plan.unwrap();
+            let alone = c.config.objective.score(&[plan.moves[0].predicted]);
+            assert_eq!(plan.score == alone, selfish);
         }
     }
 }

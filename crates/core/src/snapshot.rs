@@ -90,6 +90,15 @@ pub struct OptimizerSnapshot {
     /// is unsound).
     #[serde(default)]
     pub pruning_mismatches: u64,
+    /// Planner scans run (the exact `controller.planner.*` counters).
+    #[serde(default)]
+    pub planner_scans: u64,
+    /// Move sets those scans decided, feasible or not.
+    #[serde(default)]
+    pub planner_trials: u64,
+    /// Matcher calls those scans made.
+    #[serde(default)]
+    pub planner_matches: u64,
 }
 
 /// One histogram's summary, from the registry's latency histograms
@@ -261,6 +270,9 @@ impl SystemSnapshot {
                 pruning_nodes_pruned: ctl.metrics().counter("controller.pruning.nodes_pruned"),
                 pruning_verified: ctl.metrics().counter("controller.pruning.verified"),
                 pruning_mismatches: ctl.metrics().counter("controller.pruning.mismatches"),
+                planner_scans: ctl.metrics().counter("controller.planner.scans"),
+                planner_trials: ctl.metrics().counter("controller.planner.trials"),
+                planner_matches: ctl.metrics().counter("controller.planner.matches"),
             },
             scheduler: SchedulerSnapshot {
                 pending: ctl.pending_decisions() as u64,

@@ -200,6 +200,51 @@ impl Cluster {
     }
 }
 
+/// What [`Cluster::save`] read: the counters of the nodes and links one
+/// allocation names, in the allocation's order.
+#[derive(Debug, Clone, Default)]
+pub struct SavedCounters {
+    /// `(free_memory, tasks, assigned_seconds, exclusive)` per binding.
+    nodes: Vec<(f64, u32, f64, u32)>,
+    /// `free_bandwidth` per link binding.
+    links: Vec<f64>,
+}
+
+impl Cluster {
+    /// Reads the counters a `commit` or `release` of `alloc` would change,
+    /// for [`Cluster::restore`] to put back: the saved values are exact
+    /// where the arithmetic inverse (`x - m + m`) need not be. Bindings
+    /// naming unpublished nodes or links are skipped.
+    pub fn save(&self, alloc: &Allocation) -> SavedCounters {
+        let nodes = alloc.nodes.iter().filter_map(|n| self.node(&n.node));
+        let links = alloc.links.iter().filter_map(|l| self.link(&l.a, &l.b));
+        SavedCounters {
+            nodes: nodes
+                .map(|s| (s.free_memory, s.tasks, s.assigned_seconds, s.exclusive))
+                .collect(),
+            links: links.map(|s| s.free_bandwidth).collect(),
+        }
+    }
+
+    /// Puts back what [`Cluster::save`] read for the same `alloc`; the
+    /// node and link sets must not have changed in between.
+    pub fn restore(&mut self, alloc: &Allocation, saved: &SavedCounters) {
+        let mut nodes = saved.nodes.iter();
+        for n in &alloc.nodes {
+            if let Some(state) = self.node_mut(&n.node) {
+                (state.free_memory, state.tasks, state.assigned_seconds, state.exclusive) =
+                    *nodes.next().expect("saved from the same allocation");
+            }
+        }
+        let mut links = saved.links.iter();
+        for l in &alloc.links {
+            if let Some(state) = self.link_mut(&l.a, &l.b) {
+                state.free_bandwidth = *links.next().expect("saved from the same allocation");
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,5 +375,29 @@ mod tests {
         let _ = c.release(&a);
         assert_eq!(c.node("a").unwrap().tasks, 0);
         assert!(c.node("a").unwrap().assigned_seconds >= 0.0);
+    }
+
+    #[test]
+    fn restore_is_exact_where_release_is_not() {
+        let mut c = cluster();
+        // 0.1 and 0.2 make `x - m + m` visibly inexact.
+        let mut a = alloc();
+        a.nodes[0].memory = 0.1;
+        a.links[0].bandwidth = 0.2;
+        let mut other = alloc();
+        other.nodes[0].memory = 0.2;
+        other.links.push(other.links[0].clone());
+        c.commit(&other).unwrap();
+        let before = c.clone();
+        let saved = c.save(&a);
+        c.commit(&a).unwrap();
+        assert_ne!(c, before);
+        c.restore(&a, &saved);
+        assert_eq!(c, before);
+        // A repeated link restores to what it held before the first entry.
+        let saved = c.save(&other);
+        c.release(&other).unwrap();
+        c.restore(&other, &saved);
+        assert_eq!(c, before);
     }
 }

@@ -98,7 +98,7 @@ fn link_key(a: &str, b: &str) -> (String, String) {
 /// assert!(cluster.link("a", "b").is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Cluster {
     nodes: BTreeMap<String, NodeState>,
     links: BTreeMap<(String, String), LinkState>,

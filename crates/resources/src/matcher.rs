@@ -11,15 +11,13 @@
 //! future, we plan to extend the matching to use more sophisticated
 //! policies that try to avoid fragmentation").
 
-use std::collections::BTreeSet;
-
 use harmony_rsl::expr::{ChainEnv, MapEnv};
 use harmony_rsl::schema::{NodeReq, OptionSpec, TagValue};
 use harmony_rsl::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::{AllocatedLink, AllocatedNode, Allocation};
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, NodeState};
 use crate::error::ResourceError;
 
 /// Node-selection strategy.
@@ -99,16 +97,12 @@ impl Matcher {
         opt: &OptionSpec,
         vars: &MapEnv,
     ) -> Result<Allocation, ResourceError> {
-        let mut used: BTreeSet<String> = BTreeSet::new();
         let mut nodes: Vec<AllocatedNode> = Vec::new();
-        // Remaining free memory per node as this match reserves pieces.
-        let mut reserved_mem: Vec<(String, f64)> = Vec::new();
-
-        let free_mem = |cluster: &Cluster, reserved: &[(String, f64)], name: &str| -> f64 {
-            let base = cluster.node(name).map(|n| n.free_memory).unwrap_or(0.0);
-            let held: f64 = reserved.iter().filter(|(n, _)| n == name).map(|(_, m)| *m).sum();
-            base - held
-        };
+        // The nodes that satisfy the requirement being bound, least loaded
+        // first. Nothing a match reads changes while it runs, so one scan
+        // per requirement serves every replica: a replica takes its pick
+        // out of the buffer, which is what keeps bindings distinct.
+        let mut eligible: Vec<&NodeState> = Vec::new();
 
         for req in &opt.nodes {
             let count = req.count.resolve(vars)?;
@@ -117,72 +111,89 @@ impl Matcher {
                 .map(|t| t.accepts(&Value::Int(1), vars))
                 .transpose()?
                 .unwrap_or(false);
-            for index in 0..count {
-                let min_mem = min_memory(req, vars)?;
-                let mut candidates: Vec<&str> = Vec::new();
-                for state in cluster.nodes() {
-                    let name = state.decl.name.as_str();
-                    if used.contains(name) {
-                        continue;
-                    }
-                    // Nodes held exclusively by a dedicated allocation are
-                    // off-limits to everyone, and dedicated requirements
-                    // only accept idle nodes (space sharing, as on the
-                    // paper's SP-2).
-                    if state.exclusive > 0 {
-                        continue;
-                    }
-                    if dedicated && state.tasks > 0 {
-                        continue;
-                    }
-                    if !accepts_attr(req.hostname(), &host_value(state), vars)? {
-                        continue;
-                    }
-                    if !accepts_attr(req.os(), &Value::Str(state.decl.os.clone()), vars)? {
-                        continue;
-                    }
-                    if !accepts_attr(req.tag("speed"), &Value::Float(state.decl.speed), vars)? {
-                        continue;
-                    }
-                    if free_mem(cluster, &reserved_mem, name) < min_mem {
-                        continue;
-                    }
-                    candidates.push(name);
+            if count == 0 {
+                continue;
+            }
+            let min_mem = min_memory(req, vars)?;
+            let (hostname, os, speed) = (req.hostname(), req.os(), req.tag("speed"));
+            eligible.clear();
+            for state in cluster.nodes() {
+                if nodes.iter().any(|n| n.node == state.decl.name) {
+                    continue;
                 }
-                // §4.1: "as nodes are matched, we decrease the available
-                // resources" — CPU load counts, so less-loaded nodes rank
-                // first under every strategy.
-                candidates.sort_by_key(|name| cluster.node(name).map(|n| n.tasks).unwrap_or(0));
-                let chosen = self.pick(cluster, &reserved_mem, &candidates, min_mem);
-                let Some(chosen) = chosen else {
+                // Nodes held exclusively by a dedicated allocation are
+                // off-limits to everyone, and dedicated requirements
+                // only accept idle nodes (space sharing, as on the
+                // paper's SP-2).
+                if state.exclusive > 0 || (dedicated && state.tasks > 0) {
+                    continue;
+                }
+                if let Some(t) = hostname {
+                    if !t.accepts(&Value::Str(state.decl.hostname.clone()), vars)? {
+                        continue;
+                    }
+                }
+                if let Some(t) = os {
+                    if !t.accepts(&Value::Str(state.decl.os.clone()), vars)? {
+                        continue;
+                    }
+                }
+                if let Some(t) = speed {
+                    if !t.accepts(&Value::Float(state.decl.speed), vars)? {
+                        continue;
+                    }
+                }
+                if state.free_memory < min_mem {
+                    continue;
+                }
+                eligible.push(state);
+            }
+            // §4.1: "as nodes are matched, we decrease the available
+            // resources" — CPU load counts, so less-loaded nodes rank
+            // first under every strategy.
+            eligible.sort_by_key(|state| state.tasks);
+            let elastic =
+                self.elastic_extra > 0.0 && req.memory().is_some_and(TagValue::is_elastic);
+            let mut seconds = 0.0;
+            for index in 0..count {
+                let at = match self.strategy {
+                    Strategy::FirstFit => (!eligible.is_empty()).then_some(0),
+                    Strategy::BestFit => (0..eligible.len()).min_by(|&a, &b| {
+                        let (a, b) = (eligible[a].free_memory, eligible[b].free_memory);
+                        by_amount(a - min_mem, b - min_mem)
+                    }),
+                    Strategy::WorstFit => (0..eligible.len()).max_by(|&a, &b| {
+                        by_amount(eligible[a].free_memory, eligible[b].free_memory)
+                    }),
+                };
+                let Some(at) = at else {
                     return Err(ResourceError::NoMatch {
                         reason: format!(
                             "no node satisfies requirement `{}` replica {index} \
                              (need {min_mem} MB{})",
                             req.name,
-                            req.hostname()
+                            hostname
                                 .map(|h| format!(", hostname {}", h.canonical()))
                                 .unwrap_or_default()
                         ),
                     });
                 };
+                let chosen = eligible.remove(at);
                 let mut grant = min_mem;
-                if req.memory().map(TagValue::is_elastic).unwrap_or(false)
-                    && self.elastic_extra > 0.0
-                {
-                    let spare = free_mem(cluster, &reserved_mem, &chosen) - min_mem;
-                    grant += self.elastic_extra.min(spare.max(0.0));
+                if elastic {
+                    grant += self.elastic_extra.min((chosen.free_memory - min_mem).max(0.0));
                 }
-                let seconds = match req.seconds() {
-                    Some(v) => v.amount(vars)?,
-                    None => 0.0,
-                };
-                reserved_mem.push((chosen.clone(), grant));
-                used.insert(chosen.clone());
+                // Evaluated once a node is found, so that a requirement
+                // nothing satisfies is `NoMatch` whatever its tags say.
+                if index == 0 {
+                    if let Some(v) = req.seconds() {
+                        seconds = v.amount(vars)?;
+                    }
+                }
                 nodes.push(AllocatedNode {
                     req: req.name.clone(),
                     index,
-                    node: chosen,
+                    node: chosen.decl.name.clone(),
                     memory: grant,
                     seconds,
                     exclusive: dedicated,
@@ -190,32 +201,32 @@ impl Matcher {
             }
         }
 
-        // Build the post-binding environment so parameterized link
-        // bandwidths can see `<req>.memory` etc.
         let mut partial = Allocation { nodes, links: Vec::new(), variables: var_bindings(vars) };
+        if opt.links.is_empty() {
+            return Ok(partial);
+        }
+        // The post-binding environment, so parameterized link bandwidths
+        // can see `<req>.memory` etc.
         let link_env = partial.env();
         let env = ChainEnv::new(&link_env, vars);
-
+        let mut links: Vec<AllocatedLink> = Vec::with_capacity(opt.links.len());
         for link in &opt.links {
-            let Some(a) = partial.binding(&link.a).map(|n| n.node.clone()) else {
-                return Err(ResourceError::NoMatch {
-                    reason: format!("link references unknown requirement `{}`", link.a),
-                });
+            let end = |req: &str| {
+                partial.binding(req).map(|n| n.node.as_str()).ok_or_else(|| {
+                    ResourceError::NoMatch {
+                        reason: format!("link references unknown requirement `{req}`"),
+                    }
+                })
             };
-            let Some(b) = partial.binding(&link.b).map(|n| n.node.clone()) else {
-                return Err(ResourceError::NoMatch {
-                    reason: format!("link references unknown requirement `{}`", link.b),
-                });
-            };
+            let (a, b) = (end(&link.a)?, end(&link.b)?);
             let bw = link.bandwidth.amount(&env)?;
             if a != b {
-                let Some(state) = cluster.link(&a, &b) else {
+                let Some(state) = cluster.link(a, b) else {
                     return Err(ResourceError::NoMatch {
                         reason: format!("no link between `{a}` and `{b}`"),
                     });
                 };
-                let already: f64 = partial
-                    .links
+                let already: f64 = links
                     .iter()
                     .filter(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
                     .map(|l| l.bandwidth)
@@ -229,55 +240,15 @@ impl Matcher {
                     });
                 }
             }
-            partial.links.push(AllocatedLink { a, b, bandwidth: bw });
+            links.push(AllocatedLink { a: a.to_owned(), b: b.to_owned(), bandwidth: bw });
         }
-
+        partial.links = links;
         Ok(partial)
     }
-
-    fn pick(
-        &self,
-        cluster: &Cluster,
-        reserved: &[(String, f64)],
-        candidates: &[&str],
-        need: f64,
-    ) -> Option<String> {
-        let free = |name: &str| -> f64 {
-            let base = cluster.node(name).map(|n| n.free_memory).unwrap_or(0.0);
-            let held: f64 = reserved.iter().filter(|(n, _)| n == name).map(|(_, m)| *m).sum();
-            base - held
-        };
-        match self.strategy {
-            Strategy::FirstFit => candidates.first().map(|s| (*s).to_owned()),
-            Strategy::BestFit => candidates
-                .iter()
-                .min_by(|a, b| {
-                    let la = free(a) - need;
-                    let lb = free(b) - need;
-                    la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .map(|s| (*s).to_owned()),
-            Strategy::WorstFit => candidates
-                .iter()
-                .max_by(|a, b| free(a).partial_cmp(&free(b)).unwrap_or(std::cmp::Ordering::Equal))
-                .map(|s| (*s).to_owned()),
-        }
-    }
 }
 
-fn host_value(state: &crate::cluster::NodeState) -> Value {
-    Value::Str(state.decl.hostname.clone())
-}
-
-fn accepts_attr(
-    tag: Option<&TagValue>,
-    attr: &Value,
-    vars: &MapEnv,
-) -> Result<bool, ResourceError> {
-    match tag {
-        None => Ok(true),
-        Some(t) => Ok(t.accepts(attr, vars)?),
-    }
+fn by_amount(a: f64, b: f64) -> std::cmp::Ordering {
+    a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
 }
 
 fn min_memory(req: &NodeReq, vars: &MapEnv) -> Result<f64, ResourceError> {
