@@ -20,7 +20,6 @@
 //! a newcomer). Deciding what to move is [`crate::planner`]'s job and reads
 //! only; this file interleaves plan → commit and owns every write.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 
@@ -37,9 +36,10 @@ use crate::candidates::{enumerate, Candidate};
 use crate::error::CoreError;
 use crate::events::EventOutcome;
 use crate::feedback::FeedbackConfig;
+use crate::instances::{Instance, Instances};
 use crate::journal::{EventJournal, JournalKind, JournalTail, PhaseTimings};
 use crate::objective::Objective;
-use crate::persist::{PersistedState, RecoveryInfo, WalEvent, PERSIST_VERSION};
+use crate::persist::{RecoveryInfo, WalEvent};
 use crate::planner::{elapsed_ms, same_point, Plan, PlannedMove, Scan};
 use crate::scheduler::{CoalescePolicy, DecisionScheduler};
 use crate::session::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
@@ -78,9 +78,6 @@ pub struct ControllerConfig {
     pub elastic_steps: Vec<f64>,
     /// Re-evaluate existing applications after a new one arrives (§4.3).
     pub reevaluate_on_arrival: bool,
-    /// Honor `granularity` declarations (skip bundles that switched too
-    /// recently).
-    pub respect_granularity: bool,
     /// Enable coordinated pairwise moves (jointly re-choosing two bundles
     /// when single moves are stuck) — the §1 admission scenario.
     pub coordinated_moves: bool,
@@ -116,7 +113,6 @@ impl Default for ControllerConfig {
             friction_weight: 1.0,
             elastic_steps: vec![7.0, 15.0, 30.0],
             reevaluate_on_arrival: true,
-            respect_granularity: true,
             coordinated_moves: true,
             selfish: false,
             feedback: None,
@@ -184,66 +180,41 @@ impl PartialEq for DecisionRecord {
 pub struct Controller {
     pub(crate) config: ControllerConfig,
     pub(crate) cluster: Cluster,
-    pub(crate) apps: BTreeMap<InstanceId, AppInstance>,
-    pub(crate) arrival_order: Vec<InstanceId>,
-    registry: InstanceRegistry,
-    namespace: Namespace<Value>,
+    /// Every registered instance, one record each: bundles, lease, touch
+    /// stamp, poll buffer and candidate memo, plus the arrival order.
+    pub(crate) instances: Instances,
+    pub(crate) registry: InstanceRegistry,
+    pub(crate) namespace: Namespace<Value>,
     pub(crate) metrics: MetricRegistry,
     bus: std::sync::Arc<MetricBus>,
-    /// Buffered variable updates per instance. Interior-mutable so the
-    /// polling path ([`Controller::take_pending_vars`]) can drain under a
-    /// shared borrow — the concurrent read path of `harmony-proto` — while
-    /// the map itself is only reshaped under exclusive access
-    /// (startup/retire).
-    pending_vars: BTreeMap<InstanceId, Mutex<Vec<(HPath, Value)>>>,
-    now: f64,
-    decisions: Vec<DecisionRecord>,
-    sessions: BTreeMap<InstanceId, SessionState>,
-    retirements: Vec<RetirementRecord>,
+    pub(crate) now: f64,
+    pub(crate) decisions: Vec<DecisionRecord>,
+    pub(crate) retirements: Vec<RetirementRecord>,
     /// Cause tag attached to decisions committed while retiring an
     /// instance for a non-`end` reason (lease expiry, disconnect).
     decision_cause: Option<String>,
-    /// Memoized candidate enumeration per `(instance, bundle)`. A bundle's
-    /// candidate set depends only on its spec and the (immutable)
-    /// `elastic_steps` configuration, so it is computed once and shared
-    /// (`Arc`) with every optimizer pass until the bundle is replaced or
-    /// its instance retires.
-    candidate_cache: BTreeMap<(InstanceId, String), std::sync::Arc<Vec<Candidate>>>,
     /// Dirty-mark bookkeeping for coalesced re-evaluation (only consulted
     /// when `config.coalesce` is enabled).
-    scheduler: DecisionScheduler,
-    /// Lock-free lease touch-stamps, one per registered instance: the
-    /// concurrent read path renews leases by storing
-    /// `f64::to_bits(touch_time)` with `fetch_max` (valid because the bit
-    /// patterns of non-negative IEEE doubles are order-isomorphic to their
-    /// values; `0` doubles as the "never touched" sentinel). Write-path
-    /// operations fold stamps into [`SessionState::deadline`].
-    touches: BTreeMap<InstanceId, AtomicU64>,
+    pub(crate) scheduler: DecisionScheduler,
     /// The bounded provenance journal. Behind its own mutex (not the
     /// controller lock) so the concurrent read path — metric reports,
     /// heartbeats, journal tailing — can append and read under a shared
     /// controller borrow.
-    journal: Mutex<EventJournal>,
+    pub(crate) journal: Mutex<EventJournal>,
     /// Journal seqs of the event(s) the in-flight optimization pass is
     /// settling; copied into every [`DecisionRecord`] it commits (the
     /// provenance analogue of `decision_cause`).
     decision_provenance: Vec<u64>,
-    /// Chaos hook for the deterministic whole-stack harness
-    /// (`harmony-harness`): when set, [`Controller::reap_expired`] skips
-    /// folding read-path touch-stamps, re-creating the "reaper forgets
-    /// concurrent renewals" bug class so the harness can prove its lease
-    /// oracle catches it. Never set outside tests.
-    chaos_skip_touch_fold: bool,
     /// The attached write-ahead log, when this controller is persistent
     /// (opened through [`crate::persist::StateStore`]). `Arc` + interior
     /// buffering in the writer let the concurrent read path (touches,
     /// polls, metric reports) append under a shared borrow. `None` (the
     /// default) makes every logging point a no-op — behavior is
     /// bit-for-bit the non-persistent controller.
-    wal: Option<std::sync::Arc<harmony_wal::WalWriter>>,
+    pub(crate) wal: Option<std::sync::Arc<harmony_wal::WalWriter>>,
     /// How this controller came to be, when recovered from a state
     /// directory (surfaced in [`crate::SystemSnapshot`]).
-    recovery: Option<RecoveryInfo>,
+    pub(crate) recovery: Option<RecoveryInfo>,
 }
 
 impl Controller {
@@ -252,24 +223,18 @@ impl Controller {
         Controller {
             config,
             cluster,
-            apps: BTreeMap::new(),
-            arrival_order: Vec::new(),
+            instances: Instances::default(),
             registry: InstanceRegistry::new(),
             namespace: Namespace::new(),
             metrics: MetricRegistry::new(),
             bus: std::sync::Arc::new(MetricBus::new()),
-            pending_vars: BTreeMap::new(),
             now: 0.0,
             decisions: Vec::new(),
-            sessions: BTreeMap::new(),
             retirements: Vec::new(),
             decision_cause: None,
-            candidate_cache: BTreeMap::new(),
             scheduler: DecisionScheduler::new(),
-            touches: BTreeMap::new(),
             journal: Mutex::new(EventJournal::default()),
             decision_provenance: Vec::new(),
-            chaos_skip_touch_fold: false,
             wal: None,
             recovery: None,
         }
@@ -383,23 +348,22 @@ impl Controller {
 
     /// Registered instances in arrival order.
     pub fn instances(&self) -> Vec<InstanceId> {
-        self.arrival_order.clone()
+        self.instances.arrival().to_vec()
     }
 
     /// Looks up an application instance.
     pub fn app(&self, id: &InstanceId) -> Option<&AppInstance> {
-        self.apps.get(id)
+        self.instances.get(id).map(|inst| &inst.app)
     }
 
     /// The current configuration of a bundle, if one has been applied.
     pub fn choice(&self, id: &InstanceId, bundle: &str) -> Option<&ChosenConfig> {
-        self.apps.get(id)?.bundle(bundle)?.current.as_ref()
+        self.app(id)?.bundle(bundle)?.current.as_ref()
     }
 
     /// The candidate set of `(id, bundle)`, memoized. The first request
     /// enumerates (a cache miss); later requests share the same `Arc`
-    /// until [`Controller::add_bundle`] replaces the bundle or the
-    /// instance retires. Cache traffic is visible as the
+    /// until the instance retires. Cache traffic is visible as the
     /// `controller.optimizer.cache_hits` / `cache_misses` counters.
     ///
     /// Returns `None` when the instance or bundle is unknown.
@@ -408,25 +372,27 @@ impl Controller {
         id: &InstanceId,
         bundle: &str,
     ) -> Option<std::sync::Arc<Vec<Candidate>>> {
-        let key = (id.clone(), bundle.to_string());
-        if let Some(cands) = self.candidate_cache.get(&key) {
+        let inst = self.instances.get_mut(id)?;
+        if let Some(cands) = inst.candidates.get(bundle) {
             self.metrics.inc_counter("controller.optimizer.cache_hits");
             return Some(std::sync::Arc::clone(cands));
         }
-        let cands = {
-            let spec = &self.apps.get(id)?.bundle(bundle)?.spec;
-            std::sync::Arc::new(enumerate(spec, &self.config.elastic_steps))
-        };
+        let spec = &inst.app.bundle(bundle)?.spec;
+        let cands = std::sync::Arc::new(enumerate(spec, &self.config.elastic_steps));
+        inst.candidates.insert(bundle.to_string(), std::sync::Arc::clone(&cands));
         self.metrics.inc_counter("controller.optimizer.cache_misses");
-        self.candidate_cache.insert(key, std::sync::Arc::clone(&cands));
-        self.metrics
-            .set_gauge("controller.optimizer.cache_size", self.candidate_cache.len() as f64);
+        self.gauge_cache_size();
         Some(cands)
     }
 
     /// Number of memoized candidate sets currently held.
     pub fn candidate_cache_len(&self) -> usize {
-        self.candidate_cache.len()
+        self.instances.in_id_order().map(|inst| inst.candidates.len()).sum()
+    }
+
+    fn gauge_cache_size(&self) {
+        self.metrics
+            .set_gauge("controller.optimizer.cache_size", self.candidate_cache_len() as f64);
     }
 
     // ------------------------------------------------------------------
@@ -507,13 +473,10 @@ impl Controller {
 
     fn register_instance(&mut self, app: &str) -> InstanceId {
         let id = InstanceId::new(app, self.registry.allocate(app));
-        self.apps.insert(id.clone(), AppInstance::new(id.clone(), self.now));
-        self.arrival_order.push(id.clone());
-        self.pending_vars.insert(id.clone(), Mutex::new(Vec::new()));
-        self.sessions.insert(id.clone(), SessionState::new(self.now + self.config.lease.duration));
-        self.touches.insert(id.clone(), AtomicU64::new(0));
+        let session = SessionState::new(self.now + self.config.lease.duration);
+        self.instances.insert(Instance::new(AppInstance::new(id.clone(), self.now), session));
         self.metrics.inc_counter("controller.startups");
-        self.metrics.set_gauge("controller.sessions.active", self.sessions.len() as f64);
+        self.metrics.set_gauge("controller.sessions.active", self.instances.len() as f64);
         self.journal_append(JournalKind::Event, format!("startup {id}"));
         id
     }
@@ -524,11 +487,16 @@ impl Controller {
     /// placed directly and coordinated moves are enabled, the controller
     /// tries shrinking one existing application to make room (§1).
     ///
+    /// Idempotent per `(instance, bundle name)`: sending a specification
+    /// the instance already has attaches nothing and re-runs the pass (a
+    /// client retrying after a lost reply).
+    ///
     /// # Errors
     ///
-    /// [`CoreError::UnknownInstance`] for unregistered ids and
-    /// [`CoreError::Unplaceable`] when no candidate fits even after
-    /// coordinated admission.
+    /// [`CoreError::UnknownInstance`] for unregistered ids,
+    /// [`CoreError::BundleConflict`] when the instance has a *different*
+    /// specification under that name, and [`CoreError::Unplaceable`] when
+    /// no candidate fits even after coordinated admission.
     pub fn add_bundle(
         &mut self,
         id: &InstanceId,
@@ -544,20 +512,31 @@ impl Controller {
         spec: BundleSpec,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
         self.lint_gate(&spec)?;
-        let app = self
-            .apps
+        let app = &mut self
+            .instances
             .get_mut(id)
-            .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
+            .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?
+            .app;
         let bundle_name = spec.name.clone();
-        app.bundles.push(BundleState::new(spec));
-        // Invalidate any memoized candidates under this key (a re-added
-        // bundle name must re-enumerate against the new spec).
-        self.candidate_cache.remove(&(id.clone(), bundle_name.clone()));
+        // Idempotent per `(instance, name)`: a client that lost the reply
+        // and retries must not attach a second state `bundle()` can never
+        // reach. An equal spec re-runs the pass over the one it has.
+        let attached = match app.bundle(&bundle_name) {
+            None => {
+                app.bundles.push(BundleState::new(spec));
+                true
+            }
+            Some(existing) if existing.spec == spec => false,
+            Some(_) => return Err(CoreError::BundleConflict { bundle: bundle_name }),
+        };
         self.journal_trigger(JournalKind::Event, format!("bundle-setup {id} {bundle_name}"));
         let mut records = Vec::new();
 
+        // A retry of a bundle that is already placed is an ordinary
+        // re-evaluation of it; only an unplaced one is placed afresh.
+        let initial = self.choice(id, &bundle_name).is_none();
         let mut unplaced_reason = None;
-        match self.optimize_bundle(id, &bundle_name, true) {
+        match self.optimize_bundle(id, &bundle_name, initial) {
             Ok(rs) => records.extend(rs),
             Err(CoreError::Unplaceable { reason, .. })
                 if self.config.coordinated_moves && !self.config.selfish =>
@@ -569,14 +548,12 @@ impl Controller {
             // later pass too, so it goes.
             Err(e @ CoreError::Unplaceable { .. }) => return Err(e),
             Err(e) => {
-                if let Some(app) = self.apps.get_mut(id) {
-                    app.bundles.pop();
+                if attached {
+                    let inst = self.instances.get_mut(id).expect("instance looked up above");
+                    inst.app.bundles.pop();
+                    inst.candidates.remove(&bundle_name);
+                    self.gauge_cache_size();
                 }
-                self.candidate_cache.remove(&(id.clone(), bundle_name));
-                self.metrics.set_gauge(
-                    "controller.optimizer.cache_size",
-                    self.candidate_cache.len() as f64,
-                );
                 return Err(e);
             }
         }
@@ -665,26 +642,18 @@ impl Controller {
         id: &InstanceId,
         reason: RetireReason,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
-        let app = self
-            .apps
+        let retired = self
+            .instances
             .remove(id)
             .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
-        for bundle in &app.bundles {
-            if let Some(cfg) = &bundle.current {
-                self.cluster.release(&cfg.alloc)?;
-            }
+        for alloc in retired.app.allocations() {
+            self.cluster.release(alloc)?;
         }
-        self.arrival_order.retain(|x| x != id);
-        self.pending_vars.remove(id);
-        self.sessions.remove(id);
-        self.touches.remove(id);
-        self.candidate_cache.retain(|(i, _), _| i != id);
-        self.metrics
-            .set_gauge("controller.optimizer.cache_size", self.candidate_cache.len() as f64);
+        self.gauge_cache_size();
         self.namespace.remove_subtree(&instance_path(id));
         self.metrics.remove_prefix(&id.to_string());
         self.metrics.inc_counter("controller.ends");
-        self.metrics.set_gauge("controller.sessions.active", self.sessions.len() as f64);
+        self.metrics.set_gauge("controller.sessions.active", self.instances.len() as f64);
         self.retirements.push(RetirementRecord { time: self.now, instance: id.clone(), reason });
         self.journal_trigger(JournalKind::Retirement, format!("{reason}: {id}"));
         if reason != RetireReason::Ended {
@@ -715,10 +684,11 @@ impl Controller {
 
     fn renew(&mut self, id: &InstanceId) -> Result<(), CoreError> {
         let deadline = self.now + self.config.lease.duration;
-        let s = self
-            .sessions
+        let s = &mut self
+            .instances
             .get_mut(id)
-            .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
+            .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?
+            .session;
         s.deadline = deadline;
         s.disconnected = false;
         s.renewals += 1;
@@ -738,15 +708,15 @@ impl Controller {
         // Apply any read-path touch first so activity that happened before
         // the disconnect extends the lease before the grace cap shortens
         // it.
-        self.fold_touch(id);
-        let grace = self.config.lease.disconnect_grace;
-        let now = self.now;
-        if let Some(s) = self.sessions.get_mut(id) {
-            if !s.disconnected {
-                s.disconnected = true;
-                s.deadline = s.deadline.min(now + grace);
-                self.metrics.inc_counter("controller.sessions.disconnects");
-            }
+        let Some(inst) = self.instances.get_mut(id) else { return };
+        if inst.fold_touch(self.config.lease.duration) {
+            self.metrics.inc_counter("controller.sessions.renewals");
+        }
+        let s = &mut inst.session;
+        if !s.disconnected {
+            s.disconnected = true;
+            s.deadline = s.deadline.min(self.now + self.config.lease.disconnect_grace);
+            self.metrics.inc_counter("controller.sessions.disconnects");
         }
     }
 
@@ -769,17 +739,14 @@ impl Controller {
         self.metrics.inc_counter("controller.sessions.reattached");
         // Replay the full current state (idempotent: updates are keyed by
         // path), replacing whatever was buffered before the disconnect.
+        let inst = self.instances.get(id).expect("renewed above");
         let mut writes: Vec<(HPath, Value)> = Vec::new();
-        if let Some(app) = self.apps.get(id) {
-            for bundle in &app.bundles {
-                if let Some(cfg) = &bundle.current {
-                    writes.extend(config_writes(id, &bundle.spec.name, cfg));
-                }
+        for bundle in &inst.app.bundles {
+            if let Some(cfg) = &bundle.current {
+                writes.extend(config_writes(id, &bundle.spec.name, cfg));
             }
         }
-        if let Some(buf) = self.pending_vars.get(id) {
-            *buf.lock() = writes;
-        }
+        *inst.pending.lock() = writes;
         Ok(())
     }
 
@@ -795,34 +762,24 @@ impl Controller {
         self.execute(WalEvent::Reap { now }).map(EventOutcome::into_decisions)
     }
 
-    /// Plants the "reaper skips touch folding" mutation (see the
-    /// `chaos_skip_touch_fold` field). Exposed — hidden — for
-    /// `harmony-harness`, whose planted-bug acceptance test proves the
-    /// schedule explorer detects exactly this class of lease bug.
-    #[doc(hidden)]
-    pub fn chaos_set_skip_touch_fold(&mut self, enabled: bool) {
-        self.chaos_skip_touch_fold = enabled;
-    }
-
     /// The sweep's one body; the caller has already moved the clock to
     /// `now`.
     fn reap(&mut self, now: f64) -> Result<Vec<DecisionRecord>, CoreError> {
-        if !self.chaos_skip_touch_fold {
-            self.fold_touches();
-        }
-        let expired: Vec<(InstanceId, RetireReason)> = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| s.expired_at(now))
-            .map(|(id, s)| {
-                let reason = if s.disconnected {
+        // Each lease is judged with its pending touch-stamp folded in.
+        let mut expired = Vec::new();
+        for inst in self.instances.in_id_order_mut() {
+            if inst.fold_touch(self.config.lease.duration) {
+                self.metrics.inc_counter("controller.sessions.renewals");
+            }
+            if inst.session.expired_at(now) {
+                let reason = if inst.session.disconnected {
                     RetireReason::Disconnected
                 } else {
                     RetireReason::LeaseExpired
                 };
-                (id.clone(), reason)
-            })
-            .collect();
+                expired.push((inst.app.id.clone(), reason));
+            }
+        }
         let mut records = Vec::new();
         for (id, reason) in expired {
             self.metrics.inc_counter("controller.sessions.expired");
@@ -833,12 +790,12 @@ impl Controller {
 
     /// The lease state of one registered instance.
     pub fn session(&self, id: &InstanceId) -> Option<&SessionState> {
-        self.sessions.get(id)
+        self.instances.get(id).map(|inst| &inst.session)
     }
 
-    /// Lease state of every registered instance.
-    pub fn sessions(&self) -> &BTreeMap<InstanceId, SessionState> {
-        &self.sessions
+    /// Lease state of every registered instance, in id order.
+    pub fn sessions(&self) -> impl Iterator<Item = (&InstanceId, &SessionState)> {
+        self.instances.in_id_order().map(|inst| (&inst.app.id, &inst.session))
     }
 
     /// Every retirement so far (explicit `end` and reaped), oldest first.
@@ -867,13 +824,13 @@ impl Controller {
         }
         // A rejected stamp still reports the instance as registered — the
         // touch is dropped, not the session.
-        self.touches.contains_key(id)
+        self.instances.get(id).is_some()
     }
 
     /// Where a touch of `id` lands: its stamp, or `None` when `id` is
     /// unregistered or the clock is not stampable (see `apply_touch`).
     fn touch_stamp(&self, id: &InstanceId) -> Option<&AtomicU64> {
-        let stamp = self.touches.get(id)?;
+        let stamp = &self.instances.get(id)?.touch;
         (self.now.is_finite() && self.now >= 0.0).then_some(stamp)
     }
 
@@ -902,46 +859,13 @@ impl Controller {
     /// [`SessionState::deadline`] extended by any not-yet-folded read-path
     /// touch.
     pub fn effective_deadline(&self, id: &InstanceId) -> Option<f64> {
-        let s = self.sessions.get(id)?;
-        let mut deadline = s.deadline;
-        if let Some(stamp) = self.touches.get(id) {
-            let bits = stamp.load(AtomicOrdering::Acquire);
-            if bits != 0 {
-                deadline = deadline.max(f64::from_bits(bits) + self.config.lease.duration);
-            }
+        let inst = self.instances.get(id)?;
+        let mut deadline = inst.session.deadline;
+        let bits = inst.touch.load(AtomicOrdering::Acquire);
+        if bits != 0 {
+            deadline = deadline.max(f64::from_bits(bits) + self.config.lease.duration);
         }
         Some(deadline)
-    }
-
-    /// Folds one instance's pending touch-stamp into its session state.
-    fn fold_touch(&mut self, id: &InstanceId) {
-        let duration = self.config.lease.duration;
-        let Some(stamp) = self.touches.get(id) else { return };
-        // `swap(0)` claims the stamp atomically; a touch racing in after
-        // the swap is simply preserved for the next fold.
-        let bits = stamp.swap(0, AtomicOrdering::AcqRel);
-        if bits == 0 {
-            return;
-        }
-        if let Some(s) = self.sessions.get_mut(id) {
-            let renewed = f64::from_bits(bits) + duration;
-            if renewed > s.deadline {
-                s.deadline = renewed;
-            }
-            s.disconnected = false;
-            s.renewals += 1;
-            self.metrics.inc_counter("controller.sessions.renewals");
-        }
-    }
-
-    /// Folds every pending touch-stamp (the write-path half of read-path
-    /// lease renewal). A batch of touches between folds counts as one
-    /// renewal, mirroring how the reaper would have observed it.
-    fn fold_touches(&mut self) {
-        let ids: Vec<InstanceId> = self.touches.keys().cloned().collect();
-        for id in ids {
-            self.fold_touch(&id);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1067,15 +991,17 @@ impl Controller {
     }
 
     /// Every `(instance, bundle)` pair in arrival order, minus `skip`.
-    fn all_pairs_excluding(&self, skip: Option<(&InstanceId, &str)>) -> Vec<(InstanceId, String)> {
+    pub(crate) fn all_pairs_excluding(
+        &self,
+        skip: Option<(&InstanceId, &str)>,
+    ) -> Vec<(InstanceId, String)> {
         let mut out = Vec::new();
-        for id in &self.arrival_order {
-            let Some(app) = self.apps.get(id) else { continue };
+        for app in self.instances.in_arrival_order().map(|inst| &inst.app) {
             for b in &app.bundles {
-                if skip == Some((id, b.spec.name.as_str())) {
+                if skip == Some((&app.id, b.spec.name.as_str())) {
                     continue;
                 }
-                out.push((id.clone(), b.spec.name.clone()));
+                out.push((app.id.clone(), b.spec.name.clone()));
             }
         }
         out
@@ -1132,23 +1058,10 @@ impl Controller {
     /// The one poll body, shared by [`Controller::take_pending_vars`] and
     /// the `Poll` command.
     fn drain_pending(&self, id: &InstanceId) -> Vec<(HPath, Value)> {
-        self.pending_vars.get(id).map(|buf| std::mem::take(&mut *buf.lock())).unwrap_or_default()
-    }
-
-    /// Drains the buffered variable updates (the server side of
-    /// `flushPendingVars`): per instance, the namespace paths written since
-    /// the last flush with their values. Rides [`Controller::take_pending_vars`]
-    /// so each non-empty drain is WAL-logged individually.
-    pub fn flush_pending_vars(&self) -> Vec<(InstanceId, Vec<(HPath, Value)>)> {
-        let ids: Vec<InstanceId> = self.pending_vars.keys().cloned().collect();
-        let mut out = Vec::new();
-        for id in ids {
-            let vars = self.take_pending_vars(&id);
-            if !vars.is_empty() {
-                out.push((id, vars));
-            }
-        }
-        out
+        self.instances
+            .get(id)
+            .map(|inst| std::mem::take(&mut *inst.pending.lock()))
+            .unwrap_or_default()
     }
 
     /// Runs `harmony-analyze` over an arriving bundle per the configured
@@ -1296,7 +1209,6 @@ impl Controller {
             ("controller.phase.candidates", phases.candidates_ms),
             ("controller.phase.prediction", phases.prediction_ms),
             ("controller.phase.optimization", phases.optimization_ms),
-            ("controller.phase.pruning", phases.pruning_ms),
             ("controller.phase.commit", phases.commit_ms),
         ] {
             self.metrics.observe(name, ms / 1e3);
@@ -1328,12 +1240,9 @@ impl Controller {
         for (p, v) in &writes {
             self.namespace.set(p.clone(), v.clone());
         }
-        if let Some(buf) = self.pending_vars.get(id) {
-            buf.lock().extend(writes);
-        }
-
-        let app = self.apps.get_mut(id).expect("caller validated instance");
-        let bundle = app.bundle_mut(bundle_name).expect("caller validated bundle");
+        let inst = self.instances.get_mut(id).expect("caller validated instance");
+        inst.pending.get_mut().extend(writes);
+        let bundle = inst.app.bundle_mut(bundle_name).expect("caller validated bundle");
         if is_switch {
             bundle.reconfig_count += 1;
         }
@@ -1354,180 +1263,6 @@ impl Controller {
         }
         let before = self.objective_score();
         Ok(Some(self.commit_choice(m, before, PhaseTimings::default())?))
-    }
-
-    // ------------------------------------------------------------------
-    // Crash-consistent persistence (see `crate::persist`).
-    // ------------------------------------------------------------------
-
-    /// Appends one event to the attached WAL; a no-op without one. Errors
-    /// are counted (`controller.persistence.append_errors`), never
-    /// propagated — a failing disk must not take the serving path down
-    /// with it.
-    fn wal_log(&self, ev: &WalEvent) {
-        let Some(wal) = &self.wal else { return };
-        let payload = serde_json::to_string(ev).expect("wal events serialize");
-        if wal.append(payload.as_bytes()).is_ok() {
-            self.metrics.inc_counter("controller.persistence.appends");
-        } else {
-            self.metrics.inc_counter("controller.persistence.append_errors");
-        }
-    }
-
-    /// Attaches a write-ahead log: every state-changing verb from here on
-    /// is logged. Called by [`crate::persist::StateStore::open`] after
-    /// replay.
-    pub fn attach_wal(&mut self, wal: std::sync::Arc<harmony_wal::WalWriter>) {
-        self.wal = Some(wal);
-    }
-
-    /// True when a WAL is attached (persistence on).
-    pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// The attached WAL writer, if any (the embedding uses it for
-    /// shutdown flushes).
-    pub fn wal_handle(&self) -> Option<std::sync::Arc<harmony_wal::WalWriter>> {
-        self.wal.clone()
-    }
-
-    /// Records how this controller was recovered (set by
-    /// [`crate::persist::StateStore::open`]).
-    pub fn set_recovery_info(&mut self, info: RecoveryInfo) {
-        self.recovery = Some(info);
-    }
-
-    /// How this controller came to be, when recovered from a state
-    /// directory.
-    pub fn recovery_info(&self) -> Option<RecoveryInfo> {
-        self.recovery
-    }
-
-    /// Captures the complete control-plane state for a snapshot. Lossless
-    /// for everything decisions depend on: sessions keep their ids and
-    /// deadlines, the journal keeps its sequence numbers, the namespace
-    /// keeps its revision counter. Optimizer caches and metric
-    /// counters/histograms are deliberately excluded (rebuilt cold).
-    pub fn persisted_state(&self) -> PersistedState {
-        let journal = self.journal.lock();
-        let metric_series = self
-            .metrics
-            .series_names()
-            .into_iter()
-            .filter_map(|name| {
-                let series = self.metrics.series(&name)?;
-                let samples: Vec<(f64, f64)> = series.iter().map(|s| (s.time, s.value)).collect();
-                Some((name, samples))
-            })
-            .collect();
-        PersistedState {
-            version: PERSIST_VERSION,
-            now: self.now,
-            config: self.config.clone(),
-            cluster: self.cluster.clone(),
-            registry: self.registry.clone(),
-            apps: self.apps.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            arrival_order: self.arrival_order.clone(),
-            namespace: self.namespace.clone(),
-            pending_vars: self
-                .pending_vars
-                .iter()
-                .map(|(id, buf)| (id.clone(), buf.lock().clone()))
-                .collect(),
-            sessions: self.sessions.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            touches: self
-                .touches
-                .iter()
-                .filter_map(|(id, stamp)| {
-                    let bits = stamp.load(AtomicOrdering::Acquire);
-                    (bits != 0).then(|| (id.clone(), bits))
-                })
-                .collect(),
-            decisions: self.decisions.clone(),
-            retirements: self.retirements.clone(),
-            journal_entries: journal.entries().cloned().collect(),
-            journal_next_seq: journal.next_seq(),
-            journal_capacity: journal.capacity(),
-            scheduler: self.scheduler.dump(),
-            metric_series,
-        }
-    }
-
-    /// Rebuilds a controller from a persisted snapshot. The result has no
-    /// WAL attached yet (replay runs first) and cold caches.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Persistence`] on a version mismatch or internally
-    /// inconsistent state (an instance in `arrival_order` or `sessions`
-    /// that `apps` does not know) — the caller falls back to an older
-    /// generation.
-    pub fn from_persisted(state: PersistedState) -> Result<Controller, CoreError> {
-        if state.version != PERSIST_VERSION {
-            return Err(CoreError::Persistence {
-                detail: format!(
-                    "snapshot version {} does not match this build's {PERSIST_VERSION}",
-                    state.version
-                ),
-            });
-        }
-        let apps: BTreeMap<InstanceId, AppInstance> = state.apps.into_iter().collect();
-        for id in &state.arrival_order {
-            if !apps.contains_key(id) {
-                return Err(CoreError::Persistence {
-                    detail: format!("arrival_order names unknown instance `{id}`"),
-                });
-            }
-        }
-        let sessions: BTreeMap<InstanceId, SessionState> = state.sessions.into_iter().collect();
-        for id in sessions.keys() {
-            if !apps.contains_key(id) {
-                return Err(CoreError::Persistence {
-                    detail: format!("sessions name unknown instance `{id}`"),
-                });
-            }
-        }
-
-        let mut ctl = Controller::new(state.cluster, state.config);
-        ctl.now = state.now;
-        ctl.registry = state.registry;
-        ctl.namespace = state.namespace;
-        ctl.arrival_order = state.arrival_order;
-        ctl.pending_vars =
-            state.pending_vars.into_iter().map(|(id, vars)| (id, Mutex::new(vars))).collect();
-        // Touch stamps exist for every session; restore the unfolded bits.
-        let stamps: BTreeMap<InstanceId, u64> = state.touches.into_iter().collect();
-        ctl.touches = apps
-            .keys()
-            .map(|id| (id.clone(), AtomicU64::new(stamps.get(id).copied().unwrap_or(0))))
-            .collect();
-        ctl.apps = apps;
-        ctl.sessions = sessions;
-        ctl.decisions = state.decisions;
-        ctl.retirements = state.retirements;
-        ctl.journal = Mutex::new(EventJournal::restore(
-            state.journal_entries,
-            state.journal_next_seq,
-            state.journal_capacity,
-        ));
-        ctl.scheduler = DecisionScheduler::restore(state.scheduler);
-        for (name, samples) in state.metric_series {
-            for (time, value) in samples {
-                ctl.metrics.record(&name, time, value);
-            }
-        }
-        ctl.metrics.set_gauge("controller.sessions.active", ctl.sessions.len() as f64);
-        Ok(ctl)
-    }
-
-    /// Re-applies one WAL event during recovery: [`Controller::execute`]
-    /// minus the log. Errors are discarded: an operation that failed live
-    /// fails identically on replay (the controller is deterministic), and
-    /// that failure may still have mutated state that must be reproduced.
-    pub fn apply_wal_event(&mut self, ev: WalEvent) {
-        self.set_time(ev.now());
-        let _ = self.apply(ev);
     }
 }
 
@@ -1701,14 +1436,11 @@ mod tests {
     }
 
     #[test]
-    fn pending_vars_flush_once() {
+    fn pending_vars_drain_once() {
         let mut c = Controller::new(sp2(8), ControllerConfig::default());
         let (id, _) = c.register(bag_spec()).unwrap();
-        let flushed = c.flush_pending_vars();
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].0, id);
-        assert!(!flushed[0].1.is_empty());
-        assert!(c.flush_pending_vars().is_empty(), "second flush is empty");
+        assert!(!c.take_pending_vars(&id).is_empty());
+        assert!(c.take_pending_vars(&id).is_empty(), "second poll is empty");
     }
 
     #[test]
@@ -1826,7 +1558,7 @@ mod tests {
         let mut c = Controller::new(sp2(8), ControllerConfig::default());
         let (a, _) = c.register(bag_spec()).unwrap();
         let (b, _) = c.register(bag_spec()).unwrap();
-        assert_eq!(c.sessions().len(), 2);
+        assert_eq!(c.sessions().count(), 2);
         assert_eq!(c.session(&a).unwrap().deadline, 30.0);
         // `a` stays active; `b` goes silent.
         c.set_time(20.0);
@@ -1924,7 +1656,7 @@ mod tests {
         report("ghost.77.rt".to_string());
         assert_eq!(c.session(&a).unwrap().deadline, 55.0);
         assert_eq!(c.session(&a).unwrap().renewals, 1);
-        assert_eq!(c.sessions().len(), 1);
+        assert_eq!(c.sessions().count(), 1);
     }
 
     #[test]
@@ -2120,7 +1852,7 @@ mod tests {
             c.now = bad;
             assert!(c.touch(&a), "a rejected stamp drops the touch, not the session");
             assert_eq!(
-                c.touches[&a].load(AtomicOrdering::Acquire),
+                c.instances.get(&a).unwrap().touch.load(AtomicOrdering::Acquire),
                 0,
                 "no stamp may be stored for now = {bad}"
             );

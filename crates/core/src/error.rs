@@ -21,6 +21,13 @@ pub enum CoreError {
         /// The bundle name.
         name: String,
     },
+    /// The instance already has a bundle of this name with a different
+    /// specification. (Re-sending the *same* specification is a retry and
+    /// succeeds.)
+    BundleConflict {
+        /// The bundle name.
+        bundle: String,
+    },
     /// No candidate configuration of a bundle could be placed on the
     /// cluster.
     Unplaceable {
@@ -70,6 +77,9 @@ impl fmt::Display for CoreError {
                 write!(f, "unknown application instance `{name}`")
             }
             CoreError::UnknownBundle { name } => write!(f, "unknown bundle `{name}`"),
+            CoreError::BundleConflict { bundle } => {
+                write!(f, "bundle `{bundle}` is already registered with a different specification")
+            }
             CoreError::Unplaceable { bundle, reason } => {
                 write!(f, "bundle `{bundle}` cannot be placed: {reason}")
             }
@@ -119,6 +129,7 @@ mod tests {
             CoreError::Predict("z".into()),
             CoreError::UnknownInstance { name: "a.1".into() },
             CoreError::UnknownBundle { name: "where".into() },
+            CoreError::BundleConflict { bundle: "where".into() },
             CoreError::Unplaceable { bundle: "where".into(), reason: "full".into() },
             CoreError::LintRejected {
                 bundle: "where".into(),

@@ -189,27 +189,18 @@ impl Controller {
         // allocations *before* removing the node so capacity is restored
         // exactly.
         let mut displaced: Vec<(InstanceId, String)> = Vec::new();
-        let ids: Vec<InstanceId> = self.arrival_order.clone();
-        for id in &ids {
-            let Some(app) = self.apps.get(id) else { continue };
-            let touched: Vec<String> = app
-                .bundles
-                .iter()
-                .filter(|b| {
-                    b.current
-                        .as_ref()
-                        .map(|c| c.alloc.nodes.iter().any(|n| n.node == name))
-                        .unwrap_or(false)
-                })
-                .map(|b| b.spec.name.clone())
-                .collect();
-            for bundle in touched {
-                displaced.push((id.clone(), bundle));
-            }
+        for app in self.instances.in_arrival_order().map(|inst| &inst.app) {
+            let touched = app.bundles.iter().filter(|b| {
+                b.current
+                    .as_ref()
+                    .map(|c| c.alloc.nodes.iter().any(|n| n.node == name))
+                    .unwrap_or(false)
+            });
+            displaced.extend(touched.map(|b| (app.id.clone(), b.spec.name.clone())));
         }
         for (id, bundle) in &displaced {
-            let Some(app) = self.apps.get_mut(id) else { continue };
-            if let Some(state) = app.bundle_mut(bundle) {
+            let Some(inst) = self.instances.get_mut(id) else { continue };
+            if let Some(state) = inst.app.bundle_mut(bundle) {
                 if let Some(cfg) = state.current.take() {
                     // Ignore missing-node errors: the node is leaving.
                     let _ = self.cluster.release(&cfg.alloc);

@@ -93,7 +93,7 @@ impl JournalTail {
 
 /// Per-phase wall timings (milliseconds) of the optimization pass that
 /// produced a decision. Phases that did not run in a given pass stay at
-/// zero (e.g. `pruning_ms` under the greedy policy).
+/// zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseTimings {
     /// Candidate enumeration (or memo-cache lookup).
@@ -107,9 +107,6 @@ pub struct PhaseTimings {
     /// best-tracking) — total search wall minus `prediction_ms`.
     #[serde(default)]
     pub optimization_ms: f64,
-    /// Facts-based search-space pruning (exhaustive optimizer only).
-    #[serde(default)]
-    pub pruning_ms: f64,
     /// Committing the winner: allocation swap, namespace writes, record
     /// bookkeeping.
     #[serde(default)]

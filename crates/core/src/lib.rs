@@ -26,6 +26,7 @@ mod controller;
 mod error;
 mod events;
 pub mod feedback;
+mod instances;
 pub mod journal;
 mod objective;
 pub mod optimizer;

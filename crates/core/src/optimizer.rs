@@ -115,38 +115,25 @@ impl EvalCtx {
     /// missing from its bundle; resource errors from releasing current
     /// allocations.
     pub fn build(c: &mut Controller) -> Result<EvalCtx, CoreError> {
-        let order: Vec<InstanceId> = c.arrival_order.clone();
         let mut pairs = Vec::new();
-        for id in &order {
-            let Some(app) = c.apps.get(id) else { continue };
-            let names: Vec<String> = app.bundles.iter().map(|b| b.spec.name.clone()).collect();
-            for bundle in names {
-                let candidates = c
-                    .cached_candidates(id, &bundle)
-                    .ok_or_else(|| CoreError::UnknownBundle { name: bundle.clone() })?;
-                let spec = &c.bundle_state(id, &bundle)?.spec;
-                let options = spec.options.clone();
-                let opt_idx = candidates
-                    .iter()
-                    .map(|cand| {
-                        options
-                            .iter()
-                            .position(|o| o.name == cand.option)
-                            .ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })
-                    })
-                    .collect::<Result<Vec<usize>, CoreError>>()?;
-                let envs = candidates.iter().map(Candidate::env).collect();
-                let models = options.iter().map(|o| model_for_option(o)).collect();
-                pairs.push(PairCtx {
-                    id: id.clone(),
-                    bundle,
-                    candidates,
-                    options,
-                    opt_idx,
-                    envs,
-                    models,
-                });
-            }
+        for (id, bundle) in c.all_pairs_excluding(None) {
+            let candidates = c
+                .cached_candidates(&id, &bundle)
+                .ok_or_else(|| CoreError::UnknownBundle { name: bundle.clone() })?;
+            let spec = &c.bundle_state(&id, &bundle)?.spec;
+            let options = spec.options.clone();
+            let opt_idx = candidates
+                .iter()
+                .map(|cand| {
+                    options
+                        .iter()
+                        .position(|o| o.name == cand.option)
+                        .ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })
+                })
+                .collect::<Result<Vec<usize>, CoreError>>()?;
+            let envs = candidates.iter().map(Candidate::env).collect();
+            let models = options.iter().map(|o| model_for_option(o)).collect();
+            pairs.push(PairCtx { id, bundle, candidates, options, opt_idx, envs, models });
         }
         let base = released_cluster(c)?;
         Ok(EvalCtx {
@@ -376,9 +363,8 @@ impl<'a> IncrementalEval<'a> {
 /// Base cluster with every current allocation released.
 fn released_cluster(c: &Controller) -> Result<Cluster, CoreError> {
     let mut cluster = c.cluster().clone();
-    for id in &c.arrival_order {
-        let Some(app) = c.apps.get(id) else { continue };
-        for alloc in app.allocations() {
+    for inst in c.instances.in_arrival_order() {
+        for alloc in inst.app.allocations() {
             cluster.release(alloc)?;
         }
     }

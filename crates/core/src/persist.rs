@@ -38,7 +38,9 @@
 //! state. Metric *series* are persisted (feedback calibration reads them,
 //! and predictions must not jump across a restart).
 
+use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use harmony_ns::{HPath, InstanceRegistry, Namespace};
@@ -46,14 +48,16 @@ use harmony_resources::Cluster;
 use harmony_rsl::schema::BundleSpec;
 use harmony_rsl::Value;
 use harmony_wal::{read_wal, StateDir, WalConfig, WalTail, WalWriter};
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::app::{AppInstance, InstanceId};
 use crate::controller::{Controller, ControllerConfig, DecisionRecord};
 use crate::error::CoreError;
 use crate::events::HarmonyEvent;
-use crate::journal::JournalEntry;
-use crate::scheduler::SchedulerState;
+use crate::instances::Instance;
+use crate::journal::{EventJournal, JournalEntry};
+use crate::scheduler::{DecisionScheduler, SchedulerState};
 use crate::session::{RetirementRecord, SessionState};
 
 /// Version stamp of [`PersistedState`]; a mismatch refuses recovery
@@ -355,6 +359,170 @@ pub struct RecoveryInfo {
     pub torn_tail: bool,
 }
 
+/// The controller's side of persistence: logging commands, and the
+/// mapping between its live state and [`PersistedState`]. Here, not in
+/// `controller.rs`, so the snapshot format is known by the module that
+/// owns it.
+impl Controller {
+    /// Appends one event to the attached WAL; a no-op without one. Errors
+    /// are counted (`controller.persistence.append_errors`), never
+    /// propagated — a failing disk must not take the serving path down
+    /// with it.
+    pub(crate) fn wal_log(&self, ev: &WalEvent) {
+        let Some(wal) = &self.wal else { return };
+        let payload = serde_json::to_string(ev).expect("wal events serialize");
+        if wal.append(payload.as_bytes()).is_ok() {
+            self.metrics.inc_counter("controller.persistence.appends");
+        } else {
+            self.metrics.inc_counter("controller.persistence.append_errors");
+        }
+    }
+
+    /// Attaches a write-ahead log: every state-changing verb from here on
+    /// is logged. Called by [`StateStore::open`] after replay.
+    pub fn attach_wal(&mut self, wal: Arc<WalWriter>) {
+        self.wal = Some(wal);
+    }
+
+    /// True when a WAL is attached (persistence on).
+    pub fn wal_attached(&self) -> bool {
+        self.wal.is_some()
+    }
+
+    /// The attached WAL writer, if any (the embedding uses it for
+    /// shutdown flushes).
+    pub fn wal_handle(&self) -> Option<Arc<WalWriter>> {
+        self.wal.clone()
+    }
+
+    /// How this controller came to be, when recovered from a state
+    /// directory (set by [`StateStore::open`]).
+    pub fn recovery_info(&self) -> Option<RecoveryInfo> {
+        self.recovery
+    }
+
+    /// Captures the complete control-plane state for a snapshot. Lossless
+    /// for everything decisions depend on: sessions keep their ids and
+    /// deadlines, the journal keeps its sequence numbers, the namespace
+    /// keeps its revision counter. Optimizer caches and metric
+    /// counters/histograms are deliberately excluded (rebuilt cold).
+    ///
+    /// One [`Instance`] record fans out into the five per-instance fields
+    /// of the format, each in id order as the format has always had them.
+    pub fn persisted_state(&self) -> PersistedState {
+        let journal = self.journal.lock();
+        let metric_series = self
+            .metrics
+            .series_names()
+            .into_iter()
+            .filter_map(|name| {
+                let series = self.metrics.series(&name)?;
+                let samples: Vec<(f64, f64)> = series.iter().map(|s| (s.time, s.value)).collect();
+                Some((name, samples))
+            })
+            .collect();
+        let by_id = || self.instances.in_id_order().map(|inst| (inst.app.id.clone(), inst));
+        let unfolded = |inst: &Instance| {
+            let bits = inst.touch.load(Ordering::Acquire);
+            (bits != 0).then(|| (inst.app.id.clone(), bits))
+        };
+        PersistedState {
+            version: PERSIST_VERSION,
+            now: self.now,
+            config: self.config.clone(),
+            cluster: self.cluster.clone(),
+            registry: self.registry.clone(),
+            apps: by_id().map(|(id, inst)| (id, inst.app.clone())).collect(),
+            arrival_order: self.instances.arrival().to_vec(),
+            namespace: self.namespace.clone(),
+            pending_vars: by_id().map(|(id, inst)| (id, inst.pending.lock().clone())).collect(),
+            sessions: by_id().map(|(id, inst)| (id, inst.session.clone())).collect(),
+            touches: self.instances.in_id_order().filter_map(unfolded).collect(),
+            decisions: self.decisions.clone(),
+            retirements: self.retirements.clone(),
+            journal_entries: journal.entries().cloned().collect(),
+            journal_next_seq: journal.next_seq(),
+            journal_capacity: journal.capacity(),
+            scheduler: self.scheduler.dump(),
+            metric_series,
+        }
+    }
+
+    /// Rebuilds a controller from a persisted snapshot. The result has no
+    /// WAL attached yet (replay runs first) and cold caches.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Persistence`] on a version mismatch, or when the
+    /// per-instance fields disagree: every `arrival_order` entry must have
+    /// exactly one app (filed under its own id) and one session, and no
+    /// app, session, pending buffer or touch stamp may name an instance
+    /// `arrival_order` does not. The caller falls back to an older
+    /// generation.
+    pub fn from_persisted(state: PersistedState) -> Result<Controller, CoreError> {
+        let refuse = |detail: String| Err(CoreError::Persistence { detail });
+        if state.version != PERSIST_VERSION {
+            let theirs = state.version;
+            return refuse(format!(
+                "snapshot version {theirs} does not match this build's {PERSIST_VERSION}"
+            ));
+        }
+        let mut ctl = Controller::new(state.cluster, state.config);
+        let mut apps: BTreeMap<_, _> = state.apps.into_iter().collect();
+        let mut sessions: BTreeMap<_, _> = state.sessions.into_iter().collect();
+        let mut pending: BTreeMap<_, _> = state.pending_vars.into_iter().collect();
+        let mut touches: BTreeMap<_, _> = state.touches.into_iter().collect();
+        for id in state.arrival_order {
+            let app = apps.remove(&id).filter(|app| app.id == id);
+            let Some((app, session)) = app.zip(sessions.remove(&id)) else {
+                return refuse(format!(
+                    "arrival_order names `{id}`, which has no app and session of its own"
+                ));
+            };
+            let mut instance = Instance::new(app, session);
+            // Absent means empty: only unfolded stamps are written.
+            *instance.touch.get_mut() = touches.remove(&id).unwrap_or(0);
+            *instance.pending.get_mut() = pending.remove(&id).unwrap_or_default();
+            ctl.instances.insert(instance);
+        }
+        let orphan =
+            apps.keys().chain(sessions.keys()).chain(pending.keys()).chain(touches.keys()).next();
+        if let Some(id) = orphan {
+            return refuse(format!(
+                "snapshot holds state for `{id}`, which arrival_order never names"
+            ));
+        }
+
+        ctl.now = state.now;
+        ctl.registry = state.registry;
+        ctl.namespace = state.namespace;
+        ctl.decisions = state.decisions;
+        ctl.retirements = state.retirements;
+        ctl.journal = Mutex::new(EventJournal::restore(
+            state.journal_entries,
+            state.journal_next_seq,
+            state.journal_capacity,
+        ));
+        ctl.scheduler = DecisionScheduler::restore(state.scheduler);
+        for (name, samples) in state.metric_series {
+            for (time, value) in samples {
+                ctl.metrics.record(&name, time, value);
+            }
+        }
+        ctl.metrics.set_gauge("controller.sessions.active", ctl.instances.len() as f64);
+        Ok(ctl)
+    }
+
+    /// Re-applies one WAL event during recovery: [`Controller::execute`]
+    /// minus the log. Errors are discarded: an operation that failed live
+    /// fails identically on replay (the controller is deterministic), and
+    /// that failure may still have mutated state that must be reproduced.
+    pub fn apply_wal_event(&mut self, ev: WalEvent) {
+        self.set_time(ev.now());
+        let _ = self.apply(ev);
+    }
+}
+
 /// A controller's durable home: a directory of generation-numbered
 /// snapshot + WAL pairs, the attached group-commit writer, and the
 /// checkpoint policy.
@@ -464,7 +632,7 @@ impl StateStore {
             let _ = dir.purge_below(gen);
         }
         ctl.attach_wal(Arc::clone(&writer));
-        ctl.set_recovery_info(RecoveryInfo {
+        ctl.recovery = Some(RecoveryInfo {
             generation: new_gen,
             snapshot_loaded: base_gen,
             replayed,

@@ -307,8 +307,7 @@ impl Controller {
         id: &InstanceId,
         bundle: &str,
     ) -> Result<&BundleState, CoreError> {
-        self.apps
-            .get(id)
+        self.app(id)
             .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?
             .bundle(bundle)
             .ok_or_else(|| CoreError::UnknownBundle { name: bundle.to_string() })
@@ -317,8 +316,7 @@ impl Controller {
     /// True when the bundle's `granularity` declaration forbids re-choosing
     /// it now.
     pub(crate) fn switch_blocked(&self, id: &InstanceId, bundle: &str) -> Result<bool, CoreError> {
-        let bundle = self.bundle_state(id, bundle)?;
-        Ok(self.config.respect_granularity && bundle.switch_blocked_at(self.now()))
+        Ok(self.bundle_state(id, bundle)?.switch_blocked_at(self.now()))
     }
 
     /// Greedy optimization of one bundle: try every candidate and plan the
@@ -444,9 +442,9 @@ impl Controller {
     /// Builds the scan's table against the live cluster.
     fn table<'a>(&'a self) -> Table<'a> {
         let names = self.cluster.nodes().map(|n| n.decl.name.as_str()).collect();
-        let mut table = Table { names, rows: Vec::with_capacity(self.arrival_order.len()) };
-        for id in &self.arrival_order {
-            let Some(app) = self.apps.get(id) else { continue };
+        let mut table = Table { names, rows: Vec::with_capacity(self.instances.len()) };
+        for app in self.instances.in_arrival_order().map(|inst| &inst.app) {
+            let id = &app.id;
             let factor = self.feedback_factor(id);
             let standing = |bundle: &'a BundleState| {
                 let cfg = bundle.current.as_ref()?;
@@ -478,7 +476,7 @@ impl Controller {
     /// has diverged from the prediction of its *current* configuration.
     fn feedback_factor(&self, id: &InstanceId) -> f64 {
         let Some(cfg) = &self.config.feedback else { return 1.0 };
-        let Some(app) = self.apps.get(id) else { return 1.0 };
+        let Some(app) = self.app(id) else { return 1.0 };
         let predicted = app
             .bundles
             .iter()
@@ -520,7 +518,6 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::AppInstance;
     use crate::candidates::enumerate;
     use crate::controller::{ControllerConfig, LintMode};
     use crate::feedback::FeedbackConfig;
@@ -529,7 +526,6 @@ mod tests {
     use harmony_rng::SeededRng;
     use harmony_rsl::listings::{sp2_cluster, FIG2B_BAG, FIG3_DBCLIENT};
     use harmony_rsl::schema::{parse_bundle_script, BundleSpec};
-    use std::collections::BTreeMap;
 
     // ------------------------------------------------------------------
     // The reference: the clone-per-trial body `scan` replaced, kept as it
@@ -671,11 +667,11 @@ mod tests {
             only: Option<&InstanceId>,
         ) -> Vec<(&InstanceId, f64)> {
             let mut out = Vec::new();
-            for id in &self.arrival_order {
+            for app in self.instances.in_arrival_order().map(|inst| &inst.app) {
+                let id = &app.id;
                 if only.is_some_and(|o| o != id) {
                     continue;
                 }
-                let Some(app) = self.apps.get(id) else { continue };
                 let factor = self.feedback_factor(id);
                 let mut worst: Option<f64> = None;
                 for bundle in &app.bundles {
@@ -723,8 +719,8 @@ mod tests {
 
     /// Attaches `spec` to `id` without planning it, as `place_bundle` does
     /// before it plans.
-    fn attach(apps: &mut BTreeMap<InstanceId, AppInstance>, id: &InstanceId, spec: BundleSpec) {
-        apps.get_mut(id).unwrap().bundles.push(BundleState::new(spec));
+    fn attach(c: &mut Controller, id: &InstanceId, spec: BundleSpec) {
+        c.instances.get_mut(id).unwrap().app.bundles.push(BundleState::new(spec));
     }
 
     /// Every `(instance, bundle)` with the candidates the drivers would
@@ -861,13 +857,13 @@ mod tests {
         let config = ControllerConfig { lint: LintMode::Off, ..Default::default() };
         let mut c = bags(1, config);
         let fits = c.startup("outer");
-        attach(&mut c.apps, &fits, parse_bundle_script(FIG2B_BAG).unwrap());
+        attach(&mut c, &fits, parse_bundle_script(FIG2B_BAG).unwrap());
         let huge = c.startup("outer");
         let spec = "harmonyBundle outer:1 config { {o {node n {seconds 1} {memory 99999}}} }";
-        attach(&mut c.apps, &huge, parse_bundle_script(spec).unwrap());
+        attach(&mut c, &huge, parse_bundle_script(spec).unwrap());
         let broken = c.startup("inner");
         let spec = "harmonyBundle inner:1 config { {o {node n {seconds {10 / missing}}}} }";
-        attach(&mut c.apps, &broken, parse_bundle_script(spec).unwrap());
+        attach(&mut c, &broken, parse_bundle_script(spec).unwrap());
         let inner = c.cached_candidates(&broken, "config").unwrap();
         for (outer, surfaces) in [(&fits, true), (&huge, false)] {
             let cands = c.cached_candidates(outer, "config").unwrap();
@@ -996,12 +992,12 @@ mod tests {
         for script in [FIRST, SECOND] {
             let spec = parse_bundle_script(script).unwrap();
             let name = spec.name.clone();
-            attach(&mut c.apps, &id, spec.clone());
+            attach(&mut c, &id, spec.clone());
             let cands = c.cached_candidates(&id, &name).unwrap();
             let plan = c.plan_bundle(&id, &name, &cands).unwrap().plan.unwrap();
             let (score, predicted) = (plan.score, plan.moves[0].predicted);
             // Detach again and let the real verb place it.
-            c.apps.get_mut(&id).unwrap().bundles.pop();
+            c.instances.get_mut(&id).unwrap().app.bundles.pop();
             let records = c.add_bundle(&id, spec).unwrap();
             assert_eq!(records.len(), 1);
             assert_eq!(records[0].objective_after, score);
@@ -1036,7 +1032,7 @@ mod tests {
         // An outer candidate that cannot fit decides its row with one match.
         let huge = c.startup("huge");
         let spec = "harmonyBundle huge:1 config { {o {node n {seconds 1} {memory 99999}}} }";
-        attach(&mut c.apps, &huge, parse_bundle_script(spec).unwrap());
+        attach(&mut c, &huge, parse_bundle_script(spec).unwrap());
         let none = c.cached_candidates(&huge, "config").unwrap();
         let pair = c.plan_pair((&huge, "config"), &none, (&ids[1], "config"), &cands).unwrap();
         assert_eq!((pair.trials, pair.matches), (4, 1));

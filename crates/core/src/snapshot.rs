@@ -235,7 +235,6 @@ impl SystemSnapshot {
             .collect();
         let sessions = ctl
             .sessions()
-            .iter()
             .map(|(id, s)| SessionSnapshot {
                 instance: id.to_string(),
                 // The stored deadline extended by any not-yet-folded

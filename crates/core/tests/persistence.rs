@@ -119,14 +119,14 @@ fn sessions_journal_and_registry_survive_recovery() {
     let dir = scratch("sessions");
     let (mut ctl, store) = StateStore::open(&dir, fresh_controller).unwrap();
     drive(&mut ctl);
-    let sessions: Vec<_> = ctl.sessions().iter().map(|(id, s)| (id.clone(), s.clone())).collect();
+    let sessions: Vec<_> = ctl.sessions().map(|(id, s)| (id.clone(), s.clone())).collect();
     let next_seq = ctl.journal_seq();
     assert!(!sessions.is_empty());
     store.sync().unwrap();
     drop((ctl, store));
 
     let (mut recovered, _store) = StateStore::open(&dir, fresh_controller).unwrap();
-    let got: Vec<_> = recovered.sessions().iter().map(|(id, s)| (id.clone(), s.clone())).collect();
+    let got: Vec<_> = recovered.sessions().map(|(id, s)| (id.clone(), s.clone())).collect();
     assert_eq!(got, sessions, "session ids, deadlines, and renewal counts survive");
     assert_eq!(recovered.journal_seq(), next_seq, "journal numbering continues, not restarts");
     // The id allocator recovered too: a new registration must not collide
@@ -225,6 +225,90 @@ fn unreadable_snapshot_falls_back_to_previous_generation() {
     let info = recovered.recovery_info().unwrap();
     assert_eq!(info.snapshot_loaded, Some(1), "fell back past the damaged snapshot");
     assert_eq!(fingerprint(recovered.persisted_state()), before);
+}
+
+/// A two-instance image with something in every per-instance field: an
+/// unfolded touch on `bag.1`, an undrained poll buffer on both.
+fn two_instance_image() -> PersistedState {
+    let mut c = fresh_controller();
+    let (a, _) = c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
+    c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
+    c.set_time(1.0);
+    c.touch(&a);
+    let state = c.persisted_state();
+    assert_eq!((state.apps.len(), state.touches.len(), state.pending_vars.len()), (2, 1, 2));
+    state
+}
+
+/// Ways the five per-instance fields of a snapshot can disagree, each a
+/// mutation of a real image. `from_persisted` is the one place that
+/// decides, and it refuses every one of them.
+type Disagreement = (&'static str, fn(&mut PersistedState));
+const DISAGREEMENTS: [Disagreement; 7] = [
+    ("an app without a session", |s| drop(s.sessions.remove(0))),
+    ("a session without an app", |s| {
+        s.sessions.push((InstanceId::new("ghost", 9), s.sessions[0].1.clone()))
+    }),
+    ("an arrival entry without an app", |s| s.arrival_order.push(InstanceId::new("ghost", 9))),
+    ("an app missing from arrival order", |s| drop(s.arrival_order.remove(1))),
+    ("an instance arriving twice", |s| s.arrival_order.push(s.arrival_order[0].clone())),
+    ("a pending buffer for an unknown id", |s| {
+        s.pending_vars.push((InstanceId::new("ghost", 9), Vec::new()))
+    }),
+    ("a touch stamp for an unknown id", |s| {
+        s.touches.push((InstanceId::new("ghost", 9), 1.0f64.to_bits()))
+    }),
+];
+
+#[test]
+fn from_persisted_rejects_snapshots_whose_instance_fields_disagree() {
+    let image = two_instance_image();
+    let reloaded = Controller::from_persisted(image.clone()).expect("the real image loads");
+    assert_eq!(fingerprint(reloaded.persisted_state()), fingerprint(image.clone()));
+    for (what, mutate) in DISAGREEMENTS {
+        let mut state = image.clone();
+        mutate(&mut state);
+        match Controller::from_persisted(state) {
+            Err(CoreError::Persistence { .. }) => {}
+            other => panic!("{what}: expected a Persistence error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn inconsistent_newest_snapshot_falls_back_to_previous_generation() {
+    let dir = scratch("fallback-inconsistent");
+    let (mut ctl, mut store) = StateStore::open(&dir, fresh_controller).unwrap();
+    drive(&mut ctl);
+    store.checkpoint(&mut ctl).unwrap();
+    let before = fingerprint(ctl.persisted_state());
+    let mut state = ctl.persisted_state();
+    store.sync().unwrap();
+    drop((ctl, store));
+
+    // Generation 2 parses, but an app lost its session: an instance the
+    // reaper could never see. Generation 1 + its WAL lead to the same place.
+    state.sessions.clear();
+    let bytes = serde_json::to_string(&state).unwrap();
+    harmony_wal::StateDir::open(&dir).unwrap().write_snapshot(2, bytes.as_bytes()).unwrap();
+    let (recovered, _store) = StateStore::open(&dir, fresh_controller).unwrap();
+    assert_eq!(recovered.recovery_info().unwrap().snapshot_loaded, Some(1));
+    assert_eq!(fingerprint(recovered.persisted_state()), before);
+}
+
+/// Keys this build no longer writes (`respect_granularity`, `pruning_ms`)
+/// still load from snapshots and WALs written before they went.
+#[test]
+fn retired_keys_in_old_snapshots_and_wals_are_ignored() {
+    let config = serde_json::to_string(&ControllerConfig::default()).unwrap();
+    let old = config.replacen('{', r#"{"respect_granularity":true,"#, 1);
+    assert_eq!(
+        serde_json::from_str::<ControllerConfig>(&old).unwrap(),
+        ControllerConfig::default()
+    );
+    let phases: harmony_core::PhaseTimings =
+        serde_json::from_str(r#"{"candidates_ms":1.0,"pruning_ms":0.0,"commit_ms":2.0}"#).unwrap();
+    assert_eq!((phases.candidates_ms, phases.commit_ms), (1.0, 2.0));
 }
 
 #[test]

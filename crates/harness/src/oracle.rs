@@ -58,13 +58,7 @@ struct NodeUsage {
 pub fn check_capacity(ctl: &Controller, op_index: usize) -> Result<(), Violation> {
     let mut usage: BTreeMap<&str, NodeUsage> = BTreeMap::new();
     for id in ctl.instances() {
-        let Some(app) = ctl.app(&id) else {
-            return Err(Violation::new(
-                op_index,
-                "capacity",
-                format!("instance {id} listed but has no app state"),
-            ));
-        };
+        let app = ctl.app(&id).expect("a listed instance is a record, which holds its app");
         for bundle in &app.bundles {
             let Some(cfg) = &bundle.current else { continue };
             for n in &cfg.alloc.nodes {
@@ -148,22 +142,6 @@ pub fn check_capacity(ctl: &Controller, op_index: usize) -> Result<(), Violation
     Ok(())
 }
 
-/// Session bookkeeping: every registered instance has exactly one lease
-/// session and vice versa.
-pub fn check_sessions(ctl: &Controller, op_index: usize) -> Result<(), Violation> {
-    let mut instances = ctl.instances();
-    instances.sort();
-    let sessions: Vec<_> = ctl.sessions().keys().cloned().collect();
-    if instances != sessions {
-        return Err(Violation::new(
-            op_index,
-            "sessions",
-            format!("instances {instances:?} != lease sessions {sessions:?}"),
-        ));
-    }
-    Ok(())
-}
-
 /// The continuous lease oracle: the controller's session table must
 /// equal the shadow model exactly — same instances, bit-identical stored
 /// deadlines, same disconnect marks, and the same effective deadline once
@@ -173,10 +151,9 @@ pub fn check_lease_agreement(
     shadow: &ShadowLeases,
     op_index: usize,
 ) -> Result<(), Violation> {
-    let sessions = ctl.sessions();
     let model = shadow.sessions();
-    if sessions.len() != model.len() || !sessions.keys().eq(model.keys()) {
-        let actual: Vec<String> = sessions.keys().map(ToString::to_string).collect();
+    if !ctl.sessions().map(|(id, _)| id).eq(model.keys()) {
+        let actual: Vec<String> = ctl.sessions().map(|(id, _)| id.to_string()).collect();
         let expected: Vec<String> = model.keys().map(ToString::to_string).collect();
         return Err(Violation::new(
             op_index,
@@ -185,7 +162,7 @@ pub fn check_lease_agreement(
         ));
     }
     let duration = shadow.lease().duration;
-    for (id, actual) in sessions {
+    for (id, actual) in ctl.sessions() {
         let expected = &model[id];
         if actual.deadline != expected.deadline {
             return Err(Violation::new(

@@ -248,7 +248,7 @@ pub fn crash_run(
         ops_total: schedule.ops.len(),
         fingerprint: state_fingerprint(guard.persisted_state()),
         wal_records: guard.metrics().counter("controller.persistence.appends"),
-        live_sessions: guard.sessions().len(),
+        live_sessions: guard.sessions().count(),
         pending_decisions: guard.pending_decisions(),
     };
     drop(guard);
@@ -272,7 +272,7 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun, CoreError> {
     Ok(RecoveredRun {
         fingerprint: state_fingerprint(ctl.persisted_state()),
         info: ctl.recovery_info().expect("state store sets recovery info"),
-        live_sessions: ctl.sessions().len(),
+        live_sessions: ctl.sessions().count(),
         pending_decisions: ctl.pending_decisions(),
     })
 }

@@ -169,15 +169,9 @@ impl Engine {
         self.config.coalesce.window > 0.0
     }
 
-    fn apply_chaos(&self, ctl: &mut Controller) {
-        ctl.chaos_set_skip_touch_fold(self.scope.planted == PlantedBug::ReaperSkipsTouchFold);
-    }
-
-    /// A fresh genesis controller (chaos hooks applied, no WAL).
+    /// A fresh genesis controller (no WAL).
     pub fn genesis_controller(&self) -> Controller {
-        let mut ctl = Controller::new(self.cluster.clone(), self.config.clone());
-        self.apply_chaos(&mut ctl);
-        ctl
+        Controller::new(self.cluster.clone(), self.config.clone())
     }
 
     /// The root node, and (if a crash context is given) its baseline
@@ -246,9 +240,14 @@ impl Engine {
         step_index: usize,
         crash: Option<&mut CrashCtx>,
     ) -> Result<Node, Violation> {
-        let mut ctl = Controller::from_persisted(parent.state.clone())
+        let mut image = parent.state.clone();
+        if verb == Verb::Reap && self.scope.planted == PlantedBug::ReaperSkipsTouchFold {
+            // The planted reaper, as the harness plants it: the image
+            // reloads without its unfolded read-path touches.
+            image.touches.clear();
+        }
+        let mut ctl = Controller::from_persisted(image)
             .map_err(|e| Violation::new(step_index, "rehydrate", e.to_string()))?;
-        self.apply_chaos(&mut ctl);
         if let Some(w) = &self.wal {
             w.writer.rotate(&w.path).expect("rotate mc scratch wal");
             ctl.attach_wal(Arc::clone(&w.writer));
@@ -371,7 +370,6 @@ impl Engine {
             step_index,
         )?;
         oracle::check_capacity(&ctl, step_index)?;
-        oracle::check_sessions(&ctl, step_index)?;
         oracle::check_lease_agreement(&ctl, &shadow, step_index)?;
 
         let state = ctl.persisted_state();
@@ -460,8 +458,6 @@ impl Engine {
                 // A mid-verb cut recovers a state between sub-verbs; it
                 // must still be internally consistent.
                 oracle::check_capacity(&ctl, step_index)
-                    .map_err(|v| crash(format!("recovered state at cut {cut}: {v}")))?;
-                oracle::check_sessions(&ctl, step_index)
                     .map_err(|v| crash(format!("recovered state at cut {cut}: {v}")))?;
             }
             bound_fps.push(fp);

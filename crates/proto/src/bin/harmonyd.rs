@@ -137,7 +137,7 @@ fn main() {
                              writing generation {}",
                             info.replayed,
                             if info.torn_tail { ", torn tail discarded" } else { "" },
-                            ctl.sessions().len(),
+                            ctl.sessions().count(),
                             ctl.now(),
                             info.generation
                         ),
@@ -246,10 +246,7 @@ fn main() {
                 d.objective_after,
                 d.cause.as_deref().map(|c| format!(" [{c}]")).unwrap_or_default(),
                 provenance,
-                d.phases.candidates_ms
-                    + d.phases.prediction_ms
-                    + d.phases.optimization_ms
-                    + d.phases.pruning_ms,
+                d.phases.candidates_ms + d.phases.prediction_ms + d.phases.optimization_ms,
                 d.phases.commit_ms
             );
         }

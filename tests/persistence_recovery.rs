@@ -127,7 +127,7 @@ fn killed_server_recovers_and_clients_reattach_with_prior_state() {
     let (sessions, journal_seq, pending, choice1) = {
         let g = shared.read();
         (
-            g.sessions().clone(),
+            g.persisted_state().sessions,
             g.journal_seq(),
             g.pending_decisions(),
             g.choice(&id1, "config").unwrap().vars.clone(),
@@ -149,7 +149,11 @@ fn killed_server_recovers_and_clients_reattach_with_prior_state() {
     let info = recovered.recovery_info().unwrap();
     assert!(info.replayed > 0, "the crashed run left WAL records to replay");
     assert!(!info.torn_tail);
-    assert_eq!(recovered.sessions().clone(), sessions, "ids + deadlines + renewals survive");
+    assert_eq!(
+        recovered.persisted_state().sessions,
+        sessions,
+        "ids + deadlines + renewals survive"
+    );
     assert_eq!(recovered.journal_seq(), journal_seq, "journal cursor continues, not resets");
     assert_eq!(recovered.pending_decisions(), pending, "the open window survives the crash");
     assert_eq!(
@@ -215,12 +219,12 @@ fn successive_recoveries_are_stable() {
     // starts a new one, but the controller state must not drift.
     let (first, store1) = StateStore::open(&dir, || panic!("state exists")).unwrap();
     let gen1 = store1.generation();
-    let sessions = first.sessions().clone();
+    let sessions = first.persisted_state().sessions;
     let seq = first.journal_seq();
     drop(store1);
     drop(first);
     let (second, store2) = StateStore::open(&dir, || panic!("state exists")).unwrap();
     assert!(store2.generation() > gen1, "each life writes a new generation");
-    assert_eq!(second.sessions().clone(), sessions);
+    assert_eq!(second.persisted_state().sessions, sessions);
     assert_eq!(second.journal_seq(), seq);
 }
