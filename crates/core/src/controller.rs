@@ -23,7 +23,7 @@
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 
-use harmony_metrics::{MetricBus, MetricEvent, MetricRegistry};
+use harmony_metrics::MetricRegistry;
 use harmony_ns::{HPath, InstanceRegistry, Namespace};
 use harmony_resources::{Cluster, Matcher};
 use harmony_rsl::schema::BundleSpec;
@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::app::{AppInstance, BundleState, ChosenConfig, InstanceId};
-use crate::candidates::{enumerate, Candidate};
+use crate::candidates::Candidate;
 use crate::error::CoreError;
 use crate::events::EventOutcome;
 use crate::feedback::FeedbackConfig;
@@ -152,7 +152,7 @@ pub struct DecisionRecord {
     pub cause: Option<String>,
     /// Journal seqs of the triggering events this decision settles: one
     /// seq for a synchronous trigger, the whole batch for a coalesced
-    /// window. Empty only for decisions forced outside the event paths
+    /// window. Empty exactly for decisions forced outside the event paths
     /// (e.g. a joint-optimizer replay).
     #[serde(default)]
     pub provenance: Vec<u64>,
@@ -175,6 +175,17 @@ impl PartialEq for DecisionRecord {
     }
 }
 
+/// What set a pass off. Built where the event is journaled and handed
+/// down to every decision the pass commits, so a decision can only carry
+/// its own pass's trigger; `default()` is "nothing did" (a forced choice).
+#[derive(Debug, Default)]
+pub(crate) struct Trigger {
+    /// [`DecisionRecord::cause`] of the pass's decisions.
+    cause: Option<String>,
+    /// [`DecisionRecord::provenance`] of the pass's decisions.
+    provenance: Vec<u64>,
+}
+
 /// The adaptation controller.
 #[derive(Debug)]
 pub struct Controller {
@@ -186,13 +197,9 @@ pub struct Controller {
     pub(crate) registry: InstanceRegistry,
     pub(crate) namespace: Namespace<Value>,
     pub(crate) metrics: MetricRegistry,
-    bus: std::sync::Arc<MetricBus>,
     pub(crate) now: f64,
     pub(crate) decisions: Vec<DecisionRecord>,
     pub(crate) retirements: Vec<RetirementRecord>,
-    /// Cause tag attached to decisions committed while retiring an
-    /// instance for a non-`end` reason (lease expiry, disconnect).
-    decision_cause: Option<String>,
     /// Dirty-mark bookkeeping for coalesced re-evaluation (only consulted
     /// when `config.coalesce` is enabled).
     pub(crate) scheduler: DecisionScheduler,
@@ -201,10 +208,6 @@ pub struct Controller {
     /// heartbeats, journal tailing — can append and read under a shared
     /// controller borrow.
     pub(crate) journal: Mutex<EventJournal>,
-    /// Journal seqs of the event(s) the in-flight optimization pass is
-    /// settling; copied into every [`DecisionRecord`] it commits (the
-    /// provenance analogue of `decision_cause`).
-    decision_provenance: Vec<u64>,
     /// The attached write-ahead log, when this controller is persistent
     /// (opened through [`crate::persist::StateStore`]). `Arc` + interior
     /// buffering in the writer let the concurrent read path (touches,
@@ -227,14 +230,11 @@ impl Controller {
             registry: InstanceRegistry::new(),
             namespace: Namespace::new(),
             metrics: MetricRegistry::new(),
-            bus: std::sync::Arc::new(MetricBus::new()),
             now: 0.0,
             decisions: Vec::new(),
             retirements: Vec::new(),
-            decision_cause: None,
             scheduler: DecisionScheduler::new(),
             journal: Mutex::new(EventJournal::default()),
-            decision_provenance: Vec::new(),
             wal: None,
             recovery: None,
         }
@@ -271,14 +271,6 @@ impl Controller {
         &self.metrics
     }
 
-    /// The metric event bus (Figure 1's "data … flow into the metric
-    /// interface, and on to both the adaptation controller and individual
-    /// applications"): subscribers receive every reported metric plus a
-    /// `controller.decision` event per applied reconfiguration.
-    pub fn metric_bus(&self) -> std::sync::Arc<MetricBus> {
-        std::sync::Arc::clone(&self.bus)
-    }
-
     /// The configuration.
     pub fn config(&self) -> &ControllerConfig {
         &self.config
@@ -296,12 +288,10 @@ impl Controller {
         self.journal.lock().push(self.now, kind, detail)
     }
 
-    /// Journals a decision-triggering event and stages its seq as the
-    /// provenance of whatever decisions the current pass commits.
-    fn journal_trigger(&mut self, kind: JournalKind, detail: String) -> u64 {
-        let seq = self.journal_append(kind, detail);
-        self.decision_provenance = vec![seq];
-        seq
+    /// Journals a decision-triggering event; its seq is the provenance of
+    /// whatever decisions the pass it sets off commits.
+    fn journal_trigger(&self, kind: JournalKind, detail: String) -> Trigger {
+        Trigger { cause: None, provenance: vec![self.journal_append(kind, detail)] }
     }
 
     /// Tails the journal: up to `max` entries with `seq >= cursor`,
@@ -327,8 +317,8 @@ impl Controller {
         self.apply_metric(name, time, value)
     }
 
-    /// The one metric body, shared by [`Controller::record_metric`], the
-    /// `Metric` command and the `MetricReport` event.
+    /// The one metric body, shared by [`Controller::record_metric`] and the
+    /// `Metric` command.
     pub(crate) fn apply_metric(&self, name: &str, time: f64, value: f64) -> bool {
         if !self.metrics.record(name, time, value) {
             self.journal_append(JournalKind::Event, format!("metric-rejected {name}"));
@@ -361,28 +351,19 @@ impl Controller {
         self.app(id)?.bundle(bundle)?.current.as_ref()
     }
 
-    /// The candidate set of `(id, bundle)`, memoized. The first request
-    /// enumerates (a cache miss); later requests share the same `Arc`
-    /// until the instance retires. Cache traffic is visible as the
-    /// `controller.optimizer.cache_hits` / `cache_misses` counters.
-    ///
-    /// Returns `None` when the instance or bundle is unknown.
+    /// The memoized candidate set of `(id, bundle)`: enumerated when the
+    /// bundle was attached (or loaded), shared as the same `Arc` until it
+    /// is detached or the instance retires. `None` exactly when the
+    /// instance has no such bundle. Each lookup counts one
+    /// `controller.optimizer.cache_hits`.
     pub fn cached_candidates(
-        &mut self,
+        &self,
         id: &InstanceId,
         bundle: &str,
     ) -> Option<std::sync::Arc<Vec<Candidate>>> {
-        let inst = self.instances.get_mut(id)?;
-        if let Some(cands) = inst.candidates.get(bundle) {
-            self.metrics.inc_counter("controller.optimizer.cache_hits");
-            return Some(std::sync::Arc::clone(cands));
-        }
-        let spec = &inst.app.bundle(bundle)?.spec;
-        let cands = std::sync::Arc::new(enumerate(spec, &self.config.elastic_steps));
-        inst.candidates.insert(bundle.to_string(), std::sync::Arc::clone(&cands));
-        self.metrics.inc_counter("controller.optimizer.cache_misses");
-        self.gauge_cache_size();
-        Some(cands)
+        let cands = self.instances.get(id)?.candidates.get(bundle)?;
+        self.metrics.inc_counter("controller.optimizer.cache_hits");
+        Some(std::sync::Arc::clone(cands))
     }
 
     /// Number of memoized candidate sets currently held.
@@ -390,7 +371,7 @@ impl Controller {
         self.instances.in_id_order().map(|inst| inst.candidates.len()).sum()
     }
 
-    fn gauge_cache_size(&self) {
+    pub(crate) fn gauge_cache_size(&self) {
         self.metrics
             .set_gauge("controller.optimizer.cache_size", self.candidate_cache_len() as f64);
     }
@@ -474,7 +455,8 @@ impl Controller {
     fn register_instance(&mut self, app: &str) -> InstanceId {
         let id = InstanceId::new(app, self.registry.allocate(app));
         let session = SessionState::new(self.now + self.config.lease.duration);
-        self.instances.insert(Instance::new(AppInstance::new(id.clone(), self.now), session));
+        let app = AppInstance::new(id.clone(), self.now);
+        self.instances.insert(Instance::new(app, session, &self.config.elastic_steps));
         self.metrics.inc_counter("controller.startups");
         self.metrics.set_gauge("controller.sessions.active", self.instances.len() as f64);
         self.journal_append(JournalKind::Event, format!("startup {id}"));
@@ -512,31 +494,34 @@ impl Controller {
         spec: BundleSpec,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
         self.lint_gate(&spec)?;
-        let app = &mut self
+        let inst = self
             .instances
             .get_mut(id)
-            .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?
-            .app;
+            .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
         let bundle_name = spec.name.clone();
         // Idempotent per `(instance, name)`: a client that lost the reply
         // and retries must not attach a second state `bundle()` can never
         // reach. An equal spec re-runs the pass over the one it has.
-        let attached = match app.bundle(&bundle_name) {
+        let attached = match inst.app.bundle(&bundle_name) {
             None => {
-                app.bundles.push(BundleState::new(spec));
+                inst.attach(BundleState::new(spec), &self.config.elastic_steps);
+                // A miss is an enumeration: an attach or a load.
+                self.metrics.inc_counter("controller.optimizer.cache_misses");
+                self.gauge_cache_size();
                 true
             }
             Some(existing) if existing.spec == spec => false,
             Some(_) => return Err(CoreError::BundleConflict { bundle: bundle_name }),
         };
-        self.journal_trigger(JournalKind::Event, format!("bundle-setup {id} {bundle_name}"));
+        let trigger =
+            self.journal_trigger(JournalKind::Event, format!("bundle-setup {id} {bundle_name}"));
         let mut records = Vec::new();
 
         // A retry of a bundle that is already placed is an ordinary
         // re-evaluation of it; only an unplaced one is placed afresh.
         let initial = self.choice(id, &bundle_name).is_none();
         let mut unplaced_reason = None;
-        match self.optimize_bundle(id, &bundle_name, initial) {
+        match self.optimize_bundle(id, &bundle_name, initial, &trigger) {
             Ok(rs) => records.extend(rs),
             Err(CoreError::Unplaceable { reason, .. })
                 if self.config.coordinated_moves && !self.config.selfish =>
@@ -548,10 +533,8 @@ impl Controller {
             // later pass too, so it goes.
             Err(e @ CoreError::Unplaceable { .. }) => return Err(e),
             Err(e) => {
-                if attached {
-                    let inst = self.instances.get_mut(id).expect("instance looked up above");
-                    inst.app.bundles.pop();
-                    inst.candidates.remove(&bundle_name);
+                if let (true, Some(inst)) = (attached, self.instances.get_mut(id)) {
+                    inst.detach(&bundle_name);
                     self.gauge_cache_size();
                 }
                 return Err(e);
@@ -569,7 +552,7 @@ impl Controller {
         {
             let newcomer = (id.clone(), bundle_name.clone());
             for other in self.all_pairs_excluding(Some((id, &bundle_name))) {
-                records.extend(self.pairwise_step(&other, &newcomer)?);
+                records.extend(self.pairwise_step(&other, &newcomer, &trigger)?);
             }
         }
 
@@ -581,12 +564,11 @@ impl Controller {
 
         if self.config.reevaluate_on_arrival {
             if self.coalescing() {
-                self.mark_dirty();
+                self.mark_dirty(&trigger.provenance);
             } else {
-                records.extend(self.reevaluate_excluding(Some(id))?);
+                records.extend(self.reevaluate_excluding(Some(id), &trigger)?);
             }
         }
-        self.decision_provenance.clear();
         Ok(records)
     }
 
@@ -655,19 +637,16 @@ impl Controller {
         self.metrics.inc_counter("controller.ends");
         self.metrics.set_gauge("controller.sessions.active", self.instances.len() as f64);
         self.retirements.push(RetirementRecord { time: self.now, instance: id.clone(), reason });
-        self.journal_trigger(JournalKind::Retirement, format!("{reason}: {id}"));
-        if reason != RetireReason::Ended {
-            self.decision_cause = Some(format!("{reason}: {id}"));
+        let detail = format!("{reason}: {id}");
+        let mut trigger = self.journal_trigger(JournalKind::Retirement, detail.clone());
+        // Decisions applied while retiring an instance for a non-`end`
+        // reason (lease expiry, disconnect) say so.
+        trigger.cause = (reason != RetireReason::Ended).then_some(detail);
+        if self.coalescing() {
+            self.mark_dirty(&trigger.provenance);
+            return Ok(Vec::new());
         }
-        let result = if self.coalescing() {
-            self.mark_dirty();
-            Ok(Vec::new())
-        } else {
-            self.reevaluate_excluding(None)
-        };
-        self.decision_cause = None;
-        self.decision_provenance.clear();
-        result
+        self.reevaluate_excluding(None, &trigger)
     }
 
     // ------------------------------------------------------------------
@@ -884,11 +863,10 @@ impl Controller {
     }
 
     /// Records that system state changed and a re-evaluation is owed. The
-    /// currently staged provenance seqs move into the scheduler: the
-    /// deferred window's decisions will carry them.
-    fn mark_dirty(&mut self) {
-        let seqs = std::mem::take(&mut self.decision_provenance);
-        self.scheduler.mark(self.now, &seqs);
+    /// deferred trigger's `seqs` move into the scheduler: the window's
+    /// decisions will carry them.
+    fn mark_dirty(&mut self, seqs: &[u64]) {
+        self.scheduler.mark(self.now, seqs);
         self.metrics.set_gauge("controller.scheduler.pending", self.scheduler.pending() as f64);
     }
 
@@ -928,18 +906,17 @@ impl Controller {
     /// joint optimization that replaces N per-event passes. A no-op with
     /// nothing pending.
     fn fire_scheduler(&mut self) -> Result<Vec<DecisionRecord>, CoreError> {
-        let (n, seqs) = self.scheduler.take();
+        let (n, provenance) = self.scheduler.take();
         if n == 0 {
             return Ok(Vec::new());
         }
-        self.journal_append(JournalKind::SchedulerFire, format!("coalesced-arrivals: {n}"));
+        let fired = format!("coalesced-arrivals: {n}");
+        self.journal_append(JournalKind::SchedulerFire, fired.clone());
+        let trigger = Trigger { cause: Some(fired), provenance };
         self.metrics.inc_counter("controller.scheduler.windows_fired");
         self.metrics.add_counter("controller.scheduler.coalesced_arrivals", n as u64);
         self.metrics.add_counter("controller.scheduler.decisions_saved", (n - 1) as u64);
         self.metrics.set_gauge("controller.scheduler.pending", 0.0);
-        let prev_cause = self.decision_cause.take();
-        let prev_provenance = std::mem::replace(&mut self.decision_provenance, seqs);
-        self.decision_cause = Some(format!("coalesced-arrivals: {n}"));
         // One window = one *converged* joint optimization. A single greedy
         // pass from the deferred state can stop at an intermediate local
         // optimum that the per-arrival path would have walked past, so
@@ -947,21 +924,16 @@ impl Controller {
         // improves the objective, which bounds the loop; the cap is a
         // safety net against a (buggy) oscillating objective.
         self.metrics.inc_counter("controller.reevals");
-        let result = (|| {
-            let mut records = Vec::new();
-            for _ in 0..64 {
-                let rs = self.reevaluate_pass(None)?;
-                let quiet = rs.is_empty();
-                records.extend(rs);
-                if quiet {
-                    break;
-                }
+        let mut records = Vec::new();
+        for _ in 0..64 {
+            let rs = self.reevaluate_pass(None, &trigger)?;
+            let quiet = rs.is_empty();
+            records.extend(rs);
+            if quiet {
+                break;
             }
-            Ok(records)
-        })();
-        self.decision_cause = prev_cause;
-        self.decision_provenance = prev_provenance;
-        result
+        }
+        Ok(records)
     }
 
     /// Re-evaluates every bundle of every application in arrival order,
@@ -984,10 +956,8 @@ impl Controller {
         kind: JournalKind,
         detail: String,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.journal_trigger(kind, detail);
-        let result = self.reevaluate_excluding(None);
-        self.decision_provenance.clear();
-        result
+        let trigger = self.journal_trigger(kind, detail);
+        self.reevaluate_excluding(None, &trigger)
     }
 
     /// Every `(instance, bundle)` pair in arrival order, minus `skip`.
@@ -1010,9 +980,10 @@ impl Controller {
     fn reevaluate_excluding(
         &mut self,
         skip: Option<&InstanceId>,
+        trigger: &Trigger,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
         self.metrics.inc_counter("controller.reevals");
-        self.reevaluate_pass(skip)
+        self.reevaluate_pass(skip, trigger)
     }
 
     /// One greedy pass (improving switches, then one pairwise round)
@@ -1022,17 +993,18 @@ impl Controller {
     fn reevaluate_pass(
         &mut self,
         skip: Option<&InstanceId>,
+        trigger: &Trigger,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
         let mut records = Vec::new();
         let pairs = self.all_pairs_excluding(None);
         for (id, bundle) in pairs.iter().filter(|(id, _)| Some(id) != skip) {
-            records.extend(self.optimize_bundle(id, bundle, false)?);
+            records.extend(self.optimize_bundle(id, bundle, false, trigger)?);
         }
         if self.config.coordinated_moves && !self.config.selfish {
             // One round of pairwise moves over all ordered pairs.
             for i in 0..pairs.len() {
                 for j in (i + 1)..pairs.len() {
-                    records.extend(self.pairwise_step(&pairs[i], &pairs[j])?);
+                    records.extend(self.pairwise_step(&pairs[i], &pairs[j], trigger)?);
                 }
             }
         }
@@ -1095,33 +1067,32 @@ impl Controller {
     // Internal: plan → commit.
     // ------------------------------------------------------------------
 
-    /// One greedy step for one bundle: plan it against its memoized
-    /// candidates and commit the result. `initial` marks the first
-    /// placement of a new bundle: granularity does not apply, and failing
-    /// to place anything is [`CoreError::Unplaceable`].
+    /// One greedy step for one bundle: blocked? → plan → count → commit,
+    /// reading only until the commit. `initial` marks the first placement
+    /// of a new bundle: granularity does not apply, and failing to place
+    /// anything is [`CoreError::Unplaceable`].
     fn optimize_bundle(
         &mut self,
         id: &InstanceId,
         bundle: &str,
         initial: bool,
+        trigger: &Trigger,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
         // Asked even for an initial placement: the lookup is what rejects
         // an unknown instance or bundle.
         if self.switch_blocked(id, bundle)? && !initial {
             return Ok(Vec::new());
         }
-        let t_cands = Instant::now();
-        let cands = self.cached_candidates(id, bundle).expect("bundle validated above");
-        let candidates_ms = elapsed_ms(t_cands);
-        let plan = self.count_scan(self.plan_bundle(id, bundle, &cands)?);
+        let plan = self.count_scan(self.plan_bundle(id, bundle)?);
         if initial && plan.is_none() && self.choice(id, bundle).is_none() {
-            let reason = match cands.last() {
+            let cands = self.cached_candidates(id, bundle);
+            let reason = match cands.as_deref().and_then(|cands| cands.last()) {
                 Some(cand) => format!("candidate `{}` does not fit", cand.label()),
                 None => String::from("no candidates"),
             };
             return Err(CoreError::Unplaceable { bundle: bundle.to_string(), reason });
         }
-        self.commit_plan(plan, candidates_ms)
+        self.commit_plan(plan, trigger)
     }
 
     /// One coordinated move over bundles `a` and `b`; granularity on
@@ -1130,17 +1101,13 @@ impl Controller {
         &mut self,
         a: &(InstanceId, String),
         b: &(InstanceId, String),
+        trigger: &Trigger,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
         if self.switch_blocked(&a.0, &a.1)? || self.switch_blocked(&b.0, &b.1)? {
             return Ok(Vec::new());
         }
-        let t_cands = Instant::now();
-        let cands_a = self.cached_candidates(&a.0, &a.1).expect("pair validated above");
-        let cands_b = self.cached_candidates(&b.0, &b.1).expect("pair validated above");
-        let candidates_ms = elapsed_ms(t_cands);
-        let scan = self.plan_pair((&a.0, &a.1), &cands_a, (&b.0, &b.1), &cands_b)?;
-        let plan = self.count_scan(scan);
-        self.commit_plan(plan, candidates_ms)
+        let plan = self.count_scan(self.plan_pair((&a.0, &a.1), (&b.0, &b.1))?);
+        self.commit_plan(plan, trigger)
     }
 
     /// Adds what one scan did, exactly, to the `controller.planner.*`
@@ -1153,27 +1120,31 @@ impl Controller {
     }
 
     /// Commits every move of a plan, in order, each against the score the
-    /// plan was judged by.
+    /// plan was judged by and on behalf of the pass's `trigger`.
     fn commit_plan(
         &mut self,
         plan: Option<Plan>,
-        candidates_ms: f64,
+        trigger: &Trigger,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
         let Some(Plan { moves, objective_before, timings, .. }) = plan else {
             return Ok(Vec::new());
         };
-        let phases = PhaseTimings { candidates_ms, ..timings };
-        moves.into_iter().map(|m| self.commit_choice(m, objective_before, phases)).collect()
+        moves
+            .into_iter()
+            .map(|m| self.commit_choice(m, objective_before, timings, trigger))
+            .collect()
     }
 
     /// Releases the incumbent (if any), commits the new allocation, updates
-    /// app state and namespace, and records the decision. `phases` is what
-    /// planning the move cost; the commit time is added here.
+    /// app state and namespace, and records the decision as `trigger`'s.
+    /// `phases` is what planning the move cost; the commit time is added
+    /// here.
     fn commit_choice(
         &mut self,
         m: PlannedMove,
         objective_before: f64,
         mut phases: PhaseTimings,
+        trigger: &Trigger,
     ) -> Result<DecisionRecord, CoreError> {
         let t_commit = Instant::now();
         let current = self.choice(&m.id, &m.bundle).cloned();
@@ -1197,8 +1168,8 @@ impl Controller {
             to: cfg.label(),
             objective_before,
             objective_after: 0.0,
-            cause: self.decision_cause.clone(),
-            provenance: self.decision_provenance.clone(),
+            cause: trigger.cause.clone(),
+            provenance: trigger.provenance.clone(),
             phases: PhaseTimings::default(),
         };
         self.apply_choice(&record.instance, &record.bundle, cfg, current.is_some());
@@ -1218,11 +1189,6 @@ impl Controller {
             format!("decision {}.{} -> {}", record.instance, record.bundle, record.to),
         );
         self.metrics.inc_counter("controller.decisions");
-        self.bus.publish(MetricEvent::new(
-            format!("controller.decision.{}.{}", record.instance, record.bundle),
-            record.time,
-            record.objective_after,
-        ));
         self.decisions.push(record.clone());
         Ok(record)
     }
@@ -1262,7 +1228,8 @@ impl Controller {
             }
         }
         let before = self.objective_score();
-        Ok(Some(self.commit_choice(m, before, PhaseTimings::default())?))
+        // Forced outside the event paths: nothing triggered it.
+        Ok(Some(self.commit_choice(m, before, PhaseTimings::default(), &Trigger::default())?))
     }
 }
 
@@ -1304,7 +1271,7 @@ fn config_writes(id: &InstanceId, bundle_name: &str, cfg: &ChosenConfig) -> Vec<
 
 /// The instance a metric report belongs to, per the `<app>.<id>.<metric>`
 /// naming convention; `None` for non-conforming names.
-pub(crate) fn metric_instance(name: &str) -> Option<InstanceId> {
+fn metric_instance(name: &str) -> Option<InstanceId> {
     let mut parts = name.splitn(3, '.');
     let (app, id, _rest) = (parts.next()?, parts.next()?, parts.next()?);
     id.parse::<u64>().ok().map(|id| InstanceId::new(app, id))
@@ -1639,24 +1606,6 @@ mod tests {
         assert!(c.app(&a).is_none());
         assert_eq!(c.retirements()[0].reason, RetireReason::Disconnected);
         assert_eq!(c.cluster().total_tasks(), 0);
-    }
-
-    #[test]
-    fn metric_reports_renew_the_owning_lease() {
-        let mut c = Controller::new(sp2(8), ControllerConfig::default());
-        let (a, _) = c.register(bag_spec()).unwrap();
-        c.set_time(25.0);
-        let mut report = |name: String| {
-            c.handle_event(crate::HarmonyEvent::MetricReport { name, time: 25.0, value: 1.0 })
-                .unwrap();
-        };
-        report(format!("bag.{}.response_time", a.id));
-        // Non-conforming or unknown names are ignored.
-        report("nodots".to_string());
-        report("ghost.77.rt".to_string());
-        assert_eq!(c.session(&a).unwrap().deadline, 55.0);
-        assert_eq!(c.session(&a).unwrap().renewals, 1);
-        assert_eq!(c.sessions().count(), 1);
     }
 
     #[test]

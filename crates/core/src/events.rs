@@ -9,19 +9,17 @@ use harmony_rsl::schema::{parse_bundle_script, LinkDecl, NodeDecl};
 use serde::{Deserialize, Serialize};
 
 use crate::app::InstanceId;
-use crate::controller::{metric_instance, Controller, DecisionRecord};
+use crate::controller::{Controller, DecisionRecord};
 use crate::error::CoreError;
 use crate::journal::JournalKind;
 use crate::persist::WalEvent;
 
-/// An event delivered to the Harmony process.
+/// An event delivered to the Harmony process: the arms the wire server,
+/// `harmonyd` and the benchmark build. Startup, end, lease renewal and
+/// metric reports are [`WalEvent`] commands of their own and have no arm
+/// here.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum HarmonyEvent {
-    /// An application registered (`harmony_startup`).
-    Startup {
-        /// Application name.
-        app: String,
-    },
     /// An application sent a bundle (`harmony_bundle_setup`); the payload
     /// is RSL text.
     BundleSetup {
@@ -29,25 +27,6 @@ pub enum HarmonyEvent {
         instance: InstanceId,
         /// RSL script containing one `harmonyBundle` statement.
         script: String,
-    },
-    /// An application is terminating (`harmony_end`).
-    AppEnded {
-        /// The departing instance.
-        instance: InstanceId,
-    },
-    /// A performance measurement arrived through the metric interface.
-    MetricReport {
-        /// Dotted metric name.
-        name: String,
-        /// Timestamp (controller clock, seconds).
-        time: f64,
-        /// Sampled value.
-        value: f64,
-    },
-    /// A lease-renewal heartbeat arrived from an application.
-    Heartbeat {
-        /// The renewing instance.
-        instance: InstanceId,
     },
     /// A reconnecting application re-established its session; current
     /// chosen values are replayed into its pending-variable buffer.
@@ -109,31 +88,9 @@ impl Controller {
     pub(crate) fn apply_event(&mut self, event: HarmonyEvent) -> Result<EventOutcome, CoreError> {
         let now = self.now();
         match event {
-            HarmonyEvent::Startup { app } => self.apply(WalEvent::Startup { now, app }),
             HarmonyEvent::BundleSetup { instance, script } => {
                 let spec = parse_bundle_script(&script)?;
                 self.apply(WalEvent::Bundle { now, id: instance, spec })
-            }
-            HarmonyEvent::AppEnded { instance } => self.apply(WalEvent::End { now, id: instance }),
-            HarmonyEvent::MetricReport { name, time, value } => {
-                // Reports that do not follow the `<app>.<id>.<metric>`
-                // convention (or name an unknown instance) renew nothing.
-                if let Some(id) = metric_instance(&name) {
-                    let _ = self.apply(WalEvent::Renew { now, id });
-                }
-                // Journals, rejects non-finite samples, and feeds the
-                // per-instance response-time histogram. Rejected samples
-                // stay off the bus so subscribers never see NaN/inf.
-                if self.apply_metric(&name, time, value) {
-                    self.metric_bus().publish(harmony_metrics::MetricEvent::new(name, time, value));
-                }
-                Ok(EventOutcome::Quiet)
-            }
-            HarmonyEvent::Heartbeat { instance } => {
-                let detail = format!("heartbeat {instance}");
-                self.apply(WalEvent::Renew { now, id: instance })?;
-                self.journal_append(JournalKind::Event, detail);
-                Ok(EventOutcome::Quiet)
             }
             HarmonyEvent::Reattach { instance } => {
                 let detail = format!("reattach {instance}");
@@ -230,10 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn startup_and_bundle_events_register_and_place() {
+    fn a_bundle_event_places_a_started_instance() {
         let mut c = controller(8);
-        let outcome = c.handle_event(HarmonyEvent::Startup { app: "bag".into() }).unwrap();
-        let EventOutcome::Registered(id) = outcome else { panic!("expected id") };
+        let id = c.startup("bag");
         let outcome = c
             .handle_event(HarmonyEvent::BundleSetup {
                 instance: id.clone(),
@@ -243,37 +199,6 @@ mod tests {
         let EventOutcome::Decisions(ds) = outcome else { panic!("expected decisions") };
         assert_eq!(ds.len(), 1);
         assert!(c.choice(&id, "config").is_some());
-    }
-
-    #[test]
-    fn metric_report_records_quietly() {
-        let mut c = controller(2);
-        let rx = c.metric_bus().subscribe();
-        let outcome = c
-            .handle_event(HarmonyEvent::MetricReport {
-                name: "bag.1.rt".into(),
-                time: 1.0,
-                value: 12.0,
-            })
-            .unwrap();
-        assert_eq!(outcome, EventOutcome::Quiet);
-        assert_eq!(c.metrics().series("bag.1.rt").unwrap().len(), 1);
-        // The bus fanned the report out to subscribers.
-        let ev = rx.try_recv().unwrap();
-        assert_eq!(ev.name, "bag.1.rt");
-        assert_eq!(ev.value, 12.0);
-    }
-
-    #[test]
-    fn decisions_are_published_on_the_bus() {
-        let mut c = controller(8);
-        let rx = c.metric_bus().subscribe();
-        c.register(harmony_rsl::schema::parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
-        let events: Vec<_> = rx.try_iter().collect();
-        assert!(
-            events.iter().any(|e| e.name.starts_with("controller.decision.bag.1")),
-            "got {events:?}"
-        );
     }
 
     #[test]

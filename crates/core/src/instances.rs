@@ -14,8 +14,8 @@ use harmony_ns::HPath;
 use harmony_rsl::Value;
 use parking_lot::Mutex;
 
-use crate::app::{AppInstance, InstanceId};
-use crate::candidates::Candidate;
+use crate::app::{AppInstance, BundleState, InstanceId};
+use crate::candidates::{enumerate, Candidate};
 use crate::session::SessionState;
 
 /// Everything the controller holds for one registered instance.
@@ -35,25 +35,46 @@ pub(crate) struct Instance {
     /// Buffered variable updates awaiting the next poll. Behind its own
     /// mutex so the polling path drains under a shared controller borrow.
     pub(crate) pending: Mutex<Vec<(HPath, Value)>>,
-    /// Memoized candidate enumeration per bundle name. A bundle's
-    /// candidate set depends only on its spec and the (immutable)
-    /// `elastic_steps` configuration, and a bundle's spec never changes
-    /// once attached, so it is computed once and shared (`Arc`) with every
-    /// optimizer pass.
+    /// Memoized candidate enumeration per bundle name: a pure function of
+    /// the bundle's spec (which never changes once attached) and the
+    /// (immutable) `elastic_steps` configuration. Written only by
+    /// [`Instance::attach`] and [`Instance::detach`], so an attached
+    /// bundle always has one and every pass reads it under `&self`.
     pub(crate) candidates: BTreeMap<String, Arc<Vec<Candidate>>>,
 }
 
 impl Instance {
-    /// A freshly registered instance: nothing touched, buffered or
-    /// memoized yet.
-    pub(crate) fn new(app: AppInstance, session: SessionState) -> Self {
-        Instance {
+    /// An instance with nothing touched or buffered, holding the bundles
+    /// `app` arrives with (none at startup, all of them on load), each
+    /// attached and so memoized.
+    pub(crate) fn new(mut app: AppInstance, session: SessionState, elastic_steps: &[f64]) -> Self {
+        let bundles = std::mem::take(&mut app.bundles);
+        let mut instance = Instance {
             app,
             session,
             touch: AtomicU64::new(0),
             pending: Mutex::new(Vec::new()),
             candidates: BTreeMap::new(),
+        };
+        for state in bundles {
+            instance.attach(state, elastic_steps);
         }
+        instance
+    }
+
+    /// Attaches a bundle and enumerates its candidates: the one place a
+    /// bundle joins an instance.
+    pub(crate) fn attach(&mut self, state: BundleState, elastic_steps: &[f64]) {
+        let candidates = Arc::new(enumerate(&state.spec, elastic_steps));
+        self.candidates.insert(state.spec.name.clone(), candidates);
+        self.app.bundles.push(state);
+    }
+
+    /// Detaches a bundle, memo and all: the one place a bundle leaves an
+    /// instance short of retirement.
+    pub(crate) fn detach(&mut self, bundle: &str) {
+        self.app.bundles.retain(|b| b.spec.name != bundle);
+        self.candidates.remove(bundle);
     }
 
     /// Folds a pending touch-stamp into the session (the write-path half
@@ -132,5 +153,32 @@ impl Instances {
     /// [`Instances::in_id_order`], mutably.
     pub(crate) fn in_id_order_mut(&mut self) -> impl Iterator<Item = &mut Instance> {
         self.by_id.values_mut()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harmony_rsl::listings::FIG2B_BAG;
+    use harmony_rsl::schema::parse_bundle_script;
+
+    #[test]
+    fn a_bundle_and_its_memo_come_and_go_together() {
+        let id = InstanceId::new("bag", 1);
+        let session = SessionState::new(30.0);
+        let mut inst = Instance::new(AppInstance::new(id, 0.0), session, &[]);
+        let spec = parse_bundle_script(FIG2B_BAG).unwrap();
+        // No controller, no pass: attaching alone fills the memo.
+        inst.attach(BundleState::new(spec.clone()), &[]);
+        assert_eq!(inst.app.bundles.len(), 1);
+        assert_eq!(*inst.candidates["config"], enumerate(&spec, &[]));
+        inst.detach("config");
+        assert!(inst.app.bundles.is_empty() && inst.candidates.is_empty());
+        // An app that arrives with bundles (a load) has them attached.
+        let mut app = inst.app;
+        app.bundles.push(BundleState::new(spec));
+        let loaded = Instance::new(app, inst.session, &[]);
+        assert_eq!(loaded.app.bundles.len(), 1);
+        assert!(loaded.candidates.contains_key("config"));
     }
 }

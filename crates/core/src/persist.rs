@@ -31,11 +31,14 @@
 //! acknowledged events being lost to a crash. [`StateStore::sync`] forces
 //! a flush for embeddings that want a hard barrier (shutdown, tests).
 //!
-//! ## What is rebuilt cold
+//! ## What is rebuilt
 //!
-//! Optimizer candidate caches, metric counters, gauges, and histograms
-//! restart empty after recovery — they are measurement state, not control
-//! state. Metric *series* are persisted (feedback calibration reads them,
+//! Metric counters, gauges, and histograms restart empty after recovery —
+//! they are measurement state, not control state. Candidate memos are not
+//! in the image either, but they are a pure function of what is:
+//! [`Controller::from_persisted`] attaches every loaded bundle, which
+//! enumerates it, so the first pass after a restart reads them like any
+//! other. Metric *series* are persisted (feedback calibration reads them,
 //! and predictions must not jump across a restart).
 
 use std::collections::BTreeMap;
@@ -252,8 +255,9 @@ impl WalEvent {
 }
 
 /// The controller's complete control-plane state, as written into a
-/// snapshot file. Lossless for everything decisions depend on; optimizer
-/// caches and metric counters/histograms are rebuilt cold.
+/// snapshot file. Lossless for everything decisions depend on; candidate
+/// memos are re-derived on load and metric counters/histograms restart
+/// empty.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PersistedState {
     /// Format version ([`PERSIST_VERSION`]).
@@ -404,8 +408,9 @@ impl Controller {
     /// Captures the complete control-plane state for a snapshot. Lossless
     /// for everything decisions depend on: sessions keep their ids and
     /// deadlines, the journal keeps its sequence numbers, the namespace
-    /// keeps its revision counter. Optimizer caches and metric
-    /// counters/histograms are deliberately excluded (rebuilt cold).
+    /// keeps its revision counter. Candidate memos (re-derived on load)
+    /// and metric counters/histograms (restart empty) are deliberately
+    /// excluded.
     ///
     /// One [`Instance`] record fans out into the five per-instance fields
     /// of the format, each in id order as the format has always had them.
@@ -449,7 +454,8 @@ impl Controller {
     }
 
     /// Rebuilds a controller from a persisted snapshot. The result has no
-    /// WAL attached yet (replay runs first) and cold caches.
+    /// WAL attached yet (replay runs first); every loaded bundle is
+    /// attached, so its candidate memo is filled.
     ///
     /// # Errors
     ///
@@ -479,7 +485,7 @@ impl Controller {
                     "arrival_order names `{id}`, which has no app and session of its own"
                 ));
             };
-            let mut instance = Instance::new(app, session);
+            let mut instance = Instance::new(app, session, &ctl.config.elastic_steps);
             // Absent means empty: only unfolded stamps are written.
             *instance.touch.get_mut() = touches.remove(&id).unwrap_or(0);
             *instance.pending.get_mut() = pending.remove(&id).unwrap_or_default();
@@ -510,6 +516,9 @@ impl Controller {
             }
         }
         ctl.metrics.set_gauge("controller.sessions.active", ctl.instances.len() as f64);
+        let loaded = ctl.candidate_cache_len() as u64;
+        ctl.metrics.add_counter("controller.optimizer.cache_misses", loaded);
+        ctl.gauge_cache_size();
         Ok(ctl)
     }
 

@@ -1,9 +1,10 @@
 //! The planner: the read-only half of the controller's greedy policy.
 //!
 //! Planning reads, [`Controller`] commits. Every function here takes
-//! `&self` and returns a value; the drivers in `controller.rs` fetch the
-//! memoized candidate sets, ask for a [`Scan`], count it and apply its
-//! [`Plan`].
+//! `&self` and returns a value — the memoized candidate sets included,
+//! which exist from the moment a bundle is attached — so the drivers in
+//! `controller.rs` write nothing before they commit: they ask for a
+//! [`Scan`], count it and apply its [`Plan`].
 //!
 //! One scan body, [`Controller::scan`], serves the paper's §4.3 pass
 //! ("optimize one bundle at a time", [`Controller::plan_bundle`]) and the
@@ -19,6 +20,7 @@
 //! ([`ResourceError::NoMatch`]) makes its move sets infeasible; any other
 //! error propagates.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use harmony_predict::{model_for_option, PredictError, Prediction, PredictionContext, Predictor};
@@ -326,16 +328,25 @@ impl Controller {
     /// # Errors
     ///
     /// Evaluation errors from [`Controller::scan`].
-    pub(crate) fn plan_bundle(
+    pub(crate) fn plan_bundle(&self, id: &InstanceId, bundle: &str) -> Result<Scan, CoreError> {
+        let t_cands = Instant::now();
+        let (state, cands) = self.slot(id, bundle)?;
+        let candidates_ms = elapsed_ms(t_cands);
+        let mut scan = self.scan(&[Target { id, state, cands: &cands }], id, candidates_ms)?;
+        scan.plan = scan.plan.and_then(|plan| self.settle_bundle(plan));
+        Ok(scan)
+    }
+
+    /// What a scan's slot for `(id, bundle)` is made of: the bundle and its
+    /// memoized candidates.
+    fn slot(
         &self,
         id: &InstanceId,
         bundle: &str,
-        cands: &[Candidate],
-    ) -> Result<Scan, CoreError> {
-        let slot = Target { id, state: self.bundle_state(id, bundle)?, cands };
-        let mut scan = self.scan(&[slot], id)?;
-        scan.plan = scan.plan.and_then(|plan| self.settle_bundle(plan));
-        Ok(scan)
+    ) -> Result<(&BundleState, Arc<Vec<Candidate>>), CoreError> {
+        let state = self.bundle_state(id, bundle)?;
+        let cands = self.cached_candidates(id, bundle);
+        Ok((state, cands.ok_or_else(|| CoreError::UnknownBundle { name: bundle.to_string() })?))
     }
 
     /// Keeps the incumbent unless the best candidate is a strict
@@ -360,14 +371,16 @@ impl Controller {
     pub(crate) fn plan_pair(
         &self,
         a: (&InstanceId, &str),
-        cands_a: &[Candidate],
         b: (&InstanceId, &str),
-        cands_b: &[Candidate],
     ) -> Result<Scan, CoreError> {
-        let slot = |(id, bundle), cands| -> Result<Target<'_>, CoreError> {
-            Ok(Target { id, state: self.bundle_state(id, bundle)?, cands })
-        };
-        let mut scan = self.scan(&[slot(a, cands_a)?, slot(b, cands_b)?], b.0)?;
+        let t_cands = Instant::now();
+        let ((state_a, cands_a), (state_b, cands_b)) = (self.slot(a.0, a.1)?, self.slot(b.0, b.1)?);
+        let candidates_ms = elapsed_ms(t_cands);
+        let slots = [
+            Target { id: a.0, state: state_a, cands: &cands_a },
+            Target { id: b.0, state: state_b, cands: &cands_b },
+        ];
+        let mut scan = self.scan(&slots, b.0, candidates_ms)?;
         scan.plan = scan.plan.and_then(|plan| self.settle_pair(plan));
         Ok(scan)
     }
@@ -391,8 +404,14 @@ impl Controller {
     /// depth first, scoring each complete move set with one sweep and
     /// planning the first that scores strictly better than all before it.
     /// Time in the table and the walk is reported as `prediction_ms`, the
-    /// rest as `optimization_ms`.
-    fn scan(&self, targets: &[Target<'_>], focus: &InstanceId) -> Result<Scan, CoreError> {
+    /// rest as `optimization_ms`, beside the `candidates_ms` fetching the
+    /// slots' candidates took.
+    fn scan(
+        &self,
+        targets: &[Target<'_>],
+        focus: &InstanceId,
+        candidates_ms: f64,
+    ) -> Result<Scan, CoreError> {
         let t_scan = Instant::now();
         let table = self.table();
         let objective_before = self.score(&table.live(&self.cluster));
@@ -434,7 +453,7 @@ impl Controller {
             moves,
             score,
             objective_before,
-            timings: PhaseTimings { prediction_ms, optimization_ms, ..Default::default() },
+            timings: PhaseTimings { candidates_ms, prediction_ms, optimization_ms, commit_ms: 0.0 },
         });
         Ok(Scan { plan, trials: walk.trials, matches: walk.matches })
     }
@@ -720,7 +739,7 @@ mod tests {
     /// Attaches `spec` to `id` without planning it, as `place_bundle` does
     /// before it plans.
     fn attach(c: &mut Controller, id: &InstanceId, spec: BundleSpec) {
-        c.instances.get_mut(id).unwrap().app.bundles.push(BundleState::new(spec));
+        c.instances.get_mut(id).unwrap().attach(BundleState::new(spec), &c.config.elastic_steps);
     }
 
     /// Every `(instance, bundle)` with the candidates the drivers would
@@ -769,11 +788,11 @@ mod tests {
         let bundles = all_bundles(c);
         let mut plans = 0;
         for (i, (id, b, cands)) in bundles.iter().enumerate() {
-            let scan = c.plan_bundle(id, b, cands).map(|s| s.plan);
+            let scan = c.plan_bundle(id, b).map(|s| s.plan);
             plans += usize::from(matches!(scan, Ok(Some(_))));
             assert_eq!(decided(scan), decided(c.ref_plan_bundle(id, b, cands)), "{what}: {id}.{b}");
             for (jd, jb, jcands) in bundles.iter().skip(i + 1) {
-                let scan = c.plan_pair((id, b), cands, (jd, jb), jcands).map(|s| s.plan);
+                let scan = c.plan_pair((id, b), (jd, jb)).map(|s| s.plan);
                 plans += usize::from(matches!(scan, Ok(Some(_))));
                 let reference = c.ref_plan_pair((id, b), cands, (jd, jb), jcands);
                 assert_eq!(decided(scan), decided(reference), "{what}: {id}.{b} + {jd}.{jb}");
@@ -867,7 +886,7 @@ mod tests {
         let inner = c.cached_candidates(&broken, "config").unwrap();
         for (outer, surfaces) in [(&fits, true), (&huge, false)] {
             let cands = c.cached_candidates(outer, "config").unwrap();
-            let scan = c.plan_pair((outer, "config"), &cands, (&broken, "config"), &inner);
+            let scan = c.plan_pair((outer, "config"), (&broken, "config"));
             assert_eq!(scan.is_err(), surfaces, "{outer}");
             let reference = c.ref_plan_pair((outer, "config"), &cands, (&broken, "config"), &inner);
             assert_eq!(decided(scan.map(|s| s.plan)), decided(reference), "{outer}");
@@ -993,11 +1012,10 @@ mod tests {
             let spec = parse_bundle_script(script).unwrap();
             let name = spec.name.clone();
             attach(&mut c, &id, spec.clone());
-            let cands = c.cached_candidates(&id, &name).unwrap();
-            let plan = c.plan_bundle(&id, &name, &cands).unwrap().plan.unwrap();
+            let plan = c.plan_bundle(&id, &name).unwrap().plan.unwrap();
             let (score, predicted) = (plan.score, plan.moves[0].predicted);
             // Detach again and let the real verb place it.
-            c.instances.get_mut(&id).unwrap().app.bundles.pop();
+            c.instances.get_mut(&id).unwrap().detach(&name);
             let records = c.add_bundle(&id, spec).unwrap();
             assert_eq!(records.len(), 1);
             assert_eq!(records[0].objective_after, score);
@@ -1024,17 +1042,15 @@ mod tests {
     fn a_scan_counts_its_move_sets_and_matches() {
         let mut c = bags(2, ControllerConfig::default());
         let ids = c.instances();
-        let cands = c.cached_candidates(&ids[0], "config").unwrap();
-        let single = c.plan_bundle(&ids[0], "config", &cands).unwrap();
+        let single = c.plan_bundle(&ids[0], "config").unwrap();
         assert_eq!((single.trials, single.matches), (4, 4));
-        let pair = c.plan_pair((&ids[0], "config"), &cands, (&ids[1], "config"), &cands).unwrap();
+        let pair = c.plan_pair((&ids[0], "config"), (&ids[1], "config")).unwrap();
         assert_eq!((pair.trials, pair.matches), (16, 20));
         // An outer candidate that cannot fit decides its row with one match.
         let huge = c.startup("huge");
         let spec = "harmonyBundle huge:1 config { {o {node n {seconds 1} {memory 99999}}} }";
         attach(&mut c, &huge, parse_bundle_script(spec).unwrap());
-        let none = c.cached_candidates(&huge, "config").unwrap();
-        let pair = c.plan_pair((&huge, "config"), &none, (&ids[1], "config"), &cands).unwrap();
+        let pair = c.plan_pair((&huge, "config"), (&ids[1], "config")).unwrap();
         assert_eq!((pair.trials, pair.matches), (4, 1));
         assert!(pair.plan.is_none());
     }
@@ -1042,13 +1058,13 @@ mod tests {
     #[test]
     fn selfish_mode_scores_the_focus_app_only() {
         for selfish in [false, true] {
-            let mut c = bags(2, ControllerConfig { selfish, ..Default::default() });
+            let c = bags(2, ControllerConfig { selfish, ..Default::default() });
             let ids = c.instances();
             let focus = &ids[1];
             let cands = c.cached_candidates(focus, "config").unwrap();
             let state = c.bundle_state(focus, "config").unwrap();
             let slot = Target { id: focus, state, cands: &cands[..1] };
-            let plan = c.scan(&[slot], focus).unwrap().plan.unwrap();
+            let plan = c.scan(&[slot], focus, 0.0).unwrap().plan.unwrap();
             let alone = c.config.objective.score(&[plan.moves[0].predicted]);
             assert_eq!(plan.score == alone, selfish);
         }

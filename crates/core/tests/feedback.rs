@@ -41,12 +41,11 @@ fn run(feedback: Option<FeedbackConfig>, reported_slowdown: Option<f64>) -> Stri
     if let Some(factor) = reported_slowdown {
         let predicted = ctl.choice(&slow, "b").unwrap().predicted;
         for i in 0..5 {
-            ctl.handle_event(HarmonyEvent::MetricReport {
-                name: format!("{slow}.response_time"),
-                time: i as f64,
-                value: predicted * factor,
-            })
-            .unwrap();
+            assert!(ctl.record_metric(
+                &format!("{slow}.response_time"),
+                i as f64,
+                predicted * factor
+            ));
         }
     }
 
@@ -103,12 +102,8 @@ fn calibration_resets_after_a_reconfiguration() {
     let (id, _) = ctl.register(parse_bundle_script(script).unwrap()).unwrap();
     assert_eq!(ctl.choice(&id, "b").unwrap().option, "onAlpha");
     for i in 0..5 {
-        ctl.handle_event(HarmonyEvent::MetricReport {
-            name: format!("{id}.response_time"),
-            time: i as f64,
-            value: 30.0, // 3× the modeled 10 s
-        })
-        .unwrap();
+        // 3× the modeled 10 s.
+        assert!(ctl.record_metric(&format!("{id}.response_time"), i as f64, 30.0));
     }
     assert!((ctl.predicted_response_times()[0].1 - 30.0).abs() < 1e-9, "factor active on alpha");
 
@@ -126,12 +121,8 @@ fn calibration_resets_after_a_reconfiguration() {
 
     // Post-switch samples re-calibrate against the new regime only.
     for i in 0..5 {
-        ctl.handle_event(HarmonyEvent::MetricReport {
-            name: format!("{id}.response_time"),
-            time: 10.0 + i as f64,
-            value: 18.0, // 1.5× the modeled 12 s
-        })
-        .unwrap();
+        // 1.5× the modeled 12 s.
+        assert!(ctl.record_metric(&format!("{id}.response_time"), 10.0 + i as f64, 18.0));
     }
     let predicted = ctl.predicted_response_times()[0].1;
     assert!((predicted - 18.0).abs() < 1e-9, "new regime calibrates: predicted {predicted}");
@@ -146,12 +137,7 @@ fn predicted_response_times_reflect_measured_reality() {
         ctl.register(parse_bundle_script(&pinned("app", "alpha", 100.0)).unwrap()).unwrap();
     let before = ctl.predicted_response_times()[0].1;
     for i in 0..5 {
-        ctl.handle_event(HarmonyEvent::MetricReport {
-            name: format!("{id}.response_time"),
-            time: i as f64,
-            value: before * 2.0,
-        })
-        .unwrap();
+        assert!(ctl.record_metric(&format!("{id}.response_time"), i as f64, before * 2.0));
     }
     let after = ctl.predicted_response_times()[0].1;
     assert!((after / before - 2.0).abs() < 1e-9, "{before} -> {after}");

@@ -53,7 +53,7 @@ fn drive(c: &mut Controller) {
     for i in 0..4 {
         c.record_metric(&format!("{a}.response_time"), 3.0 + i as f64 * 0.1, 12.0 + i as f64);
     }
-    c.handle_event(HarmonyEvent::Heartbeat { instance: a.clone() }).unwrap();
+    assert!(c.renew_lease(&a));
     c.set_time(4.0);
     c.mark_disconnected(&b);
     c.reattach(&b).unwrap();
@@ -146,7 +146,7 @@ fn snapshot_plus_tail_replay_is_lossless() {
     ctl.set_time(6.0);
     let (c, _) = ctl.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
     ctl.record_metric(&format!("{c}.response_time"), 6.5, 9.0);
-    ctl.handle_event(HarmonyEvent::Heartbeat { instance: c }).unwrap();
+    assert!(ctl.renew_lease(&c));
     let before = fingerprint(ctl.persisted_state());
     store.sync().unwrap();
     drop((ctl, store));
@@ -382,7 +382,7 @@ fn pending_coalescing_window_survives_a_crash() {
     // A burst of arrivals inside one coalescing window: marks accumulate,
     // no decision fires yet.
     let (a, _) = ctl.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
-    ctl.handle_event(HarmonyEvent::Startup { app: "bag".into() }).unwrap();
+    ctl.startup("bag");
     assert!(ctl.pending_decisions() > 0, "window still open");
     assert!(a.to_string().starts_with("bag."));
     store.sync().unwrap();

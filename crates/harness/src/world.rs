@@ -104,12 +104,27 @@ struct Slot {
     instance: Option<InstanceId>,
 }
 
+impl Slot {
+    /// Drops the client with its transport killed first, so not even the
+    /// drop-time best-effort `end` escapes — a SIGKILL, not a close.
+    fn kill(&mut self) {
+        if let Some(mut cl) = self.client.take() {
+            cl.transport_mut().kill();
+            self.bundled = false;
+        }
+    }
+}
+
 /// The whole simulated stack plus oracles' bookkeeping.
 pub struct World {
     ctl: SharedController,
     config: ControllerConfig,
     lease: LeaseConfig,
     planted: PlantedBug,
+    /// The controller is a state store's: it dies once, at the end of the
+    /// run, so the schedule's soft `Restart` is a no-op (subsequences stay
+    /// valid either way).
+    durable: bool,
     slots: Vec<Slot>,
     shadow: ShadowLeases,
     /// Departed nodes and their original declarations, for rejoins.
@@ -136,8 +151,18 @@ impl World {
     /// Builds the stack for one run: a fresh controller over an
     /// `NODE_COUNT`-node cluster and `CLIENT_SLOTS` empty client slots.
     pub fn new(config: ControllerConfig, planted: PlantedBug) -> Self {
+        Self::over(Self::fresh_controller(&config), planted, false)
+    }
+
+    /// Builds the stack over a given controller — a [`StateStore`]'s, when
+    /// `durable` — so durable runs execute ops, and are held to the
+    /// oracles, exactly as in-memory ones are.
+    ///
+    /// [`StateStore`]: harmony_core::StateStore
+    pub(crate) fn over(ctl: Controller, planted: PlantedBug, durable: bool) -> Self {
+        let config = ctl.config().clone();
         let lease = config.lease;
-        let ctl = Arc::new(RwLock::new(Self::fresh_controller(&config)));
+        let ctl = Arc::new(RwLock::new(ctl));
         let slots = (0..CLIENT_SLOTS as usize)
             .map(|i| {
                 let (app, script) = palette(i);
@@ -149,6 +174,7 @@ impl World {
             config,
             lease,
             planted,
+            durable,
             slots,
             shadow: ShadowLeases::new(lease),
             evicted: BTreeMap::new(),
@@ -161,7 +187,7 @@ impl World {
         }
     }
 
-    fn fresh_controller(config: &ControllerConfig) -> Controller {
+    pub(crate) fn fresh_controller(config: &ControllerConfig) -> Controller {
         let cluster = Cluster::from_rsl(&listings::sp2_cluster(NODE_COUNT as usize))
             .expect("sp2 cluster parses");
         Controller::new(cluster, config.clone())
@@ -202,8 +228,19 @@ impl World {
         }
     }
 
+    /// The controller the world drives.
+    pub(crate) fn controller(&self) -> &SharedController {
+        &self.ctl
+    }
+
+    /// Kills every live client the way `Crash` kills one: what the
+    /// server's own death leaves behind.
+    pub(crate) fn kill_clients(&mut self) {
+        self.slots.iter_mut().for_each(Slot::kill);
+    }
+
     /// Executes one op and re-checks every oracle.
-    fn step(&mut self, i: usize, op: &Op) -> Result<(), Violation> {
+    pub(crate) fn step(&mut self, i: usize, op: &Op) -> Result<(), Violation> {
         self.time_ms = self.time_ms.max(op.at_ms);
         self.ctl.write().set_time(self.now());
         self.exec(i, &op.kind)?;
@@ -301,14 +338,7 @@ impl World {
                 Ok(())
             }
             OpKind::Crash { client } => {
-                let slot = &mut self.slots[*client as usize];
-                if let Some(mut cl) = slot.client.take() {
-                    // Kill the transport first so not even the drop-time
-                    // best-effort `end` escapes — a SIGKILL, not a close.
-                    cl.transport_mut().kill();
-                    drop(cl);
-                    slot.bundled = false;
-                }
+                self.slots[*client as usize].kill();
                 Ok(())
             }
             OpKind::MarkDisconnected { client } => {
@@ -334,6 +364,7 @@ impl World {
                 .flush_scheduler()
                 .map(|_| ())
                 .map_err(|e| Violation::new(i, "controller-error", e.to_string())),
+            OpKind::Restart if self.durable => Ok(()),
             OpKind::Restart => self.exec_restart(),
             OpKind::NodeLeft { node } => self.exec_node_left(i, *node),
             OpKind::NodeRejoin { node } => self.exec_node_rejoin(i, *node),

@@ -3,19 +3,17 @@
 //! The metric interface of "Exposing Application Alternatives" §2: "a
 //! unified way to gather data about the performance of applications and
 //! their execution environment". Producers (applications, the simulator,
-//! the cluster) record samples into a shared [`MetricRegistry`] and publish
-//! [`MetricEvent`]s on a [`MetricBus`]; the adaptation controller and
-//! applications subscribe and react.
+//! the cluster) record samples into a shared [`MetricRegistry`]; the
+//! adaptation controller and the applications read series, counters and
+//! histograms back out of it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod bus;
 mod histogram;
 mod registry;
 mod series;
 
-pub use bus::{MetricBus, MetricEvent};
 pub use histogram::Histogram;
 pub use registry::MetricRegistry;
 pub use series::{Sample, TimeSeries};

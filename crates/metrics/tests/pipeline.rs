@@ -1,49 +1,43 @@
-//! Metric-interface integration: registry + bus + histogram working as the
+//! Metric-interface integration: registry + histogram working as the
 //! pipeline Figure 1 sketches (data flows in, aggregates flow out).
 
-use std::sync::Arc;
 use std::thread;
 
-use harmony_metrics::{Histogram, MetricBus, MetricEvent, MetricRegistry};
+use harmony_metrics::{Histogram, MetricRegistry};
 
 #[test]
-fn producer_to_subscriber_to_histogram() {
-    let bus = Arc::new(MetricBus::new());
+fn producer_to_registry_to_histogram() {
     let registry = MetricRegistry::new();
-    let rx = bus.subscribe();
+    let name = |client: usize| format!("DBclient.{client}.response_time");
 
-    // Producer thread: three clients reporting response times.
-    let producer_bus = Arc::clone(&bus);
+    // Producer thread: three clients reporting response times through a
+    // clone of the registry (clones share state).
     let producer_reg = registry.clone();
     let producer = thread::spawn(move || {
         for client in 1..=3 {
             for q in 0..20 {
-                let t = q as f64;
                 let value = client as f64 + q as f64 * 0.01;
-                let name = format!("DBclient.{client}.response_time");
-                producer_reg.record(&name, t, value);
-                producer_bus.publish(MetricEvent::new(name, t, value));
+                producer_reg.record(&name(client), q as f64, value);
             }
         }
     });
     producer.join().unwrap();
 
-    // Consumer: fold the stream into one distribution.
+    // Consumer: fold every series into one distribution.
     let mut hist = Histogram::for_response_times();
-    let mut count = 0;
-    for ev in rx.try_iter() {
-        hist.record(ev.value);
-        count += 1;
+    for client in 1..=3 {
+        for sample in registry.series(&name(client)).unwrap().iter() {
+            hist.record(sample.value);
+        }
     }
-    assert_eq!(count, 60);
     assert_eq!(hist.len(), 60);
     let mean = hist.mean().unwrap();
     assert!((1.0..4.0).contains(&mean), "mean {mean}");
     assert!(hist.quantile_bound(0.99).unwrap() >= 3.0);
 
-    // The registry kept per-client series in parallel.
+    // Each client's series is intact.
     for client in 1..=3 {
-        let s = registry.series(&format!("DBclient.{client}.response_time")).unwrap();
+        let s = registry.series(&name(client)).unwrap();
         assert_eq!(s.len(), 20);
         assert!((s.mean().unwrap() - (client as f64 + 0.095)).abs() < 1e-9);
     }
@@ -67,15 +61,4 @@ fn per_policy_histograms_merge_for_a_global_view() {
     let p99 = all.quantile_bound(0.99).unwrap();
     assert!(p50 < p99);
     assert!(all.max().unwrap() >= 14.9);
-}
-
-#[test]
-fn slow_subscriber_does_not_block_producers() {
-    let bus = MetricBus::new();
-    let _rx = bus.subscribe(); // never drained
-    for i in 0..10_000 {
-        bus.publish(MetricEvent::new("m", i as f64, 0.0));
-    }
-    // Unbounded channels: the producer never stalls; the messages wait.
-    assert_eq!(bus.subscriber_count(), 1);
 }

@@ -100,17 +100,12 @@ fn dispatch_request(ctl: &SharedController, req: &Request) -> Response {
             // Non-finite samples are rejected in-band rather than silently
             // dropped: one NaN would otherwise poison every aggregate
             // derived from the series, and the client deserves to know its
-            // clock or measurement went bad. The sample stays off the bus.
+            // clock or measurement went bad.
             if !ctl.record_metric(name, *time, *value) {
                 return Response::Error {
                     message: format!("non-finite metric sample rejected: {name} {time} {value}"),
                 };
             }
-            ctl.metric_bus().publish(harmony_metrics::MetricEvent::new(
-                name.clone(),
-                *time,
-                *value,
-            ));
             Response::Ok
         }
         Request::Journal { cursor, max } => {
