@@ -313,7 +313,12 @@ impl Controller {
         // Logged even when the sample will be rejected: the rejection
         // leaves a `metric-rejected` journal entry that replay must
         // reproduce for journal-sequence parity.
-        self.wal_log(&WalEvent::Metric { now: self.now, name: name.to_string(), time, value });
+        self.wal_log_with(|| WalEvent::Metric {
+            now: self.now,
+            name: name.to_string(),
+            time,
+            value,
+        });
         self.apply_metric(name, time, value)
     }
 
@@ -794,11 +799,22 @@ impl Controller {
     /// or [`Controller::mark_disconnected`]); until then
     /// [`Controller::effective_deadline`] reports the extended lease.
     ///
+    /// A touch is logged iff applying it changes durable state, i.e. iff it
+    /// raises the stamp. The clock is monotonic and stamps are only ever
+    /// written from it, so a stamp already at `now` means an earlier
+    /// `Touch { now }` of this instance was appended before its `fetch_max`
+    /// became visible (log-before-apply; this `Acquire` load pairs with
+    /// that `AcqRel` store) or the stamp came in with the snapshot: this
+    /// touch is a no-op on stamp, clock and every fold, and the record
+    /// that carries it is already in the log.
+    ///
     /// Returns `false` when the instance is not registered.
     pub fn touch(&self, id: &InstanceId) -> bool {
         if let Some(stamp) = self.touch_stamp(id) {
-            self.wal_log(&WalEvent::Touch { now: self.now, id: id.clone() });
-            self.apply_touch(stamp);
+            if stamp.load(AtomicOrdering::Acquire) < self.now.to_bits() {
+                self.wal_log_with(|| WalEvent::Touch { now: self.now, id: id.clone() });
+                self.apply_touch(stamp);
+            }
             return true;
         }
         // A rejected stamp still reports the instance as registered — the
@@ -1022,7 +1038,7 @@ impl Controller {
         // bloat the WAL with every idle fetch. Emptiness is known only
         // under the buffer lock, so this one record follows its apply.
         if !drained.is_empty() {
-            self.wal_log(&WalEvent::Poll { now: self.now, id: id.clone() });
+            self.wal_log_with(|| WalEvent::Poll { now: self.now, id: id.clone() });
         }
         drained
     }

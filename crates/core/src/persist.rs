@@ -9,7 +9,9 @@
 //! reaps, scheduler ticks, node membership events) is one [`WalEvent`]
 //! command carrying the controller-clock time it executes at.
 //! [`Controller::execute`], the write path's only entry, logs the command
-//! and then applies it; the three `&self` read-path verbs log their own.
+//! and then applies it; the three `&self` read-path verbs log their own,
+//! each only when it changes durable state (a touch that raises its
+//! stamp, a non-empty drain, every metric report).
 //! Decisions, retirements, and journal entries are deliberately *not*
 //! logged — the optimizer is deterministic (bit-identical across thread
 //! counts), so replaying the inputs re-derives them exactly.
@@ -133,7 +135,9 @@ pub enum WalEvent {
         /// The disconnected instance.
         id: InstanceId,
     },
-    /// A read-path lease touch ([`Controller::touch`]).
+    /// A read-path lease touch ([`Controller::touch`]) that raised the
+    /// instance's stamp; one that finds the stamp already at `now` is a
+    /// no-op and is not logged.
     Touch {
         /// Controller clock at execution.
         now: f64,
@@ -231,6 +235,19 @@ impl WalEvent {
             WalEvent::Flush { .. } => "flush",
             WalEvent::Reevaluate { .. } => "reevaluate",
         }
+    }
+
+    /// Parses one WAL record's payload: the inverse of what
+    /// [`Controller::execute`] and the read-path verbs append.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Persistence`] for a payload that is not a `WalEvent`
+    /// of this build's format.
+    pub fn decode(payload: &[u8]) -> Result<WalEvent, CoreError> {
+        let text =
+            std::str::from_utf8(payload).map_err(|e| persistence_err("wal record utf8", e))?;
+        serde_json::from_str(text).map_err(|e| persistence_err("parse wal record", e))
     }
 
     /// The controller clock at the moment the logged verb executed.
@@ -379,6 +396,14 @@ impl Controller {
             self.metrics.inc_counter("controller.persistence.appends");
         } else {
             self.metrics.inc_counter("controller.persistence.append_errors");
+        }
+    }
+
+    /// [`Controller::wal_log`] for the three `&self` read-path verbs: the
+    /// event is built only when there is a WAL to append it to.
+    pub(crate) fn wal_log_with(&self, build: impl FnOnce() -> WalEvent) {
+        if self.wal.is_some() {
+            self.wal_log(&build());
         }
     }
 
@@ -615,11 +640,7 @@ impl StateStore {
                     }
                 }
                 for payload in &read.records {
-                    let text = std::str::from_utf8(payload)
-                        .map_err(|e| persistence_err("wal record utf8", e))?;
-                    let event: WalEvent = serde_json::from_str(text)
-                        .map_err(|e| persistence_err("parse wal record", e))?;
-                    ctl.apply_wal_event(event);
+                    ctl.apply_wal_event(WalEvent::decode(payload)?);
                     replayed += 1;
                 }
             }

@@ -435,6 +435,11 @@ fn command(kind: usize, slot: usize, sample: usize, now: f64) -> WalEvent {
     }
 }
 
+/// The unfolded touch stamp of `id` as a snapshot would carry it.
+fn unfolded_stamp(c: &Controller, id: &InstanceId) -> Option<u64> {
+    c.persisted_state().touches.into_iter().find(|(touched, _)| touched == id).map(|(_, bits)| bits)
+}
+
 /// Command sequences with a monotone clock: steps of 0 – 11 s against a
 /// 30 s lease, so sessions expire under some sequences and not others.
 fn commands() -> impl Strategy<Value = Vec<WalEvent>> {
@@ -471,7 +476,12 @@ proptest! {
             let variant = cmd.variant();
             live.set_time(cmd.now());
             let was_logged = match cmd {
-                WalEvent::Touch { id, .. } => live.touch(&id),
+                // Logged iff it changed durable state: the stamp rose.
+                WalEvent::Touch { id, .. } => {
+                    let before = unfolded_stamp(&live, &id);
+                    live.touch(&id);
+                    unfolded_stamp(&live, &id) != before
+                }
                 WalEvent::Poll { id, .. } => !live.take_pending_vars(&id).is_empty(),
                 WalEvent::Metric { name, time, value, .. } => {
                     live.record_metric(&name, time, value);
@@ -493,7 +503,7 @@ proptest! {
         let events: Vec<WalEvent> = read
             .records
             .iter()
-            .map(|r| serde_json::from_str(std::str::from_utf8(r).unwrap()).unwrap())
+            .map(|r| WalEvent::decode(r).unwrap())
             .collect();
         let replayed_variants: Vec<&str> = events.iter().map(WalEvent::variant).collect();
         prop_assert_eq!(replayed_variants, logged);
@@ -506,6 +516,133 @@ proptest! {
             replayed.persisted_state().recovery_fingerprint(),
             live.persisted_state().recovery_fingerprint()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// One step of a read-mostly session, as the wire server issues it:
+/// `heartbeat` is a touch, `poll` a touch then a drain, `metric` a touch
+/// then a report; the clock moves only on `Advance`.
+#[derive(Debug, Clone, Copy)]
+enum SessionOp {
+    Advance(f64),
+    Heartbeat(usize),
+    Poll(usize),
+    Metric(usize),
+    Renew(usize),
+    Reap,
+    End(usize),
+}
+
+/// Mostly read-path verbs, several per clock value, with enough advances
+/// (up to 11 s against the 30 s lease), reaps and ends that stamps get
+/// folded, sessions expire and later touches land on unknown ids.
+fn session_ops() -> impl Strategy<Value = Vec<SessionOp>> {
+    prop::collection::vec((0usize..12, 0usize..3, 0usize..4), 1..60).prop_map(|sketch| {
+        sketch
+            .into_iter()
+            .map(|(kind, slot, step)| match kind {
+                0 | 1 => SessionOp::Advance([0.25, 1.0, 4.0, 11.0][step]),
+                2..=4 => SessionOp::Heartbeat(slot),
+                5 | 6 => SessionOp::Poll(slot),
+                7 | 8 => SessionOp::Metric(slot),
+                9 => SessionOp::Renew(slot),
+                10 => SessionOp::Reap,
+                _ => SessionOp::End(slot),
+            })
+            .collect()
+    })
+}
+
+fn replay(events: &[WalEvent]) -> u64 {
+    let mut ctl = fresh_controller();
+    for ev in events {
+        ctl.apply_wal_event(ev.clone());
+    }
+    ctl.persisted_state().recovery_fingerprint()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    /// Elided log ≡ verbose log ≡ live. The records a live run captures
+    /// (a `Touch` only where the stamp rose) and the log a build that
+    /// logged *every* touch would have written for the same run both
+    /// replay to the live durable state — so eliding is invisible to
+    /// recovery, and a WAL written before the elision still loads.
+    #[test]
+    fn elided_and_verbose_touch_logs_replay_to_the_live_state(ops in session_ops()) {
+        let dir = scratch("elision");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("elision.wal");
+        let writer = Arc::new(WalWriter::create(&path, WalConfig::default()).unwrap());
+        let mut live = fresh_controller();
+        live.attach_wal(Arc::clone(&writer));
+
+        // `verbose` is the one-record-per-touch log, built alongside.
+        let mut verbose = Vec::new();
+        let execute = |live: &mut Controller, verbose: &mut Vec<WalEvent>, ev: WalEvent| {
+            verbose.push(ev.clone());
+            let _ = live.execute(ev);
+        };
+        let touch = |live: &Controller, verbose: &mut Vec<WalEvent>, id: &InstanceId| {
+            if live.touch(id) {
+                verbose.push(WalEvent::Touch { now: live.now(), id: id.clone() });
+            }
+        };
+        for (app, n, script) in SLOTS {
+            execute(&mut live, &mut verbose, WalEvent::Startup { now: 0.0, app: app.into() });
+            let spec = parse_bundle_script(script).unwrap();
+            let id = InstanceId::new(app, n);
+            execute(&mut live, &mut verbose, WalEvent::Bundle { now: 0.0, id, spec });
+        }
+        for op in ops {
+            let now = live.now();
+            let id = |slot: usize| InstanceId::new(SLOTS[slot].0, SLOTS[slot].1);
+            match op {
+                SessionOp::Advance(step) => live.set_time(now + step),
+                SessionOp::Heartbeat(slot) => touch(&live, &mut verbose, &id(slot)),
+                SessionOp::Poll(slot) => {
+                    touch(&live, &mut verbose, &id(slot));
+                    if !live.take_pending_vars(&id(slot)).is_empty() {
+                        verbose.push(WalEvent::Poll { now, id: id(slot) });
+                    }
+                }
+                SessionOp::Metric(slot) => {
+                    let name = format!("{}.response_time", id(slot));
+                    touch(&live, &mut verbose, &id(slot));
+                    live.record_metric(&name, now, 0.25);
+                    verbose.push(WalEvent::Metric { now, name, time: now, value: 0.25 });
+                }
+                SessionOp::Renew(slot) => {
+                    execute(&mut live, &mut verbose, WalEvent::Renew { now, id: id(slot) });
+                }
+                SessionOp::Reap => execute(&mut live, &mut verbose, WalEvent::Reap { now }),
+                SessionOp::End(slot) => {
+                    execute(&mut live, &mut verbose, WalEvent::End { now, id: id(slot) });
+                }
+            }
+        }
+
+        writer.sync().unwrap();
+        let read = read_wal(&path).unwrap();
+        prop_assert_eq!(read.tail, WalTail::Clean);
+        let elided: Vec<WalEvent> = read
+            .records
+            .iter()
+            .map(|r| WalEvent::decode(r).unwrap())
+            .collect();
+
+        // The captured log is the verbose one minus touches, nothing else.
+        let mut rest = verbose.iter();
+        for ev in &elided {
+            prop_assert!(rest.any(|v| v == ev), "captured {:?} is not in the verbose log", ev);
+        }
+        let untouched = |log: &[WalEvent]| log.iter().filter(|ev| ev.variant() != "touch").count();
+        prop_assert_eq!(untouched(&elided), untouched(&verbose));
+
+        let live_fp = live.persisted_state().recovery_fingerprint();
+        prop_assert_eq!(replay(&elided), live_fp, "the elided log diverges");
+        prop_assert_eq!(replay(&verbose), live_fp, "the one-record-per-touch log diverges");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,8 +16,8 @@
 //! MC engine (crash cuts included with `--crashes`), for the crash-only
 //! artifacts the full-stack `harness replay` cannot observe.
 //!
-//! BUG: `reaper-skips-touch-fold` (harness-visible) or
-//! `renew-skips-wal` (crash-only; implies `--crashes`).
+//! BUG: `reaper-skips-touch-fold` (harness-visible), or `renew-skips-wal`
+//! / `touch-skips-wal` (crash-only; imply `--crashes`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -31,7 +31,7 @@ fn usage() -> ExitCode {
          \x20                       [--crashes] [--planted BUG] [--min-states M] [--out DIR]\n\
          \x20      harmony-mc stats [--clients N] [--depth D] [--seed S] [--max-jumps J] [--crashes]\n\
          \x20      harmony-mc replay <artifact.json> [--crashes] [--planted BUG]\n\
-         BUG: reaper-skips-touch-fold | renew-skips-wal"
+         BUG: reaper-skips-touch-fold | renew-skips-wal | touch-skips-wal"
     );
     ExitCode::from(2)
 }
@@ -65,11 +65,14 @@ fn parse_flags(args: &[String]) -> Option<Flags> {
             "--planted" => match it.next()?.as_str() {
                 "none" => {}
                 "reaper-skips-touch-fold" => flags.scope.planted = PlantedBug::ReaperSkipsTouchFold,
-                "renew-skips-wal" => {
-                    flags.scope.skip_wal_renew = true;
+                unlogged => {
+                    flags.scope.unlogged = Some(match unlogged {
+                        "renew-skips-wal" => "renew",
+                        "touch-skips-wal" => "touch",
+                        _ => return None,
+                    });
                     flags.scope.crashes = true;
                 }
-                _ => return None,
             },
             _ if arg.starts_with("--") => return None,
             _ => flags.positional.push(arg.clone()),

@@ -382,8 +382,8 @@ impl Engine {
             drop(ctl); // release the writer before reading the chunk
             w.writer.sync().expect("sync mc scratch wal");
             let mut chunk = std::fs::read(&w.path).expect("read mc scratch wal");
-            if self.scope.skip_wal_renew {
-                chunk = without_renewals(&chunk);
+            if let Some(variant) = self.scope.unlogged {
+                chunk = without(&chunk, variant);
             }
             self.crash_check(ctx, &chunk, &node, step_index)?;
         }
@@ -537,16 +537,15 @@ impl Engine {
 }
 
 fn parse_record(payload: &[u8]) -> Result<WalEvent, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("non-utf8 wal record: {e}"))?;
-    serde_json::from_str(text).map_err(|e| format!("unparseable wal record: {e}"))
+    WalEvent::decode(payload).map_err(|e| e.to_string())
 }
 
-/// The planted `renew-skips-wal` bug as recovery sees it: the step's WAL
-/// chunk minus its `Renew` records — renewals applied but never logged.
-fn without_renewals(chunk: &[u8]) -> Vec<u8> {
+/// A planted `<verb>-skips-wal` bug as recovery sees it: the step's WAL
+/// chunk minus its records of one variant — applied but never logged.
+fn without(chunk: &[u8], variant: &str) -> Vec<u8> {
     let mut kept = Vec::new();
     for payload in decode_records(chunk).records {
-        if !matches!(parse_record(&payload), Ok(WalEvent::Renew { .. })) {
+        if !parse_record(&payload).is_ok_and(|ev| ev.variant() == variant) {
             encode_record(&payload, &mut kept);
         }
     }

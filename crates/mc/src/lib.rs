@@ -167,12 +167,14 @@ pub struct Scope {
     pub crashes: bool,
     /// Harness-visible planted bug (the oracles must catch it).
     pub planted: PlantedBug,
-    /// Crash-only planted bug: lease renewals are applied but not
-    /// WAL-logged (the engine drops each step's `Renew` records from the
-    /// captured stream). Invisible to every in-memory oracle — only the
-    /// crash-point recovery comparison can catch it (with
-    /// [`Scope::crashes`] on).
-    pub skip_wal_renew: bool,
+    /// Crash-only planted bug: one kind of command (a
+    /// [`WalEvent::VARIANTS`](harmony_core::WalEvent::VARIANTS) name —
+    /// `"renew"` for `renew-skips-wal`, `"touch"` for `touch-skips-wal`)
+    /// is applied but never WAL-logged: the engine drops each step's
+    /// records of that kind from the captured stream. Invisible to every
+    /// in-memory oracle — only the crash-point recovery comparison can
+    /// catch it (with [`Scope::crashes`] on).
+    pub unlogged: Option<&'static str>,
 }
 
 impl Default for Scope {
@@ -184,7 +186,7 @@ impl Default for Scope {
             max_jumps: 2,
             crashes: false,
             planted: PlantedBug::None,
-            skip_wal_renew: false,
+            unlogged: None,
         }
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end model-checker tests: exploration is exhaustive and
 //! deterministic, crash enumeration passes on the real controller, and
-//! both planted canaries come back as shrunk, replayable counterexamples.
+//! every planted canary comes back as a shrunk, replayable counterexample.
 
 use harmony_harness::{artifact, run_schedule, PlantedBug};
 use harmony_mc::{counterexample, explore, Engine, Scope};
@@ -95,29 +95,38 @@ fn reaper_canary_shrinks_to_a_harness_replayable_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The crash-only canary: renewals applied but never logged are invisible
-/// to every in-memory oracle, and only the full-stream recovery
-/// comparison catches them. The counterexample is minimized by the
+/// The crash-only canaries: a renewal, or a stamp-raising touch, applied
+/// but never logged is invisible to every in-memory oracle, and only the
+/// recovery comparison catches it. The counterexample is minimized by the
 /// MC-local ddmin and replays through the engine.
 #[test]
-fn renew_skips_wal_canary_is_caught_by_crash_enumeration_only() {
-    let scope = Scope { clients: 1, depth: 3, crashes: true, skip_wal_renew: true, ..scope() };
-    let ex = explore(&scope);
-    let ce = ex.counterexample.expect("the unlogged renewal must be found");
-    assert_eq!(ce.violation.oracle, "crash");
+fn unlogged_verb_canaries_are_caught_by_crash_enumeration_only() {
+    for (variant, caught_by) in [
+        ("renew", "full-stream recovery diverges"),
+        // `touch` is what eliding one touch too many would look like: the
+        // heartbeat's only record is gone, so nothing was logged at all.
+        ("touch", "verb logged nothing but changed durable state"),
+    ] {
+        let scope =
+            Scope { clients: 1, depth: 3, crashes: true, unlogged: Some(variant), ..scope() };
+        let ex = explore(&scope);
+        let ce = ex.counterexample.unwrap_or_else(|| panic!("unlogged {variant} must be found"));
+        assert_eq!(ce.violation.oracle, "crash");
+        assert!(ce.violation.detail.contains(caught_by), "{variant}: {}", ce.violation.detail);
 
-    let processed = counterexample::process(&ce, &scope, None);
-    assert!(!processed.harness_confirmed, "a crash-only bug must not be harness-confirmable");
-    assert!(processed.shrunk_to <= 10);
+        let processed = counterexample::process(&ce, &scope, None);
+        assert!(!processed.harness_confirmed, "a crash-only bug must not be harness-confirmable");
+        assert!(processed.shrunk_to <= 3, "{variant} shrank to {} ops", processed.shrunk_to);
 
-    // The engine (crash cuts on) reproduces the artifact.
-    let engine = Engine::new(scope);
-    let outcome = engine.run_ops(&processed.artifact.schedule.ops);
-    let violation = outcome.violation.expect("engine replay reproduces the violation");
-    assert_eq!(violation.oracle, "crash");
+        // The engine (crash cuts on) reproduces the artifact.
+        let engine = Engine::new(scope);
+        let outcome = engine.run_ops(&processed.artifact.schedule.ops);
+        let violation = outcome.violation.expect("engine replay reproduces the violation");
+        assert_eq!(violation.oracle, "crash");
 
-    // And without the planted bug, the very same ops are clean — the
-    // violation is the bug's, not the checker's.
-    let clean = Engine::new(Scope { skip_wal_renew: false, ..scope });
-    assert!(clean.run_ops(&processed.artifact.schedule.ops).violation.is_none());
+        // And without the planted bug, the very same ops are clean — the
+        // violation is the bug's, not the checker's.
+        let clean = Engine::new(Scope { unlogged: None, ..scope });
+        assert!(clean.run_ops(&processed.artifact.schedule.ops).violation.is_none());
+    }
 }

@@ -15,7 +15,9 @@
 //!    enumeration on; the engine's full-stream recovery comparison is
 //!    exactly the log-before-apply guard (an applied-but-unlogged
 //!    mutation diverges the recovered fingerprint), so a clean step *is*
-//!    the assertion. The byte-growth checks pin which verbs are durable.
+//!    the assertion. The byte-growth checks pin which verbs are durable —
+//!    and which are not: a touch that finds its stamp already at the
+//!    clock changes nothing and logs nothing.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -84,14 +86,8 @@ fn every_wal_variant_is_produced_and_replays_to_the_live_state() {
     let read = read_wal(&path).expect("read coverage wal");
     assert_eq!(read.tail, WalTail::Clean, "a synced log decodes clean");
 
-    let events: Vec<WalEvent> = read
-        .records
-        .iter()
-        .map(|r| {
-            serde_json::from_str(std::str::from_utf8(r).expect("utf8 record"))
-                .expect("wal record parses")
-        })
-        .collect();
+    let events: Vec<WalEvent> =
+        read.records.iter().map(|r| WalEvent::decode(r).expect("wal record parses")).collect();
     let produced: BTreeSet<&'static str> = events.iter().map(WalEvent::variant).collect();
     let expected: BTreeSet<&'static str> = WalEvent::VARIANTS.into_iter().collect();
     assert_eq!(
@@ -130,12 +126,12 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
     // Seed 10 again so the Tick verb is in the alphabet.
     let scope = Scope {
         clients: 2,
-        depth: 16,
+        depth: 18,
         seed: 10,
         max_jumps: 2,
         crashes: true,
         planted: PlantedBug::None,
-        skip_wal_renew: false,
+        unlogged: None,
     };
     let engine = Engine::new(scope);
     let mut ctx = CrashCtx::default();
@@ -144,7 +140,10 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
     // Every alphabet verb appears at a moment it actually fires: the
     // bundle is placed before the poll (so the drain is non-empty), two
     // advances separate the dirty mark from the tick (so the coalesce
-    // window has elapsed), and the final jump+reap expires the leases.
+    // window has elapsed), an advance precedes the heartbeat and the
+    // metric (a touch is logged only when it raises the stamp, and the
+    // poll before them already stamped this instant), and the final
+    // jump+reap expires the leases.
     let path = [
         Verb::Advance,
         Verb::Start(0),
@@ -153,7 +152,9 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
         Verb::Advance,
         Verb::Tick,
         Verb::Poll(0),
+        Verb::Advance,
         Verb::Heartbeat(0),
+        Verb::Advance,
         Verb::Metric(0),
         Verb::Start(1),
         Verb::End(1),
@@ -176,6 +177,20 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
             }
             _ => assert!(grew, "state verb {verb} logged no WAL record"),
         }
+        if verb == Verb::Heartbeat(0) {
+            // The converse: a second heartbeat at the same instant finds
+            // the stamp where the first left it — zero bytes, same state.
+            let logged = ctx.bytes.len();
+            let again = engine
+                .step(&node, verb, at_ms, i, Some(&mut ctx))
+                .unwrap_or_else(|v| panic!("repeated {verb} violated: {v}"));
+            assert_eq!(ctx.bytes.len(), logged, "a no-op touch must not grow the stream");
+            assert_eq!(
+                again.state.recovery_fingerprint(),
+                node.state.recovery_fingerprint(),
+                "a no-op touch must leave durable state alone"
+            );
+        }
     }
     assert!(ctx.cuts > 0, "crash enumeration checked at least one cut");
 
@@ -189,11 +204,7 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
     let produced: BTreeSet<&'static str> = read
         .records
         .iter()
-        .map(|r| {
-            let ev: WalEvent = serde_json::from_str(std::str::from_utf8(r).expect("utf8 record"))
-                .expect("wal record parses");
-            ev.variant()
-        })
+        .map(|r| WalEvent::decode(r).expect("wal record parses").variant())
         .collect();
     let expected: BTreeSet<&'static str> =
         ["event", "startup", "renew", "touch", "poll", "metric", "end", "reap", "tick"]

@@ -48,25 +48,26 @@ pub fn handle_request(ctl: &SharedController, req: &Request) -> Response {
     // controller lock, so timing covers exactly the dispatch.
     let metrics = ctl.read().metrics().clone();
     let response = dispatch_request(ctl, req);
-    metrics.observe(&format!("server.verb.{}", verb_name(req)), t0.elapsed().as_secs_f64());
+    metrics.observe(verb_histogram(req), t0.elapsed().as_secs_f64());
     response
 }
 
-/// The wire verb of a request, for per-verb metrics.
-fn verb_name(req: &Request) -> &'static str {
+/// The `server.verb.<verb>` histogram a request's latency is observed
+/// into: one literal per wire verb, so the hot path formats nothing.
+fn verb_histogram(req: &Request) -> &'static str {
     match req {
-        Request::Startup { .. } => "startup",
-        Request::Bundle { .. } => "bundle",
-        Request::Poll { .. } => "poll",
-        Request::Metric { .. } => "metric",
-        Request::Heartbeat { .. } => "heartbeat",
-        Request::Reattach { .. } => "reattach",
-        Request::End { .. } => "end",
-        Request::Status => "status",
-        Request::Lint { .. } => "lint",
-        Request::Facts { .. } => "facts",
-        Request::Journal { .. } => "journal",
-        Request::Expo => "expo",
+        Request::Startup { .. } => "server.verb.startup",
+        Request::Bundle { .. } => "server.verb.bundle",
+        Request::Poll { .. } => "server.verb.poll",
+        Request::Metric { .. } => "server.verb.metric",
+        Request::Heartbeat { .. } => "server.verb.heartbeat",
+        Request::Reattach { .. } => "server.verb.reattach",
+        Request::End { .. } => "server.verb.end",
+        Request::Status => "server.verb.status",
+        Request::Lint { .. } => "server.verb.lint",
+        Request::Facts { .. } => "server.verb.facts",
+        Request::Journal { .. } => "server.verb.journal",
+        Request::Expo => "server.verb.expo",
     }
 }
 
