@@ -14,8 +14,10 @@
 //! → end DBclient.1
 //! ```
 
-use harmony_rsl::list::{split, Item};
-use harmony_rsl::Value;
+use std::fmt::Write as _;
+
+use harmony_rsl::list::{Lexer, Token};
+use harmony_rsl::{RslError, Value};
 use serde::{Deserialize, Serialize};
 
 /// A protocol error: the peer sent something unparseable.
@@ -37,6 +39,28 @@ impl std::fmt::Display for ParseMessageError {
 }
 
 impl std::error::Error for ParseMessageError {}
+
+impl From<RslError> for ParseMessageError {
+    fn from(e: RslError) -> Self {
+        ParseMessageError::new(e.to_string())
+    }
+}
+
+/// The first `N` words of `text`, borrowed from it, and how many words it
+/// holds in all. The whole text is lexed, so a lexical error anywhere in
+/// it is reported before anything about its words.
+fn leading_words<const N: usize>(text: &str) -> Result<([Token<'_>; N], usize), ParseMessageError> {
+    let mut words = [const { Token::Braced("") }; N];
+    let mut count = 0;
+    for token in Lexer::new(text) {
+        let (token, _span) = token?;
+        if let Some(slot) = words.get_mut(count) {
+            *slot = token;
+        }
+        count += 1;
+    }
+    Ok((words, count))
+}
 
 /// An instance name on the wire: `app.id`.
 fn parse_instance(word: &str) -> Result<(String, u64), ParseMessageError> {
@@ -145,24 +169,28 @@ pub enum Request {
 impl Request {
     /// Serializes to wire text.
     pub fn to_text(&self) -> String {
-        match self {
-            Request::Startup { app } => format!("startup {app}"),
-            Request::Bundle { app, id, script } => {
-                format!("bundle {app}.{id} {{{script}}}")
-            }
-            Request::Poll { app, id } => format!("poll {app}.{id}"),
-            Request::Metric { name, time, value } => {
-                format!("metric {name} {time} {value}")
-            }
-            Request::Heartbeat { app, id } => format!("heartbeat {app}.{id}"),
-            Request::Reattach { app, id } => format!("reattach {app}.{id}"),
-            Request::End { app, id } => format!("end {app}.{id}"),
-            Request::Status => "status".to_string(),
-            Request::Lint { script } => format!("lint {{{script}}}"),
-            Request::Facts { script } => format!("facts {{{script}}}"),
-            Request::Journal { cursor, max } => format!("journal {cursor} {max}"),
-            Request::Expo => "expo".to_string(),
-        }
+        let mut out = String::new();
+        self.write_text(&mut out);
+        out
+    }
+
+    /// Appends the wire text to `out`.
+    pub fn write_text(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = match self {
+            Request::Startup { app } => write!(out, "startup {app}"),
+            Request::Bundle { app, id, script } => write!(out, "bundle {app}.{id} {{{script}}}"),
+            Request::Poll { app, id } => write!(out, "poll {app}.{id}"),
+            Request::Metric { name, time, value } => write!(out, "metric {name} {time} {value}"),
+            Request::Heartbeat { app, id } => write!(out, "heartbeat {app}.{id}"),
+            Request::Reattach { app, id } => write!(out, "reattach {app}.{id}"),
+            Request::End { app, id } => write!(out, "end {app}.{id}"),
+            Request::Status => out.write_str("status"),
+            Request::Lint { script } => write!(out, "lint {{{script}}}"),
+            Request::Facts { script } => write!(out, "facts {{{script}}}"),
+            Request::Journal { cursor, max } => write!(out, "journal {cursor} {max}"),
+            Request::Expo => out.write_str("expo"),
+        };
     }
 
     /// Parses wire text.
@@ -172,9 +200,10 @@ impl Request {
     /// [`ParseMessageError`] on unknown verbs, wrong arity, or malformed
     /// numbers.
     pub fn parse(text: &str) -> Result<Self, ParseMessageError> {
-        let items = split(text).map_err(|e| ParseMessageError::new(e.to_string()))?;
-        let words: Vec<&str> = items.iter().map(Item::text).collect();
-        match words.as_slice() {
+        // One word more than the longest form, so a longer list matches none.
+        let (words, count) = leading_words::<5>(text)?;
+        let words = words.each_ref().map(Token::text);
+        match &words[..count.min(5)] {
             ["startup", app] => Ok(Request::Startup { app: (*app).to_owned() }),
             ["bundle", instance, script] => {
                 let (app, id) = parse_instance(instance)?;
@@ -292,23 +321,29 @@ pub enum Response {
 impl Response {
     /// Serializes to wire text.
     pub fn to_text(&self) -> String {
-        match self {
-            Response::Registered { app, id } => format!("registered {app} {id}"),
-            Response::Ok => "ok".to_string(),
+        let mut out = String::new();
+        self.write_text(&mut out);
+        out
+    }
+
+    /// Appends the wire text to `out` (what a connection renders replies
+    /// into, so that a reply costs no buffer of its own).
+    pub fn write_text(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = match self {
+            Response::Registered { app, id } => write!(out, "registered {app} {id}"),
+            Response::Ok => out.write_str("ok"),
             Response::Update { app, id, updates } => {
-                let mut out = format!("update {app}.{id}");
-                for u in updates {
-                    out.push_str(&format!(" {{{} {}}}", u.path, u.value.canonical()));
-                }
-                out
+                let _ = write!(out, "update {app}.{id}");
+                updates.iter().try_for_each(|u| write!(out, " {{{} {}}}", u.path, u.value))
             }
-            Response::Error { message } => format!("error {{{message}}}"),
-            Response::Status { json } => format!("status {{{json}}}"),
-            Response::Lint { json } => format!("lint {{{json}}}"),
-            Response::Facts { json } => format!("facts {{{json}}}"),
-            Response::Journal { json } => format!("journal {{{json}}}"),
-            Response::Expo { text } => format!("expo {{{text}}}"),
-        }
+            Response::Error { message } => write!(out, "error {{{message}}}"),
+            Response::Status { json } => write!(out, "status {{{json}}}"),
+            Response::Lint { json } => write!(out, "lint {{{json}}}"),
+            Response::Facts { json } => write!(out, "facts {{{json}}}"),
+            Response::Journal { json } => write!(out, "journal {{{json}}}"),
+            Response::Expo { text } => write!(out, "expo {{{text}}}"),
+        };
     }
 
     /// Parses wire text.
@@ -317,9 +352,9 @@ impl Response {
     ///
     /// [`ParseMessageError`] on malformed responses.
     pub fn parse(text: &str) -> Result<Self, ParseMessageError> {
-        let items = split(text).map_err(|e| ParseMessageError::new(e.to_string()))?;
-        let words: Vec<&str> = items.iter().map(Item::text).collect();
-        match words.as_slice() {
+        let (words, count) = leading_words::<4>(text)?;
+        let words = words.each_ref().map(Token::text);
+        match &words[..count.min(4)] {
             ["ok"] => Ok(Response::Ok),
             ["registered", app, id] => Ok(Response::Registered {
                 app: (*app).to_owned(),
@@ -331,21 +366,22 @@ impl Response {
             ["facts", json] => Ok(Response::Facts { json: (*json).to_owned() }),
             ["journal", json] => Ok(Response::Journal { json: (*json).to_owned() }),
             ["expo", text] => Ok(Response::Expo { text: (*text).to_owned() }),
-            ["update", instance, rest @ ..] => {
+            ["update", instance, ..] => {
                 let (app, id) = parse_instance(instance)?;
-                let mut updates = Vec::with_capacity(rest.len());
-                for group in rest {
-                    let inner = split(group).map_err(|e| ParseMessageError::new(e.to_string()))?;
-                    if inner.len() != 2 {
+                let mut updates = Vec::with_capacity(count - 2);
+                // The text lexed cleanly above; this pass hands out the groups.
+                for (group, _span) in Lexer::new(text).skip(2).flatten() {
+                    let group = group.into_text();
+                    let ([path, value], 2) = leading_words::<2>(&group)? else {
                         return Err(ParseMessageError::new(format!(
                             "update group `{group}` is not {{path value}}"
                         )));
-                    }
+                    };
                     updates.push(VarUpdate {
-                        path: inner[0].text().to_owned(),
-                        value: match &inner[1] {
-                            Item::Word(w) => Value::from_word(w),
-                            Item::Braced(b) => Value::Str(b.clone()),
+                        path: path.text().to_owned(),
+                        value: match value {
+                            Token::Word(w) => Value::from_word(&w),
+                            Token::Braced(b) => Value::Str(b.to_owned()),
                         },
                     });
                 }
@@ -356,6 +392,9 @@ impl Response {
         }
     }
 }
+
+#[cfg(test)]
+mod equivalence;
 
 #[cfg(test)]
 mod tests {

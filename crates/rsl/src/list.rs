@@ -7,7 +7,9 @@
 //! bare and quoted words. `#` at the start of a line begins a comment that
 //! runs to the end of the line.
 //!
-//! Three views are provided:
+//! One [`Lexer`] reads the syntax, borrowing each word from the source
+//! where it can; message parsers on the request path iterate it directly.
+//! Three collected views are provided on top of it:
 //!
 //! * [`split`] produces the *shallow* word list, keeping braced content as
 //!   raw text (useful for lazy/streaming handling and for expressions, which
@@ -16,6 +18,8 @@
 //! * [`parse_tree_spanned`] does the same but records each word's byte
 //!   [`Span`] in the original source, for diagnostics that point at the
 //!   offending construct.
+
+use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
 
@@ -143,115 +147,208 @@ impl SpannedNode {
     }
 }
 
-/// Lexes `full[lo..hi]` into shallow items with absolute byte spans.
+/// One shallow word as the [`Lexer`] hands it out: borrowed from the source
+/// wherever the word's text *is* a slice of the source.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Token<'a> {
+    /// A bare (or double-quoted) word, with escapes resolved. Owned only
+    /// when an escape — or a non-ASCII byte, which the byte-wise lexer
+    /// widens to one `char` each — makes it differ from the source text.
+    Word(Cow<'a, str>),
+    /// A brace-quoted group: the raw inner text, outer braces stripped.
+    Braced(&'a str),
+}
+
+impl<'a> Token<'a> {
+    /// The textual content of the word regardless of quoting.
+    pub fn text(&self) -> &str {
+        match self {
+            Token::Word(s) => s,
+            Token::Braced(s) => s,
+        }
+    }
+
+    /// [`Token::text`] by value: the borrow of the source, where there is one.
+    pub fn into_text(self) -> Cow<'a, str> {
+        match self {
+            Token::Word(s) => s,
+            Token::Braced(s) => Cow::Borrowed(s),
+        }
+    }
+
+    /// True if this token was brace-quoted.
+    pub fn is_braced(&self) -> bool {
+        matches!(self, Token::Braced(_))
+    }
+}
+
+impl From<Token<'_>> for Item {
+    fn from(token: Token<'_>) -> Item {
+        match token {
+            Token::Word(s) => Item::Word(s.into_owned()),
+            Token::Braced(s) => Item::Braced(s.to_owned()),
+        }
+    }
+}
+
+/// Whitespace as the lexer sees it: one byte at a time, each read as the
+/// `char` of the same number.
+fn is_space(b: u8) -> bool {
+    (b as char).is_whitespace()
+}
+
+/// Resolves the escapes of a bare or quoted word's raw bytes: a backslash
+/// yields the byte after it, and every byte becomes one `char`.
+fn unescape(raw: &[u8]) -> String {
+    let mut word = String::with_capacity(raw.len());
+    let mut k = 0;
+    while k < raw.len() {
+        if raw[k] == b'\\' && k + 1 < raw.len() {
+            k += 1;
+        }
+        word.push(raw[k] as char);
+        k += 1;
+    }
+    word
+}
+
+/// The one TCL list lexer: an iterator over the shallow words of a source
+/// range, each with its absolute byte [`Span`]. It allocates only for
+/// words whose text is not a slice of the source (see [`Token::Word`]);
+/// [`split`], [`split_spanned`] and the tree parsers collect from it.
 ///
-/// Error positions are resolved against `full`, so errors from nested
-/// levels of [`parse_tree`]/[`parse_tree_spanned`] report positions in the
-/// original source rather than in the re-split inner text.
-fn split_spanned_range(full: &str, lo: usize, hi: usize) -> Result<Vec<(Item, Span)>> {
-    let bytes = &full.as_bytes()[..hi];
-    let mut items = Vec::new();
-    let mut i = lo;
-    let mut at_line_start = true;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_whitespace() {
-            if c == '\n' {
-                at_line_start = true;
+/// After the first error the iterator is exhausted.
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
+    full: &'a str,
+    /// `full`'s bytes up to the end of the range being lexed.
+    bytes: &'a [u8],
+    pos: usize,
+    at_line_start: bool,
+}
+
+impl<'a> Lexer<'a> {
+    /// Lexes all of `src`.
+    pub fn new(src: &'a str) -> Self {
+        Self::range(src, 0, src.len())
+    }
+
+    /// Lexes `full[lo..hi]`. Spans and error positions are resolved
+    /// against `full`, so nested levels of [`parse_tree`] /
+    /// [`parse_tree_spanned`] report positions in the original source
+    /// rather than in the re-split inner text.
+    fn range(full: &'a str, lo: usize, hi: usize) -> Self {
+        Lexer { full, bytes: &full.as_bytes()[..hi], pos: lo, at_line_start: true }
+    }
+
+    /// Ends the iteration with `err`.
+    fn fail(&mut self, err: RslError) -> Option<Result<(Token<'a>, Span)>> {
+        self.pos = self.bytes.len();
+        Some(Err(err))
+    }
+
+    /// Scans a bare word (`quoted == false`, from `from` to whitespace or
+    /// a brace) or the inside of a quoted one (to the closing quote).
+    /// Returns where the scan stopped and whether the text scanned is the
+    /// word as is — no escape pair, no byte to widen.
+    fn scan_word(&self, from: usize, quoted: bool) -> (usize, bool) {
+        let bytes = self.bytes;
+        let (mut j, mut plain) = (from, true);
+        while j < bytes.len() {
+            let b = bytes[j];
+            let ends = if quoted { b == b'"' } else { is_space(b) || b == b'{' || b == b'}' };
+            if ends {
+                break;
             }
-            i += 1;
-            continue;
+            if b == b'\\' && j + 1 < bytes.len() {
+                plain = false;
+                j += 2;
+                continue;
+            }
+            plain &= b.is_ascii();
+            j += 1;
         }
-        if c == '#' && at_line_start {
-            while i < bytes.len() && bytes[i] != b'\n' {
+        (j, plain)
+    }
+
+    fn word(&self, lo: usize, hi: usize, plain: bool) -> Token<'a> {
+        Token::Word(if plain {
+            Cow::Borrowed(&self.full[lo..hi])
+        } else {
+            Cow::Owned(unescape(&self.bytes[lo..hi]))
+        })
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<(Token<'a>, Span)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (full, bytes) = (self.full, self.bytes);
+        let mut i = self.pos;
+        // Whitespace and `#` comments that start a line.
+        loop {
+            let &b = bytes.get(i)?;
+            if is_space(b) {
+                self.at_line_start |= b == b'\n';
                 i += 1;
+            } else if b == b'#' && self.at_line_start {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+            } else {
+                break;
             }
-            continue;
         }
-        at_line_start = false;
-        match c {
-            '{' => {
-                let start = i;
+        self.at_line_start = false;
+        let start = i;
+        let (token, end) = match bytes[i] {
+            b'{' => {
                 let mut depth = 0usize;
                 let mut j = i;
                 loop {
-                    if j >= bytes.len() {
-                        return Err(RslError::Unterminated {
-                            what: "{",
-                            pos: Pos::at(full, start),
-                        });
-                    }
-                    match bytes[j] {
-                        b'{' => depth += 1,
-                        b'}' => {
+                    match bytes.get(j) {
+                        None => {
+                            return self.fail(RslError::Unterminated {
+                                what: "{",
+                                pos: Pos::at(full, start),
+                            })
+                        }
+                        Some(b'{') => depth += 1,
+                        Some(b'}') => {
                             depth -= 1;
                             if depth == 0 {
                                 break;
                             }
                         }
-                        b'\\' => {
-                            // Backslash inside braces escapes the next byte
-                            // (notably `\{` and `\}`).
-                            j += 1;
-                        }
-                        _ => {}
+                        // Backslash inside braces escapes the next byte
+                        // (notably `\{` and `\}`).
+                        Some(b'\\') => j += 1,
+                        Some(_) => {}
                     }
                     j += 1;
                 }
-                items.push((Item::Braced(full[start + 1..j].to_owned()), Span::new(start, j + 1)));
-                i = j + 1;
+                (Token::Braced(&full[start + 1..j]), j + 1)
             }
-            '}' => {
-                return Err(RslError::UnexpectedClose { what: '}', pos: Pos::at(full, i) });
+            b'}' => {
+                return self.fail(RslError::UnexpectedClose { what: '}', pos: Pos::at(full, i) });
             }
-            '"' => {
-                let start = i;
-                let mut word = String::new();
-                let mut j = i + 1;
-                loop {
-                    if j >= bytes.len() {
-                        return Err(RslError::Unterminated {
-                            what: "\"",
-                            pos: Pos::at(full, start),
-                        });
-                    }
-                    match bytes[j] {
-                        b'"' => break,
-                        b'\\' if j + 1 < bytes.len() => {
-                            word.push(bytes[j + 1] as char);
-                            j += 2;
-                            continue;
-                        }
-                        b => word.push(b as char),
-                    }
-                    j += 1;
+            b'"' => {
+                let (j, plain) = self.scan_word(i + 1, true);
+                if j >= bytes.len() {
+                    return self
+                        .fail(RslError::Unterminated { what: "\"", pos: Pos::at(full, start) });
                 }
-                items.push((Item::Word(word), Span::new(start, j + 1)));
-                i = j + 1;
+                (self.word(i + 1, j, plain), j + 1)
             }
             _ => {
-                let start = i;
-                let mut word = String::new();
-                let mut j = i;
-                while j < bytes.len() {
-                    let b = bytes[j];
-                    if (b as char).is_whitespace() || b == b'{' || b == b'}' {
-                        break;
-                    }
-                    if b == b'\\' && j + 1 < bytes.len() {
-                        word.push(bytes[j + 1] as char);
-                        j += 2;
-                        continue;
-                    }
-                    word.push(b as char);
-                    j += 1;
-                }
-                items.push((Item::Word(word), Span::new(start, j)));
-                i = j;
+                let (j, plain) = self.scan_word(i, false);
+                (self.word(i, j, plain), j)
             }
-        }
+        };
+        self.pos = end;
+        Some(Ok((token, Span::new(start, end))))
     }
-    Ok(items)
 }
 
 /// Splits `src` into shallow [`Item`]s.
@@ -270,21 +367,23 @@ fn split_spanned_range(full: &str, lo: usize, hi: usize) -> Result<Vec<(Item, Sp
 /// assert_eq!(items[2], Item::Braced("seconds 42".into()));
 /// ```
 pub fn split(src: &str) -> Result<Vec<Item>> {
-    Ok(split_spanned_range(src, 0, src.len())?.into_iter().map(|(item, _)| item).collect())
+    Lexer::new(src).map(|token| Ok(token?.0.into())).collect()
 }
 
 /// Splits `src` into shallow [`Item`]s, each with its byte [`Span`].
 pub fn split_spanned(src: &str) -> Result<Vec<(Item, Span)>> {
-    split_spanned_range(src, 0, src.len())
+    Lexer::new(src).map(|token| token.map(|(token, span)| (token.into(), span))).collect()
 }
 
 fn parse_tree_spanned_range(full: &str, lo: usize, hi: usize) -> Result<Vec<SpannedNode>> {
-    let items = split_spanned_range(full, lo, hi)?;
-    let mut nodes = Vec::with_capacity(items.len());
-    for (item, span) in items {
-        nodes.push(match item {
-            Item::Word(w) => SpannedNode::Word(w, span),
-            Item::Braced(_) => {
+    // A level is lexed to its end before any child is, so the first error
+    // reported is the shallowest one.
+    let tokens = Lexer::range(full, lo, hi).collect::<Result<Vec<_>>>()?;
+    let mut nodes = Vec::with_capacity(tokens.len());
+    for (token, span) in tokens {
+        nodes.push(match token {
+            Token::Word(w) => SpannedNode::Word(w.into_owned(), span),
+            Token::Braced(_) => {
                 // The raw inner text sits between the braces, so child
                 // offsets stay absolute in the original source.
                 let children = parse_tree_spanned_range(full, span.start + 1, span.end - 1)?;
@@ -490,5 +589,189 @@ mod tests {
         let plain: Vec<Node> = spanned.iter().map(SpannedNode::to_node).collect();
         assert_eq!(plain, parse_tree(src).unwrap());
         assert_eq!(spanned[1].canonical(), "{a {b 2}}");
+    }
+    /// The lexer this module had before [`Lexer`], kept as the reference
+    /// the borrowing one is compared against.
+    fn reference_split(full: &str, lo: usize, hi: usize) -> Result<Vec<(Item, Span)>> {
+        let bytes = &full.as_bytes()[..hi];
+        let mut items = Vec::new();
+        let mut i = lo;
+        let mut at_line_start = true;
+        while i < bytes.len() {
+            let c = bytes[i] as char;
+            if c.is_whitespace() {
+                if c == '\n' {
+                    at_line_start = true;
+                }
+                i += 1;
+                continue;
+            }
+            if c == '#' && at_line_start {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+                continue;
+            }
+            at_line_start = false;
+            match c {
+                '{' => {
+                    let start = i;
+                    let mut depth = 0usize;
+                    let mut j = i;
+                    loop {
+                        if j >= bytes.len() {
+                            return Err(RslError::Unterminated {
+                                what: "{",
+                                pos: Pos::at(full, start),
+                            });
+                        }
+                        match bytes[j] {
+                            b'{' => depth += 1,
+                            b'}' => {
+                                depth -= 1;
+                                if depth == 0 {
+                                    break;
+                                }
+                            }
+                            b'\\' => {
+                                // Backslash inside braces escapes the next byte
+                                // (notably `\{` and `\}`).
+                                j += 1;
+                            }
+                            _ => {}
+                        }
+                        j += 1;
+                    }
+                    items.push((
+                        Item::Braced(full[start + 1..j].to_owned()),
+                        Span::new(start, j + 1),
+                    ));
+                    i = j + 1;
+                }
+                '}' => {
+                    return Err(RslError::UnexpectedClose { what: '}', pos: Pos::at(full, i) });
+                }
+                '"' => {
+                    let start = i;
+                    let mut word = String::new();
+                    let mut j = i + 1;
+                    loop {
+                        if j >= bytes.len() {
+                            return Err(RslError::Unterminated {
+                                what: "\"",
+                                pos: Pos::at(full, start),
+                            });
+                        }
+                        match bytes[j] {
+                            b'"' => break,
+                            b'\\' if j + 1 < bytes.len() => {
+                                word.push(bytes[j + 1] as char);
+                                j += 2;
+                                continue;
+                            }
+                            b => word.push(b as char),
+                        }
+                        j += 1;
+                    }
+                    items.push((Item::Word(word), Span::new(start, j + 1)));
+                    i = j + 1;
+                }
+                _ => {
+                    let start = i;
+                    let mut word = String::new();
+                    let mut j = i;
+                    while j < bytes.len() {
+                        let b = bytes[j];
+                        if (b as char).is_whitespace() || b == b'{' || b == b'}' {
+                            break;
+                        }
+                        if b == b'\\' && j + 1 < bytes.len() {
+                            word.push(bytes[j + 1] as char);
+                            j += 2;
+                            continue;
+                        }
+                        word.push(b as char);
+                        j += 1;
+                    }
+                    items.push((Item::Word(word), Span::new(start, j)));
+                    i = j;
+                }
+            }
+        }
+        Ok(items)
+    }
+
+    fn lexed(src: &str) -> Result<Vec<(Item, Span)>> {
+        Lexer::new(src).map(|t| t.map(|(token, span)| (token.into(), span))).collect()
+    }
+
+    #[test]
+    fn words_borrow_unless_an_escape_or_a_wide_byte_forces_a_copy() {
+        let src = "plain \"quoted words\" {braced {x}} esc\\aped \"q\\\"uote\" caf\u{e9} trail\\";
+        let tokens: Vec<Token<'_>> = Lexer::new(src).map(|t| t.unwrap().0).collect();
+        let borrowed: Vec<bool> = tokens
+            .iter()
+            .map(|t| matches!(t, Token::Braced(_) | Token::Word(Cow::Borrowed(_))))
+            .collect();
+        assert_eq!(borrowed, [true, true, true, false, false, false, true]);
+        let texts: Vec<&str> = tokens.iter().map(Token::text).collect();
+        assert_eq!(
+            texts,
+            [
+                "plain",
+                "quoted words",
+                "braced {x}",
+                "escaped",
+                "q\"uote",
+                "caf\u{c3}\u{a9}",
+                "trail\\"
+            ]
+        );
+        assert!(tokens[2].is_braced() && !tokens[1].is_braced());
+    }
+
+    #[test]
+    fn lexer_is_exhausted_after_an_error() {
+        let mut lexer = Lexer::new("a } b");
+        assert!(lexer.next().unwrap().is_ok());
+        assert!(lexer.next().unwrap().is_err());
+        assert!(lexer.next().is_none());
+    }
+
+    /// Texts dense in the bytes the lexer gives meaning to.
+    fn tcl_soup() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::strategy::{Just, Strategy};
+        proptest::collection::vec(
+            proptest::prop_oneof![
+                "[a-z0-9.]{1,6}",
+                "[ \t\n]{1,2}",
+                Just("{".to_string()),
+                Just("}".to_string()),
+                Just("\"".to_string()),
+                Just("\\".to_string()),
+                Just("#".to_string()),
+                Just("\u{e9}\u{a0}\u{2028}".to_string()),
+            ],
+            0..24,
+        )
+        .prop_map(|parts| parts.concat())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn lexer_agrees_with_the_reference_on_generated_texts(src in tcl_soup()) {
+            proptest::prop_assert_eq!(
+                lexed(&src), reference_split(&src, 0, src.len()), "src: {:?}", src
+            );
+        }
+
+        #[test]
+        fn lexer_agrees_with_the_reference_on_every_cut_of_a_listing(cut in 0usize..4000) {
+            let src = crate::listings::FIG3_DBCLIENT;
+            let cut = cut % (src.len() + 1);
+            proptest::prop_assert_eq!(lexed(&src[..cut]), reference_split(src, 0, cut));
+        }
     }
 }

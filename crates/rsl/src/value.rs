@@ -145,33 +145,36 @@ impl Value {
     /// Renders the canonical TCL word for this value, brace-quoting words
     /// that contain whitespace or braces.
     pub fn canonical(&self) -> String {
-        match self {
-            Value::Int(i) => i.to_string(),
-            Value::Float(x) => {
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    format!("{x:.1}")
-                } else {
-                    format!("{x}")
-                }
-            }
-            Value::Str(s) => {
-                if s.is_empty() || s.contains(|c: char| c.is_whitespace() || c == '{' || c == '}') {
-                    format!("{{{s}}}")
-                } else {
-                    s.clone()
-                }
-            }
-            Value::List(items) => {
-                let inner = items.iter().map(Value::canonical).collect::<Vec<_>>().join(" ");
-                format!("{{{inner}}}")
-            }
-        }
+        self.to_string()
     }
 }
 
+/// The canonical TCL word (see [`Value::canonical`]), written straight into
+/// the formatter.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.canonical())
+        match self {
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{x:.1}"),
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Str(s) => {
+                if s.is_empty() || s.contains(|c: char| c.is_whitespace() || c == '{' || c == '}') {
+                    write!(f, "{{{s}}}")
+                } else {
+                    f.write_str(s)
+                }
+            }
+            Value::List(items) => {
+                f.write_str("{")?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(" ")?;
+                    }
+                    item.fmt(f)?;
+                }
+                f.write_str("}")
+            }
+        }
     }
 }
 
