@@ -5,7 +5,9 @@
 //! application processes". Application messages carry RSL text inside
 //! length-prefixed frames.
 //!
-//! * [`frame`] — 4-byte big-endian length + UTF-8 payload;
+//! * [`frame`] — 4-byte big-endian length + UTF-8 payload, one-shot or
+//!   through a connection's reusable [`frame::FrameReader`] /
+//!   [`frame::FrameWriter`];
 //! * [`Request`] / [`Response`] — the message grammar (TCL-style word
 //!   lists, so bundle scripts embed as braced groups);
 //! * [`TcpServer`] / [`TcpTransport`] — the prototype's TCP architecture;
@@ -26,6 +28,6 @@ mod server;
 pub use chaos::{CallLog, CallRecord, ChaosTransport, Fault};
 pub use message::{ParseMessageError, Request, Response, VarUpdate};
 pub use server::{
-    handle_request, LocalTransport, ReconnectPolicy, ServerConfig, SharedController, TcpServer,
-    TcpTransport, Transport,
+    handle_request, serve_stream, LocalTransport, ReconnectPolicy, ServerConfig, SharedController,
+    TcpServer, TcpTransport, Transport,
 };

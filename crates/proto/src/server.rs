@@ -9,7 +9,7 @@
 //!   controller, for deterministic tests and single-process experiments.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use std::time::Duration;
 use harmony_core::{Controller, CoreError, EventOutcome, HarmonyEvent, InstanceId, WalEvent};
 use parking_lot::RwLock;
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{self, FrameReader, FrameWriter};
 use crate::message::{Request, Response, VarUpdate};
 
 /// A shared, thread-safe handle to the controller. Read-only verbs take
@@ -274,6 +274,8 @@ impl ReconnectPolicy {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
+    reader: FrameReader,
+    writer: FrameWriter,
     addr: SocketAddr,
     policy: ReconnectPolicy,
 }
@@ -296,7 +298,8 @@ impl TcpTransport {
     pub fn connect_with(addr: SocketAddr, policy: ReconnectPolicy) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(TcpTransport { stream, addr, policy })
+        let (reader, writer) = (FrameReader::new(), FrameWriter::new());
+        Ok(TcpTransport { stream, reader, writer, addr, policy })
     }
 
     /// The server address this transport dials.
@@ -307,12 +310,11 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn call(&mut self, req: &Request) -> io::Result<Response> {
-        write_frame(&mut self.stream, &req.to_text())?;
-        let text = read_frame(&mut self.stream)?.ok_or_else(|| {
+        self.writer.write_with(&mut self.stream, |out| req.write_text(out))?;
+        let text = self.reader.read_frame(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;
-        Response::parse(&text)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        Response::parse(text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
     /// Re-dials the server with exponential backoff plus jitter. The old
@@ -333,6 +335,8 @@ impl Transport for TcpTransport {
                 Ok(stream) => {
                     stream.set_nodelay(true)?;
                     self.stream = stream;
+                    // Whatever the old stream left half-read died with it.
+                    self.reader = FrameReader::new();
                     return Ok(true);
                 }
                 Err(e) => last_err = Some(e),
@@ -595,36 +599,12 @@ fn serve_connection(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(config.read_timeout);
     let _ = stream.set_write_timeout(config.write_timeout);
-    // Instances registered over this connection. When the connection dies
-    // without an explicit `end`, their leases are shortened to the
-    // disconnect grace so the reaper reclaims them promptly.
-    let mut owned: Vec<InstanceId> = Vec::new();
-    // A failed read is a clean close, an idle deadline, or a protocol
-    // violation: leave the loop and shut the socket down explicitly so the
-    // shutdown reaches the peer even though the server keeps a tracking
-    // clone in the registry.
-    while let Ok(Some(text)) = read_frame(&mut stream) {
-        let response = match Request::parse(&text) {
-            Ok(req) => {
-                let resp = handle_request(&ctl, &req);
-                track_session(&req, &resp, &mut owned);
-                resp
-            }
-            Err(e) => Response::Error { message: e.to_string() },
-        };
-        match write_frame(&mut stream, &response.to_text()) {
-            Ok(()) => {}
-            // An oversize *response* must not kill the session silently:
-            // report it in-band and keep serving.
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let fallback = Response::Error { message: format!("response too large: {e}") };
-                if write_frame(&mut stream, &fallback.to_text()).is_err() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
+    // When the connection dies without an explicit `end`, the leases of
+    // the instances registered over it are shortened to the disconnect
+    // grace so the reaper reclaims them promptly.
+    let owned = serve_stream(&mut stream, &ctl);
+    // Shut the socket down explicitly so the shutdown reaches the peer even
+    // though the server keeps a tracking clone in the registry.
     let _ = stream.shutdown(std::net::Shutdown::Both);
     match token {
         Some(token) => {
@@ -639,6 +619,56 @@ fn serve_connection(
         for id in owned {
             ctl.mark_disconnected(&id);
         }
+    }
+}
+
+/// Serves one connection's requests, one reply each and in order, until the
+/// peer closes, a deadline of the stream fires, or framing is lost; returns
+/// the instances registered over the connection and not ended. This is
+/// the whole per-request path of the TCP server: one `read` and one
+/// `write` per small request, through one [`FrameReader`] and one
+/// [`FrameWriter`].
+pub fn serve_stream<S: Read + Write>(stream: &mut S, ctl: &SharedController) -> Vec<InstanceId> {
+    let (mut reader, mut writer) = (FrameReader::new(), FrameWriter::new());
+    let mut owned: Vec<InstanceId> = Vec::new();
+    loop {
+        let response = match reader.read_payload(&mut *stream) {
+            Ok(Some(payload)) => match frame::utf8(payload).map(Request::parse) {
+                Ok(Ok(req)) => {
+                    let resp = handle_request(ctl, &req);
+                    track_session(&req, &resp, &mut owned);
+                    resp
+                }
+                Ok(Err(e)) => Response::Error { message: e.to_string() },
+                // Framing is intact, so the peer gets an answer and the
+                // connection goes on.
+                Err(e) => Response::Error { message: format!("malformed message: {e}") },
+            },
+            // An oversize header leaves no frame boundary to resume from:
+            // say why, then close.
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                let _ = send(&mut writer, stream, &Response::Error { message: e.to_string() });
+                break;
+            }
+            // A clean close, an idle deadline, or a truncated frame.
+            Ok(None) | Err(_) => break,
+        };
+        if send(&mut writer, stream, &response).is_err() {
+            break;
+        }
+    }
+    owned
+}
+
+/// Writes one reply. An oversize *response* must not kill the session
+/// silently: it is reported in-band and the connection goes on.
+fn send<S: Write>(writer: &mut FrameWriter, stream: &mut S, response: &Response) -> io::Result<()> {
+    match writer.write_with(&mut *stream, |out| response.write_text(out)) {
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+            let fallback = Response::Error { message: format!("response too large: {e}") };
+            writer.write_with(stream, |out| fallback.write_text(out))
+        }
+        sent => sent,
     }
 }
 
@@ -745,8 +775,8 @@ mod tests {
         let ctl = shared_controller(2);
         let server = TcpServer::start("127.0.0.1:0", ctl).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        write_frame(&mut stream, "frobnicate everything").unwrap();
-        let text = read_frame(&mut stream).unwrap().unwrap();
+        frame::write_frame(&mut stream, "frobnicate everything").unwrap();
+        let text = frame::read_frame(&mut stream).unwrap().unwrap();
         let resp = Response::parse(&text).unwrap();
         assert!(matches!(resp, Response::Error { .. }));
     }

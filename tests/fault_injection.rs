@@ -59,6 +59,30 @@ fn garbage_bytes_do_not_kill_the_server() {
 }
 
 #[test]
+fn well_framed_garbage_gets_an_answer_and_the_connection_goes_on() {
+    let ctl = shared(4);
+    let server = TcpServer::start("127.0.0.1:0", Arc::clone(&ctl)).unwrap();
+    let mut s = TcpStream::connect(server.addr()).unwrap();
+    // A correct header over a payload that is not UTF-8: framing is
+    // intact, so this is a bad *message*, answered like any other.
+    s.write_all(&5u32.to_be_bytes()).unwrap();
+    s.write_all(b"po\xff\xfel").unwrap();
+    let resp = Response::parse(&read_frame(&mut s).unwrap().unwrap()).unwrap();
+    let Response::Error { message } = resp else { panic!("expected an error, got {resp:?}") };
+    assert!(message.starts_with("malformed message: ") && message.contains("utf-8"), "{message}");
+    // The same connection serves the next request.
+    write_frame(&mut s, &Request::Startup { app: "ok".into() }.to_text()).unwrap();
+    let resp = Response::parse(&read_frame(&mut s).unwrap().unwrap()).unwrap();
+    assert!(matches!(resp, Response::Registered { .. }));
+    // So do frames sent back to back: one reply each, in order.
+    let mut two = harmony::proto::frame::encode("heartbeat ok.1").unwrap().to_vec();
+    two.extend_from_slice(&harmony::proto::frame::encode("poll ok.1").unwrap());
+    s.write_all(&two).unwrap();
+    assert_eq!(read_frame(&mut s).unwrap().as_deref(), Some("ok"));
+    assert_eq!(read_frame(&mut s).unwrap().as_deref(), Some("update ok.1"));
+}
+
+#[test]
 fn client_vanishing_mid_session_leaks_only_its_own_allocation() {
     let ctl = shared(8);
     let server = TcpServer::start("127.0.0.1:0", Arc::clone(&ctl)).unwrap();
@@ -171,7 +195,12 @@ fn oversize_frame_is_rejected_without_memory_blowup() {
     // Claim a 512 MB frame; the server must refuse rather than allocate.
     s.write_all(&(512u32 * 1024 * 1024).to_be_bytes()).unwrap();
     s.write_all(b"tiny").unwrap();
-    // Server closes the connection (read returns EOF or reset).
+    // The server says why in-band, then closes the connection (the next
+    // read returns EOF or reset): past an oversize header there is no frame
+    // boundary to resume from.
+    let resp = Response::parse(&read_frame(&mut s).unwrap().unwrap()).unwrap();
+    let Response::Error { message } = resp else { panic!("expected an error, got {resp:?}") };
+    assert!(message.contains("exceeds limit"), "{message}");
     let got = read_frame(&mut s);
     assert!(matches!(got, Ok(None) | Err(_)), "server should drop the connection, got {got:?}");
     // The server is still alive for the next client.
