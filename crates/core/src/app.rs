@@ -24,6 +24,35 @@ impl InstanceId {
 
 impl fmt::Display for InstanceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        InstanceRef::from(self).fmt(f)
+    }
+}
+
+/// An [`InstanceId`] that borrows its application name: what the request
+/// path looks an instance up by, straight out of the parsed request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstanceRef<'a> {
+    /// Application name (`DBclient`).
+    pub app: &'a str,
+    /// System-chosen instance id (`66`).
+    pub id: u64,
+}
+
+impl InstanceRef<'_> {
+    /// The owned id.
+    pub fn to_owned(self) -> InstanceId {
+        InstanceId::new(self.app, self.id)
+    }
+}
+
+impl<'a> From<&'a InstanceId> for InstanceRef<'a> {
+    fn from(id: &'a InstanceId) -> Self {
+        InstanceRef { app: &id.app, id: id.id }
+    }
+}
+
+impl fmt::Display for InstanceRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}.{}", self.app, self.id)
     }
 }

@@ -31,7 +31,7 @@ use harmony_rsl::Value;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::app::{AppInstance, BundleState, ChosenConfig, InstanceId};
+use crate::app::{AppInstance, BundleState, ChosenConfig, InstanceId, InstanceRef};
 use crate::candidates::Candidate;
 use crate::error::CoreError;
 use crate::events::EventOutcome;
@@ -425,13 +425,13 @@ impl Controller {
                 Ok(EventOutcome::Quiet)
             }
             WalEvent::Touch { id, .. } => {
-                if let Some(stamp) = self.touch_stamp(&id) {
+                if let Some(stamp) = self.touch_stamp((&id).into()) {
                     self.apply_touch(stamp);
                 }
                 Ok(EventOutcome::Quiet)
             }
             WalEvent::Poll { id, .. } => {
-                self.drain_pending(&id);
+                self.drain_pending((&id).into());
                 Ok(EventOutcome::Quiet)
             }
             WalEvent::Metric { name, time, value, .. } => {
@@ -809,10 +809,11 @@ impl Controller {
     /// that carries it is already in the log.
     ///
     /// Returns `false` when the instance is not registered.
-    pub fn touch(&self, id: &InstanceId) -> bool {
+    pub fn touch<'a>(&self, id: impl Into<InstanceRef<'a>>) -> bool {
+        let id = id.into();
         if let Some(stamp) = self.touch_stamp(id) {
             if stamp.load(AtomicOrdering::Acquire) < self.now.to_bits() {
-                self.wal_log_with(|| WalEvent::Touch { now: self.now, id: id.clone() });
+                self.wal_log_with(|| WalEvent::Touch { now: self.now, id: id.to_owned() });
                 self.apply_touch(stamp);
             }
             return true;
@@ -824,7 +825,7 @@ impl Controller {
 
     /// Where a touch of `id` lands: its stamp, or `None` when `id` is
     /// unregistered or the clock is not stampable (see `apply_touch`).
-    fn touch_stamp(&self, id: &InstanceId) -> Option<&AtomicU64> {
+    fn touch_stamp(&self, id: InstanceRef<'_>) -> Option<&AtomicU64> {
         let stamp = &self.instances.get(id)?.touch;
         (self.now.is_finite() && self.now >= 0.0).then_some(stamp)
     }
@@ -846,7 +847,7 @@ impl Controller {
     /// names are ignored.
     pub fn touch_for_metric(&self, name: &str) {
         if let Some(id) = metric_instance(name) {
-            self.touch(&id);
+            self.touch(id);
         }
     }
 
@@ -1032,20 +1033,21 @@ impl Controller {
     /// path of §5: the application asks and receives everything written
     /// since its last poll). Takes `&self` — each instance's buffer is
     /// behind its own mutex — so polls run on the concurrent read path.
-    pub fn take_pending_vars(&self, id: &InstanceId) -> Vec<(HPath, Value)> {
+    pub fn take_pending_vars<'a>(&self, id: impl Into<InstanceRef<'a>>) -> Vec<(HPath, Value)> {
+        let id = id.into();
         let drained = self.drain_pending(id);
         // Only non-empty drains change state; logging empty polls would
         // bloat the WAL with every idle fetch. Emptiness is known only
         // under the buffer lock, so this one record follows its apply.
         if !drained.is_empty() {
-            self.wal_log_with(|| WalEvent::Poll { now: self.now, id: id.clone() });
+            self.wal_log_with(|| WalEvent::Poll { now: self.now, id: id.to_owned() });
         }
         drained
     }
 
     /// The one poll body, shared by [`Controller::take_pending_vars`] and
     /// the `Poll` command.
-    fn drain_pending(&self, id: &InstanceId) -> Vec<(HPath, Value)> {
+    fn drain_pending(&self, id: InstanceRef<'_>) -> Vec<(HPath, Value)> {
         self.instances
             .get(id)
             .map(|inst| std::mem::take(&mut *inst.pending.lock()))
@@ -1287,10 +1289,10 @@ fn config_writes(id: &InstanceId, bundle_name: &str, cfg: &ChosenConfig) -> Vec<
 
 /// The instance a metric report belongs to, per the `<app>.<id>.<metric>`
 /// naming convention; `None` for non-conforming names.
-fn metric_instance(name: &str) -> Option<InstanceId> {
+fn metric_instance(name: &str) -> Option<InstanceRef<'_>> {
     let mut parts = name.splitn(3, '.');
     let (app, id, _rest) = (parts.next()?, parts.next()?, parts.next()?);
-    id.parse::<u64>().ok().map(|id| InstanceId::new(app, id))
+    id.parse::<u64>().ok().map(|id| InstanceRef { app, id })
 }
 
 /// Namespace path of an instance: `app.id`.

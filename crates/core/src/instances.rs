@@ -14,7 +14,7 @@ use harmony_ns::HPath;
 use harmony_rsl::Value;
 use parking_lot::Mutex;
 
-use crate::app::{AppInstance, BundleState, InstanceId};
+use crate::app::{AppInstance, BundleState, InstanceId, InstanceRef};
 use crate::candidates::{enumerate, Candidate};
 use crate::session::SessionState;
 
@@ -101,7 +101,10 @@ impl Instance {
 /// [`Instances::remove`], so the two views cannot disagree.
 #[derive(Debug, Default)]
 pub(crate) struct Instances {
-    by_id: BTreeMap<InstanceId, Instance>,
+    /// Records by application name, then instance id: walked in order this
+    /// is [`InstanceId`] order, and a lookup needs the name only borrowed
+    /// (an [`InstanceRef`]).
+    by_id: BTreeMap<String, BTreeMap<u64, Instance>>,
     arrival: Vec<InstanceId>,
 }
 
@@ -110,28 +113,34 @@ impl Instances {
     /// the id is new; were it not, the record is replaced in place.
     pub(crate) fn insert(&mut self, instance: Instance) {
         let id = instance.app.id.clone();
-        if self.by_id.insert(id.clone(), instance).is_none() {
+        if self.by_id.entry(id.app.clone()).or_default().insert(id.id, instance).is_none() {
             self.arrival.push(id);
         }
     }
 
     /// Takes an instance's whole record out of the table.
     pub(crate) fn remove(&mut self, id: &InstanceId) -> Option<Instance> {
-        let instance = self.by_id.remove(id)?;
+        let of_app = self.by_id.get_mut(&id.app)?;
+        let instance = of_app.remove(&id.id)?;
+        if of_app.is_empty() {
+            self.by_id.remove(&id.app);
+        }
         self.arrival.retain(|x| x != id);
         Some(instance)
     }
 
-    pub(crate) fn get(&self, id: &InstanceId) -> Option<&Instance> {
-        self.by_id.get(id)
+    pub(crate) fn get<'a>(&self, id: impl Into<InstanceRef<'a>>) -> Option<&Instance> {
+        let id = id.into();
+        self.by_id.get(id.app)?.get(&id.id)
     }
 
-    pub(crate) fn get_mut(&mut self, id: &InstanceId) -> Option<&mut Instance> {
-        self.by_id.get_mut(id)
+    pub(crate) fn get_mut<'a>(&mut self, id: impl Into<InstanceRef<'a>>) -> Option<&mut Instance> {
+        let id = id.into();
+        self.by_id.get_mut(id.app)?.get_mut(&id.id)
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.by_id.len()
+        self.arrival.len()
     }
 
     /// Ids in arrival order.
@@ -142,17 +151,17 @@ impl Instances {
     /// Records in arrival order: what optimization passes and the
     /// planner's table walk.
     pub(crate) fn in_arrival_order(&self) -> impl Iterator<Item = &Instance> {
-        self.arrival.iter().map(|id| &self.by_id[id])
+        self.arrival.iter().map(|id| self.get(id).expect("every arrival has its record"))
     }
 
     /// Records in id order: what the reaper and persistence walk.
     pub(crate) fn in_id_order(&self) -> impl Iterator<Item = &Instance> {
-        self.by_id.values()
+        self.by_id.values().flat_map(BTreeMap::values)
     }
 
     /// [`Instances::in_id_order`], mutably.
     pub(crate) fn in_id_order_mut(&mut self) -> impl Iterator<Item = &mut Instance> {
-        self.by_id.values_mut()
+        self.by_id.values_mut().flat_map(BTreeMap::values_mut)
     }
 }
 
@@ -180,5 +189,39 @@ mod tests {
         let loaded = Instance::new(app, inst.session, &[]);
         assert_eq!(loaded.app.bundles.len(), 1);
         assert!(loaded.candidates.contains_key("config"));
+    }
+
+    #[test]
+    fn borrowed_lookups_and_both_orders() {
+        let mut table = Instances::default();
+        // Arrival order is not id order: `b.2`, `a.10`, `a.9`, `b.1`.
+        let arrivals =
+            [("b", 2), ("a", 10), ("a", 9), ("b", 1)].map(|(app, id)| InstanceId::new(app, id));
+        for id in &arrivals {
+            let session = SessionState::new(30.0);
+            table.insert(Instance::new(AppInstance::new(id.clone(), 0.0), session, &[]));
+        }
+        let ids = |it: &mut dyn Iterator<Item = &Instance>| -> Vec<String> {
+            it.map(|inst| inst.app.id.to_string()).collect()
+        };
+        assert_eq!(ids(&mut table.in_arrival_order()), ["b.2", "a.10", "a.9", "b.1"]);
+        // Id order is `InstanceId`'s own: by name, then by number.
+        let mut sorted = arrivals.to_vec();
+        sorted.sort();
+        assert_eq!(
+            ids(&mut table.in_id_order()),
+            sorted.iter().map(InstanceId::to_string).collect::<Vec<_>>()
+        );
+        assert_eq!(ids(&mut table.in_id_order()), ["a.9", "a.10", "b.1", "b.2"]);
+        // Found by a borrowed name as by the owned id.
+        assert!(table.get(InstanceRef { app: "a", id: 10 }).is_some());
+        assert!(table.get(&arrivals[1]).is_some());
+        assert!(table.get(InstanceRef { app: "a", id: 1 }).is_none());
+        assert!(table.get(InstanceRef { app: "c", id: 1 }).is_none());
+        // The last instance of an application takes the name with it.
+        assert!(table.remove(&arrivals[0]).is_some() && table.remove(&arrivals[3]).is_some());
+        assert!(table.remove(&arrivals[3]).is_none());
+        assert_eq!((table.len(), table.by_id.len()), (2, 1));
+        assert_eq!(ids(&mut table.in_arrival_order()), ["a.10", "a.9"]);
     }
 }

@@ -37,7 +37,7 @@ mod scheduler;
 mod session;
 mod snapshot;
 
-pub use app::{AppInstance, BundleState, ChosenConfig, InstanceId};
+pub use app::{AppInstance, BundleState, ChosenConfig, InstanceId, InstanceRef};
 pub use candidates::{
     enumerate as enumerate_candidates, has_elastic_memory, variable_assignments, Candidate,
 };

@@ -5,7 +5,8 @@
 //! their execution environment". Producers (applications, the simulator,
 //! the cluster) record samples into a shared [`MetricRegistry`]; the
 //! adaptation controller and the applications read series, counters and
-//! histograms back out of it.
+//! histograms back out of it. Hot producers resolve a [`CounterHandle`] or
+//! [`HistogramHandle`] once and skip the name lookup from then on.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -15,5 +16,5 @@ mod registry;
 mod series;
 
 pub use histogram::Histogram;
-pub use registry::MetricRegistry;
+pub use registry::{CounterHandle, HistogramHandle, MetricRegistry};
 pub use series::{Sample, TimeSeries};

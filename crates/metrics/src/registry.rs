@@ -1,15 +1,23 @@
-//! The metric registry: named series, counters, and gauges behind a lock.
+//! The metric registry: named series, counters, gauges and histograms.
 //!
 //! "Data about system conditions and application resource requirements flow
 //! into the metric interface, and on to both the adaptation controller and
 //! individual applications" (§2). Producers record under dotted metric
 //! names (`DBclient.66.response_time`); consumers read snapshots.
+//!
+//! Counters and histograms each live in a cell of their own, shared between
+//! the name table and any [`CounterHandle`] / [`HistogramHandle`] resolved
+//! from it: a producer on a hot path resolves its handle once and from then
+//! on touches only that cell — no table lock, no map walk, no allocation —
+//! while the string-keyed calls, the exposition and snapshots read the very
+//! same cells through the table.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::histogram::Histogram;
 use crate::series::TimeSeries;
@@ -29,18 +37,86 @@ use crate::series::TimeSeries;
 /// reg.inc_counter("DBclient.1.queries");
 /// assert_eq!(reg.counter("DBclient.1.queries"), 1);
 /// assert_eq!(reg.series("DBclient.1.response_time").unwrap().len(), 1);
+///
+/// // A handle is the same counter, without the lookup.
+/// let queries = reg.counter_handle("DBclient.1.queries");
+/// queries.inc();
+/// assert_eq!(reg.counter("DBclient.1.queries"), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricRegistry {
     inner: Arc<RwLock<Inner>>,
 }
 
+/// The name table. Its lock guards membership (and the series and gauges,
+/// which are stored in place); counter and histogram *values* change under
+/// the shared side or with no table lock at all.
 #[derive(Debug, Default)]
 struct Inner {
     series: BTreeMap<String, TimeSeries>,
-    counters: BTreeMap<String, u64>,
+    counters: BTreeMap<String, CounterHandle>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, HistogramHandle>,
+}
+
+/// One counter of a [`MetricRegistry`], resolved once with
+/// [`MetricRegistry::counter_handle`]: the cell the registry reads under
+/// the counter's name, incremented with one atomic add.
+///
+/// A handle outlives [`MetricRegistry::remove_prefix`] of its name, but
+/// what it counts from then on is no longer listed.
+#[derive(Debug, Clone, Default)]
+pub struct CounterHandle(Arc<AtomicU64>);
+
+impl CounterHandle {
+    /// Increments by 1, returning the new value.
+    pub fn inc(&self) -> u64 {
+        self.add(1)
+    }
+
+    /// Adds `delta`, returning the new value.
+    pub fn add(&self, delta: u64) -> u64 {
+        // A statistic: it publishes no other data.
+        self.0.fetch_add(delta, Ordering::Relaxed).wrapping_add(delta)
+    }
+
+    /// The current value.
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// One histogram of a [`MetricRegistry`], resolved once with
+/// [`MetricRegistry::histogram_handle`]: the cell the registry reads under
+/// the histogram's name, behind a lock of its own.
+///
+/// A handle outlives [`MetricRegistry::remove_prefix`] of its name, but
+/// what it observes from then on is no longer listed.
+#[derive(Debug, Clone)]
+pub struct HistogramHandle(Arc<Mutex<Histogram>>);
+
+impl Default for HistogramHandle {
+    /// An empty histogram with the response-time bucket layout.
+    fn default() -> Self {
+        HistogramHandle(Arc::new(Mutex::new(Histogram::for_response_times())))
+    }
+}
+
+impl HistogramHandle {
+    /// Records one observation. Non-finite observations are rejected; the
+    /// return value reports whether the observation was accepted.
+    pub fn observe(&self, value: f64) -> bool {
+        if !value.is_finite() {
+            return false;
+        }
+        self.0.lock().record(value);
+        true
+    }
+
+    /// A snapshot (clone) of the histogram.
+    pub fn snapshot(&self) -> Histogram {
+        self.0.lock().clone()
+    }
 }
 
 impl MetricRegistry {
@@ -61,7 +137,10 @@ impl MetricRegistry {
             return false;
         }
         let mut inner = self.inner.write();
-        inner.series.entry(name.to_owned()).or_default().record(time, value);
+        match inner.series.get_mut(name) {
+            Some(series) => series.record(time, value),
+            None => inner.series.entry(name.to_owned()).or_default().record(time, value),
+        }
         true
     }
 
@@ -82,20 +161,35 @@ impl MetricRegistry {
 
     /// Adds `delta` to the counter under `name`, returning the new value.
     pub fn add_counter(&self, name: &str, delta: u64) -> u64 {
-        let mut inner = self.inner.write();
-        let c = inner.counters.entry(name.to_owned()).or_insert(0);
-        *c += delta;
-        *c
+        if let Some(counter) = self.inner.read().counters.get(name) {
+            return counter.add(delta);
+        }
+        self.counter_handle(name).add(delta)
+    }
+
+    /// The counter under `name`, created (at 0, and listed from then on)
+    /// on first use.
+    pub fn counter_handle(&self, name: &str) -> CounterHandle {
+        if let Some(counter) = self.inner.read().counters.get(name) {
+            return counter.clone();
+        }
+        self.inner.write().counters.entry(name.to_owned()).or_default().clone()
     }
 
     /// Reads a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.read().counters.get(name).copied().unwrap_or(0)
+        self.inner.read().counters.get(name).map_or(0, CounterHandle::get)
     }
 
     /// Sets the gauge under `name`.
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.inner.write().gauges.insert(name.to_owned(), value);
+        let mut inner = self.inner.write();
+        match inner.gauges.get_mut(name) {
+            Some(gauge) => *gauge = value,
+            None => {
+                inner.gauges.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// Reads a gauge.
@@ -114,18 +208,24 @@ impl MetricRegistry {
         if !value.is_finite() {
             return false;
         }
-        let mut inner = self.inner.write();
-        inner
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(Histogram::for_response_times)
-            .record(value);
-        true
+        if let Some(histogram) = self.inner.read().histograms.get(name) {
+            return histogram.observe(value);
+        }
+        self.histogram_handle(name).observe(value)
+    }
+
+    /// The histogram under `name`, created (empty, with the response-time
+    /// bucket layout, and listed from then on) on first use.
+    pub fn histogram_handle(&self, name: &str) -> HistogramHandle {
+        if let Some(histogram) = self.inner.read().histograms.get(name) {
+            return histogram.clone();
+        }
+        self.inner.write().histograms.entry(name.to_owned()).or_default().clone()
     }
 
     /// Returns a snapshot (clone) of the histogram under `name`.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.read().histograms.get(name).cloned()
+        self.inner.read().histograms.get(name).map(HistogramHandle::snapshot)
     }
 
     /// Names of all histograms, in order.
@@ -142,12 +242,13 @@ impl MetricRegistry {
         let inner = self.inner.read();
         let mut out = String::new();
         for (name, c) in &inner.counters {
-            let _ = writeln!(out, "counter {name} {c}");
+            let _ = writeln!(out, "counter {name} {}", c.get());
         }
         for (name, g) in &inner.gauges {
             let _ = writeln!(out, "gauge {name} {g}");
         }
         for (name, h) in &inner.histograms {
+            let h = h.0.lock();
             let _ = writeln!(out, "histogram {name} count {}", h.len());
             if let (Some(mean), Some(max)) = (h.mean(), h.max()) {
                 let _ = writeln!(out, "histogram {name} mean {mean}");
@@ -287,6 +388,61 @@ mod tests {
             assert!(words.len() >= 3, "short line: {line}");
             assert!(matches!(words[0], "counter" | "gauge" | "histogram"), "{line}");
         }
+    }
+
+    #[test]
+    fn handles_and_names_reach_the_same_storage() {
+        let reg = MetricRegistry::new();
+        reg.observe("server.verb.poll", 0.01);
+        reg.inc_counter("server.accept_errors");
+        let poll = reg.histogram_handle("server.verb.poll");
+        let errors = reg.counter_handle("server.accept_errors");
+        assert_eq!(reg.len(), 2, "resolving an existing name creates nothing");
+        assert!(poll.observe(0.02));
+        assert!(!poll.observe(f64::NAN), "handles reject what names reject");
+        assert_eq!(errors.inc(), 2);
+        assert_eq!(errors.add(3), 5);
+        // Written through the handle, read through the name …
+        assert_eq!(reg.histogram("server.verb.poll").unwrap().len(), 2);
+        assert_eq!(reg.counter("server.accept_errors"), 5);
+        assert!(reg.expose().contains("histogram server.verb.poll count 2"));
+        assert!(reg.expose().contains("counter server.accept_errors 5"));
+        // … and the other way round, from a clone of the registry too.
+        reg.clone().observe("server.verb.poll", 0.04);
+        reg.clone().add_counter("server.accept_errors", 1);
+        assert_eq!(poll.snapshot(), reg.histogram("server.verb.poll").unwrap());
+        assert_eq!(poll.snapshot().len(), 3);
+        assert_eq!(errors.get(), 6);
+        // A handle creates its name, empty, the way a first observation would.
+        let fresh = reg.histogram_handle("server.verb.expo");
+        assert_eq!(reg.histogram_names(), vec!["server.verb.expo", "server.verb.poll"]);
+        assert!(fresh.snapshot().is_empty());
+        assert_eq!(reg.counter_handle("fresh").get(), 0);
+        assert!(reg.expose().contains("counter fresh 0"));
+    }
+
+    #[test]
+    fn concurrent_handles_lose_nothing() {
+        let reg = MetricRegistry::new();
+        let threads: Vec<_> = (0..4)
+            .map(|_| {
+                let (h, c) = (reg.histogram_handle("lat"), reg.counter_handle("n"));
+                let by_name = reg.clone();
+                std::thread::spawn(move || {
+                    for j in 0..250 {
+                        h.observe(j as f64 * 1e-3);
+                        c.inc();
+                        by_name.observe("lat", 1.0);
+                        by_name.inc_counter("n");
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(reg.histogram("lat").unwrap().len(), 2000);
+        assert_eq!(reg.counter("n"), 2000);
     }
 
     #[test]

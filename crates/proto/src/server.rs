@@ -16,7 +16,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use harmony_core::{Controller, CoreError, EventOutcome, HarmonyEvent, InstanceId, WalEvent};
+use harmony_core::{
+    Controller, CoreError, EventOutcome, HarmonyEvent, InstanceId, InstanceRef, WalEvent,
+};
+use harmony_metrics::HistogramHandle;
 use parking_lot::RwLock;
 
 use crate::frame::{self, FrameReader, FrameWriter};
@@ -35,68 +38,103 @@ pub type SharedController = Arc<RwLock<Controller>>;
 /// and `Expo` only read controller state — lease renewal goes through the
 /// atomic touch-stamps ([`Controller::touch`]) and pending-variable
 /// buffers are interior-mutable, so none of them needs the write lock.
-/// `Lint` and `Facts` are pure and take no lock at all. Everything else
-/// mutates: it takes the write lock and enters the controller as
-/// [`WalEvent`] commands through [`Controller::execute`].
+/// `Lint` and `Facts` are pure and run under no lock at all. Everything
+/// else mutates: it takes the write lock and enters the controller as
+/// [`WalEvent`] commands through [`Controller::execute`]. Whichever it is,
+/// a request acquires the controller lock once.
 ///
 /// Every request's service latency is observed into the per-verb
 /// `server.verb.<verb>` histogram (visible via `Expo` and in
 /// [`harmony_core::SystemSnapshot::histograms`]).
 pub fn handle_request(ctl: &SharedController, req: &Request) -> Response {
-    let t0 = std::time::Instant::now();
-    // Registry clones share state and the observe happens outside any
-    // controller lock, so timing covers exactly the dispatch.
-    let metrics = ctl.read().metrics().clone();
-    let response = dispatch_request(ctl, req);
-    metrics.observe(verb_histogram(req), t0.elapsed().as_secs_f64());
-    response
+    serve_request(ctl, req, &mut VerbHistograms::default())
 }
+
+/// The wire verbs, in the order [`verb_index`] numbers them.
+const VERBS: usize = 12;
 
 /// The `server.verb.<verb>` histogram a request's latency is observed
 /// into: one literal per wire verb, so the hot path formats nothing.
-fn verb_histogram(req: &Request) -> &'static str {
+const VERB_HISTOGRAMS: [&str; VERBS] = [
+    "server.verb.startup",
+    "server.verb.bundle",
+    "server.verb.poll",
+    "server.verb.metric",
+    "server.verb.heartbeat",
+    "server.verb.reattach",
+    "server.verb.end",
+    "server.verb.status",
+    "server.verb.lint",
+    "server.verb.facts",
+    "server.verb.journal",
+    "server.verb.expo",
+];
+
+fn verb_index(req: &Request) -> usize {
     match req {
-        Request::Startup { .. } => "server.verb.startup",
-        Request::Bundle { .. } => "server.verb.bundle",
-        Request::Poll { .. } => "server.verb.poll",
-        Request::Metric { .. } => "server.verb.metric",
-        Request::Heartbeat { .. } => "server.verb.heartbeat",
-        Request::Reattach { .. } => "server.verb.reattach",
-        Request::End { .. } => "server.verb.end",
-        Request::Status => "server.verb.status",
-        Request::Lint { .. } => "server.verb.lint",
-        Request::Facts { .. } => "server.verb.facts",
-        Request::Journal { .. } => "server.verb.journal",
-        Request::Expo => "server.verb.expo",
+        Request::Startup { .. } => 0,
+        Request::Bundle { .. } => 1,
+        Request::Poll { .. } => 2,
+        Request::Metric { .. } => 3,
+        Request::Heartbeat { .. } => 4,
+        Request::Reattach { .. } => 5,
+        Request::End { .. } => 6,
+        Request::Status => 7,
+        Request::Lint { .. } => 8,
+        Request::Facts { .. } => 9,
+        Request::Journal { .. } => 10,
+        Request::Expo => 11,
     }
 }
 
-fn dispatch_request(ctl: &SharedController, req: &Request) -> Response {
-    match req {
+/// The verb histograms a caller has resolved so far. A connection keeps
+/// one for its lifetime, so each verb's name is looked up once per
+/// connection and observed through its handle from then on; the stateless
+/// [`handle_request`] starts from an empty one every time.
+#[derive(Debug, Default)]
+struct VerbHistograms([Option<HistogramHandle>; VERBS]);
+
+impl VerbHistograms {
+    /// The histogram of `req`'s verb, looked up in `ctl`'s registry — by
+    /// borrowed name — the first time the verb is seen. Called under the
+    /// guard the verb holds anyway, *after* its body: the name appears in
+    /// the registry when the first request of its kind has been served,
+    /// not before (an `expo` does not list itself).
+    fn resolve(&mut self, ctl: &Controller, req: &Request) {
+        let verb = verb_index(req);
+        if self.0[verb].is_none() {
+            self.0[verb] = Some(ctl.metrics().histogram_handle(VERB_HISTOGRAMS[verb]));
+        }
+    }
+}
+
+/// [`handle_request`]'s body: the verb under one acquisition of the
+/// controller lock ([`reading`], [`writing`], or none), then one
+/// observation of the elapsed time outside it.
+fn serve_request(ctl: &SharedController, req: &Request, verbs: &mut VerbHistograms) -> Response {
+    let t0 = std::time::Instant::now();
+    let response = match req {
         // ---- read path ------------------------------------------------
-        Request::Poll { app, id } => {
-            let ctl = ctl.read();
-            let instance = InstanceId::new(app.clone(), *id);
-            ctl.touch(&instance);
+        Request::Poll { app, id } => reading(ctl, req, verbs, |ctl| {
+            let instance = InstanceRef { app, id: *id };
+            ctl.touch(instance);
             let updates = ctl
-                .take_pending_vars(&instance)
+                .take_pending_vars(instance)
                 .into_iter()
                 .map(|(path, value)| VarUpdate { path: path.to_string(), value })
                 .collect();
             Response::Update { app: app.clone(), id: *id, updates }
-        }
-        Request::Heartbeat { app, id } => {
-            let ctl = ctl.read();
-            let instance = InstanceId::new(app.clone(), *id);
-            if ctl.touch(&instance) {
+        }),
+        Request::Heartbeat { app, id } => reading(ctl, req, verbs, |ctl| {
+            let instance = InstanceRef { app, id: *id };
+            if ctl.touch(instance) {
                 Response::Ok
             } else {
                 let e = CoreError::UnknownInstance { name: instance.to_string() };
                 Response::Error { message: e.to_string() }
             }
-        }
-        Request::Metric { name, time, value } => {
-            let ctl = ctl.read();
+        }),
+        Request::Metric { name, time, value } => reading(ctl, req, verbs, |ctl| {
             ctl.touch_for_metric(name);
             // Non-finite samples are rejected in-band rather than silently
             // dropped: one NaN would otherwise poison every aggregate
@@ -108,59 +146,90 @@ fn dispatch_request(ctl: &SharedController, req: &Request) -> Response {
                 };
             }
             Response::Ok
-        }
-        Request::Journal { cursor, max } => {
-            let ctl = ctl.read();
+        }),
+        Request::Journal { cursor, max } => reading(ctl, req, verbs, |ctl| {
             let max = usize::try_from(*max).unwrap_or(usize::MAX);
             Response::Journal { json: ctl.journal_tail(*cursor, max).to_json() }
-        }
+        }),
         Request::Expo => {
-            let ctl = ctl.read();
-            Response::Expo { text: ctl.metrics().expose() }
+            reading(ctl, req, verbs, |ctl| Response::Expo { text: ctl.metrics().expose() })
         }
-        Request::Status => {
-            let ctl = ctl.read();
-            let snap = harmony_core::SystemSnapshot::capture(&ctl);
-            match snap.to_json() {
+        Request::Status => reading(ctl, req, verbs, |ctl| {
+            match harmony_core::SystemSnapshot::capture(ctl).to_json() {
                 Ok(json) => Response::Status { json },
                 Err(e) => Response::Error { message: e.to_string() },
             }
+        }),
+        // ---- pure: the analysis runs under no lock --------------------
+        Request::Lint { script } => {
+            let response = match harmony_analyze::analyze_script(script) {
+                Ok(diags) => Response::Lint { json: harmony_analyze::to_json(&diags, script) },
+                Err(e) => Response::Error { message: e.to_string() },
+            };
+            reading(ctl, req, verbs, |_| response)
         }
-        Request::Lint { script } => match harmony_analyze::analyze_script(script) {
-            Ok(diags) => Response::Lint { json: harmony_analyze::to_json(&diags, script) },
-            Err(e) => Response::Error { message: e.to_string() },
-        },
-        Request::Facts { script } => match harmony_analyze::facts::script_facts(script) {
-            Ok(facts) => Response::Facts { json: harmony_analyze::facts::facts_to_json(&facts) },
-            Err(e) => Response::Error { message: e.to_string() },
-        },
+        Request::Facts { script } => {
+            let response = match harmony_analyze::facts::script_facts(script) {
+                Ok(facts) => {
+                    Response::Facts { json: harmony_analyze::facts::facts_to_json(&facts) }
+                }
+                Err(e) => Response::Error { message: e.to_string() },
+            };
+            reading(ctl, req, verbs, |_| response)
+        }
         // ---- write path: a request is one or two commands -------------
-        Request::Startup { app } => {
-            let mut ctl = ctl.write();
-            let now = ctl.now();
+        Request::Startup { app } => writing(ctl, req, verbs, |ctl, now| {
             reply(ctl.execute(WalEvent::Startup { now, app: app.clone() }), Response::Ok)
-        }
-        Request::Bundle { app, id, script } => {
-            let mut ctl = ctl.write();
-            let (now, instance) = (ctl.now(), InstanceId::new(app.clone(), *id));
+        }),
+        Request::Bundle { app, id, script } => writing(ctl, req, verbs, |ctl, now| {
+            let instance = InstanceId::new(app.clone(), *id);
             // The lease renews whether or not the bundle is accepted.
             let _ = ctl.execute(WalEvent::Renew { now, id: instance.clone() });
             let event = HarmonyEvent::BundleSetup { instance, script: script.clone() };
             reply(ctl.execute(WalEvent::Event { now, event }), Response::Ok)
-        }
-        Request::Reattach { app, id } => {
-            let mut ctl = ctl.write();
-            let now = ctl.now();
+        }),
+        Request::Reattach { app, id } => writing(ctl, req, verbs, |ctl, now| {
             let event = HarmonyEvent::Reattach { instance: InstanceId::new(app.clone(), *id) };
             let registered = Response::Registered { app: app.clone(), id: *id };
             reply(ctl.execute(WalEvent::Event { now, event }), registered)
-        }
-        Request::End { app, id } => {
-            let mut ctl = ctl.write();
-            let (now, id) = (ctl.now(), InstanceId::new(app.clone(), *id));
+        }),
+        Request::End { app, id } => writing(ctl, req, verbs, |ctl, now| {
+            let id = InstanceId::new(app.clone(), *id);
             reply(ctl.execute(WalEvent::End { now, id }), Response::Ok)
-        }
+        }),
+    };
+    if let Some(histogram) = &verbs.0[verb_index(req)] {
+        histogram.observe(t0.elapsed().as_secs_f64());
     }
+    response
+}
+
+/// Runs a read-path verb under the shared side of the controller lock.
+fn reading(
+    ctl: &SharedController,
+    req: &Request,
+    verbs: &mut VerbHistograms,
+    verb: impl FnOnce(&Controller) -> Response,
+) -> Response {
+    let ctl = ctl.read();
+    let response = verb(&ctl);
+    verbs.resolve(&ctl, req);
+    response
+}
+
+/// Runs a write-path verb, at the controller's current time, under the
+/// exclusive side of the controller lock.
+fn writing(
+    ctl: &SharedController,
+    req: &Request,
+    verbs: &mut VerbHistograms,
+    verb: impl FnOnce(&mut Controller, f64) -> Response,
+) -> Response {
+    let mut ctl = ctl.write();
+    let now = ctl.now();
+    let response = verb(&mut ctl, now);
+    verbs.resolve(&ctl, req);
+    response
 }
 
 /// The wire reply to a write-path command's outcome: a registration names
@@ -627,15 +696,17 @@ fn serve_connection(
 /// the instances registered over the connection and not ended. This is
 /// the whole per-request path of the TCP server: one `read` and one
 /// `write` per small request, through one [`FrameReader`] and one
-/// [`FrameWriter`].
+/// [`FrameWriter`], and [`handle_request`]'s body with the connection's
+/// own verb-histogram handles.
 pub fn serve_stream<S: Read + Write>(stream: &mut S, ctl: &SharedController) -> Vec<InstanceId> {
     let (mut reader, mut writer) = (FrameReader::new(), FrameWriter::new());
+    let mut verbs = VerbHistograms::default();
     let mut owned: Vec<InstanceId> = Vec::new();
     loop {
         let response = match reader.read_payload(&mut *stream) {
             Ok(Some(payload)) => match frame::utf8(payload).map(Request::parse) {
                 Ok(Ok(req)) => {
-                    let resp = handle_request(ctl, &req);
+                    let resp = serve_request(ctl, &req, &mut verbs);
                     track_session(&req, &resp, &mut owned);
                     resp
                 }
