@@ -192,10 +192,23 @@ impl From<Token<'_>> for Item {
 }
 
 /// Whitespace as the lexer sees it: one byte at a time, each read as the
-/// `char` of the same number.
-fn is_space(b: u8) -> bool {
-    (b as char).is_whitespace()
+/// `char` of the same number — so U+0085 and U+00A0 count, wherever the
+/// bytes `0x85` and `0xA0` occur.
+const fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ' | 0x85 | 0xA0)
 }
+
+/// The bytes a word holds verbatim wherever they occur in it: ASCII that
+/// neither ends a bare word, nor closes a quoted one, nor escapes.
+static VERBATIM: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x80 {
+        table[b] = !is_space(b as u8) && !matches!(b as u8, b'{' | b'}' | b'"' | b'\\');
+        b += 1;
+    }
+    table
+};
 
 /// Resolves the escapes of a bare or quoted word's raw bytes: a backslash
 /// yields the byte after it, and every byte becomes one `char`.
@@ -229,6 +242,7 @@ pub struct Lexer<'a> {
 
 impl<'a> Lexer<'a> {
     /// Lexes all of `src`.
+    #[inline]
     pub fn new(src: &'a str) -> Self {
         Self::range(src, 0, src.len())
     }
@@ -237,6 +251,7 @@ impl<'a> Lexer<'a> {
     /// against `full`, so nested levels of [`parse_tree`] /
     /// [`parse_tree_spanned`] report positions in the original source
     /// rather than in the re-split inner text.
+    #[inline]
     fn range(full: &'a str, lo: usize, hi: usize) -> Self {
         Lexer { full, bytes: &full.as_bytes()[..hi], pos: lo, at_line_start: true }
     }
@@ -251,11 +266,16 @@ impl<'a> Lexer<'a> {
     /// a brace) or the inside of a quoted one (to the closing quote).
     /// Returns where the scan stopped and whether the text scanned is the
     /// word as is — no escape pair, no byte to widen.
+    #[inline]
     fn scan_word(&self, from: usize, quoted: bool) -> (usize, bool) {
         let bytes = self.bytes;
         let (mut j, mut plain) = (from, true);
-        while j < bytes.len() {
-            let b = bytes[j];
+        loop {
+            // Most of most words: bytes that are the word as is.
+            while bytes.get(j).is_some_and(|&b| VERBATIM[b as usize]) {
+                j += 1;
+            }
+            let Some(&b) = bytes.get(j) else { break };
             let ends = if quoted { b == b'"' } else { is_space(b) || b == b'{' || b == b'}' };
             if ends {
                 break;
@@ -271,6 +291,7 @@ impl<'a> Lexer<'a> {
         (j, plain)
     }
 
+    #[inline]
     fn word(&self, lo: usize, hi: usize, plain: bool) -> Token<'a> {
         Token::Word(if plain {
             Cow::Borrowed(&self.full[lo..hi])
@@ -283,6 +304,7 @@ impl<'a> Lexer<'a> {
 impl<'a> Iterator for Lexer<'a> {
     type Item = Result<(Token<'a>, Span)>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         let (full, bytes) = (self.full, self.bytes);
         let mut i = self.pos;
@@ -728,6 +750,13 @@ mod tests {
             ]
         );
         assert!(tokens[2].is_braced() && !tokens[1].is_braced());
+    }
+
+    #[test]
+    fn whitespace_is_what_char_says_of_each_byte() {
+        for b in 0..=u8::MAX {
+            assert_eq!(is_space(b), (b as char).is_whitespace(), "byte {b:#04x}");
+        }
     }
 
     #[test]
