@@ -7,6 +7,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+pub mod request_path;
+
 /// Directory where experiment outputs land (`<workspace>/results`).
 pub fn results_dir() -> PathBuf {
     let dir = match std::env::var("CARGO_MANIFEST_DIR") {
