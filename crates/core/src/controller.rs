@@ -1793,6 +1793,25 @@ mod tests {
     }
 
     #[test]
+    fn retiring_an_instance_keeps_the_history_of_siblings_whose_id_extends_its_digits() {
+        // Twelve instances of one application: ids 1 … 12, so `bag.1` is a
+        // textual prefix of `bag.10`, `bag.11` and `bag.12`.
+        let mut c = Controller::new(sp2(8), ControllerConfig::default());
+        let ids: Vec<InstanceId> = (0..12).map(|_| c.startup("bag")).collect();
+        for id in &ids {
+            assert!(c.record_metric(&format!("{id}.response_time"), 1.0, 2.5));
+        }
+        c.end(&ids[0]).unwrap();
+        assert!(c.metrics().series("bag.1.response_time").is_none(), "the retired one's is gone");
+        assert!(c.metrics().histogram("bag.1.response_time").is_none());
+        for id in &ids[1..] {
+            let name = format!("{id}.response_time");
+            assert_eq!(c.metrics().series(&name).map(|s| s.len()), Some(1), "{name} lost");
+            assert_eq!(c.metrics().histogram(&name).map(|h| h.len()), Some(1), "{name} lost");
+        }
+    }
+
+    #[test]
     fn set_time_rejects_non_finite_and_backward_clocks() {
         let mut c = Controller::new(sp2(2), ControllerConfig::default());
         c.set_time(7.0);

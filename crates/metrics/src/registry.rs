@@ -263,14 +263,19 @@ impl MetricRegistry {
         out
     }
 
-    /// Removes every metric whose name starts with `prefix` (used when an
-    /// application instance departs).
+    /// Removes every metric named `prefix` or below it — `prefix` followed
+    /// by `.` and further components — as when an application instance
+    /// departs. Components are matched whole: `bag.1` covers
+    /// `bag.1.response_time` and leaves `bag.10.response_time` alone.
     pub fn remove_prefix(&self, prefix: &str) {
+        let under = |name: &String| {
+            name.strip_prefix(prefix).is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
+        };
         let mut inner = self.inner.write();
-        inner.series.retain(|k, _| !k.starts_with(prefix));
-        inner.counters.retain(|k, _| !k.starts_with(prefix));
-        inner.gauges.retain(|k, _| !k.starts_with(prefix));
-        inner.histograms.retain(|k, _| !k.starts_with(prefix));
+        inner.series.retain(|k, _| !under(k));
+        inner.counters.retain(|k, _| !under(k));
+        inner.gauges.retain(|k, _| !under(k));
+        inner.histograms.retain(|k, _| !under(k));
     }
 
     /// Number of distinct metric names (series + counters + gauges +
@@ -328,7 +333,16 @@ mod tests {
         reg.set_gauge("DBclient.1.load", 0.5);
         reg.observe("DBclient.1.verb", 0.01);
         reg.record("DBclient.2.rt", 0.0, 1.0);
+        // Siblings whose id merely extends the departed one's digits.
+        reg.record("DBclient.10.rt", 0.0, 1.0);
+        reg.observe("DBclient.19.response_time", 0.01);
+        reg.inc_counter("DBclient.1x");
+        reg.set_gauge("DBclient.1", 1.0);
         reg.remove_prefix("DBclient.1");
+        assert!(reg.series("DBclient.10.rt").is_some(), "a live sibling keeps its series");
+        assert!(reg.histogram("DBclient.19.response_time").is_some());
+        assert_eq!(reg.counter("DBclient.1x"), 1, "`1x` is another component, not below `1`");
+        assert_eq!(reg.gauge("DBclient.1"), None, "the prefix itself is covered");
         assert!(reg.series("DBclient.1.rt").is_none());
         assert_eq!(reg.counter("DBclient.1.queries"), 0);
         assert_eq!(reg.gauge("DBclient.1.load"), None);
