@@ -55,6 +55,9 @@ struct Report {
     rows: Vec<Row>,
 }
 
+/// The text of request `i`, addressed to instance `id`.
+type Text = fn(u64, u64) -> String;
+
 /// Wall time per request of one connection serving `requests`.
 fn time_per_request(ctl: &SharedController, requests: &[String]) -> f64 {
     let mut peer = Peer::new(requests);
@@ -76,18 +79,18 @@ fn main() {
 
     let ctl = warmed_controller();
     let before = |ns, allocations| Some(Before { ns, allocations, reads: 2, writes: 1 });
-    let verbs: [(&'static str, Box<dyn Fn(u64, u64) -> String>, Option<Before>); 3] = [
-        ("heartbeat", Box::new(|id, _| heartbeat(id)), before(462.0, 11)),
-        ("poll (empty)", Box::new(|id, _| poll(id)), before(529.0, 11)),
-        ("metric", Box::new(metric), before(917.0, 18)),
+    let verbs: [(&'static str, Text, Option<Before>); 3] = [
+        ("heartbeat", |id, _| heartbeat(id), before(462.0, 11)),
+        ("poll (empty)", |id, _| poll(id), before(529.0, 11)),
+        ("metric", metric, before(917.0, 18)),
     ];
     let mut ok = true;
     let mut rows = Vec::new();
     for (verb, text, before) in verbs {
-        let cost = steady_cost(&ctl, &lead(), &round_robin(400, &text));
+        let cost = steady_cost(&ctl, &lead(), &round_robin(400, text));
         ok &= check(&format!("every {verb} is served at one exact cost"), cost.is_some());
         let Some(cost) = cost else { continue };
-        let batch = round_robin(requests, &text);
+        let batch = round_robin(requests, text);
         let ns = (0..repetitions).map(|_| time_per_request(&ctl, &batch)).reduce(f64::min);
         let Cost { allocations, reads, writes } = cost;
         rows.push(Row { verb, ns, allocations, reads, writes, before });

@@ -425,13 +425,13 @@ impl Controller {
                 Ok(EventOutcome::Quiet)
             }
             WalEvent::Touch { id, .. } => {
-                if let Some(stamp) = self.touch_stamp((&id).into()) {
+                if let Some(stamp) = self.touch_stamp(InstanceRef::from(&id)) {
                     self.apply_touch(stamp);
                 }
                 Ok(EventOutcome::Quiet)
             }
             WalEvent::Poll { id, .. } => {
-                self.drain_pending((&id).into());
+                self.drain_pending(InstanceRef::from(&id));
                 Ok(EventOutcome::Quiet)
             }
             WalEvent::Metric { name, time, value, .. } => {

@@ -169,7 +169,8 @@ pub enum Request {
 impl Request {
     /// Serializes to wire text.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        // Room for any read-path request; a script grows it.
+        let mut out = String::with_capacity(48);
         self.write_text(&mut out);
         out
     }

@@ -50,11 +50,12 @@ pub fn handle_request(ctl: &SharedController, req: &Request) -> Response {
     serve_request(ctl, req, &mut VerbHistograms::default())
 }
 
-/// The wire verbs, in the order [`verb_index`] numbers them.
+/// How many wire verbs there are ([`verb_index`] numbers them).
 const VERBS: usize = 12;
 
 /// The `server.verb.<verb>` histogram a request's latency is observed
-/// into: one literal per wire verb, so the hot path formats nothing.
+/// into, by [`verb_index`]: one literal per wire verb, so the hot path
+/// formats nothing.
 const VERB_HISTOGRAMS: [&str; VERBS] = [
     "server.verb.startup",
     "server.verb.bundle",

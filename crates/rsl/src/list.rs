@@ -175,11 +175,6 @@ impl<'a> Token<'a> {
             Token::Braced(s) => Cow::Borrowed(s),
         }
     }
-
-    /// True if this token was brace-quoted.
-    pub fn is_braced(&self) -> bool {
-        matches!(self, Token::Braced(_))
-    }
 }
 
 impl From<Token<'_>> for Item {
@@ -749,7 +744,7 @@ mod tests {
                 "trail\\"
             ]
         );
-        assert!(tokens[2].is_braced() && !tokens[1].is_braced());
+        assert!(matches!(tokens[2], Token::Braced(_)) && matches!(tokens[1], Token::Word(_)));
     }
 
     #[test]
