@@ -1,8 +1,9 @@
-//! Decision-engine scalability bench: instance count × optimizer kind.
+//! Joint-search bench: instance count × optimizer kind.
 //!
-//! Measures the rebuilt joint search against the seed implementation's
-//! cost profile (`exhaustive_baseline`: serial scan, fresh cluster clone
-//! and full re-match per assignment) and writes
+//! Measures the exhaustive search (`optimizer::exhaustive`: facts-pruned,
+//! incremental) against its reference (`exhaustive_baseline`: the seed
+//! implementation's cost profile — fresh cluster clone and full re-match
+//! per assignment, nothing skipped) and writes
 //! `results/BENCH_optimizer.json` with wall time, assignments/second, and
 //! the reached objective per configuration.
 //!
@@ -11,20 +12,17 @@
 
 use std::time::Instant;
 
-use harmony_bench::{check, write_artifact, Table};
-use harmony_core::{optimizer, Controller, ControllerConfig, PruningMode};
+use harmony_bench::{check, pinned_bag, write_artifact, Table};
+use harmony_core::{optimizer, Controller, ControllerConfig};
 use harmony_resources::Cluster;
 use harmony_rsl::schema::parse_bundle_script;
 use serde::Serialize;
 
 const NODES: usize = 8;
 
-/// A search variant to time: runs one optimization pass on the controller.
-type Variant = Box<dyn Fn(&mut Controller)>;
-
-/// Bundles in the hostname-pinned pruning profile (each pinned to its own
-/// pair of nodes, so the facts engine splits the joint search into
-/// independent components).
+/// Bundles in the hostname-pinned profile (each pinned to its own pair of
+/// nodes, so the facts engine splits the joint search into independent
+/// components).
 const PINNED_BUNDLES: usize = 4;
 
 #[derive(Debug, Serialize)]
@@ -32,7 +30,6 @@ struct BenchRow {
     bundles: usize,
     nodes: usize,
     optimizer: String,
-    workers: usize,
     reps: u32,
     /// Mean wall time of one full search, milliseconds.
     wall_ms: f64,
@@ -47,67 +44,31 @@ struct BenchReport {
     nodes: usize,
     smoke: bool,
     rows: Vec<BenchRow>,
-    /// Wall-time ratio `exhaustive-baseline / exhaustive-parallel` at the
-    /// largest swept bundle count.
-    speedup_parallel_vs_baseline: f64,
-    /// Wall-time ratio `exhaustive-serial / exhaustive-pruned` on the
-    /// hostname-pinned 4-bundles×8-nodes profile.
-    speedup_pruned_vs_unpruned: f64,
-    /// The pruned search reached the same objective as the unpruned scan
-    /// on the pinned profile.
-    pruning_objective_identical: bool,
-    /// Annealing produced identical decisions with 1 worker and the
-    /// default worker pool.
-    annealing_thread_invariant: bool,
+    /// Every `exhaustive` row reached exactly the objective of its
+    /// `exhaustive-baseline` row (the pinned pair included).
+    objective_identical: bool,
+    /// Wall-time ratio `exhaustive-baseline / exhaustive` at the largest
+    /// swept bundle count.
+    speedup_vs_baseline: f64,
 }
 
-fn setup(napps: usize) -> Controller {
+fn setup(scripts: &[String]) -> Controller {
     let cluster = Cluster::from_rsl(&harmony_rsl::listings::sp2_cluster(NODES)).unwrap();
     let mut ctl = Controller::new(cluster, ControllerConfig::default());
-    for _ in 0..napps {
-        ctl.register(parse_bundle_script(harmony_rsl::listings::FIG2B_BAG).unwrap()).unwrap();
-    }
-    ctl
-}
-
-/// One bundle of the pinned profile: a one-node fallback plus a variable
-/// fan-out across the bundle's own pair of hosts. The dominated `t`
-/// choices (same demands, strictly worse predicted time) and the per-pair
-/// hostname pins give the facts engine real work on every pruning axis.
-fn pinned_bag(i: usize) -> String {
-    let h0 = format!("node{:02}.sp2", 2 * i);
-    let h1 = format!("node{:02}.sp2", 2 * i + 1);
-    format!(
-        "harmonyBundle app{i}:1 config {{ \
-         {{small {{node a {{seconds 900}} {{memory 32}} {{hostname {h0}}}}}}} \
-         {{wide {{variable t {{1 2 3 4}}}} \
-          {{node a {{seconds {{600 / t}}}} {{memory 32}} {{hostname {h0}}}}} \
-          {{node b {{seconds {{600 / t}}}} {{memory 32}} {{hostname {h1}}}}} \
-          {{performance {{600 / t}}}}}} }}"
-    )
-}
-
-fn setup_pinned() -> Controller {
-    let cluster = Cluster::from_rsl(&harmony_rsl::listings::sp2_cluster(NODES)).unwrap();
-    let mut ctl = Controller::new(cluster, ControllerConfig::default());
-    for i in 0..PINNED_BUNDLES {
-        ctl.register(parse_bundle_script(&pinned_bag(i)).unwrap()).unwrap();
+    for script in scripts {
+        ctl.register(parse_bundle_script(script).unwrap()).unwrap();
     }
     ctl
 }
 
 /// Times `reps` runs of `run` (fresh controller each), returning the mean
 /// wall ms, evaluated assignments per second, and the final objective.
-fn measure_on(
-    mk: impl Fn() -> Controller,
-    reps: u32,
-    run: impl Fn(&mut Controller),
-) -> (f64, f64, f64) {
+fn measure(scripts: &[String], reps: u32, run: fn(&mut Controller)) -> (f64, f64, f64) {
     let mut total_s = 0.0f64;
     let mut total_evals = 0u64;
     let mut objective = f64::INFINITY;
     for _ in 0..reps {
-        let mut c = mk();
+        let mut c = setup(scripts);
         let before = c.metrics().counter("controller.optimizer.evals");
         let t0 = Instant::now();
         run(&mut c);
@@ -120,180 +81,109 @@ fn measure_on(
     (wall_ms, aps, objective)
 }
 
-fn measure(napps: usize, reps: u32, run: impl Fn(&mut Controller)) -> (f64, f64, f64) {
-    measure_on(|| setup(napps), reps, run)
+fn greedy(c: &mut Controller) {
+    c.reevaluate().unwrap();
+}
+
+fn baseline(c: &mut Controller) {
+    optimizer::exhaustive_baseline(c, 1_000_000).unwrap();
+}
+
+fn exhaustive(c: &mut Controller) {
+    optimizer::exhaustive(c, 1_000_000).unwrap();
+}
+
+fn annealing(c: &mut Controller) {
+    optimizer::annealing(c, 300, 100.0, 42, 4).unwrap();
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (sizes, reps): (&[usize], u32) = if smoke { (&[2], 2) } else { (&[2, 3, 4], 12) };
-    println!(
-        "Decision-engine scalability — {NODES} nodes, {} worker thread(s) available\n",
-        optimizer::current_workers()
-    );
+    println!("Joint-search scalability — {NODES} nodes\n");
 
-    let mut table =
-        Table::new(vec!["bundles", "optimizer", "workers", "wall (ms)", "asg/s", "objective (s)"]);
+    // The FIG2B sweep, then the facts-pruning profile: bundles pinned to
+    // disjoint node pairs, with dominated variable choices — the static
+    // facts engine splits the joint search into independent components and
+    // drops candidates.
+    type Variant = (&'static str, fn(&mut Controller));
+    let sweep: [Variant; 4] = [
+        ("greedy", greedy),
+        ("exhaustive-baseline", baseline),
+        ("exhaustive", exhaustive),
+        ("annealing", annealing),
+    ];
+    let pinned: [Variant; 2] = [("pinned-baseline", baseline), ("pinned-exhaustive", exhaustive)];
+    let mut profiles: Vec<(Vec<String>, u32, &[Variant])> = sizes
+        .iter()
+        .map(|&n| (vec![harmony_rsl::listings::FIG2B_BAG.to_string(); n], reps, &sweep[..]))
+        .collect();
+    profiles.push(((0..PINNED_BUNDLES).map(pinned_bag).collect(), reps * 2, &pinned[..]));
+
+    let mut table = Table::new(vec!["bundles", "optimizer", "wall (ms)", "asg/s", "objective (s)"]);
     let mut rows: Vec<BenchRow> = Vec::new();
-    let mut baseline_wall = f64::NAN;
-    let mut parallel_wall = f64::NAN;
-
-    for &napps in sizes {
-        let workers = optimizer::current_workers();
-        let variants: Vec<(String, usize, Variant)> = vec![
-            (
-                "greedy".into(),
-                1,
-                Box::new(|c: &mut Controller| {
-                    c.reevaluate().unwrap();
-                }),
-            ),
-            (
-                "exhaustive-baseline".into(),
-                1,
-                Box::new(|c: &mut Controller| {
-                    optimizer::exhaustive_baseline(c, 1_000_000).unwrap();
-                }),
-            ),
-            (
-                "exhaustive-serial".into(),
-                1,
-                Box::new(|c: &mut Controller| {
-                    optimizer::exhaustive_with_workers(c, 1_000_000, 1).unwrap();
-                }),
-            ),
-            (
-                "exhaustive-parallel".into(),
-                workers,
-                Box::new(move |c: &mut Controller| {
-                    optimizer::exhaustive_with_workers(c, 1_000_000, workers).unwrap();
-                }),
-            ),
-            (
-                "annealing".into(),
-                workers,
-                Box::new(|c: &mut Controller| {
-                    optimizer::annealing(c, 300, 100.0, 42, 4).unwrap();
-                }),
-            ),
-        ];
-        for (name, workers, run) in variants {
-            let (wall_ms, aps, objective) = measure(napps, reps, run);
-            if napps == *sizes.last().unwrap() {
-                if name == "exhaustive-baseline" {
-                    baseline_wall = wall_ms;
-                } else if name == "exhaustive-parallel" {
-                    parallel_wall = wall_ms;
-                }
-            }
+    for (scripts, reps, variants) in &profiles {
+        for &(name, run) in *variants {
+            let (wall_ms, aps, objective) = measure(scripts, *reps, run);
             table.row(vec![
-                napps.to_string(),
-                name.clone(),
-                workers.to_string(),
+                scripts.len().to_string(),
+                name.to_string(),
                 format!("{wall_ms:.3}"),
                 format!("{aps:.0}"),
                 format!("{objective:.1}"),
             ]);
             rows.push(BenchRow {
-                bundles: napps,
+                bundles: scripts.len(),
                 nodes: NODES,
-                optimizer: name,
-                workers,
-                reps,
+                optimizer: name.to_string(),
+                reps: *reps,
                 wall_ms,
                 assignments_per_sec: aps,
                 objective,
             });
         }
     }
-    // Facts-pruning profile: bundles pinned to disjoint node pairs, with
-    // dominated variable choices — the static facts engine can split the
-    // joint search into independent components and drop candidates.
-    let pinned_reps = reps * 2;
-    let mut pruned_walls = [f64::NAN; 2];
-    let mut pruned_objectives = [f64::NAN; 2];
-    let variants: Vec<(&str, Variant)> = vec![
-        (
-            "pinned-exhaustive",
-            Box::new(|c: &mut Controller| {
-                optimizer::exhaustive_with_workers(c, 1_000_000, 1).unwrap();
-            }),
-        ),
-        (
-            "pinned-pruned",
-            Box::new(|c: &mut Controller| {
-                optimizer::exhaustive_pruned(c, 1_000_000, PruningMode::On).unwrap();
-            }),
-        ),
-    ];
-    for (slot, (name, run)) in variants.into_iter().enumerate() {
-        let (wall_ms, aps, objective) = measure_on(setup_pinned, pinned_reps, run);
-        pruned_walls[slot] = wall_ms;
-        pruned_objectives[slot] = objective;
-        table.row(vec![
-            PINNED_BUNDLES.to_string(),
-            name.to_string(),
-            "1".to_string(),
-            format!("{wall_ms:.3}"),
-            format!("{aps:.0}"),
-            format!("{objective:.1}"),
-        ]);
-        rows.push(BenchRow {
-            bundles: PINNED_BUNDLES,
-            nodes: NODES,
-            optimizer: name.to_string(),
-            workers: 1,
-            reps: pinned_reps,
-            wall_ms,
-            assignments_per_sec: aps,
-            objective,
-        });
-    }
-    let speedup_pruned = pruned_walls[0] / pruned_walls[1];
-    let objective_identical = pruned_objectives[0] == pruned_objectives[1];
     println!("{}", table.render());
 
-    // Determinism spot-check: annealing with one worker and a full pool
-    // must produce identical decisions.
-    let napps = *sizes.last().unwrap();
-    let mut one = setup(napps);
-    let mut many = setup(napps);
-    let r1 = optimizer::annealing_with_workers(&mut one, 300, 100.0, 42, 4, 1).unwrap();
-    let rn = optimizer::annealing_with_workers(
-        &mut many,
-        300,
-        100.0,
-        42,
-        4,
-        optimizer::current_workers(),
-    )
-    .unwrap();
-    let invariant = r1 == rn;
+    // Each search row against the reference row of the same profile.
+    let pair = |slow: &str, fast: &str, bundles: usize| {
+        let row = |name: &str| {
+            rows.iter()
+                .find(|r| r.optimizer == name && r.bundles == bundles)
+                .expect("row was measured")
+        };
+        (row(slow), row(fast))
+    };
+    let swept: Vec<_> =
+        sizes.iter().map(|&n| pair("exhaustive-baseline", "exhaustive", n)).collect();
+    let pinned_pair = pair("pinned-baseline", "pinned-exhaustive", PINNED_BUNDLES);
+    let objective_identical =
+        swept.iter().chain([&pinned_pair]).all(|(slow, fast)| slow.objective == fast.objective);
+    let ratio = |(slow, fast): &(&BenchRow, &BenchRow)| slow.wall_ms / fast.wall_ms;
+    let speedup = ratio(swept.last().expect("at least one swept size"));
+    let pinned_speedup = ratio(&pinned_pair);
 
-    let speedup = baseline_wall / parallel_wall;
     let report = BenchReport {
         nodes: NODES,
         smoke,
         rows,
-        speedup_parallel_vs_baseline: speedup,
-        speedup_pruned_vs_unpruned: speedup_pruned,
-        pruning_objective_identical: objective_identical,
-        annealing_thread_invariant: invariant,
+        objective_identical,
+        speedup_vs_baseline: speedup,
     };
     let path =
         write_artifact("BENCH_optimizer.json", &serde_json::to_string_pretty(&report).unwrap());
     println!("wrote {}", path.display());
 
     println!("\nShape checks");
-    let mut ok = check("annealing decisions identical across worker counts", invariant);
-    ok &= check("pruned and unpruned objectives identical on the pinned profile", {
+    let mut ok = check("exhaustive and baseline objectives identical on every profile", {
         objective_identical
     });
     if !smoke {
-        println!("  parallel vs seed-path speedup at {napps} bundles: {speedup:.2}x");
-        ok &= check("parallel exhaustive >= 3x faster than the seed path", speedup >= 3.0);
-        println!("  pruned vs unpruned speedup on the pinned profile: {speedup_pruned:.2}x");
-        ok &= check("facts pruning >= 1.5x faster than the full scan", speedup_pruned >= 1.5);
+        let napps = sizes.last().unwrap();
+        println!("  exhaustive vs baseline speedup at {napps} bundles: {speedup:.2}x");
+        ok &= check("exhaustive >= 3x faster than the seed path", speedup >= 3.0);
+        println!("  exhaustive vs baseline speedup on the pinned profile: {pinned_speedup:.2}x");
+        ok &= check("components + facts >= 3x faster than the seed path", pinned_speedup >= 3.0);
     }
     if !ok {
         std::process::exit(1);

@@ -28,6 +28,24 @@ pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
     path
 }
 
+/// Bundle `i` of the hostname-pinned optimizer profile (`bench_optimizer`,
+/// `tests/optimizer_oracle.rs`): a one-node fallback plus a variable
+/// fan-out across the bundle's own pair of hosts. The dominated `t`
+/// choices (same demands, strictly worse predicted time) and the per-pair
+/// hostname pins give the facts engine real work on every pruning axis.
+pub fn pinned_bag(i: usize) -> String {
+    let h0 = format!("node{:02}.sp2", 2 * i);
+    let h1 = format!("node{:02}.sp2", 2 * i + 1);
+    format!(
+        "harmonyBundle app{i}:1 config {{ \
+         {{small {{node a {{seconds 900}} {{memory 32}} {{hostname {h0}}}}}}} \
+         {{wide {{variable t {{1 2 3 4}}}} \
+          {{node a {{seconds {{600 / t}}}} {{memory 32}} {{hostname {h0}}}}} \
+          {{node b {{seconds {{600 / t}}}} {{memory 32}} {{hostname {h1}}}}} \
+          {{performance {{600 / t}}}}}} }}"
+    )
+}
+
 /// A fixed-width text table builder for terminal reports.
 #[derive(Debug, Default, Clone)]
 pub struct Table {
@@ -99,8 +117,8 @@ impl Table {
     }
 }
 
-/// Prints a pass/fail line for a named shape criterion and returns whether
-/// it held (binaries exit nonzero when any criterion fails).
+/// Prints a pass/fail line for a named shape check and returns whether
+/// it held (binaries exit nonzero when any check fails).
 pub fn check(name: &str, ok: bool) -> bool {
     println!("  [{}] {name}", if ok { "PASS" } else { "FAIL" });
     ok

@@ -44,13 +44,6 @@ pub enum CoreError {
         /// One line per error diagnostic (`code: message`).
         errors: Vec<String>,
     },
-    /// Verify-mode pruning found a divergence between the pruned and the
-    /// unpruned search — a soundness bug in the facts engine or its
-    /// wiring, never an application error.
-    PruningMismatch {
-        /// Human-readable description of the diverging results.
-        detail: String,
-    },
     /// A persistence-layer failure: an unreadable state directory, a
     /// snapshot that fails validation, or a corrupted (not merely torn)
     /// WAL record.
@@ -85,9 +78,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::LintRejected { bundle, errors } => {
                 write!(f, "bundle `{bundle}` rejected by static analysis: {}", errors.join("; "))
-            }
-            CoreError::PruningMismatch { detail } => {
-                write!(f, "pruned search diverged from unpruned search: {detail}")
             }
             CoreError::Persistence { detail } => write!(f, "persistence error: {detail}"),
             CoreError::SearchSpaceTooLarge { size, limit } => {
@@ -135,7 +125,6 @@ mod tests {
                 bundle: "where".into(),
                 errors: vec!["HA0004: undeclared variable".into()],
             },
-            CoreError::PruningMismatch { detail: "keys differ".into() },
             CoreError::Persistence { detail: "corrupted record".into() },
             CoreError::SearchSpaceTooLarge { size: 1000, limit: 100 },
         ];

@@ -49,7 +49,7 @@ pub use journal::{EventJournal, JournalEntry, JournalKind, JournalTail, PhaseTim
 pub use objective::Objective;
 pub use optimizer::DEFAULT_EXHAUSTIVE_LIMIT;
 pub use persist::{PersistedState, RecoveryInfo, StateStore, WalEvent};
-pub use pruning::{PruningMode, PruningPlan};
+pub use pruning::PruningPlan;
 pub use scheduler::{CoalescePolicy, DecisionScheduler, SchedulerState};
 pub use session::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
 pub use snapshot::{

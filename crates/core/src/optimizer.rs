@@ -1,25 +1,31 @@
 //! Joint optimizers beyond the paper's greedy pass.
 //!
 //! §4.3 concedes that greedy one-bundle-at-a-time optimization "will not
-//! necessarily produce a globally optimal value". [`exhaustive`] searches
-//! the full joint configuration space, and [`annealing`] is the stochastic
-//! search the Active Harmony project later adopted.
+//! necessarily produce a globally optimal value". [`exhaustive`] finds the
+//! optimum of the full joint configuration space, and [`annealing`] is the
+//! stochastic search the Active Harmony project later adopted. No verb
+//! reaches either: they are the oracle the greedy planner is compared
+//! against.
 //!
-//! Both are built for scale on top of three pieces:
+//! The pieces:
 //!
 //! * [`EvalCtx`] — a self-contained snapshot of the search problem
 //!   (candidate sets, option specs, the released base cluster, matcher
-//!   strategy and objective) detached from the [`Controller`] so worker
-//!   threads can share it immutably. Candidate sets come from the
-//!   controller's memoized cache ([`Controller::cached_candidates`]), so
-//!   repeated searches stop re-enumerating.
-//! * [`IncrementalEval`] — scores assignments in odometer order reusing
-//!   the shared prefix of already-committed allocations: only pairs from
-//!   the first changed index are re-matched (commits are unwound by
-//!   releasing, never by re-cloning the cluster).
+//!   strategy and objective) detached from the [`Controller`], so a search
+//!   reads the problem while the controller stays free to be committed to.
+//!   Candidate sets come from the controller's memoized cache
+//!   ([`Controller::cached_candidates`]), so repeated searches stop
+//!   re-enumerating.
+//! * [`IncrementalEval`] — scores assignments reusing the shared prefix of
+//!   already-committed allocations: only pairs from the first changed
+//!   index are re-matched (commits are unwound by releasing, never by
+//!   re-cloning the cluster).
 //! * A deterministic total order on outcomes — epsilon-quantized score,
-//!   then lowest lexicographic assignment — so the parallel partitioned
-//!   search returns *bit-identical* decisions to the serial scan.
+//!   then lowest lexicographic assignment — so every walker that visits
+//!   the optimum reports the same one: [`exhaustive`] (which skips what
+//!   the [`PruningPlan`] proves cannot win) returns *bit-identical*
+//!   decisions to [`exhaustive_baseline`] (which skips nothing). The
+//!   equivalence suites hold them to that.
 //!
 //! Non-finite objective scores (failed predictions) are treated as
 //! infeasible by every search: a joint assignment that cannot be predicted
@@ -41,7 +47,7 @@ use crate::controller::{Controller, DecisionRecord};
 use crate::error::CoreError;
 use crate::objective::Objective;
 use crate::planner::PlannedMove;
-use crate::pruning::{PruningMode, PruningPlan};
+use crate::pruning::PruningPlan;
 
 /// Default bound on the exhaustive search's joint space: the same cap the
 /// analyzer's reachability pass uses for HA0106
@@ -51,12 +57,6 @@ pub const DEFAULT_EXHAUSTIVE_LIMIT: u64 = harmony_analyze::passes::reach::DOMAIN
 
 /// Default number of annealing chains when the caller says `0`.
 pub const DEFAULT_CHAINS: u32 = 4;
-
-/// Worker threads the parallel searches use by default (the `rayon` pool
-/// size; set `RAYON_NUM_THREADS` to pin it).
-pub fn current_workers() -> usize {
-    rayon::current_num_threads()
-}
 
 /// Scores within this distance are considered tied: the joint searches
 /// break ties by lowest lexicographic assignment, the greedy planner in
@@ -94,8 +94,8 @@ pub struct JointOutcome {
     pub rts: Vec<f64>,
 }
 
-/// A self-contained joint-evaluation context: everything a search worker
-/// needs, detached from the controller so threads can share it immutably.
+/// A self-contained joint-evaluation context: everything a search needs,
+/// detached from the controller.
 #[derive(Debug)]
 pub struct EvalCtx {
     pub(crate) pairs: Vec<PairCtx>,
@@ -372,9 +372,9 @@ fn released_cluster(c: &Controller) -> Result<Cluster, CoreError> {
 }
 
 /// Epsilon-quantized score key: scores are snapped to a [`SCORE_EPSILON`]
-/// grid so that "equal within epsilon" is a transitive, partition-safe
-/// relation. `None` for non-finite (infeasible) scores.
-pub(crate) fn score_key(score: f64) -> Option<i64> {
+/// grid so that "equal within epsilon" is a transitive relation. `None`
+/// for non-finite (infeasible) scores.
+fn score_key(score: f64) -> Option<i64> {
     if !score.is_finite() {
         return None;
     }
@@ -390,25 +390,13 @@ struct Best {
 }
 
 /// The deterministic total order: lower quantized score wins; on a tie the
-/// lexicographically lowest assignment wins. This makes the merged result
-/// of any partitioning of the search space identical to a serial scan.
+/// lexicographically lowest assignment wins, whatever order the
+/// assignments were visited in.
 fn improves(key: i64, assignment: &[usize], incumbent: &Option<Best>) -> bool {
     match incumbent {
         None => true,
         Some(b) => key < b.key || (key == b.key && assignment < b.assignment.as_slice()),
     }
-}
-
-/// Decodes a linear odometer index into an assignment (index 0 is the most
-/// significant digit; the last pair varies fastest).
-fn decode(mut linear: u64, shape: &[usize]) -> Vec<usize> {
-    let mut assignment = vec![0usize; shape.len()];
-    for i in (0..shape.len()).rev() {
-        let radix = shape[i] as u64;
-        assignment[i] = (linear % radix) as usize;
-        linear /= radix;
-    }
-    assignment
 }
 
 /// Advances to the lexicographically next assignment. `false` on wrap.
@@ -423,42 +411,11 @@ fn advance(assignment: &mut [usize], shape: &[usize]) -> bool {
     false
 }
 
-/// Tallies of one worker's scan.
+/// Tallies of one scan.
 #[derive(Debug, Default, Clone, Copy)]
 struct ScanStats {
     evals: u64,
     infeasible: u64,
-}
-
-/// A worker-filled result slot: one chain's best and its tallies.
-type ChainSlot = Option<Result<(Option<Best>, ScanStats), CoreError>>;
-
-/// Scans the linear range `[start, end)` of the odometer space with an
-/// incremental evaluator, returning the range's best and its tallies.
-fn scan_range(ctx: &EvalCtx, start: u64, end: u64) -> Result<(Option<Best>, ScanStats), CoreError> {
-    let shape = ctx.shape();
-    let mut assignment = decode(start, &shape);
-    let mut eval = IncrementalEval::new(ctx);
-    let mut best: Option<Best> = None;
-    let mut stats = ScanStats::default();
-    for _ in start..end {
-        stats.evals += 1;
-        match eval.eval_score(&assignment)? {
-            Some(score) => {
-                let key = score_key(score).expect("eval returns finite scores");
-                if improves(key, &assignment, &best) {
-                    best = Some(Best {
-                        key,
-                        assignment: assignment.clone(),
-                        outcome: eval.snapshot(score),
-                    });
-                }
-            }
-            None => stats.infeasible += 1,
-        }
-        advance(&mut assignment, &shape);
-    }
-    Ok((best, stats))
 }
 
 /// What a search that found nothing to place reports.
@@ -489,17 +446,10 @@ fn apply_joint(
     Ok(records)
 }
 
-fn record_search_metrics(
-    c: &mut Controller,
-    kind: &str,
-    stats: ScanStats,
-    workers: usize,
-    t0: Instant,
-) {
+fn record_search_metrics(c: &mut Controller, kind: &str, stats: ScanStats, t0: Instant) {
     c.metrics.inc_counter("controller.optimizer.searches");
     c.metrics.add_counter("controller.optimizer.evals", stats.evals);
     c.metrics.add_counter("controller.optimizer.infeasible", stats.infeasible);
-    c.metrics.set_gauge("controller.optimizer.workers", workers as f64);
     let wall = t0.elapsed().as_secs_f64();
     c.metrics.set_gauge("controller.optimizer.last_wall_ms", wall * 1e3);
     c.metrics.set_gauge(&format!("controller.optimizer.{kind}.last_wall_ms"), wall * 1e3);
@@ -531,82 +481,6 @@ fn exhaustive_problem(c: &mut Controller, limit: u64) -> Result<Option<(EvalCtx,
         return Err(unplaceable(&ctx, "a bundle enumerates no candidates"));
     }
     Ok(Some((ctx, size)))
-}
-
-/// Full (unpruned) scan of the whole odometer space, split over up to
-/// `workers` threads and merged in partition order (bit-identical to a
-/// serial scan). Returns the best, the tallies, and the worker count
-/// actually used.
-fn joint_scan(
-    ctx: &EvalCtx,
-    size: u64,
-    workers: usize,
-) -> Result<(Option<Best>, ScanStats, usize), CoreError> {
-    let workers = (workers.max(1) as u64).min(size);
-    if workers <= 1 {
-        let (best, stats) = scan_range(ctx, 0, size)?;
-        return Ok((best, stats, 1));
-    }
-    let chunk = size.div_ceil(workers);
-    let mut slots: Vec<ChainSlot> = (0..workers).map(|_| None).collect();
-    rayon::scope(|s| {
-        for (w, slot) in slots.iter_mut().enumerate() {
-            s.spawn(move |_| {
-                let start = w as u64 * chunk;
-                let end = (start + chunk).min(size);
-                *slot = Some(scan_range(ctx, start, end));
-            });
-        }
-    });
-    // Merge partition bests in partition order; the (key, assignment)
-    // total order makes the result identical to one serial scan.
-    let mut best: Option<Best> = None;
-    let mut stats = ScanStats::default();
-    for slot in slots {
-        let (local, local_stats) = slot.expect("worker filled its slot")?;
-        stats.evals += local_stats.evals;
-        stats.infeasible += local_stats.infeasible;
-        if let Some(b) = local {
-            if improves(b.key, &b.assignment, &best) {
-                best = Some(b);
-            }
-        }
-    }
-    Ok((best, stats, workers as usize))
-}
-
-/// Exhaustive search over the joint space, parallelized across
-/// `rayon`-reported worker threads (set `RAYON_NUM_THREADS` to pin the
-/// count). Decisions are bit-identical for every worker count.
-///
-/// # Errors
-///
-/// [`CoreError::SearchSpaceTooLarge`] when the product of candidate counts
-/// exceeds `limit`; [`CoreError::Unplaceable`] when no joint assignment
-/// places every bundle with a finite predicted score.
-pub fn exhaustive(c: &mut Controller, limit: u64) -> Result<Vec<DecisionRecord>, CoreError> {
-    exhaustive_with_workers(c, limit, rayon::current_num_threads())
-}
-
-/// [`exhaustive`] with an explicit worker count (1 forces the serial
-/// scan). Exposed so the equivalence suite and the bench harness can pit
-/// serial against parallel runs of the same search.
-///
-/// # Errors
-///
-/// Same conditions as [`exhaustive`].
-pub fn exhaustive_with_workers(
-    c: &mut Controller,
-    limit: u64,
-    workers: usize,
-) -> Result<Vec<DecisionRecord>, CoreError> {
-    let t0 = Instant::now();
-    let Some((ctx, size)) = exhaustive_problem(c, limit)? else { return Ok(Vec::new()) };
-
-    let (best, stats, workers) = joint_scan(&ctx, size, workers)?;
-
-    record_search_metrics(c, "exhaustive", stats, workers, t0);
-    apply_joint(c, &ctx, best, NO_FIT)
 }
 
 /// Tallies of a pruned search: the usual scan stats plus the number of
@@ -924,6 +798,7 @@ fn component_scan(
         lists.iter().map(|l| l.len() as u64).try_fold(1u64, u64::checked_mul).unwrap_or(u64::MAX);
     stats.nodes_pruned += plan.search_space().saturating_sub(combos);
 
+    let lens: Vec<usize> = lists.iter().map(Vec::len).collect();
     let mut idx = vec![0usize; lists.len()];
     let mut g_asg = vec![0usize; n];
     let mut g_rts = vec![0f64; n];
@@ -949,16 +824,7 @@ fn component_scan(
             }
             None => stats.scan.infeasible += 1,
         }
-        let mut advanced = false;
-        for i in (0..idx.len()).rev() {
-            idx[i] += 1;
-            if idx[i] < lists[i].len() {
-                advanced = true;
-                break;
-            }
-            idx[i] = 0;
-        }
-        if !advanced {
+        if !advance(&mut idx, &lens) {
             break;
         }
     }
@@ -975,124 +841,10 @@ fn component_scan(
     }
 }
 
-/// Dispatches the pruned search: two or more interference components
-/// recombine exactly; a single component runs branch-and-bound.
-fn pruned_search(
-    ctx: &EvalCtx,
-    plan: &PruningPlan,
-) -> Result<(Option<Best>, PruneStats), CoreError> {
-    if plan.components.len() >= 2 {
-        component_scan(ctx, plan)
-    } else {
-        bb_scan(ctx, plan)
-    }
-}
-
-/// `None` when the two results agree bit for bit, otherwise a description
-/// of the divergence.
-fn describe_divergence(unpruned: Option<&Best>, pruned: Option<&Best>) -> Option<String> {
-    match (unpruned, pruned) {
-        (None, None) => None,
-        (Some(u), Some(p)) => {
-            if u.key == p.key && u.assignment == p.assignment && u.outcome == p.outcome {
-                None
-            } else {
-                Some(format!(
-                    "unpruned chose {:?} (key {}, score {}), pruned chose {:?} (key {}, score {})",
-                    u.assignment, u.key, u.outcome.score, p.assignment, p.key, p.outcome.score
-                ))
-            }
-        }
-        (Some(u), None) => {
-            Some(format!("pruned search lost the winner {:?} (key {})", u.assignment, u.key))
-        }
-        (None, Some(p)) => {
-            Some(format!("pruned search invented a winner {:?} (key {})", p.assignment, p.key))
-        }
-    }
-}
-
-/// Facts-pruned exhaustive search. `Verify` runs the pruned and unpruned
-/// searches side by side, demands bit-identical results, and applies the
-/// unpruned one; `On` trusts the pruned search, falling back to the full
-/// scan when it proves the system unplaceable (so the reported error is
-/// the seed's, word for word).
-///
-/// # Errors
-///
-/// The conditions of [`exhaustive`], plus [`CoreError::PruningMismatch`]
-/// in `Verify` mode when the searches diverge.
-pub fn exhaustive_pruned(
-    c: &mut Controller,
-    limit: u64,
-    mode: PruningMode,
-) -> Result<Vec<DecisionRecord>, CoreError> {
-    let t0 = Instant::now();
-    let Some((ctx, size)) = exhaustive_problem(c, limit)? else { return Ok(Vec::new()) };
-    let t_prune = Instant::now();
-    let plan = PruningPlan::build(&ctx);
-    c.metrics.observe("controller.phase.pruning", t_prune.elapsed().as_secs_f64());
-    c.metrics.add_counter("controller.pruning.dominated_dropped", plan.dominated_dropped);
-    c.metrics.add_counter("controller.pruning.infeasible_dropped", plan.infeasible_dropped);
-    c.metrics.set_gauge("controller.pruning.components", plan.components.len() as f64);
-
-    if mode == PruningMode::Verify {
-        // The unpruned search runs first; its errors are the seed behavior
-        // and propagate untouched.
-        let (unpruned, mut stats, workers) = joint_scan(&ctx, size, rayon::current_num_threads())?;
-        c.metrics.inc_counter("controller.pruning.verified");
-        let pruned = pruned_search(&ctx, &plan);
-        let divergence = match &pruned {
-            Err(e) => Some(format!("pruned search failed: {e}")),
-            Ok((p, _)) => describe_divergence(unpruned.as_ref(), p.as_ref()),
-        };
-        if let Ok((_, pstats)) = &pruned {
-            stats.evals += pstats.scan.evals;
-            stats.infeasible += pstats.scan.infeasible;
-            c.metrics.add_counter("controller.pruning.nodes_pruned", pstats.nodes_pruned);
-        }
-        record_search_metrics(c, "exhaustive-verify", stats, workers, t0);
-        if let Some(detail) = divergence {
-            c.metrics.inc_counter("controller.pruning.mismatches");
-            return Err(CoreError::PruningMismatch { detail });
-        }
-        return apply_joint(c, &ctx, unpruned, NO_FIT);
-    }
-
-    let (pruned, pstats) = pruned_search(&ctx, &plan)?;
-    c.metrics.add_counter("controller.pruning.nodes_pruned", pstats.nodes_pruned);
-    let best = match pruned {
-        Some(best) => {
-            record_search_metrics(c, "exhaustive-pruned", pstats.scan, 1, t0);
-            Some(best)
-        }
-        None => {
-            // Nothing survived the pruned search. The proofs say the full
-            // scan will find nothing either — but the *error* it reports
-            // is part of the contract, so let it produce it.
-            let (best, stats, workers) = joint_scan(&ctx, size, rayon::current_num_threads())?;
-            record_search_metrics(c, "exhaustive-pruned", stats, workers, t0);
-            best
-        }
-    };
-    apply_joint(c, &ctx, best, NO_FIT)
-}
-
-/// The seed implementation's cost profile, retained as the perf baseline:
-/// a serial scan that clones the base cluster and re-matches every pair
-/// for every assignment (no prefix reuse, no parallelism). Returns the
-/// same optimal score as [`exhaustive`]; the bench harness measures the
-/// gap between the two.
-///
-/// # Errors
-///
-/// Same conditions as [`exhaustive`].
-pub fn exhaustive_baseline(
-    c: &mut Controller,
-    limit: u64,
-) -> Result<Vec<DecisionRecord>, CoreError> {
-    let t0 = Instant::now();
-    let Some((ctx, size)) = exhaustive_problem(c, limit)? else { return Ok(Vec::new()) };
+/// The reference walker: every assignment of the odometer space, in
+/// order, through [`EvalCtx::eval_fresh`] — a fresh cluster clone and a
+/// full re-match each, no prefix reuse, no proofs, nothing skipped.
+fn baseline_scan(ctx: &EvalCtx, size: u64) -> Result<(Option<Best>, ScanStats), CoreError> {
     let shape = ctx.shape();
     let mut assignment = vec![0usize; shape.len()];
     let mut best: Option<Best> = None;
@@ -1110,7 +862,64 @@ pub fn exhaustive_baseline(
         }
         advance(&mut assignment, &shape);
     }
-    record_search_metrics(c, "exhaustive-baseline", stats, 1, t0);
+    Ok((best, stats))
+}
+
+/// Exhaustive search over the joint space, skipping only what the
+/// [`PruningPlan`] proves cannot win: when the plan splits the pairs into
+/// two or more interference components they are enumerated independently
+/// and recombined exactly; otherwise one branch-and-bound scan covers the
+/// whole pair set. Decisions are bit-identical to
+/// [`exhaustive_baseline`]'s. When nothing survives, the reference walker
+/// runs once more so that the error reported is the full scan's.
+///
+/// # Errors
+///
+/// [`CoreError::SearchSpaceTooLarge`] when the product of candidate counts
+/// exceeds `limit`; [`CoreError::Unplaceable`] when no joint assignment
+/// places every bundle with a finite predicted score.
+pub fn exhaustive(c: &mut Controller, limit: u64) -> Result<Vec<DecisionRecord>, CoreError> {
+    let t0 = Instant::now();
+    let Some((ctx, size)) = exhaustive_problem(c, limit)? else { return Ok(Vec::new()) };
+    let t_prune = Instant::now();
+    let plan = PruningPlan::build(&ctx);
+    c.metrics.observe("controller.phase.pruning", t_prune.elapsed().as_secs_f64());
+    c.metrics.add_counter("controller.pruning.dominated_dropped", plan.dominated_dropped);
+    c.metrics.add_counter("controller.pruning.infeasible_dropped", plan.infeasible_dropped);
+    c.metrics.set_gauge("controller.pruning.components", plan.components.len() as f64);
+
+    let (mut best, pstats) = if plan.components.len() >= 2 {
+        component_scan(&ctx, &plan)?
+    } else {
+        bb_scan(&ctx, &plan)?
+    };
+    c.metrics.add_counter("controller.pruning.nodes_pruned", pstats.nodes_pruned);
+    let mut stats = pstats.scan;
+    if best.is_none() {
+        // The proofs say the full scan finds nothing either — but the
+        // *error* it reports is part of the contract, so let it produce it.
+        (best, stats) = baseline_scan(&ctx, size)?;
+    }
+    record_search_metrics(c, "exhaustive", stats, t0);
+    apply_joint(c, &ctx, best, NO_FIT)
+}
+
+/// The seed implementation's cost profile, retained as the reference
+/// [`exhaustive`] is held equal to and measured against: a scan of the
+/// whole joint space that clones the base cluster and re-matches every
+/// pair for every assignment.
+///
+/// # Errors
+///
+/// Same conditions as [`exhaustive`].
+pub fn exhaustive_baseline(
+    c: &mut Controller,
+    limit: u64,
+) -> Result<Vec<DecisionRecord>, CoreError> {
+    let t0 = Instant::now();
+    let Some((ctx, size)) = exhaustive_problem(c, limit)? else { return Ok(Vec::new()) };
+    let (best, stats) = baseline_scan(&ctx, size)?;
+    record_search_metrics(c, "exhaustive-baseline", stats, t0);
     apply_joint(c, &ctx, best, NO_FIT)
 }
 
@@ -1206,9 +1015,9 @@ fn run_chain(
 }
 
 /// Simulated annealing over the joint space: `chains` independent chains
-/// (each with its own start/walk sub-seeds derived from `seed`) run in
-/// parallel and the best chain result is applied. Results are identical
-/// for any worker-thread count, including `RAYON_NUM_THREADS=1`.
+/// (each with its own start/walk sub-seeds derived from `seed`) run one
+/// after another in chain-index order, and the best chain result is
+/// applied.
 ///
 /// # Errors
 ///
@@ -1221,69 +1030,17 @@ pub fn annealing(
     seed: u64,
     chains: u32,
 ) -> Result<Vec<DecisionRecord>, CoreError> {
-    annealing_with_workers(
-        c,
-        steps,
-        initial_temperature,
-        seed,
-        chains,
-        rayon::current_num_threads(),
-    )
-}
-
-/// [`annealing`] with an explicit worker count. Chains are striped over
-/// workers but keyed by chain index, so the merged result does not depend
-/// on the worker count.
-///
-/// # Errors
-///
-/// Same conditions as [`annealing`].
-pub fn annealing_with_workers(
-    c: &mut Controller,
-    steps: u32,
-    initial_temperature: f64,
-    seed: u64,
-    chains: u32,
-    workers: usize,
-) -> Result<Vec<DecisionRecord>, CoreError> {
     let t0 = Instant::now();
     let ctx = EvalCtx::build(c)?;
     if ctx.is_empty() {
         return Ok(Vec::new());
     }
     let chains = if chains == 0 { DEFAULT_CHAINS } else { chains };
-    let workers = workers.clamp(1, chains as usize);
-
-    let mut slots: Vec<ChainSlot> = (0..chains).map(|_| None).collect();
-    if workers <= 1 {
-        for (chain, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(run_chain(&ctx, chain as u32, steps, initial_temperature, seed));
-        }
-    } else {
-        // Stripe chains over workers; results are keyed by chain index so
-        // the striping does not affect the merged outcome.
-        let mut stripes: Vec<Vec<(usize, &mut ChainSlot)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (chain, slot) in slots.iter_mut().enumerate() {
-            stripes[chain % workers].push((chain, slot));
-        }
-        rayon::scope(|s| {
-            for stripe in stripes {
-                let ctx = &ctx;
-                s.spawn(move |_| {
-                    for (chain, slot) in stripe {
-                        *slot =
-                            Some(run_chain(ctx, chain as u32, steps, initial_temperature, seed));
-                    }
-                });
-            }
-        });
-    }
 
     let mut best: Option<Best> = None;
     let mut stats = ScanStats::default();
-    for slot in slots {
-        let (chain_best, chain_stats) = slot.expect("chain ran")?;
+    for chain in 0..chains {
+        let (chain_best, chain_stats) = run_chain(&ctx, chain, steps, initial_temperature, seed)?;
         stats.evals += chain_stats.evals;
         stats.infeasible += chain_stats.infeasible;
         if let Some(b) = chain_best {
@@ -1293,7 +1050,7 @@ pub fn annealing_with_workers(
         }
     }
 
-    record_search_metrics(c, "annealing", stats, workers, t0);
+    record_search_metrics(c, "annealing", stats, t0);
     apply_joint(c, &ctx, best, "no feasible starting assignment found")
 }
 
@@ -1368,32 +1125,25 @@ mod tests {
         assert!(workers[0] >= 2, "no app starved: {workers:?}");
     }
 
-    #[test]
-    fn parallel_exhaustive_matches_serial() {
-        let mut serial = setup(3, 8);
-        let mut parallel = setup(3, 8);
-        let rs = exhaustive_with_workers(&mut serial, 100_000, 1).unwrap();
-        let rp = exhaustive_with_workers(&mut parallel, 100_000, 5).unwrap();
-        assert_eq!(rs, rp);
-        assert_eq!(serial.objective_score(), parallel.objective_score());
+    /// Twin controllers: `exhaustive` on one, `exhaustive_baseline` on the
+    /// other; decisions and the objective's bits must agree.
+    fn assert_matches_baseline(
+        mut fast: Controller,
+        mut slow: Controller,
+        what: &str,
+    ) -> Controller {
+        let rf = exhaustive(&mut fast, 100_000).unwrap();
+        let rb = exhaustive_baseline(&mut slow, 100_000).unwrap();
+        assert_eq!(rf, rb, "{what}");
+        assert_eq!(fast.objective_score().to_bits(), slow.objective_score().to_bits(), "{what}");
+        fast
     }
 
     #[test]
     fn baseline_agrees_with_exhaustive() {
-        let mut fast = setup(3, 8);
-        let mut slow = setup(3, 8);
-        let rf = exhaustive(&mut fast, 100_000).unwrap();
-        let rb = exhaustive_baseline(&mut slow, 100_000).unwrap();
-        assert_eq!(rf, rb);
-    }
-
-    #[test]
-    fn annealing_identical_across_worker_counts() {
-        let mut one = setup(2, 8);
-        let mut many = setup(2, 8);
-        let r1 = annealing_with_workers(&mut one, 200, 80.0, 11, 4, 1).unwrap();
-        let rn = annealing_with_workers(&mut many, 200, 80.0, 11, 4, 4).unwrap();
-        assert_eq!(r1, rn);
+        for napps in 1..=3 {
+            assert_matches_baseline(setup(napps, 8), setup(napps, 8), &format!("napps={napps}"));
+        }
     }
 
     #[test]
@@ -1428,21 +1178,27 @@ harmonyBundle negative:1 config {
 }
 ";
 
+    /// A controller holding only [`NEGATIVE_BAG`].
+    fn negative_system() -> Controller {
+        let cluster = Cluster::from_rsl(&sp2_cluster(4)).unwrap();
+        let cfg = ControllerConfig {
+            lint: LintMode::Off,
+            reevaluate_on_arrival: false,
+            ..Default::default()
+        };
+        let mut c = Controller::new(cluster, cfg);
+        // Greedy arrival placement may itself refuse the all-infeasible
+        // bundle; the instance stays registered either way.
+        let _ = c.register(parse_bundle_script(NEGATIVE_BAG).unwrap());
+        c
+    }
+
     /// Regression: a joint assignment whose objective is `INFINITY` used to
     /// be recorded as a viable "best"; non-finite scores are infeasible.
     #[test]
     fn non_finite_scores_are_infeasible() {
         for kind in ["exhaustive", "baseline", "annealing"] {
-            let cluster = Cluster::from_rsl(&sp2_cluster(4)).unwrap();
-            let cfg = ControllerConfig {
-                lint: LintMode::Off,
-                reevaluate_on_arrival: false,
-                ..Default::default()
-            };
-            let mut c = Controller::new(cluster, cfg);
-            // Greedy arrival placement may itself refuse the all-infeasible
-            // bundle; the instance stays registered either way.
-            let _ = c.register(parse_bundle_script(NEGATIVE_BAG).unwrap());
+            let mut c = negative_system();
             let err = match kind {
                 "exhaustive" => exhaustive(&mut c, 1_000).unwrap_err(),
                 "baseline" => exhaustive_baseline(&mut c, 1_000).unwrap_err(),
@@ -1479,26 +1235,10 @@ harmonyBundle negative:1 config {
         assert_ne!(a, other);
     }
 
-    /// Every `exhaustive_pruned` mode must reproduce `exhaustive`'s
-    /// decisions exactly on the shared setup profiles.
-    #[test]
-    fn pruned_search_matches_unpruned_decisions() {
-        for napps in 1..=3 {
-            for mode in [PruningMode::Verify, PruningMode::On] {
-                let mut plain = setup(napps, 8);
-                let mut pruned = setup(napps, 8);
-                let rp = exhaustive(&mut plain, 100_000).unwrap();
-                let rq = exhaustive_pruned(&mut pruned, 100_000, mode).unwrap();
-                assert_eq!(rp, rq, "napps={napps} mode={mode:?}");
-                assert_eq!(plain.objective_score(), pruned.objective_score());
-            }
-        }
-    }
-
     /// A bundle with a dominated worker count: pruning drops it and the
-    /// decision still matches the full scan bit for bit.
+    /// decision still matches the reference scan bit for bit.
     #[test]
-    fn pruned_search_agrees_with_dominated_candidates_dropped() {
+    fn dominated_candidates_are_dropped_and_the_baseline_agrees() {
         const DOMINATED: &str = "\
 harmonyBundle dom:1 config {
   {run
@@ -1507,24 +1247,19 @@ harmonyBundle dom:1 config {
     {performance {100 * w}}}
 }
 ";
-        for mode in [PruningMode::Verify, PruningMode::On] {
-            let mut plain = setup(1, 8);
-            let mut pruned = setup(1, 8);
-            plain.register(parse_bundle_script(DOMINATED).unwrap()).unwrap();
-            pruned.register(parse_bundle_script(DOMINATED).unwrap()).unwrap();
-            let rp = exhaustive(&mut plain, 100_000).unwrap();
-            let rq = exhaustive_pruned(&mut pruned, 100_000, mode).unwrap();
-            assert_eq!(rp, rq, "mode={mode:?}");
-            if mode == PruningMode::On {
-                assert!(pruned.metrics().counter("controller.pruning.dominated_dropped") >= 2);
-            }
-        }
+        let mk = || {
+            let mut c = setup(1, 8);
+            c.register(parse_bundle_script(DOMINATED).unwrap()).unwrap();
+            c
+        };
+        let fast = assert_matches_baseline(mk(), mk(), "dominated");
+        assert!(fast.metrics().counter("controller.pruning.dominated_dropped") >= 2);
     }
 
     /// Hostname-pinned bundles split into components; the recombined
-    /// result matches the full scan.
+    /// result matches the reference scan.
     #[test]
-    fn pruned_search_agrees_across_components() {
+    fn components_recombine_to_the_baseline_result() {
         fn pinned(app: &str, hosts: &[&str]) -> String {
             let nodes: Vec<String> = hosts
                 .iter()
@@ -1541,42 +1276,25 @@ harmonyBundle dom:1 config {
         }
         let a = pinned("appa", &["node00.sp2", "node01.sp2"]);
         let b = pinned("appb", &["node02.sp2", "node03.sp2"]);
-        for mode in [PruningMode::Verify, PruningMode::On] {
-            let mut plain = setup(0, 8);
-            let mut pruned = setup(0, 8);
-            for c in [&mut plain, &mut pruned] {
-                c.register(parse_bundle_script(&a).unwrap()).unwrap();
-                c.register(parse_bundle_script(&b).unwrap()).unwrap();
-            }
-            let rp = exhaustive(&mut plain, 100_000).unwrap();
-            let rq = exhaustive_pruned(&mut pruned, 100_000, mode).unwrap();
-            assert_eq!(rp, rq, "mode={mode:?}");
-            if mode == PruningMode::On {
-                assert_eq!(pruned.metrics().gauge("controller.pruning.components"), Some(2.0));
-            }
-        }
+        let mk = || {
+            let mut c = setup(0, 8);
+            c.register(parse_bundle_script(&a).unwrap()).unwrap();
+            c.register(parse_bundle_script(&b).unwrap()).unwrap();
+            c
+        };
+        let fast = assert_matches_baseline(mk(), mk(), "components");
+        assert_eq!(fast.metrics().gauge("controller.pruning.components"), Some(2.0));
     }
 
-    /// All-infeasible systems produce the seed's `Unplaceable` error in
-    /// every mode (the `On` fallback reruns the full scan for it).
+    /// When nothing survives the pruned walkers the reference walker runs,
+    /// so an all-infeasible system reports the baseline's error word for
+    /// word.
     #[test]
-    fn pruned_search_reports_seed_errors() {
-        for mode in [PruningMode::Verify, PruningMode::On] {
-            let cluster = Cluster::from_rsl(&sp2_cluster(4)).unwrap();
-            let cfg = ControllerConfig {
-                lint: LintMode::Off,
-                reevaluate_on_arrival: false,
-                ..Default::default()
-            };
-            let mut c = Controller::new(cluster, cfg);
-            let _ = c.register(parse_bundle_script(NEGATIVE_BAG).unwrap());
-            let err = exhaustive_pruned(&mut c, 1_000, mode).unwrap_err();
-            assert!(matches!(err, CoreError::Unplaceable { .. }), "{mode:?}: {err}");
-        }
-        // And the size limit still applies.
-        let mut c = setup(3, 8);
-        let err = exhaustive_pruned(&mut c, 10, PruningMode::On).unwrap_err();
-        assert!(matches!(err, CoreError::SearchSpaceTooLarge { size: 64, limit: 10 }));
+    fn no_survivor_reports_the_baseline_error() {
+        let fast = exhaustive(&mut negative_system(), 1_000).unwrap_err();
+        let slow = exhaustive_baseline(&mut negative_system(), 1_000).unwrap_err();
+        assert!(matches!(fast, CoreError::Unplaceable { .. }), "{fast}");
+        assert_eq!(fast.to_string(), slow.to_string());
     }
 
     /// Satellite of the facts engine: the default exhaustive bound and the

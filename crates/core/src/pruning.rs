@@ -19,9 +19,11 @@
 //!
 //! Every claim is conservative: an evaluation error, an unbounded
 //! interval, or an unpinned hostname forfeits the claim and the optimizer
-//! falls back to the seed behavior for that candidate or pair. The
-//! `Verify` mode of [`PruningMode`] runs the pruned and unpruned searches
-//! side by side and demands bit-identical decisions.
+//! falls back to the seed behavior for that candidate or pair. There is no
+//! switch: [`crate::optimizer::exhaustive`] always consumes the plan, and
+//! the cross-check that it changes no decision is a test — the randomized
+//! suites hold it equal, bit for bit, to
+//! [`crate::optimizer::exhaustive_baseline`], which consumes none of it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -32,24 +34,8 @@ use harmony_resources::Cluster;
 use harmony_rsl::expr::MapEnv;
 use harmony_rsl::schema::{piecewise_linear, NodeReq, OptionSpec, PerfSpec, TagValue};
 use harmony_rsl::Value;
-use serde::{Deserialize, Serialize};
 
 use crate::optimizer::{EvalCtx, PairCtx};
-
-/// How [`crate::optimizer::exhaustive_pruned`] uses statically proven
-/// facts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PruningMode {
-    /// Run the pruned and the unpruned search side by side and require
-    /// bit-identical decisions
-    /// ([`crate::CoreError::PruningMismatch`] otherwise). The unpruned
-    /// result is the one applied.
-    Verify,
-    /// Trust the proofs: drop dominated candidates, certify unplaceable
-    /// ones away, partition independent bundles, and bound-and-prune the
-    /// scan.
-    On,
-}
 
 /// The statically derived plan for one joint search: which candidates
 /// survive, their response-time lower bounds, and the independent
@@ -58,7 +44,7 @@ pub enum PruningMode {
 pub struct PruningPlan {
     /// Per pair: surviving candidate indices, ascending. Indices refer to
     /// the pair's *original* candidate list, so assignments stay
-    /// comparable with the unpruned search.
+    /// comparable with the reference scan's.
     pub kept: Vec<Vec<usize>>,
     /// Per pair: a sound response-time lower bound per kept candidate
     /// (aligned with `kept`), clamped to `[0, ∞)`.
@@ -364,13 +350,17 @@ mod tests {
     use harmony_rsl::schema::parse_bundle_script;
     use proptest::prelude::*;
 
-    fn ctx_for(scripts: &[&str], nodes: usize) -> EvalCtx {
+    fn controller_for(scripts: &[&str], nodes: usize) -> Controller {
         let cluster = Cluster::from_rsl(&harmony_rsl::listings::sp2_cluster(nodes)).unwrap();
         let mut c = Controller::new(cluster, ControllerConfig::default());
         for s in scripts {
             let _ = c.register(parse_bundle_script(s).unwrap());
         }
-        EvalCtx::build(&mut c).unwrap()
+        c
+    }
+
+    fn ctx_for(scripts: &[&str], nodes: usize) -> EvalCtx {
+        EvalCtx::build(&mut controller_for(scripts, nodes)).unwrap()
     }
 
     #[test]
@@ -435,15 +425,6 @@ mod tests {
         let ctx = ctx_for(&[harmony_rsl::listings::FIG2B_BAG, harmony_rsl::listings::FIG2B_BAG], 8);
         let plan = PruningPlan::build(&ctx);
         assert_eq!(plan.components, vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn pruning_mode_round_trips() {
-        for mode in [PruningMode::Verify, PruningMode::On] {
-            let json = serde_json::to_string(&mode).unwrap();
-            let back: PruningMode = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, mode);
-        }
     }
 
     /// One randomized FIG2B-shaped bundle; half the time it carries a
@@ -521,11 +502,13 @@ mod tests {
             }
         }
 
-        /// Soundness of the plan itself: the best joint assignment of the
-        /// full, unpruned enumeration only ever uses candidates the plan
-        /// kept — nothing the facts engine drops can be part of an optimum.
+        /// Soundness of the plan itself: the search that consumes it and the
+        /// reference scan that consumes none of it commit the same decisions
+        /// and reach the same objective, bit for bit — nothing the facts
+        /// engine drops can be part of an optimum.
         #[test]
-        fn unpruned_best_is_never_pruned(seed in 0u64..120) {
+        fn pruned_search_equals_the_baseline(seed in 0u64..120) {
+            use crate::optimizer::{exhaustive, exhaustive_baseline};
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(0xBE57_0000 ^ seed);
             let nodes = rng.gen_range(2..=6usize);
@@ -533,53 +516,18 @@ mod tests {
             let scripts: Vec<String> =
                 (0..napps).map(|i| random_script(i, &mut rng)).collect();
             let refs: Vec<&str> = scripts.iter().map(String::as_str).collect();
-            let ctx = ctx_for(&refs, nodes);
-            if ctx.is_empty() || ctx.search_space() > 2_000 {
-                return Ok(());
+            let mut pruned = controller_for(&refs, nodes);
+            let mut reference = controller_for(&refs, nodes);
+            match (exhaustive(&mut pruned, 2_000), exhaustive_baseline(&mut reference, 2_000)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "seed {}", seed),
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "seed {}", seed),
+                (a, b) => prop_assert!(false, "seed {seed}: {a:?} vs {b:?}"),
             }
-            let plan = PruningPlan::build(&ctx);
-            let shape = ctx.shape();
-            let mut inc = crate::optimizer::IncrementalEval::new(&ctx);
-            let mut asg = vec![0usize; shape.len()];
-            let mut best: Option<(i64, Vec<usize>)> = None;
-            loop {
-                if let Some(score) = inc.eval_score(&asg).unwrap() {
-                    if let Some(key) = crate::optimizer::score_key(score) {
-                        let better = match &best {
-                            None => true,
-                            Some((bk, basg)) => {
-                                key < *bk || (key == *bk && asg < *basg)
-                            }
-                        };
-                        if better {
-                            best = Some((key, asg.clone()));
-                        }
-                    }
-                }
-                // Odometer, last pair fastest — the optimizer's order.
-                let mut done = true;
-                for d in (0..asg.len()).rev() {
-                    asg[d] += 1;
-                    if asg[d] < shape[d] {
-                        done = false;
-                        break;
-                    }
-                    asg[d] = 0;
-                }
-                if done {
-                    break;
-                }
-            }
-            if let Some((_, basg)) = best {
-                for (d, slot) in basg.iter().enumerate() {
-                    prop_assert!(
-                        plan.kept[d].contains(slot),
-                        "seed {seed}: optimal slot {slot} of pair {d} was pruned \
-                         (kept: {:?})",
-                        plan.kept[d]
-                    );
-                }
-            }
+            prop_assert_eq!(
+                pruned.objective_score().to_bits(),
+                reference.objective_score().to_bits(),
+                "seed {}", seed
+            );
         }
     }
 }

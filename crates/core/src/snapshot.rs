@@ -83,13 +83,6 @@ pub struct OptimizerSnapshot {
     /// recombination instead of being evaluated.
     #[serde(default)]
     pub pruning_nodes_pruned: u64,
-    /// Verify-mode runs completed.
-    #[serde(default)]
-    pub pruning_verified: u64,
-    /// Verify-mode divergences detected (always 0 unless the facts engine
-    /// is unsound).
-    #[serde(default)]
-    pub pruning_mismatches: u64,
     /// Planner scans run (the exact `controller.planner.*` counters).
     #[serde(default)]
     pub planner_scans: u64,
@@ -267,8 +260,6 @@ impl SystemSnapshot {
                 pruning_dominated: ctl.metrics().counter("controller.pruning.dominated_dropped"),
                 pruning_infeasible: ctl.metrics().counter("controller.pruning.infeasible_dropped"),
                 pruning_nodes_pruned: ctl.metrics().counter("controller.pruning.nodes_pruned"),
-                pruning_verified: ctl.metrics().counter("controller.pruning.verified"),
-                pruning_mismatches: ctl.metrics().counter("controller.pruning.mismatches"),
                 planner_scans: ctl.metrics().counter("controller.planner.scans"),
                 planner_trials: ctl.metrics().counter("controller.planner.trials"),
                 planner_matches: ctl.metrics().counter("controller.planner.matches"),
@@ -408,15 +399,6 @@ mod tests {
         assert!(snap.optimizer.cache_misses >= 1);
         assert_eq!(snap.optimizer.cache_size, ctl.candidate_cache_len() as u64);
         assert!(snap.optimizer.last_wall_ms >= 0.0);
-    }
-
-    #[test]
-    fn pruning_counters_appear_in_snapshot() {
-        let mut ctl = controller();
-        crate::optimizer::exhaustive_pruned(&mut ctl, 10_000, crate::PruningMode::Verify).unwrap();
-        let snap = SystemSnapshot::capture(&ctl);
-        assert_eq!(snap.optimizer.pruning_verified, 1);
-        assert_eq!(snap.optimizer.pruning_mismatches, 0);
     }
 
     #[test]

@@ -1,10 +1,14 @@
-//! Equivalence properties of the rebuilt decision engine.
+//! Equivalence properties of the joint decision engine.
 //!
-//! Two invariants the parallel/incremental machinery must never bend:
+//! Two invariants the pruned/incremental machinery must never bend:
 //!
-//! 1. Parallel exhaustive search returns *identical* `DecisionRecord`s to
-//!    the serial scan, for any worker count (the deterministic
-//!    `(score, assignment)` tie-break makes partition merges exact).
+//! 1. `exhaustive` — which consumes the facts engine's `PruningPlan`,
+//!    recombining components or bounding branches — commits *identical*
+//!    `DecisionRecord`s to `exhaustive_baseline`, which scans the whole
+//!    space through the reference evaluator, and leaves the same winning
+//!    assignment, allocations, per-pair predicted times and objective
+//!    bits. The search has one path and no self-checking mode: this suite
+//!    is the cross-check.
 //! 2. The incremental prefix-reuse evaluator agrees with the fresh-clone
 //!    reference evaluator on every assignment, in any visit order.
 //!
@@ -12,11 +16,8 @@
 //! counts, variable choices, memory/seconds/communication shapes, cluster
 //! sizes, matcher strategies, objectives), >= 100 cases each.
 
-use harmony_core::optimizer::{
-    annealing_with_workers, exhaustive_baseline, exhaustive_pruned, exhaustive_with_workers,
-    EvalCtx, IncrementalEval,
-};
-use harmony_core::{Controller, ControllerConfig, Objective, PruningMode};
+use harmony_core::optimizer::{exhaustive, exhaustive_baseline, EvalCtx, IncrementalEval};
+use harmony_core::{Controller, ControllerConfig, Objective};
 use harmony_resources::{Cluster, Strategy};
 use harmony_rsl::listings::sp2_cluster;
 use harmony_rsl::schema::parse_bundle_script;
@@ -115,60 +116,50 @@ fn random_pruning_system(rng: &mut StdRng) -> (ControllerConfig, usize, Vec<Stri
     (config, nodes, scripts)
 }
 
-#[test]
-fn pruned_search_is_bit_identical_on_random_systems() {
-    // ISSUE acceptance: Verify mode bit-identical across >= 300 randomized
-    // cases. Each case compares the plain scan, the Verify-mode run (which
-    // internally asserts agreement and errors on divergence), and the
-    // On-mode run.
-    let mut failures = Vec::new();
-    for case in 0..300u64 {
-        let mut rng = StdRng::seed_from_u64(0xFAC7_0000 + case);
-        let (config, nodes, scripts) = random_pruning_system(&mut rng);
-        let mut plain = build_controller(&config, nodes, &scripts);
-        let mut verify = build_controller(&config, nodes, &scripts);
-        let mut on = build_controller(&config, nodes, &scripts);
-        let rp = exhaustive_with_workers(&mut plain, 1_000_000, 1);
-        let rv = exhaustive_pruned(&mut verify, 1_000_000, PruningMode::Verify);
-        let ro = exhaustive_pruned(&mut on, 1_000_000, PruningMode::On);
-        for (mode, r) in [("verify", &rv), ("on", &ro)] {
-            let same = match (&rp, r) {
-                (Ok(a), Ok(b)) => a == b,
-                (Err(a), Err(b)) => a.to_string() == b.to_string(),
-                _ => false,
-            };
-            if !same {
-                failures.push(format!("case {case} ({mode}): {rp:?} vs {r:?}"));
-            }
-        }
-        if verify.metrics().counter("controller.pruning.mismatches") != 0 {
-            failures.push(format!("case {case}: verify recorded a mismatch"));
-        }
-        if plain.objective_score() != on.objective_score() {
-            failures.push(format!("case {case}: objective diverged under pruning"));
+/// Runs `exhaustive` and `exhaustive_baseline` on twin controllers and
+/// describes the first thing they disagree on: the result (decisions, or
+/// the error's text), any instance's committed choice (option and
+/// variables, allocation, predicted time), or the objective's bits.
+fn divergence(config: &ControllerConfig, nodes: usize, scripts: &[String]) -> Option<String> {
+    let mut pruned = build_controller(config, nodes, scripts);
+    let mut reference = build_controller(config, nodes, scripts);
+    let rp = exhaustive(&mut pruned, 1_000_000);
+    let rr = exhaustive_baseline(&mut reference, 1_000_000);
+    let same = match (&rp, &rr) {
+        (Ok(a), Ok(b)) => a == b,
+        (Err(a), Err(b)) => a.to_string() == b.to_string(),
+        _ => false,
+    };
+    if !same {
+        return Some(format!("{rp:?} vs {rr:?}"));
+    }
+    for id in reference.instances() {
+        let (p, r) = (pruned.choice(&id, "config"), reference.choice(&id, "config"));
+        if p != r {
+            return Some(format!("{id:?} holds {p:?} vs {r:?}"));
         }
     }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    let (p, r) = (pruned.objective_score(), reference.objective_score());
+    (p.to_bits() != r.to_bits()).then(|| format!("objective {p} vs {r}"))
 }
 
 #[test]
-fn parallel_exhaustive_equals_serial_on_random_systems() {
+fn pruned_search_is_bit_identical_on_random_systems() {
+    // 120 plain systems, then 300 that also exercise the pruning axes
+    // (components, dominated choices).
+    type Shape = fn(&mut StdRng) -> (ControllerConfig, usize, Vec<String>);
+    let families: [(&str, u64, u64, Shape); 2] = [
+        ("plain", 0xE0_0000, 120, random_system),
+        ("pruning", 0xFAC7_0000, 300, random_pruning_system),
+    ];
     let mut failures = Vec::new();
-    for case in 0..120u64 {
-        let mut rng = StdRng::seed_from_u64(0xE0_0000 + case);
-        let (config, nodes, scripts) = random_system(&mut rng);
-        let mut serial = build_controller(&config, nodes, &scripts);
-        let mut parallel = build_controller(&config, nodes, &scripts);
-        let workers = rng.gen_range(2..=6usize);
-        let rs = exhaustive_with_workers(&mut serial, 1_000_000, 1);
-        let rp = exhaustive_with_workers(&mut parallel, 1_000_000, workers);
-        let same = match (&rs, &rp) {
-            (Ok(a), Ok(b)) => a == b,
-            (Err(a), Err(b)) => a.to_string() == b.to_string(),
-            _ => false,
-        };
-        if !same || serial.objective_score() != parallel.objective_score() {
-            failures.push(format!("case {case} (workers {workers}): {rs:?} vs {rp:?}"));
+    for (family, base, cases, shape) in families {
+        for case in 0..cases {
+            let mut rng = StdRng::seed_from_u64(base + case);
+            let (config, nodes, scripts) = shape(&mut rng);
+            if let Some(what) = divergence(&config, nodes, &scripts) {
+                failures.push(format!("{family} case {case}: {what}"));
+            }
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -181,7 +172,7 @@ fn baseline_scan_equals_exhaustive_on_random_systems() {
         let (config, nodes, scripts) = random_system(&mut rng);
         let mut fast = build_controller(&config, nodes, &scripts);
         let mut slow = build_controller(&config, nodes, &scripts);
-        let rf = exhaustive_with_workers(&mut fast, 1_000_000, 4);
+        let rf = exhaustive(&mut fast, 1_000_000);
         let rb = exhaustive_baseline(&mut slow, 1_000_000);
         match (rf, rb) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "case {case}"),
@@ -224,23 +215,6 @@ fn incremental_eval_equals_fresh_eval_on_random_systems() {
                 ctx.eval_fresh(&asg).unwrap(),
                 "case {case} probe {probe} at {asg:?}"
             );
-        }
-    }
-}
-
-#[test]
-fn annealing_is_thread_count_invariant_on_random_systems() {
-    for case in 0..40u64 {
-        let mut rng = StdRng::seed_from_u64(0xA0_0000 + case);
-        let (config, nodes, scripts) = random_system(&mut rng);
-        let mut one = build_controller(&config, nodes, &scripts);
-        let mut many = build_controller(&config, nodes, &scripts);
-        let r1 = annealing_with_workers(&mut one, 120, 60.0, case, 3, 1);
-        let rn = annealing_with_workers(&mut many, 120, 60.0, case, 3, 4);
-        match (r1, rn) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "case {case}"),
-            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "case {case}"),
-            (a, b) => panic!("case {case}: {a:?} vs {b:?}"),
         }
     }
 }

@@ -16,9 +16,7 @@
 //! `recover` runs the seed's schedule against a durable controller,
 //! crashes it mid-burst, recovers from the state directory, and compares
 //! persisted-image fingerprints (see `harmony_harness::recovery`). The
-//! printed line is byte-stable across `RAYON_NUM_THREADS` settings, which
-//! is how the determinism tests check snapshot-plus-tail replay through a
-//! real process boundary.
+//! printed line is byte-stable across repeat runs of a seed.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -221,8 +219,7 @@ fn cmd_recover(flags: &Flags) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Everything printed here must be byte-stable across thread counts;
-    // the determinism tests diff this output verbatim.
+    // Everything printed here is a function of the seed alone.
     println!(
         "seed {:>6}  crash {:>3}/{:<3}  pre {:016x}  post {:016x}  \
          snapshot {:?}  replayed {}  sessions {}  pending {}",

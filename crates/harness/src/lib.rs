@@ -13,8 +13,7 @@
 //! - **Determinism.** A seed fully determines the schedule, the
 //!   controller configuration, and (because nothing reads the wall clock
 //!   or OS entropy) the entire run, down to a bit-identical
-//!   journal/decision fingerprint — across repeat runs and across
-//!   `RAYON_NUM_THREADS` settings.
+//!   journal/decision fingerprint across repeat runs.
 //! - **Replayability.** A failing run serializes to a JSON artifact
 //!   (schedule + violation) that `harness replay` re-executes exactly.
 //! - **Shrinkability.** Ops on dead clients and absent nodes are no-ops,

@@ -1,12 +1,6 @@
 //! The determinism oracle: a seed fully determines the run.
 //!
-//! The in-process checks rerun schedules and compare fingerprints; the
-//! binary test spawns the `harness` CLI under different
-//! `RAYON_NUM_THREADS` settings, which exercises the annealing
-//! optimizer's thread-count-invariant merge through a real process
-//! boundary.
-
-use std::process::Command;
+//! The checks rerun schedules in process and compare fingerprints.
 
 use harmony_harness::{generate, run_schedule, run_seed, PlantedBug};
 
@@ -38,23 +32,4 @@ fn subsequences_still_run_clean() {
     thinned.ops = thinned.ops.into_iter().step_by(3).collect();
     let report = run_schedule(&thinned, PlantedBug::None);
     assert!(report.violation.is_none(), "{:?}", report.violation);
-}
-
-#[test]
-fn fingerprint_is_thread_count_invariant() {
-    // Seed 5 selects the annealing optimizer (seed % 3 == 2), the only
-    // parallel code path, and runs clean.
-    let run = |threads: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_harness"))
-            .args(["replay", "--seed", "5"])
-            .env("RAYON_NUM_THREADS", threads)
-            .output()
-            .expect("spawn harness binary");
-        assert!(out.status.success(), "replay failed: {}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).expect("utf8 stdout")
-    };
-    let single = run("1");
-    let multi = run("4");
-    assert!(single.contains("fp "), "unexpected output: {single}");
-    assert_eq!(single, multi, "thread count changed the decision sequence");
 }
