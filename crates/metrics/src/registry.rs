@@ -318,6 +318,18 @@ mod tests {
     }
 
     #[test]
+    fn a_recorded_series_keeps_its_newest_default_capacity_samples() {
+        let reg = MetricRegistry::new();
+        for i in 0..1025 {
+            assert!(reg.record("a.rt", i as f64, 1.0));
+        }
+        let series = reg.series("a.rt").unwrap();
+        assert_eq!(series.len(), TimeSeries::DEFAULT_CAPACITY);
+        assert_eq!(series.total_count(), 1025);
+        assert_eq!(series.iter().next().map(|s| s.time), Some(1.0), "the oldest was evicted");
+    }
+
+    #[test]
     fn clones_share_state() {
         let reg = MetricRegistry::new();
         let clone = reg.clone();

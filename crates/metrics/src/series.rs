@@ -31,7 +31,7 @@ pub struct Sample {
 /// assert_eq!(s.mean(), Some(15.0));
 /// assert_eq!(s.last().map(|x| x.value), Some(20.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
     samples: VecDeque<Sample>,
     capacity: usize,
@@ -169,6 +169,14 @@ impl TimeSeries {
     /// Number of retained samples with `time >= since`.
     pub fn count_since(&self, since: f64) -> usize {
         self.samples.iter().filter(|s| s.time >= since).count()
+    }
+}
+
+impl Default for TimeSeries {
+    /// [`TimeSeries::new`]: a derived default would have capacity 0, which
+    /// `record` never reaches and so never evicts at.
+    fn default() -> Self {
+        Self::new()
     }
 }
 
