@@ -93,10 +93,7 @@ impl Controller {
                 self.apply(WalEvent::Bundle { now, id: instance, spec })
             }
             HarmonyEvent::Reattach { instance } => {
-                let detail = format!("reattach {instance}");
-                self.apply(WalEvent::Reattach { now, id: instance })?;
-                self.journal_append(JournalKind::Event, detail);
-                Ok(EventOutcome::Quiet)
+                self.apply(WalEvent::Reattach { now, id: instance })
             }
             HarmonyEvent::Periodic => {
                 let mut records = self.apply(WalEvent::Reap { now })?.into_decisions();
@@ -252,6 +249,27 @@ mod tests {
         let before = c.metrics().counter("controller.reevals");
         c.handle_event(HarmonyEvent::Periodic).unwrap();
         assert_eq!(c.metrics().counter("controller.reevals"), before + 1);
+    }
+
+    #[test]
+    fn a_direct_and_a_delivered_reattach_journal_alike() {
+        let tails: Vec<Vec<(JournalKind, String)>> = [false, true]
+            .into_iter()
+            .map(|delivered| {
+                let mut c = controller(8);
+                let id = c.startup("bag");
+                let cursor = c.journal_seq();
+                if delivered {
+                    c.handle_event(HarmonyEvent::Reattach { instance: id }).unwrap();
+                } else {
+                    c.reattach(&id).unwrap();
+                }
+                let tail = c.journal_tail(cursor, 16).entries;
+                tail.into_iter().map(|e| (e.kind, e.detail)).collect()
+            })
+            .collect();
+        assert_eq!(tails[0], [(JournalKind::Event, "reattach bag.1".to_string())]);
+        assert_eq!(tails[0], tails[1]);
     }
 
     #[test]
