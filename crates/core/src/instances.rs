@@ -2,12 +2,11 @@
 //!
 //! In the paper an instance is one thing from `harmony_startup` to
 //! `harmony_end` (§3.2 two-part name, §5 API). Everything the controller
-//! holds for it is one [`Instance`], so "registered ⇔ has a session ⇔ has
-//! a touch slot ⇔ has a poll buffer" cannot be violated, and retirement
+//! holds for it is one [`Instance`], so "registered ⇔ has a lease ⇔ has a
+//! poll buffer" cannot be violated, and retirement
 //! drops all of it — candidate memo included — in one remove.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use harmony_ns::HPath;
@@ -16,22 +15,15 @@ use parking_lot::Mutex;
 
 use crate::app::{AppInstance, BundleState, InstanceId, InstanceRef};
 use crate::candidates::{enumerate, Candidate};
-use crate::session::SessionState;
+use crate::leases::Lease;
 
 /// Everything the controller holds for one registered instance.
 #[derive(Debug)]
 pub(crate) struct Instance {
     /// Bundles and their applied configurations.
     pub(crate) app: AppInstance,
-    /// The lease.
-    pub(crate) session: SessionState,
-    /// Lock-free lease touch-stamp: the concurrent read path renews the
-    /// lease by storing `f64::to_bits(touch_time)` with `fetch_max` (valid
-    /// because the bit patterns of non-negative IEEE doubles are
-    /// order-isomorphic to their values; `0` doubles as the "never
-    /// touched" sentinel). Write-path operations fold it into
-    /// [`SessionState::deadline`].
-    pub(crate) touch: AtomicU64,
+    /// The lease, with the touch stamp the read path renews it through.
+    pub(crate) lease: Lease,
     /// Buffered variable updates awaiting the next poll. Behind its own
     /// mutex so the polling path drains under a shared controller borrow.
     pub(crate) pending: Mutex<Vec<(HPath, Value)>>,
@@ -44,18 +36,13 @@ pub(crate) struct Instance {
 }
 
 impl Instance {
-    /// An instance with nothing touched or buffered, holding the bundles
+    /// An instance with nothing buffered, holding `lease` and the bundles
     /// `app` arrives with (none at startup, all of them on load), each
     /// attached and so memoized.
-    pub(crate) fn new(mut app: AppInstance, session: SessionState, elastic_steps: &[f64]) -> Self {
+    pub(crate) fn new(mut app: AppInstance, lease: Lease, elastic_steps: &[f64]) -> Self {
         let bundles = std::mem::take(&mut app.bundles);
-        let mut instance = Instance {
-            app,
-            session,
-            touch: AtomicU64::new(0),
-            pending: Mutex::new(Vec::new()),
-            candidates: BTreeMap::new(),
-        };
+        let mut instance =
+            Instance { app, lease, pending: Mutex::new(Vec::new()), candidates: BTreeMap::new() };
         for state in bundles {
             instance.attach(state, elastic_steps);
         }
@@ -75,24 +62,6 @@ impl Instance {
     pub(crate) fn detach(&mut self, bundle: &str) {
         self.app.bundles.retain(|b| b.spec.name != bundle);
         self.candidates.remove(bundle);
-    }
-
-    /// Folds a pending touch-stamp into the session (the write-path half
-    /// of read-path lease renewal); true when one was pending. A batch of
-    /// touches between folds counts as one renewal, mirroring how the
-    /// reaper would have observed it.
-    pub(crate) fn fold_touch(&mut self, lease: f64) -> bool {
-        let bits = std::mem::take(self.touch.get_mut());
-        if bits == 0 {
-            return false;
-        }
-        let renewed = f64::from_bits(bits) + lease;
-        if renewed > self.session.deadline {
-            self.session.deadline = renewed;
-        }
-        self.session.disconnected = false;
-        self.session.renewals += 1;
-        true
     }
 }
 
@@ -174,8 +143,8 @@ mod tests {
     #[test]
     fn a_bundle_and_its_memo_come_and_go_together() {
         let id = InstanceId::new("bag", 1);
-        let session = SessionState::new(30.0);
-        let mut inst = Instance::new(AppInstance::new(id, 0.0), session, &[]);
+        let lease = Lease::new(0.0, &Default::default());
+        let mut inst = Instance::new(AppInstance::new(id, 0.0), lease, &[]);
         let spec = parse_bundle_script(FIG2B_BAG).unwrap();
         // No controller, no pass: attaching alone fills the memo.
         inst.attach(BundleState::new(spec.clone()), &[]);
@@ -186,7 +155,7 @@ mod tests {
         // An app that arrives with bundles (a load) has them attached.
         let mut app = inst.app;
         app.bundles.push(BundleState::new(spec));
-        let loaded = Instance::new(app, inst.session, &[]);
+        let loaded = Instance::new(app, inst.lease, &[]);
         assert_eq!(loaded.app.bundles.len(), 1);
         assert!(loaded.candidates.contains_key("config"));
     }
@@ -198,8 +167,8 @@ mod tests {
         let arrivals =
             [("b", 2), ("a", 10), ("a", 9), ("b", 1)].map(|(app, id)| InstanceId::new(app, id));
         for id in &arrivals {
-            let session = SessionState::new(30.0);
-            table.insert(Instance::new(AppInstance::new(id.clone(), 0.0), session, &[]));
+            let lease = Lease::new(0.0, &Default::default());
+            table.insert(Instance::new(AppInstance::new(id.clone(), 0.0), lease, &[]));
         }
         let ids = |it: &mut dyn Iterator<Item = &Instance>| -> Vec<String> {
             it.map(|inst| inst.app.id.to_string()).collect()

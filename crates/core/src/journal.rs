@@ -26,8 +26,8 @@ pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]
 pub enum JournalKind {
-    /// A Harmony event: startup, bundle setup, metric report, heartbeat,
-    /// reattach, end, periodic tick, cluster membership change.
+    /// A Harmony event: startup, bundle setup, metric report, reattach,
+    /// periodic tick, cluster membership change.
     Event,
     /// A session retirement (explicit end, lease expiry, disconnect).
     Retirement,

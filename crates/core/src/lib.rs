@@ -28,13 +28,13 @@ mod events;
 pub mod feedback;
 mod instances;
 pub mod journal;
+mod leases;
 mod objective;
 pub mod optimizer;
 pub mod persist;
 mod planner;
 pub mod pruning;
 mod scheduler;
-mod session;
 mod snapshot;
 
 pub use app::{AppInstance, BundleState, ChosenConfig, InstanceId, InstanceRef};
@@ -46,12 +46,12 @@ pub use error::CoreError;
 pub use events::{EventOutcome, HarmonyEvent};
 pub use feedback::FeedbackConfig;
 pub use journal::{EventJournal, JournalEntry, JournalKind, JournalTail, PhaseTimings};
+pub use leases::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
 pub use objective::Objective;
 pub use optimizer::DEFAULT_EXHAUSTIVE_LIMIT;
 pub use persist::{PersistedState, RecoveryInfo, StateStore, WalEvent};
 pub use pruning::PruningPlan;
 pub use scheduler::{CoalescePolicy, DecisionScheduler, SchedulerState};
-pub use session::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
 pub use snapshot::{
     AppSnapshot, HistogramSnapshot, NodeSnapshot, OptimizerSnapshot, PersistenceSnapshot,
     SchedulerSnapshot, SessionSnapshot, SystemSnapshot,

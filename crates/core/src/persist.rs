@@ -45,7 +45,6 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use harmony_ns::{HPath, InstanceRegistry, Namespace};
@@ -62,8 +61,8 @@ use crate::error::CoreError;
 use crate::events::HarmonyEvent;
 use crate::instances::Instance;
 use crate::journal::{EventJournal, JournalEntry};
+use crate::leases::{Lease, RetirementRecord, SessionState};
 use crate::scheduler::{DecisionScheduler, SchedulerState};
-use crate::session::{RetirementRecord, SessionState};
 
 /// Version stamp of [`PersistedState`]; a mismatch refuses recovery
 /// rather than misinterpreting fields.
@@ -452,10 +451,7 @@ impl Controller {
             })
             .collect();
         let by_id = || self.instances.in_id_order().map(|inst| (inst.app.id.clone(), inst));
-        let unfolded = |inst: &Instance| {
-            let bits = inst.touch.load(Ordering::Acquire);
-            (bits != 0).then(|| (inst.app.id.clone(), bits))
-        };
+        let unfolded = |inst: &Instance| Some((inst.app.id.clone(), inst.lease.unfolded()?));
         PersistedState {
             version: PERSIST_VERSION,
             now: self.now,
@@ -466,7 +462,7 @@ impl Controller {
             arrival_order: self.instances.arrival().to_vec(),
             namespace: self.namespace.clone(),
             pending_vars: by_id().map(|(id, inst)| (id, inst.pending.lock().clone())).collect(),
-            sessions: by_id().map(|(id, inst)| (id, inst.session.clone())).collect(),
+            sessions: by_id().map(|(id, inst)| (id, inst.lease.session().clone())).collect(),
             touches: self.instances.in_id_order().filter_map(unfolded).collect(),
             decisions: self.decisions.clone(),
             retirements: self.retirements.clone(),
@@ -510,9 +506,9 @@ impl Controller {
                     "arrival_order names `{id}`, which has no app and session of its own"
                 ));
             };
-            let mut instance = Instance::new(app, session, &ctl.config.elastic_steps);
-            // Absent means empty: only unfolded stamps are written.
-            *instance.touch.get_mut() = touches.remove(&id).unwrap_or(0);
+            // Absent means none: only unfolded stamps are written.
+            let lease = Lease::restore(session, touches.remove(&id));
+            let mut instance = Instance::new(app, lease, &ctl.config.elastic_steps);
             *instance.pending.get_mut() = pending.remove(&id).unwrap_or_default();
             ctl.instances.insert(instance);
         }

@@ -8,8 +8,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::controller::Controller;
+use crate::leases::RetirementRecord;
 use crate::persist::RecoveryInfo;
-use crate::session::RetirementRecord;
 
 /// One application's summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -39,7 +39,7 @@ impl ShadowSession {
     }
 
     /// Folds a pending read-path touch into the deadline, mirroring the
-    /// controller's `fold_touches` exactly: a folded touch renews (and
+    /// controller's lease fold exactly: a folded touch renews (and
     /// clears a disconnect mark) only when it extends the deadline check
     /// window, and the stamp is consumed.
     pub fn fold(&mut self, duration: f64) {
