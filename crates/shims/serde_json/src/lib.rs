@@ -1,5 +1,5 @@
-//! Offline stand-in for `serde_json`: renders and parses the shimmed
-//! `serde::Content` data model as JSON text.
+//! Offline stand-in for `serde_json`: the entry points over the shimmed
+//! `serde`'s one JSON [`Writer`] and one [`Reader`].
 //!
 //! Divergences from strict JSON, chosen deliberately so the workspace's
 //! own values round-trip: non-finite floats are written as the bare
@@ -7,427 +7,45 @@
 //! maps with non-string keys are rendered as arrays of `[key, value]`
 //! pairs.
 
-use std::fmt;
+use serde::{Content, Deserialize, Reader, Serialize, Writer};
 
-use serde::{Content, DeError, Deserialize, Serialize};
-
-/// Serialization/deserialization failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    msg: String,
-}
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Self {
-        Error { msg: msg.into() }
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<DeError> for Error {
-    fn from(e: DeError) -> Self {
-        Error::new(e.to_string())
-    }
-}
+pub use serde::Error;
 
 /// Convenience alias matching the real crate.
 pub type Result<T> = std::result::Result<T, Error>;
 
-// ---------------------------------------------------------------------------
-// Emission
-// ---------------------------------------------------------------------------
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_f64(out: &mut String, x: f64) {
-    if x.is_nan() {
-        out.push_str("NaN");
-    } else if x == f64::INFINITY {
-        out.push_str("Infinity");
-    } else if x == f64::NEG_INFINITY {
-        out.push_str("-Infinity");
-    } else if x == x.trunc() && x.abs() < 1e15 {
-        // Keep a fractional marker so the value parses back as a float.
-        out.push_str(&format!("{x:.1}"));
-    } else {
-        out.push_str(&format!("{x}"));
-    }
-}
-
-fn emit(v: &Content, out: &mut String, indent: Option<usize>) {
-    let (nl, pad, pad_in) = match indent {
-        Some(depth) => ("\n", "  ".repeat(depth), "  ".repeat(depth + 1)),
-        None => ("", String::new(), String::new()),
-    };
-    match v {
-        Content::Null => out.push_str("null"),
-        Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::I64(i) => out.push_str(&i.to_string()),
-        Content::U64(u) => out.push_str(&u.to_string()),
-        Content::F64(x) => push_f64(out, *x),
-        Content::Str(s) => push_escaped(out, s),
-        Content::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(nl);
-                out.push_str(&pad_in);
-                emit(item, out, indent.map(|d| d + 1));
-            }
-            out.push_str(nl);
-            out.push_str(&pad);
-            out.push(']');
-        }
-        Content::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            let all_string_keys = entries.iter().all(|(k, _)| matches!(k, Content::Str(_)));
-            if all_string_keys {
-                out.push('{');
-                for (i, (k, val)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    if let Content::Str(s) = k {
-                        push_escaped(out, s);
-                    }
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    emit(val, out, indent.map(|d| d + 1));
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
-            } else {
-                // Non-string keys: render as [[key, value], ...].
-                let pairs: Vec<Content> = entries
-                    .iter()
-                    .map(|(k, val)| Content::Seq(vec![k.clone(), val.clone()]))
-                    .collect();
-                emit(&Content::Seq(pairs), out, indent);
-            }
-        }
-    }
+fn write<T: Serialize>(value: &T, pretty: bool) -> String {
+    let mut w = Writer::new(pretty);
+    value.serialize(&mut w);
+    w.into_string()
 }
 
 /// Serializes `value` to compact JSON.
 pub fn to_string<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    emit(&value.ser(), &mut out, None);
-    Ok(out)
+    Ok(write(value, false))
 }
 
 /// Serializes `value` to two-space-indented JSON.
 pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    emit(&value.ser(), &mut out, Some(0));
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Parsing
-// ---------------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn err(&self, msg: &str) -> Error {
-        Error::new(format!("{msg} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Content> {
-        self.skip_ws();
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => {
-                if self.eat_keyword("null") {
-                    Ok(Content::Null)
-                } else {
-                    Err(self.err("invalid token"))
-                }
-            }
-            Some(b't') => {
-                if self.eat_keyword("true") {
-                    Ok(Content::Bool(true))
-                } else {
-                    Err(self.err("invalid token"))
-                }
-            }
-            Some(b'f') => {
-                if self.eat_keyword("false") {
-                    Ok(Content::Bool(false))
-                } else {
-                    Err(self.err("invalid token"))
-                }
-            }
-            Some(b'N') => {
-                if self.eat_keyword("NaN") {
-                    Ok(Content::F64(f64::NAN))
-                } else {
-                    Err(self.err("invalid token"))
-                }
-            }
-            Some(b'I') => {
-                if self.eat_keyword("Infinity") {
-                    Ok(Content::F64(f64::INFINITY))
-                } else {
-                    Err(self.err("invalid token"))
-                }
-            }
-            Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            Some(c) => Err(self.err(&format!("unexpected character `{}`", c as char))),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?,
-            );
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                _ => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Content> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-            if self.peek() == Some(b'I') {
-                return if self.eat_keyword("Infinity") {
-                    Ok(Content::F64(f64::NEG_INFINITY))
-                } else {
-                    Err(self.err("invalid token"))
-                };
-            }
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = is_float || b == b'.' || b == b'e' || b == b'E';
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Content::I64(i));
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Content::U64(u));
-            }
-        }
-        text.parse::<f64>().map(Content::F64).map_err(|_| self.err("invalid number"))
-    }
-
-    fn parse_array(&mut self) -> Result<Content> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Content::Seq(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Content::Seq(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Content> {
-        self.eat(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Content::Map(entries));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.parse_value()?;
-            entries.push((Content::Str(key), value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Content::Map(entries));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
+    Ok(write(value, true))
 }
 
 /// Parses JSON text into any `Deserialize` type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let mut p = Parser::new(s);
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(T::de(&v)?)
+    let mut r = Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
-/// Parses JSON text into the raw content tree.
+/// Parses JSON text into the generic value.
 pub fn from_str_content(s: &str) -> Result<Content> {
-    let mut p = Parser::new(s);
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
+    from_str(s)
 }
 
-/// Serializes a raw content tree to compact JSON.
+/// Serializes a generic value to compact JSON.
 pub fn content_to_string(v: &Content) -> String {
-    let mut out = String::new();
-    emit(v, &mut out, None);
-    out
+    write(v, false)
 }
 
 #[cfg(test)]
@@ -446,6 +64,8 @@ mod tests {
     #[test]
     fn floats_keep_fraction_marker() {
         assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        assert_eq!(to_string(&1e15f64).unwrap(), "1000000000000000");
         assert_eq!(from_str::<f64>("1.0").unwrap(), 1.0);
         assert_eq!(to_string(&f64::INFINITY).unwrap(), "Infinity");
         assert_eq!(from_str::<f64>("-Infinity").unwrap(), f64::NEG_INFINITY);
@@ -474,12 +94,35 @@ mod tests {
     fn pretty_is_reparseable() {
         let v: Vec<Vec<u8>> = vec![vec![1, 2], vec![]];
         let s = to_string_pretty(&v).unwrap();
-        assert!(s.contains('\n'));
+        assert_eq!(s, "[\n  [\n    1,\n    2\n  ],\n  []\n]");
         assert_eq!(from_str::<Vec<Vec<u8>>>(&s).unwrap(), v);
     }
 
     #[test]
     fn unicode_escapes() {
-        assert_eq!(from_str::<String>(r#""Ab""#).unwrap(), "Ab");
+        assert_eq!(from_str::<String>(r#""Abé""#).unwrap(), "Abé");
+        assert!(from_str::<String>(r#""\ud800""#).is_err());
+    }
+
+    #[test]
+    fn content_keeps_number_shapes_and_key_order() {
+        let text = r#"{"b":[1,18446744073709551615,-2,2.5,null,true],"a":"x"}"#;
+        let v = from_str_content(text).unwrap();
+        let Content::Map(entries) = &v else { panic!("not a map: {v:?}") };
+        assert_eq!(entries[0].0, Content::Str("b".into()));
+        assert_eq!(
+            entries[0].1,
+            Content::Seq(vec![
+                Content::I64(1),
+                Content::U64(u64::MAX),
+                Content::I64(-2),
+                Content::F64(2.5),
+                Content::Null,
+                Content::Bool(true),
+            ])
+        );
+        assert_eq!(content_to_string(&v), text);
+        assert!(from_str_content("[1,]").is_err());
+        assert!(from_str_content("1 2").is_err());
     }
 }
