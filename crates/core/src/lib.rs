@@ -25,7 +25,6 @@ mod candidates;
 mod controller;
 mod error;
 mod events;
-pub mod feedback;
 mod instances;
 pub mod journal;
 mod leases;
@@ -44,7 +43,6 @@ pub use candidates::{
 pub use controller::{Controller, ControllerConfig, DecisionRecord, LintMode};
 pub use error::CoreError;
 pub use events::{EventOutcome, HarmonyEvent};
-pub use feedback::FeedbackConfig;
 pub use journal::{EventJournal, JournalEntry, JournalKind, JournalTail, PhaseTimings};
 pub use leases::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
 pub use objective::Objective;

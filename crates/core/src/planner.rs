@@ -32,7 +32,6 @@ use crate::app::{BundleState, ChosenConfig, InstanceId};
 use crate::candidates::Candidate;
 use crate::controller::Controller;
 use crate::error::CoreError;
-use crate::feedback::calibration_factor;
 use crate::journal::PhaseTimings;
 use crate::optimizer::SCORE_EPSILON;
 
@@ -60,9 +59,9 @@ struct Placed<'a> {
 }
 
 impl Placed<'_> {
-    fn time_on(&self, cluster: &Cluster, factor: f64) -> f64 {
+    fn time_on(&self, cluster: &Cluster) -> f64 {
         let ctx = PredictionContext::committed_with_env(cluster, &self.alloc, self.opt, &self.env);
-        timed(self.model.predict(&ctx), factor, self.penalty)
+        timed(self.model.predict(&ctx), self.penalty)
     }
 }
 
@@ -74,21 +73,20 @@ struct Standing<'a> {
     model: Box<dyn Predictor>,
     /// The allocation's footprint: indexes into [`Table::names`].
     nodes: Vec<usize>,
-    /// Response time on the live cluster, feedback factor applied.
+    /// Response time on the live cluster.
     live: f64,
 }
 
 impl Standing<'_> {
-    fn time_on(&self, cluster: &Cluster, factor: f64) -> f64 {
+    fn time_on(&self, cluster: &Cluster) -> f64 {
         let ctx = PredictionContext::committed_with_env(cluster, self.alloc, self.opt, &self.env);
-        timed(self.model.predict(&ctx), factor, 0.0)
+        timed(self.model.predict(&ctx), 0.0)
     }
 }
 
 /// One application of the table: its bundles in order, configured or not.
 struct Row<'a> {
     id: &'a InstanceId,
-    factor: f64,
     bundles: Vec<(&'a str, Option<Standing<'a>>)>,
 }
 
@@ -125,9 +123,9 @@ impl<'a> Table<'a> {
                     .iter()
                     .find(|p| p.target.id == row.id && p.target.state.spec.name == *name);
                 let rt = match (moved, standing) {
-                    (Some(p), _) => p.time_on(cluster, row.factor),
+                    (Some(p), _) => p.time_on(cluster),
                     (None, Some(s)) if s.nodes.iter().any(|&i| touched[i] > 0) => {
-                        s.time_on(cluster, row.factor)
+                        s.time_on(cluster)
                     }
                     (None, Some(s)) => s.live,
                     (None, None) => continue,
@@ -156,8 +154,8 @@ fn mark(touched: &mut [i32], nodes: &[usize], by: i32) {
 
 /// A model's answer as the sweep counts it; a failed prediction is never
 /// attractive.
-fn timed(prediction: Result<Prediction, PredictError>, factor: f64, penalty: f64) -> f64 {
-    prediction.map_or(f64::INFINITY, |p| p.response_time * factor + penalty)
+fn timed(prediction: Result<Prediction, PredictError>, penalty: f64) -> f64 {
+    prediction.map_or(f64::INFINITY, |p| p.response_time + penalty)
 }
 
 /// One move the planner decided on, ready to commit.
@@ -464,7 +462,6 @@ impl Controller {
         let mut table = Table { names, rows: Vec::with_capacity(self.instances.len()) };
         for app in self.instances.in_arrival_order().map(|inst| &inst.app) {
             let id = &app.id;
-            let factor = self.feedback_factor(id);
             let standing = |bundle: &'a BundleState| {
                 let cfg = bundle.current.as_ref()?;
                 let opt = bundle.spec.option(&cfg.option)?;
@@ -476,11 +473,11 @@ impl Controller {
                     nodes: table.footprint(&cfg.alloc),
                     live: 0.0,
                 };
-                standing.live = standing.time_on(&self.cluster, factor);
+                standing.live = standing.time_on(&self.cluster);
                 Some(standing)
             };
             let bundles = app.bundles.iter().map(|b| (b.spec.name.as_str(), standing(b))).collect();
-            table.rows.push(Row { id, factor, bundles });
+            table.rows.push(Row { id, bundles });
         }
         table
     }
@@ -489,27 +486,6 @@ impl Controller {
     fn score(&self, times: &[(&InstanceId, f64)]) -> f64 {
         let rts: Vec<f64> = times.iter().map(|(_, rt)| *rt).collect();
         self.config.objective.score(&rts)
-    }
-
-    /// The measured-feedback factor for one application: how far reality
-    /// has diverged from the prediction of its *current* configuration.
-    fn feedback_factor(&self, id: &InstanceId) -> f64 {
-        let Some(cfg) = &self.config.feedback else { return 1.0 };
-        let Some(app) = self.app(id) else { return 1.0 };
-        let predicted = app
-            .bundles
-            .iter()
-            .filter_map(|b| b.current.as_ref().map(|c| c.predicted))
-            .fold(0.0f64, f64::max);
-        // Calibrate against the current configuration regime only: samples
-        // measured before the app's latest switch describe a different
-        // configuration and must not bleed into this one's factor.
-        let since = app
-            .bundles
-            .iter()
-            .filter_map(|b| b.current.as_ref().map(|c| c.chosen_at))
-            .fold(f64::NEG_INFINITY, f64::max);
-        calibration_factor(&self.metrics, id, predicted, since, cfg)
     }
 
     /// The friction (seconds) of moving `bundle` to `cand`, whose allocation
@@ -539,7 +515,6 @@ mod tests {
     use super::*;
     use crate::candidates::enumerate;
     use crate::controller::{ControllerConfig, LintMode};
-    use crate::feedback::FeedbackConfig;
     use harmony_predict::{DefaultModel, LogPParams};
     use harmony_resources::{AllocatedLink, Strategy};
     use harmony_rng::SeededRng;
@@ -691,7 +666,6 @@ mod tests {
                 if only.is_some_and(|o| o != id) {
                     continue;
                 }
-                let factor = self.feedback_factor(id);
                 let mut worst: Option<f64> = None;
                 for bundle in &app.bundles {
                     let replace =
@@ -706,7 +680,7 @@ mod tests {
                     };
                     let ctx = PredictionContext::committed(cluster, alloc, opt);
                     let rt = match model_for_option(opt).predict(&ctx) {
-                        Ok(p) => p.response_time * factor + penalty,
+                        Ok(p) => p.response_time + penalty,
                         Err(_) => f64::INFINITY,
                     };
                     worst = Some(worst.map_or(rt, |w| w.max(rt)));
@@ -834,7 +808,6 @@ mod tests {
                     [Strategy::FirstFit, Strategy::BestFit, Strategy::WorstFit][seed as usize % 3],
                 ),
                 selfish: seed % 4 == 3,
-                feedback: Some(FeedbackConfig::default()),
                 ..Default::default()
             };
             let nodes = 3 + (seed as usize % 4);
@@ -852,15 +825,6 @@ mod tests {
                     // An arrival that does not fit stays registered and
                     // unplaced: pair scans must be able to admit it.
                     let _ = c.register(spec);
-                }
-                // Measured response times move the feedback factors off 1.
-                for id in c.instances() {
-                    if rng.chance(0.5) {
-                        for k in 0..3 {
-                            let v = rng.uniform(50.0, 500.0);
-                            c.record_metric(&format!("{id}.response_time"), t + k as f64, v);
-                        }
-                    }
                 }
                 plans += assert_scans_match_the_reference(&c, &format!("seed {seed} step {step}"));
             }

@@ -356,8 +356,9 @@ fn automatic_checkpoints_rotate_and_purge() {
 fn drive_more(c: &mut Controller) {
     c.set_time(c.now() + 1.0);
     let (id, _) = c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();
-    for i in 0..6 {
-        c.record_metric(&format!("{id}.response_time"), c.now() + i as f64 * 0.1, 10.0);
+    for _ in 0..6 {
+        c.set_time(c.now() + 0.1);
+        c.touch(&id);
     }
 }
 
@@ -461,7 +462,8 @@ proptest! {
     /// log that replays onto a fresh controller to the same durable state,
     /// with exactly one record per command that was not a no-op. Write-path
     /// commands enter through `execute` (always logged); the read-path trio
-    /// enters through its own `&self` verbs, the only conditional loggers.
+    /// enters through its own `&self` verbs: touch and poll log when they
+    /// change durable state, a metric report never does.
     #[test]
     fn any_command_sequence_replays_to_the_live_state(cmds in commands()) {
         let dir = scratch("commands");
@@ -485,7 +487,7 @@ proptest! {
                 WalEvent::Poll { id, .. } => !live.take_pending_vars(&id).is_empty(),
                 WalEvent::Metric { name, time, value, .. } => {
                     live.record_metric(&name, time, value);
-                    true
+                    false
                 }
                 cmd => {
                     let _ = live.execute(cmd);
@@ -565,10 +567,11 @@ fn replay(events: &[WalEvent]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// Elided log ≡ verbose log ≡ live. The records a live run captures
-    /// (a `Touch` only where the stamp rose) and the log a build that
-    /// logged *every* touch would have written for the same run both
-    /// replay to the live durable state — so eliding is invisible to
-    /// recovery, and a WAL written before the elision still loads.
+    /// (a `Touch` only where the stamp rose, no metric report) and the log
+    /// a build that logged *every* touch and report would have written for
+    /// the same run both replay to the live durable state — so eliding is
+    /// invisible to recovery, and a WAL written before the elision still
+    /// loads.
     #[test]
     fn elided_and_verbose_touch_logs_replay_to_the_live_state(ops in session_ops()) {
         let dir = scratch("elision");
@@ -578,7 +581,8 @@ proptest! {
         let mut live = fresh_controller();
         live.attach_wal(Arc::clone(&writer));
 
-        // `verbose` is the one-record-per-touch log, built alongside.
+        // `verbose` is the log an older build wrote for the same run, built
+        // alongside: one record per touch, and one per metric report.
         let mut verbose = Vec::new();
         let execute = |live: &mut Controller, verbose: &mut Vec<WalEvent>, ev: WalEvent| {
             verbose.push(ev.clone());
@@ -632,17 +636,20 @@ proptest! {
             .map(|r| WalEvent::decode(r).unwrap())
             .collect();
 
-        // The captured log is the verbose one minus touches, nothing else.
+        // The captured log is the verbose one minus touches and metric
+        // reports, nothing else.
         let mut rest = verbose.iter();
         for ev in &elided {
             prop_assert!(rest.any(|v| v == ev), "captured {:?} is not in the verbose log", ev);
         }
-        let untouched = |log: &[WalEvent]| log.iter().filter(|ev| ev.variant() != "touch").count();
+        let untouched = |log: &[WalEvent]| {
+            log.iter().filter(|ev| !matches!(ev.variant(), "touch" | "metric")).count()
+        };
         prop_assert_eq!(untouched(&elided), untouched(&verbose));
 
         let live_fp = live.persisted_state().recovery_fingerprint();
         prop_assert_eq!(replay(&elided), live_fp, "the elided log diverges");
-        prop_assert_eq!(replay(&verbose), live_fp, "the one-record-per-touch log diverges");
+        prop_assert_eq!(replay(&verbose), live_fp, "the older build's log diverges");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

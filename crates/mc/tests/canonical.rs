@@ -9,9 +9,11 @@
 //!   canonical fingerprint — this is what licenses both the sleep-set
 //!   skip and treating the visited set as a state *graph*.
 //! - **Observable differences separate.** Anything an oracle or a client
-//!   could distinguish — a recorded metric, a drained bundle variable, a
-//!   moved clock — must change the fingerprint, or dedup would merge
-//!   states the checker still needs to tell apart.
+//!   could distinguish — a drained bundle variable, a moved clock — must
+//!   change the fingerprint, or dedup would merge states the checker still
+//!   needs to tell apart. A metric report is not such a difference: it
+//!   renews the lease as a heartbeat does, and its sample is measurement
+//!   state, outside the durable image.
 
 use harmony_mc::{Engine, Node, Scope, Verb};
 use proptest::prelude::*;
@@ -66,9 +68,9 @@ proptest! {
     }
 
     /// Appending an observable difference to a read-only batch separates
-    /// the fingerprints: a metric report (journaled, histogrammed) and a
-    /// clock step (canonical time) must each produce a state dedup may
-    /// not merge with the quiescent one.
+    /// the fingerprints: a clock step (canonical time) must produce a state
+    /// dedup may not merge with the quiescent one. A metric report leaves
+    /// exactly the state a heartbeat from the same client leaves.
     #[test]
     fn observable_differences_separate_fingerprints(
         picks in prop::collection::vec(0usize..READ_ONLY.len(), 0..5),
@@ -78,18 +80,11 @@ proptest! {
         let batch: Vec<Verb> = picks.iter().map(|&i| READ_ONLY[i]).collect();
         let quiet = apply(&engine, base, &batch);
 
-        let with_metric = apply(&engine, quiet.clone(), &[Verb::Metric(0)]);
-        prop_assert_ne!(quiet.fingerprint, with_metric.fingerprint);
-
         let advanced = apply(&engine, quiet.clone(), &[Verb::Advance]);
         prop_assert_ne!(quiet.fingerprint, advanced.fingerprint);
 
-        // And the non-commutation is mutual: metric-then-heartbeat and
-        // heartbeat-then-metric still agree (the heartbeat stays
-        // read-only), anchoring that the *metric* made the difference.
-        let hb_after = apply(&engine, with_metric.clone(), &[Verb::Heartbeat(0)]);
-        let metric_after =
-            apply(&engine, quiet, &[Verb::Heartbeat(0), Verb::Metric(0)]);
-        prop_assert_eq!(hb_after.fingerprint, metric_after.fingerprint);
+        let with_metric = apply(&engine, quiet.clone(), &[Verb::Metric(0)]);
+        let with_heartbeat = apply(&engine, quiet, &[Verb::Heartbeat(0)]);
+        prop_assert_eq!(with_metric.fingerprint, with_heartbeat.fingerprint);
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! Two layers keep the WAL vocabulary honest as the controller grows:
 //!
-//! 1. **Every [`WalEvent`] variant is producible and replayable.** One
-//!    live controller executes one command of each kind, so the log
-//!    contains all of [`WalEvent::VARIANTS`]; replaying that log onto a
-//!    genesis controller must land on the identical durable state.
-//!    Adding a `WalEvent` variant without a producer fails the set
-//!    comparison here (and `WalEvent::variant`'s exhaustive match fails
-//!    to compile without a name for it).
+//! 1. **Every written [`WalEvent`] variant is producible and
+//!    replayable.** One live controller executes one command of each
+//!    kind, so the log contains all of [`WalEvent::VARIANTS`] but
+//!    `metric`; replaying that log onto a genesis controller must land on
+//!    the identical durable state. Adding a `WalEvent` variant without a
+//!    producer fails the set comparison here (and `WalEvent::variant`'s
+//!    exhaustive match fails to compile without a name for it). `Metric`
+//!    is read-only: old logs hold it and replay it, nothing writes it,
+//!    and replaying one changes no durable state.
 //!
 //! 2. **Every state-mutating MC verb logs before it applies.** Each verb
 //!    in the model checker's alphabet is stepped once with crash
@@ -37,10 +39,12 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Executes every kind of command on one WAL-attached controller and
-/// asserts (a) the log's variant set is exactly `WalEvent::VARIANTS` and
-/// (b) replaying the log reproduces the live durable state.
+/// asserts (a) the log's variant set is exactly `WalEvent::VARIANTS`
+/// without the read-only `metric`, (b) replaying the log reproduces the
+/// live durable state, and (c) an old `Metric` record replayed on top
+/// changes none of it.
 #[test]
-fn every_wal_variant_is_produced_and_replays_to_the_live_state() {
+fn every_written_wal_variant_is_produced_and_replays_to_the_live_state() {
     // Seed 10: coalescing is on, so Tick and Flush can fire.
     let config = config_for_seed(10);
     let cluster = Cluster::from_rsl(&sp2_cluster(8)).expect("sp2 cluster parses");
@@ -70,7 +74,6 @@ fn every_wal_variant_is_produced_and_replays_to_the_live_state() {
         WalEvent::Disconnect { now: 2.5, id: a.clone() },
         WalEvent::Reattach { now: 2.5, id: a.clone() },
         WalEvent::Poll { now: 2.5, id: a.clone() },
-        WalEvent::Metric { now: 2.5, name: format!("{a}.response_time"), time: 2.5, value: 0.25 },
         WalEvent::End { now: 2.5, id: b },
         WalEvent::Reevaluate { now: 2.5 },
         WalEvent::Reap { now: 2.5 },
@@ -89,11 +92,12 @@ fn every_wal_variant_is_produced_and_replays_to_the_live_state() {
     let events: Vec<WalEvent> =
         read.records.iter().map(|r| WalEvent::decode(r).expect("wal record parses")).collect();
     let produced: BTreeSet<&'static str> = events.iter().map(WalEvent::variant).collect();
-    let expected: BTreeSet<&'static str> = WalEvent::VARIANTS.into_iter().collect();
+    let expected: BTreeSet<&'static str> =
+        WalEvent::VARIANTS.into_iter().filter(|v| *v != "metric").collect();
     assert_eq!(
         produced,
         expected,
-        "every WalEvent variant must be logged by `execute` \
+        "every written WalEvent variant must be logged by `execute` \
          (missing: {:?}, unexpected: {:?})",
         expected.difference(&produced).collect::<Vec<_>>(),
         produced.difference(&expected).collect::<Vec<_>>()
@@ -105,10 +109,28 @@ fn every_wal_variant_is_produced_and_replays_to_the_live_state() {
     for ev in events {
         replayed.apply_wal_event(ev);
     }
+    let durable = live.persisted_state().recovery_fingerprint();
     assert_eq!(
         replayed.persisted_state().recovery_fingerprint(),
-        live.persisted_state().recovery_fingerprint(),
+        durable,
         "replaying the full log must reproduce the live durable state"
+    );
+    let name = format!("{a}.response_time");
+    replayed.apply_wal_event(WalEvent::Metric {
+        now: 2.5,
+        name: name.clone(),
+        time: 2.5,
+        value: 0.25,
+    });
+    assert_eq!(
+        replayed.metrics().series(&name).map(|s| s.len()),
+        Some(1),
+        "the sample is recorded"
+    );
+    assert_eq!(
+        replayed.persisted_state().recovery_fingerprint(),
+        durable,
+        "a replayed Metric record is measurement state only"
     );
 
     drop(live);
@@ -142,8 +164,8 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
     // advances separate the dirty mark from the tick (so the coalesce
     // window has elapsed), an advance precedes the heartbeat and the
     // metric (a touch is logged only when it raises the stamp, and the
-    // poll before them already stamped this instant), and the final
-    // jump+reap expires the leases.
+    // poll before them already stamped this instant; the touch is all a
+    // metric logs), and the final jump+reap expires the leases.
     let path = [
         Verb::Advance,
         Verb::Start(0),
@@ -197,8 +219,8 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
     // The MC alphabet maps onto a fixed subset of the WAL vocabulary
     // (direct bundle adds, disconnect/reattach, flush, and explicit
     // reevaluation are the wire server's other entry points, covered by
-    // the live-controller test above). Pin that subset so a verb whose
-    // logging silently changes shape is caught.
+    // the live-controller test above; nothing writes `metric`). Pin that
+    // subset so a verb whose logging silently changes shape is caught.
     let read = harmony_wal::decode_records(&ctx.bytes);
     assert_eq!(read.tail, WalTail::Clean);
     let produced: BTreeSet<&'static str> = read
@@ -207,8 +229,6 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
         .map(|r| WalEvent::decode(r).expect("wal record parses").variant())
         .collect();
     let expected: BTreeSet<&'static str> =
-        ["event", "startup", "renew", "touch", "poll", "metric", "end", "reap", "tick"]
-            .into_iter()
-            .collect();
+        ["event", "startup", "renew", "touch", "poll", "end", "reap", "tick"].into_iter().collect();
     assert_eq!(produced, expected, "the MC verb alphabet's WAL footprint changed");
 }

@@ -129,7 +129,7 @@ impl MetricRegistry {
     /// first use.
     ///
     /// Non-finite times and values (`NaN`, `±inf`) are rejected and the
-    /// series is left untouched: `TimeSeries` sorting and EWMA both
+    /// series is left untouched: `TimeSeries` sorting and means both
     /// propagate NaN, so one bad sample would poison every aggregate
     /// derived from the series. Returns whether the sample was accepted.
     pub fn record(&self, name: &str, time: f64, value: f64) -> bool {
@@ -147,11 +147,6 @@ impl MetricRegistry {
     /// Returns a snapshot (clone) of the series under `name`.
     pub fn series(&self, name: &str) -> Option<TimeSeries> {
         self.inner.read().series.get(name).cloned()
-    }
-
-    /// Names of all series, in order.
-    pub fn series_names(&self) -> Vec<String> {
-        self.inner.read().series.keys().cloned().collect()
     }
 
     /// Increments the counter under `name` by 1, returning the new value.
@@ -314,7 +309,6 @@ mod tests {
         assert_eq!(reg.gauge("never"), None);
 
         assert_eq!(reg.len(), 3);
-        assert_eq!(reg.series_names(), vec!["a.rt"]);
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn a_touch_reaches_the_wal_only_when_it_raises_the_stamp() {
     assert_eq!(d.logged("touch", None), 0);
 
     // k requests of every read-path verb at one clock value: one Touch.
-    // Each metric report still logs its sample, and only the first poll
+    // A metric report logs nothing of its own, and only the first poll
     // finds the bundle's chosen values waiting.
     d.set_time(1.0);
     for _ in 0..5 {
@@ -128,7 +128,7 @@ fn a_touch_reaches_the_wal_only_when_it_raises_the_stamp() {
     }
     assert_eq!(d.logged("touch", Some(&a)), 1);
     assert_eq!(d.logged("touch", Some(&b)), 0);
-    assert_eq!(d.logged("metric", None), 5);
+    assert_eq!(d.logged("metric", None), 0);
     assert_eq!(d.logged("poll", None), 1);
     assert_eq!(d.heartbeat(&b), Response::Ok);
     assert_eq!(d.logged("touch", Some(&b)), 1);
@@ -154,12 +154,12 @@ fn a_touch_reaches_the_wal_only_when_it_raises_the_stamp() {
     assert_eq!(d.logged("touch", Some(&b)), 1);
 
     // An unknown instance is refused and logs no touch; its metric report
-    // is still a sample.
+    // is still a sample, in memory.
     let ghost = InstanceId::new("ghost", 9);
     assert!(matches!(d.heartbeat(&ghost), Response::Error { .. }));
     assert_eq!(d.metric(&ghost), Response::Ok);
     assert_eq!(d.logged("touch", None), 4);
-    assert_eq!(d.logged("metric", None), 6);
+    assert_eq!(d.logged("metric", None), 0);
     let appended = d.shared.read().metrics().counter("controller.persistence.appends");
     assert_eq!(appended, d.shared.read().wal_handle().unwrap().appended());
 
