@@ -5,9 +5,7 @@
 //! the cross product of its options, each option's `variable` axes, and the
 //! controller's elastic-memory steps.
 
-use harmony_rsl::expr::MapEnv;
 use harmony_rsl::schema::{BundleSpec, OptionSpec};
-use harmony_rsl::Value;
 use serde::{Deserialize, Serialize};
 
 /// One candidate configuration point.
@@ -22,15 +20,6 @@ pub struct Candidate {
 }
 
 impl Candidate {
-    /// The variable environment this candidate induces.
-    pub fn env(&self) -> MapEnv {
-        let mut env = MapEnv::new();
-        for (k, v) in &self.vars {
-            env.set(k.clone(), Value::Int(*v));
-        }
-        env
-    }
-
     /// A short label like `DS+7MB` or `run[workerNodes=4]`.
     pub fn label(&self) -> String {
         let mut s = self.option.clone();
@@ -106,9 +95,11 @@ pub fn enumerate(bundle: &BundleSpec, elastic_steps: &[f64]) -> Vec<Candidate> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use harmony_resources::VarsEnv;
     use harmony_rsl::expr::Env;
     use harmony_rsl::listings::{FIG2B_BAG, FIG3_DBCLIENT};
     use harmony_rsl::schema::parse_bundle_script;
+    use harmony_rsl::Value;
 
     #[test]
     fn fig2b_enumerates_worker_counts() {
@@ -139,7 +130,7 @@ mod tests {
             vars: vec![("workerNodes".into(), 8)],
             elastic_extra: 0.0,
         };
-        assert_eq!(c.env().lookup("workerNodes"), Some(Value::Int(8)));
+        assert_eq!(VarsEnv(&c.vars).lookup("workerNodes"), Some(Value::Int(8)));
     }
 
     #[test]

@@ -35,22 +35,25 @@ impl Objective {
     /// Scores a set of predicted response times (seconds). An empty system
     /// scores `0.0` (nothing to optimize). Infinite or NaN inputs yield
     /// `f64::INFINITY` so broken predictions never look attractive.
-    pub fn score(&self, response_times: &[f64]) -> f64 {
-        if response_times.is_empty() {
+    pub fn score<'r, I>(&self, response_times: I) -> f64
+    where
+        I: IntoIterator<Item = &'r f64>,
+        I::IntoIter: Clone,
+    {
+        let rts = response_times.into_iter();
+        let n = rts.clone().count();
+        if n == 0 {
             return 0.0;
         }
-        if response_times.iter().any(|r| !r.is_finite() || *r < 0.0) {
+        if rts.clone().any(|r| !r.is_finite() || *r < 0.0) {
             return f64::INFINITY;
         }
-        let n = response_times.len() as f64;
-        let avg = response_times.iter().sum::<f64>() / n;
-        let max = response_times.iter().fold(0.0f64, |a, &b| a.max(b));
+        let avg = rts.clone().sum::<f64>() / n as f64;
+        let max = rts.clone().fold(0.0f64, |a, &b| a.max(b));
         match self {
             Objective::MinAvgCompletionTime => avg,
             Objective::MinMakespan => max,
-            Objective::MaxThroughput => {
-                -response_times.iter().map(|r| 1.0 / r.max(f64::EPSILON)).sum::<f64>()
-            }
+            Objective::MaxThroughput => -rts.map(|r| 1.0 / r.max(f64::EPSILON)).sum::<f64>(),
             Objective::Blend(w) => {
                 let w = w.clamp(0.0, 1.0);
                 w * avg + (1.0 - w) * max

@@ -34,9 +34,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use harmony_predict::{model_for_option, PredictionContext, Predictor};
+use harmony_predict::{option_model, PredictionContext, Predictor};
 use harmony_resources::{Allocation, Cluster, Matcher, Strategy};
-use harmony_rsl::expr::MapEnv;
 use harmony_rsl::schema::OptionSpec;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -65,8 +64,6 @@ pub(crate) const SCORE_EPSILON: f64 = 1e-9;
 
 /// One optimizable unit inside an [`EvalCtx`]: an instance's bundle, its
 /// memoized candidate set, and the option spec behind each candidate.
-/// Variable environments and performance models are precomputed once so
-/// the hot evaluation loop never rebuilds them.
 #[derive(Debug)]
 pub(crate) struct PairCtx {
     id: InstanceId,
@@ -76,10 +73,16 @@ pub(crate) struct PairCtx {
     /// `opt_idx[i]` is the index into `options` of `candidates[i]`'s
     /// option.
     pub(crate) opt_idx: Vec<usize>,
-    /// `envs[i]` is `candidates[i].env()`, precomputed.
-    pub(crate) envs: Vec<MapEnv>,
-    /// `models[j]` is the predictor for `options[j]`, precomputed.
-    models: Vec<Box<dyn Predictor>>,
+}
+
+impl PairCtx {
+    /// The response time of `alloc`, candidate `ci` placed, on `cluster`;
+    /// infinite when the prediction fails.
+    fn time_on(&self, cluster: &Cluster, alloc: &Allocation, ci: usize) -> f64 {
+        let opt = &self.options[self.opt_idx[ci]];
+        let ctx = PredictionContext::committed(cluster, alloc, opt);
+        option_model(opt).predict(&ctx).map_or(f64::INFINITY, |p| p.response_time)
+    }
 }
 
 /// The outcome of one feasible joint assignment: objective score,
@@ -131,9 +134,7 @@ impl EvalCtx {
                         .ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })
                 })
                 .collect::<Result<Vec<usize>, CoreError>>()?;
-            let envs = candidates.iter().map(Candidate::env).collect();
-            let models = options.iter().map(|o| model_for_option(o)).collect();
-            pairs.push(PairCtx { id, bundle, candidates, options, opt_idx, envs, models });
+            pairs.push(PairCtx { id, bundle, candidates, options, opt_idx });
         }
         let base = released_cluster(c)?;
         Ok(EvalCtx {
@@ -168,8 +169,8 @@ impl EvalCtx {
             .unwrap_or(u64::MAX)
     }
 
-    /// Matches pair `pi`'s candidate `ci` on `cluster` using the
-    /// precomputed environment. `Ok(None)` when the candidate does not fit.
+    /// Matches pair `pi`'s candidate `ci` on `cluster`. `Ok(None)` when the
+    /// candidate does not fit.
     fn match_pair(
         &self,
         cluster: &Cluster,
@@ -180,44 +181,34 @@ impl EvalCtx {
         let cand = &pair.candidates[ci];
         let opt = &pair.options[pair.opt_idx[ci]];
         let matcher = Matcher { strategy: self.strategy, elastic_extra: cand.elastic_extra };
-        match matcher.match_option(cluster, opt, &pair.envs[ci]) {
+        match matcher.match_vars(cluster, opt, &cand.vars) {
             Ok(a) => Ok(Some(a)),
             Err(harmony_resources::ResourceError::NoMatch { .. }) => Ok(None),
             Err(e) => Err(e.into()),
         }
     }
 
-    /// Predicts every pair on the final cluster with the precomputed
-    /// models and cached allocation environments, writing response times
-    /// into `rts`, and scores the system. `envs[i]` must be
-    /// `allocs[i].env()` (the [`IncrementalEval`] keeps that stack).
+    /// Predicts every pair on the final cluster, writing response times
+    /// into `rts`, and scores the system.
     fn score_final_into(
         &self,
         cluster: &Cluster,
         assignment: &[usize],
         allocs: &[Allocation],
-        envs: &[MapEnv],
         rts: &mut Vec<f64>,
     ) -> f64 {
         rts.clear();
-        for (((pair, &ci), alloc), env) in self.pairs.iter().zip(assignment).zip(allocs).zip(envs) {
-            let oi = pair.opt_idx[ci];
-            let ctx = PredictionContext::committed_with_env(cluster, alloc, &pair.options[oi], env);
-            let rt = match pair.models[oi].predict(&ctx) {
-                Ok(p) => p.response_time,
-                Err(_) => f64::INFINITY,
-            };
-            rts.push(rt);
+        for ((pair, &ci), alloc) in self.pairs.iter().zip(assignment).zip(allocs) {
+            rts.push(pair.time_on(cluster, alloc, ci));
         }
-        self.objective.score(rts)
+        self.objective.score(rts.iter())
     }
 
     /// Reference evaluation with the seed implementation's cost profile:
     /// clones the base cluster, looks each candidate's option up by name,
-    /// rebuilds its environment and performance model, matches every pair
-    /// in order, and predicts on the final cluster. `Ok(None)` when any
-    /// pair fails to place or the resulting score is non-finite (failed
-    /// predictions are infeasible, not attractive).
+    /// matches every pair in order, and predicts on the final cluster.
+    /// `Ok(None)` when any pair fails to place or the resulting score is
+    /// non-finite (failed predictions are infeasible, not attractive).
     ///
     /// Kept deliberately un-memoized: it is both the correctness reference
     /// for [`IncrementalEval`] (the equivalence suite holds them equal)
@@ -238,7 +229,7 @@ impl EvalCtx {
                 .find(|o| o.name == cand.option)
                 .ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })?;
             let matcher = Matcher { strategy: self.strategy, elastic_extra: cand.elastic_extra };
-            let alloc = match matcher.match_option(&cluster, opt, &cand.env()) {
+            let alloc = match matcher.match_vars(&cluster, opt, &cand.vars) {
                 Ok(a) => a,
                 Err(harmony_resources::ResourceError::NoMatch { .. }) => return Ok(None),
                 Err(e) => return Err(e.into()),
@@ -251,7 +242,7 @@ impl EvalCtx {
             let cand = &pair.candidates[ci];
             let opt = pair.options.iter().find(|o| o.name == cand.option).expect("checked above");
             let ctx = PredictionContext::committed(&cluster, alloc, opt);
-            let rt = match model_for_option(opt).predict(&ctx) {
+            let rt = match option_model(opt).predict(&ctx) {
                 Ok(p) => p.response_time,
                 Err(_) => f64::INFINITY,
             };
@@ -276,9 +267,6 @@ pub struct IncrementalEval<'a> {
     ctx: &'a EvalCtx,
     cluster: Cluster,
     allocs: Vec<Allocation>,
-    /// `allocs[i].env()`, computed once per commit and reused by every
-    /// prediction that shares the prefix.
-    envs: Vec<MapEnv>,
     /// Candidate index per committed depth (`allocs.len()` entries).
     committed: Vec<usize>,
     /// Response times of the last successful evaluation (reusable buffer).
@@ -292,7 +280,6 @@ impl<'a> IncrementalEval<'a> {
             ctx,
             cluster: ctx.base.clone(),
             allocs: Vec::with_capacity(ctx.len()),
-            envs: Vec::with_capacity(ctx.len()),
             committed: Vec::with_capacity(ctx.len()),
             rts: Vec::with_capacity(ctx.len()),
         }
@@ -313,7 +300,6 @@ impl<'a> IncrementalEval<'a> {
         }
         while self.allocs.len() > keep {
             let alloc = self.allocs.pop().expect("stack non-empty");
-            self.envs.pop();
             self.committed.pop();
             self.cluster.release(&alloc)?;
         }
@@ -321,7 +307,6 @@ impl<'a> IncrementalEval<'a> {
             match self.ctx.match_pair(&self.cluster, pi, ci)? {
                 Some(a) => {
                     self.cluster.commit(&a)?;
-                    self.envs.push(a.env());
                     self.allocs.push(a);
                     self.committed.push(ci);
                 }
@@ -329,13 +314,8 @@ impl<'a> IncrementalEval<'a> {
                 None => return Ok(None),
             }
         }
-        let score = self.ctx.score_final_into(
-            &self.cluster,
-            assignment,
-            &self.allocs,
-            &self.envs,
-            &mut self.rts,
-        );
+        let score =
+            self.ctx.score_final_into(&self.cluster, assignment, &self.allocs, &mut self.rts);
         if !score.is_finite() {
             return Ok(None);
         }
@@ -506,7 +486,7 @@ fn bound_key(
         buf.push(m);
     }
     buf.extend_from_slice(tail);
-    score_key(objective.score(buf))
+    score_key(objective.score(buf.iter()))
 }
 
 /// Branch-and-bound depth-first scan of the whole pair set, visiting kept
@@ -529,7 +509,6 @@ struct BbScan<'a> {
     suffix: Vec<u64>,
     cluster: Cluster,
     allocs: Vec<Allocation>,
-    envs: Vec<MapEnv>,
     /// Response time of each committed pair on the prefix cluster.
     partial_rts: Vec<f64>,
     assignment: Vec<usize>,
@@ -559,13 +538,8 @@ impl BbScan<'_> {
         if d == n {
             self.stats.scan.evals += 1;
             let mut rts = std::mem::take(&mut self.rts);
-            let score = ctx.score_final_into(
-                &self.cluster,
-                &self.assignment,
-                &self.allocs,
-                &self.envs,
-                &mut rts,
-            );
+            let score =
+                ctx.score_final_into(&self.cluster, &self.assignment, &self.allocs, &mut rts);
             if score.is_finite() {
                 let key = score_key(score).expect("finite score has a key");
                 if improves(key, &self.assignment, &self.best) {
@@ -605,14 +579,7 @@ impl BbScan<'_> {
                 continue;
             };
             self.cluster.commit(&a)?;
-            let oi = pair.opt_idx[ci];
-            let env = a.env();
-            let pctx =
-                PredictionContext::committed_with_env(&self.cluster, &a, &pair.options[oi], &env);
-            let rt = match pair.models[oi].predict(&pctx) {
-                Ok(p) => p.response_time,
-                Err(_) => f64::INFINITY,
-            };
+            let rt = pair.time_on(&self.cluster, &a, ci);
             // Prediction errors are deterministic in the allocation and
             // its environment, and times only grow with later commits: a
             // failed, non-finite, or negative partial time is still one at
@@ -623,7 +590,6 @@ impl BbScan<'_> {
                 continue;
             }
             self.partial_rts.push(rt);
-            self.envs.push(env);
             self.allocs.push(a);
             self.assignment.push(ci);
             // Sharper re-bound now that the pair's real partial time is in.
@@ -645,7 +611,6 @@ impl BbScan<'_> {
             }
             self.assignment.pop();
             let a = self.allocs.pop().expect("stack non-empty");
-            self.envs.pop();
             self.partial_rts.pop();
             self.cluster.release(&a)?;
         }
@@ -669,7 +634,6 @@ fn bb_scan(ctx: &EvalCtx, plan: &PruningPlan) -> Result<(Option<Best>, PruneStat
         suffix,
         cluster: ctx.base.clone(),
         allocs: Vec::with_capacity(n),
-        envs: Vec::with_capacity(n),
         partial_rts: Vec::with_capacity(n),
         assignment: Vec::with_capacity(n),
         best: None,
@@ -698,7 +662,6 @@ struct CompEnum<'a> {
     comp: &'a [usize],
     cluster: Cluster,
     allocs: Vec<Allocation>,
-    envs: Vec<MapEnv>,
     chosen: Vec<usize>,
     /// Feasible `(sub-assignment, response times)` rows, in sub-odometer
     /// order.
@@ -714,18 +677,7 @@ impl CompEnum<'_> {
             self.stats.evals += 1;
             let mut rts = Vec::with_capacity(comp.len());
             for (j, &pi) in comp.iter().enumerate() {
-                let pair = &ctx.pairs[pi];
-                let oi = pair.opt_idx[self.chosen[j]];
-                let pctx = PredictionContext::committed_with_env(
-                    &self.cluster,
-                    &self.allocs[j],
-                    &pair.options[oi],
-                    &self.envs[j],
-                );
-                let rt = match pair.models[oi].predict(&pctx) {
-                    Ok(p) => p.response_time,
-                    Err(_) => f64::INFINITY,
-                };
+                let rt = ctx.pairs[pi].time_on(&self.cluster, &self.allocs[j], self.chosen[j]);
                 if !(rt.is_finite() && rt >= 0.0) {
                     self.stats.infeasible += 1;
                     return Ok(());
@@ -742,13 +694,11 @@ impl CompEnum<'_> {
                 continue;
             };
             self.cluster.commit(&a)?;
-            self.envs.push(a.env());
             self.allocs.push(a);
             self.chosen.push(ci);
             self.dfs(k + 1)?;
             self.chosen.pop();
             let a = self.allocs.pop().expect("stack non-empty");
-            self.envs.pop();
             self.cluster.release(&a)?;
         }
         Ok(())
@@ -779,7 +729,6 @@ fn component_scan(
             comp,
             cluster: ctx.base.clone(),
             allocs: Vec::with_capacity(comp.len()),
-            envs: Vec::with_capacity(comp.len()),
             chosen: Vec::with_capacity(comp.len()),
             out: Vec::new(),
             stats: ScanStats::default(),

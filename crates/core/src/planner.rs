@@ -23,9 +23,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use harmony_predict::{model_for_option, PredictError, Prediction, PredictionContext, Predictor};
+use harmony_predict::{option_model, PredictError, Prediction, PredictionContext, Predictor};
 use harmony_resources::{Allocation, Cluster, Matcher, ResourceError};
-use harmony_rsl::expr::MapEnv;
 use harmony_rsl::schema::OptionSpec;
 
 use crate::app::{BundleState, ChosenConfig, InstanceId};
@@ -48,40 +47,26 @@ struct Placed<'a> {
     target: &'a Target<'a>,
     cand: &'a Candidate,
     opt: &'a OptionSpec,
-    model: Box<dyn Predictor>,
     alloc: Allocation,
-    /// `alloc`'s footprint: indexes into [`Table::names`].
-    nodes: Vec<usize>,
-    /// `alloc.env()`, shared by the friction tag and the prediction.
-    env: MapEnv,
     /// Friction of switching into the candidate, seconds.
     penalty: f64,
-}
-
-impl Placed<'_> {
-    fn time_on(&self, cluster: &Cluster) -> f64 {
-        let ctx = PredictionContext::committed_with_env(cluster, &self.alloc, self.opt, &self.env);
-        timed(self.model.predict(&ctx), self.penalty)
-    }
 }
 
 /// One configured bundle as a scan's [`Table`] holds it.
 struct Standing<'a> {
     opt: &'a OptionSpec,
     alloc: &'a Allocation,
-    env: MapEnv,
-    model: Box<dyn Predictor>,
     /// The allocation's footprint: indexes into [`Table::names`].
     nodes: Vec<usize>,
     /// Response time on the live cluster.
     live: f64,
 }
 
-impl Standing<'_> {
-    fn time_on(&self, cluster: &Cluster) -> f64 {
-        let ctx = PredictionContext::committed_with_env(cluster, self.alloc, self.opt, &self.env);
-        timed(self.model.predict(&ctx), 0.0)
-    }
+/// The predicted response time of `alloc`, a placement of `opt` committed
+/// on `cluster`, plus `penalty`.
+fn time_on(cluster: &Cluster, alloc: &Allocation, opt: &OptionSpec, penalty: f64) -> f64 {
+    let ctx = PredictionContext::committed(cluster, alloc, opt);
+    timed(option_model(opt).predict(&ctx), penalty)
 }
 
 /// One application of the table: its bundles in order, configured or not.
@@ -99,23 +84,25 @@ struct Table<'a> {
 }
 
 impl<'a> Table<'a> {
-    fn footprint(&self, alloc: &Allocation) -> Vec<usize> {
-        alloc.nodes.iter().filter_map(|n| self.names.binary_search(&n.node.as_str()).ok()).collect()
+    /// `alloc`'s footprint: the indexes of its nodes in `names`.
+    fn footprint<'s>(&'s self, alloc: &'s Allocation) -> impl Iterator<Item = usize> + 's {
+        alloc.nodes.iter().filter_map(|n| self.names.binary_search(&n.node.as_str()).ok())
     }
 
     /// The sweep: response time of every application (max over its
-    /// bundles) on `cluster`, in arrival order, with `placed` overriding
-    /// stored choices and only the bundles on `touched` nodes re-predicted.
-    /// Applications with no configuration are omitted, as is everything
-    /// but `only` when it is set (selfish mode).
+    /// bundles) on `cluster`, in arrival order, into `out`, with `placed`
+    /// overriding stored choices and only the bundles on `touched` nodes
+    /// re-predicted. Applications with no configuration are omitted, as is
+    /// everything but `only` when it is set (selfish mode).
     fn times(
         &self,
         cluster: &Cluster,
         placed: &[Placed<'_>],
         touched: &[i32],
         only: Option<&InstanceId>,
-    ) -> Vec<(&'a InstanceId, f64)> {
-        let mut out = Vec::with_capacity(self.rows.len());
+        out: &mut Vec<(&'a InstanceId, f64)>,
+    ) {
+        out.clear();
         for row in self.rows.iter().filter(|row| only.is_none_or(|o| o == row.id)) {
             let mut worst: Option<f64> = None;
             for (name, standing) in &row.bundles {
@@ -123,9 +110,9 @@ impl<'a> Table<'a> {
                     .iter()
                     .find(|p| p.target.id == row.id && p.target.state.spec.name == *name);
                 let rt = match (moved, standing) {
-                    (Some(p), _) => p.time_on(cluster),
+                    (Some(p), _) => time_on(cluster, &p.alloc, p.opt, p.penalty),
                     (None, Some(s)) if s.nodes.iter().any(|&i| touched[i] > 0) => {
-                        s.time_on(cluster)
+                        time_on(cluster, s.alloc, s.opt, 0.0)
                     }
                     (None, Some(s)) => s.live,
                     (None, None) => continue,
@@ -136,18 +123,19 @@ impl<'a> Table<'a> {
                 out.push((row.id, rt));
             }
         }
-        out
     }
 
     /// The live response times: the sweep with nothing moved.
     fn live(&self, cluster: &Cluster) -> Vec<(&'a InstanceId, f64)> {
-        self.times(cluster, &[], &vec![0; self.names.len()], None)
+        let mut out = Vec::with_capacity(self.rows.len());
+        self.times(cluster, &[], &vec![0; self.names.len()], None, &mut out);
+        out
     }
 }
 
 /// Marks (`+1`) or unmarks (`-1`) a footprint in `touched`.
-fn mark(touched: &mut [i32], nodes: &[usize], by: i32) {
-    for &i in nodes {
+fn mark(touched: &mut [i32], footprint: impl Iterator<Item = usize>, by: i32) {
+    for i in footprint {
         touched[i] += by;
     }
 }
@@ -218,6 +206,8 @@ struct Walk<'a> {
     /// Per cluster node: how many released or placed allocations name it.
     touched: Vec<i32>,
     placed: Vec<Placed<'a>>,
+    /// The sweep of the move set being scored.
+    times: Vec<(&'a InstanceId, f64)>,
     best: Option<(f64, Vec<PlannedMove>)>,
     trials: u64,
     matches: u64,
@@ -245,7 +235,7 @@ fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
             elastic_extra: cand.elastic_extra,
         };
         walk.matches += 1;
-        let alloc = match matcher.match_option(&walk.scratch, opt, &cand.env()) {
+        let alloc = match matcher.match_vars(&walk.scratch, opt, &cand.vars) {
             Ok(alloc) => alloc,
             Err(ResourceError::NoMatch { .. }) => {
                 walk.trials += below;
@@ -255,15 +245,12 @@ fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
         };
         let saved = walk.scratch.save(&alloc);
         walk.scratch.commit(&alloc)?;
-        let nodes = table.footprint(&alloc);
-        mark(&mut walk.touched, &nodes, 1);
-        let env = alloc.env();
-        let penalty = walk.ctl.friction_of(target.state, cand, opt, &env);
-        let model = model_for_option(opt);
-        walk.placed.push(Placed { target, cand, opt, model, alloc, nodes, env, penalty });
+        mark(&mut walk.touched, table.footprint(&alloc), 1);
+        let penalty = walk.ctl.friction_of(target.state, cand, opt, &alloc);
+        walk.placed.push(Placed { target, cand, opt, alloc, penalty });
         descend(walk, depth + 1)?;
         let undone = walk.placed.pop().expect("pushed above");
-        mark(&mut walk.touched, &undone.nodes, -1);
+        mark(&mut walk.touched, table.footprint(&undone.alloc), -1);
         walk.scratch.restore(&undone.alloc, &saved);
     }
     Ok(())
@@ -273,15 +260,15 @@ fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
 /// better than every one before it.
 fn score(walk: &mut Walk<'_>) {
     walk.trials += 1;
-    let times = walk.table.times(&walk.scratch, &walk.placed, &walk.touched, walk.only);
-    let score = walk.ctl.score(&times);
+    walk.table.times(&walk.scratch, &walk.placed, &walk.touched, walk.only, &mut walk.times);
+    let score = walk.ctl.score(&walk.times);
     if walk.best.as_ref().is_none_or(|(best, _)| score < *best - SCORE_EPSILON) {
         let moves = walk.placed.iter().map(|p| PlannedMove {
             id: p.target.id.clone(),
             bundle: p.target.state.spec.name.clone(),
             candidate: p.cand.clone(),
             alloc: p.alloc.clone(),
-            predicted: predicted(&times, p.target.id),
+            predicted: predicted(&walk.times, p.target.id),
         });
         walk.best = Some((score, moves.collect()));
     }
@@ -425,6 +412,7 @@ impl Controller {
             scratch: self.cluster.clone(),
             touched: vec![0; table.names.len()],
             placed: Vec::with_capacity(targets.len()),
+            times: Vec::with_capacity(table.rows.len()),
             best: None,
             trials: 0,
             matches: 0,
@@ -433,7 +421,7 @@ impl Controller {
         for cur in targets.iter().filter_map(|t| t.state.current.as_ref()) {
             released.push((&cur.alloc, walk.scratch.save(&cur.alloc)));
             walk.scratch.release(&cur.alloc)?;
-            mark(&mut walk.touched, &table.footprint(&cur.alloc), 1);
+            mark(&mut walk.touched, table.footprint(&cur.alloc), 1);
         }
         let t_walk = Instant::now();
         descend(&mut walk, 0)?;
@@ -465,16 +453,9 @@ impl Controller {
             let standing = |bundle: &'a BundleState| {
                 let cfg = bundle.current.as_ref()?;
                 let opt = bundle.spec.option(&cfg.option)?;
-                let mut standing = Standing {
-                    opt,
-                    alloc: &cfg.alloc,
-                    env: cfg.alloc.env(),
-                    model: model_for_option(opt),
-                    nodes: table.footprint(&cfg.alloc),
-                    live: 0.0,
-                };
-                standing.live = standing.time_on(&self.cluster);
-                Some(standing)
+                let live = time_on(&self.cluster, &cfg.alloc, opt, 0.0);
+                let nodes = table.footprint(&cfg.alloc).collect();
+                Some(Standing { opt, alloc: &cfg.alloc, nodes, live })
             };
             let bundles = app.bundles.iter().map(|b| (b.spec.name.as_str(), standing(b))).collect();
             table.rows.push(Row { id, bundles });
@@ -484,26 +465,25 @@ impl Controller {
 
     /// The objective over one sweep's response times.
     fn score(&self, times: &[(&InstanceId, f64)]) -> f64 {
-        let rts: Vec<f64> = times.iter().map(|(_, rt)| *rt).collect();
-        self.config.objective.score(&rts)
+        self.config.objective.score(times.iter().map(|(_, rt)| rt))
     }
 
-    /// The friction (seconds) of moving `bundle` to `cand`, whose allocation
-    /// induces `env`; zero when the candidate equals the incumbent or there
-    /// is no incumbent.
+    /// The friction (seconds) of moving `bundle` to `cand`, placed as
+    /// `alloc`; zero when the candidate equals the incumbent or there is no
+    /// incumbent.
     fn friction_of(
         &self,
         bundle: &BundleState,
         cand: &Candidate,
         opt: &OptionSpec,
-        env: &MapEnv,
+        alloc: &Allocation,
     ) -> f64 {
         let switching = bundle.current.as_ref().is_some_and(|cur| !same_point(cur, cand));
         if !switching {
             return 0.0;
         }
         let seconds = match &opt.friction {
-            Some(tag) => tag.amount(env).unwrap_or(0.0),
+            Some(tag) => tag.amount(&alloc.env()).unwrap_or(0.0),
             None => 0.0,
         };
         seconds * self.config.friction_weight
@@ -515,9 +495,10 @@ mod tests {
     use super::*;
     use crate::candidates::enumerate;
     use crate::controller::{ControllerConfig, LintMode};
-    use harmony_predict::{DefaultModel, LogPParams};
+    use harmony_predict::{model_for_option, DefaultModel, LogPParams};
     use harmony_resources::{AllocatedLink, Strategy};
     use harmony_rng::SeededRng;
+    use harmony_rsl::expr::MapEnv;
     use harmony_rsl::listings::{sp2_cluster, FIG2B_BAG, FIG3_DBCLIENT};
     use harmony_rsl::schema::{parse_bundle_script, BundleSpec};
 
@@ -634,7 +615,7 @@ mod tests {
                     strategy: self.config.matcher.strategy,
                     elastic_extra: m.cand.elastic_extra,
                 };
-                let alloc = match matcher.match_option(&cluster, opt, &m.cand.env()) {
+                let alloc = match matcher.match_vars(&cluster, opt, &m.cand.vars) {
                     Ok(alloc) => alloc,
                     Err(ResourceError::NoMatch { .. }) => return Ok(None),
                     Err(e) => return Err(e.into()),
@@ -878,7 +859,7 @@ mod tests {
 
         let logp = DefaultModel::with_logp(LogPParams::sp2_switch());
         let predictions = |cluster: &Cluster| -> Vec<u64> {
-            let models: [(Box<dyn Predictor>, &OptionSpec, &Allocation); 4] = [
+            let models: [(Box<dyn Predictor + '_>, &OptionSpec, &Allocation); 4] = [
                 (model_for_option(&bag.options[0]), &bag.options[0], &bag_alloc),
                 (model_for_option(ds), ds, &ds_alloc),
                 (Box::new(DefaultModel::new()), &bag.options[0], &bag_alloc),

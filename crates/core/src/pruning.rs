@@ -30,8 +30,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use harmony_analyze::facts::dominance::dominated_assignments;
 use harmony_analyze::facts::partition::options_footprint;
 use harmony_analyze::facts::{aeval, Av, DomainEnv};
-use harmony_resources::Cluster;
-use harmony_rsl::expr::MapEnv;
+use harmony_resources::{Cluster, VarsEnv};
 use harmony_rsl::schema::{piecewise_linear, NodeReq, OptionSpec, PerfSpec, TagValue};
 use harmony_rsl::Value;
 
@@ -86,7 +85,11 @@ impl PruningPlan {
                 let oi = pair.opt_idx[ci];
                 let key = (oi, pair.candidates[ci].vars.clone());
                 let unplaceable = *memo.entry(key).or_insert_with(|| {
-                    certified_unplaceable(&ctx.base, &pair.options[oi], &pair.envs[ci])
+                    certified_unplaceable(
+                        &ctx.base,
+                        &pair.options[oi],
+                        &VarsEnv(&pair.candidates[ci].vars),
+                    )
                 });
                 if unplaceable {
                     infeasible_dropped += 1;
@@ -167,7 +170,7 @@ fn dominated_candidates(pair: &PairCtx) -> BTreeSet<usize> {
 
 /// Minimum megabytes `req` demands, mirroring the matcher's rule
 /// (`Any`, `<=`, or no tag bind no minimum). `None` on evaluation error.
-fn min_memory(req: &NodeReq, env: &MapEnv) -> Option<f64> {
+fn min_memory(req: &NodeReq, env: &VarsEnv<'_>) -> Option<f64> {
     match req.memory() {
         None | Some(TagValue::Any) | Some(TagValue::AtMost(_)) => Some(0.0),
         Some(v) => v.amount(env).ok(),
@@ -175,7 +178,7 @@ fn min_memory(req: &NodeReq, env: &MapEnv) -> Option<f64> {
 }
 
 /// Tag acceptance, `None` on evaluation error (absent tags accept all).
-fn accepts(tag: Option<&TagValue>, attr: &Value, env: &MapEnv) -> Option<bool> {
+fn accepts(tag: Option<&TagValue>, attr: &Value, env: &VarsEnv<'_>) -> Option<bool> {
     match tag {
         None => Some(true),
         Some(t) => t.accepts(attr, env).ok(),
@@ -201,7 +204,7 @@ fn accepts(tag: Option<&TagValue>, attr: &Value, env: &MapEnv) -> Option<bool> {
 /// are skipped before any tag is evaluated), and `base` evaluates tags on
 /// a superset of the nodes any reachable state does, so a certificate
 /// also proves the matcher's own evaluations cannot fail.
-fn certified_unplaceable(base: &Cluster, opt: &OptionSpec, env: &MapEnv) -> bool {
+fn certified_unplaceable(base: &Cluster, opt: &OptionSpec, env: &VarsEnv<'_>) -> bool {
     let mut union: BTreeSet<&str> = BTreeSet::new();
     let mut total: u64 = 0;
     for req in &opt.nodes {
@@ -241,7 +244,7 @@ fn certified_unplaceable(base: &Cluster, opt: &OptionSpec, env: &MapEnv) -> bool
 
 /// Total node bindings of `opt` under `env` (the `x` the points model
 /// interpolates at), `None` on evaluation error.
-fn total_bindings(opt: &OptionSpec, env: &MapEnv) -> Option<u64> {
+fn total_bindings(opt: &OptionSpec, env: &VarsEnv<'_>) -> Option<u64> {
     let mut total = 0u64;
     for req in &opt.nodes {
         total += u64::from(req.count.resolve(env).ok()?);
@@ -269,7 +272,7 @@ fn candidate_lb(pair: &PairCtx, ci: usize) -> f64 {
             if points.is_empty() {
                 0.0
             } else {
-                match total_bindings(opt, &pair.envs[ci]) {
+                match total_bindings(opt, &VarsEnv(&pair.candidates[ci].vars)) {
                     Some(x) => piecewise_linear(points, x as f64),
                     None => 0.0,
                 }

@@ -29,7 +29,7 @@ mod queueing;
 pub use critpath::{CriticalPath, StageId};
 pub use default_model::{CommModel, DefaultModel};
 pub use error::PredictError;
-pub use explicit::{model_for_option, ExplicitModel};
+pub use explicit::{model_for_option, option_model, ExplicitModel, OptionModel};
 pub use logp::LogPParams;
 pub use model::{Prediction, PredictionContext, Predictor};
 pub use queueing::InteractiveModel;

@@ -7,7 +7,7 @@
 //! allocation decrements the cluster's free counters; releasing restores
 //! them.
 
-use harmony_rsl::expr::MapEnv;
+use harmony_rsl::expr::Env;
 use harmony_rsl::Value;
 use serde::{Deserialize, Serialize};
 
@@ -92,30 +92,50 @@ impl Allocation {
         names.len()
     }
 
-    /// Builds the evaluation environment this allocation induces: the
-    /// option's variables plus, for each requirement's first binding,
+    /// The evaluation environment this allocation induces: the option's
+    /// variables plus, for each requirement's first binding,
     /// `<req>.memory`, `<req>.seconds`, `<req>.node`, and `<req>.count`.
     ///
     /// This is the environment in which parameterized tags like Figure 3's
     /// `{44 + (client.memory > 24 ? 24 : client.memory) - 17}` are
-    /// evaluated after matching.
-    pub fn env(&self) -> MapEnv {
-        let mut env = MapEnv::new();
-        for (name, v) in &self.variables {
-            env.set(name.clone(), Value::Int(*v));
-        }
-        let mut seen: Vec<&str> = Vec::new();
-        for n in &self.nodes {
-            if seen.contains(&n.req.as_str()) {
-                continue;
-            }
-            seen.push(&n.req);
-            env.set(format!("{}.memory", n.req), Value::Float(n.memory));
-            env.set(format!("{}.seconds", n.req), Value::Float(n.seconds));
-            env.set(format!("{}.node", n.req), Value::Str(n.node.clone()));
-            env.set(format!("{}.count", n.req), Value::Int(self.bindings(&n.req).len() as i64));
-        }
-        env
+    /// evaluated after matching. It is a view: a name is resolved when it
+    /// is looked up, and nothing is built.
+    pub fn env(&self) -> AllocEnv<'_> {
+        AllocEnv(self)
+    }
+}
+
+/// The environment an [`Allocation`] induces ([`Allocation::env`]).
+#[derive(Debug, Clone, Copy)]
+pub struct AllocEnv<'a>(&'a Allocation);
+
+impl Env for AllocEnv<'_> {
+    fn lookup(&self, name: &str) -> Option<Value> {
+        let alloc = self.0;
+        // A requirement's names shadow a variable of the same name.
+        let bound = name.rsplit_once('.').and_then(|(req, attr)| {
+            let first = alloc.binding(req)?;
+            Some(match attr {
+                "memory" => Value::Float(first.memory),
+                "seconds" => Value::Float(first.seconds),
+                "node" => Value::Str(first.node.clone()),
+                "count" => Value::Int(alloc.nodes.iter().filter(|n| n.req == req).count() as i64),
+                _ => return None,
+            })
+        });
+        bound.or_else(|| VarsEnv(&alloc.variables).lookup(name))
+    }
+}
+
+/// Integer variable bindings as an environment: a view of a `(name, value)`
+/// list such as [`Allocation::variables`] or a candidate's bindings.
+#[derive(Debug, Clone, Copy)]
+pub struct VarsEnv<'a>(pub &'a [(String, i64)]);
+
+impl Env for VarsEnv<'_> {
+    fn lookup(&self, name: &str) -> Option<Value> {
+        // The last binding of a name wins, as in a map filled in order.
+        self.0.iter().rev().find(|(k, _)| k == name).map(|&(_, v)| Value::Int(v))
     }
 }
 

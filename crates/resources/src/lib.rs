@@ -17,7 +17,7 @@ mod error;
 mod frag;
 mod matcher;
 
-pub use alloc::{AllocatedLink, AllocatedNode, Allocation, SavedCounters};
+pub use alloc::{AllocEnv, AllocatedLink, AllocatedNode, Allocation, SavedCounters, VarsEnv};
 pub use cluster::{Cluster, LinkState, NodeState};
 pub use error::ResourceError;
 pub use frag::{fragmentation, FragReport};

@@ -11,12 +11,12 @@
 //! future, we plan to extend the matching to use more sophisticated
 //! policies that try to avoid fragmentation").
 
-use harmony_rsl::expr::{ChainEnv, MapEnv};
+use harmony_rsl::expr::{ChainEnv, Env, MapEnv};
 use harmony_rsl::schema::{NodeReq, OptionSpec, TagValue};
 use harmony_rsl::Value;
 use serde::{Deserialize, Serialize};
 
-use crate::alloc::{AllocatedLink, AllocatedNode, Allocation};
+use crate::alloc::{AllocatedLink, AllocatedNode, Allocation, VarsEnv};
 use crate::cluster::{Cluster, NodeState};
 use crate::error::ResourceError;
 
@@ -96,6 +96,36 @@ impl Matcher {
         cluster: &Cluster,
         opt: &OptionSpec,
         vars: &MapEnv,
+    ) -> Result<Allocation, ResourceError> {
+        let mut variables: Vec<(String, i64)> =
+            vars.iter().filter_map(|(k, v)| v.as_i64().ok().map(|i| (k.to_owned(), i))).collect();
+        variables.sort();
+        self.bind(cluster, opt, vars, variables)
+    }
+
+    /// [`Matcher::match_option`] under a candidate's integer bindings,
+    /// sorted by name: the planner's entry, which builds no map.
+    ///
+    /// # Errors
+    ///
+    /// As [`Matcher::match_option`].
+    pub fn match_vars(
+        &self,
+        cluster: &Cluster,
+        opt: &OptionSpec,
+        vars: &[(String, i64)],
+    ) -> Result<Allocation, ResourceError> {
+        self.bind(cluster, opt, &VarsEnv(vars), vars.to_vec())
+    }
+
+    /// The one matcher body: tags evaluate in `vars`, and the allocation
+    /// records `variables`, its integer bindings.
+    fn bind(
+        &self,
+        cluster: &Cluster,
+        opt: &OptionSpec,
+        vars: &impl Env,
+        variables: Vec<(String, i64)>,
     ) -> Result<Allocation, ResourceError> {
         let mut nodes: Vec<AllocatedNode> = Vec::new();
         // The nodes that satisfy the requirement being bound, least loaded
@@ -201,7 +231,7 @@ impl Matcher {
             }
         }
 
-        let mut partial = Allocation { nodes, links: Vec::new(), variables: var_bindings(vars) };
+        let mut partial = Allocation { nodes, links: Vec::new(), variables };
         if opt.links.is_empty() {
             return Ok(partial);
         }
@@ -251,20 +281,13 @@ fn by_amount(a: f64, b: f64) -> std::cmp::Ordering {
     a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
 }
 
-fn min_memory(req: &NodeReq, vars: &MapEnv) -> Result<f64, ResourceError> {
+fn min_memory(req: &NodeReq, vars: &impl Env) -> Result<f64, ResourceError> {
     match req.memory() {
         None => Ok(0.0),
         Some(TagValue::Any) => Ok(0.0),
         Some(TagValue::AtMost(_)) => Ok(0.0),
         Some(v) => Ok(v.amount(vars)?),
     }
-}
-
-fn var_bindings(vars: &MapEnv) -> Vec<(String, i64)> {
-    let mut out: Vec<(String, i64)> =
-        vars.iter().filter_map(|(k, v)| v.as_i64().ok().map(|i| (k.to_owned(), i))).collect();
-    out.sort();
-    out
 }
 
 #[cfg(test)]
@@ -469,5 +492,83 @@ mod tests {
             assert!(allocs.len() <= 64, "matcher should eventually refuse");
         }
         assert_eq!(allocs.len(), 8); // 256 MB / 32 MB per node
+    }
+
+    /// The environment an allocation induced when it was built eagerly, a
+    /// map filled variables first: the reference [`Allocation::env`] is
+    /// held to.
+    fn reference_env(a: &Allocation) -> MapEnv {
+        let mut env = MapEnv::new();
+        for (name, v) in &a.variables {
+            env.set(name.clone(), Value::Int(*v));
+        }
+        let mut seen: Vec<&str> = Vec::new();
+        for n in &a.nodes {
+            if seen.contains(&n.req.as_str()) {
+                continue;
+            }
+            seen.push(&n.req);
+            env.set(format!("{}.memory", n.req), Value::Float(n.memory));
+            env.set(format!("{}.seconds", n.req), Value::Float(n.seconds));
+            env.set(format!("{}.node", n.req), Value::Str(n.node.clone()));
+            env.set(format!("{}.count", n.req), Value::Int(a.bindings(&n.req).len() as i64));
+        }
+        env
+    }
+
+    /// Every assignment of `opt`'s variables, each sorted by name.
+    fn assignments(opt: &OptionSpec) -> Vec<Vec<(String, i64)>> {
+        let mut out = vec![Vec::new()];
+        for var in &opt.variables {
+            let mut next = Vec::new();
+            for a in &out {
+                for &choice in &var.choices {
+                    let mut a = a.clone();
+                    a.push((var.name.clone(), choice));
+                    a.sort();
+                    next.push(a);
+                }
+            }
+            out = next;
+        }
+        out
+    }
+
+    /// Every name the reference maps bind, and names they do not, look up
+    /// alike in the views — the allocation's and the candidate bindings' —
+    /// and both matcher entries agree, for every allocation the paper's
+    /// listings match on SP-2s of 1 to 16 nodes.
+    #[test]
+    fn the_views_look_up_what_the_reference_maps_bind() {
+        const ABSENT: [&str; 6] =
+            ["ghost.memory", "worker.bogus", "unbound", "client.speed", ".count", "memory"];
+        let fig3 = FIG3_DBCLIENT.replace("harmony.cs.umd.edu", "node00.sp2");
+        let bundles = [FIG2A_SIMPLE, FIG2B_BAG, &fig3].map(|s| parse_bundle_script(s).unwrap());
+        let mut matched = 0;
+        for n in 1..=16 {
+            let cluster = sp2(n);
+            for opt in bundles.iter().flat_map(|b| &b.options) {
+                for vars in assignments(opt) {
+                    let map: MapEnv =
+                        vars.iter().map(|(k, v)| (k.clone(), Value::Int(*v))).collect();
+                    for name in vars.iter().map(|(k, _)| k.as_str()).chain(ABSENT) {
+                        assert_eq!(VarsEnv(&vars).lookup(name), map.lookup(name), "{name}");
+                    }
+                    for extra in [0.0, 7.0, 15.0, 30.0] {
+                        let matcher = Matcher::default().with_elastic_extra(extra);
+                        let alloc = matcher.match_vars(&cluster, opt, &vars);
+                        assert_eq!(alloc, matcher.match_option(&cluster, opt, &map));
+                        let Ok(alloc) = alloc else { continue };
+                        matched += 1;
+                        let reference = reference_env(&alloc);
+                        for name in reference.iter().map(|(k, _)| k).chain(ABSENT) {
+                            let what = format!("{name} of {} on {n} nodes", opt.name);
+                            assert_eq!(alloc.env().lookup(name), reference.lookup(name), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(matched > 200, "the listings should match on most clusters, matched {matched}");
     }
 }
