@@ -197,9 +197,9 @@ pub fn round_robin(count: u64, text: impl Fn(u64, u64) -> String) -> Vec<String>
 }
 
 /// A controller with [`INSTANCES`] registered instances, one Figure 2(b)
-/// bundle each, every series and histogram the three read-path verbs touch
-/// in existence, and every growable buffer on their path (the journal
-/// ring, the series) past its next doubling.
+/// bundle each, every histogram the three read-path verbs touch in
+/// existence, and every growable buffer on their path (the journal ring)
+/// past its next doubling.
 pub fn warmed_controller() -> SharedController {
     let cluster =
         Cluster::from_rsl(&harmony_rsl::listings::sp2_cluster(16)).expect("sp2 cluster parses");

@@ -576,8 +576,8 @@ mod tests {
         let ctl = t.controller();
         let mut client = HarmonyClient::startup(t, "db", UpdateDelivery::Polling).unwrap();
         client.report_metric("response_time", 1.0, 9.5).unwrap();
-        let series = ctl.read().metrics().series("db.1.response_time").unwrap();
-        assert_eq!(series.last().unwrap().value, 9.5);
+        let h = ctl.read().metrics().histogram("db.1.response_time").unwrap();
+        assert_eq!((h.len(), h.mean()), (1, Some(9.5)));
     }
 
     #[test]
@@ -642,7 +642,7 @@ mod tests {
         let mut client = HarmonyClient::startup(t, "db", UpdateDelivery::Polling).unwrap();
         let err = client.report_metric("response_time", 1.0, f64::NAN).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(ctl.read().metrics().series("db.1.response_time").is_none(), "never recorded");
+        assert!(ctl.read().metrics().histogram("db.1.response_time").is_none(), "never recorded");
     }
 
     #[test]

@@ -7,23 +7,24 @@
 //! (§2).
 //!
 //! The controller keeps the cluster state, the registered application
-//! instances with their bundles, the shared namespace, and the metric
-//! registry. Its optimization policy (§4.3) is greedy: one bundle at a
-//! time, in the order bundles were defined, evaluating every candidate
-//! configuration against the objective function; after placing a new
-//! application it re-evaluates the options of existing applications. In
-//! addition, *coordinated pairwise moves* implement the paper's motivating
-//! §1 scenario — "a centralized decision-maker could infer that
-//! reconfiguring the first application to only six nodes will improve
-//! overall efficiency and throughput" — by jointly re-choosing two bundles
-//! when no single-bundle move helps (e.g. shrinking a running job to admit
-//! a newcomer). Deciding what to move is [`crate::planner`]'s job and reads
-//! only; this file interleaves plan → commit and owns every write.
+//! instances with their bundles and applied configurations (from which the
+//! shared namespace is derived), and the metric registry. Its optimization
+//! policy (§4.3) is greedy: one bundle at a time, in the order bundles
+//! were defined, evaluating every candidate configuration against the
+//! objective function; after placing a new application it re-evaluates
+//! the options of existing applications. In addition, *coordinated
+//! pairwise moves* implement the paper's motivating §1 scenario — "a
+//! centralized decision-maker could infer that reconfiguring the first
+//! application to only six nodes will improve overall efficiency and
+//! throughput" — by jointly re-choosing two bundles when no single-bundle
+//! move helps (e.g. shrinking a running job to admit a newcomer).
+//! Deciding what to move is [`crate::planner`]'s job and reads only; this
+//! file interleaves plan → commit and owns every write.
 
 use std::time::Instant;
 
 use harmony_metrics::MetricRegistry;
-use harmony_ns::{HPath, InstanceRegistry, Namespace};
+use harmony_ns::{HPath, InstanceRegistry};
 use harmony_resources::{Cluster, Matcher};
 use harmony_rsl::schema::BundleSpec;
 use harmony_rsl::Value;
@@ -37,6 +38,7 @@ use crate::events::EventOutcome;
 use crate::instances::{Instance, Instances};
 use crate::journal::{EventJournal, JournalKind, JournalTail, PhaseTimings};
 use crate::leases::{Lease, LeaseConfig, RetireReason, RetirementRecord};
+use crate::namespace::{applied_writes, config_writes, NamespaceView};
 use crate::objective::Objective;
 use crate::persist::{RecoveryInfo, WalEvent};
 use crate::planner::{elapsed_ms, same_point, Plan, PlannedMove, Scan};
@@ -188,7 +190,6 @@ pub struct Controller {
     /// buffer and candidate memo, plus the arrival order.
     pub(crate) instances: Instances,
     pub(crate) registry: InstanceRegistry,
-    pub(crate) namespace: Namespace<Value>,
     pub(crate) metrics: MetricRegistry,
     pub(crate) now: f64,
     pub(crate) decisions: Vec<DecisionRecord>,
@@ -220,7 +221,6 @@ impl Controller {
             cluster,
             instances: Instances::default(),
             registry: InstanceRegistry::new(),
-            namespace: Namespace::new(),
             metrics: MetricRegistry::new(),
             now: 0.0,
             decisions: Vec::new(),
@@ -253,9 +253,9 @@ impl Controller {
         &self.cluster
     }
 
-    /// The shared namespace (read-only).
-    pub fn namespace(&self) -> &Namespace<Value> {
-        &self.namespace
+    /// The shared namespace, derived from the applied configurations.
+    pub fn namespace(&self) -> NamespaceView<'_> {
+        NamespaceView::new(&self.instances)
     }
 
     /// The metric registry (clonable handle).
@@ -296,21 +296,15 @@ impl Controller {
         self.journal.lock().next_seq()
     }
 
-    /// Records a client metric report: stores the sample in the
-    /// registry's in-memory series and, for `response_time` metrics, feeds
-    /// the per-instance response-time histogram. Measurement state only:
-    /// nothing is logged or journaled, and no decision reads it. Also the
-    /// replay of `Metric` records written before reports stopped being
+    /// Records a client metric report through [`MetricRegistry::record`]:
+    /// a `response_time` value feeds the per-instance response-time
+    /// histogram, and any other name is kept nowhere. Measurement state
+    /// only: nothing is logged or journaled, and no decision reads it. Also
+    /// the replay of `Metric` records written before reports stopped being
     /// logged. Returns `false` when the sample is non-finite and was
     /// rejected.
     pub fn record_metric(&self, name: &str, time: f64, value: f64) -> bool {
-        if !self.metrics.record(name, time, value) {
-            return false;
-        }
-        if name.ends_with(".response_time") {
-            self.metrics.observe(name, value);
-        }
-        true
+        self.metrics.record(name, time, value)
     }
 
     /// All decisions applied so far, oldest first.
@@ -614,7 +608,6 @@ impl Controller {
             self.cluster.release(alloc)?;
         }
         self.gauge_cache_size();
-        self.namespace.remove_subtree(&instance_path(id));
         self.metrics.remove_prefix(&id.to_string());
         self.metrics.inc_counter("controller.ends");
         self.metrics.set_gauge("controller.sessions.active", self.instances.len() as f64);
@@ -651,13 +644,7 @@ impl Controller {
         // Replay the full current state (idempotent: updates are keyed by
         // path), replacing whatever was buffered before the disconnect.
         let inst = self.instances.get(id).expect("renewed above");
-        let mut writes: Vec<(HPath, Value)> = Vec::new();
-        for bundle in &inst.app.bundles {
-            if let Some(cfg) = &bundle.current {
-                writes.extend(config_writes(id, &bundle.spec.name, cfg));
-            }
-        }
-        *inst.pending.lock() = writes;
+        *inst.pending.lock() = applied_writes(&inst.app).collect();
         self.journal_append(JournalKind::Event, format!("reattach {id}"));
         Ok(())
     }
@@ -952,7 +939,7 @@ impl Controller {
     }
 
     /// Releases the incumbent (if any), commits the new allocation, updates
-    /// app state and namespace, and records the decision as `trigger`'s.
+    /// app state and the poll buffer, and records the decision as `trigger`'s.
     /// `phases` is what planning the move cost; the commit time is added
     /// here.
     fn commit_choice(
@@ -1009,8 +996,8 @@ impl Controller {
         Ok(record)
     }
 
-    /// Writes a new configuration into the app state and the namespace,
-    /// buffering variable updates for the application to poll.
+    /// Writes a new configuration into the app state, buffering its
+    /// namespace writes for the application to poll.
     fn apply_choice(
         &mut self,
         id: &InstanceId,
@@ -1019,9 +1006,6 @@ impl Controller {
         is_switch: bool,
     ) {
         let writes = config_writes(id, bundle_name, &cfg);
-        for (p, v) in &writes {
-            self.namespace.set(p.clone(), v.clone());
-        }
         let inst = self.instances.get_mut(id).expect("caller validated instance");
         inst.pending.get_mut().extend(writes);
         let bundle = inst.app.bundle_mut(bundle_name).expect("caller validated bundle");
@@ -1047,48 +1031,6 @@ impl Controller {
         // Forced outside the event paths: nothing triggered it.
         Ok(Some(self.commit_choice(m, before, PhaseTimings::default(), &Trigger::default())?))
     }
-}
-
-/// The namespace writes describing one applied configuration: the chosen
-/// option under the bundle path, the variables, and each requirement's
-/// granted resources. Used both when committing a choice and when
-/// replaying current state to a reattaching client.
-fn config_writes(id: &InstanceId, bundle_name: &str, cfg: &ChosenConfig) -> Vec<(HPath, Value)> {
-    let base = instance_path(id).child(bundle_name).expect("bundle name is a component");
-    let mut writes: Vec<(HPath, Value)> = vec![(base.clone(), Value::Str(cfg.option.clone()))];
-    let opt_path = base.child(&cfg.option).expect("option name is a component");
-    for (name, v) in &cfg.vars {
-        if let Ok(p) = opt_path.child(name) {
-            writes.push((p, Value::Int(*v)));
-        }
-    }
-    let mut seen: Vec<&str> = Vec::new();
-    for n in &cfg.alloc.nodes {
-        if seen.contains(&n.req.as_str()) {
-            continue;
-        }
-        seen.push(&n.req);
-        if let Ok(req_path) = opt_path.child(&n.req) {
-            let entries = [
-                ("memory", Value::Float(n.memory)),
-                ("seconds", Value::Float(n.seconds)),
-                ("node", Value::Str(n.node.clone())),
-                ("count", Value::Int(cfg.alloc.bindings(&n.req).len() as i64)),
-            ];
-            for (tag, v) in entries {
-                if let Ok(p) = req_path.child(tag) {
-                    writes.push((p, v));
-                }
-            }
-        }
-    }
-    writes
-}
-
-/// Namespace path of an instance: `app.id`.
-fn instance_path(id: &InstanceId) -> HPath {
-    HPath::from_components([id.app.as_str(), &id.id.to_string()])
-        .expect("app names and ids are valid components")
 }
 
 #[cfg(test)]
@@ -1203,11 +1145,11 @@ mod tests {
         let (id, _) = c.register(bag_spec()).unwrap();
         let ns = c.namespace();
         let opt_path: HPath = format!("bag.{}.config", id.id).parse().unwrap();
-        assert_eq!(ns.get(&opt_path), Some(&Value::Str("run".into())));
+        assert_eq!(ns.get(&opt_path), Some(Value::Str("run".into())));
         let var_path: HPath = format!("bag.{}.config.run.workerNodes", id.id).parse().unwrap();
-        assert_eq!(ns.get(&var_path), Some(&Value::Int(8)));
+        assert_eq!(ns.get(&var_path), Some(Value::Int(8)));
         let mem_path: HPath = format!("bag.{}.config.run.worker.memory", id.id).parse().unwrap();
-        assert_eq!(ns.get(&mem_path), Some(&Value::Float(32.0)));
+        assert_eq!(ns.get(&mem_path), Some(Value::Float(32.0)));
     }
 
     #[test]
@@ -1592,12 +1534,14 @@ mod tests {
             assert!(c.record_metric(&format!("{id}.response_time"), 1.0, 2.5));
         }
         c.end(&ids[0]).unwrap();
-        assert!(c.metrics().series("bag.1.response_time").is_none(), "the retired one's is gone");
-        assert!(c.metrics().histogram("bag.1.response_time").is_none());
+        assert!(
+            c.metrics().histogram("bag.1.response_time").is_none(),
+            "the retired one's is gone"
+        );
         for id in &ids[1..] {
             let name = format!("{id}.response_time");
-            assert_eq!(c.metrics().series(&name).map(|s| s.len()), Some(1), "{name} lost");
-            assert_eq!(c.metrics().histogram(&name).map(|h| h.len()), Some(1), "{name} lost");
+            let h = c.metrics().histogram(&name);
+            assert_eq!(h.map(|h| (h.len(), h.mean())), Some((1, Some(2.5))), "{name} lost");
         }
     }
 

@@ -28,6 +28,7 @@ mod events;
 mod instances;
 pub mod journal;
 mod leases;
+mod namespace;
 mod objective;
 pub mod optimizer;
 pub mod persist;
@@ -45,6 +46,7 @@ pub use error::CoreError;
 pub use events::{EventOutcome, HarmonyEvent};
 pub use journal::{EventJournal, JournalEntry, JournalKind, JournalTail, PhaseTimings};
 pub use leases::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
+pub use namespace::NamespaceView;
 pub use objective::Objective;
 pub use optimizer::DEFAULT_EXHAUSTIVE_LIMIT;
 pub use persist::{PersistedState, RecoveryInfo, StateStore, WalEvent};

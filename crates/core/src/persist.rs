@@ -14,7 +14,7 @@
 //! A metric report changes no durable state and logs nothing: its lease
 //! renewal is the touch, and its sample is measurement state. WALs written
 //! while reports were still logged replay their [`WalEvent::Metric`]
-//! records into the in-memory series.
+//! records into the in-memory response-time histograms.
 //! Decisions, retirements, and journal entries are deliberately *not*
 //! logged — the optimizer is deterministic (bit-identical across thread
 //! counts), so replaying the inputs re-derives them exactly.
@@ -38,18 +38,19 @@
 //!
 //! ## What is rebuilt
 //!
-//! Metric series, counters, gauges, and histograms restart empty after
-//! recovery — they are measurement state, not control state. Candidate
-//! memos are not in the image either, but they are a pure function of what
-//! is: [`Controller::from_persisted`] attaches every loaded bundle, which
-//! enumerates it, so the first pass after a restart reads them like any
-//! other.
+//! Metric counters, gauges, and histograms restart empty after recovery —
+//! they are measurement state, not control state. The namespace is not in
+//! the image: [`Controller::namespace`] derives it from the applied
+//! configurations. Nor are candidate memos, but they are a pure function
+//! of what is: [`Controller::from_persisted`] attaches every loaded
+//! bundle, which enumerates it, so the first pass after a restart reads
+//! them like any other.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use harmony_ns::{HPath, InstanceRegistry, Namespace};
+use harmony_ns::{HPath, InstanceRegistry};
 use harmony_resources::Cluster;
 use harmony_rsl::schema::BundleSpec;
 use harmony_rsl::Value;
@@ -156,8 +157,7 @@ pub enum WalEvent {
     },
     /// A read-path metric report, as WALs written before reports stopped
     /// being logged hold it. Nothing writes one any more; replay records
-    /// its sample into the in-memory series, as
-    /// [`Controller::record_metric`] does.
+    /// its sample as [`Controller::record_metric`] does.
     Metric {
         /// Controller clock at execution.
         now: f64,
@@ -292,8 +292,6 @@ pub struct PersistedState {
     pub apps: Vec<(InstanceId, AppInstance)>,
     /// Arrival order (drives re-evaluation order).
     pub arrival_order: Vec<InstanceId>,
-    /// The shared namespace, sequence counter included.
-    pub namespace: Namespace<Value>,
     /// Buffered variable updates awaiting each instance's next poll.
     pub pending_vars: Vec<(InstanceId, Vec<(HPath, Value)>)>,
     /// Session lease state per instance.
@@ -430,9 +428,10 @@ impl Controller {
 
     /// Captures the complete control-plane state for a snapshot. Lossless
     /// for everything decisions depend on: sessions keep their ids and
-    /// deadlines, the journal keeps its sequence numbers, the namespace
-    /// keeps its revision counter. Candidate memos (re-derived on load)
-    /// and metrics (restart empty) are deliberately excluded.
+    /// deadlines, the journal keeps its sequence numbers. Candidate memos
+    /// (re-derived on load), the namespace (derived from the applied
+    /// configurations) and metrics (restart empty) are deliberately
+    /// excluded.
     ///
     /// One [`Instance`] record fans out into the five per-instance fields
     /// of the format, each in id order as the format has always had them.
@@ -448,7 +447,6 @@ impl Controller {
             registry: self.registry.clone(),
             apps: by_id().map(|(id, inst)| (id, inst.app.clone())).collect(),
             arrival_order: self.instances.arrival().to_vec(),
-            namespace: self.namespace.clone(),
             pending_vars: by_id().map(|(id, inst)| (id, inst.pending.lock().clone())).collect(),
             sessions: by_id().map(|(id, inst)| (id, inst.lease.session().clone())).collect(),
             touches: self.instances.in_id_order().filter_map(unfolded).collect(),
@@ -509,7 +507,6 @@ impl Controller {
 
         ctl.now = state.now;
         ctl.registry = state.registry;
-        ctl.namespace = state.namespace;
         ctl.decisions = state.decisions;
         ctl.retirements = state.retirements;
         ctl.journal = Mutex::new(EventJournal::restore(

@@ -206,9 +206,9 @@ fn metric_reports_are_not_journaled_and_non_finite_rejected() {
     // rejected ones leave a journal entry.
     assert_eq!(ctl.journal_seq(), 0);
     assert!(ctl.journal_tail(0, 1000).entries.is_empty());
-    // The rejected samples never reached the series or the histogram.
-    assert_eq!(ctl.metrics().series("x.1.response_time").unwrap().len(), 1);
-    assert_eq!(ctl.metrics().histogram("x.1.response_time").unwrap().len(), 1);
+    // The rejected samples never reached the histogram.
+    let h = ctl.metrics().histogram("x.1.response_time").unwrap();
+    assert_eq!((h.len(), h.mean()), (1, Some(5.0)));
 }
 
 #[test]

@@ -123,8 +123,8 @@ fn every_written_wal_variant_is_produced_and_replays_to_the_live_state() {
         value: 0.25,
     });
     assert_eq!(
-        replayed.metrics().series(&name).map(|s| s.len()),
-        Some(1),
+        replayed.metrics().histogram(&name).map(|h| (h.len(), h.mean())),
+        Some((1, Some(0.25))),
         "the sample is recorded"
     );
     assert_eq!(

@@ -1,8 +1,8 @@
 //! Fixed-bucket histograms for response-time distributions.
 //!
-//! Time series keep individual samples (bounded); histograms keep the
-//! whole distribution at O(buckets) memory — the right shape for
-//! experiment summaries like "p95 response time per policy".
+//! A histogram keeps the whole distribution at O(buckets) memory — the
+//! right shape for experiment summaries like "p95 response time per
+//! policy".
 
 use serde::{Deserialize, Serialize};
 

@@ -4,7 +4,7 @@
 //! unified way to gather data about the performance of applications and
 //! their execution environment". Producers (applications, the simulator,
 //! the cluster) record samples into a shared [`MetricRegistry`]; the
-//! adaptation controller and the applications read series, counters and
+//! adaptation controller and the applications read counters, gauges and
 //! histograms back out of it. Hot producers resolve a [`CounterHandle`] or
 //! [`HistogramHandle`] once and skip the name lookup from then on.
 
@@ -13,8 +13,6 @@
 
 mod histogram;
 mod registry;
-mod series;
 
 pub use histogram::Histogram;
 pub use registry::{CounterHandle, HistogramHandle, MetricRegistry};
-pub use series::{Sample, TimeSeries};

@@ -1,4 +1,4 @@
-//! The metric registry: named series, counters, gauges and histograms.
+//! The metric registry: named counters, gauges and histograms.
 //!
 //! "Data about system conditions and application resource requirements flow
 //! into the metric interface, and on to both the adaptation controller and
@@ -20,7 +20,6 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::histogram::Histogram;
-use crate::series::TimeSeries;
 
 /// A shared, thread-safe registry of metrics.
 ///
@@ -36,7 +35,7 @@ use crate::series::TimeSeries;
 /// reg.record("DBclient.1.response_time", 12.5, 9.8);
 /// reg.inc_counter("DBclient.1.queries");
 /// assert_eq!(reg.counter("DBclient.1.queries"), 1);
-/// assert_eq!(reg.series("DBclient.1.response_time").unwrap().len(), 1);
+/// assert_eq!(reg.histogram("DBclient.1.response_time").unwrap().mean(), Some(9.8));
 ///
 /// // A handle is the same counter, without the lookup.
 /// let queries = reg.counter_handle("DBclient.1.queries");
@@ -48,12 +47,11 @@ pub struct MetricRegistry {
     inner: Arc<RwLock<Inner>>,
 }
 
-/// The name table. Its lock guards membership (and the series and gauges,
-/// which are stored in place); counter and histogram *values* change under
-/// the shared side or with no table lock at all.
+/// The name table. Its lock guards membership (and the gauges, which are
+/// stored in place); counter and histogram *values* change under the
+/// shared side or with no table lock at all.
 #[derive(Debug, Default)]
 struct Inner {
-    series: BTreeMap<String, TimeSeries>,
     counters: BTreeMap<String, CounterHandle>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, HistogramHandle>,
@@ -125,28 +123,23 @@ impl MetricRegistry {
         Self::default()
     }
 
-    /// Records a timestamped sample under `name`, creating the series on
-    /// first use.
+    /// Records a producer's timestamped report under `name`: a
+    /// `*.response_time` value is [observed](MetricRegistry::observe) into
+    /// the histogram of that name, which `status` and the exposition read.
+    /// Any other name is validated and kept nowhere, since nothing reads
+    /// it back.
     ///
-    /// Non-finite times and values (`NaN`, `±inf`) are rejected and the
-    /// series is left untouched: `TimeSeries` sorting and means both
-    /// propagate NaN, so one bad sample would poison every aggregate
-    /// derived from the series. Returns whether the sample was accepted.
+    /// Non-finite times and values (`NaN`, `±inf`) are rejected: one bad
+    /// sample would poison the histogram's mean. Returns whether the
+    /// report was accepted.
     pub fn record(&self, name: &str, time: f64, value: f64) -> bool {
         if !time.is_finite() || !value.is_finite() {
             return false;
         }
-        let mut inner = self.inner.write();
-        match inner.series.get_mut(name) {
-            Some(series) => series.record(time, value),
-            None => inner.series.entry(name.to_owned()).or_default().record(time, value),
+        if name.ends_with(".response_time") {
+            self.observe(name, value);
         }
         true
-    }
-
-    /// Returns a snapshot (clone) of the series under `name`.
-    pub fn series(&self, name: &str) -> Option<TimeSeries> {
-        self.inner.read().series.get(name).cloned()
     }
 
     /// Increments the counter under `name` by 1, returning the new value.
@@ -195,10 +188,8 @@ impl MetricRegistry {
     /// Records one observation into the histogram under `name`, creating
     /// it (with the response-time bucket layout) on first use.
     ///
-    /// Non-finite observations are rejected, mirroring [`record`]; the
-    /// return value reports whether the observation was accepted.
-    ///
-    /// [`record`]: MetricRegistry::record
+    /// Non-finite observations are rejected; the return value reports
+    /// whether the observation was accepted.
     pub fn observe(&self, name: &str, value: f64) -> bool {
         if !value.is_finite() {
             return false;
@@ -267,17 +258,15 @@ impl MetricRegistry {
             name.strip_prefix(prefix).is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
         };
         let mut inner = self.inner.write();
-        inner.series.retain(|k, _| !under(k));
         inner.counters.retain(|k, _| !under(k));
         inner.gauges.retain(|k, _| !under(k));
         inner.histograms.retain(|k, _| !under(k));
     }
 
-    /// Number of distinct metric names (series + counters + gauges +
-    /// histograms).
+    /// Number of distinct metric names (counters + gauges + histograms).
     pub fn len(&self) -> usize {
         let inner = self.inner.read();
-        inner.series.len() + inner.counters.len() + inner.gauges.len() + inner.histograms.len()
+        inner.counters.len() + inner.gauges.len() + inner.histograms.len()
     }
 
     /// True when nothing has been recorded.
@@ -291,13 +280,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn series_counters_gauges() {
+    fn reports_counters_gauges() {
         let reg = MetricRegistry::new();
         assert!(reg.is_empty());
-        reg.record("a.rt", 0.0, 1.0);
-        reg.record("a.rt", 1.0, 3.0);
-        assert_eq!(reg.series("a.rt").unwrap().mean(), Some(2.0));
-        assert!(reg.series("missing").is_none());
+        assert!(reg.record("a.response_time", 0.0, 1.0));
+        assert!(reg.record("a.response_time", 1.0, 3.0));
+        assert_eq!(reg.histogram("a.response_time").unwrap().mean(), Some(2.0));
+        assert!(reg.record("a.rt", 0.0, 1.0), "another name is accepted …");
+        assert!(reg.histogram("a.rt").is_none(), "… and kept nowhere");
 
         assert_eq!(reg.inc_counter("a.n"), 1);
         assert_eq!(reg.add_counter("a.n", 4), 5);
@@ -312,18 +302,6 @@ mod tests {
     }
 
     #[test]
-    fn a_recorded_series_keeps_its_newest_default_capacity_samples() {
-        let reg = MetricRegistry::new();
-        for i in 0..1025 {
-            assert!(reg.record("a.rt", i as f64, 1.0));
-        }
-        let series = reg.series("a.rt").unwrap();
-        assert_eq!(series.len(), TimeSeries::DEFAULT_CAPACITY);
-        assert_eq!(series.total_count(), 1025);
-        assert_eq!(series.iter().next().map(|s| s.time), Some(1.0), "the oldest was evicted");
-    }
-
-    #[test]
     fn clones_share_state() {
         let reg = MetricRegistry::new();
         let clone = reg.clone();
@@ -334,42 +312,45 @@ mod tests {
     #[test]
     fn remove_prefix_drops_departed_instances() {
         let reg = MetricRegistry::new();
-        reg.record("DBclient.1.rt", 0.0, 1.0);
+        reg.record("DBclient.1.response_time", 0.0, 1.0);
         reg.inc_counter("DBclient.1.queries");
         reg.set_gauge("DBclient.1.load", 0.5);
         reg.observe("DBclient.1.verb", 0.01);
-        reg.record("DBclient.2.rt", 0.0, 1.0);
+        reg.record("DBclient.2.response_time", 0.0, 1.0);
         // Siblings whose id merely extends the departed one's digits.
-        reg.record("DBclient.10.rt", 0.0, 1.0);
+        reg.record("DBclient.10.response_time", 0.0, 1.0);
         reg.observe("DBclient.19.response_time", 0.01);
         reg.inc_counter("DBclient.1x");
         reg.set_gauge("DBclient.1", 1.0);
         reg.remove_prefix("DBclient.1");
-        assert!(reg.series("DBclient.10.rt").is_some(), "a live sibling keeps its series");
+        let sibling = reg.histogram("DBclient.10.response_time");
+        assert!(sibling.is_some(), "a live sibling keeps its histogram");
         assert!(reg.histogram("DBclient.19.response_time").is_some());
         assert_eq!(reg.counter("DBclient.1x"), 1, "`1x` is another component, not below `1`");
         assert_eq!(reg.gauge("DBclient.1"), None, "the prefix itself is covered");
-        assert!(reg.series("DBclient.1.rt").is_none());
+        assert!(reg.histogram("DBclient.1.response_time").is_none());
         assert_eq!(reg.counter("DBclient.1.queries"), 0);
         assert_eq!(reg.gauge("DBclient.1.load"), None);
         assert!(reg.histogram("DBclient.1.verb").is_none());
-        assert!(reg.series("DBclient.2.rt").is_some());
+        assert!(reg.histogram("DBclient.2.response_time").is_some());
     }
 
     #[test]
     fn non_finite_samples_are_rejected() {
         let reg = MetricRegistry::new();
-        assert!(!reg.record("rt", 0.0, f64::NAN));
-        assert!(!reg.record("rt", 0.0, f64::INFINITY));
-        assert!(!reg.record("rt", 0.0, f64::NEG_INFINITY));
-        assert!(!reg.record("rt", f64::NAN, 1.0));
-        assert!(reg.series("rt").is_none(), "rejected samples leave no series behind");
+        let rt = "a.response_time";
+        assert!(!reg.record(rt, 0.0, f64::NAN));
+        assert!(!reg.record(rt, 0.0, f64::INFINITY));
+        assert!(!reg.record(rt, 0.0, f64::NEG_INFINITY));
+        assert!(!reg.record(rt, f64::NAN, 1.0));
+        assert!(!reg.record("a.rt", f64::INFINITY, 1.0), "every name is validated");
+        assert!(reg.histogram(rt).is_none(), "rejected samples leave no histogram behind");
 
-        assert!(reg.record("rt", 0.0, 1.0));
-        assert!(!reg.record("rt", 1.0, f64::NAN));
-        let series = reg.series("rt").unwrap();
-        assert_eq!(series.len(), 1, "rejected sample not appended");
-        assert_eq!(series.mean(), Some(1.0), "aggregates stay finite");
+        assert!(reg.record(rt, 0.0, 1.0));
+        assert!(!reg.record(rt, 1.0, f64::NAN));
+        let h = reg.histogram(rt).unwrap();
+        assert_eq!(h.len(), 1, "rejected sample not observed");
+        assert_eq!(h.mean(), Some(1.0), "aggregates stay finite");
 
         assert!(!reg.observe("lat", f64::NAN));
         assert!(reg.histogram("lat").is_none());
@@ -473,7 +454,7 @@ mod tests {
                 let reg = reg.clone();
                 std::thread::spawn(move || {
                     for j in 0..100 {
-                        reg.record("shared", j as f64, (i * 100 + j) as f64);
+                        reg.record("shared.response_time", j as f64, (i * 100 + j) as f64);
                         reg.inc_counter("count");
                     }
                 })
@@ -483,6 +464,6 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(reg.counter("count"), 400);
-        assert_eq!(reg.series("shared").unwrap().total_count(), 400);
+        assert_eq!(reg.histogram("shared.response_time").unwrap().len(), 400);
     }
 }

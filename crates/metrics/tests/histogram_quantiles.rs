@@ -1,5 +1,5 @@
 //! Property tests relating `Histogram::quantile_bound` to the exact
-//! nearest-rank `TimeSeries::quantile` over the same samples.
+//! nearest-rank quantile of the same samples, sorted.
 //!
 //! The histogram keeps O(buckets) state, so its quantiles are bucket
 //! *bounds*, not exact order statistics. The contract checked here:
@@ -10,10 +10,10 @@
 //! * it never exceeds the next-higher order statistic by more than one
 //!   bucket's growth factor.
 
-use harmony_metrics::{Histogram, TimeSeries};
+use harmony_metrics::Histogram;
 use proptest::prelude::*;
 
-/// Exact nearest-rank index used by `TimeSeries::quantile`.
+/// Exact nearest-rank index of the `q` quantile among `n` sorted samples.
 fn series_rank(n: usize, q: f64) -> usize {
     ((n as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize
 }
@@ -46,17 +46,12 @@ proptest! {
         // response-time layout (last finite bound ≈ 524 s), so the
         // overflow bucket's max-reporting special case stays out of play.
         let mut h = Histogram::for_response_times();
-        let mut ts = TimeSeries::default();
-        for (i, &v) in values.iter().enumerate() {
+        for &v in &values {
             h.record(v);
-            ts.record(i as f64, v);
         }
         let mut sorted = values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-
-        let exact = ts.quantile(q).unwrap();
         let r = series_rank(values.len(), q);
-        prop_assert_eq!(exact, sorted[r], "rank model matches TimeSeries::quantile");
 
         let bound = h.quantile_bound(q).unwrap();
         // Lower bracket: at worst one rank below the exact quantile.

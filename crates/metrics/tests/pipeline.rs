@@ -23,24 +23,22 @@ fn producer_to_registry_to_histogram() {
     });
     producer.join().unwrap();
 
-    // Consumer: fold every series into one distribution.
+    // Each client's histogram holds all of its reports.
+    for client in 1..=3 {
+        let h = registry.histogram(&name(client)).unwrap();
+        assert_eq!(h.len(), 20);
+        assert!((h.mean().unwrap() - (client as f64 + 0.095)).abs() < 1e-9);
+    }
+
+    // Consumer: merge the clients' histograms into one distribution.
     let mut hist = Histogram::for_response_times();
     for client in 1..=3 {
-        for sample in registry.series(&name(client)).unwrap().iter() {
-            hist.record(sample.value);
-        }
+        hist.merge(&registry.histogram(&name(client)).unwrap());
     }
     assert_eq!(hist.len(), 60);
     let mean = hist.mean().unwrap();
     assert!((1.0..4.0).contains(&mean), "mean {mean}");
     assert!(hist.quantile_bound(0.99).unwrap() >= 3.0);
-
-    // Each client's series is intact.
-    for client in 1..=3 {
-        let s = registry.series(&name(client)).unwrap();
-        assert_eq!(s.len(), 20);
-        assert!((s.mean().unwrap() - (client as f64 + 0.095)).abs() < 1e-9);
-    }
 }
 
 #[test]

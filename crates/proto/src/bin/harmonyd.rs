@@ -28,6 +28,7 @@
 //! with `&` inherits a closed or null stdin and must not treat that as a
 //! stop request.
 
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -217,13 +218,17 @@ fn main() {
         if !due && !stopping {
             continue;
         }
+        // The pass's lines are formatted under the lock and printed after
+        // it is released, so a slow stdout reader stalls no verb.
+        let mut out = String::new();
         let mut ctl = controller.write();
         ctl.set_time(anchor + start.elapsed().as_secs_f64());
         if let Err(e) = ctl.handle_event(HarmonyEvent::Periodic) {
             eprintln!("harmonyd: periodic pass error: {e}");
         }
         for r in &ctl.retirements()[reaped..] {
-            println!("harmonyd: t={:.0}s retired {} ({})", r.time, r.instance, r.reason);
+            let _ =
+                writeln!(out, "harmonyd: t={:.0}s retired {} ({})", r.time, r.instance, r.reason);
         }
         reaped = ctl.retirements().len();
         let decisions = ctl.decisions();
@@ -234,7 +239,8 @@ fn main() {
                 let seqs: Vec<String> = d.provenance.iter().map(u64::to_string).collect();
                 format!(" journal[{}]", seqs.join(","))
             };
-            println!(
+            let _ = writeln!(
+                out,
                 "harmonyd: t={:.0}s {} {}: {} -> {} (objective {:.1} -> {:.1}){}{} \
                  (search {:.2}ms, commit {:.2}ms)",
                 d.time,
@@ -254,16 +260,21 @@ fn main() {
         if let Some(store) = store.as_mut() {
             if stopping {
                 match store.checkpoint(&mut ctl) {
-                    Ok(()) => println!(
-                        "harmonyd: shutdown checkpoint written (generation {})",
-                        store.generation()
-                    ),
+                    Ok(()) => {
+                        let generation = store.generation();
+                        let _ = writeln!(
+                            out,
+                            "harmonyd: shutdown checkpoint written (generation {generation})"
+                        );
+                    }
                     Err(e) => eprintln!("harmonyd: shutdown checkpoint failed: {e}"),
                 }
             } else {
                 match store.maybe_checkpoint(&mut ctl) {
                     Ok(true) => {
-                        println!("harmonyd: checkpoint written (generation {})", store.generation())
+                        let generation = store.generation();
+                        let _ =
+                            writeln!(out, "harmonyd: checkpoint written (generation {generation})");
                     }
                     Ok(false) => {}
                     Err(e) => eprintln!("harmonyd: checkpoint failed: {e}"),
@@ -271,6 +282,7 @@ fn main() {
             }
         }
         drop(ctl);
+        print!("{out}");
         if stopping {
             server.stop();
             println!("harmonyd: stopped");

@@ -138,9 +138,9 @@ fn serve_request(ctl: &SharedController, req: &Request, verbs: &mut VerbHistogra
         Request::Metric { name, time, value } => reading(ctl, req, verbs, |ctl| {
             ctl.touch_for_metric(name);
             // Non-finite samples are rejected in-band rather than silently
-            // dropped: one NaN would otherwise poison every aggregate
-            // derived from the series, and the client deserves to know its
-            // clock or measurement went bad.
+            // dropped: one NaN would otherwise poison the response-time
+            // histogram's mean, and the client deserves to know its clock
+            // or measurement went bad.
             if !ctl.record_metric(name, *time, *value) {
                 return Response::Error {
                     message: format!("non-finite metric sample rejected: {name} {time} {value}"),
@@ -917,16 +917,18 @@ mod tests {
         let ctl = shared_controller(2);
         let mut t = LocalTransport::new(Arc::clone(&ctl));
         for (time, value) in [(1.0, f64::NAN), (f64::INFINITY, 2.0), (1.0, f64::NEG_INFINITY)] {
-            let resp = t.call(&Request::Metric { name: "x.1.rt".into(), time, value }).unwrap();
+            let name = "x.1.response_time".into();
+            let resp = t.call(&Request::Metric { name, time, value }).unwrap();
             let Response::Error { message } = resp else { panic!("accepted bad sample: {resp:?}") };
             assert!(message.contains("non-finite"), "{message}");
         }
         // Nothing was recorded; a clean sample still works.
-        assert!(ctl.read().metrics().series("x.1.rt").is_none());
-        let resp =
-            t.call(&Request::Metric { name: "x.1.rt".into(), time: 1.0, value: 2.0 }).unwrap();
+        assert!(ctl.read().metrics().histogram("x.1.response_time").is_none());
+        let name = "x.1.response_time".into();
+        let resp = t.call(&Request::Metric { name, time: 1.0, value: 2.0 }).unwrap();
         assert_eq!(resp, Response::Ok);
-        assert_eq!(ctl.read().metrics().series("x.1.rt").unwrap().len(), 1);
+        let h = ctl.read().metrics().histogram("x.1.response_time").unwrap();
+        assert_eq!((h.len(), h.mean()), (1, Some(2.0)));
     }
 
     #[test]

@@ -33,8 +33,8 @@ fn a_request_costs_one_read_one_write_and_the_strings_it_keeps() {
     assert_eq!(steady_cost(&ctl, &round_robin(400, |id, _| heartbeat(id))), cost(1));
     // Empty `poll`: the name in the `Request`, and again in the `Response`.
     assert_eq!(steady_cost(&ctl, &round_robin(400, |id, _| poll(id))), cost(2));
-    // `metric`: the metric name the `Request` owns — the series, the
-    // histogram and the reply cost nothing, and nothing is journaled.
+    // `metric`: the metric name the `Request` owns — the histogram and
+    // the reply cost nothing, and nothing is journaled.
     assert_eq!(steady_cost(&ctl, &round_robin(400, metric)), cost(1));
     // (11 / 11 / 18 allocations and two reads each before buffered frames,
     // the borrowing parser and metric handles.)

@@ -105,15 +105,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The metric interface accumulated our measurements.
-    let series = controller
+    let histogram = controller
         .read()
         .metrics()
-        .series(&format!("{}.response_time", app.instance_name()))
+        .histogram(&format!("{}.response_time", app.instance_name()))
         .expect("metrics recorded");
     println!(
         "\nreported {} samples, mean {:.2}s; final mode {}",
-        series.len(),
-        series.mean().unwrap_or(0.0),
+        histogram.len(),
+        histogram.mean().unwrap_or(0.0),
         where_var.get()
     );
 

@@ -53,7 +53,7 @@ fn two_tcp_clients_share_one_cluster() {
 
     // Metrics flow through the metric interface into the registry.
     a.report_metric("response_time", 10.0, 345.0).unwrap();
-    assert!(ctl.read().metrics().series("bag.1.response_time").is_some());
+    assert!(ctl.read().metrics().histogram("bag.1.response_time").is_some());
 
     b.end().unwrap();
     assert!(a.wait_for_update(Duration::from_secs(2)).unwrap());

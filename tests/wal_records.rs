@@ -222,8 +222,9 @@ proptest! {
 const COMPAT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/compat");
 
 /// A state directory from before metric reports stopped being durable: a
-/// snapshot with a `feedback` setting and a `metric_series` section, and a
-/// WAL of `Metric` records (one of them a rejected NaN) and a `Touch`.
+/// snapshot with a `feedback` setting, a `metric_series` section and a
+/// stored `namespace`, and a WAL of `Metric` records (one of them a
+/// rejected NaN) and a `Touch`.
 /// The snapshot is the bytes that build wrote, the WAL payloads are in its
 /// record format. It opens; the old keys are skipped, the records replay,
 /// and the samples land in memory only.
@@ -233,6 +234,7 @@ fn a_state_dir_with_metric_records_and_series_still_opens() {
         std::fs::read_to_string(format!("{COMPAT}/snapshot_with_metric_series.json")).unwrap();
     let wal = std::fs::read_to_string(format!("{COMPAT}/wal_with_metric_records.jsonl")).unwrap();
     assert!(snapshot.contains("\"feedback\":null") && snapshot.contains("\"metric_series\":[["));
+    assert!(snapshot.contains("\"namespace\":"));
     let dir = scratch("compat");
     let state_dir = StateDir::open(&dir).unwrap();
     state_dir.write_snapshot(1, snapshot.as_bytes()).unwrap();
@@ -259,10 +261,8 @@ fn a_state_dir_with_metric_records_and_series_still_opens() {
 
     // The snapshot's series are not restored; the replayed samples are
     // recorded, the rejected one is not.
-    let series = ctl.metrics().series("bag.1.response_time").unwrap();
-    let samples: Vec<(f64, f64)> = series.iter().map(|s| (s.time, s.value)).collect();
-    assert_eq!(samples, vec![(6.0, 16.0), (6.1, 17.0)]);
-    assert_eq!(ctl.metrics().histogram("bag.1.response_time").unwrap().len(), 2);
+    let h = ctl.metrics().histogram("bag.1.response_time").unwrap();
+    assert_eq!((h.len(), h.mean()), (2, Some(16.5)));
 
     // Replay journals nothing for a metric: the journal is the image's.
     assert_eq!(ctl.journal_seq(), image.journal_next_seq);
