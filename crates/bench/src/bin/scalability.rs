@@ -87,7 +87,7 @@ fn run_row(nodes: usize, napps: usize, spec: &BundleSpec) -> Row {
         apps: napps,
         placement_ms,
         reevaluate_ms,
-        decisions: ctl.decisions().len(),
+        decisions: ctl.metrics().counter("controller.decisions") as usize,
         scans: count("scans"),
         trials,
         matches: count("matches"),

@@ -36,7 +36,9 @@ use crate::candidates::Candidate;
 use crate::error::CoreError;
 use crate::events::EventOutcome;
 use crate::instances::{Instance, Instances};
-use crate::journal::{EventJournal, JournalKind, JournalTail, PhaseTimings};
+use crate::journal::{
+    push_bounded, retained_since, EventJournal, JournalKind, JournalTail, PhaseTimings,
+};
 use crate::leases::{Lease, LeaseConfig, RetireReason, RetirementRecord};
 use crate::namespace::{applied_writes, config_writes, NamespaceView};
 use crate::objective::Objective;
@@ -192,6 +194,8 @@ pub struct Controller {
     pub(crate) registry: InstanceRegistry,
     pub(crate) metrics: MetricRegistry,
     pub(crate) now: f64,
+    /// Bounded reports for the embedding: no decision reads them and no
+    /// snapshot keeps them.
     pub(crate) decisions: Vec<DecisionRecord>,
     pub(crate) retirements: Vec<RetirementRecord>,
     /// Dirty-mark bookkeeping for coalesced re-evaluation (only consulted
@@ -307,9 +311,17 @@ impl Controller {
         self.metrics.record(name, time, value)
     }
 
-    /// All decisions applied so far, oldest first.
+    /// The newest decisions this controller applied, oldest first (a
+    /// bounded window).
     pub fn decisions(&self) -> &[DecisionRecord] {
         &self.decisions
+    }
+
+    /// The retained decisions after the first `total`, a reading of the
+    /// `controller.decisions` counter: clamped to the window, and empty
+    /// for a reading past the count (one from a rebuilt controller).
+    pub fn decisions_since(&self, total: u64) -> &[DecisionRecord] {
+        retained_since(&self.decisions, self.metrics.counter("controller.decisions"), total)
     }
 
     /// Registered instances in arrival order.
@@ -611,7 +623,8 @@ impl Controller {
         self.metrics.remove_prefix(&id.to_string());
         self.metrics.inc_counter("controller.ends");
         self.metrics.set_gauge("controller.sessions.active", self.instances.len() as f64);
-        self.retirements.push(RetirementRecord { time: self.now, instance: id.clone(), reason });
+        let record = RetirementRecord { time: self.now, instance: id.clone(), reason };
+        push_bounded(&mut self.retirements, record);
         let detail = format!("{reason}: {id}");
         let mut trigger = self.journal_trigger(JournalKind::Retirement, detail.clone());
         // Decisions applied while retiring an instance for a non-`end`
@@ -992,7 +1005,7 @@ impl Controller {
             format!("decision {}.{} -> {}", record.instance, record.bundle, record.to),
         );
         self.metrics.inc_counter("controller.decisions");
-        self.decisions.push(record.clone());
+        push_bounded(&mut self.decisions, record.clone());
         Ok(record)
     }
 

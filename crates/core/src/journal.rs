@@ -22,6 +22,23 @@ use serde::{Deserialize, Serialize};
 /// without unbounded growth.
 pub const DEFAULT_JOURNAL_CAPACITY: usize = 4096;
 
+/// Appends to a history (decisions, retirements), first dropping its older
+/// half once it holds a journal's capacity.
+pub(crate) fn push_bounded<T>(history: &mut Vec<T>, record: T) {
+    if history.len() >= DEFAULT_JOURNAL_CAPACITY {
+        history.drain(..DEFAULT_JOURNAL_CAPACITY / 2);
+    }
+    history.push(record);
+}
+
+/// The entries of a bounded `history`, the newest of `total` ever pushed,
+/// after the first `since`: the whole window once `since` predates it,
+/// none when `since` exceeds `total` (a reading from a rebuilt controller).
+pub(crate) fn retained_since<T>(history: &[T], total: u64, since: u64) -> &[T] {
+    let oldest = total.saturating_sub(history.len() as u64);
+    &history[(since.saturating_sub(oldest) as usize).min(history.len())..]
+}
+
 /// What kind of occurrence a journal entry records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "kebab-case")]

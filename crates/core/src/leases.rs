@@ -24,6 +24,7 @@ use crate::app::{InstanceId, InstanceRef};
 use crate::controller::{Controller, DecisionRecord};
 use crate::error::CoreError;
 use crate::events::EventOutcome;
+use crate::journal::retained_since;
 use crate::persist::WalEvent;
 
 /// Lease parameters, in controller-clock seconds.
@@ -280,9 +281,16 @@ impl Controller {
         self.instances.in_id_order().map(|inst| (&inst.app.id, inst.lease.session()))
     }
 
-    /// Every retirement so far (explicit `end` and reaped), oldest first.
+    /// The newest retirements (explicit `end` and reaped) this controller
+    /// made, oldest first (a bounded window).
     pub fn retirements(&self) -> &[RetirementRecord] {
         &self.retirements
+    }
+
+    /// The retained retirements after the first `total`, a reading of the
+    /// `controller.ends` counter (as [`Controller::decisions_since`]).
+    pub fn retirements_since(&self, total: u64) -> &[RetirementRecord] {
+        retained_since(&self.retirements, self.metrics.counter("controller.ends"), total)
     }
 
     /// Renews an instance's lease from the concurrent read path, under a

@@ -39,7 +39,9 @@
 //! ## What is rebuilt
 //!
 //! Metric counters, gauges, and histograms restart empty after recovery —
-//! they are measurement state, not control state. The namespace is not in
+//! they are measurement state, not control state. So do the decision and
+//! retirement histories and their totals (`controller.decisions`,
+//! `controller.ends`), which no decision reads. The namespace is not in
 //! the image: [`Controller::namespace`] derives it from the applied
 //! configurations. Nor are candidate memos, but they are a pure function
 //! of what is: [`Controller::from_persisted`] attaches every loaded
@@ -59,12 +61,12 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::app::{AppInstance, InstanceId};
-use crate::controller::{Controller, ControllerConfig, DecisionRecord};
+use crate::controller::{Controller, ControllerConfig};
 use crate::error::CoreError;
 use crate::events::HarmonyEvent;
 use crate::instances::Instance;
 use crate::journal::{EventJournal, JournalEntry};
-use crate::leases::{Lease, RetirementRecord, SessionState};
+use crate::leases::{Lease, SessionState};
 use crate::scheduler::{DecisionScheduler, SchedulerState};
 
 /// Version stamp of [`PersistedState`]; a mismatch refuses recovery
@@ -275,7 +277,7 @@ impl WalEvent {
 
 /// The controller's complete control-plane state, as written into a
 /// snapshot file. Lossless for everything decisions depend on; candidate
-/// memos are re-derived on load and metrics restart empty.
+/// memos are re-derived on load; metrics and histories restart empty.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PersistedState {
     /// Format version ([`PERSIST_VERSION`]).
@@ -298,10 +300,6 @@ pub struct PersistedState {
     pub sessions: Vec<(InstanceId, SessionState)>,
     /// Unfolded read-path touch stamps (raw non-zero `f64::to_bits`).
     pub touches: Vec<(InstanceId, u64)>,
-    /// Every decision applied so far.
-    pub decisions: Vec<DecisionRecord>,
-    /// Every retirement so far.
-    pub retirements: Vec<RetirementRecord>,
     /// Retained journal entries, oldest first.
     pub journal_entries: Vec<JournalEntry>,
     /// The journal's next sequence number (clients' cursors stay valid).
@@ -313,24 +311,6 @@ pub struct PersistedState {
 }
 
 impl PersistedState {
-    /// Zeroes the per-decision optimizer phase timings — wall-clock
-    /// measurements no two runs share. Everything else in a decision
-    /// (choice, objectives, provenance) is deterministic and stays.
-    pub fn normalize_measurements(&mut self) {
-        for d in &mut self.decisions {
-            d.phases = Default::default();
-        }
-    }
-
-    /// Zeroes the controller clock. `set_time` is deliberately not
-    /// WAL-logged (every event carries its own timestamp and a restarted
-    /// daemon re-anchors to wall time), so a clock advance followed by no
-    /// loggable event is legitimately lost to a crash — crash-equivalence
-    /// comparisons must not see it.
-    pub fn normalize_clock(&mut self) {
-        self.now = 0.0;
-    }
-
     /// The canonical JSON image fingerprints are computed over. One
     /// serialization, shared by the harness's recovery oracle and the
     /// model checker's visited set, so their fingerprints stay comparable.
@@ -338,24 +318,22 @@ impl PersistedState {
         serde_json::to_string(self).expect("persisted state serializes")
     }
 
-    /// FNV-1a 64 over the canonical JSON with measurements normalized
-    /// out but the clock kept — the model checker's exploration
-    /// fingerprint, where two states differing only in the clock are
-    /// genuinely different (a later reap behaves differently).
+    /// FNV-1a 64 over the canonical JSON, clock included — the model
+    /// checker's exploration fingerprint, where two states differing only
+    /// in the clock are genuinely different (a later reap behaves
+    /// differently). The image holds no measurement to normalize out.
     pub fn canonical_fingerprint(&self) -> u64 {
-        let mut state = self.clone();
-        state.normalize_measurements();
-        harmony_rng::fnv::fnv1a_64(state.canonical_json().as_bytes())
+        harmony_rng::fnv::fnv1a_64(self.canonical_json().as_bytes())
     }
 
-    /// FNV-1a 64 with measurements *and* the clock normalized out — the
-    /// crash-equivalence fingerprint the recovery oracles compare, where
-    /// an unlogged `set_time` must not distinguish states.
+    /// FNV-1a 64 with the clock zeroed — the crash-equivalence fingerprint
+    /// the recovery oracles compare. `set_time` is deliberately not
+    /// WAL-logged (every event carries its own timestamp and a restarted
+    /// daemon re-anchors to wall time), so a clock advance followed by no
+    /// loggable event is legitimately lost to a crash and must not
+    /// distinguish states.
     pub fn recovery_fingerprint(&self) -> u64 {
-        let mut state = self.clone();
-        state.normalize_measurements();
-        state.normalize_clock();
-        harmony_rng::fnv::fnv1a_64(state.canonical_json().as_bytes())
+        PersistedState { now: 0.0, ..self.clone() }.canonical_fingerprint()
     }
 }
 
@@ -430,8 +408,8 @@ impl Controller {
     /// for everything decisions depend on: sessions keep their ids and
     /// deadlines, the journal keeps its sequence numbers. Candidate memos
     /// (re-derived on load), the namespace (derived from the applied
-    /// configurations) and metrics (restart empty) are deliberately
-    /// excluded.
+    /// configurations), and metrics and the decision and retirement
+    /// histories (restart empty) are deliberately excluded.
     ///
     /// One [`Instance`] record fans out into the five per-instance fields
     /// of the format, each in id order as the format has always had them.
@@ -450,8 +428,6 @@ impl Controller {
             pending_vars: by_id().map(|(id, inst)| (id, inst.pending.lock().clone())).collect(),
             sessions: by_id().map(|(id, inst)| (id, inst.lease.session().clone())).collect(),
             touches: self.instances.in_id_order().filter_map(unfolded).collect(),
-            decisions: self.decisions.clone(),
-            retirements: self.retirements.clone(),
             journal_entries: journal.entries().cloned().collect(),
             journal_next_seq: journal.next_seq(),
             journal_capacity: journal.capacity(),
@@ -507,8 +483,6 @@ impl Controller {
 
         ctl.now = state.now;
         ctl.registry = state.registry;
-        ctl.decisions = state.decisions;
-        ctl.retirements = state.retirements;
         ctl.journal = Mutex::new(EventJournal::restore(
             state.journal_entries,
             state.journal_next_seq,

@@ -156,13 +156,12 @@ pub struct SystemSnapshot {
     pub apps: Vec<AppSnapshot>,
     /// Cluster nodes in name order.
     pub nodes: Vec<NodeSnapshot>,
-    /// Total decisions applied since startup.
+    /// Decisions applied since this process started, replay included.
     pub decisions: usize,
     /// Session-lease state per registered instance.
     #[serde(default)]
     pub sessions: Vec<SessionSnapshot>,
-    /// Instance retirements so far (explicit `end` and reaped), oldest
-    /// first, with reasons.
+    /// The retained retirements, oldest first: [`Controller::retirements`].
     #[serde(default)]
     pub retired: Vec<RetirementRecord>,
     /// Decision-engine counters (searches, evaluations, candidate cache).
@@ -243,7 +242,7 @@ impl SystemSnapshot {
             objective_name: ctl.config().objective.name().to_string(),
             apps,
             nodes,
-            decisions: ctl.decisions().len(),
+            decisions: ctl.metrics().counter("controller.decisions") as usize,
             sessions,
             retired: ctl.retirements().to_vec(),
             optimizer: OptimizerSnapshot {

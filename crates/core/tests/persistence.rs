@@ -65,12 +65,8 @@ fn drive(c: &mut Controller) {
 }
 
 /// The state fingerprint used for replay-equivalence assertions: the full
-/// persisted image with per-decision wall timings zeroed (two runs of the
-/// same deterministic pass never take the same microseconds).
-fn fingerprint(mut state: PersistedState) -> String {
-    for d in &mut state.decisions {
-        d.phases = Default::default();
-    }
+/// persisted image, which holds no wall-clock measurement.
+fn fingerprint(state: PersistedState) -> String {
     serde_json::to_string(&state).unwrap()
 }
 

@@ -7,33 +7,19 @@
 //! killed mid-burst, no shutdown checkpoint, exactly what `kill -9` at a
 //! bad moment leaves behind — and recovery must rebuild a controller
 //! whose persisted image is bit-identical to the pre-crash one (modulo
-//! per-decision wall timings, which no two runs share).
+//! the controller clock, which `recovery_fingerprint` zeroes).
 //!
-//! The fingerprint here is deliberately the *whole* [`PersistedState`] —
+//! The fingerprint here is deliberately the *whole* `PersistedState` —
 //! sessions, lease deadlines, journal cursor, pending coalescing windows,
 //! applied configurations — not just the journal/decision stream, so a
 //! recovery that loses any control-plane field fails loudly.
 
 use std::path::{Path, PathBuf};
 
-use harmony_core::{CoreError, PersistedState, RecoveryInfo, StateStore};
+use harmony_core::{CoreError, RecoveryInfo, StateStore};
 
 use crate::schedule::generate;
 use crate::{config_for_seed, PlantedBug, World};
-
-/// FNV-1a 64 over the canonical JSON of the persisted image, with two
-/// ephemeral fields normalized out: per-decision wall timings (no two
-/// runs share them) and the controller clock (`set_time` is deliberately
-/// not WAL-logged — every event carries its own timestamp and a restarted
-/// daemon re-anchors to wall time — so a `set_time` followed by no
-/// loggable event is legitimately lost to a crash).
-///
-/// This is [`PersistedState::recovery_fingerprint`] — the normalization
-/// and fold now live in `harmony-core`/`harmony-rng` so `harmony-mc`'s
-/// crash-point enumeration compares the identical fingerprint.
-pub fn state_fingerprint(state: PersistedState) -> u64 {
-    state.recovery_fingerprint()
-}
 
 /// What the crashed run looked like the instant before it died.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,7 +93,7 @@ pub fn crash_run(
         seed,
         crash_at: cut,
         ops_total: schedule.ops.len(),
-        fingerprint: state_fingerprint(guard.persisted_state()),
+        fingerprint: guard.persisted_state().recovery_fingerprint(),
         wal_records: guard.metrics().counter("controller.persistence.appends"),
         live_sessions: guard.sessions().count(),
         pending_decisions: guard.pending_decisions(),
@@ -131,7 +117,7 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun, CoreError> {
         StateStore::open(dir, || panic!("recovery must find prior state, not start fresh"))?;
     drop(store);
     Ok(RecoveredRun {
-        fingerprint: state_fingerprint(ctl.persisted_state()),
+        fingerprint: ctl.persisted_state().recovery_fingerprint(),
         info: ctl.recovery_info().expect("state store sets recovery info"),
         live_sessions: ctl.sessions().count(),
         pending_decisions: ctl.pending_decisions(),

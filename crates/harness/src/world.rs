@@ -131,7 +131,7 @@ pub struct World {
     evicted: BTreeMap<String, NodeDecl>,
     time_ms: u64,
     cursor: u64,
-    decisions_seen: usize,
+    decisions_seen: u64,
     fingerprint: u64,
     journal_appended: u64,
     decisions_total: usize,
@@ -460,23 +460,25 @@ impl World {
 
     fn exec_reap(&mut self, i: usize) -> Result<(), Violation> {
         let now = self.now();
-        let retire_before = self.ctl.read().retirements().len();
         if self.planted == PlantedBug::ReaperSkipsTouchFold {
             // Planted from outside: reload the controller's own image with
             // the unfolded read-path touches dropped, so this reap judges
-            // expiry without them.
+            // expiry without them. The rebuilt controller counts its
+            // decisions from zero.
             let mut ctl = self.ctl.write();
             let mut image = ctl.persisted_state();
             image.touches.clear();
             *ctl = Controller::from_persisted(image).expect("a controller's own image reloads");
+            self.decisions_seen = 0;
         }
+        let retired_before = self.ctl.read().metrics().counter("controller.ends");
         self.ctl
             .write()
             .reap_expired(now)
             .map_err(|e| Violation::new(i, "controller-error", e.to_string()))?;
         let expected = self.shadow.expected_reap(now);
         let ctl = self.ctl.read();
-        oracle::check_reap(&ctl.retirements()[retire_before..], &expected, now, i)
+        oracle::check_reap(ctl.retirements_since(retired_before), &expected, now, i)
     }
 
     // ------------------------------------------------------------------
@@ -557,13 +559,13 @@ impl World {
         // Decisions: provenance check, then fold.
         {
             let ctl = self.ctl.read();
-            let new = &ctl.decisions()[self.decisions_seen.min(ctl.decisions().len())..];
+            let new = ctl.decisions_since(self.decisions_seen);
             oracle::check_provenance(new, appended, i)?;
             for d in new {
                 fold_decision(&mut self.fingerprint, d);
             }
             self.decisions_total += new.len();
-            self.decisions_seen = ctl.decisions().len();
+            self.decisions_seen = ctl.metrics().counter("controller.decisions");
         }
 
         // Structural invariants.

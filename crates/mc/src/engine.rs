@@ -257,8 +257,6 @@ impl Engine {
         ctl.set_time(now);
         let mut shadow = parent.shadow.clone();
         let mut slots = parent.slots.clone();
-        let decisions_before = ctl.decisions().len();
-        let retire_before = ctl.retirements().len();
 
         // Dispatch. Verbs addressing a slot in the wrong liveness state
         // are no-ops, exactly like the harness's ops — the property that
@@ -329,12 +327,8 @@ impl Engine {
             Verb::Reap => {
                 execute(WalEvent::Reap { now });
                 let expected = shadow.expected_reap(now);
-                oracle::check_reap(
-                    &shared.read().retirements()[retire_before..],
-                    &expected,
-                    now,
-                    step_index,
-                )?;
+                // The image holds no history: every retirement is this step's.
+                oracle::check_reap(shared.read().retirements(), &expected, now, step_index)?;
             }
             // The shim builds a `Tick` command only when the window is due.
             Verb::Tick => {
@@ -364,11 +358,7 @@ impl Engine {
         let tail = ctl.journal_tail(parent.cursor, usize::MAX);
         oracle::check_journal_tail(&tail, parent.cursor, ctl.journal_seq(), step_index)?;
         let cursor = tail.next_cursor;
-        oracle::check_provenance(
-            &ctl.decisions()[decisions_before..],
-            ctl.journal_seq(),
-            step_index,
-        )?;
+        oracle::check_provenance(ctl.decisions(), ctl.journal_seq(), step_index)?;
         oracle::check_capacity(&ctl, step_index)?;
         oracle::check_lease_agreement(&ctl, &shadow, step_index)?;
 

@@ -208,8 +208,11 @@ fn main() {
     // session leases, then re-evaluate, streaming decisions to stdout.
     let start = std::time::Instant::now();
     let mut store = store;
-    let mut seen = 0usize;
-    let mut reaped = 0usize;
+    // Stream from the recovered totals: replay re-derives, it prints nothing.
+    let (mut seen, mut reaped) = {
+        let ctl = controller.read();
+        (ctl.metrics().counter("controller.decisions"), ctl.metrics().counter("controller.ends"))
+    };
     loop {
         std::thread::sleep(std::time::Duration::from_millis(200));
         let stopping = shutdown.load(std::sync::atomic::Ordering::SeqCst);
@@ -226,13 +229,12 @@ fn main() {
         if let Err(e) = ctl.handle_event(HarmonyEvent::Periodic) {
             eprintln!("harmonyd: periodic pass error: {e}");
         }
-        for r in &ctl.retirements()[reaped..] {
+        for r in ctl.retirements_since(reaped) {
             let _ =
                 writeln!(out, "harmonyd: t={:.0}s retired {} ({})", r.time, r.instance, r.reason);
         }
-        reaped = ctl.retirements().len();
-        let decisions = ctl.decisions();
-        for d in &decisions[seen..] {
+        reaped = ctl.metrics().counter("controller.ends");
+        for d in ctl.decisions_since(seen) {
             let provenance = if d.provenance.is_empty() {
                 String::new()
             } else {
@@ -256,7 +258,7 @@ fn main() {
                 d.phases.commit_ms
             );
         }
-        seen = decisions.len();
+        seen = ctl.metrics().counter("controller.decisions");
         if let Some(store) = store.as_mut() {
             if stopping {
                 match store.checkpoint(&mut ctl) {

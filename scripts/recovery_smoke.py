@@ -11,10 +11,13 @@ whole cycle runs from a stock Python without any client library:
 
 Exit status 0 means the full cycle held: seed sessions under a coalescing
 window, SIGKILL mid-window, recover, reattach both sessions by their old
-ids, confirm the status snapshot reports the recovery, and finally take a
-clean stdin-EOF shutdown checkpoint.
+ids, confirm the status snapshot reports the recovery, let the recovered
+coalescing window fire, and finally take a clean stdin-EOF shutdown
+checkpoint whose life prints no decision or retirement line (it received
+no verb and had nothing left to decide).
 """
 
+import json
 import socket
 import struct
 import subprocess
@@ -111,11 +114,23 @@ def main():
         if '"replayed":0,' in status.replace(" ", ""):
             sys.exit("FAIL: recovery replayed no WAL records")
         print("smoke: both sessions reattached with prior ids; status reports recovery")
+        # Let the recovered coalescing window fire in this life, so the
+        # third life has nothing left to decide: its replay re-derives
+        # these decisions, and it must not print them again.
+        end = time.monotonic() + 15.0
+        while json.loads(call(c3, "status")[len("status {"):-1])["scheduler"]["pending"]:
+            if time.monotonic() >= end:
+                sys.exit("FAIL: the recovered coalescing window never fired")
+            time.sleep(0.2)
+        time.sleep(0.3)  # one group-commit flush, as before the first kill
+        print("smoke: the recovered coalescing window fired")
     finally:
         daemon.kill()
     daemon.wait()
 
     # Third life: a clean stdin-EOF shutdown must write a final checkpoint.
+    # It receives no verb, so it applies no decision and retires nothing:
+    # a `harmonyd: t=` line would be an earlier life's, printed again.
     print("smoke: third life: graceful stdin-EOF shutdown")
     out = subprocess.run(
         args + ["--stdin-shutdown"],
@@ -128,6 +143,10 @@ def main():
         sys.exit(f"FAIL: graceful shutdown: rc={out.returncode}\n{out.stdout}\n{out.stderr}")
     if "recovered from" not in out.stdout:
         sys.exit(f"FAIL: third life did not recover prior state\n{out.stdout}")
+    reprinted = [line for line in out.stdout.splitlines() if line.startswith("harmonyd: t=")]
+    if reprinted:
+        sys.exit("FAIL: third life printed decisions or retirements it did not make\n"
+                 + "\n".join(reprinted))
     print("smoke: PASS")
 
 

@@ -227,9 +227,7 @@ fn scripted_controller() -> Controller {
 }
 
 fn scripted_image() -> PersistedState {
-    let mut state = scripted_controller().persisted_state();
-    state.normalize_measurements();
-    state
+    scripted_controller().persisted_state()
 }
 
 #[test]
