@@ -82,7 +82,9 @@ fn main() {
         .find(|s| run_schedule(s, PlantedBug::ReaperSkipsTouchFold).violation.is_some())
         .expect("some seed catches the planted bug");
     let start = Instant::now();
-    let shrunk = shrink::shrink(&failing, PlantedBug::ReaperSkipsTouchFold).expect("still fails");
+    let shrunk =
+        shrink::shrink(&failing, |s| run_schedule(s, PlantedBug::ReaperSkipsTouchFold).failed())
+            .expect("still fails");
     let shrink_wall_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     let mut table = Table::new(vec!["config", "seeds", "ops", "wall (ms)", "seeds/s", "ops/s"]);

@@ -96,7 +96,7 @@ fn describe(report: &RunReport) -> String {
 
 /// Shrinks a failing schedule and writes the artifact; returns the path.
 fn shrink_and_save(schedule: &Schedule, planted: PlantedBug, out: &Path) -> Option<PathBuf> {
-    let shrunk = shrink::shrink(schedule, planted)?;
+    let shrunk = shrink::shrink(schedule, |s| run_schedule(s, planted).failed())?;
     let violation = shrunk.report.violation.clone()?;
     eprintln!(
         "  shrunk {} -> {} ops in {} runs: {violation}",

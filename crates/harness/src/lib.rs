@@ -82,6 +82,14 @@ pub struct RunReport {
     pub violation: Option<Violation>,
 }
 
+impl RunReport {
+    /// The report if the run found a violation, `None` if it was clean:
+    /// the harness's failure predicate for [`shrink::shrink`].
+    pub fn failed(self) -> Option<Self> {
+        self.violation.is_some().then_some(self)
+    }
+}
+
 /// Derives the controller configuration for a seed: every fifth seed runs
 /// with decision coalescing on, so a sweep exercises both the inline and
 /// the batched re-evaluation modes.

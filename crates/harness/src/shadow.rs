@@ -1,7 +1,9 @@
 //! The shadow lease model: the *correct* lease semantics re-implemented
-//! over ground-truth verb deliveries, shared by the randomized harness
+//! over ground-truth request deliveries, shared by the randomized harness
 //! ([`World`](crate::World)) and the exhaustive model checker
-//! (`harmony-mc`) so both enforce the identical contract.
+//! (`harmony-mc`) so both enforce the identical contract. Both feed it
+//! through [`ShadowLeases::observe`], the one place a request's lease
+//! effect is modelled.
 //!
 //! Lease state is the invariant hardest to eyeball: renewals arrive on
 //! two paths (write-path verbs renew the stored deadline directly;
@@ -14,6 +16,7 @@
 use std::collections::BTreeMap;
 
 use harmony_core::{InstanceId, LeaseConfig, RetireReason};
+use harmony_proto::{Request, Response};
 
 /// Shadow lease state of one instance, mirroring the controller's
 /// two-level scheme: `deadline` is what write-path renewals maintain,
@@ -93,24 +96,65 @@ impl ShadowLeases {
         self.sessions.clear();
     }
 
+    /// Applies one delivered request's lease effect, mirroring the
+    /// server's dispatch exactly (renewal ordering included: `bundle`
+    /// renews before the bundle is even parsed, `metric` touches before
+    /// the finite-sample check). `resp` is the reply, `None` when it was
+    /// lost on the way back. Returns the instance a `registered` reply
+    /// names, so the caller can bind it to its client slot.
+    pub fn observe(
+        &mut self,
+        req: &Request,
+        resp: Option<&Response>,
+        now: f64,
+    ) -> Option<InstanceId> {
+        match (req, resp) {
+            (Request::Startup { .. }, Some(Response::Registered { app, id })) => {
+                let id = InstanceId::new(app.clone(), *id);
+                self.insert_startup(id.clone(), now);
+                return Some(id);
+            }
+            (Request::Reattach { app, id }, Some(Response::Registered { .. })) => {
+                let id = InstanceId::new(app.clone(), *id);
+                self.renew(&id, now);
+                return Some(id);
+            }
+            (Request::Bundle { app, id, .. }, Some(_)) => {
+                // Renewed whether or not the bundle was accepted.
+                self.renew(&InstanceId::new(app.clone(), *id), now);
+            }
+            (Request::Poll { app, id }, _) | (Request::Heartbeat { app, id }, _) => {
+                self.touch(&InstanceId::new(app.clone(), *id), now);
+            }
+            (Request::Metric { name, .. }, _) => {
+                let mut parts = name.splitn(3, '.');
+                if let (Some(app), Some(id), Some(_)) = (parts.next(), parts.next(), parts.next()) {
+                    if let Ok(id) = id.parse::<u64>() {
+                        self.touch(&InstanceId::new(app, id), now);
+                    }
+                }
+            }
+            (Request::End { app, id }, Some(Response::Ok)) => {
+                self.sessions.remove(&InstanceId::new(app.clone(), *id));
+            }
+            _ => {}
+        }
+        None
+    }
+
     /// Registers a fresh session: full lease from `now`, no pending
     /// touch, connected.
-    pub fn insert_startup(&mut self, id: InstanceId, now: f64) {
+    fn insert_startup(&mut self, id: InstanceId, now: f64) {
         self.sessions.insert(
             id,
             ShadowSession { deadline: now + self.lease.duration, stamp: 0.0, disconnected: false },
         );
     }
 
-    /// Removes a session (explicit end).
-    pub fn remove(&mut self, id: &InstanceId) {
-        self.sessions.remove(id);
-    }
-
     /// A write-path renewal: full lease from `now`, disconnect cleared.
     /// Unknown instances are ignored (the controller returns `false` and
     /// mutates nothing).
-    pub fn renew(&mut self, id: &InstanceId, now: f64) {
+    fn renew(&mut self, id: &InstanceId, now: f64) {
         if let Some(s) = self.sessions.get_mut(id) {
             s.deadline = now + self.lease.duration;
             s.disconnected = false;
@@ -118,7 +162,7 @@ impl ShadowLeases {
     }
 
     /// A read-path touch: the stamp only moves forward.
-    pub fn touch(&mut self, id: &InstanceId, now: f64) {
+    fn touch(&mut self, id: &InstanceId, now: f64) {
         if let Some(s) = self.sessions.get_mut(id) {
             if now > s.stamp {
                 s.stamp = now;

@@ -6,28 +6,35 @@
 //! survivors. The shrinker exploits both: it repeatedly deletes chunks
 //! (halving the chunk size down to single ops) and keeps any candidate
 //! that still fails, iterating to a fixpoint.
+//!
+//! What "fails" means is the caller's: the harness runs a candidate
+//! through [`run_schedule`](crate::run_schedule), and `harmony-mc`
+//! through its own engine, crash cuts included.
 
 use crate::schedule::{Op, Schedule};
-use crate::{run_schedule, PlantedBug, RunReport};
 
 /// The result of shrinking a failing schedule.
 #[derive(Debug, Clone)]
-pub struct Shrunk {
+pub struct Shrunk<R> {
     /// The minimized schedule (same seed, a subsequence of the ops).
     pub schedule: Schedule,
     /// The report of the minimized schedule's (still-failing) run.
-    pub report: RunReport,
+    pub report: R,
     /// How many candidate runs the search spent.
     pub runs: usize,
 }
 
 /// Greedily minimizes a failing schedule, preserving *some* failure (not
-/// necessarily the original oracle — any violation keeps a candidate).
+/// necessarily the original oracle — any failure keeps a candidate).
+/// `fails` runs a candidate and returns its report if it fails, `None`
+/// if it passes.
 ///
 /// Returns `None` if the schedule does not fail in the first place.
-pub fn shrink(schedule: &Schedule, planted: PlantedBug) -> Option<Shrunk> {
-    let mut report = run_schedule(schedule, planted);
-    report.violation.as_ref()?;
+pub fn shrink<R>(
+    schedule: &Schedule,
+    mut fails: impl FnMut(&Schedule) -> Option<R>,
+) -> Option<Shrunk<R>> {
+    let mut report = fails(schedule)?;
     let mut runs = 1;
     let mut ops = schedule.ops.clone();
 
@@ -43,10 +50,9 @@ pub fn shrink(schedule: &Schedule, planted: PlantedBug) -> Option<Shrunk> {
                 i = end;
                 continue;
             }
-            let trial =
-                run_schedule(&Schedule { seed: schedule.seed, ops: candidate.clone() }, planted);
+            let trial = fails(&Schedule { seed: schedule.seed, ops: candidate.clone() });
             runs += 1;
-            if trial.violation.is_some() {
+            if let Some(trial) = trial {
                 ops = candidate;
                 report = trial;
                 removed_any = true;

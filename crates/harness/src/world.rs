@@ -14,23 +14,21 @@
 //! two paths (write-path verbs renew [`SessionState::deadline`] directly;
 //! read-path verbs stamp an atomic that a later write-path pass folds in)
 //! and recovery traffic (reattach, fresh-startup fallback) renews as a
-//! side effect. The world therefore re-implements the *correct* lease
-//! semantics over the ground truth of delivered messages — each
-//! [`ChaosTransport`]'s call log says exactly which requests the server
-//! observed, fault-confusion included — and the lease oracle demands the
-//! controller agree with the shadow after every op, exactly.
+//! side effect. The world therefore feeds the ground truth of delivered
+//! messages to the *correct* lease semantics ([`ShadowLeases::observe`])
+//! — each [`ChaosTransport`]'s call log says exactly which requests the
+//! server observed, fault-confusion included — and the lease oracle
+//! demands the controller agree with the shadow after every op, exactly.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use harmony_client::{HarmonyClient, UpdateDelivery};
 use harmony_core::{
-    Controller, ControllerConfig, DecisionRecord, HarmonyEvent, InstanceId, JournalEntry,
-    LeaseConfig,
+    Controller, ControllerConfig, CoreError, DecisionRecord, HarmonyEvent, InstanceId,
+    JournalEntry, LeaseConfig,
 };
-use harmony_proto::{
-    CallRecord, ChaosTransport, LocalTransport, Request, Response, SharedController,
-};
+use harmony_proto::{CallRecord, ChaosTransport, LocalTransport, SharedController};
 use harmony_resources::Cluster;
 use harmony_rng::fnv::{Fnv64, FNV_OFFSET};
 use harmony_rsl::listings;
@@ -51,6 +49,21 @@ pub fn palette(slot: usize) -> (&'static str, &'static str) {
     } else {
         ("simple", listings::FIG2A_SIMPLE)
     }
+}
+
+/// Node `node` (an index into the `sp2_cluster` declaration order)
+/// leaves the cluster, unless it is already gone or only four nodes
+/// remain, so the palette's fixed replicate-4 bundle stays placeable
+/// somewhere. Returns the departed node's declaration. `harmony-mc`
+/// takes the same transition.
+pub fn node_left(ctl: &mut Controller, node: u8) -> Result<Option<NodeDecl>, CoreError> {
+    let name = format!("node{node:02}");
+    let decl = match ctl.cluster().node(&name) {
+        Some(state) if ctl.cluster().len() > 4 => state.decl.clone(),
+        _ => return Ok(None),
+    };
+    ctl.handle_event(HarmonyEvent::NodeLeft { name })?;
+    Ok(Some(decl))
 }
 
 // The observable-sequence fingerprint folds with `harmony_rng::fnv` (the
@@ -409,24 +422,11 @@ impl World {
     }
 
     fn exec_node_left(&mut self, i: usize, node: u8) -> Result<(), Violation> {
-        let name = format!("node{node:02}");
-        let decl = {
-            let ctl = self.ctl.read();
-            // Keep at least four nodes so the fixed replicate-4 bundle in
-            // the palette stays placeable somewhere.
-            if ctl.cluster().len() <= 4 {
-                return Ok(());
-            }
-            match ctl.cluster().node(&name) {
-                Some(state) => state.decl.clone(),
-                None => return Ok(()),
-            }
-        };
-        self.ctl
-            .write()
-            .handle_event(HarmonyEvent::NodeLeft { name: name.clone() })
+        let left = node_left(&mut self.ctl.write(), node)
             .map_err(|e| Violation::new(i, "controller-error", e.to_string()))?;
-        self.evicted.insert(name, decl);
+        if let Some(decl) = left {
+            self.evicted.insert(decl.name.clone(), decl);
+        }
         Ok(())
     }
 
@@ -482,52 +482,6 @@ impl World {
     }
 
     // ------------------------------------------------------------------
-    // Shadow transitions (driven by the ground-truth call logs).
-    // ------------------------------------------------------------------
-
-    /// Applies one delivered request's lease effect, mirroring the
-    /// server's dispatch exactly (renewal ordering included: `bundle`
-    /// renews before the bundle is even parsed, `metric` touches before
-    /// the finite-sample check).
-    fn apply_record(&mut self, slot_idx: usize, rec: &CallRecord) {
-        if !rec.delivered {
-            return; // the server never saw it
-        }
-        let now = self.now();
-        match (&rec.request, &rec.response) {
-            (Request::Startup { .. }, Some(Response::Registered { app, id })) => {
-                let id = InstanceId::new(app.clone(), *id);
-                self.shadow.insert_startup(id.clone(), now);
-                self.slots[slot_idx].instance = Some(id);
-            }
-            (Request::Reattach { app, id }, Some(Response::Registered { .. })) => {
-                let id = InstanceId::new(app.clone(), *id);
-                self.shadow.renew(&id, now);
-                self.slots[slot_idx].instance = Some(id);
-            }
-            (Request::Bundle { app, id, .. }, Some(_)) => {
-                // Renewed whether or not the bundle was accepted.
-                self.shadow.renew(&InstanceId::new(app.clone(), *id), now);
-            }
-            (Request::Poll { app, id }, _) | (Request::Heartbeat { app, id }, _) => {
-                self.shadow.touch(&InstanceId::new(app.clone(), *id), now);
-            }
-            (Request::Metric { name, .. }, _) => {
-                let mut parts = name.splitn(3, '.');
-                if let (Some(app), Some(id), Some(_)) = (parts.next(), parts.next(), parts.next()) {
-                    if let Ok(id) = id.parse::<u64>() {
-                        self.shadow.touch(&InstanceId::new(app, id), now);
-                    }
-                }
-            }
-            (Request::End { app, id }, Some(Response::Ok)) => {
-                self.shadow.remove(&InstanceId::new(app.clone(), *id));
-            }
-            _ => {}
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Per-op bookkeeping and oracles.
     // ------------------------------------------------------------------
 
@@ -539,8 +493,11 @@ impl World {
                 Some(log) => log.lock().drain(..).collect(),
                 None => Vec::new(),
             };
-            for rec in &records {
-                self.apply_record(c as usize, rec);
+            let now = self.now();
+            for rec in records.iter().filter(|rec| rec.delivered) {
+                if let Some(id) = self.shadow.observe(&rec.request, rec.response.as_ref(), now) {
+                    self.slots[c as usize].instance = Some(id);
+                }
             }
         }
 

@@ -3,7 +3,7 @@
 //! must catch it quickly and the shrinker must reduce the failure to a
 //! handful of ops.
 
-use harmony_harness::{generate, run_seed, shrink, PlantedBug};
+use harmony_harness::{generate, run_schedule, run_seed, shrink, PlantedBug};
 
 #[test]
 fn sweep_catches_the_planted_reaper_bug_and_shrinks_it() {
@@ -19,8 +19,9 @@ fn sweep_catches_the_planted_reaper_bug_and_shrinks_it() {
     let violation = report.violation.expect("caught run has a violation");
     assert_eq!(violation.oracle, "lease", "wrong oracle flagged it: {violation}");
 
-    let shrunk =
-        shrink::shrink(&generate(seed), PlantedBug::ReaperSkipsTouchFold).expect("still fails");
+    let planted = PlantedBug::ReaperSkipsTouchFold;
+    let shrunk = shrink::shrink(&generate(seed), |s| run_schedule(s, planted).failed())
+        .expect("still fails");
     assert!(
         shrunk.schedule.ops.len() <= 20,
         "shrinker left {} ops (wanted <= 20)",

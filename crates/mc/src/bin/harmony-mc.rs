@@ -102,8 +102,9 @@ fn print_stats(ex: &Exploration) {
 fn report_counterexample(ex: &Exploration, scope: &Scope, out: Option<&Path>) {
     let Some(ce) = &ex.counterexample else { return };
     println!("violation: {}", ce.violation);
-    let verbs: Vec<String> = ce.verbs.iter().map(ToString::to_string).collect();
-    println!("  path: {}", verbs.join(" -> "));
+    let path: Vec<String> =
+        ce.ops.iter().map(|op| format!("{:?}@{}ms", op.kind, op.at_ms)).collect();
+    println!("  path: {}", path.join(" -> "));
     let processed = counterexample::process(ce, scope, out);
     println!(
         "  shrunk {} -> {} ops in {} runs: {}",

@@ -1,21 +1,22 @@
 //! Counterexample post-processing: confirm through the harness, shrink,
 //! and save a replayable artifact.
 //!
-//! A violating verb path already maps onto the harness's op schema (the
-//! explorer folds clock verbs into `at_ms`). For harness-visible bugs
-//! the schedule is re-run through the full-stack [`World`] and fed to
-//! the harness's greedy ddmin shrinker, so the artifact is exactly what
-//! `harness replay` expects. Crash-only bugs — mutations the WAL never
-//! saw — are invisible to the harness's in-memory oracles, so those are
-//! minimized by the same ddmin loop with the MC engine (crash cuts
-//! included) as the failure predicate, and replay through
-//! `harmony-mc replay`.
+//! A violating path is already a harness schedule (the explorer folds
+//! clock moves into `at_ms`), and both cases shrink with the harness's
+//! one shrinker ([`shrink::shrink`]); only the failure predicate differs.
+//! For harness-visible bugs it is [`run_schedule`] through the
+//! full-stack [`World`], so the artifact is exactly what `harness replay`
+//! expects. Crash-only bugs — mutations the WAL never saw — are
+//! invisible to the harness's in-memory oracles, so for those it is
+//! [`Engine::run_ops`] (crash cuts included), and the artifact replays
+//! through `harmony-mc replay`.
 //!
 //! [`World`]: harmony_harness::World
 
 use std::path::{Path, PathBuf};
 
-use harmony_harness::{artifact, run_schedule, shrink, Op, Schedule, Violation};
+use harmony_harness::shrink::{self, Shrunk};
+use harmony_harness::{artifact, run_schedule, Schedule};
 
 use crate::engine::Engine;
 use crate::{Counterexample, Scope};
@@ -42,35 +43,35 @@ pub struct Processed {
 pub fn process(ce: &Counterexample, scope: &Scope, out: Option<&Path>) -> Processed {
     let schedule = Schedule { seed: scope.seed, ops: ce.ops.clone() };
 
-    // First choice: the harness sees the bug too — shrink with the
-    // production ddmin against the full stack.
-    if run_schedule(&schedule, scope.planted).violation.is_some() {
-        if let Some(shrunk) = shrink::shrink(&schedule, scope.planted) {
-            let violation = shrunk.report.violation.clone().expect("shrunk schedule still fails");
-            let art = artifact::Artifact {
-                schedule: shrunk.schedule,
-                planted: scope.planted,
-                violation,
-                fingerprint: format!("{:016x}", shrunk.report.fingerprint),
+    // First choice: the harness sees the bug too — shrink against the
+    // full stack.
+    let harness = |s: &Schedule| {
+        let report = run_schedule(s, scope.planted);
+        report.violation.map(|v| (v, report.fingerprint))
+    };
+    let (shrunk, harness_confirmed) = match shrink::shrink(&schedule, harness) {
+        Some(shrunk) => (shrunk, true),
+        // Crash-only (or otherwise harness-invisible): shrink against the
+        // MC engine.
+        None => {
+            let engine = Engine::new(*scope);
+            let shrunk = shrink::shrink(&schedule, |s| {
+                let outcome = engine.run_ops(&s.ops);
+                outcome.violation.map(|v| (v, outcome.final_fingerprint))
+            });
+            // The full path fails by construction; keep it, and the
+            // violation exploration saw, if a re-run somehow passes.
+            let kept = || Shrunk {
+                schedule: schedule.clone(),
+                report: (ce.violation.clone(), engine.run_ops(&schedule.ops).final_fingerprint),
+                runs: 1,
             };
-            let path = out.and_then(|dir| artifact::save(dir, &art).ok());
-            return Processed {
-                shrunk_from: schedule.ops.len(),
-                shrunk_to: art.schedule.ops.len(),
-                runs: shrunk.runs,
-                harness_confirmed: true,
-                artifact: art,
-                path,
-            };
+            (shrunk.unwrap_or_else(kept), false)
         }
-    }
-
-    // Crash-only (or otherwise harness-invisible): ddmin with the MC
-    // engine as the predicate.
-    let engine = Engine::new(*scope);
-    let (ops, violation, fingerprint, runs) = mc_ddmin(&engine, &schedule.ops, &ce.violation);
+    };
+    let (violation, fingerprint) = shrunk.report;
     let art = artifact::Artifact {
-        schedule: Schedule { seed: scope.seed, ops },
+        schedule: shrunk.schedule,
         planted: scope.planted,
         violation,
         fingerprint: format!("{fingerprint:016x}"),
@@ -79,59 +80,9 @@ pub fn process(ce: &Counterexample, scope: &Scope, out: Option<&Path>) -> Proces
     Processed {
         shrunk_from: schedule.ops.len(),
         shrunk_to: art.schedule.ops.len(),
-        runs,
-        harness_confirmed: false,
+        runs: shrunk.runs,
+        harness_confirmed,
         artifact: art,
         path,
     }
-}
-
-/// Greedy ddmin over the op sequence with [`Engine::run_ops`] as the
-/// failure predicate — the same chunk-halving loop as the harness
-/// shrinker. Returns the minimized ops, the violation they still
-/// trigger, the final fingerprint, and the runs spent.
-fn mc_ddmin(engine: &Engine, ops: &[Op], original: &Violation) -> (Vec<Op>, Violation, u64, usize) {
-    let mut best = ops.to_vec();
-    let outcome = engine.run_ops(&best);
-    let mut violation = match outcome.violation {
-        Some(v) => v,
-        // The full path must fail by construction; keep the original
-        // violation if a re-run somehow diverges.
-        None => original.clone(),
-    };
-    let mut fingerprint = outcome.final_fingerprint;
-    let mut runs = 1;
-
-    let mut chunk = (best.len() / 2).max(1);
-    loop {
-        let mut removed_any = false;
-        let mut i = 0;
-        while i < best.len() {
-            let end = (i + chunk).min(best.len());
-            let mut candidate: Vec<Op> = best[..i].to_vec();
-            candidate.extend_from_slice(&best[end..]);
-            if candidate.is_empty() {
-                i = end;
-                continue;
-            }
-            let trial = engine.run_ops(&candidate);
-            runs += 1;
-            if let Some(v) = trial.violation {
-                best = candidate;
-                violation = v;
-                fingerprint = trial.final_fingerprint;
-                removed_any = true;
-            } else {
-                i = end;
-            }
-        }
-        if chunk == 1 {
-            if !removed_any {
-                break;
-            }
-        } else {
-            chunk = (chunk / 2).max(1);
-        }
-    }
-    (best, violation, fingerprint, runs)
 }

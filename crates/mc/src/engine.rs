@@ -1,10 +1,10 @@
-//! The transition engine: executes one verb against a real controller
+//! The transition engine: executes one move against a real controller
 //! rebuilt from a canonical state, runs the shared oracles, and (with
 //! crashes enabled) enumerates crash points over the path's WAL stream.
 //!
 //! Every transition is hermetic: the parent's [`PersistedState`] is
 //! rehydrated through [`Controller::from_persisted`] — the same code
-//! path crash recovery uses — client verbs go through
+//! path crash recovery uses — client ops go through
 //! [`harmony_proto::handle_request`], the wire server's own dispatch, and
 //! the child is canonicalized back out.
 //! The controller never survives between transitions, so exploration
@@ -17,17 +17,17 @@ use std::sync::Arc;
 use harmony_core::{
     Controller, ControllerConfig, HarmonyEvent, InstanceId, PersistedState, WalEvent,
 };
+use harmony_harness::world::node_left;
 use harmony_harness::{config_for_seed, oracle, palette, Op, OpKind, PlantedBug};
 use harmony_harness::{ShadowLeases, Violation};
 use harmony_proto::{handle_request, Request, Response};
 use harmony_resources::Cluster;
-use harmony_rsl::schema::NodeDecl;
 use harmony_wal::{
     decode_records, encode_record, record_boundaries, WalConfig, WalTail, WalWriter,
 };
 use parking_lot::RwLock;
 
-use crate::{Scope, Verb, JUMP_MS, LEAVE_NODE, METRIC_MS, STEP_MS};
+use crate::Scope;
 
 /// One client slot's view: the registered instance (if live) and whether
 /// its bundle is up.
@@ -48,15 +48,13 @@ pub struct Slot {
 pub struct Node {
     /// The canonical controller image.
     pub state: PersistedState,
-    /// The shadow lease model, advanced verb-for-verb.
+    /// The shadow lease model, advanced request-for-request.
     pub shadow: ShadowLeases,
     /// Client slots (length = [`Scope::clients`]).
     pub slots: Vec<Slot>,
     /// Virtual clock, milliseconds.
     pub at_ms: u64,
-    /// `Jump` verbs spent on this path.
-    pub jumps: u8,
-    /// Journal tail cursor (the oracle drains after every verb).
+    /// Journal tail cursor (the oracle drains after every move).
     pub cursor: u64,
     /// [`PersistedState::canonical_fingerprint`] of `state` — the
     /// visited-set key.
@@ -64,13 +62,13 @@ pub struct Node {
 }
 
 /// The accumulated WAL byte stream of the current path, plus the
-/// recovery fingerprint after each verb prefix (`prefix_fps[d]` = state
-/// after `d` verbs). The explorer truncates both when backtracking.
+/// recovery fingerprint after each move prefix (`prefix_fps[d]` = state
+/// after `d` moves). The explorer truncates both when backtracking.
 #[derive(Debug, Default)]
 pub struct CrashCtx {
-    /// Concatenated WAL records of every verb on the current path.
+    /// Concatenated WAL records of every move on the current path.
     pub bytes: Vec<u8>,
-    /// [`PersistedState::recovery_fingerprint`] after each verb prefix.
+    /// [`PersistedState::recovery_fingerprint`] after each move prefix.
     pub prefix_fps: Vec<u64>,
     /// Crash cuts checked so far (for stats).
     pub cuts: u64,
@@ -90,7 +88,8 @@ impl CrashCtx {
 }
 
 /// The outcome of replaying a fixed op sequence through the engine (used
-/// by `harmony-mc replay` and the MC-local ddmin).
+/// by `harmony-mc replay` and, as the failure predicate, by the shrinker
+/// for crash-only counterexamples).
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The first violation, if any.
@@ -114,8 +113,6 @@ pub struct Engine {
     scope: Scope,
     config: ControllerConfig,
     cluster: Cluster,
-    leave_decl: NodeDecl,
-    leave_name: String,
     wal: Option<WalCapture>,
 }
 
@@ -136,11 +133,6 @@ impl Engine {
             harmony_harness::schedule::NODE_COUNT,
         )))
         .expect("sp2 cluster parses");
-        let leave_name = format!("node{LEAVE_NODE:02}");
-        let leave_decl = cluster
-            .node(&leave_name)
-            .map(|state| state.decl.clone())
-            .expect("leave node exists in the genesis cluster");
         let config = config_for_seed(scope.seed);
         let wal = scope.crashes.then(|| {
             let dir = std::env::temp_dir().join(format!(
@@ -155,7 +147,7 @@ impl Engine {
             );
             WalCapture { writer, path, dir }
         });
-        Engine { scope, config, cluster, leave_decl, leave_name, wal }
+        Engine { scope, config, cluster, wal }
     }
 
     /// The scope this engine checks.
@@ -164,7 +156,7 @@ impl Engine {
     }
 
     /// Whether the configuration coalesces re-evaluations (gates the
-    /// `Tick` verb: without coalescing a tick never fires).
+    /// `Tick` op: without coalescing a tick never fires).
     pub fn tick_enabled(&self) -> bool {
         self.config.coalesce.window > 0.0
     }
@@ -188,46 +180,18 @@ impl Engine {
             shadow: ShadowLeases::new(self.config.lease),
             slots: vec![Slot::default(); usize::from(self.scope.clients)],
             at_ms: 0,
-            jumps: 0,
             cursor: 0,
             fingerprint,
         }
     }
 
-    /// The virtual time (ms) and jump count after `verb` fires from
-    /// `parent`.
-    pub fn verb_time(parent: &Node, verb: Verb) -> (u64, u8) {
-        match verb {
-            Verb::Advance => (parent.at_ms + STEP_MS, parent.jumps),
-            Verb::Jump => (parent.at_ms + JUMP_MS, parent.jumps + 1),
-            _ => (parent.at_ms, parent.jumps),
-        }
-    }
-
-    /// The harness op a verb maps to (`None` for the clock verbs, which
-    /// exist only to place later ops in time).
-    pub fn op_for(verb: Verb, at_ms: u64) -> Option<Op> {
-        let kind = match verb {
-            Verb::Advance | Verb::Jump => return None,
-            Verb::Start(c) => OpKind::Start { client: c },
-            Verb::AddBundle(c) => OpKind::AddBundle { client: c },
-            Verb::Poll(c) => OpKind::Poll { client: c },
-            Verb::Heartbeat(c) => OpKind::Heartbeat { client: c },
-            Verb::Metric(c) => OpKind::Metric { client: c, millis: METRIC_MS },
-            Verb::End(c) => OpKind::End { client: c },
-            Verb::Reap => OpKind::Reap,
-            Verb::Tick => OpKind::Tick,
-            Verb::NodeLeft => OpKind::NodeLeft { node: LEAVE_NODE },
-            Verb::NodeRejoin => OpKind::NodeRejoin { node: LEAVE_NODE },
-        };
-        Some(Op { at_ms, kind })
-    }
-
-    /// Executes one verb: rebuild the controller from the parent image,
-    /// send client verbs through the wire server's dispatch and system
-    /// verbs through [`Controller::execute`], advance the shadow model,
-    /// run every oracle, and canonicalize the child. With a crash context,
-    /// the verb's WAL records are captured and every cut is checked.
+    /// Executes one move at `at_ms`: `kind` is the harness op to run
+    /// there, `None` for a clock move. Rebuilds the controller from the
+    /// parent image, sends client ops through the wire server's dispatch
+    /// and feeds each request and reply to the shadow model, runs system
+    /// ops through the controller as the harness does, runs every oracle,
+    /// and canonicalizes the child. With a crash context, the move's WAL
+    /// records are captured and every cut is checked.
     ///
     /// # Errors
     ///
@@ -235,13 +199,13 @@ impl Engine {
     pub fn step(
         &self,
         parent: &Node,
-        verb: Verb,
         at_ms: u64,
+        kind: Option<&OpKind>,
         step_index: usize,
         crash: Option<&mut CrashCtx>,
     ) -> Result<Node, Violation> {
         let mut image = parent.state.clone();
-        if verb == Verb::Reap && self.scope.planted == PlantedBug::ReaperSkipsTouchFold {
+        if kind == Some(&OpKind::Reap) && self.scope.planted == PlantedBug::ReaperSkipsTouchFold {
             // The planted reaper, as the harness plants it: the image
             // reloads without its unfolded read-path touches.
             image.touches.clear();
@@ -258,97 +222,50 @@ impl Engine {
         let mut shadow = parent.shadow.clone();
         let mut slots = parent.slots.clone();
 
-        // Dispatch. Verbs addressing a slot in the wrong liveness state
-        // are no-ops, exactly like the harness's ops — the property that
-        // keeps every subsequence of a counterexample replayable.
+        // Dispatch. Ops addressing a slot in the wrong liveness state are
+        // no-ops, exactly as in the harness — the property that keeps
+        // every subsequence of a counterexample replayable.
         let shared = Arc::new(RwLock::new(ctl));
-        let call = |req: Request| handle_request(&shared, &req);
-        let execute = |ev: WalEvent| {
-            let _ = shared.write().execute(ev);
-        };
-        match verb {
-            Verb::Advance | Verb::Jump => {}
-            Verb::Start(c) => {
-                let slot = &mut slots[usize::from(c)];
-                if slot.instance.is_none() {
-                    let (app, _) = palette(usize::from(c));
-                    if let Response::Registered { app, id } =
-                        call(Request::Startup { app: app.to_string() })
-                    {
-                        let id = InstanceId::new(app, id);
-                        shadow.insert_startup(id.clone(), now);
-                        *slot = Slot { instance: Some(id), bundled: false };
-                    }
-                }
-            }
-            Verb::AddBundle(c) => {
-                let slot = &mut slots[usize::from(c)];
-                if let (Some(id), false) = (&slot.instance, slot.bundled) {
-                    let (_, script) = palette(usize::from(c));
-                    let resp = call(Request::Bundle {
-                        app: id.app.clone(),
-                        id: id.id,
-                        script: script.to_string(),
-                    });
-                    // The request renews the lease, accepted or not.
-                    shadow.renew(id, now);
-                    slot.bundled = resp == Response::Ok;
-                }
-            }
-            Verb::Poll(c) => {
-                if let Some(id) = &slots[usize::from(c)].instance {
-                    call(Request::Poll { app: id.app.clone(), id: id.id });
-                    shadow.touch(id, now);
-                }
-            }
-            Verb::Heartbeat(c) => {
-                if let Some(id) = &slots[usize::from(c)].instance {
-                    if call(Request::Heartbeat { app: id.app.clone(), id: id.id }) == Response::Ok {
-                        shadow.touch(id, now);
-                    }
-                }
-            }
-            Verb::Metric(c) => {
-                if let Some(id) = &slots[usize::from(c)].instance {
-                    let name = format!("{id}.response_time");
-                    call(Request::Metric { name, time: now, value: f64::from(METRIC_MS) / 1000.0 });
-                    shadow.touch(id, now);
-                }
-            }
-            Verb::End(c) => {
-                let slot = &mut slots[usize::from(c)];
-                if let Some(id) = slot.instance.take() {
-                    if call(Request::End { app: id.app.clone(), id: id.id }) == Response::Ok {
-                        shadow.remove(&id);
-                    }
-                    slot.bundled = false;
-                }
-            }
-            Verb::Reap => {
-                execute(WalEvent::Reap { now });
+        match kind {
+            None => {}
+            Some(OpKind::Reap) => {
+                let _ = shared.write().reap_expired(now);
                 let expected = shadow.expected_reap(now);
                 // The image holds no history: every retirement is this step's.
                 oracle::check_reap(shared.read().retirements(), &expected, now, step_index)?;
             }
             // The shim builds a `Tick` command only when the window is due.
-            Verb::Tick => {
+            Some(OpKind::Tick) => {
                 let _ = shared.write().service_scheduler(now);
             }
-            Verb::NodeLeft => {
-                let evictable = {
-                    let ctl = shared.read();
-                    ctl.cluster().node(&self.leave_name).is_some() && ctl.cluster().len() > 4
-                };
-                if evictable {
-                    let event = HarmonyEvent::NodeLeft { name: self.leave_name.clone() };
-                    execute(WalEvent::Event { now, event });
+            Some(OpKind::NodeLeft { node }) => {
+                let _ = node_left(&mut shared.write(), *node);
+            }
+            Some(OpKind::NodeRejoin { node }) => {
+                let name = format!("node{node:02}");
+                let absent = shared.read().cluster().node(&name).is_none();
+                if let Some(genesis) = self.cluster.node(&name).filter(|_| absent) {
+                    let event = HarmonyEvent::NodeJoined(genesis.decl.clone());
+                    let _ = shared.write().handle_event(event);
                 }
             }
-            Verb::NodeRejoin => {
-                let absent = shared.read().cluster().node(&self.leave_name).is_none();
-                if absent {
-                    let event = HarmonyEvent::NodeJoined(self.leave_decl.clone());
-                    execute(WalEvent::Event { now, event });
+            // Client ops, and those outside the scope (see `in_scope`),
+            // which send nothing.
+            Some(kind) => {
+                if let Some((c, req)) = request_for(kind, &slots, now) {
+                    let slot = &mut slots[c];
+                    let resp = handle_request(&shared, &req);
+                    let registered = shadow.observe(&req, Some(&resp), now);
+                    match kind {
+                        OpKind::Start { .. } => {
+                            if let Some(id) = registered {
+                                *slot = Slot { instance: Some(id), bundled: false };
+                            }
+                        }
+                        OpKind::AddBundle { .. } => slot.bundled = resp == Response::Ok,
+                        OpKind::End { .. } => *slot = Slot::default(),
+                        _ => {}
+                    }
                 }
             }
         }
@@ -364,8 +281,7 @@ impl Engine {
 
         let state = ctl.persisted_state();
         let fingerprint = state.canonical_fingerprint();
-        let (_, jumps) = Self::verb_time(parent, verb);
-        let node = Node { state, shadow, slots, at_ms, jumps, cursor, fingerprint };
+        let node = Node { state, shadow, slots, at_ms, cursor, fingerprint };
 
         if let Some(ctx) = crash {
             let w = self.wal.as_ref().expect("crash context requires a crash-enabled engine");
@@ -500,17 +416,15 @@ impl Engine {
         Ok((ctl, read.tail))
     }
 
-    /// Replays a fixed op sequence (a counterexample or a ddmin
+    /// Replays a fixed op sequence (a counterexample or a shrinker
     /// candidate) from genesis, with the same per-step oracles and crash
-    /// cuts exploration uses. Op kinds the MC never emits (transport
-    /// faults, restarts) are skipped.
+    /// cuts exploration uses. Ops outside the MC's scope are skipped.
     pub fn run_ops(&self, ops: &[Op]) -> RunOutcome {
         let mut ctx = self.scope.crashes.then(CrashCtx::default);
         let mut node = self.genesis(ctx.as_mut());
         let mut executed = 0;
-        for (i, op) in ops.iter().enumerate() {
-            let Some(verb) = verb_for(&op.kind) else { continue };
-            match self.step(&node, verb, op.at_ms, i, ctx.as_mut()) {
+        for (i, op) in ops.iter().enumerate().filter(|(_, op)| in_scope(&op.kind)) {
+            match self.step(&node, op.at_ms, Some(&op.kind), i, ctx.as_mut()) {
                 Ok(next) => node = next,
                 Err(v) => {
                     return RunOutcome {
@@ -524,6 +438,50 @@ impl Engine {
         }
         RunOutcome { violation: None, final_fingerprint: node.fingerprint, executed }
     }
+}
+
+/// Whether the MC models an op kind. Transport faults, client crashes,
+/// disconnect marks, flushes and restarts are the harness's alone.
+fn in_scope(kind: &OpKind) -> bool {
+    !matches!(
+        kind,
+        OpKind::FaultedPoll { .. }
+            | OpKind::Crash { .. }
+            | OpKind::MarkDisconnected { .. }
+            | OpKind::Flush
+            | OpKind::Restart
+    )
+}
+
+/// The slot a client op addresses and the request it sends from there:
+/// the MC's one op-to-request path. `None` when the op is not a client
+/// op, or its slot is in the wrong liveness state for it, which makes
+/// the op a no-op.
+fn request_for(kind: &OpKind, slots: &[Slot], now: f64) -> Option<(usize, Request)> {
+    let c = usize::from(kind.client()?);
+    let slot = &slots[c];
+    let Some(id) = &slot.instance else {
+        return match kind {
+            OpKind::Start { .. } => Some((c, Request::Startup { app: palette(c).0.to_string() })),
+            _ => None,
+        };
+    };
+    let app = id.app.clone();
+    let req = match *kind {
+        OpKind::AddBundle { .. } if !slot.bundled => {
+            Request::Bundle { app, id: id.id, script: palette(c).1.to_string() }
+        }
+        OpKind::Poll { .. } => Request::Poll { app, id: id.id },
+        OpKind::Heartbeat { .. } => Request::Heartbeat { app, id: id.id },
+        OpKind::Metric { millis, .. } => Request::Metric {
+            name: format!("{id}.response_time"),
+            time: now,
+            value: f64::from(millis) / 1000.0,
+        },
+        OpKind::End { .. } => Request::End { app, id: id.id },
+        _ => return None,
+    };
+    Some((c, req))
 }
 
 fn parse_record(payload: &[u8]) -> Result<WalEvent, String> {
@@ -540,22 +498,4 @@ fn without(chunk: &[u8], variant: &str) -> Vec<u8> {
         }
     }
     kept
-}
-
-/// The MC verb a harness op corresponds to (`None` for op kinds outside
-/// the MC's scope, which [`Engine::run_ops`] skips).
-pub fn verb_for(kind: &OpKind) -> Option<Verb> {
-    match kind {
-        OpKind::Start { client } => Some(Verb::Start(*client)),
-        OpKind::AddBundle { client } => Some(Verb::AddBundle(*client)),
-        OpKind::Poll { client } => Some(Verb::Poll(*client)),
-        OpKind::Heartbeat { client } => Some(Verb::Heartbeat(*client)),
-        OpKind::Metric { client, .. } => Some(Verb::Metric(*client)),
-        OpKind::End { client } => Some(Verb::End(*client)),
-        OpKind::Reap => Some(Verb::Reap),
-        OpKind::Tick => Some(Verb::Tick),
-        OpKind::NodeLeft { node } if *node == LEAVE_NODE => Some(Verb::NodeLeft),
-        OpKind::NodeRejoin { node } if *node == LEAVE_NODE => Some(Verb::NodeRejoin),
-        _ => None,
-    }
 }

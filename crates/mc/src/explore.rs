@@ -1,21 +1,21 @@
 //! Depth-bounded DFS over the canonical state graph, with sleep-set
-//! partial-order reduction for read-only verbs.
+//! partial-order reduction for read-only ops.
 //!
 //! States dedup on [`Node::fingerprint`]; a fingerprint revisited at a
 //! strictly shallower depth is re-expanded (the shallower visit has more
 //! remaining budget, so deeper successors may exist), which keeps the
 //! bounded search exhaustive. The reduction is the classic sleep-set
-//! rule restricted to verbs that provably commute here: because the
-//! clock only moves on explicit verbs, a heartbeat and an empty poll at
+//! rule restricted to ops that provably commute here: because the
+//! clock only moves on explicit moves, a heartbeat and an empty poll at
 //! the same state execute at the same timestamp, so either order
 //! produces the bit-identical state — exploring one order suffices.
 
 use std::collections::HashMap;
 
-use harmony_harness::{Op, Violation};
+use harmony_harness::{Op, OpKind, Violation};
 
 use crate::engine::{CrashCtx, Engine, Node};
-use crate::{Scope, Verb};
+use crate::{Move, Scope, LEAVE_NODE, METRIC_MS};
 
 /// Exploration counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,16 +34,13 @@ pub struct Stats {
     pub crash_cuts: u64,
 }
 
-/// A violating verb path, in both vocabularies: the raw verbs (for MC
-/// diagnostics) and the harness ops they map to (for replay/shrinking).
+/// A violating path, as the harness schedule it already is.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
     /// The violation the path triggers.
     pub violation: Violation,
-    /// The path as harness ops (clock verbs folded into `at_ms`).
+    /// The path's ops (clock moves folded into `at_ms`).
     pub ops: Vec<Op>,
-    /// The raw verb path, clock verbs included.
-    pub verbs: Vec<Verb>,
 }
 
 /// What an exploration found.
@@ -64,14 +61,13 @@ pub fn explore(scope: &Scope) -> Exploration {
         visited: HashMap::new(),
         stats: Stats { per_depth: vec![0; scope.depth + 1], ..Stats::default() },
         path_ops: Vec::new(),
-        path_verbs: Vec::new(),
         ctx: scope.crashes.then(CrashCtx::default),
     };
     let genesis = ex.engine.genesis(ex.ctx.as_mut());
     ex.visited.insert(genesis.fingerprint, 0);
     ex.stats.distinct_states = 1;
     ex.stats.per_depth[0] = 1;
-    let counterexample = ex.dfs(&genesis, 0, None).err().map(|b| *b);
+    let counterexample = ex.dfs(&genesis, 0, 0, None).err().map(|b| *b);
     if let Some(ctx) = &ex.ctx {
         ex.stats.crash_cuts = ctx.cuts;
     }
@@ -85,47 +81,45 @@ struct Explorer {
     visited: HashMap<u64, usize>,
     stats: Stats,
     path_ops: Vec<Op>,
-    path_verbs: Vec<Verb>,
     ctx: Option<CrashCtx>,
 }
 
 impl Explorer {
+    /// Expands `node`, reached at `depth` with `jumps` spent; `incoming`
+    /// is the sleep-set rank of the move that reached it, if read-only.
     fn dfs(
         &mut self,
         node: &Node,
         depth: usize,
-        incoming: Option<(u32, bool)>,
+        jumps: u8,
+        incoming: Option<u32>,
     ) -> Result<(), Box<Counterexample>> {
         if depth >= self.scope.depth {
             return Ok(());
         }
-        for verb in enabled_verbs(node, &self.scope, self.engine.tick_enabled()) {
-            let read_only = is_read_only(verb, node);
-            if let Some((in_ord, in_ro)) = incoming {
-                // Sleep set: the incoming read-only verb u commutes with
-                // every read-only verb v < u, and the v-then-u order was
-                // (or will be) explored from the shared parent.
-                if in_ro && read_only && verb.ord() < in_ord {
+        for mv in enabled_moves(node, jumps, &self.scope, self.engine.tick_enabled()) {
+            let rank = read_only_rank(&mv, node);
+            if let (Some(in_rank), Some(rank)) = (incoming, rank) {
+                // Sleep set: the incoming read-only op u commutes with
+                // every read-only op v ranked below it, and the v-then-u
+                // order was (or will be) explored from the shared parent.
+                if rank < in_rank {
                     self.stats.por_skips += 1;
                     continue;
                 }
             }
             self.stats.transitions += 1;
-            let (at_ms, _) = Engine::verb_time(node, verb);
+            let at_ms = mv.time(node.at_ms);
             let step_index = self.path_ops.len();
             let mark = self.ctx.as_ref().map(CrashCtx::mark);
-            self.path_verbs.push(verb);
-            if let Some(op) = Engine::op_for(verb, at_ms) {
-                self.path_ops.push(op);
+            if let Some(kind) = mv.op() {
+                self.path_ops.push(Op { at_ms, kind: kind.clone() });
             }
-            let child = match self.engine.step(node, verb, at_ms, step_index, self.ctx.as_mut()) {
+            let child = match self.engine.step(node, at_ms, mv.op(), step_index, self.ctx.as_mut())
+            {
                 Ok(child) => child,
                 Err(violation) => {
-                    return Err(Box::new(Counterexample {
-                        violation,
-                        ops: self.path_ops.clone(),
-                        verbs: self.path_verbs.clone(),
-                    }));
+                    return Err(Box::new(Counterexample { violation, ops: self.path_ops.clone() }));
                 }
             };
             let child_depth = depth + 1;
@@ -147,10 +141,10 @@ impl Explorer {
                 }
             };
             if expand {
-                self.dfs(&child, child_depth, Some((verb.ord(), read_only)))?;
+                let child_jumps = jumps + u8::from(mv == Move::Jump);
+                self.dfs(&child, child_depth, child_jumps, rank)?;
             }
-            self.path_verbs.pop();
-            if Engine::op_for(verb, at_ms).is_some() {
+            if mv.op().is_some() {
                 self.path_ops.pop();
             }
             if let (Some(ctx), Some(mark)) = (self.ctx.as_mut(), mark) {
@@ -161,53 +155,59 @@ impl Explorer {
     }
 }
 
-/// The verbs enabled at a node, in a fixed deterministic order. Only
-/// verbs that can do something are generated (a `Start` on a live slot
-/// would be a no-op transition straight back to the same fingerprint).
-fn enabled_verbs(node: &Node, scope: &Scope, tick: bool) -> Vec<Verb> {
-    let mut verbs = vec![Verb::Advance];
-    if node.jumps < scope.max_jumps {
-        verbs.push(Verb::Jump);
-    }
-    for c in 0..scope.clients {
-        let slot = &node.slots[usize::from(c)];
-        if slot.instance.is_none() {
-            verbs.push(Verb::Start(c));
-        } else {
-            if !slot.bundled {
-                verbs.push(Verb::AddBundle(c));
-            }
-            verbs.push(Verb::Poll(c));
-            verbs.push(Verb::Heartbeat(c));
-            verbs.push(Verb::Metric(c));
-            verbs.push(Verb::End(c));
+/// The moves enabled at a node, in a fixed deterministic order. Only ops
+/// that can do something are generated (a `Start` on a live slot would
+/// be a no-op transition straight back to the same fingerprint).
+fn enabled_moves(node: &Node, jumps: u8, scope: &Scope, tick: bool) -> Vec<Move> {
+    let mut kinds = Vec::new();
+    for client in 0..scope.clients {
+        if node.slots[usize::from(client)].instance.is_none() {
+            kinds.push(OpKind::Start { client });
+            continue;
         }
+        if !node.slots[usize::from(client)].bundled {
+            kinds.push(OpKind::AddBundle { client });
+        }
+        kinds.extend([
+            OpKind::Poll { client },
+            OpKind::Heartbeat { client },
+            OpKind::Metric { client, millis: METRIC_MS },
+            OpKind::End { client },
+        ]);
     }
-    verbs.push(Verb::Reap);
+    kinds.push(OpKind::Reap);
     if tick {
-        verbs.push(Verb::Tick);
+        kinds.push(OpKind::Tick);
     }
-    if node.state.cluster.node(&format!("node{:02}", crate::LEAVE_NODE)).is_some() {
-        verbs.push(Verb::NodeLeft);
+    kinds.push(if node.state.cluster.node(&format!("node{LEAVE_NODE:02}")).is_some() {
+        OpKind::NodeLeft { node: LEAVE_NODE }
     } else {
-        verbs.push(Verb::NodeRejoin);
+        OpKind::NodeRejoin { node: LEAVE_NODE }
+    });
+
+    let mut moves = vec![Move::Advance];
+    if jumps < scope.max_jumps {
+        moves.push(Move::Jump);
     }
-    verbs
+    moves.extend(kinds.into_iter().map(Move::Op));
+    moves
 }
 
-/// Whether a verb is read-only at this node: it commutes bit-for-bit
-/// with every other read-only verb executed at the same clock. True for
-/// heartbeats (an idempotent `fetch_max` touch) and for polls whose
-/// instance has nothing pending (same touch, empty drain).
-fn is_read_only(verb: Verb, node: &Node) -> bool {
-    match verb {
-        Verb::Heartbeat(_) => true,
-        Verb::Poll(c) => match &node.slots[usize::from(c)].instance {
-            Some(id) => {
-                !node.state.pending_vars.iter().any(|(pid, vars)| pid == id && !vars.is_empty())
-            }
-            None => true,
-        },
-        _ => false,
+/// The sleep-set rank of a move that is read-only at this node — one that
+/// commutes bit-for-bit with every other read-only move executed at the
+/// same clock — or `None`. Read-only are heartbeats (an idempotent
+/// `fetch_max` touch) and polls whose instance has nothing pending (the
+/// same touch, an empty drain). Polls rank below heartbeats, each by
+/// client.
+fn read_only_rank(mv: &Move, node: &Node) -> Option<u32> {
+    match mv.op()? {
+        OpKind::Heartbeat { client } => Some(40 + u32::from(*client)),
+        OpKind::Poll { client } => {
+            let pending = node.slots[usize::from(*client)].instance.as_ref().is_some_and(|id| {
+                node.state.pending_vars.iter().any(|(pid, vars)| pid == id && !vars.is_empty())
+            });
+            (!pending).then_some(30 + u32::from(*client))
+        }
+        _ => None,
     }
 }

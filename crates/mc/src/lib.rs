@@ -1,23 +1,24 @@
 //! Explicit-state bounded model checking for the Harmony controller.
 //!
 //! Where the harness (`harmony-harness`) samples long *random* schedules,
-//! this crate exhaustively enumerates every interleaving of a small verb
-//! scope — a few clients issuing startup/bundle/poll/heartbeat/metric/end
-//! against the *real* [`Controller`], interleaved with lease sweeps,
-//! scheduler ticks, membership churn, and explicit clock steps — to a
-//! configurable depth. Exploration is a DFS over *canonicalized* states:
-//! each reached controller image is serialized to its
-//! [`PersistedState`] canonical JSON and FNV-1a fingerprinted, so states
-//! reached by different verb orders dedup into one node and the checker
-//! explores the state *graph*, not the execution tree.
+//! this crate exhaustively enumerates every interleaving of a small scope
+//! of the harness's own [`Op`]s — a few clients issuing
+//! startup/bundle/poll/heartbeat/metric/end against the *real*
+//! [`Controller`], interleaved with lease sweeps, scheduler ticks and
+//! membership churn — plus two clock moves of its own, to a configurable
+//! depth. Exploration is a DFS over *canonicalized* states: each reached
+//! controller image is serialized to its [`PersistedState`] canonical
+//! JSON and FNV-1a fingerprinted, so states reached by different op
+//! orders dedup into one node and the checker explores the state
+//! *graph*, not the execution tree.
 //!
 //! Three things distinguish this from a plain tree walk:
 //!
 //! - **Partial-order reduction.** The clock only moves on explicit
-//!   `Advance`/`Jump` verbs, so all other verbs at one state execute at
-//!   the same timestamp — which makes read-only verbs (heartbeats, polls
-//!   that find nothing pending) commute *exactly*, bit-for-bit. A
-//!   sleep-set rule skips the redundant orders.
+//!   `Advance`/`Jump` moves, so all ops at one state execute at the same
+//!   timestamp — which makes read-only ops (heartbeats, polls that find
+//!   nothing pending) commute *exactly*, bit-for-bit. A sleep-set rule
+//!   skips the redundant orders.
 //! - **Crash-point enumeration.** With crashes enabled, every transition
 //!   appends its WAL records to the path's byte stream, and the checker
 //!   truncates that stream at every record boundary (plus a torn
@@ -26,15 +27,19 @@
 //!   in-memory state, boundary cuts must decode clean and recover
 //!   internally consistent states, and torn tails must recover exactly
 //!   the last complete record's state.
-//! - **Harness-replayable counterexamples.** A violating verb path maps
-//!   onto the harness's [`Op`] schema, is confirmed and ddmin-shrunk by
-//!   the harness (or by an MC-local ddmin for crash-only bugs the
-//!   harness cannot observe), and is saved as the same
-//!   `harness-seed-*.json` artifact `harness replay` consumes.
+//! - **Harness-replayable counterexamples.** A violating path is already
+//!   a harness schedule (clock moves fold into `at_ms`). It is confirmed
+//!   and shrunk by the harness's one shrinker
+//!   ([`harmony_harness::shrink`]) against the full stack, or against
+//!   this crate's engine for crash-only bugs the harness cannot observe,
+//!   and is saved as the same `harness-seed-*.json` artifact
+//!   `harness replay` consumes.
 //!
-//! The oracles are the harness's own ([`harmony_harness::oracle`],
-//! [`harmony_harness::ShadowLeases`]): both checkers enforce the
-//! identical contract, one by sampling, one by exhaustion.
+//! The oracles, the lease shadow and its one transition per request
+//! ([`harmony_harness::ShadowLeases::observe`]) and the membership
+//! transitions ([`harmony_harness::world`]) are the harness's own: both
+//! checkers enforce the identical contract, one by sampling, one by
+//! exhaustion.
 //!
 //! [`Controller`]: harmony_core::Controller
 //! [`PersistedState`]: harmony_core::PersistedState
@@ -46,18 +51,18 @@ pub mod counterexample;
 pub mod engine;
 pub mod explore;
 
-use harmony_harness::PlantedBug;
+use harmony_harness::{OpKind, PlantedBug};
 
 pub use counterexample::{process, Processed};
 pub use engine::{CrashCtx, Engine, Node, RunOutcome, Slot};
 pub use explore::{explore, Counterexample, Exploration, Stats};
 
-/// Milliseconds one `Advance` verb moves the virtual clock. Small enough
-/// that several verbs fit inside a heartbeat interval, large enough that
+/// Milliseconds one `Advance` move moves the virtual clock. Small enough
+/// that several ops fit inside a heartbeat interval, large enough that
 /// bounded paths reach lease-relevant times.
 pub const STEP_MS: u64 = 500;
 
-/// Milliseconds one `Jump` verb moves the virtual clock: chosen so that
+/// Milliseconds one `Jump` move moves the virtual clock: chosen so that
 /// a jump taken shortly after a touch lands *between* a session's stored
 /// deadline and its touch-extended effective deadline (lease duration is
 /// 30 s, so `Start@t`, `Advance`, `Heartbeat`, `Jump` reaches
@@ -65,101 +70,61 @@ pub const STEP_MS: u64 = 500;
 /// `t + 30.5`), and two jumps legitimately out-live any lease.
 pub const JUMP_MS: u64 = 29_800;
 
-/// The `response_time` sample every `Metric` verb reports, milliseconds
-/// (the harness op carries it; the controller records `millis / 1000`).
+/// The `response_time` sample every explored `Metric` op reports,
+/// milliseconds (the controller records `millis / 1000`).
 pub const METRIC_MS: u32 = 250;
 
 /// Index (into the `sp2_cluster` declaration order) of the node the
-/// membership verbs remove and re-add.
+/// explored membership ops remove and re-add.
 pub const LEAVE_NODE: u8 = 7;
 
-/// The verb alphabet. `Advance`/`Jump` move only the clock; every other
-/// verb executes at the current clock, mirroring the wire server's
-/// dispatch for that request verb exactly (renewal ordering included).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum Verb {
+/// One transition of the state graph. The checker's own alphabet is only
+/// the two clock moves; every other transition is a harness [`OpKind`],
+/// executed at the current clock through the wire server's dispatch, as
+/// the harness executes it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Move {
     /// Clock +[`STEP_MS`].
     Advance,
     /// Clock +[`JUMP_MS`] (bounded per path by [`Scope::max_jumps`]).
     Jump,
-    /// `harmony_startup` on a dead slot.
-    Start(u8),
-    /// `harmony_bundle_setup` of the slot's palette script (renews the
-    /// lease first, like the server).
-    AddBundle(u8),
-    /// A poll: read-path touch, then drain pending variable updates.
-    Poll(u8),
-    /// A heartbeat: read-path touch only.
-    Heartbeat(u8),
-    /// A `response_time` metric report: touch, then record.
-    Metric(u8),
-    /// Clean shutdown of a live slot.
-    End(u8),
-    /// A lease-reaper sweep, checked against the shadow lease model.
-    Reap,
-    /// A coalescing-scheduler heartbeat (only under a coalescing
-    /// configuration).
-    Tick,
-    /// Node `node07` leaves the cluster.
-    NodeLeft,
-    /// Node `node07` rejoins with its original declaration.
-    NodeRejoin,
+    /// A harness op at the current clock.
+    Op(OpKind),
 }
 
-impl Verb {
-    /// Stable ordinal used by the sleep-set rule (and for readable,
-    /// deterministic expansion order).
-    pub fn ord(self) -> u32 {
+impl Move {
+    /// The clock (ms) after this move from `at_ms`.
+    pub fn time(&self, at_ms: u64) -> u64 {
         match self {
-            Verb::Advance => 0,
-            Verb::Jump => 1,
-            Verb::Start(c) => 10 + u32::from(c),
-            Verb::AddBundle(c) => 20 + u32::from(c),
-            Verb::Poll(c) => 30 + u32::from(c),
-            Verb::Heartbeat(c) => 40 + u32::from(c),
-            Verb::Metric(c) => 50 + u32::from(c),
-            Verb::End(c) => 60 + u32::from(c),
-            Verb::Reap => 70,
-            Verb::Tick => 71,
-            Verb::NodeLeft => 72,
-            Verb::NodeRejoin => 73,
+            Move::Advance => at_ms + STEP_MS,
+            Move::Jump => at_ms + JUMP_MS,
+            Move::Op(_) => at_ms,
+        }
+    }
+
+    /// The harness op this move executes (`None` for a clock move).
+    pub fn op(&self) -> Option<&OpKind> {
+        match self {
+            Move::Op(kind) => Some(kind),
+            Move::Advance | Move::Jump => None,
         }
     }
 }
 
-impl std::fmt::Display for Verb {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Verb::Advance => write!(f, "advance"),
-            Verb::Jump => write!(f, "jump"),
-            Verb::Start(c) => write!(f, "start({c})"),
-            Verb::AddBundle(c) => write!(f, "bundle({c})"),
-            Verb::Poll(c) => write!(f, "poll({c})"),
-            Verb::Heartbeat(c) => write!(f, "heartbeat({c})"),
-            Verb::Metric(c) => write!(f, "metric({c})"),
-            Verb::End(c) => write!(f, "end({c})"),
-            Verb::Reap => write!(f, "reap"),
-            Verb::Tick => write!(f, "tick"),
-            Verb::NodeLeft => write!(f, "node-left"),
-            Verb::NodeRejoin => write!(f, "node-rejoin"),
-        }
-    }
-}
-
-/// What to check: the verb scope, the exploration bound, and the faults
+/// What to check: the op scope, the exploration bound, and the faults
 /// to plant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scope {
     /// Client slots in play (1..=3; slot palettes follow
     /// [`harmony_harness::palette`]).
     pub clients: u8,
-    /// Maximum verbs per path.
+    /// Maximum moves per path.
     pub depth: usize,
     /// Seed: derives the controller configuration
     /// ([`harmony_harness::config_for_seed`]) and names the artifact, so
     /// a counterexample replays under the identical configuration.
     pub seed: u64,
-    /// Maximum `Jump` verbs per path (each is a 29.8 s clock leap; two
+    /// Maximum `Jump` moves per path (each is a 29.8 s clock leap; two
     /// exceed any lease).
     pub max_jumps: u8,
     /// Enumerate crash points: log every transition's WAL records and

@@ -3,7 +3,7 @@
 //!
 //! The checker's two load-bearing claims about fingerprints:
 //!
-//! - **Commuting orders collapse.** Read-only verbs (heartbeats, polls
+//! - **Commuting orders collapse.** Read-only ops (heartbeats, polls
 //!   with nothing pending) executed at one clock commute bit-for-bit, so
 //!   any permutation of a read-only batch must land on the same
 //!   canonical fingerprint — this is what licenses both the sleep-set
@@ -15,37 +15,48 @@
 //!   renews the lease as a heartbeat does, and its sample is measurement
 //!   state, outside the durable image.
 
-use harmony_mc::{Engine, Node, Scope, Verb};
+use harmony_harness::OpKind;
+use harmony_mc::{Engine, Move, Node, Scope, METRIC_MS};
 use proptest::prelude::*;
 
 /// Genesis, one advance, both clients started, client 0's bundle placed
 /// and its pending variables drained: from here every heartbeat and poll
 /// is read-only.
 fn quiescent_base(engine: &Engine) -> Node {
-    let path = [Verb::Advance, Verb::Start(0), Verb::Start(1), Verb::AddBundle(0), Verb::Poll(0)];
-    let mut node = engine.genesis(None);
-    for (i, verb) in path.into_iter().enumerate() {
-        let (at_ms, _) = Engine::verb_time(&node, verb);
-        node = engine.step(&node, verb, at_ms, i, None).expect("base path is clean");
-    }
-    node
+    let path = [
+        Move::Advance,
+        Move::Op(OpKind::Start { client: 0 }),
+        Move::Op(OpKind::Start { client: 1 }),
+        Move::Op(OpKind::AddBundle { client: 0 }),
+        Move::Op(OpKind::Poll { client: 0 }),
+    ];
+    apply(engine, engine.genesis(None), &path)
 }
 
-fn apply(engine: &Engine, mut node: Node, verbs: &[Verb]) -> Node {
-    for (i, verb) in verbs.iter().enumerate() {
-        let (at_ms, _) = Engine::verb_time(&node, *verb);
-        node = engine.step(&node, *verb, at_ms, 100 + i, None).expect("verb applies");
+fn apply(engine: &Engine, mut node: Node, moves: &[Move]) -> Node {
+    for (i, mv) in moves.iter().enumerate() {
+        let at_ms = mv.time(node.at_ms);
+        node = engine.step(&node, at_ms, mv.op(), 100 + i, None).expect("move applies");
     }
     node
 }
 
 /// The read-only alphabet at the quiescent base.
-const READ_ONLY: [Verb; 4] = [Verb::Heartbeat(0), Verb::Heartbeat(1), Verb::Poll(0), Verb::Poll(1)];
+const READ_ONLY: [OpKind; 4] = [
+    OpKind::Heartbeat { client: 0 },
+    OpKind::Heartbeat { client: 1 },
+    OpKind::Poll { client: 0 },
+    OpKind::Poll { client: 1 },
+];
+
+fn read_only(pick: usize) -> Move {
+    Move::Op(READ_ONLY[pick].clone())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any permutation of a batch of read-only verbs reaches the same
+    /// Any permutation of a batch of read-only ops reaches the same
     /// canonical fingerprint: applied as generated, reversed, and
     /// sorted, the three orders agree.
     #[test]
@@ -54,11 +65,12 @@ proptest! {
     ) {
         let engine = Engine::new(Scope::default());
         let base = quiescent_base(&engine);
-        let batch: Vec<Verb> = picks.iter().map(|&i| READ_ONLY[i]).collect();
+        let batch: Vec<Move> = picks.iter().map(|&i| read_only(i)).collect();
         let mut reversed = batch.clone();
         reversed.reverse();
-        let mut sorted = batch.clone();
-        sorted.sort_by_key(|v| v.ord());
+        let mut sorted_picks = picks.clone();
+        sorted_picks.sort_unstable();
+        let sorted: Vec<Move> = sorted_picks.into_iter().map(read_only).collect();
 
         let forward = apply(&engine, base.clone(), &batch).fingerprint;
         let backward = apply(&engine, base.clone(), &reversed).fingerprint;
@@ -77,14 +89,15 @@ proptest! {
     ) {
         let engine = Engine::new(Scope::default());
         let base = quiescent_base(&engine);
-        let batch: Vec<Verb> = picks.iter().map(|&i| READ_ONLY[i]).collect();
+        let batch: Vec<Move> = picks.iter().map(|&i| read_only(i)).collect();
         let quiet = apply(&engine, base, &batch);
 
-        let advanced = apply(&engine, quiet.clone(), &[Verb::Advance]);
+        let advanced = apply(&engine, quiet.clone(), &[Move::Advance]);
         prop_assert_ne!(quiet.fingerprint, advanced.fingerprint);
 
-        let with_metric = apply(&engine, quiet.clone(), &[Verb::Metric(0)]);
-        let with_heartbeat = apply(&engine, quiet, &[Verb::Heartbeat(0)]);
+        let metric = Move::Op(OpKind::Metric { client: 0, millis: METRIC_MS });
+        let with_metric = apply(&engine, quiet.clone(), &[metric]);
+        let with_heartbeat = apply(&engine, quiet, &[read_only(0)]);
         prop_assert_eq!(with_metric.fingerprint, with_heartbeat.fingerprint);
     }
 }

@@ -53,7 +53,7 @@ fn crash_enumeration_is_clean() {
 }
 
 /// The sleep-set reduction fires (beyond what fingerprint dedup already
-/// collapses) once paths are deep enough to chain read-only verbs.
+/// collapses) once paths are deep enough to chain read-only ops.
 #[test]
 fn partial_order_reduction_skips_commuting_orders() {
     let ex = explore(&Scope { depth: 5, ..scope() });
@@ -98,7 +98,8 @@ fn reaper_canary_shrinks_to_a_harness_replayable_artifact() {
 /// The crash-only canaries: a renewal, or a stamp-raising touch, applied
 /// but never logged is invisible to every in-memory oracle, and only the
 /// recovery comparison catches it. The counterexample is minimized by the
-/// MC-local ddmin and replays through the engine.
+/// harness's shrinker with the MC engine as its failure predicate, and
+/// replays through the engine.
 #[test]
 fn unlogged_verb_canaries_are_caught_by_crash_enumeration_only() {
     for (variant, caught_by) in [

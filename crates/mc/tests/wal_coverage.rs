@@ -12,21 +12,21 @@
 //!    is read-only: old logs hold it and replay it, nothing writes it,
 //!    and replaying one changes no durable state.
 //!
-//! 2. **Every state-mutating MC verb logs before it applies.** Each verb
-//!    in the model checker's alphabet is stepped once with crash
-//!    enumeration on; the engine's full-stream recovery comparison is
-//!    exactly the log-before-apply guard (an applied-but-unlogged
-//!    mutation diverges the recovered fingerprint), so a clean step *is*
-//!    the assertion. The byte-growth checks pin which verbs are durable —
-//!    and which are not: a touch that finds its stamp already at the
-//!    clock changes nothing and logs nothing.
+//! 2. **Every state-mutating op the MC explores logs before it
+//!    applies.** Each op kind in the model checker's scope is stepped
+//!    once with crash enumeration on; the engine's full-stream recovery
+//!    comparison is exactly the log-before-apply guard (an
+//!    applied-but-unlogged mutation diverges the recovered fingerprint),
+//!    so a clean step *is* the assertion. The byte-growth checks pin
+//!    which moves are durable — and which are not: a touch that finds
+//!    its stamp already at the clock changes nothing and logs nothing.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use harmony_core::{Controller, HarmonyEvent, InstanceId, WalEvent};
-use harmony_harness::{config_for_seed, PlantedBug};
-use harmony_mc::{CrashCtx, Engine, Scope, Verb};
+use harmony_harness::{config_for_seed, OpKind, PlantedBug};
+use harmony_mc::{CrashCtx, Engine, Move, Scope, LEAVE_NODE, METRIC_MS};
 use harmony_resources::Cluster;
 use harmony_rsl::listings::{sp2_cluster, FIG2A_SIMPLE, FIG2B_BAG};
 use harmony_rsl::schema::parse_bundle_script;
@@ -138,14 +138,14 @@ fn every_written_wal_variant_is_produced_and_replays_to_the_live_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Steps every verb in the MC alphabet once with crash enumeration on.
+/// Steps every op kind in the MC's scope once with crash enumeration on.
 /// The engine's full-stream recovery comparison runs at each step, so a
-/// clean pass proves each verb logged everything it applied; the
-/// byte-growth assertions pin which verbs are durable (clock verbs log
-/// nothing, every other verb logs at least one record here).
+/// clean pass proves each op logged everything it applied; the
+/// byte-growth assertions pin which moves are durable (clock moves log
+/// nothing, every op logs at least one record here).
 #[test]
 fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
-    // Seed 10 again so the Tick verb is in the alphabet.
+    // Seed 10 again so the Tick op is in the scope.
     let scope = Scope {
         clients: 2,
         depth: 18,
@@ -159,53 +159,52 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
     let mut ctx = CrashCtx::default();
     let mut node = engine.genesis(Some(&mut ctx));
 
-    // Every alphabet verb appears at a moment it actually fires: the
-    // bundle is placed before the poll (so the drain is non-empty), two
-    // advances separate the dirty mark from the tick (so the coalesce
-    // window has elapsed), an advance precedes the heartbeat and the
-    // metric (a touch is logged only when it raises the stamp, and the
-    // poll before them already stamped this instant; the touch is all a
-    // metric logs), and the final jump+reap expires the leases.
+    // Every op kind appears at a moment it actually fires: the bundle is
+    // placed before the poll (so the drain is non-empty), two advances
+    // separate the dirty mark from the tick (so the coalesce window has
+    // elapsed), an advance precedes the heartbeat and the metric (a touch
+    // is logged only when it raises the stamp, and the poll before them
+    // already stamped this instant; the touch is all a metric logs), and
+    // the final jump+reap expires the leases.
+    let heartbeat = Move::Op(OpKind::Heartbeat { client: 0 });
     let path = [
-        Verb::Advance,
-        Verb::Start(0),
-        Verb::AddBundle(0),
-        Verb::Advance,
-        Verb::Advance,
-        Verb::Tick,
-        Verb::Poll(0),
-        Verb::Advance,
-        Verb::Heartbeat(0),
-        Verb::Advance,
-        Verb::Metric(0),
-        Verb::Start(1),
-        Verb::End(1),
-        Verb::Reap,
-        Verb::NodeLeft,
-        Verb::NodeRejoin,
-        Verb::Jump,
-        Verb::Reap,
+        Move::Advance,
+        Move::Op(OpKind::Start { client: 0 }),
+        Move::Op(OpKind::AddBundle { client: 0 }),
+        Move::Advance,
+        Move::Advance,
+        Move::Op(OpKind::Tick),
+        Move::Op(OpKind::Poll { client: 0 }),
+        Move::Advance,
+        heartbeat.clone(),
+        Move::Advance,
+        Move::Op(OpKind::Metric { client: 0, millis: METRIC_MS }),
+        Move::Op(OpKind::Start { client: 1 }),
+        Move::Op(OpKind::End { client: 1 }),
+        Move::Op(OpKind::Reap),
+        Move::Op(OpKind::NodeLeft { node: LEAVE_NODE }),
+        Move::Op(OpKind::NodeRejoin { node: LEAVE_NODE }),
+        Move::Jump,
+        Move::Op(OpKind::Reap),
     ];
-    for (i, verb) in path.into_iter().enumerate() {
-        let (at_ms, _) = Engine::verb_time(&node, verb);
+    for (i, mv) in path.into_iter().enumerate() {
+        let at_ms = mv.time(node.at_ms);
         let before = ctx.bytes.len();
         node = engine
-            .step(&node, verb, at_ms, i, Some(&mut ctx))
-            .unwrap_or_else(|v| panic!("step {i} ({verb}) violated: {v}"));
+            .step(&node, at_ms, mv.op(), i, Some(&mut ctx))
+            .unwrap_or_else(|v| panic!("step {i} ({mv:?}) violated: {v}"));
         let grew = ctx.bytes.len() > before;
-        match verb {
-            Verb::Advance | Verb::Jump => {
-                assert!(!grew, "clock verb {verb} must not log WAL records");
-            }
-            _ => assert!(grew, "state verb {verb} logged no WAL record"),
+        match mv.op() {
+            None => assert!(!grew, "clock move {mv:?} must not log WAL records"),
+            Some(_) => assert!(grew, "state op {mv:?} logged no WAL record"),
         }
-        if verb == Verb::Heartbeat(0) {
+        if mv == heartbeat {
             // The converse: a second heartbeat at the same instant finds
             // the stamp where the first left it — zero bytes, same state.
             let logged = ctx.bytes.len();
             let again = engine
-                .step(&node, verb, at_ms, i, Some(&mut ctx))
-                .unwrap_or_else(|v| panic!("repeated {verb} violated: {v}"));
+                .step(&node, at_ms, mv.op(), i, Some(&mut ctx))
+                .unwrap_or_else(|v| panic!("repeated {mv:?} violated: {v}"));
             assert_eq!(ctx.bytes.len(), logged, "a no-op touch must not grow the stream");
             assert_eq!(
                 again.state.recovery_fingerprint(),
@@ -216,11 +215,11 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
     }
     assert!(ctx.cuts > 0, "crash enumeration checked at least one cut");
 
-    // The MC alphabet maps onto a fixed subset of the WAL vocabulary
+    // The MC's op scope maps onto a fixed subset of the WAL vocabulary
     // (direct bundle adds, disconnect/reattach, flush, and explicit
     // reevaluation are the wire server's other entry points, covered by
     // the live-controller test above; nothing writes `metric`). Pin that
-    // subset so a verb whose logging silently changes shape is caught.
+    // subset so an op whose logging silently changes shape is caught.
     let read = harmony_wal::decode_records(&ctx.bytes);
     assert_eq!(read.tail, WalTail::Clean);
     let produced: BTreeSet<&'static str> = read
@@ -230,5 +229,5 @@ fn every_mc_verb_logs_before_apply_under_crash_enumeration() {
         .collect();
     let expected: BTreeSet<&'static str> =
         ["event", "startup", "renew", "touch", "poll", "end", "reap", "tick"].into_iter().collect();
-    assert_eq!(produced, expected, "the MC verb alphabet's WAL footprint changed");
+    assert_eq!(produced, expected, "the MC op scope's WAL footprint changed");
 }
