@@ -8,6 +8,7 @@
 //! controller configuration fully determine a run, which is what makes
 //! failing seeds replayable and shrinkable.
 
+use harmony_proto::Fault;
 use harmony_rng::SeededRng;
 use serde::{Deserialize, Serialize};
 
@@ -24,29 +25,6 @@ pub const NODE_COUNT: u8 = 8;
 const DOM_TIME: u64 = 0x4841_524e_5f54_494d; // "HARN_TIM"
 const DOM_KIND: u64 = 0x4841_524e_5f4b_4e44; // "HARN_KND"
 const DOM_PARAM: u64 = 0x4841_524e_5f50_524d; // "HARN_PRM"
-
-/// A scripted transport fault (mirror of `harmony_proto::Fault`, with
-/// serde so schedules round-trip through artifacts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
-pub enum FaultKind {
-    /// Request lost before the server; connection breaks.
-    DropRequest,
-    /// Request applied, response lost; connection breaks.
-    DropResponse,
-    /// Request delivered twice back-to-back.
-    Duplicate,
-}
-
-impl From<FaultKind> for harmony_proto::Fault {
-    fn from(f: FaultKind) -> Self {
-        match f {
-            FaultKind::DropRequest => harmony_proto::Fault::DropRequest,
-            FaultKind::DropResponse => harmony_proto::Fault::DropResponse,
-            FaultKind::Duplicate => harmony_proto::Fault::Duplicate,
-        }
-    }
-}
 
 /// One step of a schedule.
 ///
@@ -86,14 +64,15 @@ pub enum OpKind {
         millis: u32,
     },
     /// A poll with a scripted transport fault queued first. Faults ride
-    /// on the idempotent read path only: a dropped-response `bundle`
-    /// would double-register on retry by design, which is a client
-    /// limitation the harness documents rather than a server bug.
+    /// on the read path only. A dropped-response `bundle` would be safe
+    /// too: `bundle` is idempotent per `(instance, name)`, so the retry
+    /// answers `ok` and attaches nothing twice (`tests/bundle_retry.rs`
+    /// covers a dropped reply). Scripting it here is ROADMAP item 11(c).
     FaultedPoll {
         /// Client slot index.
         client: u8,
         /// The fault to queue.
-        fault: FaultKind,
+        fault: Fault,
     },
     /// Clean shutdown: `harmony_end`.
     End {
@@ -229,9 +208,9 @@ fn pick_kind(kinds: &mut SeededRng, params: &mut SeededRng) -> OpKind {
         4 => OpKind::Metric { client, millis: params.uniform_int(1, 5_000) as u32 },
         5 => {
             let fault = match params.uniform_int(0, 2) {
-                0 => FaultKind::DropRequest,
-                1 => FaultKind::DropResponse,
-                _ => FaultKind::Duplicate,
+                0 => Fault::DropRequest,
+                1 => Fault::DropResponse,
+                _ => Fault::Duplicate,
             };
             OpKind::FaultedPoll { client, fault }
         }

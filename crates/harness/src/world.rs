@@ -337,7 +337,7 @@ impl World {
             }
             OpKind::FaultedPoll { client, fault } => {
                 if let Some(cl) = self.slots[*client as usize].client.as_mut() {
-                    cl.transport_mut().inject((*fault).into());
+                    cl.transport_mut().inject(*fault);
                     let _ = cl.poll();
                 }
                 Ok(())

@@ -19,12 +19,15 @@ use std::io;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 
 use crate::message::{Request, Response};
 use crate::server::Transport;
 
 /// One scripted fault, consumed by the next [`Transport::call`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Serializable, so a schedule that scripts faults round-trips through
+/// the harness's artifacts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Fault {
     /// The request is lost before reaching the server and the connection
     /// breaks (a send into a dead socket). The caller sees

@@ -17,8 +17,8 @@
 //! explorer-generated runs as regressions: they must stay clean and
 //! deterministic forever.
 
-use harmony_harness::schedule::FaultKind;
 use harmony_harness::{run_schedule, run_seed, Op, OpKind, PlantedBug, RunReport, Schedule};
+use harmony_proto::Fault as FaultKind;
 
 /// Builds a schedule from `(at_ms, kind)` pairs (seed only selects the
 /// controller configuration; see `config_for_seed`).
