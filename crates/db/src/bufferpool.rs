@@ -99,11 +99,6 @@ impl BufferPool {
         self.stats
     }
 
-    /// Resets statistics (not residency).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// True when the page is resident (no access recorded).
     pub fn contains(&self, page: &PageId) -> bool {
         self.resident.contains_key(page)

@@ -37,16 +37,6 @@ pub enum Mode {
     Ds,
 }
 
-impl Mode {
-    /// The option name used in the Figure 3 bundle.
-    pub fn option_name(self) -> &'static str {
-        match self {
-            Mode::Qs => "QS",
-            Mode::Ds => "DS",
-        }
-    }
-}
-
 /// The shipping-decision policy.
 #[derive(Debug, Clone)]
 pub enum WherePolicy {

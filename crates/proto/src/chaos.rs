@@ -123,11 +123,6 @@ impl<T: Transport> ChaosTransport<T> {
         self.injected
     }
 
-    /// Faults queued but not yet consumed.
-    pub fn pending_faults(&self) -> usize {
-        self.queue.len()
-    }
-
     /// A handle to the ground-truth call log (shared; drain with
     /// `log().lock().drain(..)`).
     pub fn log(&self) -> CallLog {

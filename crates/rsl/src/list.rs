@@ -43,11 +43,6 @@ impl Item {
             Item::Word(s) | Item::Braced(s) => s,
         }
     }
-
-    /// True if this item was brace-quoted.
-    pub fn is_braced(&self) -> bool {
-        matches!(self, Item::Braced(_))
-    }
 }
 
 /// A fully parsed TCL word tree.

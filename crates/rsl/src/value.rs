@@ -113,19 +113,6 @@ impl Value {
         }
     }
 
-    /// Borrows the elements if this is a `List`.
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// True when the value is a number (int or float).
-    pub fn is_number(&self) -> bool {
-        matches!(self, Value::Int(_) | Value::Float(_))
-    }
-
     /// Numeric equality across int/float, string equality otherwise.
     ///
     /// `Value::Int(2)` equals `Value::Float(2.0)` under this comparison even
