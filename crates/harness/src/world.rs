@@ -66,6 +66,23 @@ pub fn node_left(ctl: &mut Controller, node: u8) -> Result<Option<NodeDecl>, Cor
     Ok(Some(decl))
 }
 
+/// A departed node rejoins with its declaration `decl`, and the switch
+/// mesh its departure removed is restored: one 320 Mbit/s link to every
+/// live peer. `harmony-mc` takes the same transition.
+pub fn node_rejoin(ctl: &mut Controller, decl: NodeDecl) -> Result<(), CoreError> {
+    let name = decl.name.clone();
+    ctl.handle_event(HarmonyEvent::NodeJoined(decl))?;
+    let peers: Vec<String> =
+        ctl.cluster().nodes().map(|n| n.decl.name.clone()).filter(|n| *n != name).collect();
+    for peer in peers {
+        // Duplicate/unknown-endpoint errors are impossible here, but stay
+        // tolerant: link wiring is not what a rejoin tests.
+        let _ =
+            ctl.handle_event(HarmonyEvent::LinkJoined(LinkDecl::new(peer, name.clone(), 320.0)));
+    }
+    Ok(())
+}
+
 // The observable-sequence fingerprint folds with `harmony_rng::fnv` (the
 // field conventions — LE integers, bit-pattern floats, 0xff string
 // terminator — originated here and are pinned by that module's tests).
@@ -431,31 +448,9 @@ impl World {
     }
 
     fn exec_node_rejoin(&mut self, i: usize, node: u8) -> Result<(), Violation> {
-        let name = format!("node{node:02}");
-        let Some(decl) = self.evicted.remove(&name) else { return Ok(()) };
-        self.ctl
-            .write()
-            .handle_event(HarmonyEvent::NodeJoined(decl))
-            .map_err(|e| Violation::new(i, "controller-error", e.to_string()))?;
-        // Restore the switch mesh: one link to every live peer (departure
-        // removed them). Duplicate/unknown-endpoint errors are impossible
-        // here, but stay tolerant — link wiring is not what this op tests.
-        let peers: Vec<String> = self
-            .ctl
-            .read()
-            .cluster()
-            .nodes()
-            .map(|n| n.decl.name.clone())
-            .filter(|n| *n != name)
-            .collect();
-        for peer in peers {
-            let _ = self.ctl.write().handle_event(HarmonyEvent::LinkJoined(LinkDecl::new(
-                peer,
-                name.clone(),
-                320.0,
-            )));
-        }
-        Ok(())
+        let Some(decl) = self.evicted.remove(&format!("node{node:02}")) else { return Ok(()) };
+        node_rejoin(&mut self.ctl.write(), decl)
+            .map_err(|e| Violation::new(i, "controller-error", e.to_string()))
     }
 
     fn exec_reap(&mut self, i: usize) -> Result<(), Violation> {

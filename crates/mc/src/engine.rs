@@ -14,10 +14,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use harmony_core::{
-    Controller, ControllerConfig, HarmonyEvent, InstanceId, PersistedState, WalEvent,
-};
-use harmony_harness::world::node_left;
+use harmony_core::{Controller, ControllerConfig, InstanceId, PersistedState, WalEvent};
+use harmony_harness::world::{node_left, node_rejoin};
 use harmony_harness::{config_for_seed, oracle, palette, Op, OpKind, PlantedBug};
 use harmony_harness::{ShadowLeases, Violation};
 use harmony_proto::{handle_request, Request, Response};
@@ -245,8 +243,7 @@ impl Engine {
                 let name = format!("node{node:02}");
                 let absent = shared.read().cluster().node(&name).is_none();
                 if let Some(genesis) = self.cluster.node(&name).filter(|_| absent) {
-                    let event = HarmonyEvent::NodeJoined(genesis.decl.clone());
-                    let _ = shared.write().handle_event(event);
+                    let _ = node_rejoin(&mut shared.write(), genesis.decl.clone());
                 }
             }
             // Client ops, and those outside the scope (see `in_scope`),

@@ -2,8 +2,8 @@
 //! deterministic, crash enumeration passes on the real controller, and
 //! every planted canary comes back as a shrunk, replayable counterexample.
 
-use harmony_harness::{artifact, run_schedule, PlantedBug};
-use harmony_mc::{counterexample, explore, Engine, Scope};
+use harmony_harness::{artifact, run_schedule, OpKind, PlantedBug};
+use harmony_mc::{counterexample, explore, Engine, Scope, LEAVE_NODE};
 
 fn scope() -> Scope {
     Scope::default()
@@ -26,6 +26,25 @@ fn two_client_depth_four_exploration_is_exhaustive() {
         ex.stats.distinct_states,
         "per-depth counts partition the distinct states"
     );
+}
+
+/// A node that leaves and rejoins takes the harness's transition: it comes
+/// back with its declaration and a link to every live peer, so the
+/// cluster is the genesis cluster again. (A rejoin that re-added the node
+/// without its links would leave it unreachable, and a counterexample
+/// through it would replay in the harness as a different transition.)
+#[test]
+fn a_node_that_leaves_and_rejoins_restores_the_genesis_cluster() {
+    let engine = Engine::new(scope());
+    let genesis = engine.genesis(None);
+    let left = engine
+        .step(&genesis, 0, Some(&OpKind::NodeLeft { node: LEAVE_NODE }), 0, None)
+        .expect("node-left is clean");
+    assert_ne!(left.state.cluster, genesis.state.cluster, "the node actually left");
+    let rejoined = engine
+        .step(&left, 0, Some(&OpKind::NodeRejoin { node: LEAVE_NODE }), 1, None)
+        .expect("node-rejoin is clean");
+    assert_eq!(rejoined.state.cluster, genesis.state.cluster);
 }
 
 /// The same exploration twice gives bit-identical counters: exploration
