@@ -5,10 +5,10 @@
 //! strictly shallower depth is re-expanded (the shallower visit has more
 //! remaining budget, so deeper successors may exist), which keeps the
 //! bounded search exhaustive. The reduction is the classic sleep-set
-//! rule restricted to ops that provably commute here: because the
-//! clock only moves on explicit moves, a heartbeat and an empty poll at
-//! the same state execute at the same timestamp, so either order
-//! produces the bit-identical state — exploring one order suffices.
+//! rule restricted to ops that provably commute here: because only the
+//! two clock moves move the clock, a heartbeat and an empty poll at the
+//! same state execute at the same timestamp, so either order produces
+//! the bit-identical state — exploring one order suffices.
 
 use std::collections::HashMap;
 
