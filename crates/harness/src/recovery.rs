@@ -14,7 +14,7 @@
 //! applied configurations — not just the journal/decision stream, so a
 //! recovery that loses any control-plane field fails loudly.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use harmony_core::{CoreError, RecoveryInfo, StateStore};
 
@@ -122,17 +122,4 @@ pub fn recover(dir: &Path) -> Result<RecoveredRun, CoreError> {
         live_sessions: ctl.sessions().count(),
         pending_decisions: ctl.pending_decisions(),
     })
-}
-
-/// The newest-generation WAL file in `dir` — the one recovery will
-/// replay, and the one the corruption tests mutilate.
-pub fn newest_wal(dir: &Path) -> Option<PathBuf> {
-    let mut wals: Vec<PathBuf> = std::fs::read_dir(dir)
-        .ok()?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
-        .collect();
-    wals.sort();
-    wals.pop()
 }

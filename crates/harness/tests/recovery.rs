@@ -8,14 +8,22 @@
 //! discarded; a corrupted record with valid data *after* it is not a
 //! crash artifact and recovery must refuse rather than replay around it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use harmony_harness::{crash_run, recover};
+use harmony_wal::StateDir;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("harness-recovery-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The newest generation's WAL — the one recovery replays last, and the
+/// one the damage cases mutilate.
+fn newest_wal(dir: &Path) -> PathBuf {
+    let state = StateDir::open(dir).unwrap();
+    state.wal_path(*state.generations().unwrap().last().expect("the run left a generation"))
 }
 
 #[test]
@@ -65,7 +73,7 @@ fn torn_final_record_is_discarded_and_recovery_proceeds() {
     let crashed = crash_run(5, None, 0, &dir);
     // A torn write: the length header promises 100 bytes, the crash left
     // four. Exactly what a power cut mid-append produces.
-    let wal = harmony_harness::recovery::newest_wal(&dir).expect("run left a wal");
+    let wal = newest_wal(&dir);
     let mut bytes = std::fs::read(&wal).unwrap();
     bytes.extend_from_slice(&100u32.to_le_bytes());
     bytes.extend_from_slice(&0u32.to_le_bytes());
@@ -85,7 +93,7 @@ fn corrupted_middle_record_refuses_recovery() {
     assert!(crashed.wal_records >= 2, "need a non-final record to corrupt");
     // Flip one byte in the first record's payload: the CRC catches it,
     // and because valid records follow, this is damage, not a torn write.
-    let wal = harmony_harness::recovery::newest_wal(&dir).expect("run left a wal");
+    let wal = newest_wal(&dir);
     let mut bytes = std::fs::read(&wal).unwrap();
     bytes[8] ^= 0xff;
     std::fs::write(&wal, bytes).unwrap();

@@ -296,7 +296,7 @@ impl Engine {
     /// Checks every crash cut the verb introduced. The path stream grows
     /// by `chunk`; for the prefix ending at each *new* record boundary,
     /// the truncated stream must decode clean and replay (through
-    /// [`Controller::apply_wal_event`], the recovery path) to a state
+    /// [`Controller::replay_wal`], the recovery path) to a state
     /// that is internally consistent; the full stream must replay to
     /// exactly the in-memory state (`recovery_fingerprint` equality —
     /// this is what catches a verb mutating state it never logged); and
@@ -393,24 +393,16 @@ impl Engine {
         Ok(())
     }
 
-    /// Decodes a truncated WAL image and replays it onto a genesis
-    /// controller — the recovery path, minus the snapshot (the MC never
-    /// checkpoints, so recovery is pure replay).
+    /// Replays a truncated WAL image onto a genesis controller through
+    /// [`Controller::replay_wal`], the body [`harmony_core::StateStore::open`]
+    /// runs — recovery minus the snapshot (the MC never checkpoints, so
+    /// recovery is pure replay).
     fn replay(&self, bytes: &[u8], step_index: usize) -> Result<(Controller, WalTail), Violation> {
-        let read = decode_records(bytes);
-        if let WalTail::Corrupted { record, offset } = read.tail {
-            return Err(Violation::new(
-                step_index,
-                "crash",
-                format!("truncated stream decodes as corrupted (record {record} at {offset})"),
-            ));
-        }
         let mut ctl = self.genesis_controller();
-        for r in &read.records {
-            let ev = parse_record(r).map_err(|e| Violation::new(step_index, "crash", e))?;
-            ctl.apply_wal_event(ev);
-        }
-        Ok((ctl, read.tail))
+        let (_, tail) = ctl
+            .replay_wal(bytes)
+            .map_err(|e| Violation::new(step_index, "crash", e.to_string()))?;
+        Ok((ctl, tail))
     }
 
     /// Replays a fixed op sequence (a counterexample or a shrinker
@@ -481,16 +473,12 @@ fn request_for(kind: &OpKind, slots: &[Slot], now: f64) -> Option<(usize, Reques
     Some((c, req))
 }
 
-fn parse_record(payload: &[u8]) -> Result<WalEvent, String> {
-    WalEvent::decode(payload).map_err(|e| e.to_string())
-}
-
 /// A planted `<verb>-skips-wal` bug as recovery sees it: the step's WAL
 /// chunk minus its records of one variant — applied but never logged.
 fn without(chunk: &[u8], variant: &str) -> Vec<u8> {
     let mut kept = Vec::new();
     for payload in decode_records(chunk).records {
-        if !parse_record(&payload).is_ok_and(|ev| ev.variant() == variant) {
+        if !WalEvent::decode(&payload).is_ok_and(|ev| ev.variant() == variant) {
             encode_record(&payload, &mut kept);
         }
     }
