@@ -27,9 +27,11 @@
 //! every WAL from that generation on, oldest first, through
 //! [`Controller::replay_wal`]. A missing WAL reads as empty. The last WAL
 //! may end in a torn record, which is discarded; a torn earlier WAL or a
-//! corrupted middle record refuses recovery. Then it starts a fresh
-//! generation: the recovered state is snapshotted, a new WAL is attached,
-//! and generations older than the loaded one are purged.
+//! corrupted middle record refuses recovery. Then it keeps appending to
+//! the last generation's WAL — cut back to its last whole record, or
+//! created if missing — and writes no snapshot: the files it loaded
+//! already hold the recovered state. A fresh directory starts with
+//! snapshot 1 and WAL 1.
 //!
 //! ## Durability window
 //!
@@ -75,8 +77,8 @@ use crate::scheduler::{DecisionScheduler, SchedulerState};
 /// rather than misinterpreting fields.
 pub const PERSIST_VERSION: u32 = 1;
 
-/// Default number of WAL appends between automatic compacting snapshots
-/// (see [`StateStore::maybe_checkpoint`]).
+/// Default number of WAL records between automatic compacting snapshots,
+/// counted across restarts (see [`StateStore::maybe_checkpoint`]).
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 4096;
 
 /// One state-changing command: what [`Controller::execute`] takes, and —
@@ -543,7 +545,13 @@ impl Controller {
 pub struct StateStore {
     dir: StateDir,
     generation: u64,
+    /// The newest snapshot loaded or written: what recovery now starts
+    /// from, so the next checkpoint keeps it as the fallback.
+    snapshot: u64,
     writer: Arc<WalWriter>,
+    /// Records replayed at open that no checkpoint has compacted yet: a
+    /// restart carries the count toward the next checkpoint.
+    replayed: u64,
     snapshot_every: u64,
 }
 
@@ -565,6 +573,13 @@ impl StateStore {
     /// directory has no prior state. The returned controller has the WAL
     /// attached and its [`Controller::recovery_info`] set.
     ///
+    /// A fresh directory gets snapshot 1 and WAL 1. Recovery writes no
+    /// snapshot and starts no generation: it appends to the last
+    /// generation's WAL, cut back to its last whole record when it ends
+    /// torn (the cut is fsynced at once), or created when it is missing.
+    /// The first group commit fsyncs the replayed bytes. Snapshot temp
+    /// files a crash left are removed.
+    ///
     /// # Errors
     ///
     /// [`CoreError::Persistence`] when the directory is unreadable, no
@@ -578,6 +593,7 @@ impl StateStore {
         fresh: impl FnOnce() -> Controller,
     ) -> Result<(Controller, StateStore), CoreError> {
         let dir = StateDir::open(path).map_err(|e| persistence_err("open state dir", e))?;
+        dir.remove_snapshot_temps().map_err(|e| persistence_err("list state dir", e))?;
         let gens = dir.generations().map_err(|e| persistence_err("list state dir", e))?;
 
         let mut last_err = String::from("no snapshot found");
@@ -604,7 +620,7 @@ impl StateStore {
         // missing WAL reads as empty. Only the last may end torn: a torn
         // record with a later generation after it is a command lost from
         // the middle of the history.
-        let (mut replayed, mut torn_tail) = (0, false);
+        let (mut replayed, mut torn_tail, mut last_wal_len) = (0, false, None);
         for &gen in gens.iter().skip_while(|&&gen| Some(gen) != base_gen) {
             let wal_path = dir.wal_path(gen);
             let wal_err = |detail| persistence_err(&format!("wal {}", wal_path.display()), detail);
@@ -622,30 +638,41 @@ impl StateStore {
                 let detail = "ends torn but a later generation follows it; refusing replay";
                 return Err(wal_err(detail.into()));
             }
+            if Some(&gen) == gens.last() {
+                let whole =
+                    if let WalTail::Torn { offset } = tail { offset } else { image.len() as u64 };
+                last_wal_len = Some(whole);
+            }
         }
 
-        // Start a fresh generation: snapshot the recovered state, attach a
-        // new WAL, keep the loaded generation and the newer ones as a
-        // fallback.
-        let new_gen = gens.last().copied().unwrap_or(0) + 1;
-        write_snapshot(&dir, new_gen, &ctl)?;
-        let writer = Arc::new(
-            WalWriter::create(&dir.wal_path(new_gen), WalConfig::default())
-                .map_err(|e| persistence_err("create wal", e))?,
-        );
-        if let Some(gen) = base_gen {
-            let _ = dir.purge_below(gen);
-        }
+        // Append where the history ends: the last generation's WAL, cut
+        // back to its last whole record, or a new one when it is missing.
+        // Only a fresh directory writes a snapshot.
+        let (generation, snapshot) = match base_gen {
+            Some(base) => (*gens.last().expect("a snapshot loaded"), base),
+            None => {
+                write_snapshot(&dir, 1, &ctl)?;
+                (1, 1)
+            }
+        };
+        let wal_path = dir.wal_path(generation);
+        let writer = match last_wal_len {
+            Some(len) => WalWriter::resume(&wal_path, len, WalConfig::default()),
+            None => WalWriter::create(&wal_path, WalConfig::default()),
+        };
+        let writer = Arc::new(writer.map_err(|e| persistence_err("open wal", e))?);
         ctl.attach_wal(Arc::clone(&writer));
-        ctl.recovery = Some(RecoveryInfo {
-            generation: new_gen,
-            snapshot_loaded: base_gen,
-            replayed,
-            torn_tail,
-        });
+        ctl.recovery =
+            Some(RecoveryInfo { generation, snapshot_loaded: base_gen, replayed, torn_tail });
 
-        let store =
-            StateStore { dir, generation: new_gen, writer, snapshot_every: DEFAULT_SNAPSHOT_EVERY };
+        let store = StateStore {
+            dir,
+            generation,
+            snapshot,
+            writer,
+            replayed,
+            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
+        };
         Ok((ctl, store))
     }
 
@@ -667,7 +694,7 @@ impl StateStore {
         self.dir.path()
     }
 
-    /// Sets how many WAL appends accumulate before
+    /// Sets how many WAL records accumulate before
     /// [`StateStore::maybe_checkpoint`] compacts (`0` disables automatic
     /// checkpoints).
     pub fn set_snapshot_every(&mut self, every: u64) {
@@ -685,39 +712,47 @@ impl StateStore {
     }
 
     /// Writes a compacting snapshot of the controller's current state and
-    /// rotates the WAL to a fresh generation. The caller must hold the
-    /// controller exclusively (`&mut`), which quiesces concurrent
+    /// rotates the WAL to a fresh generation, then purges the generations
+    /// below the snapshot recovery started from until now (the last one
+    /// loaded or written), which stays as the fallback. The caller must
+    /// hold the controller exclusively (`&mut`), which quiesces concurrent
     /// read-path appends for the duration.
     ///
     /// # Errors
     ///
     /// [`CoreError::Persistence`] on serialization or I/O failure; the
-    /// store keeps writing to the old generation on error. A rotation
-    /// that fails removes the snapshot just written, which would otherwise
-    /// hide the appends that still go to the old WAL.
+    /// store keeps writing to the old generation on error. A snapshot
+    /// write or rotation that fails removes the new snapshot, which would
+    /// otherwise hide the appends that still go to the old WAL.
     pub fn checkpoint(&mut self, ctl: &mut Controller) -> Result<(), CoreError> {
-        let old = self.generation;
-        let new = old + 1;
-        write_snapshot(&self.dir, new, ctl)?;
-        if let Err(e) = self.writer.rotate(&self.dir.wal_path(new)) {
-            let _ = std::fs::remove_file(self.dir.snapshot_path(new));
-            return Err(persistence_err("rotate wal", e));
+        let new = self.generation + 1;
+        let written = write_snapshot(&self.dir, new, ctl).and_then(|()| {
+            self.writer
+                .rotate(&self.dir.wal_path(new))
+                .map_err(|e| persistence_err("rotate wal", e))
+        });
+        if let Err(e) = written {
+            let _ = self.dir.remove_snapshot(new);
+            return Err(e);
         }
         self.generation = new;
-        let _ = self.dir.purge_below(old);
+        let _ = self.dir.purge_below(self.snapshot);
+        self.snapshot = new;
+        self.replayed = 0;
         ctl.metrics().inc_counter("controller.persistence.checkpoints");
         Ok(())
     }
 
-    /// Checkpoints when enough WAL appends accumulated since the last
-    /// rotation (the periodic compaction driver). Returns whether a
-    /// checkpoint ran.
+    /// Checkpoints when enough WAL records accumulated since the last
+    /// snapshot — replayed at open plus appended since (the periodic
+    /// compaction driver). Returns whether a checkpoint ran.
     ///
     /// # Errors
     ///
     /// Same as [`StateStore::checkpoint`].
     pub fn maybe_checkpoint(&mut self, ctl: &mut Controller) -> Result<bool, CoreError> {
-        if self.snapshot_every > 0 && self.writer.appended_since_rotate() >= self.snapshot_every {
+        let uncompacted = self.replayed + self.writer.appended_since_rotate();
+        if self.snapshot_every > 0 && uncompacted >= self.snapshot_every {
             self.checkpoint(ctl)?;
             return Ok(true);
         }

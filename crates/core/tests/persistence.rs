@@ -425,6 +425,139 @@ fn a_failed_rotation_loses_no_acknowledged_command() {
     assert_eq!(fingerprint(recovered.persisted_state()), live);
 }
 
+/// The names of the files in `dir`, sorted.
+fn files_in(dir: &std::path::Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).unwrap();
+    let mut names: Vec<String> =
+        entries.map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+    names.sort();
+    names
+}
+
+/// One life of a daemon on `dir`: open, `startups` startups (one record
+/// each), each a second after the last, sync, drop. Returns the recovery
+/// report and the live image at the end.
+fn startup_life(dir: &std::path::Path, startups: u64) -> (harmony_core::RecoveryInfo, String) {
+    let (mut ctl, store) = StateStore::open(dir, fresh_controller).unwrap();
+    let info = ctl.recovery_info().unwrap();
+    for _ in 0..startups {
+        ctl.set_time(ctl.now() + 1.0);
+        ctl.startup("bag");
+    }
+    assert_eq!(ctl.metrics().counter("controller.persistence.appends"), startups);
+    let live = fingerprint(ctl.persisted_state());
+    store.sync().unwrap();
+    (info, live)
+}
+
+#[test]
+fn restarts_continue_the_last_wal_and_write_no_snapshot() {
+    let dir = scratch("lives");
+    let (_, mut live) = startup_life(&dir, 3);
+    let first = files_in(&dir);
+    assert_eq!(first, ["harmony-00000001.snap", "harmony-00000001.wal"]);
+    for life in 1..5u64 {
+        let (mut ctl, store) = StateStore::open(&dir, fresh_controller).unwrap();
+        let info = ctl.recovery_info().unwrap();
+        assert_eq!(fingerprint(ctl.persisted_state()), live, "life {life} recovers the last");
+        assert_eq!((info.snapshot_loaded, info.generation, store.generation()), (Some(1), 1, 1));
+        assert_eq!(info.replayed, 3 + 2 * (life - 1), "life {life} replays every record");
+        ctl.set_time(ctl.now() + 1.0);
+        ctl.startup("bag");
+        ctl.startup("simple");
+        live = fingerprint(ctl.persisted_state());
+        store.sync().unwrap();
+        drop((ctl, store));
+        assert_eq!(files_in(&dir), first, "life {life} writes no snapshot or generation");
+    }
+}
+
+#[test]
+fn a_torn_tail_is_cut_before_the_next_life_appends() {
+    let dir = scratch("torn-lives");
+    let (mut ctl, store) = StateStore::open(&dir, fresh_controller).unwrap();
+    drive(&mut ctl);
+    let first = ctl.metrics().counter("controller.persistence.appends");
+    store.sync().unwrap();
+    drop((ctl, store));
+    let wal = dir.join("harmony-00000001.wal");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    bytes.extend_from_slice(&64u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    bytes.extend_from_slice(b"partial");
+    std::fs::write(&wal, bytes).unwrap();
+
+    let (info, live) = startup_life(&dir, 2);
+    assert!(info.torn_tail);
+    let (mut ctl, _store) = StateStore::open(&dir, fresh_controller).unwrap();
+    let info = ctl.recovery_info().unwrap();
+    assert!(!info.torn_tail, "the torn record was cut, not buried under new ones");
+    assert_eq!(info.replayed, first + 2);
+    assert_eq!(fingerprint(ctl.persisted_state()), live);
+    assert_eq!(ctl.startup("bag").to_string(), "bag.5", "the ids go on where they stopped");
+}
+
+#[test]
+fn the_checkpoint_counter_carries_across_restarts() {
+    let dir = scratch("carried");
+    for life in 0..2 {
+        let (mut ctl, mut store) = StateStore::open(&dir, fresh_controller).unwrap();
+        store.set_snapshot_every(10);
+        for _ in 0..6 {
+            ctl.set_time(ctl.now() + 1.0);
+            ctl.startup("bag");
+        }
+        let checkpointed = store.maybe_checkpoint(&mut ctl).unwrap();
+        assert_eq!(checkpointed, life == 1, "6 replayed + 6 appended reach 10 in life {life}");
+        store.sync().unwrap();
+    }
+    let (ctl, store) = StateStore::open(&dir, fresh_controller).unwrap();
+    let info = ctl.recovery_info().unwrap();
+    assert_eq!((info.snapshot_loaded, info.replayed, store.generation()), (Some(2), 0, 2));
+    assert_eq!(ctl.sessions().count(), 12);
+}
+
+#[test]
+fn a_checkpoint_after_a_fallback_keeps_the_snapshot_it_fell_back_to() {
+    let dir = scratch("fallback-checkpoint");
+    checkpoint_then_damage_the_new_snapshot(&dir);
+    let (mut ctl, mut store) = StateStore::open(&dir, fresh_controller).unwrap();
+    assert_eq!(ctl.recovery_info().unwrap().snapshot_loaded, Some(1));
+    assert_eq!(store.generation(), 2, "appends continue in WAL 2");
+    store.checkpoint(&mut ctl).unwrap();
+    ctl.set_time(7.0);
+    ctl.startup("simple");
+    let live = fingerprint(ctl.persisted_state());
+    store.sync().unwrap();
+    drop((ctl, store));
+
+    // Snapshot 2 is damaged and now snapshot 3 too: only generation 1's
+    // snapshot, with WALs 1 to 3, still holds the history.
+    std::fs::write(dir.join("harmony-00000003.snap"), b"{ not json").unwrap();
+    let (recovered, _store) = StateStore::open(&dir, fresh_controller).unwrap();
+    assert_eq!(recovered.recovery_info().unwrap().snapshot_loaded, Some(1));
+    assert_eq!(fingerprint(recovered.persisted_state()), live);
+}
+
+#[test]
+fn a_snapshot_temp_left_by_a_crash_is_removed() {
+    let dir = scratch("snap-tmp");
+    let (mut ctl, store) = StateStore::open(&dir, fresh_controller).unwrap();
+    drive(&mut ctl);
+    let live = fingerprint(ctl.persisted_state());
+    store.sync().unwrap();
+    drop((ctl, store));
+    // A checkpoint died between writing its temp file and the rename.
+    let tmp = dir.join("harmony-00000002.snap.tmp");
+    std::fs::write(&tmp, b"{ half a snapshot").unwrap();
+
+    let (recovered, _store) = StateStore::open(&dir, fresh_controller).unwrap();
+    assert!(!tmp.exists(), "open removes the temp file");
+    assert_eq!(files_in(&dir), ["harmony-00000001.snap", "harmony-00000001.wal"]);
+    assert_eq!(recovered.recovery_info().unwrap().snapshot_loaded, Some(1));
+    assert_eq!(fingerprint(recovered.persisted_state()), live);
+}
+
 fn drive_more(c: &mut Controller) {
     c.set_time(c.now() + 1.0);
     let (id, _) = c.register(parse_bundle_script(FIG2B_BAG).unwrap()).unwrap();

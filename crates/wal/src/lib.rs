@@ -30,10 +30,17 @@
 //! crash). The buffer is bounded: an appender that finds it past
 //! [`WalConfig::max_buffer`] flushes inline, so memory cannot grow
 //! without limit under a stalled disk.
+//!
+//! ## Durable file creation
+//!
+//! A new file is only as durable as its directory entry, so every file
+//! this crate creates — a WAL by [`WalWriter::create`] or
+//! [`WalWriter::rotate`], a snapshot by [`StateDir::write_snapshot`] — is
+//! followed by an fsync of its directory before anything relies on it.
 
 #![warn(missing_docs)]
 
-use std::fs::{self, File};
+use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -220,6 +227,9 @@ impl Default for WalConfig {
 struct WriterState {
     file: File,
     buf: Vec<u8>,
+    /// The file holds bytes no fsync has covered: a continued WAL's
+    /// earlier records. The next flush syncs even with an empty buffer.
+    unsynced: bool,
     stop: bool,
     last_error: Option<String>,
 }
@@ -254,7 +264,7 @@ fn lock_state(shared: &Shared) -> MutexGuard<'_, WriterState> {
 }
 
 fn flush_locked(state: &mut WriterState) -> std::io::Result<()> {
-    if state.buf.is_empty() {
+    if state.buf.is_empty() && !state.unsynced {
         return Ok(());
     }
     let result = state.file.write_all(&state.buf).and_then(|()| state.file.sync_data());
@@ -262,23 +272,67 @@ fn flush_locked(state: &mut WriterState) -> std::io::Result<()> {
     // duplicate bytes mid-file, which is worse than a (reader-tolerated)
     // torn tail.
     state.buf.clear();
-    if let Err(e) = &result {
-        state.last_error = Some(e.to_string());
+    match &result {
+        Ok(()) => state.unsynced = false,
+        Err(e) => state.last_error = Some(e.to_string()),
     }
     result
 }
 
+/// Fsyncs directory `dir`, making the entries created or renamed in it
+/// durable.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
+/// Creates (truncating) the file at `path` and fsyncs its directory, so
+/// the file survives a crash before its first byte is written. A file
+/// whose directory fsync fails is removed again.
+fn create_durably(path: &Path) -> std::io::Result<File> {
+    let file = File::create(path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    if let Err(e) = sync_dir(dir) {
+        let _ = fs::remove_file(path);
+        return Err(e);
+    }
+    Ok(file)
+}
+
 impl WalWriter {
-    /// Creates a fresh WAL at `path` (truncating any existing file) and
-    /// starts the background flusher.
+    /// Creates a fresh WAL at `path` (truncating any existing file), fsyncs
+    /// its directory and starts the background flusher.
     ///
     /// # Errors
     ///
-    /// I/O errors creating the file.
+    /// I/O errors creating the file or syncing its directory.
     pub fn create(path: &Path, cfg: WalConfig) -> std::io::Result<Self> {
-        let file = File::create(path)?;
+        Ok(Self::start(create_durably(path)?, false, cfg))
+    }
+
+    /// Continues the existing WAL at `path` after its first `len` bytes —
+    /// the valid record prefix a reader found. Bytes past `len` (a torn
+    /// final record) are cut off, and the cut is fsynced before this
+    /// returns, so no append can land behind a torn record. The kept bytes
+    /// are fsynced by the first group commit, even if nothing is appended.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors opening, truncating or syncing the file.
+    pub fn resume(path: &Path, len: u64, cfg: WalConfig) -> std::io::Result<Self> {
+        let file = OpenOptions::new().append(true).open(path)?;
+        if file.metadata()?.len() > len {
+            file.set_len(len)?;
+            file.sync_data()?;
+        }
+        Ok(Self::start(file, true, cfg))
+    }
+
+    /// The one constructor body: wraps `file` (positioned at its end) and
+    /// starts the background flusher.
+    fn start(file: File, unsynced: bool, cfg: WalConfig) -> Self {
+        let state = WriterState { file, buf: Vec::new(), unsynced, stop: false, last_error: None };
         let shared = Arc::new(Shared {
-            state: Mutex::new(WriterState { file, buf: Vec::new(), stop: false, last_error: None }),
+            state: Mutex::new(state),
             wake: Condvar::new(),
             cfg,
             appended: AtomicU64::new(0),
@@ -291,7 +345,7 @@ impl WalWriter {
                 .spawn(move || Self::run_flusher(&shared))
                 .expect("spawn WAL flusher")
         };
-        Ok(WalWriter { shared, flusher: Some(flusher) })
+        WalWriter { shared, flusher: Some(flusher) }
     }
 
     fn run_flusher(shared: &Shared) {
@@ -342,15 +396,17 @@ impl WalWriter {
 
     /// Flushes the current file, then atomically switches appends to a
     /// fresh file at `path` (used when a compacting snapshot starts a new
-    /// generation).
+    /// generation). The new file's directory is fsynced before the first
+    /// append can reach it.
     ///
     /// # Errors
     ///
-    /// I/O errors flushing the old file or creating the new one.
+    /// I/O errors flushing the old file, or creating the new one or
+    /// syncing its directory; appends then keep going to the old file.
     pub fn rotate(&self, path: &Path) -> std::io::Result<()> {
         let mut state = lock_state(&self.shared);
         flush_locked(&mut state)?;
-        state.file = File::create(path)?;
+        state.file = create_durably(path)?;
         state.last_error = None;
         self.shared.since_rotate.store(0, Ordering::Relaxed);
         Ok(())
@@ -465,10 +521,46 @@ impl StateDir {
         }
         fs::rename(&tmp, &target)?;
         // Persist the rename itself.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
+        sync_dir(&self.dir)
+    }
+
+    /// Removes generation `gen`'s snapshot, if present, and fsyncs the
+    /// directory so the removal survives a crash.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors removing the file or syncing the directory.
+    pub fn remove_snapshot(&self, gen: u64) -> std::io::Result<()> {
+        match fs::remove_file(self.snapshot_path(gen)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
         }
-        Ok(())
+        sync_dir(&self.dir)
+    }
+
+    /// Removes every `harmony-<gen>.snap.tmp` a crash in
+    /// [`StateDir::write_snapshot`] left behind: no generation reads one.
+    /// Returns how many were removed.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors listing the directory (individual remove failures are
+    /// ignored, as in [`StateDir::purge_below`]).
+    pub fn remove_snapshot_temps(&self) -> std::io::Result<usize> {
+        let is_temp = |name: &str| {
+            let gen = name.strip_prefix("harmony-").and_then(|n| n.strip_suffix(".snap.tmp"));
+            gen.is_some_and(|gen| gen.parse::<u64>().is_ok())
+        };
+        let mut removed = 0;
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            if entry.file_name().to_str().is_some_and(is_temp)
+                && fs::remove_file(entry.path()).is_ok()
+            {
+                removed += 1;
+            }
+        }
+        Ok(removed)
     }
 
     /// Reads generation `gen`'s snapshot bytes.
@@ -705,6 +797,50 @@ mod tests {
         assert_eq!(read_wal(&b).unwrap().records, vec![b"two".to_vec()]);
         assert_eq!(w.appended(), 2);
         drop(w);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resume_cuts_a_torn_tail_and_appends_after_the_last_record() {
+        let dir = temp_dir("resume");
+        let path = dir.join("a.wal");
+        let w = WalWriter::create(&path, WalConfig::default()).unwrap();
+        w.append(b"first").unwrap();
+        w.append(b"second").unwrap();
+        drop(w);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.truncate(bytes.len() - 2);
+        fs::write(&path, &bytes).unwrap();
+        let WalTail::Torn { offset } = read_wal(&path).unwrap().tail else {
+            panic!("the cut must read as torn")
+        };
+        let w = WalWriter::resume(&path, offset, WalConfig::default()).unwrap();
+        assert_eq!(fs::metadata(&path).unwrap().len(), offset, "the torn tail is cut at once");
+        w.append(b"third").unwrap();
+        w.sync().unwrap();
+        let read = read_wal(&path).unwrap();
+        assert_eq!(read.tail, WalTail::Clean);
+        assert_eq!(read.records, vec![b"first".to_vec(), b"third".to_vec()]);
+        assert_eq!(w.appended(), 1, "the writer counts its own appends");
+        drop(w);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_temps_are_removed_and_nothing_else() {
+        let dir = temp_dir("temps");
+        let sd = StateDir::open(&dir).unwrap();
+        sd.write_snapshot(1, b"{}").unwrap();
+        fs::write(sd.wal_path(1), b"").unwrap();
+        fs::write(dir.join("harmony-00000002.snap.tmp"), b"{ half").unwrap();
+        fs::write(dir.join("notes.snap.tmp"), b"x").unwrap();
+        assert_eq!(sd.remove_snapshot_temps().unwrap(), 1);
+        assert!(!dir.join("harmony-00000002.snap.tmp").exists());
+        assert!(dir.join("notes.snap.tmp").exists(), "only a generation's temp is removed");
+        assert_eq!(sd.generations().unwrap(), vec![1]);
+        sd.remove_snapshot(1).unwrap();
+        sd.remove_snapshot(1).unwrap(); // absent: nothing to do
+        assert_eq!(sd.generations().unwrap(), vec![1], "the WAL stays");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -14,10 +14,14 @@ window, SIGKILL mid-window, recover, reattach both sessions by their old
 ids, confirm the status snapshot reports the recovery, let the recovered
 coalescing window fire, and finally take a clean stdin-EOF shutdown
 checkpoint whose life prints no decision or retirement line (it received
-no verb and had nothing left to decide).
+no verb and had nothing left to decide). A restart writes no snapshot: the
+second life adds no `.snap` file, the third replays the second life's
+records from the same generation, and no `.snap.tmp` is left behind.
 """
 
 import json
+import os
+import re
 import socket
 import struct
 import subprocess
@@ -61,6 +65,10 @@ def connect(port, deadline=15.0):
             time.sleep(0.1)
 
 
+def files(state_dir, suffix):
+    return sorted(name for name in os.listdir(state_dir) if name.endswith(suffix))
+
+
 def expect(reply, prefix, context):
     if not reply.startswith(prefix):
         sys.exit(f"FAIL {context}: expected `{prefix}…`, got `{reply}`")
@@ -95,6 +103,7 @@ def main():
     finally:
         daemon.kill()  # SIGKILL: no shutdown checkpoint, the WAL is all that survives
     daemon.wait()
+    snapshots = files(state_dir, ".snap")
 
     print("smoke: second life: recovering from the state dir")
     daemon = subprocess.Popen(args)
@@ -123,10 +132,15 @@ def main():
                 sys.exit("FAIL: the recovered coalescing window never fired")
             time.sleep(0.2)
         time.sleep(0.3)  # one group-commit flush, as before the first kill
+        persistence = json.loads(call(c3, "status")[len("status {"):-1])["persistence"]
         print("smoke: the recovered coalescing window fired")
     finally:
         daemon.kill()
     daemon.wait()
+    if files(state_dir, ".snap") != snapshots:
+        sys.exit(f"FAIL: the second life wrote a snapshot: {snapshots} -> "
+                 f"{files(state_dir, '.snap')}")
+    second = persistence["recovery"]
 
     # Third life: a clean stdin-EOF shutdown must write a final checkpoint.
     # It receives no verb, so it applies no decision and retires nothing:
@@ -141,8 +155,19 @@ def main():
     )
     if "shutdown checkpoint written" not in out.stdout or out.returncode != 0:
         sys.exit(f"FAIL: graceful shutdown: rc={out.returncode}\n{out.stdout}\n{out.stderr}")
-    if "recovered from" not in out.stdout:
+    recovered = re.search(r"recovered from .*\(snapshot gen (\d+), (\d+) WAL record\(s\) "
+                          r"replayed.*writing generation (\d+)", out.stdout)
+    if not recovered:
         sys.exit(f"FAIL: third life did not recover prior state\n{out.stdout}")
+    loaded, replayed, generation = map(int, recovered.groups())
+    if (loaded, generation) != (second["snapshot_loaded"], second["generation"]):
+        sys.exit(f"FAIL: third life recovered snapshot gen {loaded} and writes generation "
+                 f"{generation}, the second life {second}")
+    if replayed < second["replayed"] + persistence["appends"]:
+        sys.exit(f"FAIL: third life replayed {replayed} record(s), fewer than the second "
+                 f"life's {second['replayed']} plus the {persistence['appends']} it appended")
+    if files(state_dir, ".snap.tmp"):
+        sys.exit(f"FAIL: snapshot temp files left behind: {files(state_dir, '.snap.tmp')}")
     reprinted = [line for line in out.stdout.splitlines() if line.startswith("harmonyd: t=")]
     if reprinted:
         sys.exit("FAIL: third life printed decisions or retirements it did not make\n"

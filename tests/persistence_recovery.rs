@@ -215,16 +215,29 @@ fn successive_recoveries_are_stable() {
     drop(store);
     drop(shared);
 
-    // Open twice in a row; each open replays the previous generation and
-    // starts a new one, but the controller state must not drift.
+    // Open twice in a row; each open replays the same generation and
+    // keeps appending to its WAL, and the controller state must not drift.
     let (first, store1) = StateStore::open(&dir, || panic!("state exists")).unwrap();
     let gen1 = store1.generation();
     let sessions = first.persisted_state().sessions;
     let seq = first.journal_seq();
     drop(store1);
     drop(first);
+    let snapshots = snapshot_files(&dir);
     let (second, store2) = StateStore::open(&dir, || panic!("state exists")).unwrap();
-    assert!(store2.generation() > gen1, "each life writes a new generation");
+    assert_eq!(store2.generation(), gen1, "a restart continues the last generation");
+    assert_eq!(snapshot_files(&dir), snapshots, "a restart writes no snapshot");
     assert_eq!(second.persisted_state().sessions, sessions);
     assert_eq!(second.journal_seq(), seq);
+}
+
+/// The snapshot files in `dir`, sorted.
+fn snapshot_files(dir: &Path) -> Vec<PathBuf> {
+    let mut snapshots: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "snap"))
+        .collect();
+    snapshots.sort();
+    snapshots
 }

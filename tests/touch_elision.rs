@@ -32,12 +32,16 @@ fn fresh() -> Controller {
 struct Daemon {
     shared: SharedController,
     store: StateStore,
+    /// Records the WAL held when this daemon opened it: a restart keeps
+    /// appending to the last WAL, after the records it replayed.
+    opened_with: usize,
 }
 
 impl Daemon {
     fn open(dir: &Path) -> Daemon {
         let (ctl, store) = StateStore::open(dir, fresh).unwrap();
-        Daemon { shared: Arc::new(RwLock::new(ctl)), store }
+        let opened_with = ctl.recovery_info().unwrap().replayed as usize;
+        Daemon { shared: Arc::new(RwLock::new(ctl)), store, opened_with }
     }
 
     fn call(&self, req: Request) -> Response {
@@ -73,14 +77,14 @@ impl Daemon {
         self.shared.write().set_time(now);
     }
 
-    /// How many records of `variant` (naming `id`, if given) the current
-    /// generation's WAL holds.
+    /// How many records of `variant` (naming `id`, if given) this daemon
+    /// added to the current generation's WAL since it opened.
     fn logged(&self, variant: &str, id: Option<&InstanceId>) -> usize {
         self.store.sync().unwrap();
         let dir = StateDir::open(self.store.path()).unwrap();
         let read = read_wal(&dir.wal_path(self.store.generation())).unwrap();
         assert_eq!(read.tail, WalTail::Clean);
-        read.records
+        read.records[self.opened_with..]
             .iter()
             .map(|r| WalEvent::decode(r).expect("wal record parses"))
             .filter(|ev| ev.variant() == variant)
@@ -163,10 +167,10 @@ fn a_touch_reaches_the_wal_only_when_it_raises_the_stamp() {
     let appended = d.shared.read().metrics().counter("controller.persistence.appends");
     assert_eq!(appended, d.shared.read().wal_handle().unwrap().appended());
 
-    // Recovery replays exactly those records to the live image. The new
-    // generation's snapshot carries `a`'s stamp, so a heartbeat at the
-    // recovered clock is already durable and logs nothing — and the
-    // image still survives another restart.
+    // Recovery replays exactly those records to the live image. The
+    // replayed WAL carries `a`'s stamp, so a heartbeat at the recovered
+    // clock is already durable and logs nothing — and the image still
+    // survives another restart.
     let d = d.reopen();
     assert_eq!(d.shared.read().recovery_info().unwrap().replayed, appended);
     assert_eq!(d.heartbeat(&a), Response::Ok);
