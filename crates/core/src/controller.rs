@@ -40,7 +40,7 @@ use crate::journal::{
     push_bounded, retained_since, EventJournal, JournalKind, JournalTail, PhaseTimings,
 };
 use crate::leases::{Lease, LeaseConfig, RetireReason, RetirementRecord};
-use crate::namespace::{applied_writes, config_writes, NamespaceView};
+use crate::namespace::{applied_writes, buffer_writes, config_writes, NamespaceView};
 use crate::objective::Objective;
 use crate::persist::{RecoveryInfo, WalEvent};
 use crate::planner::{elapsed_ms, same_point, Plan, PlannedMove, Scan};
@@ -638,8 +638,8 @@ impl Controller {
     }
 
     /// Re-establishes a session after a reconnect: renews the lease,
-    /// clears the disconnect mark, and replays the instance's current
-    /// chosen values into its pending-variable buffer so the next poll
+    /// clears the disconnect mark, and marks every placed bundle changed,
+    /// so the next poll carries the instance's current chosen values and
     /// converges the client without re-sending bundles.
     ///
     /// # Errors
@@ -651,13 +651,13 @@ impl Controller {
         self.execute(WalEvent::Reattach { now: self.now, id: id.clone() }).map(|_| ())
     }
 
+    /// The `Reattach` body: buffers each placed bundle's current writes
+    /// through [`buffer_writes`], the rule a commit follows.
     fn resume_session(&mut self, id: &InstanceId) -> Result<(), CoreError> {
         self.renew(id)?;
         self.metrics.inc_counter("controller.sessions.reattached");
-        // Replay the full current state (idempotent: updates are keyed by
-        // path), replacing whatever was buffered before the disconnect.
-        let inst = self.instances.get(id).expect("renewed above");
-        *inst.pending.lock() = applied_writes(&inst.app).collect();
+        let inst = self.instances.get_mut(id).expect("renewed above");
+        applied_writes(&inst.app).for_each(|writes| buffer_writes(inst.pending.get_mut(), writes));
         self.journal_append(JournalKind::Event, format!("reattach {id}"));
         Ok(())
     }
@@ -828,9 +828,9 @@ impl Controller {
     }
 
     /// Drains the buffered variable updates for one instance (the polling
-    /// path of §5: the application asks and receives everything written
-    /// since its last poll). Takes `&self` — each instance's buffer is
-    /// behind its own mutex — so polls run on the concurrent read path.
+    /// path of §5: the application receives the current writes of each
+    /// bundle changed since its last poll). Takes `&self` — each instance's
+    /// buffer is behind its own mutex — so polls run on the read path.
     pub fn take_pending_vars<'a>(&self, id: impl Into<InstanceRef<'a>>) -> Vec<(HPath, Value)> {
         let id = id.into();
         let drained = self.drain_pending(id);
@@ -1010,7 +1010,7 @@ impl Controller {
     }
 
     /// Writes a new configuration into the app state, buffering its
-    /// namespace writes for the application to poll.
+    /// namespace writes to poll in place of the bundle's older ones.
     fn apply_choice(
         &mut self,
         id: &InstanceId,
@@ -1020,7 +1020,7 @@ impl Controller {
     ) {
         let writes = config_writes(id, bundle_name, &cfg);
         let inst = self.instances.get_mut(id).expect("caller validated instance");
-        inst.pending.get_mut().extend(writes);
+        buffer_writes(inst.pending.get_mut(), writes);
         let bundle = inst.app.bundle_mut(bundle_name).expect("caller validated bundle");
         if is_switch {
             bundle.reconfig_count += 1;

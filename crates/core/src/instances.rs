@@ -24,8 +24,8 @@ pub(crate) struct Instance {
     pub(crate) app: AppInstance,
     /// The lease, with the touch stamp the read path renews it through.
     pub(crate) lease: Lease,
-    /// Buffered variable updates awaiting the next poll. Behind its own
-    /// mutex so the polling path drains under a shared controller borrow.
+    /// The current writes of each bundle changed since the last poll, behind
+    /// its own mutex so the polling path drains under a shared borrow.
     pub(crate) pending: Mutex<Vec<(HPath, Value)>>,
     /// Memoized candidate enumeration per bundle name: a pure function of
     /// the bundle's spec (which never changes once attached) and the

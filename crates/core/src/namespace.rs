@@ -3,10 +3,10 @@
 //! Each granted resource is named `app.instance.bundle.option.resource.tag`
 //! (`DBclient.66.where.DS.client.memory`). Every such path and its value
 //! is a function of one applied [`ChosenConfig`], so the controller stores
-//! none of them: [`config_writes`] derives them when a choice commits (the
-//! poll buffer's updates), when a client reattaches (the replay), and when
-//! anyone reads the namespace ([`NamespaceView`]). A released allocation
-//! therefore leaves no path behind.
+//! none of them: [`config_writes`] derives them for a commit and a reattach
+//! (buffered to poll by [`buffer_writes`]) and for anyone reading the
+//! namespace ([`NamespaceView`]). A released allocation therefore leaves
+//! no path behind.
 
 use harmony_ns::HPath;
 use harmony_rsl::Value;
@@ -39,7 +39,7 @@ impl<'a> NamespaceView<'a> {
 
     /// Every path and its value, instance by instance in id order.
     pub fn iter(&self) -> impl Iterator<Item = (HPath, Value)> + 'a {
-        self.instances.in_id_order().flat_map(|inst| applied_writes(&inst.app))
+        self.instances.in_id_order().flat_map(|inst| applied_writes(&inst.app).flatten())
     }
 
     /// True when no instance has an applied configuration.
@@ -48,13 +48,23 @@ impl<'a> NamespaceView<'a> {
     }
 }
 
-/// The namespace writes of every configuration `app` has applied, bundle
-/// by bundle.
-pub(crate) fn applied_writes(app: &AppInstance) -> impl Iterator<Item = (HPath, Value)> + '_ {
+/// The namespace writes of every configuration `app` has applied, one
+/// [`config_writes`] per placed bundle, bundle by bundle.
+pub(crate) fn applied_writes(app: &AppInstance) -> impl Iterator<Item = Vec<(HPath, Value)>> + '_ {
     app.bundles
         .iter()
-        .filter_map(|b| Some((b.spec.name.as_str(), b.current.as_ref()?)))
-        .flat_map(|(bundle, cfg)| config_writes(&app.id, bundle, cfg))
+        .filter_map(|b| Some(config_writes(&app.id, &b.spec.name, b.current.as_ref()?)))
+}
+
+/// Buffers one configuration's [`config_writes`] for the next poll in
+/// place of whatever is still buffered under the same bundle (the path of
+/// its first write). So a poll buffer holds the current writes of each
+/// bundle changed since the last poll, never a value a later decision
+/// replaced, and an instance that does not poll cannot grow it.
+pub(crate) fn buffer_writes(buffer: &mut Vec<(HPath, Value)>, writes: Vec<(HPath, Value)>) {
+    let bundle = &writes[0].0;
+    buffer.retain(|(path, _)| !path.starts_with(bundle));
+    buffer.extend(writes);
 }
 
 /// The namespace writes describing one applied configuration: the chosen

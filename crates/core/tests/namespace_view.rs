@@ -93,3 +93,25 @@ fn the_view_names_the_current_option_only_and_nothing_after_end() {
     }
     assert!(ctl.namespace().is_empty());
 }
+
+/// A poll carries the view, not the history: a client that takes no poll
+/// while its bundle moves QS -> DS is sent the current DS values only,
+/// never the QS writes the switch replaced.
+#[test]
+fn a_poll_after_missed_decisions_carries_the_view() {
+    const CLIENTS: usize = 6;
+    let mut ctl = controller(CLIENTS);
+    let spec = parse_bundle_script(WHERE).unwrap();
+    let (first, _) = ctl.register(spec.clone()).unwrap();
+    assert_eq!(ctl.choice(&first, "where").unwrap().option, "QS");
+    let mut arrivals = 0;
+    while ctl.choice(&first, "where").unwrap().option == "QS" {
+        arrivals += 1;
+        assert!(arrivals < CLIENTS, "no QS -> DS switch with {CLIENTS} clients");
+        ctl.register(spec.clone()).unwrap();
+    }
+    let polled: BTreeMap<String, Value> =
+        ctl.take_pending_vars(&first).into_iter().map(|(p, v)| (p.to_string(), v)).collect();
+    assert!(polled.keys().all(|p| !p.contains(".QS")), "superseded QS write in {polled:?}");
+    assert_eq!(polled, paths_of(&ctl, &first));
+}

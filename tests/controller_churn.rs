@@ -4,7 +4,7 @@
 
 use harmony::core::{Controller, ControllerConfig, InstanceId};
 use harmony::resources::Cluster;
-use harmony::rsl::listings::sp2_cluster;
+use harmony::rsl::listings::{sp2_cluster, FIG2B_BAG};
 use harmony::rsl::schema::parse_bundle_script;
 use proptest::prelude::*;
 
@@ -118,4 +118,46 @@ proptest! {
         prop_assert!((ctl.cluster().total_free_memory() - total_memory).abs() < 1e-9);
         prop_assert!(ctl.namespace().is_empty());
     }
+}
+
+/// Finding (ix): an instance that heartbeats but never polls, beside 1,000
+/// arrival/end cycles of a second bag, holds at most one configuration's
+/// writes per bundle, so neither its buffer nor the image grows with the
+/// decisions it missed. The clock is held still, so no lease expires.
+#[test]
+fn a_silent_instance_buffers_one_configuration_per_bundle() {
+    let cluster = Cluster::from_rsl(&sp2_cluster(8)).unwrap();
+    let mut ctl = Controller::new(cluster, ControllerConfig::default());
+    let spec = parse_bundle_script(FIG2B_BAG).unwrap();
+    let (silent, _) = ctl.register(spec.clone()).unwrap();
+    // The compact image without the journal, a report whose ring fills to
+    // its 4,096 entries however the buffer behaves (ROADMAP item 18).
+    let image_bytes = |ctl: &Controller| {
+        let mut image = ctl.persisted_state();
+        image.journal_entries.clear();
+        image.canonical_json().len()
+    };
+    let mut after_ten = 0;
+    for cycle in 1..=1000 {
+        assert!(ctl.touch(&silent), "the silent instance's heartbeat");
+        let (other, _) = ctl.register(spec.clone()).unwrap();
+        ctl.end(&other).unwrap();
+        if cycle == 10 {
+            after_ten = image_bytes(&ctl);
+        }
+    }
+    let state = ctl.persisted_state();
+    let (_, buffered) = state.pending_vars.iter().find(|(id, _)| *id == silent).unwrap();
+    let bundle = format!("{silent}.config");
+    let configurations = buffered.iter().filter(|(p, _)| p.to_string() == bundle).count();
+    assert_eq!(configurations, 1, "one configuration's writes for one bundle: {buffered:?}");
+    let mut paths: Vec<String> = buffered.iter().map(|(p, _)| p.to_string()).collect();
+    paths.sort();
+    paths.dedup();
+    assert_eq!(paths.len(), buffered.len(), "no path buffered twice: {buffered:?}");
+    // Three counters gain two digits each between cycle 10 and 1,000: the
+    // id allocator, the silent bundle's reconfiguration count and the
+    // journal's next sequence number. Nothing else may grow.
+    let after_thousand = image_bytes(&ctl);
+    assert!(after_thousand <= after_ten + 3 * 2, "the image grew {after_ten} -> {after_thousand}");
 }

@@ -13,9 +13,9 @@ use harmony_mc::{explore, Scope};
 fn two_clients_at_depth_four_explore_the_pinned_state_space_cleanly() {
     let ex = explore(&Scope { clients: 2, depth: 4, ..Scope::default() });
     assert!(ex.counterexample.is_none(), "{:?}", ex.counterexample.map(|c| c.violation));
-    assert_eq!(ex.stats.distinct_states, 1084);
+    assert_eq!(ex.stats.distinct_states, 1083);
     assert_eq!(ex.stats.transitions, 1669);
-    assert_eq!(ex.stats.revisits, 586);
+    assert_eq!(ex.stats.revisits, 587);
 }
 
 /// One client to depth 4 with every WAL record boundary and torn tail
