@@ -167,30 +167,12 @@ impl EventJournal {
         seq
     }
 
-    /// Rebuilds a journal from persisted state: the retained entries (in
-    /// seq order) and the next sequence number, so a recovered controller
-    /// continues numbering exactly where the crashed one stopped.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn restore(entries: Vec<JournalEntry>, next_seq: u64, capacity: usize) -> Self {
-        assert!(capacity > 0, "journal capacity must be positive");
-        let mut entries: VecDeque<JournalEntry> = entries.into();
-        while entries.len() > capacity {
-            entries.pop_front();
-        }
-        EventJournal { entries, capacity, next_seq }
-    }
-
-    /// The retained entries, oldest first (for snapshotting).
-    pub fn entries(&self) -> impl Iterator<Item = &JournalEntry> {
-        self.entries.iter()
-    }
-
-    /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Starts an empty ring whose next push gets `next_seq`: a recovered
+    /// controller numbers on from where the crashed one stopped, and a
+    /// cursor from before the crash reads a `truncated` tail, since the
+    /// entries were a report of the life that ended.
+    pub fn resume(next_seq: u64) -> Self {
+        EventJournal { next_seq, ..Self::default() }
     }
 
     /// Number of retained entries.

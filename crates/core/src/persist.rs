@@ -45,12 +45,14 @@
 //! Metric counters, gauges, and histograms restart empty after recovery —
 //! they are measurement state, not control state. So do the decision and
 //! retirement histories and their totals (`controller.decisions`,
-//! `controller.ends`), which no decision reads. The namespace is not in
-//! the image: [`Controller::namespace`] derives it from the applied
-//! configurations. Nor are candidate memos, but they are a pure function
-//! of what is: [`Controller::from_persisted`] attaches every loaded
-//! bundle, which enumerates it, so the first pass after a restart reads
-//! them like any other.
+//! `controller.ends`), which no decision reads, and the journal's entries:
+//! the journal resumes empty at its persisted sequence number, so cursors
+//! stay valid and a cursor from before the restart reads a truncated tail.
+//! The namespace is not in the image: [`Controller::namespace`] derives
+//! it from the applied configurations. Nor are candidate memos, but they
+//! are a pure function of what is: [`Controller::from_persisted`]
+//! attaches every loaded bundle, which enumerates it, so the first pass
+//! after a restart reads them like any other.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -69,7 +71,7 @@ use crate::controller::{Controller, ControllerConfig};
 use crate::error::CoreError;
 use crate::events::HarmonyEvent;
 use crate::instances::Instance;
-use crate::journal::{EventJournal, JournalEntry};
+use crate::journal::EventJournal;
 use crate::leases::{Lease, SessionState};
 use crate::scheduler::{DecisionScheduler, SchedulerState};
 
@@ -281,7 +283,8 @@ impl WalEvent {
 
 /// The controller's complete control-plane state, as written into a
 /// snapshot file. Lossless for everything decisions depend on; candidate
-/// memos are re-derived on load; metrics and histories restart empty.
+/// memos are re-derived on load; metrics, histories and the journal's
+/// entries restart empty.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PersistedState {
     /// Format version ([`PERSIST_VERSION`]).
@@ -304,12 +307,9 @@ pub struct PersistedState {
     pub sessions: Vec<(InstanceId, SessionState)>,
     /// Unfolded read-path touch stamps (raw non-zero `f64::to_bits`).
     pub touches: Vec<(InstanceId, u64)>,
-    /// Retained journal entries, oldest first.
-    pub journal_entries: Vec<JournalEntry>,
-    /// The journal's next sequence number (clients' cursors stay valid).
+    /// The journal's next sequence number: the scheduler's pending window
+    /// and clients' cursors cite journal seqs, so numbering continues.
     pub journal_next_seq: u64,
-    /// The journal ring's capacity.
-    pub journal_capacity: usize,
     /// The coalescing scheduler's pending window.
     pub scheduler: SchedulerState,
 }
@@ -411,15 +411,14 @@ impl Controller {
 
     /// Captures the complete control-plane state for a snapshot. Lossless
     /// for everything decisions depend on: sessions keep their ids and
-    /// deadlines, the journal keeps its sequence numbers. Candidate memos
-    /// (re-derived on load), the namespace (derived from the applied
-    /// configurations), and metrics and the decision and retirement
-    /// histories (restart empty) are deliberately excluded.
+    /// deadlines, the journal keeps its next sequence number. Candidate
+    /// memos (re-derived on load), the namespace (derived from the applied
+    /// configurations), and metrics, the decision and retirement histories
+    /// and the journal's entries (restart empty) are deliberately excluded.
     ///
     /// One [`Instance`] record fans out into the five per-instance fields
     /// of the format, each in id order as the format has always had them.
     pub fn persisted_state(&self) -> PersistedState {
-        let journal = self.journal.lock();
         let by_id = || self.instances.in_id_order().map(|inst| (inst.app.id.clone(), inst));
         let unfolded = |inst: &Instance| Some((inst.app.id.clone(), inst.lease.unfolded()?));
         PersistedState {
@@ -433,16 +432,15 @@ impl Controller {
             pending_vars: by_id().map(|(id, inst)| (id, inst.pending.lock().clone())).collect(),
             sessions: by_id().map(|(id, inst)| (id, inst.lease.session().clone())).collect(),
             touches: self.instances.in_id_order().filter_map(unfolded).collect(),
-            journal_entries: journal.entries().cloned().collect(),
-            journal_next_seq: journal.next_seq(),
-            journal_capacity: journal.capacity(),
+            journal_next_seq: self.journal_seq(),
             scheduler: self.scheduler.dump(),
         }
     }
 
     /// Rebuilds a controller from a persisted snapshot. The result has no
     /// WAL attached yet (replay runs first); every loaded bundle is
-    /// attached, so its candidate memo is filled.
+    /// attached, so its candidate memo is filled, and the journal resumes
+    /// empty at the persisted sequence number.
     ///
     /// # Errors
     ///
@@ -488,11 +486,7 @@ impl Controller {
 
         ctl.now = state.now;
         ctl.registry = state.registry;
-        ctl.journal = Mutex::new(EventJournal::restore(
-            state.journal_entries,
-            state.journal_next_seq,
-            state.journal_capacity,
-        ));
+        ctl.journal = Mutex::new(EventJournal::resume(state.journal_next_seq));
         ctl.scheduler = DecisionScheduler::restore(state.scheduler);
         ctl.metrics.set_gauge("controller.sessions.active", ctl.instances.len() as f64);
         let loaded = ctl.candidate_cache_len() as u64;

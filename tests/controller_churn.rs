@@ -130,13 +130,7 @@ fn a_silent_instance_buffers_one_configuration_per_bundle() {
     let mut ctl = Controller::new(cluster, ControllerConfig::default());
     let spec = parse_bundle_script(FIG2B_BAG).unwrap();
     let (silent, _) = ctl.register(spec.clone()).unwrap();
-    // The compact image without the journal, a report whose ring fills to
-    // its 4,096 entries however the buffer behaves (ROADMAP item 18).
-    let image_bytes = |ctl: &Controller| {
-        let mut image = ctl.persisted_state();
-        image.journal_entries.clear();
-        image.canonical_json().len()
-    };
+    let image_bytes = |ctl: &Controller| ctl.persisted_state().canonical_json().len();
     let mut after_ten = 0;
     for cycle in 1..=1000 {
         assert!(ctl.touch(&silent), "the silent instance's heartbeat");
