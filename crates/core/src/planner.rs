@@ -16,6 +16,15 @@
 //! needs is in one [`Table`] built once; and a trial re-predicts only the
 //! bundles whose nodes meet the nodes it released or bound.
 //!
+//! A trial allocates nothing once its buffers have grown: the scratch
+//! cluster is two vectors of counters beside shared declarations, each
+//! slot matches into one [`Allocation`] and saves into one
+//! [`SavedCounters`] that all its candidates reuse, and a candidate that
+//! does not fit is a [`Miss`](harmony_resources::Miss) nobody formats. The
+//! best move set is kept as candidate indices and predicted times; its
+//! moves are matched once more, on the state they were scored on, only
+//! when the walk is over — that match is not counted in `matches`.
+//!
 //! One error policy: a move the matcher cannot place
 //! ([`ResourceError::NoMatch`]) makes its move sets infeasible; any other
 //! error propagates.
@@ -24,7 +33,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use harmony_predict::{option_model, PredictError, Prediction, PredictionContext, Predictor};
-use harmony_resources::{Allocation, Cluster, Matcher, ResourceError};
+use harmony_resources::{Allocation, Cluster, MatchScratch, Matcher, SavedCounters};
 use harmony_rsl::schema::OptionSpec;
 
 use crate::app::{BundleState, ChosenConfig, InstanceId};
@@ -42,12 +51,16 @@ struct Target<'a> {
     cands: &'a [Candidate],
 }
 
-/// A candidate committed on the scratch cluster: one level of the walk.
+/// One level of the walk: the candidate of its slot committed on the
+/// scratch cluster, in buffers that every candidate of the slot reuses.
 struct Placed<'a> {
     target: &'a Target<'a>,
-    cand: &'a Candidate,
+    /// The candidate, an index into `target.cands`.
+    at: usize,
     opt: &'a OptionSpec,
     alloc: Allocation,
+    /// The scratch counters `alloc`'s commit overwrote.
+    saved: SavedCounters,
     /// Friction of switching into the candidate, seconds.
     penalty: f64,
 }
@@ -196,6 +209,12 @@ pub(crate) fn same_point(cur: &ChosenConfig, cand: &Candidate) -> bool {
         && (cur.elastic_extra - cand.elastic_extra).abs() < 1e-9
 }
 
+/// The option `cand` of `target`'s bundle chooses.
+fn option_of<'a>(target: &Target<'a>, cand: &Candidate) -> Result<&'a OptionSpec, CoreError> {
+    let spec = &target.state.spec;
+    spec.option(&cand.option).ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })
+}
+
 /// The state of one scan's depth-first walk over its slots.
 struct Walk<'a> {
     ctl: &'a Controller,
@@ -205,10 +224,17 @@ struct Walk<'a> {
     scratch: Cluster,
     /// Per cluster node: how many released or placed allocations name it.
     touched: Vec<i32>,
+    /// One level per slot reached so far; the first `depth` hold what is
+    /// placed, and the ones below are buffers.
     placed: Vec<Placed<'a>>,
+    /// What the matcher keeps between matches.
+    match_scratch: MatchScratch,
     /// The sweep of the move set being scored.
     times: Vec<(&'a InstanceId, f64)>,
-    best: Option<(f64, Vec<PlannedMove>)>,
+    /// The best score so far and its move set: per slot, the candidate's
+    /// index and the predicted response time of its application.
+    best: Option<f64>,
+    best_moves: Vec<(usize, f64)>,
     trials: u64,
     matches: u64,
 }
@@ -224,34 +250,29 @@ fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
     };
     // Move sets one candidate of this slot stands for.
     let below: u64 = targets[depth + 1..].iter().map(|t| t.cands.len() as u64).product();
-    for cand in target.cands {
-        let opt = target
-            .state
-            .spec
-            .option(&cand.option)
-            .ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })?;
-        let matcher = Matcher {
-            strategy: walk.ctl.config.matcher.strategy,
-            elastic_extra: cand.elastic_extra,
-        };
+    for (at, cand) in target.cands.iter().enumerate() {
+        let opt = option_of(target, cand)?;
+        if walk.placed.len() == depth {
+            let (alloc, saved) = Default::default();
+            walk.placed.push(Placed { target, at, opt, alloc, saved, penalty: 0.0 });
+        }
+        let matcher = walk.ctl.matcher_for(cand);
         walk.matches += 1;
-        let alloc = match matcher.match_vars(&walk.scratch, opt, &cand.vars) {
-            Ok(alloc) => alloc,
-            Err(ResourceError::NoMatch { .. }) => {
-                walk.trials += below;
-                continue;
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let saved = walk.scratch.save(&alloc);
-        walk.scratch.commit(&alloc)?;
-        mark(&mut walk.touched, table.footprint(&alloc), 1);
-        let penalty = walk.ctl.friction_of(target.state, cand, opt, &alloc);
-        walk.placed.push(Placed { target, cand, opt, alloc, penalty });
+        let level = &mut walk.placed[depth];
+        let scratch = &mut walk.match_scratch;
+        if matcher.match_into(&walk.scratch, opt, &cand.vars, &mut level.alloc, scratch)?.is_err() {
+            walk.trials += below;
+            continue;
+        }
+        walk.scratch.save_into(&level.alloc, &mut level.saved);
+        walk.scratch.commit(&level.alloc)?;
+        mark(&mut walk.touched, table.footprint(&level.alloc), 1);
+        (level.at, level.opt) = (at, opt);
+        level.penalty = walk.ctl.friction_of(target.state, cand, opt, &level.alloc);
         descend(walk, depth + 1)?;
-        let undone = walk.placed.pop().expect("pushed above");
-        mark(&mut walk.touched, table.footprint(&undone.alloc), -1);
-        walk.scratch.restore(&undone.alloc, &saved);
+        let level = &walk.placed[depth];
+        mark(&mut walk.touched, table.footprint(&level.alloc), -1);
+        walk.scratch.restore(&level.alloc, &level.saved);
     }
     Ok(())
 }
@@ -262,16 +283,40 @@ fn score(walk: &mut Walk<'_>) {
     walk.trials += 1;
     walk.table.times(&walk.scratch, &walk.placed, &walk.touched, walk.only, &mut walk.times);
     let score = walk.ctl.score(&walk.times);
-    if walk.best.as_ref().is_none_or(|(best, _)| score < *best - SCORE_EPSILON) {
-        let moves = walk.placed.iter().map(|p| PlannedMove {
-            id: p.target.id.clone(),
-            bundle: p.target.state.spec.name.clone(),
-            candidate: p.cand.clone(),
-            alloc: p.alloc.clone(),
-            predicted: predicted(&walk.times, p.target.id),
-        });
-        walk.best = Some((score, moves.collect()));
+    if walk.best.is_none_or(|best| score < best - SCORE_EPSILON) {
+        walk.best = Some(score);
+        walk.best_moves.clear();
+        let moves = walk.placed.iter().map(|p| (p.at, predicted(&walk.times, p.target.id)));
+        walk.best_moves.extend(moves);
     }
+}
+
+/// The walk's best move set as moves to commit: each candidate is matched
+/// again on the scratch state it was scored on — what the walk left, with
+/// the moves before it committed — which places it as it was placed then.
+/// The scratch is left as it was found.
+fn planned_moves(walk: &mut Walk<'_>) -> Result<Vec<PlannedMove>, CoreError> {
+    let mut moves = Vec::with_capacity(walk.best_moves.len());
+    for (depth, &(at, predicted)) in walk.best_moves.iter().enumerate() {
+        let (target, level) = (&walk.targets[depth], &mut walk.placed[depth]);
+        let candidate = &target.cands[at];
+        let matcher = walk.ctl.matcher_for(candidate);
+        let alloc =
+            matcher.match_vars(&walk.scratch, option_of(target, candidate)?, &candidate.vars)?;
+        walk.scratch.save_into(&alloc, &mut level.saved);
+        walk.scratch.commit(&alloc)?;
+        moves.push(PlannedMove {
+            id: target.id.clone(),
+            bundle: target.state.spec.name.clone(),
+            candidate: candidate.clone(),
+            alloc,
+            predicted,
+        });
+    }
+    for (m, level) in moves.iter().zip(&walk.placed).rev() {
+        walk.scratch.restore(&m.alloc, &level.saved);
+    }
+    Ok(moves)
 }
 
 impl Controller {
@@ -412,8 +457,10 @@ impl Controller {
             scratch: self.cluster.clone(),
             touched: vec![0; table.names.len()],
             placed: Vec::with_capacity(targets.len()),
+            match_scratch: MatchScratch::default(),
             times: Vec::with_capacity(table.rows.len()),
             best: None,
+            best_moves: Vec::with_capacity(targets.len()),
             trials: 0,
             matches: 0,
         };
@@ -426,6 +473,10 @@ impl Controller {
         let t_walk = Instant::now();
         descend(&mut walk, 0)?;
         prediction_ms += elapsed_ms(t_walk);
+        let moves = match walk.best {
+            Some(score) => Some((score, planned_moves(&mut walk)?)),
+            None => None,
+        };
         if cfg!(debug_assertions) {
             // Every commit was undone exactly: with the incumbents put back
             // the scratch is the live cluster again, field for field.
@@ -435,7 +486,7 @@ impl Controller {
             assert_eq!(walk.scratch, self.cluster, "a scan must undo what it tries");
         }
         let optimization_ms = (elapsed_ms(t_scan) - prediction_ms).max(0.0);
-        let plan = walk.best.map(|(score, moves)| Plan {
+        let plan = moves.map(|(score, moves)| Plan {
             moves,
             score,
             objective_before,
@@ -461,6 +512,12 @@ impl Controller {
             table.rows.push(Row { id, bundles });
         }
         table
+    }
+
+    /// The matcher that places `cand`: the configured strategy at the
+    /// candidate's elastic grant.
+    fn matcher_for(&self, cand: &Candidate) -> Matcher {
+        Matcher { strategy: self.config.matcher.strategy, elastic_extra: cand.elastic_extra }
     }
 
     /// The objective over one sweep's response times.
@@ -496,7 +553,7 @@ mod tests {
     use crate::candidates::enumerate;
     use crate::controller::{ControllerConfig, LintMode};
     use harmony_predict::{model_for_option, DefaultModel, LogPParams};
-    use harmony_resources::{AllocatedLink, Strategy};
+    use harmony_resources::{AllocatedLink, ResourceError, Strategy};
     use harmony_rng::SeededRng;
     use harmony_rsl::expr::MapEnv;
     use harmony_rsl::listings::{sp2_cluster, FIG2B_BAG, FIG3_DBCLIENT};

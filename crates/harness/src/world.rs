@@ -59,7 +59,7 @@ pub fn palette(slot: usize) -> (&'static str, &'static str) {
 pub fn node_left(ctl: &mut Controller, node: u8) -> Result<Option<NodeDecl>, CoreError> {
     let name = format!("node{node:02}");
     let decl = match ctl.cluster().node(&name) {
-        Some(state) if ctl.cluster().len() > 4 => state.decl.clone(),
+        Some(state) if ctl.cluster().len() > 4 => NodeDecl::clone(&state.decl),
         _ => return Ok(None),
     };
     ctl.handle_event(HarmonyEvent::NodeLeft { name })?;

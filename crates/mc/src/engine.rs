@@ -243,7 +243,7 @@ impl Engine {
                 let name = format!("node{node:02}");
                 let absent = shared.read().cluster().node(&name).is_none();
                 if let Some(genesis) = self.cluster.node(&name).filter(|_| absent) {
-                    let _ = node_rejoin(&mut shared.write(), genesis.decl.clone());
+                    let _ = node_rejoin(&mut shared.write(), (*genesis.decl).clone());
                 }
             }
             // Client ops, and those outside the scope (see `in_scope`),

@@ -218,9 +218,10 @@ fn print_entry(e: &JournalEntry) {
     println!("{:>8}  t={:<10.3} {:<14} {}", e.seq, e.time, e.kind.to_string(), e.detail);
 }
 
-/// One `trace` paging step: the gap marker to print when eviction outran
-/// the reader (with the seq the page resynced to), and the cursor to
-/// continue from. Pure, so follow-mode resync is unit-testable without a
+/// One `trace` paging step: the gap marker to print when the journal no
+/// longer holds entries the reader had not read — eviction outran it, or
+/// they were the daemon's before a restart, which it does not keep — with
+/// the seq the page resynced to, and the cursor to continue from. Pure, so follow-mode resync is unit-testable without a
 /// daemon.
 ///
 /// The journal reports `truncated` only on the first page after a gap
@@ -230,12 +231,12 @@ fn print_entry(e: &JournalEntry) {
 fn follow_step(tail: &JournalTail, cursor: u64) -> (Option<String>, u64) {
     let gap = if tail.truncated {
         // Resync to the first retained entry; an empty truncated page
-        // (everything between the cursor and the head evicted) resyncs to
+        // (nothing between the cursor and the head retained) resyncs to
         // the journal head without panicking.
         let resync = tail.entries.first().map_or(tail.next_cursor, |e| e.seq);
         Some(format!(
-            "harmonyctl: journal evicted entries {cursor}..{resync} before they were read; \
-             resuming at {resync}"
+            "harmonyctl: journal no longer holds entries {cursor}..{resync} \
+             (evicted, or from before a restart); resuming at {resync}"
         ))
     } else {
         None
@@ -529,7 +530,7 @@ mod tests {
         assert!(tail.truncated);
         let (gap, cursor) = follow_step(&tail, 0);
         let gap = gap.expect("gap marker");
-        assert!(gap.contains("evicted entries 0..6"), "{gap}");
+        assert!(gap.contains("no longer holds entries 0..6 (evicted, or"), "{gap}");
         assert!(gap.contains("resuming at 6"), "{gap}");
         assert_eq!(cursor, 10);
         // The next page continues cleanly: one marker per gap, not one
@@ -542,8 +543,23 @@ mod tests {
         }
         let tail = j.tail(cursor, 100);
         let (gap, cursor) = follow_step(&tail, cursor);
-        assert!(gap.expect("second gap").contains("evicted entries 10..16"));
+        assert!(gap.expect("second gap").contains("no longer holds entries 10..16"));
         assert_eq!(cursor, 20);
+    }
+
+    /// After a restart nothing was evicted: the journal resumes empty at
+    /// the persisted seq, and the marker's words hold for that gap too.
+    #[test]
+    fn follow_step_marks_a_restart_gap() {
+        let mut j = harmony_core::EventJournal::resume(25);
+        j.push(1.0, harmony_core::JournalKind::Event, "e25".into());
+        let tail = j.tail(20, 100);
+        assert!(tail.truncated);
+        let (gap, cursor) = follow_step(&tail, 20);
+        let gap = gap.expect("gap marker");
+        assert!(gap.contains("entries 20..25 (evicted, or from before a restart)"), "{gap}");
+        assert!(gap.contains("resuming at 25"), "{gap}");
+        assert_eq!(cursor, 26);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::cluster::Cluster;
 use crate::error::ResourceError;
 
 /// One node requirement instance bound to a concrete cluster node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AllocatedNode {
     /// Local requirement name from the option (`server`, `client`,
     /// `worker`).
@@ -36,7 +36,7 @@ pub struct AllocatedNode {
 }
 
 /// A link binding between two allocated nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct AllocatedLink {
     /// First endpoint (cluster node name).
     pub a: String,
@@ -236,14 +236,21 @@ impl Cluster {
     /// where the arithmetic inverse (`x - m + m`) need not be. Bindings
     /// naming unpublished nodes or links are skipped.
     pub fn save(&self, alloc: &Allocation) -> SavedCounters {
+        let mut saved = SavedCounters::default();
+        self.save_into(alloc, &mut saved);
+        saved
+    }
+
+    /// [`Cluster::save`] into `saved`, reusing its buffers.
+    pub fn save_into(&self, alloc: &Allocation, saved: &mut SavedCounters) {
         let nodes = alloc.nodes.iter().filter_map(|n| self.node(&n.node));
         let links = alloc.links.iter().filter_map(|l| self.link(&l.a, &l.b));
-        SavedCounters {
-            nodes: nodes
-                .map(|s| (s.free_memory, s.tasks, s.assigned_seconds, s.exclusive))
-                .collect(),
-            links: links.map(|s| s.free_bandwidth).collect(),
-        }
+        saved.nodes.clear();
+        saved
+            .nodes
+            .extend(nodes.map(|s| (s.free_memory, s.tasks, s.assigned_seconds, s.exclusive)));
+        saved.links.clear();
+        saved.links.extend(links.map(|s| s.free_bandwidth));
     }
 
     /// Puts back what [`Cluster::save`] read for the same `alloc`; the

@@ -5,19 +5,25 @@
 //! each link's bandwidth and latency (§4.1). As allocations are committed,
 //! available resources are decreased; releasing an allocation restores
 //! them.
+//!
+//! Nodes and links sit in vectors sorted by name and by ordered endpoint
+//! pair, found by binary search, and each holds its declaration behind an
+//! [`Arc`]: a clone — the planner takes one per scan — copies counters and
+//! reference counts, two vectors in all, and no name.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use harmony_rsl::schema::{LinkDecl, NodeDecl, Statement};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 
 use crate::error::ResourceError;
 
 /// Mutable per-node state: the declaration plus what is currently free.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeState {
-    /// The published declaration (capacity).
-    pub decl: NodeDecl,
+    /// The published declaration (capacity), shared by every clone.
+    pub decl: Arc<NodeDecl>,
     /// Megabytes not yet reserved.
     pub free_memory: f64,
     /// Number of tasks currently assigned to this node. Under the default
@@ -34,7 +40,13 @@ pub struct NodeState {
 
 impl NodeState {
     fn new(decl: NodeDecl) -> Self {
-        NodeState { free_memory: decl.memory, decl, tasks: 0, assigned_seconds: 0.0, exclusive: 0 }
+        NodeState {
+            free_memory: decl.memory,
+            decl: Arc::new(decl),
+            tasks: 0,
+            assigned_seconds: 0.0,
+            exclusive: 0,
+        }
     }
 
     /// Megabytes currently reserved.
@@ -55,28 +67,33 @@ impl NodeState {
 /// Mutable per-link state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkState {
-    /// The published declaration (capacity).
-    pub decl: LinkDecl,
+    /// The published declaration (capacity), shared by every clone.
+    pub decl: Arc<LinkDecl>,
     /// Mbit/s not yet reserved.
     pub free_bandwidth: f64,
 }
 
 impl LinkState {
     fn new(decl: LinkDecl) -> Self {
-        LinkState { free_bandwidth: decl.bandwidth, decl }
+        LinkState { free_bandwidth: decl.bandwidth, decl: Arc::new(decl) }
     }
 
     /// Mbit/s currently reserved.
     pub fn used_bandwidth(&self) -> f64 {
         self.decl.bandwidth - self.free_bandwidth
     }
+
+    /// The link's endpoints in order: the key it is stored and found by.
+    fn key(&self) -> (&str, &str) {
+        ordered(&self.decl.a, &self.decl.b)
+    }
 }
 
-fn link_key(a: &str, b: &str) -> (String, String) {
+fn ordered<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
     if a <= b {
-        (a.to_owned(), b.to_owned())
+        (a, b)
     } else {
-        (b.to_owned(), a.to_owned())
+        (b, a)
     }
 }
 
@@ -98,10 +115,12 @@ fn link_key(a: &str, b: &str) -> (String, String) {
 /// assert!(cluster.link("a", "b").is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cluster {
-    nodes: BTreeMap<String, NodeState>,
-    links: BTreeMap<(String, String), LinkState>,
+    /// Sorted by name.
+    nodes: Vec<NodeState>,
+    /// Sorted by ordered endpoint pair ([`LinkState::key`]).
+    links: Vec<LinkState>,
 }
 
 impl Cluster {
@@ -141,39 +160,56 @@ impl Cluster {
         Self::from_statements(&stmts)
     }
 
+    /// Where node `name` is, or would be inserted.
+    fn node_at(&self, name: &str) -> Result<usize, usize> {
+        self.nodes.binary_search_by(|n| n.decl.name.as_str().cmp(name))
+    }
+
+    /// Where the link between `a` and `b` is, or would be inserted.
+    fn link_at(&self, a: &str, b: &str) -> Result<usize, usize> {
+        let key = ordered(a, b);
+        self.links.binary_search_by(|l| l.key().cmp(&key))
+    }
+
     /// Publishes a node.
     ///
     /// # Errors
     ///
     /// [`ResourceError::DuplicateNode`] when the name is already taken.
     pub fn add_node(&mut self, decl: NodeDecl) -> Result<(), ResourceError> {
-        if self.nodes.contains_key(&decl.name) {
-            return Err(ResourceError::DuplicateNode { name: decl.name });
+        match self.node_at(&decl.name) {
+            Ok(_) => Err(ResourceError::DuplicateNode { name: decl.name }),
+            Err(at) => {
+                self.nodes.insert(at, NodeState::new(decl));
+                Ok(())
+            }
         }
-        self.nodes.insert(decl.name.clone(), NodeState::new(decl));
-        Ok(())
     }
 
-    /// Publishes a link. Both endpoints must already be published.
+    /// Publishes a link, replacing any link declared between the same two
+    /// nodes. Both endpoints must already be published.
     ///
     /// # Errors
     ///
     /// [`ResourceError::UnknownNode`] when an endpoint is missing.
     pub fn add_link(&mut self, decl: LinkDecl) -> Result<(), ResourceError> {
         for end in [&decl.a, &decl.b] {
-            if !self.nodes.contains_key(end) {
+            if self.node_at(end).is_err() {
                 return Err(ResourceError::UnknownNode { name: end.clone() });
             }
         }
-        self.links.insert(link_key(&decl.a, &decl.b), LinkState::new(decl));
+        match self.link_at(&decl.a, &decl.b) {
+            Ok(at) => self.links[at] = LinkState::new(decl),
+            Err(at) => self.links.insert(at, LinkState::new(decl)),
+        }
         Ok(())
     }
 
     /// Removes a node (e.g. it left the metacomputer). Links touching it
     /// are removed too. Returns the removed state.
     pub fn remove_node(&mut self, name: &str) -> Option<NodeState> {
-        let state = self.nodes.remove(name)?;
-        self.links.retain(|(a, b), _| a != name && b != name);
+        let state = self.nodes.remove(self.node_at(name).ok()?);
+        self.links.retain(|l| l.decl.a != name && l.decl.b != name);
         Some(state)
     }
 
@@ -189,52 +225,106 @@ impl Cluster {
 
     /// Looks up a node by name.
     pub fn node(&self, name: &str) -> Option<&NodeState> {
-        self.nodes.get(name)
+        self.node_at(name).ok().map(|at| &self.nodes[at])
     }
 
     /// Mutable access to a node (used by the allocator).
     pub(crate) fn node_mut(&mut self, name: &str) -> Option<&mut NodeState> {
-        self.nodes.get_mut(name)
+        self.node_at(name).ok().map(|at| &mut self.nodes[at])
     }
 
     /// Looks up the link between two nodes (order-insensitive).
     pub fn link(&self, a: &str, b: &str) -> Option<&LinkState> {
-        self.links.get(&link_key(a, b))
+        self.link_at(a, b).ok().map(|at| &self.links[at])
     }
 
     /// Mutable access to a link (used by the allocator).
     pub(crate) fn link_mut(&mut self, a: &str, b: &str) -> Option<&mut LinkState> {
-        self.links.get_mut(&link_key(a, b))
+        self.link_at(a, b).ok().map(|at| &mut self.links[at])
     }
 
     /// Iterates over nodes in name order.
     pub fn nodes(&self) -> impl Iterator<Item = &NodeState> {
-        self.nodes.values()
+        self.nodes.iter()
     }
 
-    /// Iterates over links.
+    /// The nodes in name order, for the matcher to index.
+    pub(crate) fn node_slice(&self) -> &[NodeState] {
+        &self.nodes
+    }
+
+    /// Iterates over links in ordered-endpoint order.
     pub fn links(&self) -> impl Iterator<Item = &LinkState> {
-        self.links.values()
+        self.links.iter()
     }
 
     /// Finds a node by its published hostname (falls back to node name).
     pub fn node_by_hostname(&self, hostname: &str) -> Option<&NodeState> {
-        self.nodes.values().find(|n| n.decl.hostname == hostname || n.decl.name == hostname)
+        self.nodes.iter().find(|n| n.decl.hostname == hostname || n.decl.name == hostname)
     }
 
     /// Total free memory across all nodes (MB).
     pub fn total_free_memory(&self) -> f64 {
-        self.nodes.values().map(|n| n.free_memory).sum()
+        self.nodes.iter().map(|n| n.free_memory).sum()
     }
 
     /// Total published memory across all nodes (MB).
     pub fn total_memory(&self) -> f64 {
-        self.nodes.values().map(|n| n.decl.memory).sum()
+        self.nodes.iter().map(|n| n.decl.memory).sum()
     }
 
     /// Total tasks assigned across all nodes.
     pub fn total_tasks(&self) -> u32 {
-        self.nodes.values().map(|n| n.tasks).sum()
+        self.nodes.iter().map(|n| n.tasks).sum()
+    }
+}
+
+/// The image is the one a map-backed cluster wrote: `nodes` an object
+/// keyed by name, `links` an array of `[[a, b], link]` pairs keyed by the
+/// ordered endpoints (`{}` when there are none, as an empty map wrote).
+impl Serialize for Cluster {
+    fn serialize(&self, w: &mut Writer) {
+        w.begin('{');
+        w.key("nodes");
+        w.map(self.nodes.iter().map(|n| (&n.decl.name, n)));
+        w.key("links");
+        if self.links.is_empty() {
+            w.begin('{');
+            w.end('}');
+        } else {
+            w.begin('[');
+            self.links.iter().for_each(|l| w.item(&(l.key(), l)));
+            w.end(']');
+        }
+        w.end('}');
+    }
+}
+
+impl Deserialize for Cluster {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        #[derive(Deserialize)]
+        struct Image {
+            nodes: BTreeMap<String, NodeState>,
+            links: BTreeMap<(String, String), LinkState>,
+        }
+        let image = Image::deserialize(r)?;
+        // Keys are redundant with the declarations; one that disagrees would
+        // leave a state its key cannot find.
+        for (name, state) in &image.nodes {
+            if *name != state.decl.name {
+                return Err(r.err(format_args!("node key `{name}` holds `{}`", state.decl.name)));
+            }
+        }
+        for ((a, b), state) in &image.links {
+            if state.key() != (a.as_str(), b.as_str()) {
+                let (x, y) = (&state.decl.a, &state.decl.b);
+                return Err(r.err(format_args!("link key `{a}`-`{b}` holds `{x}`-`{y}`")));
+            }
+        }
+        Ok(Cluster {
+            nodes: image.nodes.into_values().collect(),
+            links: image.links.into_values().collect(),
+        })
     }
 }
 
@@ -314,6 +404,93 @@ mod tests {
         assert_eq!(c.links().count(), 28);
         assert_eq!(c.node("node00").unwrap().decl.memory, 256.0);
         assert_eq!(c.link("node00", "node07").unwrap().decl.bandwidth, 320.0);
+    }
+
+    /// Writes `value` as compact JSON.
+    fn image<T: Serialize>(value: &T) -> String {
+        let mut w = Writer::new(false);
+        value.serialize(&mut w);
+        w.into_string()
+    }
+
+    /// Reads a cluster from `text`.
+    fn read(text: &str) -> Result<Cluster, Error> {
+        let mut r = Reader::new(text);
+        let cluster = Cluster::deserialize(&mut r)?;
+        r.finish()?;
+        Ok(cluster)
+    }
+
+    /// The image a map-backed cluster wrote, frozen: nodes keyed by name,
+    /// links as `[[a, b], link]` pairs keyed by the ordered endpoints
+    /// whatever order they were declared in, a re-declared link replacing
+    /// the old one, and a removed node's links gone.
+    #[test]
+    fn the_image_is_the_map_backed_clusters() {
+        let mut c = Cluster::new();
+        c.add_node(NodeDecl::new("b", 2.0, 128.0).with_hostname("b.example")).unwrap();
+        c.add_node(NodeDecl::new("a", 1.0, 256.0)).unwrap();
+        c.add_node(NodeDecl::new("d", 1.0, 32.0)).unwrap();
+        c.add_node(NodeDecl::new("c", 0.5, 64.0).with_os("aix")).unwrap();
+        c.add_link(LinkDecl::new("b", "a", 100.0)).unwrap();
+        c.add_link(LinkDecl::new("a", "c", 10.0)).unwrap();
+        c.add_link(LinkDecl::new("c", "d", 5.0)).unwrap();
+        c.add_link(LinkDecl::new("c", "a", 20.0)).unwrap();
+        c.remove_node("d");
+        let alloc = crate::Allocation {
+            nodes: vec![crate::AllocatedNode {
+                req: "w".into(),
+                index: 0,
+                node: "a".into(),
+                memory: 16.0,
+                seconds: 30.0,
+                exclusive: true,
+            }],
+            links: vec![crate::AllocatedLink { a: "a".into(), b: "b".into(), bandwidth: 2.5 }],
+            variables: vec![],
+        };
+        c.commit(&alloc).unwrap();
+        let frozen = concat!(
+            r#"{"nodes":{"#,
+            r#""a":{"decl":{"name":"a","speed":1.0,"memory":256.0,"os":"linux","hostname":"a"},"#,
+            r#""free_memory":240.0,"tasks":1,"assigned_seconds":30.0,"exclusive":1},"#,
+            r#""b":{"decl":{"name":"b","speed":2.0,"memory":128.0,"os":"linux","#,
+            r#""hostname":"b.example"},"free_memory":128.0,"tasks":0,"assigned_seconds":0.0,"#,
+            r#""exclusive":0},"#,
+            r#""c":{"decl":{"name":"c","speed":0.5,"memory":64.0,"os":"aix","hostname":"c"},"#,
+            r#""free_memory":64.0,"tasks":0,"assigned_seconds":0.0,"exclusive":0}},"#,
+            r#""links":["#,
+            r#"[["a","b"],{"decl":{"a":"b","b":"a","bandwidth":100.0,"latency":0.0001},"#,
+            r#""free_bandwidth":97.5}],"#,
+            r#"[["a","c"],{"decl":{"a":"c","b":"a","bandwidth":20.0,"latency":0.0001},"#,
+            r#""free_bandwidth":20.0}]]}"#,
+        );
+        assert_eq!(image(&c), frozen);
+        let back = read(frozen).unwrap();
+        assert_eq!(back, c);
+        assert_eq!(back.link("b", "a").unwrap().free_bandwidth, 97.5);
+        assert_eq!(image(&back), frozen);
+        // No links wrote an empty map.
+        let empty = r#"{"nodes":{},"links":{}}"#;
+        assert_eq!(image(&Cluster::new()), empty);
+        assert_eq!(read(empty).unwrap(), Cluster::new());
+        // A key that disagrees with its declaration is refused.
+        assert!(read(&frozen.replacen(r#""b":{"decl""#, r#""z":{"decl""#, 1)).is_err());
+        assert!(read(&frozen.replacen(r#"[["a","c"]"#, r#"[["a","d"]"#, 1)).is_err());
+    }
+
+    /// A clone copies counters and shares every declaration.
+    #[test]
+    fn a_clone_shares_declarations() {
+        let c = cluster3();
+        let copy = c.clone();
+        for (x, y) in c.nodes().zip(copy.nodes()) {
+            assert!(Arc::ptr_eq(&x.decl, &y.decl));
+        }
+        for (x, y) in c.links().zip(copy.links()) {
+            assert!(Arc::ptr_eq(&x.decl, &y.decl));
+        }
+        assert_eq!(copy.links().count(), 2);
     }
 
     #[test]

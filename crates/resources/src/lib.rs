@@ -21,4 +21,4 @@ pub use alloc::{AllocEnv, AllocatedLink, AllocatedNode, Allocation, SavedCounter
 pub use cluster::{Cluster, LinkState, NodeState};
 pub use error::ResourceError;
 pub use frag::{fragmentation, FragReport};
-pub use matcher::{Matcher, Strategy};
+pub use matcher::{MatchScratch, Matcher, Miss, Strategy};

@@ -17,7 +17,7 @@ use harmony_rsl::Value;
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::{AllocatedLink, AllocatedNode, Allocation, VarsEnv};
-use crate::cluster::{Cluster, NodeState};
+use crate::cluster::Cluster;
 use crate::error::ResourceError;
 
 /// Node-selection strategy.
@@ -100,11 +100,13 @@ impl Matcher {
         let mut variables: Vec<(String, i64)> =
             vars.iter().filter_map(|(k, v)| v.as_i64().ok().map(|i| (k.to_owned(), i))).collect();
         variables.sort();
-        self.bind(cluster, opt, vars, variables)
+        let mut alloc = Allocation { variables, ..Allocation::default() };
+        let found = self.bind(cluster, opt, vars, &mut alloc, &mut MatchScratch::default())?;
+        worded(found, opt, alloc)
     }
 
     /// [`Matcher::match_option`] under a candidate's integer bindings,
-    /// sorted by name: the planner's entry, which builds no map.
+    /// sorted by name, which builds no map.
     ///
     /// # Errors
     ///
@@ -115,26 +117,66 @@ impl Matcher {
         opt: &OptionSpec,
         vars: &[(String, i64)],
     ) -> Result<Allocation, ResourceError> {
-        self.bind(cluster, opt, &VarsEnv(vars), vars.to_vec())
+        let mut alloc = Allocation::default();
+        let found =
+            self.match_into(cluster, opt, vars, &mut alloc, &mut MatchScratch::default())?;
+        worded(found, opt, alloc)
     }
 
-    /// The one matcher body: tags evaluate in `vars`, and the allocation
-    /// records `variables`, its integer bindings.
+    /// [`Matcher::match_vars`] into `out`, the planner's entry: the
+    /// allocation's vectors and strings are overwritten in place, node
+    /// bindings it sheds are kept in `scratch` for the next match, and so
+    /// is the buffer of eligible nodes. A caller that matches into the same
+    /// `out` and `scratch` again allocates only where a binding outgrows
+    /// every one before it. A requirement nothing satisfies is an unworded
+    /// [`Miss`], and `out` then holds a partial binding.
+    ///
+    /// # Errors
+    ///
+    /// RSL evaluation errors from parameterized tags.
+    pub fn match_into(
+        &self,
+        cluster: &Cluster,
+        opt: &OptionSpec,
+        vars: &[(String, i64)],
+        out: &mut Allocation,
+        scratch: &mut MatchScratch,
+    ) -> Result<Result<(), Miss>, ResourceError> {
+        // Not `clone_into`: a tuple's `clone_from` clones its `String`
+        // afresh.
+        out.variables.truncate(vars.len());
+        let kept = out.variables.len();
+        for ((name, value), (from, v)) in out.variables.iter_mut().zip(vars) {
+            assign(name, from);
+            *value = *v;
+        }
+        out.variables.extend_from_slice(&vars[kept..]);
+        self.bind(cluster, opt, &VarsEnv(vars), out, scratch)
+    }
+
+    /// The one matcher body: tags evaluate in `vars`, and the node and
+    /// link bindings are written over `out`'s; its `variables` are the
+    /// caller's.
     fn bind(
         &self,
         cluster: &Cluster,
         opt: &OptionSpec,
         vars: &impl Env,
-        variables: Vec<(String, i64)>,
-    ) -> Result<Allocation, ResourceError> {
-        let mut nodes: Vec<AllocatedNode> = Vec::new();
-        // The nodes that satisfy the requirement being bound, least loaded
-        // first. Nothing a match reads changes while it runs, so one scan
-        // per requirement serves every replica: a replica takes its pick
-        // out of the buffer, which is what keeps bindings distinct.
-        let mut eligible: Vec<&NodeState> = Vec::new();
+        out: &mut Allocation,
+        scratch: &mut MatchScratch,
+    ) -> Result<Result<(), Miss>, ResourceError> {
+        let nodes = cluster.node_slice();
+        // The bindings made so far are `out.nodes[..bound]`.
+        let mut bound = 0;
+        // The nodes that satisfy the requirement being bound, as indexes
+        // into `nodes`, least loaded first. Nothing a match reads changes
+        // while it runs, so one scan per requirement serves every replica:
+        // a replica takes its pick out of the buffer, which is what keeps
+        // bindings distinct.
+        let eligible = &mut scratch.eligible;
+        let free = |i: usize| nodes[i].free_memory;
 
-        for req in &opt.nodes {
+        for (r, req) in opt.nodes.iter().enumerate() {
             let count = req.count.resolve(vars)?;
             let dedicated = req
                 .tag("dedicated")
@@ -147,8 +189,8 @@ impl Matcher {
             let min_mem = min_memory(req, vars)?;
             let (hostname, os, speed) = (req.hostname(), req.os(), req.tag("speed"));
             eligible.clear();
-            for state in cluster.nodes() {
-                if nodes.iter().any(|n| n.node == state.decl.name) {
+            for (i, state) in nodes.iter().enumerate() {
+                if out.nodes[..bound].iter().any(|n| n.node == state.decl.name) {
                     continue;
                 }
                 // Nodes held exclusively by a dedicated allocation are
@@ -176,12 +218,12 @@ impl Matcher {
                 if state.free_memory < min_mem {
                     continue;
                 }
-                eligible.push(state);
+                eligible.push(i);
             }
             // §4.1: "as nodes are matched, we decrease the available
             // resources" — CPU load counts, so less-loaded nodes rank
-            // first under every strategy.
-            eligible.sort_by_key(|state| state.tasks);
+            // first under every strategy; ties stay in name order.
+            eligible.sort_unstable_by_key(|&i| (nodes[i].tasks, i));
             let elastic =
                 self.elastic_extra > 0.0 && req.memory().is_some_and(TagValue::is_elastic);
             let mut seconds = 0.0;
@@ -189,91 +231,191 @@ impl Matcher {
                 let at = match self.strategy {
                     Strategy::FirstFit => (!eligible.is_empty()).then_some(0),
                     Strategy::BestFit => (0..eligible.len()).min_by(|&a, &b| {
-                        let (a, b) = (eligible[a].free_memory, eligible[b].free_memory);
+                        let (a, b) = (free(eligible[a]), free(eligible[b]));
                         by_amount(a - min_mem, b - min_mem)
                     }),
-                    Strategy::WorstFit => (0..eligible.len()).max_by(|&a, &b| {
-                        by_amount(eligible[a].free_memory, eligible[b].free_memory)
-                    }),
+                    Strategy::WorstFit => (0..eligible.len())
+                        .max_by(|&a, &b| by_amount(free(eligible[a]), free(eligible[b]))),
                 };
                 let Some(at) = at else {
-                    return Err(ResourceError::NoMatch {
-                        reason: format!(
-                            "no node satisfies requirement `{}` replica {index} \
-                             (need {min_mem} MB{})",
-                            req.name,
-                            hostname
-                                .map(|h| format!(", hostname {}", h.canonical()))
-                                .unwrap_or_default()
-                        ),
-                    });
+                    return Ok(Err(Miss::Node { req: r, index, memory: min_mem }));
                 };
-                let chosen = eligible.remove(at);
+                let chosen = &nodes[eligible.remove(at)];
                 let mut grant = min_mem;
                 if elastic {
                     grant += self.elastic_extra.min((chosen.free_memory - min_mem).max(0.0));
                 }
                 // Evaluated once a node is found, so that a requirement
-                // nothing satisfies is `NoMatch` whatever its tags say.
+                // nothing satisfies is a miss whatever its tags say.
                 if index == 0 {
                     if let Some(v) = req.seconds() {
                         seconds = v.amount(vars)?;
                     }
                 }
-                nodes.push(AllocatedNode {
-                    req: req.name.clone(),
-                    index,
-                    node: chosen.decl.name.clone(),
-                    memory: grant,
-                    seconds,
-                    exclusive: dedicated,
-                });
-            }
-        }
-
-        let mut partial = Allocation { nodes, links: Vec::new(), variables };
-        if opt.links.is_empty() {
-            return Ok(partial);
-        }
-        // The post-binding environment, so parameterized link bandwidths
-        // can see `<req>.memory` etc.
-        let link_env = partial.env();
-        let env = ChainEnv::new(&link_env, vars);
-        let mut links: Vec<AllocatedLink> = Vec::with_capacity(opt.links.len());
-        for link in &opt.links {
-            let end = |req: &str| {
-                partial.binding(req).map(|n| n.node.as_str()).ok_or_else(|| {
-                    ResourceError::NoMatch {
-                        reason: format!("link references unknown requirement `{req}`"),
-                    }
-                })
-            };
-            let (a, b) = (end(&link.a)?, end(&link.b)?);
-            let bw = link.bandwidth.amount(&env)?;
-            if a != b {
-                let Some(state) = cluster.link(a, b) else {
-                    return Err(ResourceError::NoMatch {
-                        reason: format!("no link between `{a}` and `{b}`"),
-                    });
-                };
-                let already: f64 = links
-                    .iter()
-                    .filter(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
-                    .map(|l| l.bandwidth)
-                    .sum();
-                if state.free_bandwidth - already < bw {
-                    return Err(ResourceError::NoMatch {
-                        reason: format!(
-                            "link `{a}`-`{b}` has {:.1} Mbps free, need {bw:.1}",
-                            state.free_bandwidth - already
-                        ),
-                    });
+                if bound == out.nodes.len() {
+                    out.nodes.push(scratch.spare.pop().unwrap_or_default());
                 }
+                let binding = &mut out.nodes[bound];
+                assign(&mut binding.req, &req.name);
+                assign(&mut binding.node, &chosen.decl.name);
+                (binding.index, binding.memory, binding.seconds) = (index, grant, seconds);
+                binding.exclusive = dedicated;
+                bound += 1;
             }
-            links.push(AllocatedLink { a: a.to_owned(), b: b.to_owned(), bandwidth: bw });
         }
-        partial.links = links;
-        Ok(partial)
+        scratch.spare.extend(out.nodes.drain(bound..));
+
+        // The links are bound beside the nodes they join, which the
+        // post-binding environment reads (parameterized link bandwidths can
+        // see `<req>.memory` etc.).
+        let mut links = std::mem::take(&mut out.links);
+        let found = bind_links(cluster, opt, &ChainEnv::new(&out.env(), vars), out, &mut links);
+        out.links = links;
+        found
+    }
+}
+
+/// Binds `opt`'s links over `links` between the nodes `partial` bound, with
+/// bandwidths evaluated in `env`.
+fn bind_links(
+    cluster: &Cluster,
+    opt: &OptionSpec,
+    env: &impl Env,
+    partial: &Allocation,
+    links: &mut Vec<AllocatedLink>,
+) -> Result<Result<(), Miss>, ResourceError> {
+    let mut placed = 0;
+    for (l, link) in opt.links.iter().enumerate() {
+        let end = |req: &str| partial.binding(req).map(|n| n.node.as_str());
+        let (Some(a), Some(b)) = (end(&link.a), end(&link.b)) else {
+            return Ok(Err(Miss::UnknownEnd { link: l }));
+        };
+        let bw = link.bandwidth.amount(env)?;
+        if a != b {
+            let Some(state) = cluster.link(a, b) else {
+                return Ok(Err(Miss::NoLink { link: l }));
+            };
+            let already: f64 = links[..placed]
+                .iter()
+                .filter(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
+                .map(|l| l.bandwidth)
+                .sum();
+            if state.free_bandwidth - already < bw {
+                let free = state.free_bandwidth - already;
+                return Ok(Err(Miss::Bandwidth { link: l, free, need: bw }));
+            }
+        }
+        if placed == links.len() {
+            links.push(AllocatedLink::default());
+        }
+        let binding = &mut links[placed];
+        assign(&mut binding.a, a);
+        assign(&mut binding.b, b);
+        binding.bandwidth = bw;
+        placed += 1;
+    }
+    links.truncate(placed);
+    Ok(Ok(()))
+}
+
+/// What [`Matcher::match_into`] keeps from one match to the next: node
+/// bindings an allocation shed, whose strings the next binding reuses, and
+/// the buffer of eligible nodes.
+#[derive(Debug, Default)]
+pub struct MatchScratch {
+    spare: Vec<AllocatedNode>,
+    eligible: Vec<usize>,
+}
+
+/// Overwrites `s` with `value` in its own buffer.
+fn assign(s: &mut String, value: &str) {
+    s.clear();
+    s.push_str(value);
+}
+
+/// Why a match found no placement, left unworded: [`Matcher::match_option`]
+/// and [`Matcher::match_vars`] turn it into [`ResourceError::NoMatch`], and
+/// a planner that only needs to know a candidate does not fit formats
+/// nothing. Indices are into the option's `nodes` and `links`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Miss {
+    /// No node satisfies replica `index` of requirement `req`, which needs
+    /// `memory` MB.
+    Node {
+        /// The requirement.
+        req: usize,
+        /// The replica.
+        index: u32,
+        /// Megabytes it needs.
+        memory: f64,
+    },
+    /// The link names a requirement the option does not bind.
+    UnknownEnd {
+        /// The link requirement.
+        link: usize,
+    },
+    /// No cluster link joins the nodes the link's ends are bound to.
+    NoLink {
+        /// The link requirement.
+        link: usize,
+    },
+    /// The cluster link has `free` Mbit/s left, and the link needs `need`.
+    Bandwidth {
+        /// The link requirement.
+        link: usize,
+        /// Mbit/s free, net of this allocation's earlier links.
+        free: f64,
+        /// Mbit/s needed.
+        need: f64,
+    },
+}
+
+impl Miss {
+    /// The reason [`ResourceError::NoMatch`] carries, worded against the
+    /// option and the partial binding the miss left.
+    fn reason(self, opt: &OptionSpec, partial: &Allocation) -> String {
+        let ends = |link: usize| {
+            let link = &opt.links[link];
+            let end = |req: &str| partial.binding(req).map_or("", |n| n.node.as_str());
+            (link, end(&link.a), end(&link.b))
+        };
+        match self {
+            Miss::Node { req, index, memory } => {
+                let req = &opt.nodes[req];
+                format!(
+                    "no node satisfies requirement `{}` replica {index} (need {memory} MB{})",
+                    req.name,
+                    req.hostname()
+                        .map(|h| format!(", hostname {}", h.canonical()))
+                        .unwrap_or_default()
+                )
+            }
+            Miss::UnknownEnd { link } => {
+                let (link, a, _) = ends(link);
+                let req = if a.is_empty() { &link.a } else { &link.b };
+                format!("link references unknown requirement `{req}`")
+            }
+            Miss::NoLink { link } => {
+                let (_, a, b) = ends(link);
+                format!("no link between `{a}` and `{b}`")
+            }
+            Miss::Bandwidth { link, free, need } => {
+                let (_, a, b) = ends(link);
+                format!("link `{a}`-`{b}` has {free:.1} Mbps free, need {need:.1}")
+            }
+        }
+    }
+}
+
+/// A match's outcome as the public entries report it.
+fn worded(
+    found: Result<(), Miss>,
+    opt: &OptionSpec,
+    alloc: Allocation,
+) -> Result<Allocation, ResourceError> {
+    match found {
+        Ok(()) => Ok(alloc),
+        Err(miss) => Err(ResourceError::NoMatch { reason: miss.reason(opt, &alloc) }),
     }
 }
 
@@ -536,7 +678,7 @@ mod tests {
 
     /// Every name the reference maps bind, and names they do not, look up
     /// alike in the views — the allocation's and the candidate bindings' —
-    /// and both matcher entries agree, for every allocation the paper's
+    /// and the three matcher entries agree, for every allocation the paper's
     /// listings match on SP-2s of 1 to 16 nodes.
     #[test]
     fn the_views_look_up_what_the_reference_maps_bind() {
@@ -545,6 +687,7 @@ mod tests {
         let fig3 = FIG3_DBCLIENT.replace("harmony.cs.umd.edu", "node00.sp2");
         let bundles = [FIG2A_SIMPLE, FIG2B_BAG, &fig3].map(|s| parse_bundle_script(s).unwrap());
         let mut matched = 0;
+        let (mut out, mut scratch) = (Allocation::default(), MatchScratch::default());
         for n in 1..=16 {
             let cluster = sp2(n);
             for opt in bundles.iter().flat_map(|b| &b.options) {
@@ -558,7 +701,13 @@ mod tests {
                         let matcher = Matcher::default().with_elastic_extra(extra);
                         let alloc = matcher.match_vars(&cluster, opt, &vars);
                         assert_eq!(alloc, matcher.match_option(&cluster, opt, &map));
+                        // Matching into buffers every earlier match wrote
+                        // (larger, smaller, missed) binds the same.
+                        let found =
+                            matcher.match_into(&cluster, opt, &vars, &mut out, &mut scratch);
+                        assert_eq!(found.unwrap().is_ok(), alloc.is_ok());
                         let Ok(alloc) = alloc else { continue };
+                        assert_eq!(out, alloc);
                         matched += 1;
                         let reference = reference_env(&alloc);
                         for name in reference.iter().map(|(k, _)| k).chain(ABSENT) {

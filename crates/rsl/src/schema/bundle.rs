@@ -6,6 +6,8 @@
 //! performance model, the granularity at which the application can switch,
 //! and the frictional cost of switching.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, RslError};
@@ -475,10 +477,16 @@ impl PerfSpec {
 }
 
 /// Piecewise-linear interpolation through `points` (sorted by the caller or
-/// not — this function sorts a local copy), clamped below at zero.
+/// not — unsorted points are sorted in a local copy), clamped below at
+/// zero.
 pub fn piecewise_linear(points: &[(f64, f64)], x: f64) -> f64 {
-    let mut pts: Vec<(f64, f64)> = points.to_vec();
-    pts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    let pts: Cow<'_, [(f64, f64)]> = if points.is_sorted_by(|a, b| a.0 <= b.0) {
+        Cow::Borrowed(points)
+    } else {
+        let mut pts = points.to_vec();
+        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+        Cow::Owned(pts)
+    };
     if pts.len() == 1 {
         return pts[0].1.max(0.0);
     }

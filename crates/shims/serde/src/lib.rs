@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -216,6 +217,18 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         T::deserialize(r).map(Box::new)
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(Arc::new)
     }
 }
 

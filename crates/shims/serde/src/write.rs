@@ -182,7 +182,7 @@ impl Writer {
     /// array of `[key, value]` pairs. Decided per map: the object is
     /// written until a key turns out not to be a string, then the map is
     /// written again as pairs over it.
-    pub(crate) fn map<'a, K, V, I>(&mut self, entries: I)
+    pub fn map<'a, K, V, I>(&mut self, entries: I)
     where
         K: Serialize + 'a,
         V: Serialize + 'a,
