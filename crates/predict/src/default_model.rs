@@ -56,13 +56,12 @@ impl DefaultModel {
 
     fn cpu_component(&self, ctx: &PredictionContext<'_>) -> Result<f64, PredictError> {
         let mut worst = 0.0f64;
-        for binding in &ctx.alloc.nodes {
+        for (b, binding) in ctx.alloc.nodes.iter().enumerate() {
             let node = ctx
-                .cluster
-                .node(&binding.node)
+                .node_of(b)
                 .ok_or_else(|| PredictError::UnknownResource { name: binding.node.clone() })?;
             let speed = node.decl.speed.max(f64::EPSILON);
-            let k = ctx.tasks_on(&binding.node).max(1) as f64;
+            let k = ctx.tasks_of(b).max(1) as f64;
             worst = worst.max(binding.seconds / speed * k);
         }
         Ok(worst)
@@ -90,11 +89,10 @@ impl DefaultModel {
             });
         };
         if !ctx.alloc.links.is_empty() {
-            for l in &ctx.alloc.links {
-                if l.a == l.b {
-                    continue; // intra-node: infinitely fast for our purposes
-                }
-                let Some(state) = ctx.cluster.link(&l.a, &l.b) else {
+            for (i, l) in ctx.alloc.links.iter().enumerate() {
+                // Traffic within one node is infinitely fast for our
+                // purposes.
+                let Some(state) = ctx.link_of(i) else {
                     continue;
                 };
                 let capacity = state.decl.bandwidth;

@@ -40,7 +40,7 @@ impl<'a> ExplicitModel<'a> {
             return 1.0;
         }
         // A node bound twice changes nothing: the factor is a maximum.
-        ctx.alloc.nodes.iter().map(|b| ctx.tasks_on(&b.node).max(1) as f64).fold(1.0, f64::max)
+        (0..ctx.alloc.nodes.len()).map(|b| ctx.tasks_of(b).max(1) as f64).fold(1.0, f64::max)
     }
 }
 

@@ -1,6 +1,6 @@
 //! The [`Predictor`] trait and the prediction context/result types.
 
-use harmony_resources::{Allocation, Cluster};
+use harmony_resources::{Allocation, Cluster, LinkState, NodeState, Sites};
 use harmony_rsl::schema::OptionSpec;
 use serde::{Deserialize, Serialize};
 
@@ -19,29 +19,68 @@ pub struct PredictionContext<'a> {
     /// included in the contention counters); false for hypothetical
     /// allocations, whose own load must be *added* to the counters.
     pub committed: bool,
+    /// Where `alloc`'s bindings are in `cluster`, when the caller has
+    /// them; without them every binding is found by name.
+    pub sites: Option<Sites<'a>>,
 }
 
 impl<'a> PredictionContext<'a> {
     /// Builds a context for a hypothetical (not yet committed) allocation.
     pub fn hypothetical(cluster: &'a Cluster, alloc: &'a Allocation, opt: &'a OptionSpec) -> Self {
-        PredictionContext { cluster, alloc, opt, committed: false }
+        PredictionContext { cluster, alloc, opt, committed: false, sites: None }
     }
 
     /// Builds a context for an allocation already committed to the cluster.
     pub fn committed(cluster: &'a Cluster, alloc: &'a Allocation, opt: &'a OptionSpec) -> Self {
-        PredictionContext { cluster, alloc, opt, committed: true }
+        PredictionContext { cluster, alloc, opt, committed: true, sites: None }
+    }
+
+    /// The node that node binding `b` of the allocation is bound to.
+    pub fn node_of(&self, b: usize) -> Option<&'a NodeState> {
+        match self.sites {
+            Some(sites) => Some(&self.cluster.node_slice()[sites.nodes[b]]),
+            None => self.cluster.node(&self.alloc.nodes[b].node),
+        }
+    }
+
+    /// The link that link binding `l` of the allocation reserves on; `None`
+    /// for traffic within one node and for a link that is not published.
+    pub fn link_of(&self, l: usize) -> Option<&'a LinkState> {
+        match self.sites {
+            Some(sites) => sites.links[l].map(|i| &self.cluster.link_slice()[i]),
+            None => {
+                let link = &self.alloc.links[l];
+                let at = self.cluster.carrier(&link.a, &link.b).flatten();
+                at.map(|i| &self.cluster.link_slice()[i])
+            }
+        }
     }
 
     /// The number of tasks that would share `node` if this allocation ran:
     /// the committed count plus this allocation's own bindings when it is
     /// hypothetical.
     pub fn tasks_on(&self, node: &str) -> u32 {
-        let committed = self.cluster.node(node).map(|n| n.tasks).unwrap_or(0);
+        let own = || self.alloc.nodes.iter().filter(|n| n.node == node).count();
+        self.sharing(self.cluster.node(node), own)
+    }
+
+    /// [`PredictionContext::tasks_on`] the node of binding `b`.
+    pub fn tasks_of(&self, b: usize) -> u32 {
+        let Some(sites) = self.sites else {
+            return self.tasks_on(&self.alloc.nodes[b].node);
+        };
+        let at = sites.nodes[b];
+        let own = || sites.nodes.iter().filter(|&&i| i == at).count();
+        self.sharing(Some(&self.cluster.node_slice()[at]), own)
+    }
+
+    /// The tasks sharing `node`, of which the allocation's own are `own`.
+    fn sharing(&self, node: Option<&NodeState>, own: impl FnOnce() -> usize) -> u32 {
+        let committed = node.map_or(0, |n| n.tasks);
         if self.committed {
             committed.max(1)
         } else {
-            let own = self.alloc.nodes.iter().filter(|n| n.node == node).count() as u32;
-            committed + own
+            committed + own() as u32
         }
     }
 }
@@ -130,6 +169,50 @@ mod tests {
         let ctx = PredictionContext::committed(&cluster, &alloc, &opt);
         assert_eq!(ctx.tasks_on("a"), 1);
         assert!(ctx.committed);
+    }
+
+    /// With positions a context reads the nodes, links and task counts
+    /// that names find, committed or hypothetical.
+    #[test]
+    fn positions_read_what_names_find() {
+        use harmony_resources::AllocatedLink;
+        use harmony_rsl::schema::LinkDecl;
+        let mut cluster = one_node_cluster();
+        cluster.add_node(NodeDecl::new("b", 2.0, 64.0)).unwrap();
+        cluster.add_link(LinkDecl::new("a", "b", 100.0)).unwrap();
+        let mut alloc = alloc_on_a();
+        alloc.nodes.push(AllocatedNode { node: "b".into(), ..alloc.nodes[0].clone() });
+        alloc.nodes.push(alloc.nodes[0].clone());
+        alloc.links = vec![
+            AllocatedLink { a: "b".into(), b: "a".into(), bandwidth: 5.0 },
+            AllocatedLink { a: "a".into(), b: "a".into(), bandwidth: 5.0 },
+        ];
+        let sites = Sites { nodes: &[0, 1, 0], links: &[Some(0), None] };
+        let opt = OptionSpec::new("o");
+        for committed in [false, true] {
+            if committed {
+                cluster.commit(&alloc).unwrap();
+            }
+            let named = PredictionContext {
+                committed,
+                ..PredictionContext::committed(&cluster, &alloc, &opt)
+            };
+            let at = PredictionContext { sites: Some(sites), ..named };
+            let named = PredictionContext { sites: None, ..at };
+            for b in 0..3 {
+                assert_eq!(at.node_of(b), named.node_of(b));
+                assert_eq!(at.tasks_of(b), named.tasks_of(b));
+                assert_eq!(at.tasks_of(b), named.tasks_on(&alloc.nodes[b].node));
+            }
+            assert_eq!((at.tasks_of(0), at.tasks_of(1)), (2, 1));
+            for l in 0..2 {
+                assert_eq!(
+                    at.link_of(l).map(|s| s as *const _),
+                    named.link_of(l).map(|s| s as *const _)
+                );
+            }
+            assert!(at.link_of(0).is_some() && at.link_of(1).is_none());
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! allocation decrements the cluster's free counters; releasing restores
 //! them.
 
+use std::ops::Range;
+
 use harmony_rsl::expr::Env;
 use harmony_rsl::Value;
 use serde::{Deserialize, Serialize};
@@ -139,6 +141,122 @@ impl Env for VarsEnv<'_> {
     }
 }
 
+/// Where one allocation's bindings sit in the cluster value it was matched
+/// against ([`MatchScratch::sites`](crate::MatchScratch::sites)): per node
+/// binding, the node's index in [`Cluster::node_slice`]; per link binding,
+/// the link's index in [`Cluster::link_slice`], or `None` for traffic
+/// within one node. They hold while that cluster's node and link sets stay
+/// as they were, so they belong to the scan that matched them and are
+/// stored nowhere else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Sites<'a> {
+    /// One position per node binding.
+    pub nodes: &'a [usize],
+    /// One position per link binding; `None` within one node.
+    pub links: &'a [Option<usize>],
+}
+
+/// [`Sites`] of several allocations in one cluster, one allocation after
+/// another: a caller that places allocations as a stack — the planner's
+/// walk — keeps their positions as one.
+#[derive(Debug, Clone, Default)]
+pub struct SiteStack {
+    nodes: Vec<usize>,
+    links: Vec<Option<usize>>,
+}
+
+/// Where one allocation's positions are in a [`SiteStack`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SiteSpan {
+    nodes: Range<usize>,
+    links: Range<usize>,
+}
+
+impl SiteStack {
+    /// An empty stack with room for `nodes` node and `links` link
+    /// positions.
+    pub fn with_capacity(nodes: usize, links: usize) -> Self {
+        SiteStack { nodes: Vec::with_capacity(nodes), links: Vec::with_capacity(links) }
+    }
+
+    /// The positions `span` holds.
+    pub fn get(&self, span: &SiteSpan) -> Sites<'_> {
+        Sites { nodes: &self.nodes[span.nodes.clone()], links: &self.links[span.links.clone()] }
+    }
+
+    /// Pushes `sites`.
+    pub fn push(&mut self, sites: Sites<'_>) -> SiteSpan {
+        let from = self.top();
+        self.nodes.extend_from_slice(sites.nodes);
+        self.links.extend_from_slice(sites.links);
+        self.span_from(from)
+    }
+
+    /// Pushes where `alloc`'s bindings are in `cluster`, found by name,
+    /// skipping those that are not published; true when none was skipped.
+    pub fn push_found(&mut self, cluster: &Cluster, alloc: &Allocation) -> (SiteSpan, bool) {
+        let from = self.top();
+        self.nodes.extend(alloc.nodes.iter().filter_map(|n| cluster.node_index(&n.node)));
+        self.links.extend(alloc.links.iter().filter_map(|l| cluster.carrier(&l.a, &l.b)));
+        let span = self.span_from(from);
+        let whole = span.nodes.len() == alloc.nodes.len() && span.links.len() == alloc.links.len();
+        (span, whole)
+    }
+
+    /// Pops `span` and everything pushed after it.
+    pub fn pop(&mut self, span: &SiteSpan) {
+        self.nodes.truncate(span.nodes.start);
+        self.links.truncate(span.links.start);
+    }
+
+    fn top(&self) -> (usize, usize) {
+        (self.nodes.len(), self.links.len())
+    }
+
+    fn span_from(&self, (nodes, links): (usize, usize)) -> SiteSpan {
+        SiteSpan { nodes: nodes..self.nodes.len(), links: links..self.links.len() }
+    }
+}
+
+/// How a counter operation finds an allocation's bindings in a cluster:
+/// at the positions a match handed out, or by name.
+trait Locate {
+    /// The position of node binding `b`; `None` when its node is not
+    /// published.
+    fn node(&self, cluster: &Cluster, alloc: &Allocation, b: usize) -> Option<usize>;
+    /// Where link binding `l` is charged, as [`Cluster::carrier`] answers.
+    fn link(&self, cluster: &Cluster, alloc: &Allocation, l: usize) -> Option<Option<usize>>;
+}
+
+impl Locate for Sites<'_> {
+    fn node(&self, _: &Cluster, _: &Allocation, b: usize) -> Option<usize> {
+        Some(self.nodes[b])
+    }
+
+    fn link(&self, _: &Cluster, _: &Allocation, l: usize) -> Option<Option<usize>> {
+        Some(self.links[l])
+    }
+}
+
+/// Bindings found by the names they carry.
+struct ByName;
+
+impl Locate for ByName {
+    fn node(&self, cluster: &Cluster, alloc: &Allocation, b: usize) -> Option<usize> {
+        cluster.node_index(&alloc.nodes[b].node)
+    }
+
+    fn link(&self, cluster: &Cluster, alloc: &Allocation, l: usize) -> Option<Option<usize>> {
+        let link = &alloc.links[l];
+        cluster.carrier(&link.a, &link.b)
+    }
+}
+
+/// The name a binding that does not resolve is reported by.
+fn missing_link(link: &AllocatedLink) -> String {
+    format!("link {}-{}", link.a, link.b)
+}
+
 impl Cluster {
     /// Commits an allocation: reserves memory and bandwidth, and registers
     /// one task per node binding.
@@ -148,19 +266,35 @@ impl Cluster {
     /// [`ResourceError::UnknownNode`] when a binding references an
     /// unpublished node or link. On error the cluster is left unchanged.
     pub fn commit(&mut self, alloc: &Allocation) -> Result<(), ResourceError> {
+        self.commit_by(alloc, &ByName)
+    }
+
+    /// [`Cluster::commit`] at the positions the match of `alloc` on this
+    /// cluster handed out: no binding is looked up by name.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::commit`]; positions from a match always resolve.
+    pub fn commit_at(&mut self, alloc: &Allocation, at: Sites<'_>) -> Result<(), ResourceError> {
+        self.commit_by(alloc, &at)
+    }
+
+    /// The one body of [`Cluster::commit`] and [`Cluster::commit_at`].
+    fn commit_by(&mut self, alloc: &Allocation, at: &impl Locate) -> Result<(), ResourceError> {
         // Validate first so failure cannot leave partial state.
-        for n in &alloc.nodes {
-            if self.node(&n.node).is_none() {
+        for (b, n) in alloc.nodes.iter().enumerate() {
+            if at.node(self, alloc, b).is_none() {
                 return Err(ResourceError::UnknownNode { name: n.node.clone() });
             }
         }
-        for l in &alloc.links {
-            if l.a != l.b && self.link(&l.a, &l.b).is_none() {
-                return Err(ResourceError::UnknownNode { name: format!("link {}-{}", l.a, l.b) });
+        for (l, link) in alloc.links.iter().enumerate() {
+            if at.link(self, alloc, l).is_none() {
+                return Err(ResourceError::UnknownNode { name: missing_link(link) });
             }
         }
-        for n in &alloc.nodes {
-            let state = self.node_mut(&n.node).expect("validated above");
+        for (b, n) in alloc.nodes.iter().enumerate() {
+            let i = at.node(self, alloc, b).expect("validated above");
+            let state = &mut self.node_slice_mut()[i];
             state.free_memory -= n.memory;
             state.tasks += 1;
             state.assigned_seconds += n.seconds;
@@ -168,12 +302,11 @@ impl Cluster {
                 state.exclusive += 1;
             }
         }
-        for l in &alloc.links {
-            if l.a == l.b {
-                continue; // intra-node traffic is free
+        for (l, link) in alloc.links.iter().enumerate() {
+            // Traffic within one node is free.
+            if let Some(Some(i)) = at.link(self, alloc, l) {
+                self.link_slice_mut()[i].free_bandwidth -= link.bandwidth;
             }
-            let state = self.link_mut(&l.a, &l.b).expect("validated above");
-            state.free_bandwidth -= l.bandwidth;
         }
         Ok(())
     }
@@ -188,8 +321,9 @@ impl Cluster {
     pub fn release(&mut self, alloc: &Allocation) -> Result<(), ResourceError> {
         let mut first_missing: Option<String> = None;
         for n in &alloc.nodes {
-            match self.node_mut(&n.node) {
-                Some(state) => {
+            match self.node_index(&n.node) {
+                Some(i) => {
+                    let state = &mut self.node_slice_mut()[i];
                     state.free_memory += n.memory;
                     state.tasks = state.tasks.saturating_sub(1);
                     state.assigned_seconds = (state.assigned_seconds - n.seconds).max(0.0);
@@ -202,14 +336,12 @@ impl Cluster {
                 }
             }
         }
-        for l in &alloc.links {
-            if l.a == l.b {
-                continue;
-            }
-            match self.link_mut(&l.a, &l.b) {
-                Some(state) => state.free_bandwidth += l.bandwidth,
+        for link in &alloc.links {
+            match self.carrier(&link.a, &link.b) {
+                Some(Some(i)) => self.link_slice_mut()[i].free_bandwidth += link.bandwidth,
+                Some(None) => {}
                 None => {
-                    first_missing.get_or_insert_with(|| format!("link {}-{}", l.a, l.b));
+                    first_missing.get_or_insert_with(|| missing_link(link));
                 }
             }
         }
@@ -243,30 +375,55 @@ impl Cluster {
 
     /// [`Cluster::save`] into `saved`, reusing its buffers.
     pub fn save_into(&self, alloc: &Allocation, saved: &mut SavedCounters) {
-        let nodes = alloc.nodes.iter().filter_map(|n| self.node(&n.node));
-        let links = alloc.links.iter().filter_map(|l| self.link(&l.a, &l.b));
+        self.save_by(alloc, &ByName, saved);
+    }
+
+    /// [`Cluster::save_into`] at the positions the match of `alloc` on this
+    /// cluster handed out.
+    pub fn save_at(&self, alloc: &Allocation, at: Sites<'_>, saved: &mut SavedCounters) {
+        self.save_by(alloc, &at, saved);
+    }
+
+    /// The one body of [`Cluster::save_into`] and [`Cluster::save_at`].
+    fn save_by(&self, alloc: &Allocation, at: &impl Locate, saved: &mut SavedCounters) {
+        let nodes = (0..alloc.nodes.len()).filter_map(|b| at.node(self, alloc, b));
+        let links = (0..alloc.links.len()).filter_map(|l| at.link(self, alloc, l).flatten());
         saved.nodes.clear();
-        saved
-            .nodes
-            .extend(nodes.map(|s| (s.free_memory, s.tasks, s.assigned_seconds, s.exclusive)));
+        saved.nodes.extend(nodes.map(|i| {
+            let s = &self.node_slice()[i];
+            (s.free_memory, s.tasks, s.assigned_seconds, s.exclusive)
+        }));
         saved.links.clear();
-        saved.links.extend(links.map(|s| s.free_bandwidth));
+        saved.links.extend(links.map(|i| self.link_slice()[i].free_bandwidth));
     }
 
     /// Puts back what [`Cluster::save`] read for the same `alloc`; the
     /// node and link sets must not have changed in between.
     pub fn restore(&mut self, alloc: &Allocation, saved: &SavedCounters) {
+        self.restore_by(alloc, &ByName, saved);
+    }
+
+    /// [`Cluster::restore`] of what [`Cluster::save_at`] read, at the same
+    /// positions.
+    pub fn restore_at(&mut self, alloc: &Allocation, at: Sites<'_>, saved: &SavedCounters) {
+        self.restore_by(alloc, &at, saved);
+    }
+
+    /// The one body of [`Cluster::restore`] and [`Cluster::restore_at`].
+    fn restore_by(&mut self, alloc: &Allocation, at: &impl Locate, saved: &SavedCounters) {
         let mut nodes = saved.nodes.iter();
-        for n in &alloc.nodes {
-            if let Some(state) = self.node_mut(&n.node) {
+        for b in 0..alloc.nodes.len() {
+            if let Some(i) = at.node(self, alloc, b) {
+                let state = &mut self.node_slice_mut()[i];
                 (state.free_memory, state.tasks, state.assigned_seconds, state.exclusive) =
                     *nodes.next().expect("saved from the same allocation");
             }
         }
         let mut links = saved.links.iter();
-        for l in &alloc.links {
-            if let Some(state) = self.link_mut(&l.a, &l.b) {
-                state.free_bandwidth = *links.next().expect("saved from the same allocation");
+        for l in 0..alloc.links.len() {
+            if let Some(Some(i)) = at.link(self, alloc, l) {
+                self.link_slice_mut()[i].free_bandwidth =
+                    *links.next().expect("saved from the same allocation");
             }
         }
     }
@@ -402,6 +559,103 @@ mod tests {
         let _ = c.release(&a);
         assert_eq!(c.node("a").unwrap().tasks, 0);
         assert!(c.node("a").unwrap().assigned_seconds >= 0.0);
+    }
+
+    /// An allocation with every kind of binding the counter operations
+    /// treat apart: an exclusive node, a node bound twice, a link given in
+    /// reverse and a self-link; and its positions in [`cluster`].
+    fn mixed() -> (Allocation, [usize; 3], [Option<usize>; 2]) {
+        let mut a = alloc();
+        a.nodes[1].exclusive = true;
+        a.nodes.push(AllocatedNode {
+            node: "a".into(),
+            memory: 3.0,
+            seconds: 5.0,
+            ..a.nodes[0].clone()
+        });
+        a.links = vec![
+            AllocatedLink { a: "b".into(), b: "a".into(), bandwidth: 7.5 },
+            AllocatedLink { a: "b".into(), b: "b".into(), bandwidth: 99.0 },
+        ];
+        (a, [0, 1, 0], [Some(0), None])
+    }
+
+    /// The name-keyed operations give what they always gave: exclusive and
+    /// twice-bound nodes counted, a self-link free, and a release after
+    /// the node left restoring the rest and naming the missing node.
+    #[test]
+    fn name_keyed_commit_and_release_keep_their_results() {
+        let mut c = cluster();
+        let (a, _, _) = mixed();
+        c.commit(&a).unwrap();
+        let (na, nb) = (c.node("a").unwrap(), c.node("b").unwrap());
+        assert_eq!(
+            (na.free_memory, na.tasks, na.assigned_seconds, na.exclusive),
+            (233.0, 2, 47.0, 0)
+        );
+        assert_eq!(
+            (nb.free_memory, nb.tasks, nb.assigned_seconds, nb.exclusive),
+            (126.0, 1, 1.0, 1)
+        );
+        assert_eq!(c.link("a", "b").unwrap().free_bandwidth, 312.5);
+        c.release(&a).unwrap();
+        assert_eq!(c, cluster());
+        c.commit(&a).unwrap();
+        c.remove_node("b");
+        let err = c.release(&a).unwrap_err();
+        assert_eq!(err, ResourceError::UnknownNode { name: "b".into() });
+        let na = c.node("a").unwrap();
+        assert_eq!((na.free_memory, na.tasks, na.assigned_seconds), (256.0, 0, 0.0));
+        // Committing against the shrunken cluster changes nothing.
+        let before = c.clone();
+        assert!(c.commit(&a).is_err());
+        assert_eq!(c, before);
+    }
+
+    /// Committing at positions does what committing by name does, and a
+    /// restore at them — after a commit or a release — gives back the
+    /// cluster field for field.
+    #[test]
+    fn a_positional_commit_and_restore_leave_the_cluster_as_it_was() {
+        let (a, nodes, links) = mixed();
+        let at = Sites { nodes: &nodes, links: &links };
+        let mut c = cluster();
+        c.commit(&alloc()).unwrap();
+        let original = c.clone();
+        let mut by_name = c.clone();
+        by_name.commit(&a).unwrap();
+        let mut saved = SavedCounters::default();
+        c.save_at(&a, at, &mut saved);
+        c.commit_at(&a, at).unwrap();
+        assert_eq!(c, by_name);
+        c.restore_at(&a, at, &saved);
+        assert_eq!(c, original);
+        c.save_at(&a, at, &mut saved);
+        c.release(&alloc()).unwrap();
+        c.restore_at(&a, at, &saved);
+        assert_eq!(c, original);
+    }
+
+    /// A stack hands back what was pushed, finds by name what a match
+    /// would hand out, and says when a binding is not published.
+    #[test]
+    fn a_site_stack_keeps_positions_as_a_stack() {
+        let c = cluster();
+        let (a, nodes, links) = mixed();
+        let mut stack = SiteStack::with_capacity(4, 2);
+        let (found, whole) = stack.push_found(&c, &a);
+        assert!(whole);
+        assert_eq!(stack.get(&found), Sites { nodes: &nodes, links: &links });
+        let pushed = stack.push(Sites { nodes: &[1], links: &[] });
+        assert_eq!(stack.get(&pushed).nodes, [1]);
+        stack.pop(&pushed);
+        let mut gone = a.clone();
+        gone.nodes[1].node = "ghost".into();
+        gone.links[0].b = "ghost".into();
+        let (partial, whole) = stack.push_found(&c, &gone);
+        assert!(!whole);
+        assert_eq!(stack.get(&partial), Sites { nodes: &[0, 0], links: &[None] });
+        assert_eq!(stack.get(&found), Sites { nodes: &nodes, links: &links });
     }
 
     #[test]

@@ -17,7 +17,10 @@ mod error;
 mod frag;
 mod matcher;
 
-pub use alloc::{AllocEnv, AllocatedLink, AllocatedNode, Allocation, SavedCounters, VarsEnv};
+pub use alloc::{
+    AllocEnv, AllocatedLink, AllocatedNode, Allocation, SavedCounters, SiteSpan, SiteStack, Sites,
+    VarsEnv,
+};
 pub use cluster::{Cluster, LinkState, NodeState};
 pub use error::ResourceError;
 pub use frag::{fragmentation, FragReport};

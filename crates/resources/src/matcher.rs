@@ -16,7 +16,7 @@ use harmony_rsl::schema::{NodeReq, OptionSpec, TagValue};
 use harmony_rsl::Value;
 use serde::{Deserialize, Serialize};
 
-use crate::alloc::{AllocatedLink, AllocatedNode, Allocation, VarsEnv};
+use crate::alloc::{AllocatedLink, AllocatedNode, Allocation, Sites, VarsEnv};
 use crate::cluster::Cluster;
 use crate::error::ResourceError;
 
@@ -129,7 +129,8 @@ impl Matcher {
     /// is the buffer of eligible nodes. A caller that matches into the same
     /// `out` and `scratch` again allocates only where a binding outgrows
     /// every one before it. A requirement nothing satisfies is an unworded
-    /// [`Miss`], and `out` then holds a partial binding.
+    /// [`Miss`], and `out` then holds a partial binding. After a match,
+    /// [`MatchScratch::sites`] tells where in `cluster` each binding is.
     ///
     /// # Errors
     ///
@@ -154,9 +155,9 @@ impl Matcher {
         self.bind(cluster, opt, &VarsEnv(vars), out, scratch)
     }
 
-    /// The one matcher body: tags evaluate in `vars`, and the node and
-    /// link bindings are written over `out`'s; its `variables` are the
-    /// caller's.
+    /// The one matcher body: tags evaluate in `vars`, the node and link
+    /// bindings are written over `out`'s and their positions over
+    /// `scratch`'s; `out`'s `variables` are the caller's.
     fn bind(
         &self,
         cluster: &Cluster,
@@ -166,14 +167,17 @@ impl Matcher {
         scratch: &mut MatchScratch,
     ) -> Result<Result<(), Miss>, ResourceError> {
         let nodes = cluster.node_slice();
-        // The bindings made so far are `out.nodes[..bound]`.
+        let MatchScratch { spare, eligible, sites, link_sites } = scratch;
+        // The bindings made so far are `out.nodes[..bound]`, at positions
+        // `sites[..bound]` of `nodes`.
         let mut bound = 0;
+        sites.clear();
         // The nodes that satisfy the requirement being bound, as indexes
         // into `nodes`, least loaded first. Nothing a match reads changes
         // while it runs, so one scan per requirement serves every replica:
         // a replica takes its pick out of the buffer, which is what keeps
-        // bindings distinct.
-        let eligible = &mut scratch.eligible;
+        // its bindings distinct, and `sites` keeps them distinct from
+        // other requirements'.
         let free = |i: usize| nodes[i].free_memory;
 
         for (r, req) in opt.nodes.iter().enumerate() {
@@ -190,7 +194,7 @@ impl Matcher {
             let (hostname, os, speed) = (req.hostname(), req.os(), req.tag("speed"));
             eligible.clear();
             for (i, state) in nodes.iter().enumerate() {
-                if out.nodes[..bound].iter().any(|n| n.node == state.decl.name) {
+                if sites.contains(&i) {
                     continue;
                 }
                 // Nodes held exclusively by a dedicated allocation are
@@ -240,7 +244,8 @@ impl Matcher {
                 let Some(at) = at else {
                     return Ok(Err(Miss::Node { req: r, index, memory: min_mem }));
                 };
-                let chosen = &nodes[eligible.remove(at)];
+                let i = eligible.remove(at);
+                let chosen = &nodes[i];
                 let mut grant = min_mem;
                 if elastic {
                     grant += self.elastic_extra.min((chosen.free_memory - min_mem).max(0.0));
@@ -253,78 +258,111 @@ impl Matcher {
                     }
                 }
                 if bound == out.nodes.len() {
-                    out.nodes.push(scratch.spare.pop().unwrap_or_default());
+                    out.nodes.push(spare.pop().unwrap_or_default());
                 }
                 let binding = &mut out.nodes[bound];
                 assign(&mut binding.req, &req.name);
                 assign(&mut binding.node, &chosen.decl.name);
                 (binding.index, binding.memory, binding.seconds) = (index, grant, seconds);
                 binding.exclusive = dedicated;
+                sites.push(i);
                 bound += 1;
             }
         }
-        scratch.spare.extend(out.nodes.drain(bound..));
+        spare.extend(out.nodes.drain(bound..));
 
         // The links are bound beside the nodes they join, which the
         // post-binding environment reads (parameterized link bandwidths can
         // see `<req>.memory` etc.).
-        let mut links = std::mem::take(&mut out.links);
-        let found = bind_links(cluster, opt, &ChainEnv::new(&out.env(), vars), out, &mut links);
-        out.links = links;
+        let mut bound_links = std::mem::take(&mut out.links);
+        let env = out.env();
+        let found = bind_links(
+            cluster,
+            opt,
+            &ChainEnv::new(&env, vars),
+            out,
+            sites,
+            &mut bound_links,
+            link_sites,
+        );
+        out.links = bound_links;
         found
     }
 }
 
-/// Binds `opt`'s links over `links` between the nodes `partial` bound, with
-/// bandwidths evaluated in `env`.
+/// Binds `opt`'s links over `out` between the nodes `partial` bound at
+/// positions `sites`, with bandwidths evaluated in `env`, and writes each
+/// link's position over `at`.
 fn bind_links(
     cluster: &Cluster,
     opt: &OptionSpec,
     env: &impl Env,
     partial: &Allocation,
-    links: &mut Vec<AllocatedLink>,
+    sites: &[usize],
+    out: &mut Vec<AllocatedLink>,
+    at: &mut Vec<Option<usize>>,
 ) -> Result<Result<(), Miss>, ResourceError> {
+    at.clear();
     let mut placed = 0;
     for (l, link) in opt.links.iter().enumerate() {
-        let end = |req: &str| partial.binding(req).map(|n| n.node.as_str());
-        let (Some(a), Some(b)) = (end(&link.a), end(&link.b)) else {
+        // A link joins the first binding of each requirement it names.
+        let end = |req: &str| partial.nodes.iter().position(|n| n.req == req);
+        let (Some(x), Some(y)) = (end(&link.a), end(&link.b)) else {
             return Ok(Err(Miss::UnknownEnd { link: l }));
         };
         let bw = link.bandwidth.amount(env)?;
-        if a != b {
-            let Some(state) = cluster.link(a, b) else {
+        let (a, b) = (&partial.nodes[x].node, &partial.nodes[y].node);
+        // Traffic within one node needs no link.
+        let carrier = if sites[x] != sites[y] {
+            let Some(i) = cluster.link_index(a, b) else {
                 return Ok(Err(Miss::NoLink { link: l }));
             };
-            let already: f64 = links[..placed]
+            let already: f64 = out[..placed]
                 .iter()
-                .filter(|l| (l.a == a && l.b == b) || (l.a == b && l.b == a))
-                .map(|l| l.bandwidth)
+                .zip(&at[..])
+                .filter(|(_, &j)| j == Some(i))
+                .map(|(l, _)| l.bandwidth)
                 .sum();
-            if state.free_bandwidth - already < bw {
-                let free = state.free_bandwidth - already;
+            let free = cluster.link_slice()[i].free_bandwidth - already;
+            if free < bw {
                 return Ok(Err(Miss::Bandwidth { link: l, free, need: bw }));
             }
+            Some(i)
+        } else {
+            None
+        };
+        if placed == out.len() {
+            out.push(AllocatedLink::default());
         }
-        if placed == links.len() {
-            links.push(AllocatedLink::default());
-        }
-        let binding = &mut links[placed];
+        let binding = &mut out[placed];
         assign(&mut binding.a, a);
         assign(&mut binding.b, b);
         binding.bandwidth = bw;
+        at.push(carrier);
         placed += 1;
     }
-    links.truncate(placed);
+    out.truncate(placed);
     Ok(Ok(()))
 }
 
 /// What [`Matcher::match_into`] keeps from one match to the next: node
-/// bindings an allocation shed, whose strings the next binding reuses, and
-/// the buffer of eligible nodes.
+/// bindings an allocation shed, whose strings the next binding reuses, the
+/// buffer of eligible nodes, and where the last match's bindings are.
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     spare: Vec<AllocatedNode>,
     eligible: Vec<usize>,
+    sites: Vec<usize>,
+    link_sites: Vec<Option<usize>>,
+}
+
+impl MatchScratch {
+    /// Where the bindings of the last match into this scratch are in the
+    /// cluster it was matched against; meaningful only after a match that
+    /// found a placement.
+    pub fn sites(&self) -> Sites<'_> {
+        Sites { nodes: &self.sites, links: &self.link_sites }
+    }
 }
 
 /// Overwrites `s` with `value` in its own buffer.
@@ -371,6 +409,12 @@ pub enum Miss {
 }
 
 impl Miss {
+    /// The [`ResourceError::NoMatch`] this miss is, worded against the
+    /// option and the partial binding it left.
+    pub fn error(self, opt: &OptionSpec, partial: &Allocation) -> ResourceError {
+        ResourceError::NoMatch { reason: self.reason(opt, partial) }
+    }
+
     /// The reason [`ResourceError::NoMatch`] carries, worded against the
     /// option and the partial binding the miss left.
     fn reason(self, opt: &OptionSpec, partial: &Allocation) -> String {
@@ -415,7 +459,7 @@ fn worded(
 ) -> Result<Allocation, ResourceError> {
     match found {
         Ok(()) => Ok(alloc),
-        Err(miss) => Err(ResourceError::NoMatch { reason: miss.reason(opt, &alloc) }),
+        Err(miss) => Err(miss.error(opt, &alloc)),
     }
 }
 
@@ -634,6 +678,87 @@ mod tests {
             assert!(allocs.len() <= 64, "matcher should eventually refuse");
         }
         assert_eq!(allocs.len(), 8); // 256 MB / 32 MB per node
+    }
+
+    /// Holds `sites` to what `alloc` binds on `cluster`: each node position
+    /// names its binding's node, and each link position the cluster link
+    /// between its binding's ends (none within one node). Committing at
+    /// the positions does what committing by name does, and restoring at
+    /// them gives back the cluster field for field.
+    fn assert_sites_name_the_bindings(cluster: &Cluster, alloc: &Allocation, sites: Sites<'_>) {
+        assert_eq!(sites.nodes.len(), alloc.nodes.len());
+        for (n, &i) in alloc.nodes.iter().zip(sites.nodes) {
+            assert_eq!(cluster.node_slice()[i].decl.name, n.node);
+        }
+        assert_eq!(sites.links.len(), alloc.links.len());
+        for (l, &at) in alloc.links.iter().zip(sites.links) {
+            match at {
+                None => assert_eq!(l.a, l.b),
+                Some(i) => {
+                    let named = cluster.link(&l.a, &l.b).expect("a bound link is published");
+                    assert!(std::ptr::eq(&cluster.link_slice()[i], named), "{l:?}");
+                }
+            }
+        }
+        let mut by_name = cluster.clone();
+        by_name.commit(alloc).unwrap();
+        let mut at = cluster.clone();
+        let mut saved = crate::SavedCounters::default();
+        at.save_at(alloc, sites, &mut saved);
+        at.commit_at(alloc, sites).unwrap();
+        assert_eq!(at, by_name);
+        at.restore_at(alloc, sites, &saved);
+        assert_eq!(&at, cluster);
+    }
+
+    /// Every position a match hands out names the node or link it bound,
+    /// under all three strategies, for a dedicated requirement, a bag at
+    /// every `workerNodes`, and both options of Figure 3 with their links,
+    /// on loaded SP-2s of 2 to 12 nodes.
+    #[test]
+    fn a_matchs_positions_name_its_bindings() {
+        const DEDICATED: &str = "harmonyBundle ded:1 b { {o {variable w {1 2 3}} \
+           {node n {replicate w} {dedicated 1} {seconds {90 / w}} {memory 16}}} }";
+        let fig3 = FIG3_DBCLIENT.replace("harmony.cs.umd.edu", "node01.sp2");
+        let bundles =
+            [FIG2B_BAG, &fig3, DEDICATED, FIG2A_SIMPLE].map(|s| parse_bundle_script(s).unwrap());
+        let (mut out, mut scratch) = (Allocation::default(), MatchScratch::default());
+        let mut checked = [0; 4];
+        for n in 2..=12 {
+            let mut cluster = sp2(n);
+            // Load: a two-worker bag, and a dedicated node where there is
+            // room for one, so the strategies and the dedicated filter
+            // disagree with first fit.
+            let mut vars = MapEnv::new();
+            vars.set("workerNodes", Value::Int(2));
+            let bag = Matcher::new(Strategy::WorstFit)
+                .match_option(&cluster, &bundles[0].options[0], &vars)
+                .unwrap();
+            cluster.commit(&bag).unwrap();
+            if n > 3 {
+                let ded = Matcher::new(Strategy::BestFit)
+                    .match_vars(&cluster, &bundles[2].options[0], &[("w".into(), 1)])
+                    .unwrap();
+                cluster.commit(&ded).unwrap();
+            }
+            for (b, bundle) in bundles.iter().enumerate() {
+                for opt in &bundle.options {
+                    for vars in assignments(opt) {
+                        for strategy in [Strategy::FirstFit, Strategy::BestFit, Strategy::WorstFit]
+                        {
+                            let matcher = Matcher::new(strategy).with_elastic_extra(7.0);
+                            let found =
+                                matcher.match_into(&cluster, opt, &vars, &mut out, &mut scratch);
+                            if found.unwrap().is_ok() {
+                                assert_sites_name_the_bindings(&cluster, &out, scratch.sites());
+                                checked[b] += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked.iter().all(|&c| c >= 20), "every bundle should match often: {checked:?}");
     }
 
     /// The environment an allocation induced when it was built eagerly, a
