@@ -11,14 +11,11 @@
 //!   measured data points interpolated piecewise-linearly or an expression
 //!   over the allocation environment;
 //! * [`LogPParams`] — the LogP occupancy refinement the paper sketches in
-//!   §3.4;
-//! * [`CriticalPath`] — longest-path combination of per-stage predictions
-//!   for applications with inter-process dependencies.
+//!   §3.4.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod critpath;
 mod default_model;
 mod error;
 mod explicit;
@@ -26,7 +23,6 @@ mod logp;
 mod model;
 mod queueing;
 
-pub use critpath::{CriticalPath, StageId};
 pub use default_model::{CommModel, DefaultModel};
 pub use error::PredictError;
 pub use explicit::{model_for_option, option_model, ExplicitModel, OptionModel};

@@ -2,8 +2,7 @@
 //! and diverge exactly where the paper says the default model is weak.
 
 use harmony_predict::{
-    model_for_option, CriticalPath, DefaultModel, InteractiveModel, LogPParams, PredictionContext,
-    Predictor,
+    model_for_option, DefaultModel, InteractiveModel, LogPParams, PredictionContext, Predictor,
 };
 use harmony_resources::{Cluster, Matcher};
 use harmony_rsl::expr::MapEnv;
@@ -82,28 +81,6 @@ fn logp_converges_to_bandwidth_for_bulk_transfers() {
     // The sim link is 320 Mbit/s; LogP's G is 40 MB/s — same wire rate, so
     // with big messages the two models agree on communication time.
     assert!((0.9..1.1).contains(&ratio), "ratio {ratio}");
-}
-
-#[test]
-fn critical_path_tightens_a_two_phase_application() {
-    // An app with a setup phase and two parallel compute phases: naive
-    // max() over phases underestimates, sum() overestimates; the critical
-    // path is exact.
-    let mut cp = CriticalPath::new();
-    let setup = cp.add_stage("setup", 10.0);
-    let left = cp.add_stage("left", 100.0);
-    let right = cp.add_stage("right", 60.0);
-    let merge = cp.add_stage("merge", 5.0);
-    cp.add_edge(setup, left);
-    cp.add_edge(setup, right);
-    cp.add_edge(left, merge);
-    cp.add_edge(right, merge);
-    let exact = cp.critical_path_length().unwrap();
-    assert_eq!(exact, 115.0);
-    let naive_max = 100.0;
-    let naive_sum = 175.0;
-    assert!(exact > naive_max && exact < naive_sum);
-    assert_eq!(cp.critical_path().unwrap(), vec!["setup", "left", "merge"]);
 }
 
 #[test]
