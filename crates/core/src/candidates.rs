@@ -2,9 +2,10 @@
 //!
 //! Options are "a way of allowing Harmony to locate an individual
 //! application in n-dimensional space" (§3). A bundle's candidate set is
-//! the cross product of its options, each option's `variable` axes, and the
-//! controller's elastic-memory steps.
+//! the cross product of its options, each option's `variable` axes, and
+//! the fixed elastic-memory steps.
 
+use harmony_resources::{Matcher, Strategy};
 use harmony_rsl::schema::{BundleSpec, OptionSpec};
 use serde::{Deserialize, Serialize};
 
@@ -32,6 +33,12 @@ impl Candidate {
             s.push_str(&format!("+{:.0}MB", self.elastic_extra));
         }
         s
+    }
+
+    /// The matcher that places this candidate: first-fit (§4.1) at the
+    /// candidate's own elastic grant.
+    pub(crate) fn matcher(&self) -> Matcher {
+        Matcher::new(Strategy::FirstFit).with_elastic_extra(self.elastic_extra)
     }
 }
 
@@ -62,25 +69,20 @@ pub fn has_elastic_memory(opt: &OptionSpec) -> bool {
     opt.nodes.iter().any(|n| n.memory().map(|m| m.is_elastic()).unwrap_or(false))
 }
 
+/// The extra megabytes an elastic (`>=`) memory option is tried at; a
+/// non-elastic option is tried at `0.0` only.
+const ELASTIC_STEPS: [f64; 4] = [0.0, 7.0, 15.0, 30.0];
+
 /// Enumerates all candidates of `bundle`: for each option, each variable
-/// assignment; options with elastic memory additionally fan out over
-/// `elastic_steps` (a `0.0` step is always included first).
-pub fn enumerate(bundle: &BundleSpec, elastic_steps: &[f64]) -> Vec<Candidate> {
+/// assignment; options with elastic memory additionally fan out over 0, 7,
+/// 15 and 30 extra megabytes.
+pub fn enumerate(bundle: &BundleSpec) -> Vec<Candidate> {
     let mut out = Vec::new();
     for opt in &bundle.options {
-        let extras: Vec<f64> = if has_elastic_memory(opt) {
-            let mut steps = vec![0.0];
-            for &s in elastic_steps {
-                if s > 0.0 && !steps.iter().any(|x| (x - s).abs() < 1e-9) {
-                    steps.push(s);
-                }
-            }
-            steps
-        } else {
-            vec![0.0]
-        };
+        let extras: &[f64] =
+            if has_elastic_memory(opt) { &ELASTIC_STEPS } else { &ELASTIC_STEPS[..1] };
         for vars in variable_assignments(opt) {
-            for &extra in &extras {
+            for &extra in extras {
                 out.push(Candidate {
                     option: opt.name.clone(),
                     vars: vars.clone(),
@@ -104,7 +106,7 @@ mod tests {
     #[test]
     fn fig2b_enumerates_worker_counts() {
         let bundle = parse_bundle_script(FIG2B_BAG).unwrap();
-        let cands = enumerate(&bundle, &[]);
+        let cands = enumerate(&bundle);
         assert_eq!(cands.len(), 4);
         let workers: Vec<i64> = cands.iter().map(|c| c.vars[0].1).collect();
         assert_eq!(workers, vec![1, 2, 4, 8]);
@@ -115,11 +117,11 @@ mod tests {
     fn fig3_enumerates_options_with_elastic_fanout() {
         let bundle = parse_bundle_script(FIG3_DBCLIENT).unwrap();
         // QS is not elastic; DS is (client memory >=17).
-        let cands = enumerate(&bundle, &[7.0, 15.0]);
+        let cands = enumerate(&bundle);
         let qs: Vec<_> = cands.iter().filter(|c| c.option == "QS").collect();
         let ds: Vec<_> = cands.iter().filter(|c| c.option == "DS").collect();
         assert_eq!(qs.len(), 1);
-        assert_eq!(ds.len(), 3); // 0, 7, 15 MB extra
+        assert_eq!(ds.len(), 4); // 0, 7, 15, 30 MB extra
         assert_eq!(ds[1].label(), "DS+7MB");
     }
 
@@ -149,11 +151,17 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_elastic_steps_are_deduplicated() {
-        let bundle =
-            parse_bundle_script("harmonyBundle a b { {o {node n {memory >=16} {seconds 1}}} }")
-                .unwrap();
-        let cands = enumerate(&bundle, &[8.0, 8.0, 0.0]);
-        assert_eq!(cands.len(), 2); // 0 and 8
+    fn an_elastic_option_fans_out_over_the_fixed_steps_and_a_fixed_one_does_not() {
+        let bundle = parse_bundle_script(
+            "harmonyBundle a b { {e {node n {memory >=16} {seconds 1}}} \
+             {f {node n {memory 16} {seconds 1}}} }",
+        )
+        .unwrap();
+        let extras = |option: &str| -> Vec<f64> {
+            let cands = enumerate(&bundle);
+            cands.iter().filter(|c| c.option == option).map(|c| c.elastic_extra).collect()
+        };
+        assert_eq!(extras("e"), [0.0, 7.0, 15.0, 30.0]);
+        assert_eq!(extras("f"), [0.0]);
     }
 }

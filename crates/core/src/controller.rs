@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use harmony_metrics::MetricRegistry;
 use harmony_ns::{HPath, InstanceRegistry};
-use harmony_resources::{Cluster, Matcher};
+use harmony_resources::Cluster;
 use harmony_rsl::schema::BundleSpec;
 use harmony_rsl::Value;
 use parking_lot::Mutex;
@@ -41,7 +41,6 @@ use crate::journal::{
 };
 use crate::leases::{Lease, LeaseConfig, RetireReason, RetirementRecord};
 use crate::namespace::{applied_writes, buffer_writes, config_writes, NamespaceView};
-use crate::objective::Objective;
 use crate::persist::{RecoveryInfo, WalEvent};
 use crate::planner::{elapsed_ms, same_point, Plan, PlannedMove, Scan};
 use crate::scheduler::{CoalescePolicy, DecisionScheduler};
@@ -61,13 +60,14 @@ pub enum LintMode {
     Off,
 }
 
-/// Controller configuration.
+/// Controller configuration: only what a deployment or an ablation
+/// chooses. The paper's policy is not configurable: the objective is the
+/// average completion time ([`crate::mean_completion`], §4.2), the matcher
+/// is first-fit at each candidate's own elastic grant, elastic options fan
+/// out over a fixed set of memory steps ([`crate::enumerate_candidates`]),
+/// and an arrival always re-evaluates the existing applications (§4.3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerConfig {
-    /// Node-selection strategy for the matcher.
-    pub matcher: Matcher,
-    /// The objective function (lower is better).
-    pub objective: Objective,
     /// Static-analysis gate for arriving bundles.
     #[serde(default)]
     pub lint: LintMode,
@@ -75,11 +75,6 @@ pub struct ControllerConfig {
     /// seconds are added to the switching application's predicted response
     /// time, scaled by this weight. `0.0` ignores friction (ablation).
     pub friction_weight: f64,
-    /// Elastic memory steps (extra MB) to explore for options with `>=`
-    /// memory tags.
-    pub elastic_steps: Vec<f64>,
-    /// Re-evaluate existing applications after a new one arrives (§4.3).
-    pub reevaluate_on_arrival: bool,
     /// Enable coordinated pairwise moves (jointly re-choosing two bundles
     /// when single moves are stuck) — the §1 admission scenario.
     pub coordinated_moves: bool,
@@ -105,12 +100,8 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            matcher: Matcher::default(),
-            objective: Objective::default(),
             lint: LintMode::Strict,
             friction_weight: 1.0,
-            elastic_steps: vec![7.0, 15.0, 30.0],
-            reevaluate_on_arrival: true,
             coordinated_moves: true,
             selfish: false,
             lease: LeaseConfig::default(),
@@ -444,7 +435,7 @@ impl Controller {
         let id = InstanceId::new(app, self.registry.allocate(app));
         let lease = Lease::new(self.now, &self.config.lease);
         let app = AppInstance::new(id.clone(), self.now);
-        self.instances.insert(Instance::new(app, lease, &self.config.elastic_steps));
+        self.instances.insert(Instance::new(app, lease));
         self.metrics.inc_counter("controller.startups");
         self.metrics.set_gauge("controller.sessions.active", self.instances.len() as f64);
         self.journal_append(JournalKind::Event, format!("startup {id}"));
@@ -492,7 +483,7 @@ impl Controller {
         // reach. An equal spec re-runs the pass over the one it has.
         let attached = match inst.app.bundle(&bundle_name) {
             None => {
-                inst.attach(BundleState::new(spec), &self.config.elastic_steps);
+                inst.attach(BundleState::new(spec));
                 // A miss is an enumeration: an attach or a load.
                 self.metrics.inc_counter("controller.optimizer.cache_misses");
                 self.gauge_cache_size();
@@ -550,12 +541,10 @@ impl Controller {
             }
         }
 
-        if self.config.reevaluate_on_arrival {
-            if self.coalescing() {
-                self.mark_dirty(&trigger.provenance);
-            } else {
-                records.extend(self.reevaluate_excluding(Some(id), &trigger)?);
-            }
+        if self.coalescing() {
+            self.mark_dirty(&trigger.provenance);
+        } else {
+            records.extend(self.reevaluate_excluding(Some(id), &trigger)?);
         }
         Ok(records)
     }
@@ -1177,8 +1166,7 @@ mod tests {
     fn selfish_mode_overallocates() {
         // Selfish: each bag takes as many workers as fit, ignoring the
         // other's slowdown (the AppLes contrast).
-        let cfg =
-            ControllerConfig { selfish: true, reevaluate_on_arrival: false, ..Default::default() };
+        let cfg = ControllerConfig { selfish: true, ..Default::default() };
         let mut c = Controller::new(sp2(8), cfg);
         let (a, _) = c.register(bag_spec()).unwrap();
         let (_b, _) = c.register(bag_spec()).unwrap();

@@ -28,8 +28,7 @@ pub(crate) struct Instance {
     /// its own mutex so the polling path drains under a shared borrow.
     pub(crate) pending: Mutex<Vec<(HPath, Value)>>,
     /// Memoized candidate enumeration per bundle name: a pure function of
-    /// the bundle's spec (which never changes once attached) and the
-    /// (immutable) `elastic_steps` configuration. Written only by
+    /// the bundle's spec, which never changes once attached. Written only by
     /// [`Instance::attach`] and [`Instance::detach`], so an attached
     /// bundle always has one and every pass reads it under `&self`.
     pub(crate) candidates: BTreeMap<String, Arc<Vec<Candidate>>>,
@@ -39,20 +38,20 @@ impl Instance {
     /// An instance with nothing buffered, holding `lease` and the bundles
     /// `app` arrives with (none at startup, all of them on load), each
     /// attached and so memoized.
-    pub(crate) fn new(mut app: AppInstance, lease: Lease, elastic_steps: &[f64]) -> Self {
+    pub(crate) fn new(mut app: AppInstance, lease: Lease) -> Self {
         let bundles = std::mem::take(&mut app.bundles);
         let mut instance =
             Instance { app, lease, pending: Mutex::new(Vec::new()), candidates: BTreeMap::new() };
         for state in bundles {
-            instance.attach(state, elastic_steps);
+            instance.attach(state);
         }
         instance
     }
 
     /// Attaches a bundle and enumerates its candidates: the one place a
     /// bundle joins an instance.
-    pub(crate) fn attach(&mut self, state: BundleState, elastic_steps: &[f64]) {
-        let candidates = Arc::new(enumerate(&state.spec, elastic_steps));
+    pub(crate) fn attach(&mut self, state: BundleState) {
+        let candidates = Arc::new(enumerate(&state.spec));
         self.candidates.insert(state.spec.name.clone(), candidates);
         self.app.bundles.push(state);
     }
@@ -144,18 +143,18 @@ mod tests {
     fn a_bundle_and_its_memo_come_and_go_together() {
         let id = InstanceId::new("bag", 1);
         let lease = Lease::new(0.0, &Default::default());
-        let mut inst = Instance::new(AppInstance::new(id, 0.0), lease, &[]);
+        let mut inst = Instance::new(AppInstance::new(id, 0.0), lease);
         let spec = parse_bundle_script(FIG2B_BAG).unwrap();
         // No controller, no pass: attaching alone fills the memo.
-        inst.attach(BundleState::new(spec.clone()), &[]);
+        inst.attach(BundleState::new(spec.clone()));
         assert_eq!(inst.app.bundles.len(), 1);
-        assert_eq!(*inst.candidates["config"], enumerate(&spec, &[]));
+        assert_eq!(*inst.candidates["config"], enumerate(&spec));
         inst.detach("config");
         assert!(inst.app.bundles.is_empty() && inst.candidates.is_empty());
         // An app that arrives with bundles (a load) has them attached.
         let mut app = inst.app;
         app.bundles.push(BundleState::new(spec));
-        let loaded = Instance::new(app, inst.lease, &[]);
+        let loaded = Instance::new(app, inst.lease);
         assert_eq!(loaded.app.bundles.len(), 1);
         assert!(loaded.candidates.contains_key("config"));
     }
@@ -168,7 +167,7 @@ mod tests {
             [("b", 2), ("a", 10), ("a", 9), ("b", 1)].map(|(app, id)| InstanceId::new(app, id));
         for id in &arrivals {
             let lease = Lease::new(0.0, &Default::default());
-            table.insert(Instance::new(AppInstance::new(id.clone(), 0.0), lease, &[]));
+            table.insert(Instance::new(AppInstance::new(id.clone(), 0.0), lease));
         }
         let ids = |it: &mut dyn Iterator<Item = &Instance>| -> Vec<String> {
             it.map(|inst| inst.app.id.to_string()).collect()

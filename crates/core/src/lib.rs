@@ -11,8 +11,8 @@
 //!   one-bundle-at-a-time policy of §4.3 (with exhaustive and
 //!   simulated-annealing joint optimizers for comparison in
 //!   [`optimizer`]).
-//! * [`Objective`] — the "single variable that represents the overall
-//!   behavior of the system": min-average-completion-time by default.
+//! * [`mean_completion`] — the "single variable that represents the
+//!   overall behavior of the system": the average completion time (§4.2).
 //! * [`HarmonyEvent`] — the event-driven interface of the prototype (§5).
 //! * Frictional costs, `granularity` rate limits, and elastic (`>=`)
 //!   memory grants are all honored during candidate evaluation.
@@ -47,7 +47,7 @@ pub use events::{EventOutcome, HarmonyEvent};
 pub use journal::{EventJournal, JournalEntry, JournalKind, JournalTail, PhaseTimings};
 pub use leases::{LeaseConfig, RetireReason, RetirementRecord, SessionState};
 pub use namespace::NamespaceView;
-pub use objective::Objective;
+pub use objective::mean_completion;
 pub use optimizer::DEFAULT_EXHAUSTIVE_LIMIT;
 pub use persist::{PersistedState, RecoveryInfo, StateStore, WalEvent};
 pub use pruning::PruningPlan;

@@ -10,8 +10,9 @@
 //! The pieces:
 //!
 //! * [`EvalCtx`] — a self-contained snapshot of the search problem
-//!   (candidate sets, option specs, the released base cluster, matcher
-//!   strategy and objective) detached from the [`Controller`], so a search
+//!   (candidate sets, option specs and the released base cluster; the
+//!   first-fit matcher and the mean-completion objective are fixed)
+//!   detached from the [`Controller`], so a search
 //!   reads the problem while the controller stays free to be committed to.
 //!   Candidate sets come from the controller's memoized cache
 //!   ([`Controller::cached_candidates`]), so repeated searches stop
@@ -35,7 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use harmony_predict::{option_model, PredictionContext, Predictor};
-use harmony_resources::{Allocation, Cluster, Matcher, Strategy};
+use harmony_resources::{Allocation, Cluster};
 use harmony_rsl::schema::OptionSpec;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -44,7 +45,7 @@ use crate::app::InstanceId;
 use crate::candidates::Candidate;
 use crate::controller::{Controller, DecisionRecord};
 use crate::error::CoreError;
-use crate::objective::Objective;
+use crate::objective::mean_completion;
 use crate::planner::PlannedMove;
 use crate::pruning::PruningPlan;
 
@@ -98,13 +99,13 @@ pub struct JointOutcome {
 }
 
 /// A self-contained joint-evaluation context: everything a search needs,
-/// detached from the controller.
+/// detached from the controller. Each candidate is matched first-fit at
+/// its own elastic grant, and an assignment scores the mean of its
+/// predicted response times, as the greedy planner scores a move set.
 #[derive(Debug)]
 pub struct EvalCtx {
     pub(crate) pairs: Vec<PairCtx>,
     pub(crate) base: Cluster,
-    strategy: Strategy,
-    objective: Objective,
 }
 
 impl EvalCtx {
@@ -137,12 +138,7 @@ impl EvalCtx {
             pairs.push(PairCtx { id, bundle, candidates, options, opt_idx });
         }
         let base = released_cluster(c)?;
-        Ok(EvalCtx {
-            pairs,
-            base,
-            strategy: c.config().matcher.strategy,
-            objective: c.config().objective,
-        })
+        Ok(EvalCtx { pairs, base })
     }
 
     /// Number of pairs (bundles) under joint optimization.
@@ -180,8 +176,7 @@ impl EvalCtx {
         let pair = &self.pairs[pi];
         let cand = &pair.candidates[ci];
         let opt = &pair.options[pair.opt_idx[ci]];
-        let matcher = Matcher { strategy: self.strategy, elastic_extra: cand.elastic_extra };
-        match matcher.match_vars(cluster, opt, &cand.vars) {
+        match cand.matcher().match_vars(cluster, opt, &cand.vars) {
             Ok(a) => Ok(Some(a)),
             Err(harmony_resources::ResourceError::NoMatch { .. }) => Ok(None),
             Err(e) => Err(e.into()),
@@ -201,7 +196,7 @@ impl EvalCtx {
         for ((pair, &ci), alloc) in self.pairs.iter().zip(assignment).zip(allocs) {
             rts.push(pair.time_on(cluster, alloc, ci));
         }
-        self.objective.score(rts.iter())
+        mean_completion(rts.iter())
     }
 
     /// Reference evaluation with the seed implementation's cost profile:
@@ -228,8 +223,7 @@ impl EvalCtx {
                 .iter()
                 .find(|o| o.name == cand.option)
                 .ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })?;
-            let matcher = Matcher { strategy: self.strategy, elastic_extra: cand.elastic_extra };
-            let alloc = match matcher.match_vars(&cluster, opt, &cand.vars) {
+            let alloc = match cand.matcher().match_vars(&cluster, opt, &cand.vars) {
                 Ok(a) => a,
                 Err(harmony_resources::ResourceError::NoMatch { .. }) => return Ok(None),
                 Err(e) => return Err(e.into()),
@@ -248,7 +242,7 @@ impl EvalCtx {
             };
             rts.push(rt);
         }
-        let score = self.objective.score(&rts);
+        let score = mean_completion(&rts);
         if !score.is_finite() {
             return Ok(None);
         }
@@ -473,20 +467,14 @@ struct PruneStats {
 
 /// Quantized key of the objective over `prefix ++ mid ++ tail`, assembled
 /// in `buf`.
-fn bound_key(
-    objective: &Objective,
-    buf: &mut Vec<f64>,
-    prefix: &[f64],
-    mid: Option<f64>,
-    tail: &[f64],
-) -> Option<i64> {
+fn bound_key(buf: &mut Vec<f64>, prefix: &[f64], mid: Option<f64>, tail: &[f64]) -> Option<i64> {
     buf.clear();
     buf.extend_from_slice(prefix);
     if let Some(m) = mid {
         buf.push(m);
     }
     buf.extend_from_slice(tail);
-    score_key(objective.score(buf.iter()))
+    score_key(mean_completion(buf.iter()))
 }
 
 /// Branch-and-bound depth-first scan of the whole pair set, visiting kept
@@ -496,8 +484,8 @@ fn bound_key(
 /// prefix's partial response times (each a lower bound on its final time —
 /// later commits only *add* contention, and both prediction models are
 /// monotone in it), the current candidate's static lower bound, and the
-/// per-pair minimum static bounds of the remaining suffix. Every objective
-/// is monotone nondecreasing per coordinate, and the epsilon quantization
+/// per-pair minimum static bounds of the remaining suffix. The objective (a
+/// mean) is monotone nondecreasing per coordinate, and the epsilon quantization
 /// is monotone, so a bound key no better than the incumbent's (`>=`)
 /// proves the subtree cannot improve: DFS order makes every assignment in
 /// it lexicographically greater than the incumbent, so quantized ties lose
@@ -563,7 +551,6 @@ impl BbScan<'_> {
         for (slot, &ci) in plan.kept[d].iter().enumerate() {
             if self.best.is_some() {
                 let key = bound_key(
-                    &ctx.objective,
                     &mut self.bound,
                     &self.partial_rts,
                     Some(plan.lbs[d][slot]),
@@ -595,13 +582,8 @@ impl BbScan<'_> {
             // Sharper re-bound now that the pair's real partial time is in.
             let mut cut = false;
             if self.best.is_some() && d + 1 < n {
-                let key = bound_key(
-                    &ctx.objective,
-                    &mut self.bound,
-                    &self.partial_rts,
-                    None,
-                    &plan.min_lb[d + 1..],
-                );
+                let key =
+                    bound_key(&mut self.bound, &self.partial_rts, None, &plan.min_lb[d + 1..]);
                 cut = self.bounded_out(key);
             }
             if cut {
@@ -761,7 +743,7 @@ fn component_scan(
             }
         }
         stats.scan.evals += 1;
-        match score_key(ctx.objective.score(&g_rts)) {
+        match score_key(mean_completion(&g_rts)) {
             Some(key) => {
                 let better = match &pick {
                     None => true,
@@ -1116,7 +1098,7 @@ mod tests {
 
     /// Every candidate of this bundle predicts a negative running time
     /// (a constant negative performance expression), which
-    /// [`Objective::score`] maps to `INFINITY`: every joint score is
+    /// [`mean_completion`] maps to `INFINITY`: every joint score is
     /// non-finite while every placement succeeds.
     const NEGATIVE_BAG: &str = "\
 harmonyBundle negative:1 config {
@@ -1130,11 +1112,7 @@ harmonyBundle negative:1 config {
     /// A controller holding only [`NEGATIVE_BAG`].
     fn negative_system() -> Controller {
         let cluster = Cluster::from_rsl(&sp2_cluster(4)).unwrap();
-        let cfg = ControllerConfig {
-            lint: LintMode::Off,
-            reevaluate_on_arrival: false,
-            ..Default::default()
-        };
+        let cfg = ControllerConfig { lint: LintMode::Off, ..Default::default() };
         let mut c = Controller::new(cluster, cfg);
         // Greedy arrival placement may itself refuse the all-infeasible
         // bundle; the instance stays registered either way.

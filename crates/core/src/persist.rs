@@ -472,7 +472,7 @@ impl Controller {
             };
             // Absent means none: only unfolded stamps are written.
             let lease = Lease::restore(session, touches.remove(&id));
-            let mut instance = Instance::new(app, lease, &ctl.config.elastic_steps);
+            let mut instance = Instance::new(app, lease);
             *instance.pending.get_mut() = pending.remove(&id).unwrap_or_default();
             ctl.instances.insert(instance);
         }

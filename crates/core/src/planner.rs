@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use harmony_predict::{option_model, PredictError, Prediction, PredictionContext, Predictor};
 use harmony_resources::{
-    Allocation, Cluster, MatchScratch, Matcher, SavedCounters, SiteSpan, SiteStack, Sites,
+    Allocation, Cluster, MatchScratch, SavedCounters, SiteSpan, SiteStack, Sites,
 };
 use harmony_rsl::schema::OptionSpec;
 
@@ -53,6 +53,7 @@ use crate::candidates::Candidate;
 use crate::controller::Controller;
 use crate::error::CoreError;
 use crate::journal::PhaseTimings;
+use crate::objective::mean_completion;
 use crate::optimizer::SCORE_EPSILON;
 
 /// One slot of a scan: a bundle to re-choose and, in order, the candidates
@@ -238,6 +239,11 @@ fn predicted(times: &[(&InstanceId, f64)], id: &InstanceId) -> f64 {
     times.iter().find(|(i, _)| *i == id).map_or(f64::INFINITY, |(_, rt)| *rt)
 }
 
+/// The objective over one sweep's response times.
+fn objective(times: &[(&InstanceId, f64)]) -> f64 {
+    mean_completion(times.iter().map(|(_, rt)| rt))
+}
+
 /// True when `cand` is the configuration point `cur` already holds.
 pub(crate) fn same_point(cur: &ChosenConfig, cand: &Candidate) -> bool {
     cur.option == cand.option
@@ -293,7 +299,7 @@ fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
             let (alloc, span, saved) = Default::default();
             walk.placed.push(Placed { target, at, opt, alloc, span, saved, penalty: 0.0 });
         }
-        let matcher = walk.ctl.matcher_for(cand);
+        let matcher = cand.matcher();
         walk.matches += 1;
         let level = &mut walk.placed[depth];
         let scratch = &mut walk.match_scratch;
@@ -323,7 +329,7 @@ fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
 fn score(walk: &mut Walk<'_>) {
     walk.trials += 1;
     walk.table.times(&walk.scratch, &walk.placed, &walk.touched, walk.only, &mut walk.times);
-    let score = walk.ctl.score(&walk.times);
+    let score = objective(&walk.times);
     if walk.best.is_none_or(|best| score < best - SCORE_EPSILON) {
         walk.best = Some(score);
         walk.best_moves.clear();
@@ -377,7 +383,7 @@ fn planned_moves(walk: &mut Walk<'_>, kept: &[usize]) -> Result<Vec<PlannedMove>
         let (target, level) = (&walk.targets[depth], &mut walk.placed[depth]);
         let candidate = &target.cands[at];
         let opt = option_of(target, candidate)?;
-        let matcher = walk.ctl.matcher_for(candidate);
+        let matcher = candidate.matcher();
         let scratch = &mut walk.match_scratch;
         if let Err(miss) =
             matcher.match_into(&walk.scratch, opt, &candidate.vars, &mut level.alloc, scratch)?
@@ -417,7 +423,7 @@ impl Controller {
 
     /// The current objective score over all applications.
     pub fn objective_score(&self) -> f64 {
-        self.score(&self.table((0, 0)).live(&self.cluster))
+        objective(&self.table((0, 0)).live(&self.cluster))
     }
 
     /// Looks up one bundle of one instance.
@@ -511,7 +517,7 @@ impl Controller {
             .map(|t| t.state.spec.options.iter().map(|o| o.links.len()).max().unwrap_or(0))
             .sum();
         let table = self.table((self.cluster.len() * targets.len(), links));
-        let objective_before = self.score(&table.live(&self.cluster));
+        let objective_before = objective(&table.live(&self.cluster));
         let mut prediction_ms = elapsed_ms(t_scan);
         if targets.iter().any(|t| t.cands.is_empty()) {
             return Ok(Scan { plan: None, trials: 0, matches: 0 });
@@ -599,17 +605,6 @@ impl Controller {
         table
     }
 
-    /// The matcher that places `cand`: the configured strategy at the
-    /// candidate's elastic grant.
-    fn matcher_for(&self, cand: &Candidate) -> Matcher {
-        Matcher { strategy: self.config.matcher.strategy, elastic_extra: cand.elastic_extra }
-    }
-
-    /// The objective over one sweep's response times.
-    fn score(&self, times: &[(&InstanceId, f64)]) -> f64 {
-        self.config.objective.score(times.iter().map(|(_, rt)| rt))
-    }
-
     /// The friction (seconds) of moving `bundle` to `cand`, placed as
     /// `alloc`; zero when the candidate equals the incumbent or there is no
     /// incumbent.
@@ -638,7 +633,7 @@ mod tests {
     use crate::candidates::enumerate;
     use crate::controller::{ControllerConfig, LintMode};
     use harmony_predict::{model_for_option, DefaultModel, LogPParams};
-    use harmony_resources::{AllocatedLink, ResourceError, Strategy};
+    use harmony_resources::{AllocatedLink, Matcher, ResourceError};
     use harmony_rng::SeededRng;
     use harmony_rsl::expr::MapEnv;
     use harmony_rsl::listings::{sp2_cluster, FIG2B_BAG, FIG3_DBCLIENT};
@@ -716,7 +711,7 @@ mod tests {
             sets: impl Iterator<Item = Vec<Move<'a>>>,
             focus: &InstanceId,
         ) -> Result<Option<Plan>, CoreError> {
-            let objective_before = self.score(&self.ref_response_times(&self.cluster, &[], None));
+            let objective_before = objective(&self.ref_response_times(&self.cluster, &[], None));
             let mut best: Option<(Vec<Move<'a>>, Trial<'_>)> = None;
             for moves in sets {
                 if let Some(t) = self.ref_trial(&moves, focus)? {
@@ -763,11 +758,7 @@ mod tests {
             }
             let mut replaces = Vec::with_capacity(moves.len());
             for (m, (bundle, opt)) in moves.iter().zip(targets) {
-                let matcher = Matcher {
-                    strategy: self.config.matcher.strategy,
-                    elastic_extra: m.cand.elastic_extra,
-                };
-                let alloc = match matcher.match_vars(&cluster, opt, &m.cand.vars) {
+                let alloc = match m.cand.matcher().match_vars(&cluster, opt, &m.cand.vars) {
                     Ok(alloc) => alloc,
                     Err(ResourceError::NoMatch { .. }) => return Ok(None),
                     Err(e) => return Err(e.into()),
@@ -784,7 +775,7 @@ mod tests {
             let only = self.config.selfish.then_some(focus);
             let times = self.ref_response_times(&cluster, &replaces, only);
             let allocs = replaces.into_iter().map(|r| r.alloc).collect();
-            Ok(Some(Trial { score: self.score(&times), times, allocs }))
+            Ok(Some(Trial { score: objective(&times), times, allocs }))
         }
 
         fn ref_response_times(
@@ -846,7 +837,7 @@ mod tests {
     /// Attaches `spec` to `id` without planning it, as `place_bundle` does
     /// before it plans.
     fn attach(c: &mut Controller, id: &InstanceId, spec: BundleSpec) {
-        c.instances.get_mut(id).unwrap().attach(BundleState::new(spec), &c.config.elastic_steps);
+        c.instances.get_mut(id).unwrap().attach(BundleState::new(spec));
     }
 
     /// Every `(instance, bundle)` with the candidates the drivers would
@@ -855,7 +846,7 @@ mod tests {
         let mut out = Vec::new();
         for id in c.instances() {
             for b in &c.app(&id).unwrap().bundles {
-                let cands = enumerate(&b.spec, &c.config.elastic_steps);
+                let cands = enumerate(&b.spec);
                 out.push((id.clone(), b.spec.name.clone(), cands));
             }
         }
@@ -936,13 +927,7 @@ mod tests {
         let mut plans = 0;
         for seed in 0..24u64 {
             let mut rng = SeededRng::seed(seed);
-            let config = ControllerConfig {
-                matcher: Matcher::new(
-                    [Strategy::FirstFit, Strategy::BestFit, Strategy::WorstFit][seed as usize % 3],
-                ),
-                selfish: seed % 4 == 3,
-                ..Default::default()
-            };
+            let config = ControllerConfig { selfish: seed % 4 == 3, ..Default::default() };
             let nodes = 3 + (seed as usize % 4);
             let cluster = Cluster::from_rsl(&sp2_cluster(nodes)).unwrap();
             let mut c = Controller::new(cluster, config);
@@ -1097,12 +1082,9 @@ mod tests {
             "harmonyBundle two:1 first { {slow {node n {seconds 300} {memory 32}}} }";
         const SECOND: &str =
             "harmonyBundle two:1 second { {fast {node n {seconds 100} {memory 32}}} }";
-        let config = ControllerConfig {
-            reevaluate_on_arrival: false,
-            coordinated_moves: false,
-            ..Default::default()
-        };
-        let mut c = bags(1, config);
+        // Alone on the cluster: an arrival re-evaluates no other
+        // application, so each verb commits exactly the planned move.
+        let mut c = bags(0, ControllerConfig::default());
         let id = c.startup("two");
         let mut committed = Vec::new();
         for script in [FIRST, SECOND] {
@@ -1163,7 +1145,7 @@ mod tests {
             let slot = Target { id: focus, state, cands: &cands[..1] };
             let keep_all: Settle = |moves, _, _| Some((0..moves.len()).collect());
             let plan = c.scan(&[slot], focus, 0.0, keep_all).unwrap().plan.unwrap();
-            let alone = c.config.objective.score(&[plan.moves[0].predicted]);
+            let alone = mean_completion(&[plan.moves[0].predicted]);
             assert_eq!(plan.score == alone, selfish);
         }
     }

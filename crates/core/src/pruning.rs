@@ -476,7 +476,7 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(0x0001_47E0_0000 ^ seed);
             let script = random_script(0, &mut rng);
             let spec = parse_bundle_script(&script).unwrap();
-            let candidates = crate::candidates::enumerate(&spec, &[]);
+            let candidates = crate::candidates::enumerate(&spec);
             for cand in &candidates {
                 let opt = spec
                     .options

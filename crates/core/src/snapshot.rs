@@ -239,7 +239,7 @@ impl SystemSnapshot {
         SystemSnapshot {
             time: ctl.now(),
             objective: ctl.objective_score(),
-            objective_name: ctl.config().objective.name().to_string(),
+            objective_name: crate::objective::NAME.to_string(),
             apps,
             nodes,
             decisions: ctl.metrics().counter("controller.decisions") as usize,

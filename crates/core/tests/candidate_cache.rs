@@ -19,7 +19,7 @@ fn controller(nodes: usize, config: ControllerConfig) -> Controller {
 fn assert_cache_fresh(c: &Controller, id: &InstanceId) {
     for bundle in &c.app(id).expect("instance exists").bundles {
         let name = &bundle.spec.name;
-        let fresh = enumerate_candidates(&bundle.spec, &c.config().elastic_steps);
+        let fresh = enumerate_candidates(&bundle.spec);
         let cached = c.cached_candidates(id, name).expect("attached bundles are memoized");
         assert_eq!(*cached, fresh, "cache for {id}/{name} diverged from enumerate()");
     }

@@ -106,7 +106,6 @@ fn periodic() -> (Controller, Vec<DecisionRecord>) {
 fn forced_after_a_rejected_bundle() -> (Controller, Vec<DecisionRecord>) {
     let mut ctl = controller_with(ControllerConfig {
         coordinated_moves: false,
-        reevaluate_on_arrival: false,
         lint: LintMode::Off,
         ..Default::default()
     });

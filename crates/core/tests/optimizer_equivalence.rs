@@ -14,11 +14,11 @@
 //!
 //! Both are checked across a seeded family of randomized systems (bundle
 //! counts, variable choices, memory/seconds/communication shapes, cluster
-//! sizes, matcher strategies, objectives), >= 100 cases each.
+//! sizes), >= 100 cases each.
 
 use harmony_core::optimizer::{exhaustive, exhaustive_baseline, EvalCtx, IncrementalEval};
-use harmony_core::{Controller, ControllerConfig, Objective};
-use harmony_resources::{Cluster, Strategy};
+use harmony_core::{Controller, ControllerConfig};
+use harmony_resources::Cluster;
 use harmony_rsl::listings::sp2_cluster;
 use harmony_rsl::schema::parse_bundle_script;
 use rand::rngs::StdRng;
@@ -27,19 +27,9 @@ use rand::{Rng, SeedableRng};
 /// Builds one randomized system: a cluster of `nodes` SP-2 nodes and
 /// `napps` single-option bundles with random variable choices and demands.
 /// Everything is derived from `rng`, so a case is reproducible by seed.
-fn random_system(rng: &mut StdRng) -> (ControllerConfig, usize, Vec<String>) {
+fn random_system(rng: &mut StdRng) -> (usize, Vec<String>) {
     let nodes = rng.gen_range(2..=10usize);
     let napps = rng.gen_range(1..=4usize);
-    let strategy = match rng.gen_range(0..3u32) {
-        0 => Strategy::FirstFit,
-        1 => Strategy::BestFit,
-        _ => Strategy::WorstFit,
-    };
-    let objective = match rng.gen_range(0..3u32) {
-        0 => Objective::MinAvgCompletionTime,
-        1 => Objective::MinMakespan,
-        _ => Objective::Blend(0.5),
-    };
     let mut scripts = Vec::new();
     for i in 0..napps {
         let all = [1usize, 2, 3, 4, 6, 8];
@@ -64,17 +54,12 @@ fn random_system(rng: &mut StdRng) -> (ControllerConfig, usize, Vec<String>) {
              {{communication {{{comm} * workerNodes}}}}}}\n}}\n"
         ));
     }
-    let config = ControllerConfig {
-        matcher: harmony_resources::Matcher { strategy, elastic_extra: 0.0 },
-        objective,
-        ..Default::default()
-    };
-    (config, nodes, scripts)
+    (nodes, scripts)
 }
 
-fn build_controller(config: &ControllerConfig, nodes: usize, scripts: &[String]) -> Controller {
+fn build_controller(nodes: usize, scripts: &[String]) -> Controller {
     let cluster = Cluster::from_rsl(&sp2_cluster(nodes)).unwrap();
-    let mut c = Controller::new(cluster, config.clone());
+    let mut c = Controller::new(cluster, ControllerConfig::default());
     for s in scripts {
         // Some random demands exceed the cluster; an unplaced bundle is a
         // legitimate input to the joint optimizers, not a test failure.
@@ -86,8 +71,8 @@ fn build_controller(config: &ControllerConfig, nodes: usize, scripts: &[String])
 /// A randomized system that also exercises the pruning axes: sometimes a
 /// pair of bundles pinned to disjoint hosts (components), sometimes a
 /// bundle with provably dominated variable choices.
-fn random_pruning_system(rng: &mut StdRng) -> (ControllerConfig, usize, Vec<String>) {
-    let (config, nodes, mut scripts) = random_system(rng);
+fn random_pruning_system(rng: &mut StdRng) -> (usize, Vec<String>) {
+    let (nodes, mut scripts) = random_system(rng);
     if rng.gen_bool(0.5) && nodes >= 4 {
         // Two bundles pinned to disjoint node pairs: the interference
         // partition should split them into independent components.
@@ -113,16 +98,16 @@ fn random_pruning_system(rng: &mut StdRng) -> (ControllerConfig, usize, Vec<Stri
              {{performance {{{base} * t}}}}}} }}"
         ));
     }
-    (config, nodes, scripts)
+    (nodes, scripts)
 }
 
 /// Runs `exhaustive` and `exhaustive_baseline` on twin controllers and
 /// describes the first thing they disagree on: the result (decisions, or
 /// the error's text), any instance's committed choice (option and
 /// variables, allocation, predicted time), or the objective's bits.
-fn divergence(config: &ControllerConfig, nodes: usize, scripts: &[String]) -> Option<String> {
-    let mut pruned = build_controller(config, nodes, scripts);
-    let mut reference = build_controller(config, nodes, scripts);
+fn divergence(nodes: usize, scripts: &[String]) -> Option<String> {
+    let mut pruned = build_controller(nodes, scripts);
+    let mut reference = build_controller(nodes, scripts);
     let rp = exhaustive(&mut pruned, 1_000_000);
     let rr = exhaustive_baseline(&mut reference, 1_000_000);
     let same = match (&rp, &rr) {
@@ -147,7 +132,7 @@ fn divergence(config: &ControllerConfig, nodes: usize, scripts: &[String]) -> Op
 fn pruned_search_is_bit_identical_on_random_systems() {
     // 120 plain systems, then 300 that also exercise the pruning axes
     // (components, dominated choices).
-    type Shape = fn(&mut StdRng) -> (ControllerConfig, usize, Vec<String>);
+    type Shape = fn(&mut StdRng) -> (usize, Vec<String>);
     let families: [(&str, u64, u64, Shape); 2] = [
         ("plain", 0xE0_0000, 120, random_system),
         ("pruning", 0xFAC7_0000, 300, random_pruning_system),
@@ -156,8 +141,8 @@ fn pruned_search_is_bit_identical_on_random_systems() {
     for (family, base, cases, shape) in families {
         for case in 0..cases {
             let mut rng = StdRng::seed_from_u64(base + case);
-            let (config, nodes, scripts) = shape(&mut rng);
-            if let Some(what) = divergence(&config, nodes, &scripts) {
+            let (nodes, scripts) = shape(&mut rng);
+            if let Some(what) = divergence(nodes, &scripts) {
                 failures.push(format!("{family} case {case}: {what}"));
             }
         }
@@ -169,9 +154,9 @@ fn pruned_search_is_bit_identical_on_random_systems() {
 fn baseline_scan_equals_exhaustive_on_random_systems() {
     for case in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0xBA_0000 + case);
-        let (config, nodes, scripts) = random_system(&mut rng);
-        let mut fast = build_controller(&config, nodes, &scripts);
-        let mut slow = build_controller(&config, nodes, &scripts);
+        let (nodes, scripts) = random_system(&mut rng);
+        let mut fast = build_controller(nodes, &scripts);
+        let mut slow = build_controller(nodes, &scripts);
         let rf = exhaustive(&mut fast, 1_000_000);
         let rb = exhaustive_baseline(&mut slow, 1_000_000);
         match (rf, rb) {
@@ -186,8 +171,8 @@ fn baseline_scan_equals_exhaustive_on_random_systems() {
 fn incremental_eval_equals_fresh_eval_on_random_systems() {
     for case in 0..120u64 {
         let mut rng = StdRng::seed_from_u64(0x1C_0000 + case);
-        let (config, nodes, scripts) = random_system(&mut rng);
-        let mut c = build_controller(&config, nodes, &scripts);
+        let (nodes, scripts) = random_system(&mut rng);
+        let mut c = build_controller(nodes, &scripts);
         let ctx = EvalCtx::build(&mut c).unwrap();
         if ctx.is_empty() {
             continue;

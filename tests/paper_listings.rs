@@ -149,13 +149,10 @@ fn fig3_namespace_name_from_the_paper_resolves() {
         rsl.push_str(&format!("harmonyLink server c{i} {{bandwidth 320}}\n"));
     }
     let cluster = Cluster::from_rsl(&rsl).unwrap();
-    // This test only exercises naming; skip the O(n²) coordination passes
-    // that 66 concurrent instances would otherwise trigger.
-    let config = ControllerConfig {
-        coordinated_moves: false,
-        reevaluate_on_arrival: false,
-        ..Default::default()
-    };
+    // This test only exercises naming; skip the O(n²) pairwise coordination
+    // passes that 66 concurrent instances would otherwise trigger. Each
+    // arrival still re-evaluates the clients already placed (§4.3).
+    let config = ControllerConfig { coordinated_moves: false, ..Default::default() };
     let mut ctl = Controller::new(cluster, config);
     let spec = parse_bundle_script(FIG3_DBCLIENT).unwrap();
     // Register 66 instances so the 66th gets the paper's instance id.

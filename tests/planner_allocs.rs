@@ -12,7 +12,9 @@
 //! kept a fresh allocation, the four-node `bundle` made 2,541 allocations
 //! and its `end` 704; at 16 nodes with 12 standing, 103,377 and 76,637.
 //! While the walk found its nodes by name and copied out every winner,
-//! 1,190 / 289 and 12,182 / 8,583.)
+//! 1,190 / 289 and 12,182 / 8,583. While enumeration built a vector of
+//! elastic steps per option, each `bundle` made one more allocation per
+//! option and one more per elastic option: 1,048, 8,441 and 4,871.)
 
 use std::sync::Arc;
 
@@ -91,21 +93,21 @@ fn arrival_cost(
 
 #[test]
 fn an_arrivals_bundle_and_end_make_a_pinned_number_of_allocations() {
-    assert_eq!(arrival_cost(4, 2, 11, "bag", FIG2B_BAG), (1048, 245));
+    assert_eq!(arrival_cost(4, 2, 11, "bag", FIG2B_BAG), (1047, 245));
 }
 
 /// The same arrival beside twelve standing bags on sixteen nodes: 103
 /// scans for the `bundle`, 78 for the `end`.
 #[test]
 fn a_crowded_arrival_makes_a_pinned_number_of_allocations() {
-    assert_eq!(arrival_cost(16, 12, 5, "bag", FIG2B_BAG), (8441, 5826));
+    assert_eq!(arrival_cost(16, 12, 5, "bag", FIG2B_BAG), (8440, 5826));
 }
 
 /// Figure 3's database client arriving beside two standing bags on four
 /// nodes: two options, a pinned server, links and elastic memory steps.
 #[test]
 fn a_database_clients_arrival_makes_a_pinned_number_of_allocations() {
-    assert_eq!(arrival_cost(4, 2, 11, "DBclient", &fig3()), (4871, 121));
+    assert_eq!(arrival_cost(4, 2, 11, "DBclient", &fig3()), (4868, 121));
 }
 
 /// A scan's scratch: cloning a 128-node full mesh (8,128 links) copies two

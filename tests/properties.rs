@@ -250,8 +250,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Objectives: scale-monotonicity — making every job slower never improves
-// any objective's score.
+// Objective: scale-monotonicity — making every job slower never improves
+// the score.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -260,19 +260,12 @@ proptest! {
         rts in prop::collection::vec(0.1f64..1e4, 1..10),
         factor in 1.01f64..10.0,
     ) {
-        use harmony::core::Objective;
+        use harmony::core::mean_completion;
         let slower: Vec<f64> = rts.iter().map(|r| r * factor).collect();
-        for obj in [
-            Objective::MinAvgCompletionTime,
-            Objective::MinMakespan,
-            Objective::MaxThroughput,
-            Objective::Blend(0.3),
-        ] {
-            prop_assert!(
-                obj.score(&slower) >= obj.score(&rts) - 1e-9,
-                "{obj:?} improved under slowdown"
-            );
-        }
+        prop_assert!(
+            mean_completion(&slower) >= mean_completion(&rts) - 1e-9,
+            "the mean completion time improved under slowdown"
+        );
     }
 
     #[test]

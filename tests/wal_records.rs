@@ -235,6 +235,11 @@ fn a_state_dir_with_metric_records_and_series_still_opens() {
     let wal = std::fs::read_to_string(format!("{COMPAT}/wal_with_metric_records.jsonl")).unwrap();
     assert!(snapshot.contains("\"feedback\":null") && snapshot.contains("\"metric_series\":[["));
     assert!(snapshot.contains("\"namespace\":"));
+    // The image predates the four policy settings becoming constants: the
+    // reader skips their keys.
+    for key in ["matcher", "objective", "elastic_steps", "reevaluate_on_arrival"] {
+        assert!(snapshot.contains(&format!("\"{key}\":")), "{key}");
+    }
     let dir = scratch("compat");
     let state_dir = StateDir::open(&dir).unwrap();
     state_dir.write_snapshot(1, snapshot.as_bytes()).unwrap();
