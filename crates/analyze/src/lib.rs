@@ -5,7 +5,7 @@
 //! option-selection loop. This crate front-loads that discovery: it runs a
 //! battery of static passes over parsed [`BundleSpec`]s and reports
 //! [`Diagnostic`]s with stable `HAxxxx` codes, severities, and byte-span
-//! labels that render rustc-style (see [`render`]) or as JSON (see
+//! labels that render rustc-style (see [`render()`]) or as JSON (see
 //! [`to_json`]).
 //!
 //! Passes, in order:

@@ -1,6 +1,6 @@
 //! What one read-path request costs the daemon, in-process and warm: wall
 //! time, heap allocations, `read` calls and `write` calls per `heartbeat`,
-//! empty `poll`, `metric` and `poll` carrying a choice.
+//! empty `poll`, `metric`, `poll` carrying a choice and `status`.
 //!
 //! The server-side loop (`harmony_proto::serve_stream`) runs against an
 //! in-memory peer in lockstep with it, over a controller with eight
@@ -9,7 +9,9 @@
 //! them for CI to pin (`--smoke` serves fewer requests; the counts are the
 //! same); the times beside them do not. The `before` column is the same
 //! loop measured the same way one commit before buffered frames, the
-//! borrowing parser and metric handles.
+//! borrowing parser and metric handles; for `status`, before the snapshot
+//! walked the instance and histogram tables once (it looked each instance
+//! up by id and copied each histogram out by name).
 
 use std::time::Instant;
 
@@ -107,6 +109,19 @@ fn main() {
         rows.push(Row { verb, ns: None, allocations, reads, writes, before: None });
     }
 
+    // A `status`: the operator's view, what `harmonyctl status` and `top`
+    // send. Its reply is the controller's whole snapshot, so a batch of
+    // them is a hundredth as long.
+    let statuses = round_robin(400, |_, _| "status".to_string());
+    let cost = steady_cost(&ctl, &statuses[..1], &statuses[1..]);
+    ok &= check("every status is served at one exact cost", cost.is_some());
+    if let Some(Cost { allocations, reads, writes }) = cost {
+        let batch = round_robin(requests / 100, |_, _| "status".to_string());
+        let ns = (0..repetitions).map(|_| time_per_request(&ctl, &batch)).reduce(f64::min);
+        let before = Some(Before { ns: 16_140.0, allocations: 201, reads: 1, writes: 1 });
+        rows.push(Row { verb: "status", ns, allocations, reads, writes, before });
+    }
+
     let mut table = Table::new(vec![
         "verb",
         "ns",
@@ -132,7 +147,7 @@ fn main() {
     let allocations: Vec<u64> = rows.iter().map(|r| r.allocations).collect();
     ok &= check(
         "heartbeat ≤ 1, empty poll ≤ 2, metric ≤ 4 allocations",
-        allocations.len() == 4 && allocations[0] <= 1 && allocations[1] <= 2 && allocations[2] <= 4,
+        allocations.len() == 5 && allocations[0] <= 1 && allocations[1] <= 2 && allocations[2] <= 4,
     );
     ok &= check(
         "every request is one read and one write",

@@ -84,6 +84,9 @@ pub struct Peer {
 impl Peer {
     /// A peer that will send `requests`, one frame each, then hang up.
     pub fn new(requests: &[String]) -> Self {
+        // A `status` reply carries the controller's whole snapshot.
+        let reply_bytes: usize =
+            requests.iter().map(|text| if text == "status" { 16 << 10 } else { 512 }).sum();
         let mut wire = Vec::new();
         let mut ends = Vec::new();
         for text in requests {
@@ -96,7 +99,7 @@ impl Peer {
             next: 0,
             at: 0,
             calls: Vec::with_capacity(3 * requests.len() + 8),
-            replies: Vec::with_capacity(512 * requests.len() + 4096),
+            replies: Vec::with_capacity(reply_bytes + 4096),
         }
     }
 

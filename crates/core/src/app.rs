@@ -1,6 +1,7 @@
 //! Application instance state held by the controller.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use harmony_resources::Allocation;
 use harmony_rsl::schema::BundleSpec;
@@ -78,13 +79,7 @@ pub struct ChosenConfig {
 impl ChosenConfig {
     /// A short label like `DS` or `run[workerNodes=4]` for logs and traces.
     pub fn label(&self) -> String {
-        if self.vars.is_empty() {
-            self.option.clone()
-        } else {
-            let vars =
-                self.vars.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(",");
-            format!("{}[{vars}]", self.option)
-        }
+        option_label(&self.option, &self.vars)
     }
 
     /// True when `other` denotes the same option/variable point (ignoring
@@ -94,6 +89,25 @@ impl ChosenConfig {
             && self.vars == other.vars
             && (self.elastic_extra - other.elastic_extra).abs() < 1e-9
     }
+}
+
+/// `option`, then its bindings as `[k=v,...]` when it has any: the label
+/// decision records, journal entries and `status` carry. Written into one
+/// `String` sized for the longest text the bindings can have.
+pub(crate) fn option_label(option: &str, vars: &[(String, i64)]) -> String {
+    // `[`, `]`, and per binding `=`, `,` and up to 20 bytes of `i64`.
+    let most = option.len() + 2 + vars.iter().map(|(k, _)| k.len() + 22).sum::<usize>();
+    let mut label = String::with_capacity(most);
+    label.push_str(option);
+    for (i, (k, v)) in vars.iter().enumerate() {
+        label.push(if i == 0 { '[' } else { ',' });
+        // Writing to a `String` cannot fail.
+        let _ = write!(label, "{k}={v}");
+    }
+    if !vars.is_empty() {
+        label.push(']');
+    }
+    label
 }
 
 /// The controller-side state of one bundle of one application instance.
@@ -188,6 +202,16 @@ mod tests {
         assert_eq!(c.label(), "run[workerNodes=4]");
         let plain = ChosenConfig { vars: vec![], option: "DS".into(), ..c.clone() };
         assert_eq!(plain.label(), "DS");
+        // Zero, one and two bindings, byte for byte.
+        let labelled = |option: &str, vars: &[(&str, i64)]| ChosenConfig {
+            option: option.into(),
+            vars: vars.iter().map(|&(k, v)| (k.to_owned(), v)).collect(),
+            ..c.clone()
+        };
+        assert_eq!(labelled("run", &[]).label(), "run");
+        assert_eq!(labelled("run", &[("workerNodes", 2)]).label(), "run[workerNodes=2]");
+        assert_eq!(labelled("opt", &[("a", 1), ("b", 2)]).label(), "opt[a=1,b=2]");
+        assert_eq!(labelled("x", &[("k", i64::MIN)]).label(), format!("x[k={}]", i64::MIN));
         assert!(!c.same_choice(&plain));
         let mut same = c.clone();
         same.chosen_at = 99.0;

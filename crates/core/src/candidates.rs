@@ -9,6 +9,8 @@ use harmony_resources::{Matcher, Strategy};
 use harmony_rsl::schema::{BundleSpec, OptionSpec};
 use serde::{Deserialize, Serialize};
 
+use crate::app::option_label;
+
 /// One candidate configuration point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Candidate {
@@ -23,12 +25,7 @@ pub struct Candidate {
 impl Candidate {
     /// A short label like `DS+7MB` or `run[workerNodes=4]`.
     pub fn label(&self) -> String {
-        let mut s = self.option.clone();
-        if !self.vars.is_empty() {
-            let vars =
-                self.vars.iter().map(|(k, v)| format!("{k}={v}")).collect::<Vec<_>>().join(",");
-            s.push_str(&format!("[{vars}]"));
-        }
+        let mut s = option_label(&self.option, &self.vars);
         if self.elastic_extra > 0.0 {
             s.push_str(&format!("+{:.0}MB", self.elastic_extra));
         }

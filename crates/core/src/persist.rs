@@ -416,7 +416,7 @@ impl Controller {
     /// configurations), and metrics, the decision and retirement histories
     /// and the journal's entries (restart empty) are deliberately excluded.
     ///
-    /// One [`Instance`] record fans out into the five per-instance fields
+    /// One `Instance` record fans out into the five per-instance fields
     /// of the format, each in id order as the format has always had them.
     pub fn persisted_state(&self) -> PersistedState {
         let by_id = || self.instances.in_id_order().map(|inst| (inst.app.id.clone(), inst));

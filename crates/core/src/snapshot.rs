@@ -188,29 +188,22 @@ impl SystemSnapshot {
     /// Captures the controller's current state.
     pub fn capture(ctl: &Controller) -> Self {
         let apps = ctl
-            .instances()
-            .into_iter()
-            .filter_map(|id| {
-                let app = ctl.app(&id)?;
-                Some(AppSnapshot {
-                    instance: id.to_string(),
-                    arrived_at: app.arrived_at,
-                    bundles: app
-                        .bundles
-                        .iter()
-                        .map(|b| match &b.current {
-                            Some(c) => {
-                                (b.spec.name.clone(), c.label(), c.predicted, b.reconfig_count)
-                            }
-                            None => (
-                                b.spec.name.clone(),
-                                "-".to_string(),
-                                f64::INFINITY,
-                                b.reconfig_count,
-                            ),
-                        })
-                        .collect(),
-                })
+            .instances
+            .in_arrival_order()
+            .map(|inst| AppSnapshot {
+                instance: inst.app.id.to_string(),
+                arrived_at: inst.app.arrived_at,
+                bundles: inst
+                    .app
+                    .bundles
+                    .iter()
+                    .map(|b| match &b.current {
+                        Some(c) => (b.spec.name.clone(), c.label(), c.predicted, b.reconfig_count),
+                        None => {
+                            (b.spec.name.clone(), "-".to_string(), f64::INFINITY, b.reconfig_count)
+                        }
+                    })
+                    .collect(),
             })
             .collect();
         let nodes = ctl
@@ -226,16 +219,33 @@ impl SystemSnapshot {
             })
             .collect();
         let sessions = ctl
-            .sessions()
-            .map(|(id, s)| SessionSnapshot {
-                instance: id.to_string(),
-                // The stored deadline extended by any not-yet-folded
-                // read-path touch, i.e. what the reaper will honor.
-                lease_deadline: ctl.effective_deadline(id).unwrap_or(s.deadline),
-                disconnected: s.disconnected,
-                renewals: s.renewals,
+            .instances
+            .in_id_order()
+            .map(|inst| {
+                let session = inst.lease.session();
+                SessionSnapshot {
+                    instance: inst.app.id.to_string(),
+                    // The stored deadline extended by any not-yet-folded
+                    // read-path touch, i.e. what the reaper will honor.
+                    lease_deadline: inst.lease.effective_deadline(&ctl.config.lease),
+                    disconnected: session.disconnected,
+                    renewals: session.renewals,
+                }
             })
             .collect();
+        let mut histograms = Vec::new();
+        ctl.metrics().for_each_histogram(|name, h| {
+            if !h.is_empty() {
+                histograms.push(HistogramSnapshot {
+                    name: name.to_owned(),
+                    count: h.len(),
+                    mean: h.mean().unwrap_or(0.0),
+                    max: h.max().unwrap_or(0.0),
+                    p50: h.quantile_bound(0.5).unwrap_or(0.0),
+                    p95: h.quantile_bound(0.95).unwrap_or(0.0),
+                });
+            }
+        });
         SystemSnapshot {
             time: ctl.now(),
             objective: ctl.objective_score(),
@@ -271,25 +281,7 @@ impl SystemSnapshot {
                     .counter("controller.scheduler.coalesced_arrivals"),
                 decisions_saved: ctl.metrics().counter("controller.scheduler.decisions_saved"),
             },
-            histograms: ctl
-                .metrics()
-                .histogram_names()
-                .into_iter()
-                .filter_map(|name| {
-                    let h = ctl.metrics().histogram(&name)?;
-                    if h.is_empty() {
-                        return None;
-                    }
-                    Some(HistogramSnapshot {
-                        name,
-                        count: h.len(),
-                        mean: h.mean().unwrap_or(0.0),
-                        max: h.max().unwrap_or(0.0),
-                        p50: h.quantile_bound(0.5).unwrap_or(0.0),
-                        p95: h.quantile_bound(0.95).unwrap_or(0.0),
-                    })
-                })
-                .collect(),
+            histograms,
             journal_seq: ctl.journal_seq(),
             persistence: ctl.wal_attached().then(|| PersistenceSnapshot {
                 recovery: ctl.recovery_info(),

@@ -11,7 +11,8 @@
 //! ## The shadow lease model
 //!
 //! Lease state is the invariant hardest to eyeball: renewals arrive on
-//! two paths (write-path verbs renew [`SessionState::deadline`] directly;
+//! two paths (write-path verbs renew
+//! [`SessionState::deadline`](harmony_core::SessionState::deadline) directly;
 //! read-path verbs stamp an atomic that a later write-path pass folds in)
 //! and recovery traffic (reattach, fresh-startup fallback) renews as a
 //! side effect. The world therefore feeds the ground truth of delivered

@@ -214,9 +214,15 @@ impl MetricRegistry {
         self.inner.read().histograms.get(name).map(HistogramHandle::snapshot)
     }
 
-    /// Names of all histograms, in order.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.inner.read().histograms.keys().cloned().collect()
+    /// Hands every histogram to `visit` with its name, in name order,
+    /// under one read of the name table and without a copy: what a
+    /// snapshot and the exposition walk. `visit` runs under the table's
+    /// read lock and the histogram's own, so it must not call back into
+    /// the registry.
+    pub fn for_each_histogram(&self, mut visit: impl FnMut(&str, &Histogram)) {
+        for (name, h) in &self.inner.read().histograms {
+            visit(name, &h.0.lock());
+        }
     }
 
     /// Renders every counter, gauge, and histogram as a plain-text
@@ -225,16 +231,17 @@ impl MetricRegistry {
     /// bounds. The format is line-oriented and stable, meant for
     /// `harmonyctl export` and CI assertions rather than humans.
     pub fn expose(&self) -> String {
-        let inner = self.inner.read();
         let mut out = String::new();
-        for (name, c) in &inner.counters {
-            let _ = writeln!(out, "counter {name} {}", c.get());
+        {
+            let inner = self.inner.read();
+            for (name, c) in &inner.counters {
+                let _ = writeln!(out, "counter {name} {}", c.get());
+            }
+            for (name, g) in &inner.gauges {
+                let _ = writeln!(out, "gauge {name} {g}");
+            }
         }
-        for (name, g) in &inner.gauges {
-            let _ = writeln!(out, "gauge {name} {g}");
-        }
-        for (name, h) in &inner.histograms {
-            let h = h.0.lock();
+        self.for_each_histogram(|name, h| {
             let _ = writeln!(out, "histogram {name} count {}", h.len());
             if let (Some(mean), Some(max)) = (h.mean(), h.max()) {
                 let _ = writeln!(out, "histogram {name} mean {mean}");
@@ -245,7 +252,7 @@ impl MetricRegistry {
                     let _ = writeln!(out, "histogram {name} {label} {bound}");
                 }
             }
-        }
+        });
         out
     }
 
@@ -366,7 +373,9 @@ mod tests {
         let h = reg.histogram("lat").unwrap();
         assert_eq!(h.len(), 4);
         assert_eq!(h.max(), Some(10.0));
-        assert_eq!(reg.histogram_names(), vec!["lat"]);
+        let mut seen = Vec::new();
+        reg.for_each_histogram(|name, h| seen.push((name.to_owned(), h.len())));
+        assert_eq!(seen, vec![("lat".to_owned(), 4)]);
         assert_eq!(reg.len(), 1);
     }
 
@@ -416,7 +425,16 @@ mod tests {
         assert_eq!(errors.get(), 6);
         // A handle creates its name, empty, the way a first observation would.
         let fresh = reg.histogram_handle("server.verb.expo");
-        assert_eq!(reg.histogram_names(), vec!["server.verb.expo", "server.verb.poll"]);
+        let mut seen = Vec::new();
+        reg.for_each_histogram(|name, h| seen.push((name.to_owned(), h.clone())));
+        assert_eq!(
+            seen,
+            vec![
+                ("server.verb.expo".to_owned(), fresh.snapshot()),
+                ("server.verb.poll".to_owned(), poll.snapshot()),
+            ],
+            "in name order, each the very histogram its handle reaches"
+        );
         assert!(fresh.snapshot().is_empty());
         assert_eq!(reg.counter_handle("fresh").get(), 0);
         assert!(reg.expose().contains("counter fresh 0"));

@@ -4,7 +4,7 @@
 //! the bundles" (§5) — the payload is RSL text, so the wire format is a
 //! 4-byte big-endian length followed by that many bytes of UTF-8.
 //!
-//! One rule — [`payload_len`] for the header and the limit, [`utf8`] for
+//! One rule — `payload_len` for the header and the limit, [`utf8`] for
 //! the payload — is shared by the one-shot functions ([`encode`],
 //! [`decode`], [`read_frame`], [`write_frame`]) and by the per-connection
 //! [`FrameReader`] / [`FrameWriter`] pair, which serve a small request

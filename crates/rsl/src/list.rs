@@ -215,6 +215,24 @@ fn unescape(raw: &[u8]) -> String {
     word
 }
 
+/// The offset of the first of the 8 bytes packed little-endian in `chunk`
+/// that is `{`, `}` or `\`, the bytes a braced group's scan must stop at.
+/// A byte equal to `b` is a zero byte of `x = chunk ^ (b * ONES)`, and
+/// `(x - ONES) & !x & HIGHS` flags every zero byte of `x`. It may also
+/// flag a byte above a zero byte, whose borrow it took, but never one
+/// below: the lowest flag is exact.
+#[inline]
+fn first_brace_or_backslash(chunk: u64) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    let flags = |b: u8| {
+        let x = chunk ^ (ONES * u64::from(b));
+        x.wrapping_sub(ONES) & !x & HIGHS
+    };
+    let found = flags(b'{') | flags(b'}') | flags(b'\\');
+    (found != 0).then(|| found.trailing_zeros() as usize / 8)
+}
+
 /// The one TCL list lexer: an iterator over the shallow words of a source
 /// range, each with its absolute byte [`Span`]. It allocates only for
 /// words whose text is not a slice of the source (see [`Token::Word`]);
@@ -319,6 +337,16 @@ impl<'a> Iterator for Lexer<'a> {
                 let mut depth = 0usize;
                 let mut j = i;
                 loop {
+                    // Most of a group: runs that hold no brace and no
+                    // backslash, passed over 8 bytes at a time up to the
+                    // next byte that is one.
+                    while let Some(chunk) = bytes.get(j..).and_then(<[u8]>::first_chunk) {
+                        if let Some(at) = first_brace_or_backslash(u64::from_le_bytes(*chunk)) {
+                            j += at;
+                            break;
+                        }
+                        j += 8;
+                    }
                     match bytes.get(j) {
                         None => {
                             return self.fail(RslError::Unterminated {
@@ -776,8 +804,66 @@ mod tests {
         .prop_map(|parts| parts.concat())
     }
 
+    /// `len` bytes of which none stops a braced group's scan.
+    fn filler(len: usize) -> String {
+        "ab cd\"ef#gh,ij\tk".chars().cycle().take(len).collect()
+    }
+
+    #[test]
+    fn split_spanned_agrees_with_the_reference_at_every_offset_mod_8() {
+        // Each byte a group's scan stops at — a nested group, an escaped
+        // brace, an escaped or trailing backslash, an unterminated inner
+        // group — behind and ahead of filler of every length through two
+        // strides, so it falls at each offset of the 8-byte chunk the scan
+        // passes over, in a closed and in an unterminated group.
+        let constructs = ["{x {y} z}", "\\{", "\\}", "\\\\", "{open", "\\"];
+        for construct in constructs {
+            for lead in 0..16 {
+                for tail in 0..16 {
+                    let open = format!("w {{{}{construct}{}", filler(lead), filler(tail));
+                    for src in [format!("{open}}} v"), open] {
+                        assert_eq!(
+                            split_spanned(&src),
+                            reference_split(&src, 0, src.len()),
+                            "{src:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Braced texts whose plain runs are long enough to be passed over
+    /// 8 bytes at a time, between the bytes that stop the scan.
+    fn group_soup() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::strategy::{Just, Strategy};
+        proptest::collection::vec(
+            proptest::prop_oneof![
+                "[a-z0-9 .:\"#]{1,20}",
+                Just("{".to_string()),
+                Just("}".to_string()),
+                Just("\\{".to_string()),
+                Just("\\}".to_string()),
+                Just("\\".to_string()),
+            ],
+            0..24,
+        )
+        .prop_map(|parts| format!("{{{}", parts.concat()))
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn split_spanned_agrees_with_the_reference_on_generated_groups(src in group_soup()) {
+            // Every cut of the text ends it at each offset mod 8 as well.
+            for cut in 0..=src.len() {
+                let src = &src[..cut];
+                proptest::prop_assert_eq!(
+                    split_spanned(src), reference_split(src, 0, src.len()), "src: {:?}", src
+                );
+            }
+        }
 
         #[test]
         fn lexer_agrees_with_the_reference_on_generated_texts(src in tcl_soup()) {

@@ -9,7 +9,7 @@
 //! (`parse(src) == parse(canonical(parse(src)))`).
 //!
 //! Use [`Span::pos`] to resolve a span's start to a line:column
-//! [`Pos`](crate::error::Pos) against the original source.
+//! [`Pos`] against the original source.
 
 use serde::{Deserialize, Serialize};
 
