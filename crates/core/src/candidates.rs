@@ -5,7 +5,9 @@
 //! the cross product of its options, each option's `variable` axes, and
 //! the fixed elastic-memory steps.
 
-use harmony_resources::{Matcher, Strategy};
+use std::sync::Arc;
+
+use harmony_resources::{Compiled, Matcher, Strategy, VarsEnv};
 use harmony_rsl::schema::{BundleSpec, OptionSpec};
 use serde::{Deserialize, Serialize};
 
@@ -91,10 +93,39 @@ pub fn enumerate(bundle: &BundleSpec) -> Vec<Candidate> {
     out
 }
 
+/// A bundle's memoized candidates, each beside what its own bindings
+/// decide about matching it: its option's place in the bundle, and that
+/// option's node requirements evaluated in the candidate's bindings
+/// ([`Compiled`]). A trial then evaluates only what depends on the trial.
+#[derive(Debug)]
+pub(crate) struct Memo {
+    /// The candidates, in [`enumerate`] order, shared as one `Arc`.
+    pub(crate) list: Arc<Vec<Candidate>>,
+    /// Per candidate of `list`.
+    pub(crate) compiled: Vec<(usize, Compiled)>,
+}
+
+impl Memo {
+    /// Enumerates and compiles `bundle`'s candidates.
+    pub(crate) fn new(bundle: &BundleSpec) -> Self {
+        let list = enumerate(bundle);
+        let compiled = list
+            .iter()
+            .map(|cand| {
+                // The first option of the name, as `BundleSpec::option`
+                // finds it; every candidate is enumerated from one.
+                let at = bundle.options.iter().position(|o| o.name == cand.option);
+                let at = at.expect("a candidate names an option of its bundle");
+                (at, Compiled::new(&bundle.options[at], &VarsEnv(&cand.vars)))
+            })
+            .collect();
+        Memo { list: Arc::new(list), compiled }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harmony_resources::VarsEnv;
     use harmony_rsl::expr::Env;
     use harmony_rsl::listings::{FIG2B_BAG, FIG3_DBCLIENT};
     use harmony_rsl::schema::parse_bundle_script;

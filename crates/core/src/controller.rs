@@ -23,7 +23,7 @@
 
 use std::time::Instant;
 
-use harmony_metrics::MetricRegistry;
+use harmony_metrics::{CounterHandle, HistogramHandle, MetricRegistry};
 use harmony_ns::{HPath, InstanceRegistry};
 use harmony_resources::Cluster;
 use harmony_rsl::schema::BundleSpec;
@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::app::{AppInstance, BundleState, ChosenConfig, InstanceId, InstanceRef};
-use crate::candidates::Candidate;
+use crate::candidates::{Candidate, Memo};
 use crate::error::CoreError;
 use crate::events::EventOutcome;
 use crate::instances::{Instance, Instances};
@@ -42,7 +42,7 @@ use crate::journal::{
 use crate::leases::{Lease, LeaseConfig, RetireReason, RetirementRecord};
 use crate::namespace::{applied_writes, buffer_writes, config_writes, NamespaceView};
 use crate::persist::{RecoveryInfo, WalEvent};
-use crate::planner::{elapsed_ms, same_point, Plan, PlannedMove, Scan};
+use crate::planner::{elapsed_ms, same_point, Plan, PlanWorkspace, PlannedMove, Scan};
 use crate::scheduler::{CoalescePolicy, DecisionScheduler};
 
 /// How [`Controller::add_bundle`] treats static-analysis findings from
@@ -174,6 +174,54 @@ pub(crate) struct Trigger {
     provenance: Vec<u64>,
 }
 
+/// What a scan adds to: the `controller.planner.*` counters.
+#[derive(Debug)]
+struct ScanCounters {
+    scans: CounterHandle,
+    trials: CounterHandle,
+    matches: CounterHandle,
+}
+
+/// What a committed decision records into: the `controller.phase.*`
+/// histograms and the `controller.decisions` counter.
+#[derive(Debug)]
+struct CommitMetrics {
+    phases: [HistogramHandle; 4],
+    decisions: CounterHandle,
+}
+
+/// The planning path's metrics, each group resolved where it is first
+/// recorded — so a fresh registry lists them exactly when it did while
+/// they were looked up by name — and then counted without a lookup.
+#[derive(Debug, Default)]
+struct PlanningMetrics {
+    scan: Option<ScanCounters>,
+    commit: Option<CommitMetrics>,
+}
+
+impl PlanningMetrics {
+    fn scan(&mut self, metrics: &MetricRegistry) -> &ScanCounters {
+        self.scan.get_or_insert_with(|| ScanCounters {
+            scans: metrics.counter_handle("controller.planner.scans"),
+            trials: metrics.counter_handle("controller.planner.trials"),
+            matches: metrics.counter_handle("controller.planner.matches"),
+        })
+    }
+
+    fn commit(&mut self, metrics: &MetricRegistry) -> &CommitMetrics {
+        self.commit.get_or_insert_with(|| CommitMetrics {
+            phases: [
+                "controller.phase.candidates",
+                "controller.phase.prediction",
+                "controller.phase.optimization",
+                "controller.phase.commit",
+            ]
+            .map(|name| metrics.histogram_handle(name)),
+            decisions: metrics.counter_handle("controller.decisions"),
+        })
+    }
+}
+
 /// The adaptation controller.
 #[derive(Debug)]
 pub struct Controller {
@@ -206,6 +254,11 @@ pub struct Controller {
     /// How this controller came to be, when recovered from a state
     /// directory (surfaced in [`crate::SystemSnapshot`]).
     pub(crate) recovery: Option<RecoveryInfo>,
+    /// The buffers planning works in, lent to each scan and each objective
+    /// on the write path; no decision reads what a scan leaves in them.
+    workspace: PlanWorkspace,
+    /// The planning path's metrics, resolved once.
+    planning_metrics: PlanningMetrics,
 }
 
 impl Controller {
@@ -224,6 +277,8 @@ impl Controller {
             journal: Mutex::new(EventJournal::default()),
             wal: None,
             recovery: None,
+            workspace: PlanWorkspace::default(),
+            planning_metrics: PlanningMetrics::default(),
         }
     }
 
@@ -340,9 +395,14 @@ impl Controller {
         id: &InstanceId,
         bundle: &str,
     ) -> Option<std::sync::Arc<Vec<Candidate>>> {
-        let cands = self.instances.get(id)?.candidates.get(bundle)?;
+        Some(std::sync::Arc::clone(&self.memo(id, bundle)?.list))
+    }
+
+    /// [`Controller::cached_candidates`], compiled and borrowed.
+    pub(crate) fn memo(&self, id: &InstanceId, bundle: &str) -> Option<&Memo> {
+        let memo = self.instances.get(id)?.candidates.get(bundle)?;
         self.metrics.inc_counter("controller.optimizer.cache_hits");
-        Some(std::sync::Arc::clone(cands))
+        Some(memo)
     }
 
     /// Number of memoized candidate sets currently held.
@@ -472,17 +532,20 @@ impl Controller {
         id: &InstanceId,
         spec: BundleSpec,
     ) -> Result<Vec<DecisionRecord>, CoreError> {
-        self.lint_gate(&spec)?;
         let inst = self
             .instances
-            .get_mut(id)
+            .get(id)
             .ok_or_else(|| CoreError::UnknownInstance { name: id.to_string() })?;
         let bundle_name = spec.name.clone();
         // Idempotent per `(instance, name)`: a client that lost the reply
         // and retries must not attach a second state `bundle()` can never
-        // reach. An equal spec re-runs the pass over the one it has.
+        // reach. An equal spec re-runs the pass over the one it has. Only
+        // a bundle that attaches is linted: a retry's spec passed the gate
+        // when it attached.
         let attached = match inst.app.bundle(&bundle_name) {
             None => {
+                self.lint_gate(&spec)?;
+                let inst = self.instances.get_mut(id).expect("looked up above");
                 inst.attach(BundleState::new(spec));
                 // A miss is an enumeration: an attach or a load.
                 self.metrics.inc_counter("controller.optimizer.cache_misses");
@@ -769,8 +832,9 @@ impl Controller {
         &self,
         skip: Option<(&InstanceId, &str)>,
     ) -> Vec<(InstanceId, String)> {
-        let mut out = Vec::new();
-        for app in self.instances.in_arrival_order().map(|inst| &inst.app) {
+        let apps = || self.instances.in_arrival_order().map(|inst| &inst.app);
+        let mut out = Vec::with_capacity(apps().map(|app| app.bundles.len()).sum());
+        for app in apps() {
             for b in &app.bundles {
                 if skip == Some((&app.id, b.spec.name.as_str())) {
                     continue;
@@ -812,7 +876,8 @@ impl Controller {
                 }
             }
         }
-        self.metrics.set_gauge("controller.objective", self.objective_score());
+        let objective = self.objective_now();
+        self.metrics.set_gauge("controller.objective", objective);
         Ok(records)
     }
 
@@ -844,18 +909,17 @@ impl Controller {
     /// Runs `harmony-analyze` over an arriving bundle per the configured
     /// [`LintMode`]: counts findings into the `controller.lint.*` metrics
     /// and, in strict mode, rejects bundles with error diagnostics.
-    fn lint_gate(&mut self, spec: &BundleSpec) -> Result<(), CoreError> {
+    fn lint_gate(&self, spec: &BundleSpec) -> Result<(), CoreError> {
         if self.config.lint == LintMode::Off {
             return Ok(());
         }
         let diags = harmony_analyze::analyze_bundle(spec);
         for d in &diags {
-            let sev = match d.severity {
-                harmony_analyze::Severity::Error => "errors",
-                harmony_analyze::Severity::Warning => "warnings",
-                harmony_analyze::Severity::Note => "notes",
-            };
-            self.metrics.inc_counter(&format!("controller.lint.{sev}"));
+            self.metrics.inc_counter(match d.severity {
+                harmony_analyze::Severity::Error => "controller.lint.errors",
+                harmony_analyze::Severity::Warning => "controller.lint.warnings",
+                harmony_analyze::Severity::Note => "controller.lint.notes",
+            });
         }
         if self.config.lint == LintMode::Strict && harmony_analyze::has_errors(&diags) {
             let errors: Vec<String> = diags
@@ -888,7 +952,8 @@ impl Controller {
         if self.switch_blocked(id, bundle)? && !initial {
             return Ok(Vec::new());
         }
-        let plan = self.count_scan(self.plan_bundle(id, bundle)?);
+        let scan = self.with_workspace(|c, ws| c.plan_bundle(ws, id, bundle))?;
+        let plan = self.count_scan(scan);
         if initial && plan.is_none() && self.choice(id, bundle).is_none() {
             let cands = self.cached_candidates(id, bundle);
             let reason = match cands.as_deref().and_then(|cands| cands.last()) {
@@ -911,16 +976,33 @@ impl Controller {
         if self.switch_blocked(&a.0, &a.1)? || self.switch_blocked(&b.0, &b.1)? {
             return Ok(Vec::new());
         }
-        let plan = self.count_scan(self.plan_pair((&a.0, &a.1), (&b.0, &b.1))?);
+        let scan = self.with_workspace(|c, ws| c.plan_pair(ws, (&a.0, &a.1), (&b.0, &b.1)))?;
+        let plan = self.count_scan(scan);
         self.commit_plan(plan, trigger)
+    }
+
+    /// Runs `plan` with the planning workspace lent out of the controller:
+    /// how the write path plans, and computes the objective, without
+    /// allocating buffers of its own.
+    fn with_workspace<T>(&mut self, plan: impl FnOnce(&Self, &mut PlanWorkspace) -> T) -> T {
+        let mut ws = std::mem::take(&mut self.workspace);
+        let out = plan(self, &mut ws);
+        self.workspace = ws;
+        out
+    }
+
+    /// [`Controller::objective_score`] on the write path.
+    fn objective_now(&mut self) -> f64 {
+        self.with_workspace(|c, ws| c.objective_in(ws))
     }
 
     /// Adds what one scan did, exactly, to the `controller.planner.*`
     /// counters — once per scan, never per trial — and hands its plan on.
-    fn count_scan(&self, scan: Scan) -> Option<Plan> {
-        self.metrics.inc_counter("controller.planner.scans");
-        self.metrics.add_counter("controller.planner.trials", scan.trials);
-        self.metrics.add_counter("controller.planner.matches", scan.matches);
+    fn count_scan(&mut self, scan: Scan) -> Option<Plan> {
+        let counters = self.planning_metrics.scan(&self.metrics);
+        counters.scans.inc();
+        counters.trials.add(scan.trials);
+        counters.matches.add(scan.matches);
         scan.plan
     }
 
@@ -978,22 +1060,20 @@ impl Controller {
             phases: PhaseTimings::default(),
         };
         self.apply_choice(&record.instance, &record.bundle, cfg, current.is_some());
-        record.objective_after = self.objective_score();
+        record.objective_after = self.objective_now();
         phases.commit_ms = elapsed_ms(t_commit);
         record.phases = phases;
-        for (name, ms) in [
-            ("controller.phase.candidates", phases.candidates_ms),
-            ("controller.phase.prediction", phases.prediction_ms),
-            ("controller.phase.optimization", phases.optimization_ms),
-            ("controller.phase.commit", phases.commit_ms),
-        ] {
-            self.metrics.observe(name, ms / 1e3);
+        let recorded = self.planning_metrics.commit(&self.metrics);
+        let PhaseTimings { candidates_ms, prediction_ms, optimization_ms, commit_ms } = phases;
+        let times = [candidates_ms, prediction_ms, optimization_ms, commit_ms];
+        for (histogram, ms) in recorded.phases.iter().zip(times) {
+            histogram.observe(ms / 1e3);
         }
+        recorded.decisions.inc();
         self.journal_append(
             JournalKind::Decision,
             format!("decision {}.{} -> {}", record.instance, record.bundle, record.to),
         );
-        self.metrics.inc_counter("controller.decisions");
         push_bounded(&mut self.decisions, record.clone());
         Ok(record)
     }
@@ -1029,7 +1109,7 @@ impl Controller {
                 return Ok(None);
             }
         }
-        let before = self.objective_score();
+        let before = self.objective_now();
         // Forced outside the event paths: nothing triggered it.
         Ok(Some(self.commit_choice(m, before, PhaseTimings::default(), &Trigger::default())?))
     }
@@ -1260,6 +1340,45 @@ mod tests {
             "advisory mode must not lint-reject: {err:?}"
         );
         assert!(advisory.metrics().counter("controller.lint.errors") >= 2);
+    }
+
+    /// The gate lints only a bundle that attaches: a lint-broken bundle
+    /// for an unknown instance is unknown, not rejected, and an idempotent
+    /// retry counts no finding twice.
+    #[test]
+    fn the_lint_gate_runs_only_where_a_bundle_attaches() {
+        let broken = parse_bundle_script(
+            "harmonyBundle bag:1 config { {run {node worker {replicate w} {seconds 1}}} }",
+        )
+        .unwrap();
+        let mut c = Controller::new(sp2(8), ControllerConfig::default());
+        let ghost = InstanceId::new("bag", 99);
+        let err = c.add_bundle(&ghost, broken.clone()).unwrap_err();
+        assert!(matches!(err, CoreError::UnknownInstance { .. }), "{err:?}");
+        let lint = |c: &Controller| {
+            ["errors", "warnings", "notes"]
+                .map(|sev| c.metrics().counter(&format!("controller.lint.{sev}")))
+        };
+        assert_eq!(lint(&c), [0, 0, 0], "nothing attached, nothing linted");
+
+        // A spec with a warning (a variable nothing reads), sent twice as a
+        // client retrying after a lost reply: one set of findings.
+        let spec = parse_bundle_script(
+            "harmonyBundle bag:1 config { {run {variable idle {1 2}} {node worker {seconds 10}}} }",
+        )
+        .unwrap();
+        let id = c.startup("bag");
+        c.add_bundle(&id, spec.clone()).unwrap();
+        let once = lint(&c);
+        assert_ne!(once, [0, 0, 0], "the bag has findings to count: {once:?}");
+        c.add_bundle(&id, spec).unwrap();
+        assert_eq!(lint(&c), once, "a retry is not linted again");
+
+        // A different, broken spec under the taken name conflicts before the
+        // gate could reject it.
+        let err = c.add_bundle(&id, broken).unwrap_err();
+        assert!(matches!(err, CoreError::BundleConflict { .. }), "{err:?}");
+        assert_eq!(lint(&c), once);
     }
 
     #[test]

@@ -7,14 +7,13 @@
 //! drops all of it — candidate memo included — in one remove.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use harmony_ns::HPath;
 use harmony_rsl::Value;
 use parking_lot::Mutex;
 
 use crate::app::{AppInstance, BundleState, InstanceId, InstanceRef};
-use crate::candidates::{enumerate, Candidate};
+use crate::candidates::Memo;
 use crate::leases::Lease;
 
 /// Everything the controller holds for one registered instance.
@@ -27,11 +26,12 @@ pub(crate) struct Instance {
     /// The current writes of each bundle changed since the last poll, behind
     /// its own mutex so the polling path drains under a shared borrow.
     pub(crate) pending: Mutex<Vec<(HPath, Value)>>,
-    /// Memoized candidate enumeration per bundle name: a pure function of
-    /// the bundle's spec, which never changes once attached. Written only by
-    /// [`Instance::attach`] and [`Instance::detach`], so an attached
-    /// bundle always has one and every pass reads it under `&self`.
-    pub(crate) candidates: BTreeMap<String, Arc<Vec<Candidate>>>,
+    /// Memoized candidate enumeration per bundle name, each candidate
+    /// compiled: a pure function of the bundle's spec, which never changes
+    /// once attached. Written only by [`Instance::attach`] and
+    /// [`Instance::detach`], so an attached bundle always has one and every
+    /// pass reads it under `&self`.
+    pub(crate) candidates: BTreeMap<String, Memo>,
 }
 
 impl Instance {
@@ -51,8 +51,7 @@ impl Instance {
     /// Attaches a bundle and enumerates its candidates: the one place a
     /// bundle joins an instance.
     pub(crate) fn attach(&mut self, state: BundleState) {
-        let candidates = Arc::new(enumerate(&state.spec));
-        self.candidates.insert(state.spec.name.clone(), candidates);
+        self.candidates.insert(state.spec.name.clone(), Memo::new(&state.spec));
         self.app.bundles.push(state);
     }
 
@@ -122,6 +121,12 @@ impl Instances {
         self.arrival.iter().map(|id| self.get(id).expect("every arrival has its record"))
     }
 
+    /// The record that arrived `i`th among those registered: a row of the
+    /// planner's table.
+    pub(crate) fn by_arrival(&self, i: usize) -> &Instance {
+        self.get(&self.arrival[i]).expect("every arrival has its record")
+    }
+
     /// Records in id order: what the reaper and persistence walk.
     pub(crate) fn in_id_order(&self) -> impl Iterator<Item = &Instance> {
         self.by_id.values().flat_map(BTreeMap::values)
@@ -148,7 +153,7 @@ mod tests {
         // No controller, no pass: attaching alone fills the memo.
         inst.attach(BundleState::new(spec.clone()));
         assert_eq!(inst.app.bundles.len(), 1);
-        assert_eq!(*inst.candidates["config"], enumerate(&spec));
+        assert_eq!(*inst.candidates["config"].list, crate::candidates::enumerate(&spec));
         inst.detach("config");
         assert!(inst.app.bundles.is_empty() && inst.candidates.is_empty());
         // An app that arrives with bundles (a load) has them attached.

@@ -4,7 +4,9 @@
 //! `&self` and returns a value — the memoized candidate sets included,
 //! which exist from the moment a bundle is attached — so the drivers in
 //! `controller.rs` write nothing before they commit: they ask for a
-//! [`Scan`], count it and apply its [`Plan`].
+//! [`Scan`], count it and apply its [`Plan`]. The one thing planning
+//! writes is a [`PlanWorkspace`] of buffers, which the drivers lend it as
+//! an explicit `&mut`: nothing a decision depends on is in it.
 //!
 //! One scan body, [`Controller::scan`], serves the paper's §4.3 pass
 //! ("optimize one bundle at a time", [`Controller::plan_bundle`]) and the
@@ -13,21 +15,26 @@
 //! what its moves change (docs/OPTIMIZER.md, "One planner"): candidates
 //! are committed on one scratch cluster and undone exactly, so a pair scan
 //! matches `|A| + |A|·|B|` times; what predicting the standing bundles
-//! needs is in one [`Table`] built once; and a trial re-predicts only the
+//! needs is in one [`Table`] filled once; and a trial re-predicts only the
 //! bundles whose nodes meet the nodes it released or bound.
 //!
-//! A trial allocates nothing once its buffers have grown: the scratch
-//! cluster is two vectors of counters beside shared declarations, each
-//! slot matches into one [`Allocation`] and saves into one
-//! [`SavedCounters`] that all its candidates reuse, and a candidate that
-//! does not fit is a [`Miss`](harmony_resources::Miss) nobody formats.
+//! A warm scan allocates nothing: the scratch cluster, the table, the walk's
+//! levels and the sweep's buffers are the workspace's, refreshed in place
+//! scan after scan; the scratch cluster is two vectors of counters beside
+//! shared declarations; each level matches into one [`Allocation`] and
+//! saves into one [`SavedCounters`]; and a candidate that does not fit is a
+//! [`Miss`](harmony_resources::Miss) nobody formats.
 //!
-//! A trial finds no node by name either. The matcher hands out where in
-//! the scratch cluster it bound each node and link ([`Sites`]); the walk
-//! pushes those positions onto the scan's one position stack, above the
-//! standing bundles' (resolved once per scan), and saves, commits,
-//! restores, marks `touched` and predicts through them. Positions never
-//! outlive the scan: within it the scratch's nodes and links never change.
+//! A trial evaluates only what depends on it. Each candidate comes
+//! compiled ([`Memo`]): its option's position and its node requirements
+//! evaluated in its own bindings, so a match evaluates only the link
+//! bandwidths, which read the memory it granted. And a trial finds no node
+//! by name: the matcher hands out where in the scratch cluster it bound
+//! each node and link ([`Sites`]); the walk pushes those positions onto the
+//! table's position stack, above the standing bundles' (resolved once per
+//! scan), and saves, commits, restores, marks `touched` and predicts
+//! through them. Positions never outlive the scan: within it the scratch's
+//! nodes and links never change.
 //!
 //! The best move set is kept as candidate indices and predicted times.
 //! When the walk is over the bundle's or the pair's settle rule decides
@@ -39,38 +46,79 @@
 //! ([`ResourceError::NoMatch`](harmony_resources::ResourceError::NoMatch))
 //! makes its move sets infeasible; any other error propagates.
 
-use std::sync::Arc;
+use std::ops::Range;
 use std::time::Instant;
 
 use harmony_predict::{option_model, PredictError, Prediction, PredictionContext, Predictor};
 use harmony_resources::{
-    Allocation, Cluster, MatchScratch, SavedCounters, SiteSpan, SiteStack, Sites,
+    Allocation, Cluster, Compiled, MatchScratch, SavedCounters, SiteSpan, SiteStack, Sites,
 };
 use harmony_rsl::schema::OptionSpec;
 
 use crate::app::{BundleState, ChosenConfig, InstanceId};
-use crate::candidates::Candidate;
+use crate::candidates::{Candidate, Memo};
 use crate::controller::Controller;
 use crate::error::CoreError;
 use crate::journal::PhaseTimings;
 use crate::objective::mean_completion;
 use crate::optimizer::SCORE_EPSILON;
 
+/// The buffers planning works in, kept by the [`Controller`] from scan to
+/// scan so that a warm scan allocates nothing. Nothing a decision depends
+/// on lives here: each scan refreshes or overwrites what it reads before
+/// reading it, so the workspace is never serialized, never fingerprinted,
+/// and starts empty on recovery.
+#[derive(Debug, Default)]
+pub(crate) struct PlanWorkspace {
+    /// The live cluster's copy the walk commits trials on, refreshed in
+    /// place ([`Cluster::clone_from`]).
+    scratch: Cluster,
+    /// What the matcher keeps between matches.
+    match_scratch: MatchScratch,
+    /// One level per slot depth; during a walk the first `depth` hold what
+    /// is placed.
+    levels: Vec<Level>,
+    /// Per cluster node, by position: how many released or placed
+    /// allocations name it.
+    touched: Vec<i32>,
+    table: Table,
+    /// The sweep of the move set being scored: per application, its row
+    /// and response time.
+    times: Vec<(usize, f64)>,
+    /// The best move set so far: per slot, the candidate's index and the
+    /// predicted response time of its application.
+    best_moves: Vec<(usize, f64)>,
+    /// What releasing each slot's incumbent overwrote, read back by the
+    /// debug build's check that a scan undoes what it tries.
+    released: Vec<SavedCounters>,
+}
+
 /// One slot of a scan: a bundle to re-choose and, in order, the candidates
-/// to try (its own: [`Controller::cached_candidates`]).
+/// to try, each with what its bindings decide about matching it (its
+/// [`Memo`]).
 struct Target<'a> {
     id: &'a InstanceId,
     state: &'a BundleState,
     cands: &'a [Candidate],
+    compiled: &'a [(usize, Compiled)],
+}
+
+impl<'a> Target<'a> {
+    /// The option candidate `at` chooses, and its requirements compiled in
+    /// the candidate's bindings.
+    fn option(&self, at: usize) -> (&'a OptionSpec, &'a Compiled) {
+        let (option, compiled) = &self.compiled[at];
+        (&self.state.spec.options[*option], compiled)
+    }
 }
 
 /// One level of the walk: the candidate of its slot committed on the
-/// scratch cluster, in buffers that every candidate of the slot reuses.
-struct Placed<'a> {
-    target: &'a Target<'a>,
-    /// The candidate, an index into `target.cands`.
+/// scratch cluster, in buffers that every candidate tried at its depth
+/// reuses, scan after scan.
+#[derive(Debug, Default)]
+struct Level {
+    /// The candidate, an index into its slot's.
     at: usize,
-    opt: &'a OptionSpec,
     alloc: Allocation,
     /// Where `alloc`'s bindings are in the table's [`SiteStack`].
     span: SiteSpan,
@@ -78,20 +126,6 @@ struct Placed<'a> {
     saved: SavedCounters,
     /// Friction of switching into the candidate, seconds.
     penalty: f64,
-}
-
-/// One configured bundle as a scan's [`Table`] holds it.
-struct Standing<'a> {
-    opt: &'a OptionSpec,
-    alloc: &'a Allocation,
-    /// Where the allocation's published bindings are in the table's
-    /// [`SiteStack`]; its nodes are its footprint.
-    span: SiteSpan,
-    /// True when every binding is published, so predicting it may read
-    /// `span` instead of names.
-    whole: bool,
-    /// Response time on the live cluster.
-    live: f64,
 }
 
 /// The predicted response time of `alloc`, a placement of `opt` committed
@@ -107,57 +141,127 @@ fn time_on(
     timed(option_model(opt).predict(&ctx), penalty)
 }
 
-/// One application of the table: its bundles in order, configured or not.
-struct Row<'a> {
-    id: &'a InstanceId,
-    bundles: Vec<(&'a BundleState, Option<Standing<'a>>)>,
-}
-
 /// Every application, in arrival order, with what predicting it needs:
-/// computed once per scan, not once per trial.
-struct Table<'a> {
+/// filled once per scan, not once per trial. It holds positions, not
+/// borrows — an application by its place in arrival order, a bundle by its
+/// place in the application, an option by its place in the bundle — so its
+/// buffers outlive the scan in the [`PlanWorkspace`].
+#[derive(Debug, Default)]
+struct Table {
     /// Where the standing bundles' bindings are in the cluster, and above
     /// them the placed levels', pushed on the way down the walk and popped
-    /// on the way up. The scratch cluster is a clone of the live one, so
+    /// on the way up. The scratch cluster is a copy of the live one, so
     /// both have the same nodes and links at the same positions for as
     /// long as the scan runs.
     positions: SiteStack,
-    rows: Vec<Row<'a>>,
+    /// Per application, in arrival order: its range of `entries`.
+    rows: Vec<Range<usize>>,
+    /// The bundles a sweep reads: each configured one, and each slot's.
+    entries: Vec<Entry>,
+    /// Per slot of the scan, the row of its application.
+    slots: Vec<usize>,
 }
 
-impl<'a> Table<'a> {
+/// One bundle of the table.
+#[derive(Debug)]
+struct Entry {
+    /// The bundle's place in its application.
+    bundle: usize,
+    /// The slot of the scan that re-chooses this bundle, if one does.
+    slot: Option<usize>,
+    standing: Option<Standing>,
+}
+
+/// A configured bundle as the table holds it.
+#[derive(Debug)]
+struct Standing {
+    /// The chosen option's place in the bundle.
+    option: usize,
+    /// Where the allocation's published bindings are in the table's
+    /// [`SiteStack`]; its nodes are its footprint.
+    span: SiteSpan,
+    /// True when every binding is published, so predicting it may read
+    /// `span` instead of names.
+    whole: bool,
+    /// Response time on the live cluster.
+    live: f64,
+}
+
+/// Refills `table` against `ctl`'s live cluster, marking the bundles
+/// `targets` re-choose.
+fn fill(table: &mut Table, ctl: &Controller, targets: &[Target<'_>]) {
+    table.positions.clear();
+    table.rows.clear();
+    table.entries.clear();
+    table.slots.clear();
+    table.slots.resize(targets.len(), usize::MAX);
+    for (row, inst) in ctl.instances.in_arrival_order().enumerate() {
+        let from = table.entries.len();
+        for (b, bundle) in inst.app.bundles.iter().enumerate() {
+            // A slot's bundle is the table's own `BundleState`: both borrow
+            // it from the controller.
+            let slot = targets.iter().position(|t| std::ptr::eq(t.state, bundle));
+            if let Some(s) = slot {
+                table.slots[s] = row;
+            }
+            let standing = bundle.current.as_ref().and_then(|cfg| {
+                let options = &bundle.spec.options;
+                let option = options.iter().position(|o| o.name == cfg.option)?;
+                let (span, whole) = table.positions.push_found(&ctl.cluster, &cfg.alloc);
+                let sites = whole.then(|| table.positions.get(&span));
+                let live = time_on(&ctl.cluster, &cfg.alloc, sites, &options[option], 0.0);
+                Some(Standing { option, span, whole, live })
+            });
+            if slot.is_some() || standing.is_some() {
+                table.entries.push(Entry { bundle: b, slot, standing });
+            }
+        }
+        table.rows.push(from..table.entries.len());
+    }
+}
+
+impl Table {
     /// The sweep: response time of every application (max over its
-    /// bundles) on `cluster`, in arrival order, into `out`, with `placed`
-    /// overriding stored choices and only the bundles on `touched` nodes
-    /// re-predicted. Applications with no configuration are omitted, as is
-    /// everything but `only` when it is set (selfish mode).
+    /// bundles) on `cluster`, in arrival order, into `out`, with the
+    /// `placed` levels of `targets` overriding stored choices and only the
+    /// bundles on `touched` nodes re-predicted. Applications with no
+    /// configuration are omitted, as is every row but `only` when it is set
+    /// (selfish mode).
+    #[allow(clippy::too_many_arguments)]
     fn times(
         &self,
+        ctl: &Controller,
         cluster: &Cluster,
-        placed: &[Placed<'_>],
+        targets: &[Target<'_>],
+        placed: &[Level],
         touched: &[i32],
-        only: Option<&InstanceId>,
-        out: &mut Vec<(&'a InstanceId, f64)>,
+        only: Option<usize>,
+        out: &mut Vec<(usize, f64)>,
     ) {
         out.clear();
-        for row in self.rows.iter().filter(|row| only.is_none_or(|o| o == row.id)) {
+        for (row, entries) in self.rows.iter().enumerate() {
+            if only.is_some_and(|o| o != row) {
+                continue;
+            }
             let mut worst: Option<f64> = None;
-            for (bundle, standing) in &row.bundles {
-                // A slot's bundle is the table's own `BundleState`: both
-                // borrow it from the controller.
-                let moved = placed.iter().find(|p| std::ptr::eq(p.target.state, *bundle));
-                let rt = match (moved, standing) {
-                    (Some(p), _) => {
-                        let sites = self.positions.get(&p.span);
-                        time_on(cluster, &p.alloc, Some(sites), p.opt, p.penalty)
+            for entry in &self.entries[entries.clone()] {
+                let moved = entry.slot.and_then(|s| Some((&targets[s], placed.get(s)?)));
+                let rt = match (moved, &entry.standing) {
+                    (Some((target, level)), _) => {
+                        let sites = self.positions.get(&level.span);
+                        let (opt, _) = target.option(level.at);
+                        time_on(cluster, &level.alloc, Some(sites), opt, level.penalty)
                     }
                     (None, Some(s)) => {
                         let nodes = self.positions.get(&s.span).nodes;
                         if !nodes.iter().any(|&i| touched[i] > 0) {
                             s.live
                         } else {
+                            let bundle = &ctl.instances.by_arrival(row).app.bundles[entry.bundle];
+                            let cfg = bundle.current.as_ref().expect("a standing bundle has one");
                             let sites = s.whole.then(|| self.positions.get(&s.span));
-                            time_on(cluster, s.alloc, sites, s.opt, 0.0)
+                            let opt = &bundle.spec.options[s.option];
+                            time_on(cluster, &cfg.alloc, sites, opt, 0.0)
                         }
                     }
                     (None, None) => continue,
@@ -165,17 +269,9 @@ impl<'a> Table<'a> {
                 worst = Some(worst.map_or(rt, |w| w.max(rt)));
             }
             if let Some(rt) = worst {
-                out.push((row.id, rt));
+                out.push((row, rt));
             }
         }
-    }
-
-    /// The live response times: the sweep with nothing moved.
-    fn live(&self, cluster: &Cluster) -> Vec<(&'a InstanceId, f64)> {
-        let mut out = Vec::with_capacity(self.rows.len());
-        let untouched = vec![0; cluster.len()];
-        self.times(cluster, &[], &untouched, None, &mut out);
-        out
     }
 }
 
@@ -234,13 +330,13 @@ pub(crate) fn elapsed_ms(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// Response time of application `id` in one sweep's `times`.
-fn predicted(times: &[(&InstanceId, f64)], id: &InstanceId) -> f64 {
-    times.iter().find(|(i, _)| *i == id).map_or(f64::INFINITY, |(_, rt)| *rt)
+/// Response time of the application in `row` in one sweep's `times`.
+fn predicted(times: &[(usize, f64)], row: usize) -> f64 {
+    times.iter().find(|(r, _)| *r == row).map_or(f64::INFINITY, |(_, rt)| *rt)
 }
 
 /// The objective over one sweep's response times.
-fn objective(times: &[(&InstanceId, f64)]) -> f64 {
+fn objective(times: &[(usize, f64)]) -> f64 {
     mean_completion(times.iter().map(|(_, rt)| rt))
 }
 
@@ -251,33 +347,15 @@ pub(crate) fn same_point(cur: &ChosenConfig, cand: &Candidate) -> bool {
         && (cur.elastic_extra - cand.elastic_extra).abs() < 1e-9
 }
 
-/// The option `cand` of `target`'s bundle chooses.
-fn option_of<'a>(target: &Target<'a>, cand: &Candidate) -> Result<&'a OptionSpec, CoreError> {
-    let spec = &target.state.spec;
-    spec.option(&cand.option).ok_or_else(|| CoreError::UnknownBundle { name: cand.option.clone() })
-}
-
 /// The state of one scan's depth-first walk over its slots.
-struct Walk<'a> {
+struct Walk<'w, 'a> {
     ctl: &'a Controller,
-    table: Table<'a>,
     targets: &'a [Target<'a>],
-    only: Option<&'a InstanceId>,
-    scratch: Cluster,
-    /// Per cluster node, by position: how many released or placed
-    /// allocations name it.
-    touched: Vec<i32>,
-    /// One level per slot reached so far; the first `depth` hold what is
-    /// placed, and the ones below are buffers.
-    placed: Vec<Placed<'a>>,
-    /// What the matcher keeps between matches.
-    match_scratch: MatchScratch,
-    /// The sweep of the move set being scored.
-    times: Vec<(&'a InstanceId, f64)>,
-    /// The best score so far and its move set: per slot, the candidate's
-    /// index and the predicted response time of its application.
+    /// The row scored alone in selfish mode.
+    only: Option<usize>,
+    ws: &'w mut PlanWorkspace,
+    /// The best score so far; its move set is `ws.best_moves`.
     best: Option<f64>,
-    best_moves: Vec<(usize, f64)>,
     trials: u64,
     matches: u64,
 }
@@ -285,7 +363,7 @@ struct Walk<'a> {
 /// Tries every candidate of slot `depth` on top of what is placed: match,
 /// commit, go one slot down, undo. Past the last slot the move set is
 /// complete and gets scored.
-fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
+fn descend(walk: &mut Walk<'_, '_>, depth: usize) -> Result<(), CoreError> {
     let targets = walk.targets;
     let Some(target) = targets.get(depth) else {
         score(walk);
@@ -294,47 +372,53 @@ fn descend(walk: &mut Walk<'_>, depth: usize) -> Result<(), CoreError> {
     // Move sets one candidate of this slot stands for.
     let below: u64 = targets[depth + 1..].iter().map(|t| t.cands.len() as u64).product();
     for (at, cand) in target.cands.iter().enumerate() {
-        let opt = option_of(target, cand)?;
-        if walk.placed.len() == depth {
-            let (alloc, span, saved) = Default::default();
-            walk.placed.push(Placed { target, at, opt, alloc, span, saved, penalty: 0.0 });
+        let (opt, compiled) = target.option(at);
+        let ws = &mut *walk.ws;
+        if ws.levels.len() == depth {
+            ws.levels.push(Level::default());
         }
-        let matcher = cand.matcher();
         walk.matches += 1;
-        let level = &mut walk.placed[depth];
-        let scratch = &mut walk.match_scratch;
-        if matcher.match_into(&walk.scratch, opt, &cand.vars, &mut level.alloc, scratch)?.is_err() {
+        let level = &mut ws.levels[depth];
+        let (out, scratch) = (&mut level.alloc, &mut ws.match_scratch);
+        let found =
+            cand.matcher().match_into(&ws.scratch, opt, compiled, &cand.vars, out, scratch)?;
+        if found.is_err() {
             walk.trials += below;
             continue;
         }
-        level.span = walk.table.positions.push(scratch.sites());
-        let sites = walk.table.positions.get(&level.span);
-        walk.scratch.save_at(&level.alloc, sites, &mut level.saved);
-        walk.scratch.commit_at(&level.alloc, sites)?;
-        mark(&mut walk.touched, sites.nodes, 1);
-        (level.at, level.opt) = (at, opt);
+        level.span = ws.table.positions.push(scratch.sites());
+        let sites = ws.table.positions.get(&level.span);
+        ws.scratch.save_at(&level.alloc, sites, &mut level.saved);
+        ws.scratch.commit_at(&level.alloc, sites)?;
+        mark(&mut ws.touched, sites.nodes, 1);
+        level.at = at;
         level.penalty = walk.ctl.friction_of(target.state, cand, opt, &level.alloc);
         descend(walk, depth + 1)?;
-        let level = &walk.placed[depth];
-        let sites = walk.table.positions.get(&level.span);
-        mark(&mut walk.touched, sites.nodes, -1);
-        walk.scratch.restore_at(&level.alloc, sites, &level.saved);
-        walk.table.positions.pop(&level.span);
+        let ws = &mut *walk.ws;
+        let level = &ws.levels[depth];
+        let sites = ws.table.positions.get(&level.span);
+        mark(&mut ws.touched, sites.nodes, -1);
+        ws.scratch.restore_at(&level.alloc, sites, &level.saved);
+        ws.table.positions.pop(&level.span);
     }
     Ok(())
 }
 
 /// One feasible move set: sweep, score, and keep it if it is strictly
 /// better than every one before it.
-fn score(walk: &mut Walk<'_>) {
+fn score(walk: &mut Walk<'_, '_>) {
     walk.trials += 1;
-    walk.table.times(&walk.scratch, &walk.placed, &walk.touched, walk.only, &mut walk.times);
-    let score = objective(&walk.times);
+    let ws = &mut *walk.ws;
+    let placed = &ws.levels[..walk.targets.len()];
+    let (ctl, targets) = (walk.ctl, walk.targets);
+    ws.table.times(ctl, &ws.scratch, targets, placed, &ws.touched, walk.only, &mut ws.times);
+    let score = objective(&ws.times);
     if walk.best.is_none_or(|best| score < best - SCORE_EPSILON) {
         walk.best = Some(score);
-        walk.best_moves.clear();
-        let moves = walk.placed.iter().map(|p| (p.at, predicted(&walk.times, p.target.id)));
-        walk.best_moves.extend(moves);
+        ws.best_moves.clear();
+        let rows = &ws.table.slots;
+        let moves = placed.iter().zip(rows).map(|(p, &row)| (p.at, predicted(&ws.times, row)));
+        ws.best_moves.extend(moves);
     }
 }
 
@@ -342,21 +426,25 @@ fn score(walk: &mut Walk<'_>) {
 /// bundle's incumbent, if it has one, and the candidate it would move to.
 type Switch<'a> = (Option<&'a ChosenConfig>, &'a Candidate);
 
+/// The slots of a scan's best move set that are committed: bit `i` for
+/// slot `i`.
+type Kept = u32;
+
 /// Which moves of a scan's best move set, scoring `score` against the live
-/// `objective_before`, are committed: their slots in order, or none.
-type Settle = fn(moves: &[Switch<'_>], score: f64, objective_before: f64) -> Option<Vec<usize>>;
+/// `objective_before`, are committed, or none.
+type Settle = fn(moves: &[Switch<'_>], score: f64, objective_before: f64) -> Option<Kept>;
 
 /// Keeps the incumbent unless the best candidate is a strict improvement.
-fn settle_bundle(moves: &[Switch<'_>], score: f64, objective_before: f64) -> Option<Vec<usize>> {
+fn settle_bundle(moves: &[Switch<'_>], score: f64, objective_before: f64) -> Option<Kept> {
     let (current, candidate) = moves[0];
     let keep_incumbent = current
         .is_some_and(|cur| same_point(cur, candidate) || score >= objective_before - SCORE_EPSILON);
-    (!keep_incumbent).then(|| vec![0])
+    (!keep_incumbent).then_some(1)
 }
 
 /// Keeps a joint move that strictly improves the objective or places a
 /// bundle that had no configuration, down to the sides that change.
-fn settle_pair(moves: &[Switch<'_>], score: f64, objective_before: f64) -> Option<Vec<usize>> {
+fn settle_pair(moves: &[Switch<'_>], score: f64, objective_before: f64) -> Option<Kept> {
     // A joint move that places a previously unplaced bundle is an
     // improvement even at equal objective.
     let places_new = moves.iter().any(|(current, _)| current.is_none());
@@ -367,8 +455,8 @@ fn settle_pair(moves: &[Switch<'_>], score: f64, objective_before: f64) -> Optio
     // Only the sides that actually change are committed.
     let changes =
         |&(current, candidate): &Switch<'_>| !current.is_some_and(|cur| same_point(cur, candidate));
-    let kept: Vec<usize> = (0..moves.len()).filter(|&i| changes(&moves[i])).collect();
-    (!kept.is_empty()).then_some(kept)
+    let kept = (0..moves.len()).filter(|&i| changes(&moves[i])).fold(0, |kept, i| kept | 1 << i);
+    (kept != 0).then_some(kept)
 }
 
 /// The moves of the walk's best move set in slots `kept` as moves to
@@ -376,25 +464,25 @@ fn settle_pair(moves: &[Switch<'_>], score: f64, objective_before: f64) -> Optio
 /// the walk's own buffers, on the scratch state it was scored on — what the
 /// walk left, with the moves before it committed — which places it as it
 /// was placed then. The scratch is left as it was found.
-fn planned_moves(walk: &mut Walk<'_>, kept: &[usize]) -> Result<Vec<PlannedMove>, CoreError> {
-    let mut moves = Vec::with_capacity(kept.len());
-    let last = kept.last().map_or(0, |&slot| slot + 1);
-    for (depth, &(at, predicted)) in walk.best_moves[..last].iter().enumerate() {
-        let (target, level) = (&walk.targets[depth], &mut walk.placed[depth]);
+fn planned_moves(walk: &mut Walk<'_, '_>, kept: Kept) -> Result<Vec<PlannedMove>, CoreError> {
+    let ws = &mut *walk.ws;
+    let mut moves = Vec::with_capacity(kept.count_ones() as usize);
+    let last = (Kept::BITS - kept.leading_zeros()) as usize;
+    for (depth, &(at, predicted)) in ws.best_moves[..last].iter().enumerate() {
+        let (target, level) = (&walk.targets[depth], &mut ws.levels[depth]);
         let candidate = &target.cands[at];
-        let opt = option_of(target, candidate)?;
-        let matcher = candidate.matcher();
-        let scratch = &mut walk.match_scratch;
+        let (opt, compiled) = target.option(at);
+        let (vars, out, scratch) = (&candidate.vars, &mut level.alloc, &mut ws.match_scratch);
         if let Err(miss) =
-            matcher.match_into(&walk.scratch, opt, &candidate.vars, &mut level.alloc, scratch)?
+            candidate.matcher().match_into(&ws.scratch, opt, compiled, vars, out, scratch)?
         {
             return Err(miss.error(opt, &level.alloc).into());
         }
-        level.span = walk.table.positions.push(scratch.sites());
-        let sites = walk.table.positions.get(&level.span);
-        walk.scratch.save_at(&level.alloc, sites, &mut level.saved);
-        walk.scratch.commit_at(&level.alloc, sites)?;
-        if kept.contains(&depth) {
+        level.span = ws.table.positions.push(scratch.sites());
+        let sites = ws.table.positions.get(&level.span);
+        ws.scratch.save_at(&level.alloc, sites, &mut level.saved);
+        ws.scratch.commit_at(&level.alloc, sites)?;
+        if kept & 1 << depth != 0 {
             moves.push(PlannedMove {
                 id: target.id.clone(),
                 bundle: target.state.spec.name.clone(),
@@ -404,10 +492,10 @@ fn planned_moves(walk: &mut Walk<'_>, kept: &[usize]) -> Result<Vec<PlannedMove>
             });
         }
     }
-    for level in walk.placed[..last].iter().rev() {
-        let sites = walk.table.positions.get(&level.span);
-        walk.scratch.restore_at(&level.alloc, sites, &level.saved);
-        walk.table.positions.pop(&level.span);
+    for level in ws.levels[..last].iter().rev() {
+        let sites = ws.table.positions.get(&level.span);
+        ws.scratch.restore_at(&level.alloc, sites, &level.saved);
+        ws.table.positions.pop(&level.span);
     }
     Ok(moves)
 }
@@ -417,13 +505,30 @@ impl Controller {
     /// arrival order. Applications with no applied configuration are
     /// omitted.
     pub fn predicted_response_times(&self) -> Vec<(InstanceId, f64)> {
-        let live = self.table((0, 0)).live(&self.cluster);
-        live.into_iter().map(|(id, rt)| (id.clone(), rt)).collect()
+        let mut ws = PlanWorkspace::default();
+        self.live_times(&mut ws);
+        let arrival = self.instances.arrival();
+        ws.times.iter().map(|&(row, rt)| (arrival[row].clone(), rt)).collect()
     }
 
     /// The current objective score over all applications.
     pub fn objective_score(&self) -> f64 {
-        objective(&self.table((0, 0)).live(&self.cluster))
+        self.objective_in(&mut PlanWorkspace::default())
+    }
+
+    /// [`Controller::objective_score`], computed in `ws`.
+    pub(crate) fn objective_in(&self, ws: &mut PlanWorkspace) -> f64 {
+        self.live_times(ws);
+        objective(&ws.times)
+    }
+
+    /// Fills `ws`'s table and its sweep with nothing moved: the live
+    /// response times.
+    fn live_times(&self, ws: &mut PlanWorkspace) {
+        fill(&mut ws.table, self, &[]);
+        ws.touched.clear();
+        ws.touched.resize(self.cluster.len(), 0);
+        ws.table.times(self, &self.cluster, &[], &[], &ws.touched, None, &mut ws.times);
     }
 
     /// Looks up one bundle of one instance.
@@ -451,24 +556,26 @@ impl Controller {
     /// # Errors
     ///
     /// Evaluation errors from [`Controller::scan`].
-    pub(crate) fn plan_bundle(&self, id: &InstanceId, bundle: &str) -> Result<Scan, CoreError> {
-        let t_cands = Instant::now();
-        let (state, cands) = self.slot(id, bundle)?;
-        let candidates_ms = elapsed_ms(t_cands);
-        let slot = [Target { id, state, cands: &cands }];
-        self.scan(&slot, id, candidates_ms, settle_bundle)
-    }
-
-    /// What a scan's slot for `(id, bundle)` is made of: the bundle and its
-    /// memoized candidates.
-    fn slot(
+    pub(crate) fn plan_bundle(
         &self,
+        ws: &mut PlanWorkspace,
         id: &InstanceId,
         bundle: &str,
-    ) -> Result<(&BundleState, Arc<Vec<Candidate>>), CoreError> {
+    ) -> Result<Scan, CoreError> {
+        let t_cands = Instant::now();
+        let slot = [self.slot(id, bundle)?];
+        let candidates_ms = elapsed_ms(t_cands);
+        self.scan(ws, &slot, 0, candidates_ms, settle_bundle)
+    }
+
+    /// The scan slot for `(id, bundle)`: the bundle and its memoized
+    /// candidates.
+    fn slot<'a>(&'a self, id: &'a InstanceId, bundle: &str) -> Result<Target<'a>, CoreError> {
         let state = self.bundle_state(id, bundle)?;
-        let cands = self.cached_candidates(id, bundle);
-        Ok((state, cands.ok_or_else(|| CoreError::UnknownBundle { name: bundle.to_string() })?))
+        let memo: &Memo = self
+            .memo(id, bundle)
+            .ok_or_else(|| CoreError::UnknownBundle { name: bundle.into() })?;
+        Ok(Target { id, state, cands: &memo.list, compiled: &memo.compiled })
     }
 
     /// One coordinated move: jointly re-choose bundles `a` and `b`,
@@ -482,90 +589,85 @@ impl Controller {
     /// Evaluation errors from [`Controller::scan`].
     pub(crate) fn plan_pair(
         &self,
+        ws: &mut PlanWorkspace,
         a: (&InstanceId, &str),
         b: (&InstanceId, &str),
     ) -> Result<Scan, CoreError> {
         let t_cands = Instant::now();
-        let ((state_a, cands_a), (state_b, cands_b)) = (self.slot(a.0, a.1)?, self.slot(b.0, b.1)?);
+        let slots = [self.slot(a.0, a.1)?, self.slot(b.0, b.1)?];
         let candidates_ms = elapsed_ms(t_cands);
-        let slots = [
-            Target { id: a.0, state: state_a, cands: &cands_a },
-            Target { id: b.0, state: state_b, cands: &cands_b },
-        ];
-        self.scan(&slots, b.0, candidates_ms, settle_pair)
+        self.scan(ws, &slots, 1, candidates_ms, settle_pair)
     }
 
-    /// The one scan body: on one scratch copy of the cluster, release every
-    /// slot's incumbent, then walk the product of the slots' candidates
-    /// depth first, scoring each complete move set with one sweep, and plan
-    /// the moves `settle` keeps of the first set that scores strictly
-    /// better than all before it. Time in the table and the walk is
+    /// The one scan body: on the workspace's scratch copy of the cluster,
+    /// release every slot's incumbent, then walk the product of the slots'
+    /// candidates depth first, scoring each complete move set with one
+    /// sweep, and plan the moves `settle` keeps of the first set that
+    /// scores strictly better than all before it. Selfish mode scores only
+    /// the application of slot `focus`. Time in the table and the walk is
     /// reported as `prediction_ms`, the rest as `optimization_ms`, beside
     /// the `candidates_ms` fetching the slots' candidates took.
     fn scan(
         &self,
+        ws: &mut PlanWorkspace,
         targets: &[Target<'_>],
-        focus: &InstanceId,
+        focus: usize,
         candidates_ms: f64,
         settle: Settle,
     ) -> Result<Scan, CoreError> {
         let t_scan = Instant::now();
-        // Room for the walk's levels: a match binds each node at most once,
-        // and no more links than its option names.
-        let links = targets
-            .iter()
-            .map(|t| t.state.spec.options.iter().map(|o| o.links.len()).max().unwrap_or(0))
-            .sum();
-        let table = self.table((self.cluster.len() * targets.len(), links));
-        let objective_before = objective(&table.live(&self.cluster));
+        fill(&mut ws.table, self, targets);
+        ws.touched.clear();
+        ws.touched.resize(self.cluster.len(), 0);
+        ws.table.times(self, &self.cluster, targets, &[], &ws.touched, None, &mut ws.times);
+        let objective_before = objective(&ws.times);
         let mut prediction_ms = elapsed_ms(t_scan);
         if targets.iter().any(|t| t.cands.is_empty()) {
             return Ok(Scan { plan: None, trials: 0, matches: 0 });
         }
-        let apps = table.rows.len();
-        let mut walk = Walk {
-            ctl: self,
-            table,
-            targets,
-            only: self.config.selfish.then_some(focus),
-            scratch: self.cluster.clone(),
-            touched: vec![0; self.cluster.len()],
-            placed: Vec::with_capacity(targets.len()),
-            match_scratch: MatchScratch::default(),
-            times: Vec::with_capacity(apps),
-            best: None,
-            best_moves: Vec::with_capacity(targets.len()),
-            trials: 0,
-            matches: 0,
-        };
-        let mut released = Vec::with_capacity(targets.len());
-        for cur in targets.iter().filter_map(|t| t.state.current.as_ref()) {
-            released.push((&cur.alloc, walk.scratch.save(&cur.alloc)));
-            walk.scratch.release(&cur.alloc)?;
+        ws.scratch.clone_from(&self.cluster);
+        let incumbents = || targets.iter().filter_map(|t| t.state.current.as_ref());
+        for (k, cur) in incumbents().enumerate() {
+            if cfg!(debug_assertions) {
+                if ws.released.len() == k {
+                    ws.released.push(SavedCounters::default());
+                }
+                ws.scratch.save_into(&cur.alloc, &mut ws.released[k]);
+            }
+            ws.scratch.release(&cur.alloc)?;
             for i in cur.alloc.nodes.iter().filter_map(|n| self.cluster.node_index(&n.node)) {
-                walk.touched[i] += 1;
+                ws.touched[i] += 1;
             }
         }
+        let only = self.config.selfish.then(|| ws.table.slots[focus]);
+        let mut walk = Walk { ctl: self, targets, only, ws, best: None, trials: 0, matches: 0 };
         let t_walk = Instant::now();
         descend(&mut walk, 0)?;
         prediction_ms += elapsed_ms(t_walk);
         let kept = walk.best.and_then(|score| {
-            let best = walk.best_moves.iter().zip(targets);
-            let moves: Vec<Switch<'_>> =
-                best.map(|(&(at, _), t)| (t.state.current.as_ref(), &t.cands[at])).collect();
-            settle(&moves, score, objective_before).map(|kept| (score, kept))
+            let best = &walk.ws.best_moves;
+            let switch = |slot: usize| {
+                let t = &targets[slot];
+                (t.state.current.as_ref(), &t.cands[best[slot].0])
+            };
+            // A scan has one slot or two.
+            let moves = [switch(0), switch(targets.len() - 1)];
+            settle(&moves[..targets.len()], score, objective_before).map(|kept| (score, kept))
         });
         let moves = match kept {
-            Some((score, kept)) => Some((score, planned_moves(&mut walk, &kept)?)),
+            Some((score, kept)) => Some((score, planned_moves(&mut walk, kept)?)),
             None => None,
         };
         if cfg!(debug_assertions) {
             // Every commit was undone exactly: with the incumbents put back
             // the scratch is the live cluster again, field for field.
-            for (alloc, saved) in released.iter().rev() {
-                walk.scratch.restore(alloc, saved);
+            let ws = &mut *walk.ws;
+            let mut k = incumbents().count();
+            for cur in targets.iter().rev().filter_map(|t| t.state.current.as_ref()) {
+                k -= 1;
+                ws.scratch.restore(&cur.alloc, &ws.released[k]);
             }
-            assert_eq!(walk.scratch, self.cluster, "a scan must undo what it tries");
+            assert_eq!(ws.scratch, self.cluster, "a scan must undo what it tries");
         }
         let optimization_ms = (elapsed_ms(t_scan) - prediction_ms).max(0.0);
         let plan = moves.map(|(score, moves)| Plan {
@@ -575,34 +677,6 @@ impl Controller {
             timings: PhaseTimings { candidates_ms, prediction_ms, optimization_ms, commit_ms: 0.0 },
         });
         Ok(Scan { plan, trials: walk.trials, matches: walk.matches })
-    }
-
-    /// Builds the scan's table against the live cluster, with `room` for
-    /// as many more node and link positions.
-    fn table<'a>(&'a self, room: (usize, usize)) -> Table<'a> {
-        let (mut nodes, mut links) = room;
-        let apps = self.instances.in_arrival_order().map(|inst| &inst.app);
-        for cfg in apps.flat_map(|app| &app.bundles).filter_map(|b| b.current.as_ref()) {
-            (nodes, links) = (nodes + cfg.alloc.nodes.len(), links + cfg.alloc.links.len());
-        }
-        let positions = SiteStack::with_capacity(nodes, links);
-        let rows = Vec::with_capacity(self.instances.len());
-        let mut table = Table { positions, rows };
-        for app in self.instances.in_arrival_order().map(|inst| &inst.app) {
-            let mut bundles = Vec::with_capacity(app.bundles.len());
-            for bundle in &app.bundles {
-                let standing = bundle.current.as_ref().and_then(|cfg| {
-                    let opt = bundle.spec.option(&cfg.option)?;
-                    let (span, whole) = table.positions.push_found(&self.cluster, &cfg.alloc);
-                    let sites = whole.then(|| table.positions.get(&span));
-                    let live = time_on(&self.cluster, &cfg.alloc, sites, opt, 0.0);
-                    Some(Standing { opt, alloc: &cfg.alloc, span, whole, live })
-                });
-                bundles.push((bundle, standing));
-            }
-            table.rows.push(Row { id: &app.id, bundles });
-        }
-        table
     }
 
     /// The friction (seconds) of moving `bundle` to `cand`, placed as
@@ -702,7 +776,7 @@ mod tests {
                 plan.moves.iter().map(|m| (self.choice(&m.id, &m.bundle), &m.candidate)).collect();
             let kept = settle(&moves, plan.score, plan.objective_before)?;
             let mut slot = 0..;
-            plan.moves.retain(|_| kept.contains(&slot.next().expect("unbounded")));
+            plan.moves.retain(|_| kept & 1 << slot.next().expect("unbounded") != 0);
             Some(plan)
         }
 
@@ -711,7 +785,8 @@ mod tests {
             sets: impl Iterator<Item = Vec<Move<'a>>>,
             focus: &InstanceId,
         ) -> Result<Option<Plan>, CoreError> {
-            let objective_before = objective(&self.ref_response_times(&self.cluster, &[], None));
+            let live = self.ref_response_times(&self.cluster, &[], None);
+            let objective_before = ref_objective(&live);
             let mut best: Option<(Vec<Move<'a>>, Trial<'_>)> = None;
             for moves in sets {
                 if let Some(t) = self.ref_trial(&moves, focus)? {
@@ -729,7 +804,7 @@ mod tests {
                         bundle: m.bundle.to_string(),
                         candidate: m.cand.clone(),
                         alloc,
-                        predicted: predicted(&times, m.id),
+                        predicted: ref_predicted(&times, m.id),
                     })
                     .collect(),
                 score,
@@ -775,7 +850,7 @@ mod tests {
             let only = self.config.selfish.then_some(focus);
             let times = self.ref_response_times(&cluster, &replaces, only);
             let allocs = replaces.into_iter().map(|r| r.alloc).collect();
-            Ok(Some(Trial { score: objective(&times), times, allocs }))
+            Ok(Some(Trial { score: ref_objective(&times), times, allocs }))
         }
 
         fn ref_response_times(
@@ -815,6 +890,16 @@ mod tests {
             }
             out
         }
+    }
+
+    /// Response time of application `id` in one reference sweep.
+    fn ref_predicted(times: &[(&InstanceId, f64)], id: &InstanceId) -> f64 {
+        times.iter().find(|(i, _)| *i == id).map_or(f64::INFINITY, |(_, rt)| *rt)
+    }
+
+    /// The objective over one reference sweep.
+    fn ref_objective(times: &[(&InstanceId, f64)]) -> f64 {
+        mean_completion(times.iter().map(|(_, rt)| rt))
     }
 
     // ------------------------------------------------------------------
@@ -880,17 +965,21 @@ mod tests {
     }
 
     /// Holds every single-bundle and pairwise scan of the controller's
-    /// present state equal to the reference. Returns how many plans moved
-    /// something.
-    fn assert_scans_match_the_reference(c: &Controller, what: &str) -> usize {
+    /// present state, planned in `ws`, equal to the reference. Returns how
+    /// many plans moved something.
+    fn assert_scans_match_the_reference(
+        c: &Controller,
+        ws: &mut PlanWorkspace,
+        what: &str,
+    ) -> usize {
         let bundles = all_bundles(c);
         let mut plans = 0;
         for (i, (id, b, cands)) in bundles.iter().enumerate() {
-            let scan = c.plan_bundle(id, b).map(|s| s.plan);
+            let scan = c.plan_bundle(ws, id, b).map(|s| s.plan);
             plans += usize::from(matches!(scan, Ok(Some(_))));
             assert_eq!(decided(scan), decided(c.ref_plan_bundle(id, b, cands)), "{what}: {id}.{b}");
             for (jd, jb, jcands) in bundles.iter().skip(i + 1) {
-                let scan = c.plan_pair((id, b), (jd, jb)).map(|s| s.plan);
+                let scan = c.plan_pair(ws, (id, b), (jd, jb)).map(|s| s.plan);
                 plans += usize::from(matches!(scan, Ok(Some(_))));
                 let reference = c.ref_plan_pair((id, b), cands, (jd, jb), jcands);
                 assert_eq!(decided(scan), decided(reference), "{what}: {id}.{b} + {jd}.{jb}");
@@ -922,9 +1011,12 @@ mod tests {
         parse_bundle_script(&SHAPES[i].replace("harmony.cs.umd.edu", "node00.sp2")).unwrap()
     }
 
+    /// One workspace serves every scan of every population, on clusters of
+    /// three to six nodes: nothing a scan leaves in it reaches a decision.
     #[test]
     fn the_scan_decides_what_the_clone_per_trial_reference_decides() {
         let mut plans = 0;
+        let mut ws = PlanWorkspace::default();
         for seed in 0..24u64 {
             let mut rng = SeededRng::seed(seed);
             let config = ControllerConfig { selfish: seed % 4 == 3, ..Default::default() };
@@ -944,7 +1036,8 @@ mod tests {
                     // unplaced: pair scans must be able to admit it.
                     let _ = c.register(spec);
                 }
-                plans += assert_scans_match_the_reference(&c, &format!("seed {seed} step {step}"));
+                let what = format!("seed {seed} step {step}");
+                plans += assert_scans_match_the_reference(&c, &mut ws, &what);
             }
         }
         assert!(plans > 50, "the populations should leave moves to plan, found {plans}");
@@ -968,7 +1061,8 @@ mod tests {
         let inner = c.cached_candidates(&broken, "config").unwrap();
         for (outer, surfaces) in [(&fits, true), (&huge, false)] {
             let cands = c.cached_candidates(outer, "config").unwrap();
-            let scan = c.plan_pair((outer, "config"), (&broken, "config"));
+            let scan =
+                c.plan_pair(&mut PlanWorkspace::default(), (outer, "config"), (&broken, "config"));
             assert_eq!(scan.is_err(), surfaces, "{outer}");
             let reference = c.ref_plan_pair((outer, "config"), &cands, (&broken, "config"), &inner);
             assert_eq!(decided(scan.map(|s| s.plan)), decided(reference), "{outer}");
@@ -1091,7 +1185,8 @@ mod tests {
             let spec = parse_bundle_script(script).unwrap();
             let name = spec.name.clone();
             attach(&mut c, &id, spec.clone());
-            let plan = c.plan_bundle(&id, &name).unwrap().plan.unwrap();
+            let plan = c.plan_bundle(&mut PlanWorkspace::default(), &id, &name).unwrap();
+            let plan = plan.plan.unwrap();
             let (score, predicted) = (plan.score, plan.moves[0].predicted);
             // Detach again and let the real verb place it.
             c.instances.get_mut(&id).unwrap().detach(&name);
@@ -1110,7 +1205,7 @@ mod tests {
         let c = bags(3, ControllerConfig::default());
         let state = |c: &Controller| (c.persisted_state().canonical_fingerprint(), c.journal_seq());
         let before = state(&c);
-        assert_scans_match_the_reference(&c, "three bags");
+        assert_scans_match_the_reference(&c, &mut PlanWorkspace::default(), "three bags");
         assert_eq!(state(&c), before);
     }
 
@@ -1121,15 +1216,16 @@ mod tests {
     fn a_scan_counts_its_move_sets_and_matches() {
         let mut c = bags(2, ControllerConfig::default());
         let ids = c.instances();
-        let single = c.plan_bundle(&ids[0], "config").unwrap();
+        let ws = &mut PlanWorkspace::default();
+        let single = c.plan_bundle(ws, &ids[0], "config").unwrap();
         assert_eq!((single.trials, single.matches), (4, 4));
-        let pair = c.plan_pair((&ids[0], "config"), (&ids[1], "config")).unwrap();
+        let pair = c.plan_pair(ws, (&ids[0], "config"), (&ids[1], "config")).unwrap();
         assert_eq!((pair.trials, pair.matches), (16, 20));
         // An outer candidate that cannot fit decides its row with one match.
         let huge = c.startup("huge");
         let spec = "harmonyBundle huge:1 config { {o {node n {seconds 1} {memory 99999}}} }";
         attach(&mut c, &huge, parse_bundle_script(spec).unwrap());
-        let pair = c.plan_pair((&huge, "config"), (&ids[1], "config")).unwrap();
+        let pair = c.plan_pair(ws, (&huge, "config"), (&ids[1], "config")).unwrap();
         assert_eq!((pair.trials, pair.matches), (4, 1));
         assert!(pair.plan.is_none());
     }
@@ -1140,11 +1236,13 @@ mod tests {
             let c = bags(2, ControllerConfig { selfish, ..Default::default() });
             let ids = c.instances();
             let focus = &ids[1];
-            let cands = c.cached_candidates(focus, "config").unwrap();
+            let memo = c.memo(focus, "config").unwrap();
             let state = c.bundle_state(focus, "config").unwrap();
-            let slot = Target { id: focus, state, cands: &cands[..1] };
-            let keep_all: Settle = |moves, _, _| Some((0..moves.len()).collect());
-            let plan = c.scan(&[slot], focus, 0.0, keep_all).unwrap().plan.unwrap();
+            let (cands, compiled) = (&memo.list[..1], &memo.compiled[..1]);
+            let slot = Target { id: focus, state, cands, compiled };
+            let keep_all: Settle = |moves, _, _| Some((1 << moves.len()) - 1);
+            let ws = &mut PlanWorkspace::default();
+            let plan = c.scan(ws, &[slot], 0, 0.0, keep_all).unwrap().plan.unwrap();
             let alone = mean_completion(&[plan.moves[0].predicted]);
             assert_eq!(plan.score == alone, selfish);
         }

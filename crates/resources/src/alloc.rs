@@ -179,6 +179,12 @@ impl SiteStack {
         SiteStack { nodes: Vec::with_capacity(nodes), links: Vec::with_capacity(links) }
     }
 
+    /// Empties the stack, keeping its room.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.links.clear();
+    }
+
     /// The positions `span` holds.
     pub fn get(&self, span: &SiteSpan) -> Sites<'_> {
         Sites { nodes: &self.nodes[span.nodes.clone()], links: &self.links[span.links.clone()] }

@@ -20,7 +20,7 @@ use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use crate::error::ResourceError;
 
 /// Mutable per-node state: the declaration plus what is currently free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct NodeState {
     /// The published declaration (capacity), shared by every clone.
     pub decl: Arc<NodeDecl>,
@@ -65,7 +65,7 @@ impl NodeState {
 }
 
 /// Mutable per-link state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct LinkState {
     /// The published declaration (capacity), shared by every clone.
     pub decl: Arc<LinkDecl>,
@@ -115,12 +115,58 @@ fn ordered<'a>(a: &'a str, b: &'a str) -> (&'a str, &'a str) {
 /// assert!(cluster.link("a", "b").is_some());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Cluster {
     /// Sorted by name.
     nodes: Vec<NodeState>,
     /// Sorted by ordered endpoint pair ([`LinkState::key`]).
     links: Vec<LinkState>,
+}
+
+/// A clone shares every declaration. `clone_from` refreshes a clone in
+/// place: it copies the counters into the vectors it has, and touches a
+/// declaration's reference count only where the two clusters' differ — a
+/// planner that keeps one scratch cluster allocates nothing to refresh it.
+impl Clone for Cluster {
+    fn clone(&self) -> Self {
+        Cluster { nodes: self.nodes.clone(), links: self.links.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.nodes.clone_from(&source.nodes);
+        self.links.clone_from(&source.links);
+    }
+}
+
+impl Clone for NodeState {
+    fn clone(&self) -> Self {
+        NodeState { decl: Arc::clone(&self.decl), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        share(&mut self.decl, &source.decl);
+        let NodeState { decl: _, free_memory, tasks, assigned_seconds, exclusive } = *source;
+        (self.free_memory, self.tasks, self.assigned_seconds, self.exclusive) =
+            (free_memory, tasks, assigned_seconds, exclusive);
+    }
+}
+
+impl Clone for LinkState {
+    fn clone(&self) -> Self {
+        LinkState { decl: Arc::clone(&self.decl), ..*self }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        share(&mut self.decl, &source.decl);
+        self.free_bandwidth = source.free_bandwidth;
+    }
+}
+
+/// Points `decl` at `source`'s declaration, unless it already does.
+fn share<T>(decl: &mut Arc<T>, source: &Arc<T>) {
+    if !Arc::ptr_eq(decl, source) {
+        *decl = Arc::clone(source);
+    }
 }
 
 impl Cluster {
@@ -384,6 +430,42 @@ mod tests {
         c.add_link(LinkDecl::new("a", "b", 320.0)).unwrap();
         c.add_link(LinkDecl::new("b", "c", 100.0)).unwrap();
         c
+    }
+
+    /// A clone refreshed in place equals a fresh clone — after the source's
+    /// counters moved, after it lost a node and its links, after it gained
+    /// some — and shares the source's declarations.
+    #[test]
+    fn clone_from_refreshes_a_clone_in_place() {
+        let mut live = cluster3();
+        let mut scratch = live.clone();
+        let mut check = |live: &Cluster| {
+            scratch.clone_from(live);
+            assert_eq!(&scratch, live);
+            for (a, b) in scratch.nodes().zip(live.nodes()) {
+                assert!(Arc::ptr_eq(&a.decl, &b.decl), "{}", a.decl.name);
+            }
+            for (a, b) in scratch.links().zip(live.links()) {
+                assert!(Arc::ptr_eq(&a.decl, &b.decl), "{:?}", a.key());
+            }
+        };
+        let mut alloc = crate::Allocation::default();
+        alloc.nodes.push(crate::AllocatedNode {
+            node: "b".into(),
+            memory: 10.0,
+            seconds: 5.0,
+            exclusive: true,
+            ..Default::default()
+        });
+        alloc.links.push(crate::AllocatedLink { a: "a".into(), b: "b".into(), bandwidth: 7.0 });
+        live.commit(&alloc).unwrap();
+        check(&live);
+        live.remove_node("b");
+        check(&live);
+        live.add_node(NodeDecl::new("b", 4.0, 512.0)).unwrap();
+        live.add_node(NodeDecl::new("d", 1.0, 32.0)).unwrap();
+        live.add_link(LinkDecl::new("c", "d", 50.0)).unwrap();
+        check(&live);
     }
 
     #[test]

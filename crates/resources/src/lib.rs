@@ -24,4 +24,4 @@ pub use alloc::{
 pub use cluster::{Cluster, LinkState, NodeState};
 pub use error::ResourceError;
 pub use frag::{fragmentation, FragReport};
-pub use matcher::{MatchScratch, Matcher, Miss, Strategy};
+pub use matcher::{Compiled, MatchScratch, Matcher, Miss, Strategy};

@@ -12,8 +12,8 @@
 //! policies that try to avoid fragmentation").
 
 use harmony_rsl::expr::{ChainEnv, Env, MapEnv};
-use harmony_rsl::schema::{NodeReq, OptionSpec, TagValue};
-use harmony_rsl::Value;
+use harmony_rsl::schema::{Accepts, NodeReq, OptionSpec, TagValue};
+use harmony_rsl::{RslError, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::alloc::{AllocatedLink, AllocatedNode, Allocation, Sites, VarsEnv};
@@ -101,7 +101,9 @@ impl Matcher {
             vars.iter().filter_map(|(k, v)| v.as_i64().ok().map(|i| (k.to_owned(), i))).collect();
         variables.sort();
         let mut alloc = Allocation { variables, ..Allocation::default() };
-        let found = self.bind(cluster, opt, vars, &mut alloc, &mut MatchScratch::default())?;
+        let compiled = Compiled::new(opt, vars);
+        let found =
+            self.bind(cluster, opt, &compiled, vars, &mut alloc, &mut MatchScratch::default())?;
         worded(found, opt, alloc)
     }
 
@@ -118,27 +120,32 @@ impl Matcher {
         vars: &[(String, i64)],
     ) -> Result<Allocation, ResourceError> {
         let mut alloc = Allocation::default();
-        let found =
-            self.match_into(cluster, opt, vars, &mut alloc, &mut MatchScratch::default())?;
+        let compiled = Compiled::new(opt, &VarsEnv(vars));
+        let mut scratch = MatchScratch::default();
+        let found = self.match_into(cluster, opt, &compiled, vars, &mut alloc, &mut scratch)?;
         worded(found, opt, alloc)
     }
 
-    /// [`Matcher::match_vars`] into `out`, the planner's entry: the
-    /// allocation's vectors and strings are overwritten in place, node
-    /// bindings it sheds are kept in `scratch` for the next match, and so
-    /// is the buffer of eligible nodes. A caller that matches into the same
-    /// `out` and `scratch` again allocates only where a binding outgrows
-    /// every one before it. A requirement nothing satisfies is an unworded
-    /// [`Miss`], and `out` then holds a partial binding. After a match,
+    /// [`Matcher::match_vars`] of `opt` compiled under `vars` ([`Compiled`])
+    /// into `out`, the planner's entry: the allocation's vectors and
+    /// strings are overwritten in place, node bindings it sheds are kept in
+    /// `scratch` for the next match, and so is the buffer of eligible
+    /// nodes. A caller that matches into the same `out` and `scratch` again
+    /// allocates only where a binding outgrows every one before it, and
+    /// evaluates only the link bandwidths, which read the granted memory. A
+    /// requirement nothing satisfies is an unworded [`Miss`], and `out`
+    /// then holds a partial binding. After a match,
     /// [`MatchScratch::sites`] tells where in `cluster` each binding is.
     ///
     /// # Errors
     ///
-    /// RSL evaluation errors from parameterized tags.
+    /// RSL evaluation errors from parameterized tags, raised where the
+    /// match reaches the tag.
     pub fn match_into(
         &self,
         cluster: &Cluster,
         opt: &OptionSpec,
+        compiled: &Compiled,
         vars: &[(String, i64)],
         out: &mut Allocation,
         scratch: &mut MatchScratch,
@@ -152,20 +159,24 @@ impl Matcher {
             *value = *v;
         }
         out.variables.extend_from_slice(&vars[kept..]);
-        self.bind(cluster, opt, &VarsEnv(vars), out, scratch)
+        self.bind(cluster, opt, compiled, &VarsEnv(vars), out, scratch)
     }
 
-    /// The one matcher body: tags evaluate in `vars`, the node and link
-    /// bindings are written over `out`'s and their positions over
-    /// `scratch`'s; `out`'s `variables` are the caller's.
+    /// The one matcher body: the node requirements are `compiled`, `opt`'s
+    /// evaluated in `vars`, and the link bandwidths evaluate in `vars` and
+    /// the binding; the node and link bindings are written over `out`'s and
+    /// their positions over `scratch`'s; `out`'s `variables` are the
+    /// caller's.
     fn bind(
         &self,
         cluster: &Cluster,
         opt: &OptionSpec,
+        compiled: &Compiled,
         vars: &impl Env,
         out: &mut Allocation,
         scratch: &mut MatchScratch,
     ) -> Result<Result<(), Miss>, ResourceError> {
+        debug_assert_eq!(compiled.nodes.len(), opt.nodes.len(), "compiled from another option");
         let nodes = cluster.node_slice();
         let MatchScratch { spare, eligible, sites, link_sites } = scratch;
         // The bindings made so far are `out.nodes[..bound]`, at positions
@@ -180,18 +191,13 @@ impl Matcher {
         // other requirements'.
         let free = |i: usize| nodes[i].free_memory;
 
-        for (r, req) in opt.nodes.iter().enumerate() {
-            let count = req.count.resolve(vars)?;
-            let dedicated = req
-                .tag("dedicated")
-                .map(|t| t.accepts(&Value::Int(1), vars))
-                .transpose()?
-                .unwrap_or(false);
+        for (r, (req, need)) in opt.nodes.iter().zip(&compiled.nodes).enumerate() {
+            let count = *raised(&need.count)?;
+            let dedicated = *raised(&need.dedicated)?;
             if count == 0 {
                 continue;
             }
-            let min_mem = min_memory(req, vars)?;
-            let (hostname, os, speed) = (req.hostname(), req.os(), req.tag("speed"));
+            let min_mem = *raised(&need.memory)?;
             eligible.clear();
             for (i, state) in nodes.iter().enumerate() {
                 if sites.contains(&i) {
@@ -204,18 +210,18 @@ impl Matcher {
                 if state.exclusive > 0 || (dedicated && state.tasks > 0) {
                     continue;
                 }
-                if let Some(t) = hostname {
-                    if !t.accepts(&Value::Str(state.decl.hostname.clone()), vars)? {
+                if let Some(t) = &need.hostname {
+                    if !raised(t)?.word(&state.decl.hostname)? {
                         continue;
                     }
                 }
-                if let Some(t) = os {
-                    if !t.accepts(&Value::Str(state.decl.os.clone()), vars)? {
+                if let Some(t) = &need.os {
+                    if !raised(t)?.word(&state.decl.os)? {
                         continue;
                     }
                 }
-                if let Some(t) = speed {
-                    if !t.accepts(&Value::Float(state.decl.speed), vars)? {
+                if let Some(t) = &need.speed {
+                    if !raised(t)?.number(state.decl.speed) {
                         continue;
                     }
                 }
@@ -228,8 +234,7 @@ impl Matcher {
             // resources" — CPU load counts, so less-loaded nodes rank
             // first under every strategy; ties stay in name order.
             eligible.sort_unstable_by_key(|&i| (nodes[i].tasks, i));
-            let elastic =
-                self.elastic_extra > 0.0 && req.memory().is_some_and(TagValue::is_elastic);
+            let elastic = self.elastic_extra > 0.0 && need.elastic;
             let mut seconds = 0.0;
             for index in 0..count {
                 let at = match self.strategy {
@@ -253,8 +258,8 @@ impl Matcher {
                 // Evaluated once a node is found, so that a requirement
                 // nothing satisfies is a miss whatever its tags say.
                 if index == 0 {
-                    if let Some(v) = req.seconds() {
-                        seconds = v.amount(vars)?;
+                    if let Some(v) = &need.seconds {
+                        seconds = *raised(v)?;
                     }
                 }
                 if bound == out.nodes.len() {
@@ -288,6 +293,55 @@ impl Matcher {
         out.links = bound_links;
         found
     }
+}
+
+/// An option's node requirements evaluated under one set of variable
+/// bindings: each requirement's count, minimum memory, `seconds` and
+/// `dedicated` tag, whether its memory is elastic, and its `hostname`,
+/// `os` and `speed` filters reduced to values a node's attributes are
+/// compared with ([`Accepts`]). A match of the option under those
+/// bindings ([`Matcher::match_into`]) then evaluates only the link
+/// bandwidths, which read the memory it granted. A tag that fails to
+/// evaluate keeps its error, which the match raises where it reaches the
+/// tag, as if it had evaluated it there.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Compiled {
+    nodes: Vec<Needs>,
+}
+
+/// One node requirement of a [`Compiled`] option.
+#[derive(Debug, Clone, PartialEq)]
+struct Needs {
+    count: Result<u32, RslError>,
+    dedicated: Result<bool, RslError>,
+    memory: Result<f64, RslError>,
+    elastic: bool,
+    seconds: Option<Result<f64, RslError>>,
+    hostname: Option<Result<Accepts, RslError>>,
+    os: Option<Result<Accepts, RslError>>,
+    speed: Option<Result<Accepts, RslError>>,
+}
+
+impl Compiled {
+    /// Evaluates `opt`'s node requirements in `vars`.
+    pub fn new(opt: &OptionSpec, vars: &impl Env) -> Self {
+        let needs = |req: &NodeReq| Needs {
+            count: req.count.resolve(vars),
+            dedicated: req.tag("dedicated").map_or(Ok(false), |t| t.accepts(&Value::Int(1), vars)),
+            memory: min_memory(req, vars),
+            elastic: req.memory().is_some_and(TagValue::is_elastic),
+            seconds: req.seconds().map(|t| t.amount(vars)),
+            hostname: req.hostname().map(|t| t.accepting(vars)),
+            os: req.os().map(|t| t.accepting(vars)),
+            speed: req.tag("speed").map(|t| t.accepting(vars)),
+        };
+        Compiled { nodes: opt.nodes.iter().map(needs).collect() }
+    }
+}
+
+/// A compiled tag's value, or the error evaluating it raised.
+fn raised<T>(compiled: &Result<T, RslError>) -> Result<&T, ResourceError> {
+    compiled.as_ref().map_err(|e| e.clone().into())
 }
 
 /// Binds `opt`'s links over `out` between the nodes `partial` bound at
@@ -467,12 +521,12 @@ fn by_amount(a: f64, b: f64) -> std::cmp::Ordering {
     a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
 }
 
-fn min_memory(req: &NodeReq, vars: &impl Env) -> Result<f64, ResourceError> {
+fn min_memory(req: &NodeReq, vars: &impl Env) -> Result<f64, RslError> {
     match req.memory() {
         None => Ok(0.0),
         Some(TagValue::Any) => Ok(0.0),
         Some(TagValue::AtMost(_)) => Ok(0.0),
-        Some(v) => Ok(v.amount(vars)?),
+        Some(v) => v.amount(vars),
     }
 }
 
@@ -744,11 +798,12 @@ mod tests {
             for (b, bundle) in bundles.iter().enumerate() {
                 for opt in &bundle.options {
                     for vars in assignments(opt) {
+                        let compiled = Compiled::new(opt, &VarsEnv(&vars));
                         for strategy in [Strategy::FirstFit, Strategy::BestFit, Strategy::WorstFit]
                         {
                             let matcher = Matcher::new(strategy).with_elastic_extra(7.0);
-                            let found =
-                                matcher.match_into(&cluster, opt, &vars, &mut out, &mut scratch);
+                            let (c, s) = (&compiled, &mut scratch);
+                            let found = matcher.match_into(&cluster, opt, c, &vars, &mut out, s);
                             if found.unwrap().is_ok() {
                                 assert_sites_name_the_bindings(&cluster, &out, scratch.sites());
                                 checked[b] += 1;
@@ -759,6 +814,116 @@ mod tests {
             }
         }
         assert!(checked.iter().all(|&c| c >= 20), "every bundle should match often: {checked:?}");
+    }
+
+    /// Holds `need`, `req` compiled in `vars`, to `req`'s tags evaluated in
+    /// `vars` per use, as the matcher once evaluated them in every match:
+    /// each amount and flag, and each filter against node attributes.
+    fn held_to_the_tags(req: &NodeReq, need: &Needs, vars: &impl Env, what: &str) {
+        assert_eq!(need.count, req.count.resolve(vars), "{what}: count");
+        let dedicated = req.tag("dedicated").map(|t| t.accepts(&Value::Int(1), vars));
+        assert_eq!(need.dedicated, dedicated.unwrap_or(Ok(false)), "{what}: dedicated");
+        assert_eq!(need.memory, min_memory(req, vars), "{what}: memory");
+        let elastic = req.memory().is_some_and(TagValue::is_elastic);
+        assert_eq!(need.elastic, elastic, "{what}: elastic");
+        assert_eq!(need.seconds, req.seconds().map(|t| t.amount(vars)), "{what}: seconds");
+        // Hostnames and operating systems a node may carry: the SP-2's, and
+        // numeric-looking ones `loose_eq` compares as numbers.
+        const WORDS: [&str; 10] =
+            ["node00.sp2", "node01.sp2", "linux", "aix", "100", "1e2", "100.0", "", "a b", "inf"];
+        for (tag, compiled) in [("hostname", &need.hostname), ("os", &need.os)] {
+            let Some(t) = req.tag(tag) else {
+                assert!(compiled.is_none(), "{what}: {tag}");
+                continue;
+            };
+            for word in WORDS {
+                let accepts = t.accepts(&Value::Str(word.into()), vars);
+                let reduced = compiled.as_ref().unwrap().clone().and_then(|a| a.word(word));
+                assert_eq!(reduced, accepts, "{what}: {tag} against {word:?}");
+            }
+        }
+        let Some(t) = req.tag("speed") else { return assert!(need.speed.is_none()) };
+        for speed in [0.25, 0.5, 1.0, 2.0, 4.0] {
+            let accepts = t.accepts(&Value::Float(speed), vars);
+            let reduced = need.speed.clone().unwrap().map(|a| a.number(speed));
+            assert_eq!(reduced, accepts, "{what}: speed against {speed}");
+        }
+    }
+
+    /// Compiling an option under its bindings gives what its tags evaluate
+    /// to there: every listing's options over their variable grids, and
+    /// requirements with numeric-looking hostnames (`"100"` against
+    /// `"1e2"`), `os`, `speed` and `dedicated` expressions, and tags that
+    /// fail to evaluate.
+    #[test]
+    fn compiled_requirements_equal_the_tags() {
+        const SHAPES: [&str; 4] = [
+            "harmonyBundle num:1 b { {o {variable w {1 2 4}} \
+               {node n {hostname 100} {os {w > 1 ? 1e2 : 100}} {seconds {40 / w}}} \
+               {node m {replicate w} {hostname {100 * w}} {speed {w / 2}} {memory <=64}}} }",
+            "harmonyBundle ded:1 b { {o {variable w {0 1 2}} \
+               {node n {dedicated {w}} {speed {w}} {os {w > 0 ? linux : aix}} {memory >=16}} \
+               {node k {replicate w} {speed *} {hostname *} {memory *}}} }",
+            "harmonyBundle bad:1 b { {o {variable w {1 2}} \
+               {node n {seconds {10 / missing}} {hostname {h}} {os {1 / (w - 1)}}} \
+               {node k {replicate z} {dedicated {y}} {memory {w - nowhere}}}} }",
+            "harmonyBundle spd:1 b { {o {node n {speed <=1} {os aix}} {node m {speed 2.0}}} }",
+        ];
+        let fig3 = FIG3_DBCLIENT.replace("harmony.cs.umd.edu", "node00.sp2");
+        let listings = [FIG2A_SIMPLE, FIG2B_BAG, FIG3_DBCLIENT, &fig3];
+        let mut checked = 0;
+        for script in listings.iter().chain(&SHAPES) {
+            let bundle = parse_bundle_script(script).unwrap();
+            for opt in &bundle.options {
+                for vars in assignments(opt) {
+                    let compiled = Compiled::new(opt, &VarsEnv(&vars));
+                    let map: MapEnv =
+                        vars.iter().map(|(k, v)| (k.clone(), Value::Int(*v))).collect();
+                    assert_eq!(Compiled::new(opt, &map), compiled, "{vars:?}");
+                    for (req, need) in opt.nodes.iter().zip(&compiled.nodes) {
+                        let what = format!("{}.{} {vars:?}", opt.name, req.name);
+                        held_to_the_tags(req, need, &VarsEnv(&vars), &what);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 30, "every shape should be checked, checked {checked}");
+    }
+
+    /// A tag that fails to evaluate fails the match where the match reaches
+    /// it: a requirement no node satisfies is a miss whatever its `seconds`
+    /// tag says, and the same requirement on a node that fits raises the
+    /// error; a filter fails once a node gets past the exclusivity check.
+    #[test]
+    fn an_evaluation_error_is_raised_where_the_match_reaches_it() {
+        let cluster = sp2(4);
+        let opt = |script: &str| parse_bundle_script(script).unwrap().options.remove(0);
+        let (mut out, mut scratch) = (Allocation::default(), MatchScratch::default());
+        let mut matched = |opt: &OptionSpec| {
+            let compiled = Compiled::new(opt, &VarsEnv(&[]));
+            let (c, s) = (&compiled, &mut scratch);
+            let found = Matcher::default().match_into(&cluster, opt, c, &[], &mut out, s);
+            // The public entries compile and match alike.
+            let public = Matcher::default().match_vars(&cluster, opt, &[]);
+            match &found {
+                Ok(Err(_)) => assert!(matches!(public, Err(ResourceError::NoMatch { .. }))),
+                Ok(Ok(())) => assert!(public.is_ok()),
+                Err(e) => assert_eq!(public.as_ref(), Err(e)),
+            }
+            found
+        };
+        let huge =
+            opt("harmonyBundle a:1 b { {o {node n {seconds {10 / missing}} {memory 9999}}} }");
+        assert!(matches!(matched(&huge), Ok(Err(Miss::Node { req: 0, index: 0, .. }))));
+        let fits = opt("harmonyBundle a:1 b { {o {node n {seconds {10 / missing}} {memory 1}}} }");
+        assert!(matches!(matched(&fits), Err(ResourceError::Rsl(_))));
+        let filter = opt("harmonyBundle a:1 b { {o {node n {hostname {missing}} {memory 1}}} }");
+        assert!(matches!(matched(&filter), Err(ResourceError::Rsl(_))));
+        // A hostname `>=` constraint against words that are no numbers fails
+        // at the first node it reads.
+        let numeric = opt("harmonyBundle a:1 b { {o {node n {hostname >=3}}} }");
+        assert!(matches!(matched(&numeric), Err(ResourceError::Rsl(_))));
     }
 
     /// The environment an allocation induced when it was built eagerly, a
@@ -828,8 +993,9 @@ mod tests {
                         assert_eq!(alloc, matcher.match_option(&cluster, opt, &map));
                         // Matching into buffers every earlier match wrote
                         // (larger, smaller, missed) binds the same.
-                        let found =
-                            matcher.match_into(&cluster, opt, &vars, &mut out, &mut scratch);
+                        let compiled = Compiled::new(opt, &VarsEnv(&vars));
+                        let (c, s) = (&compiled, &mut scratch);
+                        let found = matcher.match_into(&cluster, opt, c, &vars, &mut out, s);
                         assert_eq!(found.unwrap().is_ok(), alloc.is_ok());
                         let Ok(alloc) = alloc else { continue };
                         assert_eq!(out, alloc);

@@ -11,4 +11,4 @@ pub use bundle::{
 };
 pub use decl::{LinkDecl, NodeDecl, REFERENCE_MACHINE};
 pub use parser::{parse_bundle_script, parse_statements, Statement};
-pub use tagvalue::{node_to_value, TagValue};
+pub use tagvalue::{node_to_value, Accepts, TagValue};

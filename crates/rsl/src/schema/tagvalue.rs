@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::{Result, RslError};
 use crate::expr::{parse_expr, Env, Expr};
 use crate::list::Node;
-use crate::value::Value;
+use crate::value::{parse_number, Loose, Value};
 
 /// The parsed right-hand side of a tag.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -126,6 +126,26 @@ impl TagValue {
         }
     }
 
+    /// This value reduced, in `env`, to what testing an attribute against
+    /// it needs: an expression is evaluated here, a literal's number and
+    /// word worked out here, so that [`Accepts::word`] and
+    /// [`Accepts::number`] answer what [`TagValue::accepts`] answers
+    /// without evaluating anything or building a [`Value`].
+    ///
+    /// # Errors
+    ///
+    /// Expression evaluation errors, which [`TagValue::accepts`] would
+    /// raise for every attribute.
+    pub fn accepting<E: Env + ?Sized>(&self, env: &E) -> Result<Accepts> {
+        Ok(Accepts(match self {
+            TagValue::Any => Test::Any,
+            TagValue::AtLeast(x) => Test::AtLeast(*x),
+            TagValue::AtMost(x) => Test::AtMost(*x),
+            TagValue::Exact(v) => Test::Equal(v.loose()),
+            TagValue::Expr(e) => Test::Equal(crate::expr::eval(e, env)?.loose()),
+        }))
+    }
+
     /// True when this value can use more of a resource than its minimum
     /// (i.e. it is an `AtLeast` constraint). The paper's Figure 3 uses this
     /// to let Harmony profitably allocate extra client memory.
@@ -149,6 +169,44 @@ impl TagValue {
             TagValue::AtMost(x) => format!("<={x}"),
             TagValue::Exact(v) => v.canonical(),
             TagValue::Expr(e) => format!("{{{e}}}"),
+        }
+    }
+}
+
+/// A [`TagValue`] reduced in one environment ([`TagValue::accepting`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Accepts(Test);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Test {
+    Any,
+    AtLeast(f64),
+    AtMost(f64),
+    Equal(Loose),
+}
+
+impl Accepts {
+    /// What [`TagValue::accepts`] answers for `Value::Str(attr)`.
+    ///
+    /// # Errors
+    ///
+    /// A `>=`/`<=` constraint against a word that is not a number.
+    pub fn word(&self, attr: &str) -> Result<bool> {
+        match &self.0 {
+            Test::Any => Ok(true),
+            Test::AtLeast(x) => Ok(parse_number(attr)? >= *x),
+            Test::AtMost(x) => Ok(parse_number(attr)? <= *x),
+            Test::Equal(v) => Ok(v.eq_word(attr)),
+        }
+    }
+
+    /// What [`TagValue::accepts`] answers for `Value::Float(attr)`.
+    pub fn number(&self, attr: f64) -> bool {
+        match &self.0 {
+            Test::Any => true,
+            Test::AtLeast(x) => attr >= *x,
+            Test::AtMost(x) => attr <= *x,
+            Test::Equal(v) => v.eq_number(attr),
         }
     }
 }
@@ -183,6 +241,67 @@ mod tests {
         let nodes = parse_tree(src).unwrap();
         assert_eq!(nodes.len(), 1, "expected one node from {src}");
         TagValue::parse(&nodes[0]).unwrap()
+    }
+
+    /// The reduced form answers what the tag answers: every kind of tag
+    /// value, literal or evaluated, against words (numeric-looking,
+    /// braced, empty) and numbers, errors included.
+    #[test]
+    fn accepting_answers_what_accepts_answers() {
+        let mut env = MapEnv::new();
+        env.set("w", Value::Int(4));
+        env.set("h", Value::Str("node01".into()));
+        let tags = [
+            "*",
+            ">=2",
+            "<=2",
+            "100",
+            "1e2",
+            "node00.sp2",
+            "{a b}",
+            "{}",
+            "{1 2}",
+            "{w * 25}",
+            "{h}",
+            "2.0",
+            "inf",
+            "nan",
+            "-0",
+            "{w / 8}",
+        ];
+        let words = [
+            "100",
+            "1e2",
+            "100.0",
+            "node00.sp2",
+            "a b",
+            "",
+            "inf",
+            "NaN",
+            "2",
+            "-0",
+            "0",
+            "{1 2}",
+            "1 2",
+            "node01",
+            "0.5",
+            "2.0",
+        ];
+        let numbers = [0.0, -0.0, 0.5, 1.0, 2.0, 100.0, 1e15, 1e16, f64::NAN, f64::INFINITY];
+        for src in tags {
+            let tag = tv(src);
+            let reduced = tag.accepting(&env).unwrap();
+            for w in words {
+                let attr = Value::Str(w.into());
+                assert_eq!(reduced.word(w), tag.accepts(&attr, &env), "{src} against {w:?}");
+            }
+            for x in numbers {
+                let attr = Value::Float(x);
+                assert_eq!(Ok(reduced.number(x)), tag.accepts(&attr, &env), "{src} against {x}");
+            }
+        }
+        // An expression that fails fails once, where it is reduced.
+        assert!(tv("{10 / missing}").accepting(&env).is_err());
     }
 
     #[test]

@@ -59,10 +59,7 @@ impl Value {
         match self {
             Value::Int(i) => Ok(*i as f64),
             Value::Float(x) => Ok(*x),
-            Value::Str(s) => s.parse::<f64>().map_err(|_| RslError::Type {
-                op: "numeric conversion".into(),
-                value: format!("string `{s}`"),
-            }),
+            Value::Str(s) => parse_number(s),
             Value::List(_) => {
                 Err(RslError::Type { op: "numeric conversion".into(), value: "a list".into() })
             }
@@ -134,6 +131,76 @@ impl Value {
     pub fn canonical(&self) -> String {
         self.to_string()
     }
+
+    /// What [`Value::loose_eq`] compares of this value, worked out once.
+    pub(crate) fn loose(&self) -> Loose {
+        Loose { number: self.as_f64().ok(), word: self.canonical() }
+    }
+}
+
+/// A value as [`Value::loose_eq`] compares it: its number, if it reads as
+/// one, and its canonical word. Held against a node's attributes many
+/// times, it builds no [`Value`] and no word.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Loose {
+    number: Option<f64>,
+    word: String,
+}
+
+impl Loose {
+    /// `value.loose_eq(&Value::Str(attr))`, for the value this was made of.
+    pub(crate) fn eq_word(&self, attr: &str) -> bool {
+        if let (Some(a), Ok(b)) = (self.number, attr.parse::<f64>()) {
+            return a == b;
+        }
+        displays_as(Word(attr), &self.word)
+    }
+
+    /// `value.loose_eq(&Value::Float(attr))`, for the value this was made
+    /// of.
+    pub(crate) fn eq_number(&self, attr: f64) -> bool {
+        match self.number {
+            Some(a) => a == attr,
+            None => displays_as(Value::Float(attr), &self.word),
+        }
+    }
+}
+
+/// The number a word reads as: [`Value::as_f64`] of a `Str`.
+pub(crate) fn parse_number(s: &str) -> Result<f64> {
+    s.parse::<f64>().map_err(|_| RslError::Type {
+        op: "numeric conversion".into(),
+        value: format!("string `{s}`"),
+    })
+}
+
+/// A word as [`Value::Str`] displays it, borrowed.
+struct Word<'a>(&'a str);
+
+impl fmt::Display for Word<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        if s.is_empty() || s.contains(|c: char| c.is_whitespace() || c == '{' || c == '}') {
+            write!(f, "{{{s}}}")
+        } else {
+            f.write_str(s)
+        }
+    }
+}
+
+/// True when `value` displays as exactly `text`, compared piece by piece
+/// as it is written, with no buffer.
+fn displays_as(value: impl fmt::Display, text: &str) -> bool {
+    /// What is left of `text` to match.
+    struct Rest<'a>(&'a str);
+    impl fmt::Write for Rest<'_> {
+        fn write_str(&mut self, piece: &str) -> fmt::Result {
+            self.0 = self.0.strip_prefix(piece).ok_or(fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Rest(text);
+    fmt::write(&mut rest, format_args!("{value}")).is_ok() && rest.0.is_empty()
 }
 
 /// The canonical TCL word (see [`Value::canonical`]), written straight into
@@ -144,13 +211,7 @@ impl fmt::Display for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{x:.1}"),
             Value::Float(x) => write!(f, "{x}"),
-            Value::Str(s) => {
-                if s.is_empty() || s.contains(|c: char| c.is_whitespace() || c == '{' || c == '}') {
-                    write!(f, "{{{s}}}")
-                } else {
-                    f.write_str(s)
-                }
-            }
+            Value::Str(s) => Word(s).fmt(f),
             Value::List(items) => {
                 f.write_str("{")?;
                 for (i, item) in items.iter().enumerate() {

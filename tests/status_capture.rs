@@ -7,7 +7,8 @@
 //! histogram table once under one read lock. It formats no floats, so its
 //! allocation count repeats exactly. (While it cloned every id to look
 //! each instance up again, and copied every histogram's buckets out under
-//! a lookup per name, the controller below cost 87 allocations.)
+//! a lookup per name, the controller below cost 87 allocations; while the
+//! objective's table kept one vector of bundles per application, 48.)
 
 use harmony_bench::request_path::{allocations, CountingAllocator};
 use harmony_core::{
@@ -194,5 +195,5 @@ fn capture_makes_a_pinned_number_of_allocations() {
     let snapshot = SystemSnapshot::capture(&ctl);
     let made = allocations() - before;
     assert_eq!(snapshot, warm, "nothing moved between the two captures");
-    assert_eq!(made, 48, "allocations of one capture");
+    assert_eq!(made, 47, "allocations of one capture");
 }
